@@ -34,7 +34,7 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 _DIFFUSE_TOL = 1e-10
 
 
-@njit(cache=True, nogil=True)
+@njit(cache=True)
 def diffuse_loglik(values, hidx, lvl, apply_, window, tvar_idx, corr_idx, params, m, k):
     """Exact-diffuse loglik of one parameter point; NaN if inadmissible.
 

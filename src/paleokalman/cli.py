@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -64,22 +63,6 @@ def _invocation(argv) -> str:
 
 def _header_lines(argv) -> tuple:
     return (f"# paleokalman {__version__} -- {_invocation(argv)}",)
-
-
-def _apply_threads(value) -> None:
-    if value is None:
-        value = os.environ.get("PALEOKALMAN_THREADS")
-    if not value:
-        return
-    n = str(int(value))
-    os.environ.setdefault("OMP_NUM_THREADS", n)
-    os.environ.setdefault("NUMBA_NUM_THREADS", n)
-    try:
-        import numba
-
-        numba.set_num_threads(int(n))
-    except Exception:
-        pass
 
 
 def _load_data(args):
@@ -323,9 +306,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
-
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
     p_fit.add_argument("--data", required=True, help="ingest CSV path")
     p_fit.add_argument("--model", choices=PRESETS, default="rwn")
@@ -340,14 +320,12 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--trans-climate", action="store_true", dest="trans_climate")
     p_fit.add_argument("--corr-climate", action="store_true", dest="corr_climate")
     p_fit.add_argument("--species-buckets", default=None, dest="species_buckets")
-    add_common(p_fit)
 
     p_smooth = sub.add_parser("smooth", help="smoothed states and residuals CSV")
     p_smooth.add_argument("--data", required=True)
     p_smooth.add_argument("--fit", required=True)
     p_smooth.add_argument("--out", default="states.csv")
     p_smooth.add_argument("--species-buckets", default=None, dest="species_buckets")
-    add_common(p_smooth)
 
     p_impute = sub.add_parser("impute", help="equidistant-grid imputation CSV")
     p_impute.add_argument("--data", required=True)
@@ -359,7 +337,6 @@ def _build_parser() -> _Parser:
     p_impute.add_argument("--span-end", type=float, default=None, dest="span_end")
     p_impute.add_argument("--out", default="grid.csv")
     p_impute.add_argument("--species-buckets", default=None, dest="species_buckets")
-    add_common(p_impute)
 
     p_gain = sub.add_parser("gain", help="gain curve and cutoff frequencies")
     p_gain.add_argument("--fit", default=None)
@@ -372,7 +349,6 @@ def _build_parser() -> _Parser:
     p_gain.add_argument("--out", default=None)
     p_gain.add_argument("--samples", type=int, default=1024)
     p_gain.add_argument("--species-buckets", default=None, dest="species_buckets")
-    add_common(p_gain)
 
     return parser
 
@@ -390,7 +366,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_threads(getattr(args, "threads", None))
         return _COMMANDS[args.command](args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,12 +20,29 @@ carries the kappa-expansion terms (r0, r1) and (N0, N1, N2); after the
 phase the extra terms are identically zero, so one code path covers both
 regimes. Smoothed covariances are finite everywhere once the data identify
 the initial state.
+
+Both recursions run on plain Python floats: a state vector is a list of s
+floats and an s x s matrix a flat list of s*s floats, entry (r, c) at
+r*s + c. The inputs come from the CompiledModel arrays by one .tolist()
+(or array('d') copy) each per call. At the state dimensions measured
+(s = 1 to 6) this beats numpy, whose per-call overhead dominates on such
+small arrays. The forward pass follows _kernels.diffuse_loglik operation
+for operation, so the two logliks agree bit for bit when the kernel runs
+as plain Python. It appends the predicted and filtered paths to array('d')
+buffers, and keeps what the backward pass needs of each observed slot in
+compact buffers (SlotRecords). The backward pass keeps only what is
+sequential, r0 and N0 at every row and r1, N1, N2 at the diffuse rows; the
+smoothed moments then come from batched matrix products over all rows at
+once.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -157,39 +174,78 @@ def compile_model(
     )
 
 
-# block operations for the unit upper-bidiagonal trend transition -----------
+# flat-list helpers -----------------------------------------------------------
+# A state vector is a list of s floats; an s x s matrix is a list of s*s
+# floats with entry (r, c) at r*s + c, so column c is the slice [c::s].
 
 
-def _T_vec(x: np.ndarray, top: int, m: int) -> None:
-    # x <- T x within a block: x[i] += x[i+1], ascending
-    for i in range(top, top + m - 1):
-        x[i] += x[i + 1]
+def _dot(x, y) -> float:
+    return sum(map(mul, x, y))
 
 
-def _T_mat(P: np.ndarray, blocks, m: int) -> None:
-    # P <- A P A' with A applying T on the listed blocks, identity elsewhere
-    for top in blocks:
+def _matvec(N: list, x: list, s: int) -> list:
+    return [sum(map(mul, N[i : i + s], x)) for i in range(0, s * s, s)]
+
+
+def _transposer(s: int) -> list:
+    # P[j] for j in _transposer(s) lists P' in flat order
+    return [c * s + r for r in range(s) for c in range(s)]
+
+
+def _symmetrized(P: list, transposer: list) -> list:
+    # 0.5 (P + P'); the diagonal is unchanged bit for bit
+    return [0.5 * (x + P[j]) for x, j in zip(P, transposer)]
+
+
+def _rank_update(N: list, e: int, s: int, w: list, d: float) -> None:
+    # N <- N - z w' - w z' + d z z', z the unit vector at e
+    row = e * s
+    N[row : row + s] = map(sub, N[row : row + s], w)
+    for i, x in zip(range(e, s * s, s), w):
+        N[i] -= x
+    N[row + e] += d
+
+
+# the unit upper-bidiagonal trend transition T on the listed blocks (tops),
+# identity elsewhere; the matrix forms do all row steps before any column step
+
+
+def _T_mat(P: list, tops, m: int, s: int) -> None:
+    # P <- A P A': row i += row i+1 then column i += column i+1, ascending
+    for top in tops:
+        for i in range(top * s, (top + m - 1) * s, s):
+            P[i : i + s] = map(add, P[i : i + s], P[i + s : i + 2 * s])
+    for top in tops:
         for i in range(top, top + m - 1):
-            P[i, :] += P[i + 1, :]
-    for top in blocks:
-        for i in range(top, top + m - 1):
-            P[:, i] += P[:, i + 1]
+            for j in range(i, s * s, s):
+                P[j] += P[j + 1]
 
 
-def _Tt_vec(x: np.ndarray, top: int, m: int) -> None:
-    # x <- T' x within a block: x[i] += x[i-1], descending
-    for i in range(top + m - 1, top, -1):
-        x[i] += x[i - 1]
-
-
-def _Tt_mat(N: np.ndarray, blocks, m: int) -> None:
-    # N <- A' N A
-    for top in blocks:
+def _Tt_mat(N: list, tops, m: int, s: int) -> None:
+    # N <- A' N A: row i += row i-1 then column i += column i-1, descending
+    for top in tops:
+        for i in range((top + m - 1) * s, top * s, -s):
+            N[i : i + s] = map(add, N[i : i + s], N[i - s : i])
+    for top in tops:
         for i in range(top + m - 1, top, -1):
-            N[i, :] += N[i - 1, :]
-    for top in blocks:
-        for i in range(top + m - 1, top, -1):
-            N[:, i] += N[:, i - 1]
+            for j in range(i, s * s, s):
+                N[j] += N[j - 1]
+
+
+def _paths_array(buf: array, shape: tuple) -> np.ndarray:
+    # the rows held in buf, then zero rows up to shape[0]
+    out = np.frombuffer(buf)
+    size = math.prod(shape)
+    if out.size < size:
+        out = np.concatenate([out, np.zeros(size - out.size)])
+    return out.reshape(shape)
+
+
+def _slot_columns(buf: array, rows, cols, shape: tuple) -> np.ndarray:
+    # one value per observed slot at its (row, column), NaN elsewhere
+    out = np.full(shape, np.nan)
+    out[rows, cols] = np.frombuffer(buf)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +271,8 @@ class StatePaths:
     Covariance arrays hold the proper parts; *_covs_inf carry the diffuse
     parts, exactly zero after the diffuse phase. Innovations and their
     variances are per slot, NaN where the slot is missing. diffuse_rows
-    flags rows processed while initialization was still diffuse.
+    flags rows processed while initialization was still diffuse; they are
+    always a leading run of rows.
     """
 
     stamps: np.ndarray
@@ -231,6 +288,38 @@ class StatePaths:
     smoothed_means: np.ndarray | None = None
     smoothed_covs: np.ndarray | None = None
 
+    def standardized_residuals(self) -> np.ndarray:
+        """Per-slot innovations divided by their standard deviation.
+
+        Shape (n_rows, n_slot_columns); NaN at missing slots and over every
+        row still inside the diffuse phase, where no proper innovation
+        variance exists.
+        """
+        with np.errstate(invalid="ignore"):
+            out = self.innovations / np.sqrt(self.innovation_variances)
+        out[self.diffuse_rows, :] = np.nan
+        return out
+
+
+@dataclass
+class SlotRecords:
+    """What the backward pass needs of each observed slot, in filter order.
+
+    Row nu owns the next count[nu] slots. level[o] is the state index of
+    slot o's series level, v[o] its innovation, F[o] its proper innovation
+    variance F_star, and K[o*s : (o+1)*s] its gain: M_star / F_star for an
+    ordinary slot, M_inf / F_inf for a diffuse one. diffuse maps each
+    diffuse slot (at most s of them) to (F_inf, K1), with
+    K1 = M_star / F_inf - M_inf F_star / F_inf^2.
+    """
+
+    count: list
+    level: list
+    v: array
+    F: array
+    K: array
+    diffuse: dict
+
 
 @dataclass
 class FilterRun:
@@ -242,9 +331,7 @@ class FilterRun:
     final_state: FilterState
     paths: StatePaths
     n_diffuse_slots: int
-    # per-row list of slot records for the smoother:
-    # (col, kind, v, F_inf, F_star, M_inf, M_star) with kind 1 = diffuse
-    slot_records: list = field(repr=False, default_factory=list)
+    slot_records: SlotRecords | None = field(repr=False, default=None)
 
     def __iter__(self):
         # allows (state, paths, loglik) unpacking
@@ -269,133 +356,163 @@ def filter(
     params = layout.validate_params(params)
     n, s, p = cm.n, cm.s, cm.p
     m, k = cm.m, cm.n_series
+    ss = s * s
+    h = params.tolist()
 
-    a = np.zeros(s)
-    Ps = np.zeros((s, s))
     if isinstance(init, str):
         if init != "diffuse":
             raise ValueError(f"unknown init mode {init!r}")
-        Pi = np.eye(s)
-        diffuse_active = True
+        a = [0.0] * s
+        Ps = [0.0] * ss
+        Pi = [float(i % (s + 1) == 0) for i in range(ss)]
+        diffuse = True
     else:
         a1, P1 = init
-        a = np.asarray(a1, dtype=float).reshape(s).copy()
-        Ps = np.asarray(P1, dtype=float).reshape(s, s).copy()
-        Pi = np.zeros((s, s))
-        diffuse_active = False
+        a = np.asarray(a1, dtype=float).reshape(s).tolist()
+        Ps = np.asarray(P1, dtype=float).reshape(ss).tolist()
+        Pi = [0.0] * ss
+        diffuse = False
 
-    loglik = 0.0
-    n_diffuse = 0
+    # observed slots in row-major order, count[nu] of them in row nu
+    obs_row, obs_col = np.nonzero(cm.hidx >= 0)
+    count = np.bincount(obs_row, minlength=n).tolist()
+    level = cm.lvl_of_col[obs_col].tolist()
+    y = array("d", cm.values[obs_row, obs_col].tobytes())
+    hidx = cm.hidx[obs_row, obs_col].tolist()
+    moved = cm.apply.any(axis=1).tolist()
+    corr = cm.corr_idx.tolist()
+    # per (row, series) at nu*k + j
+    apply_ = cm.apply.ravel().tolist()
+    window = array("d", np.asarray(cm.window, dtype=float).tobytes())
+    tvar = cm.tvar_idx.ravel().tolist()
+    tail = [(j * m + m - 1) * (s + 1) for j in range(k)]  # flat index of (last, last)
+    cross_at = ((m - 1) * s + 2 * m - 1, (2 * m - 1) * s + m - 1)
+    rs = range(s)
+    transposer = _transposer(s)
 
-    pred_m = np.zeros((n, s))
-    pred_c = np.zeros((n, s, s))
-    pred_ci = np.zeros((n, s, s))
-    filt_m = np.zeros((n, s))
-    filt_c = np.zeros((n, s, s))
-    filt_ci = np.zeros((n, s, s))
-    innov = np.full((n, p), np.nan)
-    innov_var = np.full((n, p), np.nan)
-    diffuse_rows = np.zeros(n, dtype=bool)
-    slot_records: list = []
+    pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
+    filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
+    diffuse_rows = []
+    rec_v, rec_F, rec_K = array("d"), array("d"), array("d")
+    rec_diffuse = {}
+    first = 0  # the row's first slot
 
     for nu in range(n):
-        if nu > 0:
-            blocks = [j * m for j in range(k) if cm.apply[nu, j]]
-            if blocks:
-                for top in blocks:
-                    _T_vec(a, top, m)
-                _T_mat(Ps, blocks, m)
-                if diffuse_active:
-                    _T_mat(Pi, blocks, m)
-                for j in range(k):
-                    if cm.apply[nu, j]:
-                        last = j * m + m - 1
-                        Ps[last, last] += params[cm.tvar_idx[nu, j]] * cm.window[nu, j]
-                if k == 2 and cm.apply[nu, 0] and cm.apply[nu, 1]:
-                    ci = cm.corr_idx[nu]
-                    if ci >= 0 and params[ci] != 0.0:
-                        cross = (
-                            params[ci]
-                            * np.sqrt(
-                                params[cm.tvar_idx[nu, 0]]
-                                * params[cm.tvar_idx[nu, 1]]
-                            )
-                            * min(cm.window[nu, 0], cm.window[nu, 1])
-                        )
-                        Ps[m - 1, 2 * m - 1] += cross
-                        Ps[2 * m - 1, m - 1] += cross
-
-        pred_m[nu] = a
-        pred_c[nu] = Ps
-        pred_ci[nu] = Pi
-        diffuse_rows[nu] = diffuse_active
-
-        records = []
-        for col in range(p):
-            hix = cm.hidx[nu, col]
-            if hix < 0:
-                continue
-            lvl = cm.lvl_of_col[col]
-            v = cm.values[nu, col] - a[lvl]
-            Ms = Ps[:, lvl].copy()
-            Fs = Ms[lvl] + params[hix]
-            innov[nu, col] = v
-            if diffuse_active and Pi[lvl, lvl] > DIFFUSE_TOL:
-                Mi = Pi[:, lvl].copy()
-                Fi = Mi[lvl]
-                K0 = Mi / Fi
-                a = a + K0 * v
-                Ps = Ps + np.outer(K0, K0) * Fs - np.outer(K0, Ms) - np.outer(Ms, K0)
-                Pi = Pi - np.outer(K0, Mi)
-                loglik += -0.5 * (_LOG2PI + np.log(Fi))
-                n_diffuse += 1
-                innov_var[nu, col] = Fs
-                records.append((col, 1, v, Fi, Fs, Mi, Ms))
-            else:
-                if not (np.isfinite(Fs) and Fs > 0.0):
-                    raise ConditioningError(
-                        nu, f"innovation variance {Fs} at slot column {col}"
+        if nu > 0 and moved[nu]:
+            at = nu * k
+            if m > 1:
+                tops = [j * m for j in range(k) if apply_[at + j]]
+                for top in tops:
+                    for i in range(top, top + m - 1):
+                        a[i] += a[i + 1]
+                _T_mat(Ps, tops, m, s)
+                if diffuse:
+                    _T_mat(Pi, tops, m, s)
+            for j in range(k):
+                if apply_[at + j]:
+                    Ps[tail[j]] += h[tvar[at + j]] * window[at + j]
+            if k == 2 and apply_[at] and apply_[at + 1]:
+                ci = corr[nu]
+                if ci >= 0 and h[ci] != 0.0:
+                    cross = (
+                        h[ci]
+                        * math.sqrt(h[tvar[at]] * h[tvar[at + 1]])
+                        * min(window[at], window[at + 1])
                     )
-                K = Ms / Fs
-                a = a + K * v
-                Ps = Ps - np.outer(K, Ms)
-                loglik += -0.5 * (_LOG2PI + np.log(Fs) + v * v / Fs)
-                innov_var[nu, col] = Fs
-                records.append((col, 0, v, 0.0, Fs, None, Ms))
+                    Ps[cross_at[0]] += cross
+                    Ps[cross_at[1]] += cross
 
-        Ps = 0.5 * (Ps + Ps.T)
-        if diffuse_active:
-            Pi = 0.5 * (Pi + Pi.T)
-            if np.max(np.abs(Pi)) < DIFFUSE_TOL:
-                Pi = np.zeros((s, s))
-                diffuse_active = False
+        pred_a.fromlist(a)
+        pred_P.fromlist(Ps)
+        if diffuse:
+            pred_Pi.fromlist(Pi)
+        diffuse_rows.append(diffuse)
 
-        filt_m[nu] = a
-        filt_c[nu] = Ps
-        filt_ci[nu] = Pi
-        slot_records.append(records)
+        last = first + count[nu]
+        for o in range(first, last):
+            e = level[o]
+            v = y[o] - a[e]
+            Ms = Ps[e::s]
+            Fs = Ms[e] + h[hidx[o]]
+            if diffuse and Pi[e * (s + 1)] > DIFFUSE_TOL:
+                Mi = Pi[e::s]
+                Fi = Mi[e]
+                K = [x / Fi for x in Mi]
+                a = [x + kr * v for x, kr in zip(a, K)]
+                KK = [kr for kr in K for _ in rs]  # K[r] at r*s + c
+                MK = [mr for mr in Ms for _ in rs]
+                Ps = [
+                    ((x + kr * kc * Fs) - kr * mc) - mr * kc
+                    for x, kr, kc, mr, mc in zip(Ps, KK, K * s, MK, Ms * s)
+                ]
+                Pi = list(map(sub, Pi, [kr * mc for kr in K for mc in Mi]))
+                K1 = [ms / Fi - mi * (Fs / (Fi * Fi)) for ms, mi in zip(Ms, Mi)]
+                rec_diffuse[o] = (Fi, K1)
+            else:
+                if not 0.0 < Fs < math.inf:
+                    raise ConditioningError(
+                        nu, f"innovation variance {Fs} at slot column {int(obs_col[o])}"
+                    )
+                K = [x / Fs for x in Ms]
+                a = [x + kr * v for x, kr in zip(a, K)]
+                Ps = list(map(sub, Ps, [kr * mc for kr in K for mc in Ms]))
+            rec_v.append(v)
+            rec_F.append(Fs)
+            rec_K.fromlist(K)
+        first = last
+
+        if s > 1:
+            Ps = _symmetrized(Ps, transposer)
+        if diffuse:
+            if s > 1:
+                Pi = _symmetrized(Pi, transposer)
+            if max(map(abs, Pi)) < DIFFUSE_TOL:
+                Pi = [0.0] * ss
+                diffuse = False
+
+        filt_a.fromlist(a)
+        filt_P.fromlist(Ps)
+        if diffuse:
+            filt_Pi.fromlist(Pi)
+
+    # the log terms in one vectorized call, summed in slot order
+    F = np.array(rec_F)
+    for o, (Fi, _) in rec_diffuse.items():
+        F[o] = Fi
+    loglik = 0.0
+    for o, (v, Fs, lf) in enumerate(zip(rec_v, rec_F, np.log(F).tolist())):
+        if o in rec_diffuse:
+            loglik += -0.5 * (_LOG2PI + lf)
+        else:
+            loglik += -0.5 * (_LOG2PI + lf + v * v / Fs)
 
     paths = StatePaths(
         stamps=cm.stamps,
-        predicted_means=pred_m,
-        predicted_covs=pred_c,
-        predicted_covs_inf=pred_ci,
-        filtered_means=filt_m,
-        filtered_covs=filt_c,
-        filtered_covs_inf=filt_ci,
-        innovations=innov,
-        innovation_variances=innov_var,
-        diffuse_rows=diffuse_rows,
+        predicted_means=_paths_array(pred_a, (n, s)),
+        predicted_covs=_paths_array(pred_P, (n, s, s)),
+        predicted_covs_inf=_paths_array(pred_Pi, (n, s, s)),
+        filtered_means=_paths_array(filt_a, (n, s)),
+        filtered_covs=_paths_array(filt_P, (n, s, s)),
+        filtered_covs_inf=_paths_array(filt_Pi, (n, s, s)),
+        innovations=_slot_columns(rec_v, obs_row, obs_col, (n, p)),
+        innovation_variances=_slot_columns(rec_F, obs_row, obs_col, (n, p)),
+        diffuse_rows=np.array(diffuse_rows, dtype=bool),
     )
-    state = FilterState(a=a, P=Ps, P_inf=Pi, loglik_acc=float(loglik), t_index=n - 1)
+    state = FilterState(
+        a=np.array(a),
+        P=np.array(Ps).reshape(s, s),
+        P_inf=np.array(Pi).reshape(s, s),
+        loglik_acc=loglik,
+        t_index=n - 1,
+    )
     return FilterRun(
         compiled=cm,
         params=params,
-        loglik=float(loglik),
+        loglik=loglik,
         final_state=state,
         paths=paths,
-        n_diffuse_slots=n_diffuse,
-        slot_records=slot_records,
+        n_diffuse_slots=len(rec_diffuse),
+        slot_records=SlotRecords(count, level, rec_v, rec_F, rec_K, rec_diffuse),
     )
 
 
@@ -407,140 +524,117 @@ def filter(
 def smooth(run: FilterRun) -> StatePaths:
     """Fixed-interval smoother; fills the smoothed fields of the paths.
 
-    Backward recursion in (r0, r1) and (N0, N1, N2). Post-diffuse slots
-    leave the extra terms at zero, so a single pass covers both phases.
-    At each row, with P the proper and Pi the diffuse predicted parts:
+    Backward recursion in (r0, r1) and (N0, N1, N2), Durbin & Koopman
+    (2012) sections 5.3 and 6.3. Post-diffuse slots leave the extra terms
+    at zero, so a single pass covers both phases. The pass keeps r0 and N0
+    for every row and r1, N1, N2 for the diffuse rows; the moments then
+    come from batched products over all rows. At each row, with P the
+    proper and Pi the diffuse predicted parts:
 
         mean = a_pred + P r0 + Pi r1
         cov  = P - P N0 P - Pi N1 P - P N1 Pi - Pi N2 Pi
     """
     cm = run.compiled
     n, s, m, k = cm.n, cm.s, cm.m, cm.n_series
+    ss = s * s
     paths = run.paths
+    rec = run.slot_records
+    count, level, diffuse_slots = rec.count, rec.level, rec.diffuse
+    rec_v, rec_F, rec_K = rec.v, rec.F, rec.K
+    in_diffuse_rows = paths.diffuse_rows.tolist()
+    # with m = 1 the transition is the identity and the backward pass skips it
+    moved = cm.apply.any(axis=1).tolist() if m > 1 else [False] * n
+    apply_ = cm.apply.ravel().tolist()
 
-    r0 = np.zeros(s)
-    r1 = np.zeros(s)
-    N0 = np.zeros((s, s))
-    N1 = np.zeros((s, s))
-    N2 = np.zeros((s, s))
+    r0 = [0.0] * s
+    r1 = [0.0] * s
+    N0 = [0.0] * ss
+    N1 = [0.0] * ss
+    N2 = [0.0] * ss
+    # per row, last row first; r1, N1, N2 only over the diffuse rows
+    R0, M0 = array("d"), array("d")
+    R1, M1, M2 = array("d"), array("d"), array("d")
 
-    smo_m = np.zeros((n, s))
-    smo_c = np.zeros((n, s, s))
-
+    last = len(level)  # one past the row's last slot
     for nu in range(n - 1, -1, -1):
-        in_diffuse = bool(paths.diffuse_rows[nu])
-        for (col, kind, v, Fi, Fs, Mi, Ms) in reversed(run.slot_records[nu]):
-            e = cm.lvl_of_col[col]
-            if kind == 1:
-                K0 = Mi / Fi
-                K1 = Ms / Fi - Mi * (Fs / (Fi * Fi))
-                # with L0 = I - K0 z', L1 = -K1 z', z the unit vector at e:
-                # r1 <- z v/Fi + L0'r1 + L1'r0 ; r0 <- L0'r0
-                c00 = K0 @ r0
-                c01 = K0 @ r1
-                c10 = K1 @ r0
-                r1 = r1.copy()
-                r1[e] += v / Fi - c01 - c10
-                r0 = r0.copy()
-                r0[e] -= c00
-
-                w0 = N0 @ K0
-                w1 = N1 @ K0
-                w2 = N2 @ K0
-                u0 = N0 @ K1
-                u1 = N1 @ K1
-                q00 = K0 @ w0
-                q10 = K0 @ w1
-                q20 = K0 @ w2
-                c010 = K1 @ w0  # K1' N0 K0
-                c110 = K1 @ w1  # K1' N1 K0
-                d011 = K1 @ u0  # K1' N0 K1
-
-                # N2 <- -zz' Fs/Fi^2 + L0'N2L0 + L1'N1L0 + L0'N1L1 + L1'N0L1
-                N2 = N2.copy()
-                N2[e, :] -= w2 + u1
-                N2[:, e] -= w2 + u1
-                N2[e, e] += q20 + 2.0 * c110 + d011 - Fs / (Fi * Fi)
-
-                # N1 <- zz'/Fi + L0'N1L0 + L1'N0L0 + L0'N0L1
-                N1 = N1.copy()
-                N1[e, :] -= w1 + u0
-                N1[:, e] -= w1 + u0
-                N1[e, e] += q10 + 2.0 * c010 + 1.0 / Fi
-
-                # N0 <- L0'N0L0
-                N0 = N0.copy()
-                N0[e, :] -= w0
-                N0[:, e] -= w0
-                N0[e, e] += q00
-            else:
+        in_diffuse = in_diffuse_rows[nu]
+        first = last - count[nu]
+        for o in range(last - 1, first - 1, -1):
+            e, v, Fs = level[o], rec_v[o], rec_F[o]
+            K = rec_K[o * s : o * s + s]
+            if o not in diffuse_slots:
                 # ordinary update, L = I - K z'
-                K = Ms / Fs
-                c0 = K @ r0
-                r0 = r0.copy()
-                r0[e] += v / Fs - c0
-                w0 = N0 @ K
-                q0 = K @ w0
-                N0 = N0.copy()
-                N0[e, :] -= w0
-                N0[:, e] -= w0
-                N0[e, e] += q0 + 1.0 / Fs
+                r0[e] += v / Fs - _dot(K, r0)
+                w0 = _matvec(N0, K, s)
+                _rank_update(N0, e, s, w0, _dot(K, w0) + 1.0 / Fs)
                 if in_diffuse:
                     # the extra terms are nonzero inside the diffuse phase
                     # and must ride through ordinary slots too
-                    c1 = K @ r1
-                    r1 = r1.copy()
-                    r1[e] -= c1
-                    w1 = N1 @ K
-                    q1 = K @ w1
-                    N1 = N1.copy()
-                    N1[e, :] -= w1
-                    N1[:, e] -= w1
-                    N1[e, e] += q1
-                    w2 = N2 @ K
-                    q2 = K @ w2
-                    N2 = N2.copy()
-                    N2[e, :] -= w2
-                    N2[:, e] -= w2
-                    N2[e, e] += q2
+                    r1[e] -= _dot(K, r1)
+                    w1 = _matvec(N1, K, s)
+                    _rank_update(N1, e, s, w1, _dot(K, w1))
+                    w2 = _matvec(N2, K, s)
+                    _rank_update(N2, e, s, w2, _dot(K, w2))
+                continue
+            Fi, K1 = diffuse_slots[o]
+            # with L0 = I - K z', L1 = -K1 z', z the unit vector at e:
+            # r1 <- z v/Fi + L0'r1 + L1'r0 ; r0 <- L0'r0
+            c00 = _dot(K, r0)
+            r1[e] += v / Fi - _dot(K, r1) - _dot(K1, r0)
+            r0[e] -= c00
 
-        P = paths.predicted_covs[nu]
-        mean = paths.predicted_means[nu] + P @ r0
-        V = P - P @ N0 @ P
+            w0 = _matvec(N0, K, s)
+            w1 = _matvec(N1, K, s)
+            w2 = _matvec(N2, K, s)
+            u0 = _matvec(N0, K1, s)
+            u1 = _matvec(N1, K1, s)
+            # N2 <- -zz' Fs/Fi^2 + L0'N2L0 + L1'N1L0 + L0'N1L1 + L1'N0L1
+            d2 = _dot(K, w2) + 2.0 * _dot(K1, w1) + _dot(K1, u0) - Fs / (Fi * Fi)
+            _rank_update(N2, e, s, list(map(add, w2, u1)), d2)
+            # N1 <- zz'/Fi + L0'N1L0 + L1'N0L0 + L0'N0L1
+            d1 = _dot(K, w1) + 2.0 * _dot(K1, w0) + 1.0 / Fi
+            _rank_update(N1, e, s, list(map(add, w1, u0)), d1)
+            # N0 <- L0'N0L0
+            _rank_update(N0, e, s, w0, _dot(K, w0))
+        last = first
+
+        R0.fromlist(r0)
+        M0.fromlist(N0)
         if in_diffuse:
-            Pi = paths.predicted_covs_inf[nu]
-            mean = mean + Pi @ r1
-            PiN1P = Pi @ N1 @ P
-            V = V - PiN1P - PiN1P.T - Pi @ N2 @ Pi
-        smo_m[nu] = mean
-        smo_c[nu] = 0.5 * (V + V.T)
+            R1.fromlist(r1)
+            M1.fromlist(N1)
+            M2.fromlist(N2)
 
-        if nu > 0:
-            blocks = [j * m for j in range(k) if cm.apply[nu, j]]
-            if blocks:
-                for top in blocks:
-                    _Tt_vec(r0, top, m)
-                    _Tt_vec(r1, top, m)
-                _Tt_mat(N0, blocks, m)
-                _Tt_mat(N1, blocks, m)
-                _Tt_mat(N2, blocks, m)
+        if nu > 0 and moved[nu]:
+            tops = [j * m for j in range(k) if apply_[nu * k + j]]
+            # r1, N1, N2 are zero until the backward pass reaches the diffuse rows
+            for x in (r0, r1) if in_diffuse else (r0,):
+                for top in tops:
+                    for i in range(top + m - 1, top, -1):
+                        x[i] += x[i - 1]
+            for N in (N0, N1, N2) if in_diffuse else (N0,):
+                _Tt_mat(N, tops, m, s)
 
-    paths.smoothed_means = smo_m
-    paths.smoothed_covs = smo_c
+    P = paths.predicted_covs
+    r0s = _paths_array(R0, (n, s, 1))[::-1]
+    mean = paths.predicted_means + (P @ r0s)[:, :, 0]
+    V = P - P @ _paths_array(M0, (n, s, s))[::-1] @ P
+    nd = len(R1) // s  # the diffuse rows lead
+    if nd:
+        Pi = paths.predicted_covs_inf[:nd]
+        r1s = _paths_array(R1, (nd, s, 1))[::-1]
+        mean[:nd] += (Pi @ r1s)[:, :, 0]
+        PiN1P = Pi @ _paths_array(M1, (nd, s, s))[::-1] @ P[:nd]
+        PiN2Pi = Pi @ _paths_array(M2, (nd, s, s))[::-1] @ Pi
+        V[:nd] = V[:nd] - PiN1P - PiN1P.transpose(0, 2, 1) - PiN2Pi
+    paths.smoothed_means = mean
+    paths.smoothed_covs = 0.5 * (V + V.transpose(0, 2, 1))
     return paths
 
 
 def standardized_residuals(run: FilterRun) -> np.ndarray:
-    """Per-slot innovations divided by their standard deviation.
-
-    Shape (n_rows, n_slot_columns); NaN at missing slots and over every
-    row still inside the diffuse phase, where no proper innovation
-    variance exists.
-    """
-    with np.errstate(invalid="ignore"):
-        out = run.paths.innovations / np.sqrt(run.paths.innovation_variances)
-    out[run.paths.diffuse_rows, :] = np.nan
-    return out
+    """StatePaths.standardized_residuals of a filter run's paths."""
+    return run.paths.standardized_residuals()
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +666,7 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
     n, s = paths.smoothed_means.shape
     p = paths.innovations.shape[1]
 
-    with np.errstate(invalid="ignore"):
-        resid = paths.innovations / np.sqrt(paths.innovation_variances)
-    resid[paths.diffuse_rows, :] = np.nan
+    resid = paths.standardized_residuals()
 
     slot_names = [
         f"resid.{SERIES_NAMES[sr]}.{i}" for sr in spec.series for i in range(MAX_SLOTS)

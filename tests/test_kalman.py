@@ -157,6 +157,16 @@ def test_frozen_proper_prior_paths():
 # ---------------------------------------------------------------------------
 
 
+def _assert_matches_diffuse_oracle(spec, params, data, layout):
+    run = kfilter(spec, layout, params, data)
+    paths = smooth(run)
+    orc = pk.diffuse_exact_gaussian(spec, params, data, layout)
+    assert run.loglik == pytest.approx(orc.loglik, rel=1e-10)
+    assert np.allclose(paths.smoothed_means, orc.smoothed_means, atol=1e-9)
+    assert np.allclose(paths.smoothed_covs, np.array(orc.smoothed_covs), atol=1e-9)
+    return paths
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_proper_prior_matches_oracle(m):
     spec = ModelSpec(order_m=m)
@@ -194,12 +204,7 @@ def test_diffuse_matches_gls_oracle(spec, params):
     layout = build_layout(spec, data)
     if params is None:  # by-climate-state: size the vector to the layout
         params = [0.1] + [1.0 + 0.1 * i for i in range(layout.n_params - 1)]
-    run = kfilter(spec, layout, params, data)
-    paths = smooth(run)
-    orc = pk.diffuse_exact_gaussian(spec, params, data, layout)
-    assert run.loglik == pytest.approx(orc.loglik, rel=1e-10)
-    assert np.allclose(paths.smoothed_means, orc.smoothed_means, atol=1e-9)
-    assert np.allclose(paths.smoothed_covs, np.array(orc.smoothed_covs), atol=1e-9)
+    _assert_matches_diffuse_oracle(spec, params, data, layout)
 
 
 def test_diffuse_with_missing_matches_oracle():
@@ -215,11 +220,27 @@ def test_diffuse_with_missing_matches_oracle():
     )
     layout = build_layout(spec, data)
     params = params[: layout.n_params]
-    run = kfilter(spec, layout, params, data)
-    paths = smooth(run)
-    orc = pk.diffuse_exact_gaussian(spec, params, data, layout)
-    assert run.loglik == pytest.approx(orc.loglik, rel=1e-10)
-    assert np.allclose(paths.smoothed_means, orc.smoothed_means, atol=1e-9)
+    _assert_matches_diffuse_oracle(spec, params, data, layout)
+
+
+def test_diffuse_leading_gap_bivariate_matches_oracle():
+    # all-missing rows before the first observation, as impute's grid rows
+    # older than the data; d13C starts late, so the m = 2 diffuse phase
+    # spans rows 0-7 and the diffuse-row moments carry r1, N1 and N2
+    spec = ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled")
+    params = [0.1, 0.2, 1.3, 0.7, -0.5]
+    obs = np.array(
+        [
+            [0, 0], [0, 0], [0, 0], [1, 0], [1, 0],
+            [0, 0], [0, 1], [1, 1], [0, 1], [1, 1],
+        ],
+        dtype=bool,
+    )
+    stamps = [-3.0, -2.8, -2.55, -2.3, -2.1, -1.9, -1.6, -1.3, -1.0, -0.6]
+    data = pk.simulate(spec, params, stamps, slots_per_row=2, seed=5, observed=obs)
+    layout = build_layout(spec, data)
+    paths = _assert_matches_diffuse_oracle(spec, params, data, layout)
+    assert paths.diffuse_rows.tolist() == [True] * 8 + [False] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +372,32 @@ def test_kernel_matches_engine(seed, m, biv, n_rows):
     run = kfilter(spec, layout, params, data)
     cm = run.compiled
     kll = _kernels.loglik_from_compiled(cm, layout.validate_params(params))
+    assert kll == pytest.approx(run.loglik, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec, params",
+    [
+        (ModelSpec(), [0.1, 1.0]),
+        (
+            ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled"),
+            [0.1, 0.2, 1.0, 0.7, 0.4],
+        ),
+    ],
+)
+def test_kernel_matches_engine_long_record(spec, params):
+    # agreement far past the diffuse phase, across interior gap rows
+    n_rows = 2000
+    rng = np.random.default_rng(7)
+    obs = rng.random((n_rows, spec.n_series)) < 0.8
+    obs[rng.random(n_rows) < 0.05] = False  # rows with no value at all
+    obs[0] = True
+    data = small_simulated(spec, params, n_rows=n_rows, slots=2, seed=7, observed=obs)
+    layout = build_layout(spec, data)
+    run = kfilter(spec, layout, params, data)
+    assert run.paths.diffuse_rows.sum() < 10
+    assert np.sum(~obs.any(axis=1)) > 50
+    kll = _kernels.loglik_from_compiled(run.compiled, layout.validate_params(params))
     assert kll == pytest.approx(run.loglik, rel=1e-10)
 
 
