@@ -2,9 +2,10 @@
 
 Variances are optimized as log-variances and correlations through atanh, so
 the optimizer works on an unconstrained vector theta. The objective is the
-per-slot average exact-diffuse negative loglik evaluated by the compiled
-kernel (averaging keeps the tolerances meaningful across sample sizes);
-parameter points where the filter degenerates get a large finite penalty.
+per-slot average exact-diffuse negative loglik, from the filter's path-free
+forward pass (_kernels.loglik_from_compiled); averaging keeps the
+tolerances meaningful across sample sizes. Parameter points where the
+filter degenerates get a large finite penalty.
 
 The driver is a Nelder-Mead start (200 * dim evaluation cap) followed by
 BFGS polish rounds using central-difference gradients with step
@@ -64,17 +65,19 @@ class ParamTransform:
     """Bijection between unconstrained theta and natural-scale params.
 
     Variances map through exp/log, correlations through tanh/atanh.
+    is_corr marks the correlations; it is derived from roles once.
     """
 
     roles: tuple
+    is_corr: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        is_corr = np.array([r == "rho" for r in self.roles], dtype=bool)
+        object.__setattr__(self, "is_corr", is_corr)
 
     @classmethod
     def for_layout(cls, layout: ParameterLayout) -> "ParamTransform":
         return cls(roles=tuple(p.role for p in layout.params))
-
-    @property
-    def is_corr(self) -> np.ndarray:
-        return np.array([r == "rho" for r in self.roles])
 
     def to_natural(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -491,16 +494,9 @@ def fit(
 
     se_nat = np.full(dim, np.nan)
     if options.compute_se and not budget_hit:
-        free_obj = _Objective(cm, transform, budget=None)
-        H = numerical_hessian(free_obj, theta_hat)
-        cov, ok = covariance_from_hessian(H)
-        se_theta = np.full(dim, np.nan)
-        diag = np.diag(cov)
-        se_theta[ok] = np.sqrt(diag[ok])
+        se_nat, ok = _delta_method_errors(cm, transform, theta_hat)
         if not ok.all():
             notes.append("singular Hessian: some standard errors are missing")
-        se_nat = transform.natural_jacobian_diag(theta_hat) * se_theta
-        se_nat = np.abs(se_nat)
 
     n_obs = cm.n_obs_slots
     return FitResult(
@@ -539,11 +535,15 @@ def standard_errors(
         layout = build_layout(spec, data)
     cm = compile_model(spec, layout, data)
     transform = ParamTransform.for_layout(layout)
-    obj = _Objective(cm, transform, budget=None)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    H = numerical_hessian(obj, theta_hat)
+    return _delta_method_errors(cm, transform, np.asarray(theta_hat, dtype=float))[0]
+
+
+def _delta_method_errors(cm: CompiledModel, transform: ParamTransform, theta_hat):
+    """(natural-scale SEs, ok) at theta_hat: the central-difference Hessian
+    of -loglik, inverted by covariance_from_hessian, then delta-method
+    mapped. SEs are NaN where ok is False."""
+    H = numerical_hessian(_Objective(cm, transform, budget=None), theta_hat)
     cov, ok = covariance_from_hessian(H)
     se_theta = np.full(theta_hat.size, np.nan)
-    diag = np.diag(cov)
-    se_theta[ok] = np.sqrt(diag[ok])
-    return np.abs(transform.natural_jacobian_diag(theta_hat) * se_theta)
+    se_theta[ok] = np.sqrt(np.diag(cov)[ok])
+    return np.abs(transform.natural_jacobian_diag(theta_hat) * se_theta), ok

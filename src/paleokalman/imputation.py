@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,47 +75,57 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
     within tol of an existing row are not inserted; the existing row is
     referenced instead.
     """
+    grid = np.asarray(grid, dtype=float).reshape(-1)
     stamps = np.array([r.stamp for r in data.rows])
-    extra = []
-    for g in grid:
-        idx = int(np.searchsorted(stamps, g))
-        hit = False
-        for j in (idx - 1, idx):
-            if 0 <= j < stamps.size and abs(stamps[j] - g) <= tol:
-                hit = True
-                break
-        if not hit:
-            extra.append(float(g))
+    extra = grid[~_near(stamps, grid, tol, (-1, 0))[1].any(axis=0)].tolist()
 
-    rows = list(data.rows)
-    for g in extra:
-        rows.append(
-            ObservationRow(
+    # a stable sort by stamp of the data rows followed by the extra rows;
+    # each merged row is built once, with its final dt, and a data row is
+    # reused as it is unless an inserted row changes its dt
+    unsorted = list(data.rows) + [None] * len(extra)
+    all_stamps = stamps.tolist() + extra
+    order = np.argsort(np.array(all_stamps), kind="stable").tolist()
+    merged_stamps = [all_stamps[i] for i in order]
+    dts = compute_increments(merged_stamps)
+    rows = []
+    for i, dt in zip(order, dts):
+        r = unsorted[i]
+        if r is None:
+            g = all_stamps[i]
+            r = ObservationRow(
                 stamp=g,
-                dt=float("nan"),
+                dt=dt,
                 slots_series1=_EMPTY_SLOTS,
                 slots_series2=_EMPTY_SLOTS,
                 climate_state=clamped_climate_state(abs(g)),
             )
-        )
-    rows.sort(key=lambda r: r.stamp)
-    dts = compute_increments([r.stamp for r in rows])
-    rows = [replace(r, dt=dt) for r, dt in zip(rows, dts)]
+        elif not (r.dt is dt or r.dt == dt):
+            r = ObservationRow(
+                r.stamp, dt, r.slots_series1, r.slots_series2, r.climate_state
+            )
+        rows.append(r)
     merged = PanelDataset(rows=tuple(rows), sources=data.sources, species=data.species)
 
-    merged_stamps = np.array([r.stamp for r in merged.rows])
-    indices = []
-    for g in grid:
-        idx = int(np.searchsorted(merged_stamps, g))
-        row_idx = None
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < merged_stamps.size and abs(merged_stamps[j] - g) <= tol:
-                row_idx = j
-                break
-        if row_idx is None:
-            raise AssertionError(f"grid stamp {g} lost in the merge")
-        indices.append(row_idx)
+    # each stamp's row: the first of the rows just below, at and above its
+    # insertion point that lies within tol
+    at, near = _near(np.array(merged_stamps), grid, tol, (-1, 0, 1))
+    lost = ~near.any(axis=0)
+    if lost.any():
+        raise AssertionError(f"grid stamp {grid[lost][0]} lost in the merge")
+    indices = (at - 1 + near.argmax(axis=0)).tolist()
     return merged, indices
+
+
+def _near(stamps: np.ndarray, grid: np.ndarray, tol: float, offsets: tuple) -> tuple:
+    # (at, near): at[g] is grid[g]'s insertion point in stamps, and near[i, g]
+    # says that the row at at[g] + offsets[i] exists and lies within tol
+    at = np.searchsorted(stamps, grid)
+    near = np.zeros((len(offsets), grid.size), dtype=bool)
+    for i, off in enumerate(offsets):
+        j = at + off
+        ok = (j >= 0) & (j < stamps.size)
+        near[i, ok] = np.abs(stamps[j[ok]] - grid[ok]) <= tol
+    return at, near
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,20 @@ the initial state.
 
 Both recursions run on plain Python floats: a state vector is a list of s
 floats and an s x s matrix a flat list of s*s floats, entry (r, c) at
-r*s + c. The inputs come from the CompiledModel arrays by one .tolist()
-(or array('d') copy) each per call. At the state dimensions measured
-(s = 1 to 6) this beats numpy, whose per-call overhead dominates on such
-small arrays. The forward pass follows _kernels.diffuse_loglik operation
-for operation, so the two logliks agree bit for bit when the kernel runs
-as plain Python. It appends the predicted and filtered paths to array('d')
-buffers, and keeps what the backward pass needs of each observed slot in
-compact buffers (SlotRecords). The backward pass keeps only what is
-sequential, r0 and N0 at every row and r1, N1, N2 at the diffuse rows; the
-smoothed moments then come from batched matrix products over all rows at
-once.
+r*s + c. Their parameter-independent inputs are flat tuples (FlatInputs),
+built from the CompiledModel arrays on the first pass that needs them and
+cached on the model, so the many loglik passes of a fit pay for them once.
+At the state dimensions measured (s = 1 to 6) this beats numpy, whose
+per-call overhead dominates on such small arrays.
+
+There is one forward recursion with two modes. filter appends the
+predicted and filtered paths to array('d') buffers and keeps what the
+backward pass needs of each observed slot in compact buffers
+(SlotRecords). loglik, which every fit evaluation calls, runs the same loop
+but keeps only the innovations and their variances, so the two logliks are
+equal bit for bit. The backward pass keeps only what is sequential, r0 and
+N0 at every row and r1, N1, N2 at the diffuse rows; the smoothed moments
+then come from batched matrix products over all rows at once.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add, mul, sub
 
 import numpy as np
@@ -62,6 +66,7 @@ __all__ = [
     "FilterRun",
     "compile_model",
     "filter",
+    "loglik",
     "smooth",
     "standardized_residuals",
     "state_component_names",
@@ -111,6 +116,53 @@ class CompiledModel:
     tvar_idx: np.ndarray  # (n, n_series) trans-variance index, -1 absent
     corr_idx: np.ndarray  # (n,) correlation index, -1 absent
     n_obs_slots: int
+
+    @cached_property
+    def flat(self) -> "FlatInputs":
+        """The recursions' inputs in flat form, built on the first pass that
+        needs them and shared by every later pass on this model; the model's
+        arrays must not change after that."""
+        obs_row, obs_col = np.nonzero(self.hidx >= 0)
+        obs_row.setflags(write=False)
+        obs_col.setflags(write=False)
+        return FlatInputs(
+            obs_row=obs_row,
+            obs_col=obs_col,
+            count=tuple(np.bincount(obs_row, minlength=self.n).tolist()),
+            level=tuple(self.lvl_of_col[obs_col].tolist()),
+            y=tuple(self.values[obs_row, obs_col].tolist()),
+            hidx=tuple(self.hidx[obs_row, obs_col].tolist()),
+            moved=tuple(self.apply.any(axis=1).tolist()),
+            corr=tuple(self.corr_idx.tolist()),
+            apply_=tuple(self.apply.ravel().tolist()),
+            window=tuple(np.asarray(self.window, dtype=float).ravel().tolist()),
+            tvar=tuple(self.tvar_idx.ravel().tolist()),
+        )
+
+
+@dataclass(frozen=True)
+class FlatInputs:
+    """Parameter-independent inputs of the recursions in flat form.
+
+    The observed slots are listed in row-major order, at (obs_row, obs_col)
+    of the (n, p) slot grid: row nu owns the next count[nu] of them, and
+    slot o reads the value y[o], the measurement-variance index hidx[o] and
+    the state index level[o] of its series level. moved[nu] and corr[nu]
+    are per row; apply_, window and tvar are per (row, series), at nu*k + j.
+    Tuples and read-only arrays, so that no pass can change them.
+    """
+
+    obs_row: np.ndarray
+    obs_col: np.ndarray
+    count: tuple
+    level: tuple
+    y: tuple
+    hidx: tuple
+    moved: tuple  # some series applies the transition at the row
+    corr: tuple
+    apply_: tuple
+    window: tuple
+    tvar: tuple
 
 
 def compile_model(
@@ -313,8 +365,8 @@ class SlotRecords:
     K1 = M_star / F_inf - M_inf F_star / F_inf^2.
     """
 
-    count: list
-    level: list
+    count: tuple
+    level: tuple
     v: array
     F: array
     K: array
@@ -354,47 +406,83 @@ def filter(
     """
     cm = compiled if compiled is not None else compile_model(spec, layout, data)
     params = layout.validate_params(params)
-    n, s, p = cm.n, cm.s, cm.p
-    m, k = cm.m, cm.n_series
-    ss = s * s
-    h = params.tolist()
-
+    s = cm.s
     if isinstance(init, str):
         if init != "diffuse":
             raise ValueError(f"unknown init mode {init!r}")
-        a = [0.0] * s
-        Ps = [0.0] * ss
-        Pi = [float(i % (s + 1) == 0) for i in range(ss)]
-        diffuse = True
+        start = _diffuse_start(s)
     else:
         a1, P1 = init
         a = np.asarray(a1, dtype=float).reshape(s).tolist()
-        Ps = np.asarray(P1, dtype=float).reshape(ss).tolist()
-        Pi = [0.0] * ss
-        diffuse = False
+        Ps = np.asarray(P1, dtype=float).reshape(s * s).tolist()
+        start = a, Ps, [0.0] * (s * s), False
 
-    # observed slots in row-major order, count[nu] of them in row nu
-    obs_row, obs_col = np.nonzero(cm.hidx >= 0)
-    count = np.bincount(obs_row, minlength=n).tolist()
-    level = cm.lvl_of_col[obs_col].tolist()
-    y = array("d", cm.values[obs_row, obs_col].tobytes())
-    hidx = cm.hidx[obs_row, obs_col].tolist()
-    moved = cm.apply.any(axis=1).tolist()
-    corr = cm.corr_idx.tolist()
-    # per (row, series) at nu*k + j
-    apply_ = cm.apply.ravel().tolist()
-    window = array("d", np.asarray(cm.window, dtype=float).tobytes())
-    tvar = cm.tvar_idx.ravel().tolist()
+    ll, (a, Ps, Pi), paths, records = _forward(cm, params.tolist(), *start, True)
+    state = FilterState(
+        a=np.array(a),
+        P=np.array(Ps).reshape(s, s),
+        P_inf=np.array(Pi).reshape(s, s),
+        loglik_acc=ll,
+        t_index=cm.n - 1,
+    )
+    return FilterRun(
+        compiled=cm,
+        params=params,
+        loglik=ll,
+        final_state=state,
+        paths=paths,
+        n_diffuse_slots=len(records.diffuse),
+        slot_records=records,
+    )
+
+
+def loglik(compiled: CompiledModel, params) -> float:
+    """Exact-diffuse loglik at params: filter's forward pass without paths.
+
+    The parameters are used as given, not validated. A point where some
+    innovation variance is not positive, or where the trend variances give
+    no real increment covariance, raises ConditioningError.
+    """
+    h = np.asarray(params, dtype=float).tolist()
+    return _forward(compiled, h, *_diffuse_start(compiled.s), False)[0]
+
+
+def _diffuse_start(s: int) -> tuple:
+    # (a, P_star, P_inf, diffuse) with P_inf the identity
+    P_inf = [float(i % (s + 1) == 0) for i in range(s * s)]
+    return [0.0] * s, [0.0] * (s * s), P_inf, True
+
+
+def _forward(
+    cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
+) -> tuple:
+    """The exact-diffuse forward recursion, Durbin & Koopman (2012)
+    sections 5.2-5.3, from the state (a, Ps, Pi) before row 0.
+
+    Returns (loglik, final (a, Ps, Pi), paths, slot records). Without
+    keep_paths only the innovations and their variances are kept, for the
+    log terms, and paths and slot records are None.
+    """
+    fl = cm.flat
+    n, s, p = cm.n, cm.s, cm.p
+    m, k = cm.m, cm.n_series
+    ss = s * s
+    count, level, y, hidx = fl.count, fl.level, fl.y, fl.hidx
+    moved, corr, apply_, window, tvar = fl.moved, fl.corr, fl.apply_, fl.window, fl.tvar
     tail = [(j * m + m - 1) * (s + 1) for j in range(k)]  # flat index of (last, last)
     cross_at = ((m - 1) * s + 2 * m - 1, (2 * m - 1) * s + m - 1)
     rs = range(s)
     transposer = _transposer(s)
 
-    pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
-    filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
-    diffuse_rows = []
-    rec_v, rec_F, rec_K = array("d"), array("d"), array("d")
+    rec_v, rec_F = array("d"), array("d")
+    keep_v, keep_F = rec_v.append, rec_F.append
     rec_diffuse = {}
+    inf = math.inf
+    if keep_paths:
+        pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
+        filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
+        diffuse_rows = []
+        rec_K = array("d")
     first = 0  # the row's first slot
 
     for nu in range(n):
@@ -414,19 +502,21 @@ def filter(
             if k == 2 and apply_[at] and apply_[at + 1]:
                 ci = corr[nu]
                 if ci >= 0 and h[ci] != 0.0:
-                    cross = (
-                        h[ci]
-                        * math.sqrt(h[tvar[at]] * h[tvar[at + 1]])
-                        * min(window[at], window[at + 1])
-                    )
+                    var2 = h[tvar[at]] * h[tvar[at + 1]]
+                    if not var2 >= 0.0:
+                        raise ConditioningError(
+                            nu, f"trend variance product {var2} has no real square root"
+                        )
+                    cross = h[ci] * math.sqrt(var2) * min(window[at], window[at + 1])
                     Ps[cross_at[0]] += cross
                     Ps[cross_at[1]] += cross
 
-        pred_a.fromlist(a)
-        pred_P.fromlist(Ps)
-        if diffuse:
-            pred_Pi.fromlist(Pi)
-        diffuse_rows.append(diffuse)
+        if keep_paths:
+            pred_a.fromlist(a)
+            pred_P.fromlist(Ps)
+            if diffuse:
+                pred_Pi.fromlist(Pi)
+            diffuse_rows.append(diffuse)
 
         last = first + count[nu]
         for o in range(first, last):
@@ -449,16 +539,17 @@ def filter(
                 K1 = [ms / Fi - mi * (Fs / (Fi * Fi)) for ms, mi in zip(Ms, Mi)]
                 rec_diffuse[o] = (Fi, K1)
             else:
-                if not 0.0 < Fs < math.inf:
+                if not 0.0 < Fs < inf:
                     raise ConditioningError(
-                        nu, f"innovation variance {Fs} at slot column {int(obs_col[o])}"
+                        nu, f"innovation variance {Fs} at slot column {fl.obs_col[o]}"
                     )
                 K = [x / Fs for x in Ms]
                 a = [x + kr * v for x, kr in zip(a, K)]
                 Ps = list(map(sub, Ps, [kr * mc for kr in K for mc in Ms]))
-            rec_v.append(v)
-            rec_F.append(Fs)
-            rec_K.fromlist(K)
+            keep_v(v)
+            keep_F(Fs)
+            if keep_paths:
+                rec_K.fromlist(K)
         first = last
 
         if s > 1:
@@ -470,22 +561,15 @@ def filter(
                 Pi = [0.0] * ss
                 diffuse = False
 
-        filt_a.fromlist(a)
-        filt_P.fromlist(Ps)
-        if diffuse:
-            filt_Pi.fromlist(Pi)
+        if keep_paths:
+            filt_a.fromlist(a)
+            filt_P.fromlist(Ps)
+            if diffuse:
+                filt_Pi.fromlist(Pi)
 
-    # the log terms in one vectorized call, summed in slot order
-    F = np.array(rec_F)
-    for o, (Fi, _) in rec_diffuse.items():
-        F[o] = Fi
-    loglik = 0.0
-    for o, (v, Fs, lf) in enumerate(zip(rec_v, rec_F, np.log(F).tolist())):
-        if o in rec_diffuse:
-            loglik += -0.5 * (_LOG2PI + lf)
-        else:
-            loglik += -0.5 * (_LOG2PI + lf + v * v / Fs)
-
+    ll = _log_sum(rec_v, rec_F, rec_diffuse)
+    if not keep_paths:
+        return ll, (a, Ps, Pi), None, None
     paths = StatePaths(
         stamps=cm.stamps,
         predicted_means=_paths_array(pred_a, (n, s)),
@@ -494,26 +578,25 @@ def filter(
         filtered_means=_paths_array(filt_a, (n, s)),
         filtered_covs=_paths_array(filt_P, (n, s, s)),
         filtered_covs_inf=_paths_array(filt_Pi, (n, s, s)),
-        innovations=_slot_columns(rec_v, obs_row, obs_col, (n, p)),
-        innovation_variances=_slot_columns(rec_F, obs_row, obs_col, (n, p)),
+        innovations=_slot_columns(rec_v, fl.obs_row, fl.obs_col, (n, p)),
+        innovation_variances=_slot_columns(rec_F, fl.obs_row, fl.obs_col, (n, p)),
         diffuse_rows=np.array(diffuse_rows, dtype=bool),
     )
-    state = FilterState(
-        a=np.array(a),
-        P=np.array(Ps).reshape(s, s),
-        P_inf=np.array(Pi).reshape(s, s),
-        loglik_acc=loglik,
-        t_index=n - 1,
-    )
-    return FilterRun(
-        compiled=cm,
-        params=params,
-        loglik=loglik,
-        final_state=state,
-        paths=paths,
-        n_diffuse_slots=len(rec_diffuse),
-        slot_records=SlotRecords(count, level, rec_v, rec_F, rec_K, rec_diffuse),
-    )
+    records = SlotRecords(count, level, rec_v, rec_F, rec_K, rec_diffuse)
+    return ll, (a, Ps, Pi), paths, records
+
+
+def _log_sum(v: array, F: array, diffuse_slots: dict) -> float:
+    # slot o adds -(log 2pi + log F + v^2 / F) / 2, with F_inf for F and no
+    # v^2 term at a diffuse slot. The terms are vectorized; the sum runs in
+    # slot order (np.cumsum: np.sum adds pairwise, which moves the last bits)
+    v, F = np.array(v), np.array(F)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = v * v / F  # F_star is unchecked at diffuse slots, where q is unused
+    for o, (Fi, _) in diffuse_slots.items():
+        F[o] = Fi
+        q[o] = 0.0
+    return float(np.cumsum(-0.5 * (_LOG2PI + np.log(F) + q))[-1]) if F.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +626,8 @@ def smooth(run: FilterRun) -> StatePaths:
     rec_v, rec_F, rec_K = rec.v, rec.F, rec.K
     in_diffuse_rows = paths.diffuse_rows.tolist()
     # with m = 1 the transition is the identity and the backward pass skips it
-    moved = cm.apply.any(axis=1).tolist() if m > 1 else [False] * n
-    apply_ = cm.apply.ravel().tolist()
+    moved = cm.flat.moved if m > 1 else (False,) * n
+    apply_ = cm.flat.apply_
 
     r0 = [0.0] * s
     r1 = [0.0] * s

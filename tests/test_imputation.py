@@ -8,7 +8,9 @@ import pytest
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout
+from paleokalman.core import compute_increments
 from paleokalman.imputation import (
+    COINCIDENCE_TOL,
     ImputationTable,
     impute,
     make_grid,
@@ -87,6 +89,19 @@ def test_merge_coincident_stamp_reuses_row():
     merged, idx = merge_grid(data, [-3.0, -1.0 + 1e-14])
     assert merged.n_rows == 2
     assert idx == [0, 1]
+
+    # the first data row, a new row between the two, and stamps just below
+    # and just above the last data row, inside COINCIDENCE_TOL
+    below, above = -1.0 - 0.5 * COINCIDENCE_TOL, -1.0 + 0.5 * COINCIDENCE_TOL
+    merged, idx = merge_grid(data, [-3.0, -2.0, below, above])
+    stamps = [r.stamp for r in merged.rows]
+    assert stamps == [-3.0, -2.0, -1.0]
+    assert idx == [0, 1, 2, 2]
+    assert merged.rows[0] == data.rows[0]
+    assert merged.rows[1].all_missing
+    assert merged.rows[2].slots_series1 == data.rows[1].slots_series1
+    dts = [r.dt for r in merged.rows]
+    np.testing.assert_array_equal(dts, compute_increments(stamps))
 
 
 # ---------------------------------------------------------------------------

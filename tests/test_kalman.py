@@ -1,4 +1,4 @@
-"""Filter, smoother, residuals, and the compiled loglik kernel.
+"""Filter, smoother, residuals, and the filter's path-free loglik mode.
 
 Frozen reference numbers were produced by the joint-Gaussian oracles in
 paleokalman.oracle (diffuse_exact_gaussian / exact_gaussian); the m=2
@@ -23,8 +23,10 @@ from paleokalman.core import (
     compute_increments,
 )
 from paleokalman.kalman import (
+    ConditioningError,
     compile_model,
     filter as kfilter,
+    loglik as kloglik,
     smooth,
     standardized_residuals,
     state_component_names,
@@ -347,7 +349,7 @@ def test_smoothed_covs_are_psd():
 
 
 # ---------------------------------------------------------------------------
-# the compiled kernel
+# the path-free loglik mode
 # ---------------------------------------------------------------------------
 
 
@@ -372,7 +374,7 @@ def test_kernel_matches_engine(seed, m, biv, n_rows):
     run = kfilter(spec, layout, params, data)
     cm = run.compiled
     kll = _kernels.loglik_from_compiled(cm, layout.validate_params(params))
-    assert kll == pytest.approx(run.loglik, rel=1e-10)
+    assert kll == run.loglik
 
 
 @pytest.mark.parametrize(
@@ -398,15 +400,54 @@ def test_kernel_matches_engine_long_record(spec, params):
     assert run.paths.diffuse_rows.sum() < 10
     assert np.sum(~obs.any(axis=1)) > 50
     kll = _kernels.loglik_from_compiled(run.compiled, layout.validate_params(params))
-    assert kll == pytest.approx(run.loglik, rel=1e-10)
+    assert kll == run.loglik
 
 
-def test_kernel_reports_nan_outside_admissible_region():
-    spec, params, data = _instance_a()
+@pytest.mark.parametrize(
+    "instance, bad, reason",
+    [
+        # negative measurement variance: a proper innovation variance <= 0
+        (_instance_a, [-0.5, 1.0], "innovation variance"),
+        # negative trend variance with rho != 0: the increment covariance
+        # rho * sqrt(eta1 * eta2) * w is not real
+        (_instance_c, [0.04, 0.09, -1.5, 0.8, 0.7], "square root"),
+    ],
+    ids=["univariate-negative-eps", "bivariate-negative-eta-with-rho"],
+)
+def test_kernel_reports_nan_outside_admissible_region(instance, bad, reason):
+    spec, params, data = instance()
     layout = build_layout(spec, data)
     cm = compile_model(spec, layout, data)
-    bad = np.array([-0.5, 1.0])  # negative measurement variance
-    assert math.isnan(_kernels.loglik_from_compiled(cm, bad))
+    with pytest.raises(ConditioningError, match=reason):
+        kloglik(cm, bad)
+    assert math.isnan(_kernels.loglik_from_compiled(cm, np.array(bad)))
+
+
+def test_cached_flat_inputs_are_not_mutated():
+    spec = ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled")
+    A = [0.1, 0.2, 1.0, 0.7, 0.4]
+    B = [0.3, 0.05, 0.2, 2.0, -0.6]
+    obs = np.ones((40, 2), dtype=bool)
+    obs[:2] = False  # leading all-missing rows, as impute's older grid rows
+    obs[5:9, 1] = False
+    data = small_simulated(spec, A, n_rows=40, slots=2, seed=11, observed=obs)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    ll_a = kloglik(cm, A)
+    assert kloglik(cm, B) != ll_a
+    assert kloglik(cm, A) == ll_a
+    smooth(kfilter(spec, layout, B, data, compiled=cm))
+
+    run = kfilter(spec, layout, A, data, compiled=cm)
+    fresh = kfilter(spec, layout, A, data)
+    assert fresh.compiled is not cm
+    assert run.loglik == fresh.loglik == ll_a
+    for f in dataclasses.fields(run.paths):
+        x, y = getattr(run.paths, f.name), getattr(fresh.paths, f.name)
+        if x is None:
+            assert y is None
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
 
 
 # ---------------------------------------------------------------------------
