@@ -27,9 +27,7 @@ from .core import (
 from .modelspec import (
     ModelSpec,
     ParameterLayout,
-    SystemMatrices,
     build_layout,
-    realize,
 )
 from .kalman import (
     CompiledModel,
@@ -110,9 +108,7 @@ __all__ = [
     # model spec
     "ModelSpec",
     "ParameterLayout",
-    "SystemMatrices",
     "build_layout",
-    "realize",
     # kalman
     "CompiledModel",
     "ConditioningError",

@@ -9,8 +9,10 @@ shared by every model variant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "MISSING",
@@ -21,6 +23,7 @@ __all__ = [
     "MeasurementSlot",
     "ObservationRow",
     "PanelDataset",
+    "PanelView",
     "compute_increments",
     "assign_climate_state",
     "clamped_climate_state",
@@ -113,11 +116,90 @@ class ObservationRow:
 
 
 @dataclass(frozen=True)
+class PanelView:
+    """Columnar, read-only copy of a panel, for the set-up stages.
+
+    Per row: stamps, dts (NaN first) and climate_states. Per observed slot
+    only, in row-major (row, series, slot) order: at[o], the flat index
+    (row * 2 + series) * MAX_SLOTS + slot, then value[o] and the source and
+    species ids. Missing slots are not stored, so the view stays small next
+    to the rows it copies.
+    """
+
+    stamps: np.ndarray  # (n,) float64
+    dts: np.ndarray  # (n,) float64
+    climate_states: np.ndarray  # (n,) int32
+    at: np.ndarray  # (n_obs,) int64
+    value: np.ndarray  # (n_obs,) float64
+    source: np.ndarray  # (n_obs,) int32
+    species: np.ndarray  # (n_obs,) int32
+
+    @property
+    def row(self) -> np.ndarray:
+        return self.at // (2 * MAX_SLOTS)
+
+    @property
+    def series(self) -> np.ndarray:
+        return self.at // MAX_SLOTS % 2
+
+
+def _panel_view(rows) -> PanelView:
+    at, observed = [], []
+    base = 0
+    for row in rows:
+        i = base
+        for slot in row.slots_series1:
+            if slot.value == slot.value:
+                at.append(i)
+                observed.append(slot)
+            i += 1
+        end = base + MAX_SLOTS
+        if i > end:
+            _raise_capacity(row, 0)
+        i = end
+        for slot in row.slots_series2:
+            if slot.value == slot.value:
+                at.append(i)
+                observed.append(slot)
+            i += 1
+        base += 2 * MAX_SLOTS
+        if i > base:
+            _raise_capacity(row, 1)
+    arrays = (
+        np.array([r.stamp for r in rows], dtype=float),
+        np.array([r.dt for r in rows], dtype=float),
+        np.array([r.climate_state for r in rows], dtype=np.int32),
+        np.array(at, dtype=np.int64),
+        np.array([slot.value for slot in observed], dtype=float),
+        np.array([slot.source_id for slot in observed], dtype=np.int32),
+        np.array([slot.species_id for slot in observed], dtype=np.int32),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return PanelView(*arrays)
+
+
+def _raise_capacity(row: ObservationRow, series: int):
+    # a fifth slot would land in the next series' columns
+    raise ValueError(
+        f"more than {MAX_SLOTS} slots for series {SERIES_NAMES[series]} "
+        f"at stamp {row.stamp}"
+    )
+
+
+@dataclass(frozen=True)
 class PanelDataset:
     """Immutable ordered panel: rows plus the group registries they index.
 
     rows are sorted ascending by stamp with unique stamps; construction goes
     through collate_rows (or ingest/simulation, which call it).
+
+    view is a columnar copy of the rows (PanelView), built by one walk of
+    the rows on first use and cached on the dataset, so that the ingest
+    diagnostics, build_layout and compile_model of one set-up share that
+    walk instead of each walking the slot objects. The rows must not change
+    after it is built; a dataset derived by replacing its rows gets its own
+    view.
     """
 
     rows: tuple
@@ -132,14 +214,15 @@ class PanelDataset:
     def stamps(self) -> list:
         return [r.stamp for r in self.rows]
 
+    @cached_property
+    def view(self) -> PanelView:
+        return _panel_view(self.rows)
+
     def n_observed_slots(self, series=None) -> int:
         """Count non-missing slots, over one series or both."""
-        series_list = (0, 1) if series is None else (_normalize_series(series),)
-        n = 0
-        for row in self.rows:
-            for s in series_list:
-                n += sum(1 for slot in row.slots(s) if not slot.missing)
-        return n
+        if series is None:
+            return self.view.at.size
+        return int(np.count_nonzero(self.view.series == _normalize_series(series)))
 
 
 def compute_increments(stamps) -> list:
@@ -227,41 +310,43 @@ def collate_rows(records) -> PanelDataset:
     source_ids: dict = {}
     species_ids: dict = {}
     by_stamp: dict = {}
-    order: list = []
+    # a tag's index by (type, tag): 1 and 1.0 compare equal but only the
+    # int is a valid tag
+    series_of: dict = {}
 
-    def intern(label, ids, registry):
-        if label not in ids:
-            ids[label] = len(ids)
-            registry[ids[label]] = label
-        return ids[label]
-
-    for rec in records:
-        stamp, series, value, source, species_label = rec
+    for stamp, series, value, source, species_label in records:
         stamp = float(stamp)
-        if math.isnan(stamp):
+        if stamp != stamp:
             raise ValueError("NaN time stamp in records")
-        if stamp not in by_stamp:
-            by_stamp[stamp] = ([], [])
-            order.append(stamp)
+        slots = by_stamp.get(stamp)
+        if slots is None:
+            slots = by_stamp[stamp] = ([], [])
         if value is None:
             continue
         value = float(value)
-        if math.isnan(value):
+        if value != value:
             raise ValueError(f"NaN value at stamp {stamp}; use None for missing")
-        s = _normalize_series(series)
-        slots = by_stamp[stamp][s]
+        try:
+            s = series_of[type(series), series]
+        except KeyError:
+            s = series_of[type(series), series] = _normalize_series(series)
+        except TypeError:  # unhashable: _normalize_series rejects it
+            s = _normalize_series(series)
+        slots = slots[s]
         if len(slots) >= MAX_SLOTS:
             raise ValueError(
                 f"more than {MAX_SLOTS} simultaneous values for series "
                 f"{SERIES_NAMES[s]} at stamp {stamp}"
             )
-        slots.append(
-            MeasurementSlot(
-                value=value,
-                source_id=intern(source, source_ids, sources),
-                species_id=intern(species_label, species_ids, species),
-            )
-        )
+        source_id = source_ids.get(source)
+        if source_id is None:
+            source_id = source_ids[source] = len(source_ids)
+            sources[source_id] = source
+        species_id = species_ids.get(species_label)
+        if species_id is None:
+            species_id = species_ids[species_label] = len(species_ids)
+            species[species_id] = species_label
+        slots.append(MeasurementSlot(value, source_id, species_id))
 
     stamps = sorted(by_stamp)
     dts = compute_increments(stamps)
@@ -270,35 +355,26 @@ def collate_rows(records) -> PanelDataset:
         s1, s2 = by_stamp[stamp]
         rows.append(
             ObservationRow(
-                stamp=stamp,
-                dt=dt,
-                slots_series1=_pad(s1),
-                slots_series2=_pad(s2),
-                climate_state=clamped_climate_state(abs(stamp)),
+                stamp,
+                dt,
+                tuple(s1) + _EMPTY_SLOTS[len(s1):],
+                tuple(s2) + _EMPTY_SLOTS[len(s2):],
+                clamped_climate_state(abs(stamp)),
             )
         )
-    return PanelDataset(rows=tuple(rows), sources=sources, species=species)
-
-
-def _pad(slots: list) -> tuple:
-    return tuple(slots) + _EMPTY_SLOTS[len(slots):]
+    return PanelDataset(tuple(rows), sources, species)
 
 
 def flatten_records(ds: PanelDataset) -> list:
     """Inverse of collate_rows for round-trip checks: the multiset of
     (stamp, series name, value, source label, species label)."""
-    out = []
-    for row in ds.rows:
-        for s in (0, 1):
-            for slot in row.slots(s):
-                if not slot.missing:
-                    out.append(
-                        (
-                            row.stamp,
-                            SERIES_NAMES[s],
-                            slot.value,
-                            ds.sources[slot.source_id],
-                            ds.species[slot.species_id],
-                        )
-                    )
-    return out
+    v = ds.view
+    return list(
+        zip(
+            v.stamps[v.row].tolist(),
+            [SERIES_NAMES[s] for s in v.series.tolist()],
+            v.value.tolist(),
+            [ds.sources[i] for i in v.source.tolist()],
+            [ds.species[i] for i in v.species.tolist()],
+        )
+    )

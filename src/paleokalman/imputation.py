@@ -148,6 +148,10 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
     fit is a FitResult (params and their layout order are read off it) or
     a bare natural-scale parameter vector. Coincident grid stamps reuse
     the data row, so their values equal the data-row smoothed values.
+
+    Raises ValueError, naming the grid stamp, where a smoothed level
+    variance is negative: the smoother has lost precision there, and no
+    SD is reported for it.
     """
     layout = build_layout(spec, data)
     params = getattr(fit, "params_hat", fit)
@@ -159,18 +163,21 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
 
     merged, indices = merge_grid(data, grid)
     run = kalman.filter(spec, layout, params, merged)
+    del merged  # its rows and cached view are not needed while smoothing
     paths = kalman.smooth(run)
 
-    m = spec.order_m
-    k = spec.n_series
-    n_g = len(grid)
-    means = np.empty((n_g, k))
-    sds = np.empty((n_g, k))
-    for i, r in enumerate(indices):
-        for j in range(k):
-            lvl = j * m
-            means[i, j] = paths.smoothed_means[r, lvl]
-            sds[i, j] = math.sqrt(max(paths.smoothed_covs[r, lvl, lvl], 0.0))
+    rows = np.array(indices, dtype=np.intp)[:, None]
+    levels = [j * spec.order_m for j in range(spec.n_series)]
+    means = paths.smoothed_means[rows, levels]
+    var = paths.smoothed_covs[rows, levels, levels]
+    negative = np.argwhere(var < 0.0)
+    if negative.size:
+        i, j = negative[0].tolist()
+        raise ValueError(
+            f"negative smoothed variance {float(var[i, j])!r} of "
+            f"{SERIES_NAMES[spec.series[j]]} at grid stamp {float(grid[i])!r}"
+        )
+    sds = np.sqrt(var)
     return ImputationTable(
         stamps=tuple(float(g) for g in grid),
         series=tuple(SERIES_NAMES[s] for s in spec.series),

@@ -17,6 +17,8 @@ import csv
 import json
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import (
     MAX_SLOTS,
     MISSING,
@@ -127,33 +129,34 @@ def parse_csv(path) -> tuple:
         missing_cols = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing_cols:
             raise SchemaError(f"missing header columns: {', '.join(missing_cols)}")
-        col = {name: header.index(name) for name in REQUIRED_COLUMNS}
+        i_age, i_d18o, i_d13c, i_source, i_species = (
+            header.index(name) for name in REQUIRED_COLUMNS
+        )
         width = len(header)
         for line_number, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
+            if not row:
                 continue
             if len(row) < width:
                 row = row + [""] * (width - len(row))
-            age_text = row[col["age_tuned"]].strip()
+            age_text = row[i_age].strip()
             if age_text == "":
+                if all(c.strip() == "" for c in row):
+                    continue  # a blank line
                 raise ParseError(line_number, "empty age_tuned cell")
             age = _parse_cell(age_text, line_number, "age_tuned")
             if not 0.0 < age < 70.0:
                 raise ParseError(
                     line_number, f"age_tuned {age} outside the supported (0, 70) MYA"
                 )
-            d18o = _parse_cell(row[col["d18O"]], line_number, "d18O")
-            d13c = _parse_cell(row[col["d13C"]], line_number, "d13C")
-            n_missing_cells += int(is_missing(d18o)) + int(is_missing(d13c))
-            rec = RawRecord(
-                age_tuned=age,
-                d18O=d18o,
-                d13C=d13c,
-                source=row[col["source"]].strip(),
-                species=row[col["species"]].strip(),
+            d18o = _parse_cell(row[i_d18o], line_number, "d18O")
+            d13c = _parse_cell(row[i_d13c], line_number, "d13C")
+            no_d18o = d18o != d18o
+            no_d13c = d13c != d13c
+            n_missing_cells += no_d18o + no_d13c
+            n_both_empty += no_d18o and no_d13c
+            records.append(
+                RawRecord(age, d18o, d13c, row[i_source].strip(), row[i_species].strip())
             )
-            n_both_empty += int(rec.both_empty)
-            records.append(rec)
     diagnostics = {
         "n_records": len(records),
         "n_missing_cells": n_missing_cells,
@@ -215,36 +218,35 @@ def build_dataset(records) -> tuple:
     flat = []
     for rec in ordered:
         stamp = -rec.age_tuned
-        if rec.both_empty:
+        d18o, d13c = rec.d18O, rec.d13C
+        if d18o == d18o:
+            flat.append((stamp, 0, d18o, rec.source, rec.species))
+        if d13c == d13c:
+            flat.append((stamp, 1, d13c, rec.source, rec.species))
+        elif d18o != d18o:  # both empty: the stamp alone
             flat.append((stamp, 0, None, rec.source, rec.species))
-            continue
-        if not is_missing(rec.d18O):
-            flat.append((stamp, 0, rec.d18O, rec.source, rec.species))
-        if not is_missing(rec.d13C):
-            flat.append((stamp, 1, rec.d13C, rec.source, rec.species))
     data = collate_rows(flat)
 
-    dts = [row.dt for row in data.rows[1:]]
+    view = data.view
+    dts = view.dts[1:]
+    series = view.series
     per_source = {
         label: {SERIES_NAMES[0]: 0, SERIES_NAMES[1]: 0}
         for label in data.sources.values()
     }
-    for row in data.rows:
-        for s in (0, 1):
-            for slot in row.slots(s):
-                if not slot.missing:
-                    per_source[data.sources[slot.source_id]][SERIES_NAMES[s]] += 1
-    max_slots = 0
-    for row in data.rows:
-        for s in (0, 1):
-            max_slots = max(max_slots, sum(not sl.missing for sl in row.slots(s)))
+    for s, name in enumerate(SERIES_NAMES):
+        ids, counts = np.unique(view.source[series == s], return_counts=True)
+        for sid, count in zip(ids.tolist(), counts.tolist()):
+            per_source[data.sources[sid]][name] += count
+    # observed slots per (row, series)
+    max_slots = int(np.bincount(view.at // MAX_SLOTS).max()) if view.at.size else 0
     diagnostics = {
         "n_records": len(records),
         "n_rows": data.n_rows,
         "n_values": data.n_observed_slots(),
         "max_slots_used": max_slots,
-        "min_dt": min(dts) if dts else MISSING,
-        "max_dt": max(dts) if dts else MISSING,
+        "min_dt": float(dts.min()) if dts.size else MISSING,
+        "max_dt": float(dts.max()) if dts.size else MISSING,
         "per_source_counts": per_source,
         "warnings": [] if records else ["empty input: no records"],
     }
@@ -357,15 +359,12 @@ def read_canonical_csv(path, registry_path=None) -> PanelDataset:
                 climate_state=clamped_climate_state(abs(stamp)),
             )
         )
-    for sid in sorted(
-        {sl.source_id for r in out_rows for s in (0, 1) for sl in r.slots(s) if not sl.missing}
-    ):
+    data = PanelDataset(rows=tuple(out_rows), sources=sources, species=species)
+    for sid in np.unique(data.view.source).tolist():
         sources.setdefault(sid, f"source_{sid}")
-    for sid in sorted(
-        {sl.species_id for r in out_rows for s in (0, 1) for sl in r.slots(s) if not sl.missing}
-    ):
+    for sid in np.unique(data.view.species).tolist():
         species.setdefault(sid, f"species_{sid}")
-    return PanelDataset(rows=tuple(out_rows), sources=sources, species=species)
+    return data
 
 
 def write_ingest_csv(data: PanelDataset, path, header_lines=()) -> None:

@@ -54,8 +54,8 @@ from .core import MAX_SLOTS, SERIES_NAMES, is_missing, PanelDataset
 from .modelspec import (
     ModelSpec,
     ParameterLayout,
-    POOLED_KEY,
     booking_schedule,
+    group_keys,
 )
 
 __all__ = [
@@ -97,7 +97,10 @@ class CompiledModel:
 
     Everything parameter-independent is precomputed here, including the
     booking schedule: which rows apply the trend transition for each series
-    and with what accumulated time window.
+    and with what accumulated time window. compile_model builds it from the
+    panel's cached columnar view (PanelDataset.view) and the group keys
+    modelspec.group_keys resolves there, with one layout lookup per
+    distinct key; a key the layout lacks raises KeyError.
     """
 
     spec: ModelSpec
@@ -172,38 +175,26 @@ def compile_model(
     k = spec.n_series
     m = spec.order_m
     p = MAX_SLOTS * k
+    view = data.view
+    keys = group_keys(spec, view)
 
-    stamps = np.array([r.stamp for r in data.rows])
     values = np.full((n, p), np.nan)
+    values[keys.row, keys.col] = view.value[keys.slot]
     hidx = np.full((n, p), -1, dtype=np.int64)
-    observed = np.zeros((n, k), dtype=bool)
     tvar_idx = np.full((n, k), -1, dtype=np.int64)
     corr_idx = np.full(n, -1, dtype=np.int64)
+    for j, sr in enumerate(spec.series):
+        on = keys.local == j
+        hidx[keys.row[on], keys.col[on]] = _lookup(
+            keys.meas[on], lambda key: layout.meas_index[(sr, key)]
+        )
+        tvar_idx[:, j] = _lookup(
+            keys.trans, lambda key: layout.trans_index.get((sr, key), -1)
+        )
+    if k == 2:
+        corr_idx[:] = _lookup(keys.corr, lambda key: layout.corr_index.get(key, -1))
 
-    for nu, row in enumerate(data.rows):
-        regime = row.climate_state
-        tkey = regime if spec.trans_grouping == "by-climate-state" else POOLED_KEY
-        for j, sr in enumerate(spec.series):
-            tvar_idx[nu, j] = layout.trans_index.get((sr, tkey), -1)
-            for i, slot in enumerate(row.slots(sr)):
-                if slot.missing:
-                    continue
-                col = j * MAX_SLOTS + i
-                values[nu, col] = slot.value
-                observed[nu, j] = True
-                if spec.meas_grouping == "pooled":
-                    key = POOLED_KEY
-                elif spec.meas_grouping == "by-source":
-                    key = slot.source_id
-                else:
-                    key = slot.species_id
-                hidx[nu, col] = layout.meas_index[(sr, key)]
-        if k == 2:
-            ckey = regime if spec.corr_grouping == "by-climate-state" else POOLED_KEY
-            corr_idx[nu] = layout.corr_index.get(ckey, -1)
-
-    dts = np.array([r.dt for r in data.rows])
-    apply_, window = booking_schedule(dts, observed)
+    apply_, window = booking_schedule(view.dts, keys.observed)
     lvl_of_col = np.array([j * m for j in range(k) for _ in range(MAX_SLOTS)])
 
     return CompiledModel(
@@ -214,7 +205,7 @@ def compile_model(
         m=m,
         s=k * m,
         p=p,
-        stamps=stamps,
+        stamps=view.stamps.copy(),
         values=values,
         hidx=hidx,
         lvl_of_col=lvl_of_col,
@@ -222,8 +213,14 @@ def compile_model(
         window=window,
         tvar_idx=tvar_idx,
         corr_idx=corr_idx,
-        n_obs_slots=int(np.sum(hidx >= 0)),
+        n_obs_slots=keys.row.size,
     )
+
+
+def _lookup(keys: np.ndarray, index) -> np.ndarray:
+    # index(key) for every entry of keys, one call per distinct key
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array([index(key) for key in distinct.tolist()], dtype=np.int64)[inverse]
 
 
 # flat-list helpers -----------------------------------------------------------

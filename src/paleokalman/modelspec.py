@@ -1,19 +1,20 @@
-"""Declarative model variants and their realization as system matrices.
+"""Declarative model variants and the parameter layouts they resolve to.
 
 A ModelSpec names one member of the model family: which series it covers,
 the integration order m of the trend, and how measurement variances,
 transition variances, and (bivariate only) trend-disturbance correlations
-are grouped. build_layout() resolves the spec against a dataset into a
-concrete parameter vector layout; realize() produces the per-row matrices
-(Z, H, T, R, Q) the filter consumes.
+are grouped. group_keys() maps a spec and a dataset's columnar view to the
+group key of every observed slot and row; build_layout() turns the keys
+present into a concrete parameter vector layout, and kalman.compile_model()
+looks each key up in that layout.
 
 Transition semantics for rows where a series has no observation: that
 series' state block is frozen (T block = identity, no disturbance), and the
 elapsed time accumulates; at the series' next observed row the trend
 transition applies once with the disturbance variance scaled by the whole
-accumulated window. The two windows of a bivariate disturbance both end at
-the current stamp, so their overlap is min(w1, w2), which scales the
-cross-covariance term.
+accumulated window (booking_schedule). The two windows of a bivariate
+disturbance both end at the current stamp, so their overlap is min(w1, w2),
+which scales the cross-covariance term.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .core import (
     SERIES_NAMES,
     CLIMATE_STATE_NAMES,
     MAX_SLOTS,
-    ObservationRow,
     PanelDataset,
+    PanelView,
 )
 
 __all__ = [
@@ -39,10 +40,9 @@ __all__ = [
     "ModelSpec",
     "ParamInfo",
     "ParameterLayout",
-    "GapState",
-    "SystemMatrices",
+    "GroupKeys",
     "build_layout",
-    "realize",
+    "group_keys",
     "trend_transition_matrix",
 ]
 
@@ -189,12 +189,53 @@ class ParameterLayout:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _meas_group_key(spec: ModelSpec, slot) -> int:
-    if spec.meas_grouping == "pooled":
-        return POOLED_KEY
-    if spec.meas_grouping == "by-source":
-        return slot.source_id
-    return slot.species_id
+@dataclass(frozen=True)
+class GroupKeys:
+    """Group keys of a panel's observed slots and rows under one spec.
+
+    Per observed slot of the spec's series, in view order: slot (its
+    position in the view), row, col (j * MAX_SLOTS + i, with j the series'
+    place in spec.series and i the slot), local (j) and meas (measurement
+    group key). Per row: observed (n, k) says where each series has a
+    value; trans and corr are the transition and correlation regime keys
+    (corr is None unless the spec is bivariate).
+    """
+
+    slot: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    local: np.ndarray
+    meas: np.ndarray
+    observed: np.ndarray
+    trans: np.ndarray
+    corr: np.ndarray | None
+
+
+def _regime_keys(grouping: str, view: PanelView) -> np.ndarray:
+    if grouping == "by-climate-state":
+        return view.climate_states
+    return np.full(view.stamps.size, POOLED_KEY, dtype=np.int32)
+
+
+def group_keys(spec: ModelSpec, view: PanelView) -> GroupKeys:
+    """Resolve the spec's groupings against a panel's columnar view."""
+    slot = np.flatnonzero(np.isin(view.series, spec.series))
+    at = view.at[slot]
+    row = at // (2 * MAX_SLOTS)
+    local = at // MAX_SLOTS % 2 - spec.series[0]
+    meas = {"by-source": view.source, "by-species": view.species}.get(spec.meas_grouping)
+    observed = np.zeros((view.stamps.size, spec.n_series), dtype=bool)
+    observed[row, local] = True
+    return GroupKeys(
+        slot=slot,
+        row=row,
+        col=local * MAX_SLOTS + at % MAX_SLOTS,
+        local=local,
+        meas=np.full(slot.size, POOLED_KEY, dtype=np.int32) if meas is None else meas[slot],
+        observed=observed,
+        trans=_regime_keys(spec.trans_grouping, view),
+        corr=_regime_keys(spec.corr_grouping, view) if spec.n_series == 2 else None,
+    )
 
 
 def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
@@ -208,31 +249,15 @@ def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
     if data.n_rows == 0:
         raise ValueError("cannot build a parameter layout on an empty dataset")
 
-    meas_groups = {s: set() for s in spec.series}
-    trans_groups = {s: set() for s in spec.series}
-    corr_groups: set = set()
-
-    for row in data.rows:
-        both = all(row.series_observed(s) for s in spec.series)
-        for s in spec.series:
-            observed = False
-            for slot in row.slots(s):
-                if not slot.missing:
-                    observed = True
-                    meas_groups[s].add(_meas_group_key(spec, slot))
-            if observed:
-                key = (
-                    row.climate_state
-                    if spec.trans_grouping == "by-climate-state"
-                    else POOLED_KEY
-                )
-                trans_groups[s].add(key)
-        if spec.arity == "bivariate" and both:
-            corr_groups.add(
-                row.climate_state
-                if spec.corr_grouping == "by-climate-state"
-                else POOLED_KEY
-            )
+    keys = group_keys(spec, data.view)
+    meas_groups = {}
+    trans_groups = {}
+    for j, s in enumerate(spec.series):
+        meas_groups[s] = np.unique(keys.meas[keys.local == j]).tolist()
+        trans_groups[s] = np.unique(keys.trans[keys.observed[:, j]]).tolist()
+    corr_groups = []
+    if keys.corr is not None:
+        corr_groups = np.unique(keys.corr[keys.observed.all(axis=1)]).tolist()
 
     def group_label(grouping: str, key: int) -> str:
         if grouping == "pooled":
@@ -249,7 +274,7 @@ def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
     corr_index: dict = {}
 
     for s in spec.series:
-        for key in sorted(meas_groups[s]):
+        for key in meas_groups[s]:
             meas_index[(s, key)] = len(params)
             label = group_label(spec.meas_grouping, key)
             params.append(
@@ -262,7 +287,7 @@ def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
                 )
             )
     for s in spec.series:
-        for key in sorted(trans_groups[s]):
+        for key in trans_groups[s]:
             trans_index[(s, key)] = len(params)
             label = group_label(spec.trans_grouping, key)
             params.append(
@@ -274,7 +299,7 @@ def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
                     group=label,
                 )
             )
-    for key in sorted(corr_groups):
+    for key in corr_groups:
         corr_index[key] = len(params)
         label = group_label(spec.corr_grouping or "pooled", key)
         params.append(
@@ -300,36 +325,14 @@ def trend_transition_matrix(m: int) -> np.ndarray:
     return T
 
 
-class GapState:
-    """Caller-owned per-filter-pass tracker of the per-series accumulated
-    time window. One instance per pass; realize() advances it row by row.
+def booking_schedule(dts, observed) -> tuple:
+    """Where each series applies the trend transition, and the time booked.
 
     A series' clock starts at its first observed row (nothing is booked
-    there; the initial state covers it), so summing the booked windows over
-    a series' observed rows telescopes to last observed stamp minus first
-    observed stamp.
-    """
-
-    def __init__(self, n_series: int):
-        self.seen = [False] * n_series
-        self.acc = [0.0] * n_series
-
-    def advance(self, local_series: int, dt: float, observed: bool) -> tuple:
-        """Step one row for one series; returns (apply_trend, window)."""
-        if not self.seen[local_series]:
-            if observed:
-                self.seen[local_series] = True
-            return (False, 0.0)
-        self.acc[local_series] += dt
-        if observed:
-            window = self.acc[local_series]
-            self.acc[local_series] = 0.0
-            return (True, window)
-        return (False, 0.0)
-
-
-def booking_schedule(dts, observed) -> tuple:
-    """Vectorized form of the GapState walk over a whole dataset.
+    there; the initial state covers it). At each later observed row the
+    transition applies once, with the running sum of the row increments
+    since the series' previous observed row as its window, so the windows
+    of a series telescope to its last observed stamp minus its first.
 
     Parameters
     ----------
@@ -341,104 +344,21 @@ def booking_schedule(dts, observed) -> tuple:
     apply : (n, k) bool, True where the trend transition applies.
     window : (n, k) float, accumulated time booked at applied rows (0 else).
     """
-    dts = np.asarray(dts, dtype=float)
+    steps = np.asarray(dts, dtype=float).tolist()
     observed = np.asarray(observed, dtype=bool)
     if observed.ndim == 1:
         observed = observed[:, None]
     n, k = observed.shape
     apply_ = np.zeros((n, k), dtype=bool)
     window = np.zeros((n, k))
-    gap = GapState(k)
-    for nu in range(n):
-        dt = dts[nu] if nu > 0 else 0.0
-        for j in range(k):
-            a, w = gap.advance(j, dt, bool(observed[nu, j]))
-            apply_[nu, j] = a
-            window[nu, j] = w
+    for j in range(k):
+        rows = np.flatnonzero(observed[:, j]).tolist()
+        booked = []
+        for prev, nu in zip(rows, rows[1:]):
+            acc = 0.0
+            for dt in steps[prev + 1 : nu + 1]:
+                acc += dt
+            booked.append(acc)
+        apply_[rows[1:], j] = True
+        window[rows[1:], j] = booked
     return apply_, window
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Realization of a ModelSpec at one observation row.
-
-    Z is p x s with a single unit entry per slot row pointing at the level
-    state of the slot's series; H is the p x p diagonal measurement
-    covariance (zero and masked where the slot is missing); T, R, Q describe
-    the transition into this row (identity/empty at a row where every block
-    is frozen, including the first row).
-    """
-
-    Z: np.ndarray
-    H: np.ndarray
-    T: np.ndarray
-    R: np.ndarray
-    Q: np.ndarray
-    missing: np.ndarray  # bool per slot row
-    windows: tuple  # booked window per active series (0.0 if frozen)
-
-
-def realize(
-    spec: ModelSpec,
-    layout: ParameterLayout,
-    params,
-    row: ObservationRow,
-    gap_state: GapState,
-) -> SystemMatrices:
-    """System matrices for one row; advances gap_state in place.
-
-    params are on the natural scale in layout order. Variances must be
-    positive and correlations inside (-1, 1).
-    """
-    params = layout.validate_params(params)
-    m = spec.order_m
-    s_dim = spec.state_dim
-    p = MAX_SLOTS * spec.n_series
-
-    Z = np.zeros((p, s_dim))
-    H = np.zeros((p, p))
-    missing = np.ones(p, dtype=bool)
-    for k, s in enumerate(spec.series):
-        for i, slot in enumerate(row.slots(s)):
-            r_idx = k * MAX_SLOTS + i
-            Z[r_idx, k * m] = 1.0
-            if not slot.missing:
-                missing[r_idx] = False
-                H[r_idx, r_idx] = params[
-                    layout.meas_index[(s, _meas_group_key(spec, slot))]
-                ]
-
-    dt = row.dt if row.dt == row.dt else 0.0
-    regime = row.climate_state
-    T = np.zeros((s_dim, s_dim))
-    R = np.zeros((s_dim, spec.n_series))
-    Q = np.zeros((spec.n_series, spec.n_series))
-    windows = []
-    applied = []
-    for k, s in enumerate(spec.series):
-        apply_trend, window = gap_state.advance(k, dt, row.series_observed(s))
-        windows.append(window)
-        applied.append(apply_trend)
-        block = slice(k * m, (k + 1) * m)
-        T[block, block] = trend_transition_matrix(m) if apply_trend else np.eye(m)
-        R[k * m + m - 1, k] = 1.0
-        if apply_trend:
-            key = regime if spec.trans_grouping == "by-climate-state" else POOLED_KEY
-            Q[k, k] = params[layout.trans_index[(s, key)]] * window
-
-    if spec.arity == "bivariate" and applied[0] and applied[1]:
-        key = regime if spec.corr_grouping == "by-climate-state" else POOLED_KEY
-        idx = layout.corr_index.get(key)
-        if idx is not None:
-            rho = params[idx]
-            # both windows end at this stamp, so the increments overlap on
-            # the shorter one
-            k1 = regime if spec.trans_grouping == "by-climate-state" else POOLED_KEY
-            sig1 = np.sqrt(params[layout.trans_index[(0, k1)]])
-            sig2 = np.sqrt(params[layout.trans_index[(1, k1)]])
-            cross = rho * sig1 * sig2 * min(windows)
-            Q[0, 1] = Q[1, 0] = cross
-
-    return SystemMatrices(
-        Z=Z, H=H, T=T, R=R, Q=Q, missing=missing, windows=tuple(windows)
-    )

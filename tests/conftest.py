@@ -11,8 +11,11 @@ from paleokalman.core import (
     ObservationRow,
     PanelDataset,
     clamped_climate_state,
+    collate_rows,
     compute_increments,
 )
+from paleokalman.imputation import merge_grid
+from paleokalman.ingest import read_canonical_csv, write_canonical_csv, write_registry_json
 
 
 def rows_from_values(stamps, values_series1, values_series2=None, sources=None):
@@ -108,4 +111,44 @@ def small_simulated(spec, params, n_rows=6, slots=2, seed=0, n_sources=1, observ
     )
 
 
-__all__ = ["rows_from_values", "random_stamps", "small_simulated", "MISSING"]
+# Records spanning four climate states: two leading all-missing rows, a row
+# with four d18O slots (three sources), a d13C-only row and rows where both
+# series are observed.
+MIXED_RECORDS = [
+    (-60.5, 0, None, "x", "x"),
+    (-60.2, 0, None, "x", "x"),
+    (-58.0, "d18O", 1.0, "a", "s"),
+    (-58.0, "d18O", 1.1, "b", "t"),
+    (-58.0, "d18O", 1.2, "c", "s"),
+    (-58.0, "d18O", 1.3, "a", "t"),
+    (-58.0, "d13C", 0.4, "b", "s"),
+    (-40.0, "d13C", 0.5, "c", "u"),
+    (-30.0, "d18O", 1.4, "b", "s"),
+    (-30.0, "d13C", 0.6, "a", "t"),
+    (-10.0, "d18O", 1.5, "c", "u"),
+    (-2.0, "d18O", 1.6, "a", "s"),
+    (-2.0, "d13C", 0.7, "a", "s"),
+    (-1.0, "d18O", 1.7, "b", "t"),
+]
+
+
+def mixed_panels(tmp_path):
+    """The MIXED_RECORDS panel built three ways: by collate_rows, read back
+    from its canonical CSV (whose padding slots are fresh objects) and with
+    grid rows merged in."""
+    collated = collate_rows(MIXED_RECORDS)
+    write_canonical_csv(collated, tmp_path / "panel.csv")
+    write_registry_json(collated, tmp_path / "registry.json")
+    read_back = read_canonical_csv(tmp_path / "panel.csv", tmp_path / "registry.json")
+    merged, _ = merge_grid(collated, [-61.0, -59.0, -40.0, -20.0, -0.5])
+    return {"collated": collated, "canonical": read_back, "merged": merged}
+
+
+__all__ = [
+    "rows_from_values",
+    "random_stamps",
+    "small_simulated",
+    "mixed_panels",
+    "MIXED_RECORDS",
+    "MISSING",
+]

@@ -382,6 +382,24 @@ def test_impute_explicit_span(raw_csv, fitted, tmp_path, capsys):
     assert float(lines[2].split(",")[0]) == -2.0
 
 
+def test_impute_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):
+    from paleokalman import kalman
+
+    smooth_ = kalman.smooth
+
+    def smooth_with_negative_variance(run):
+        paths = smooth_(run)
+        paths.smoothed_covs[:, 0, 0] = -1.0
+        return paths
+
+    monkeypatch.setattr(kalman, "smooth", smooth_with_negative_variance)
+    out = tmp_path / "grid.csv"
+    argv = ["impute", "--data", str(raw_csv), "--fit", str(fitted), "--mesh-years", "100000", "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert "negative smoothed variance -1.0 of d18O at grid stamp -3.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_impute_layout_mismatch_exits_66(raw_csv, fitted, tmp_path, capsys):
     csv_b = _write_raw(tmp_path / "b.csv", n=40, seed=9, d13c=False)
     fit_b = tmp_path / "fit_b.json"

@@ -1,6 +1,7 @@
 """Row model, climate-state assignment, and record collation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from paleokalman.core import (
     CLIMATE_STATE_AGES,
     CLIMATE_STATE_NAMES,
+    MAX_SLOTS,
     MISSING,
     MeasurementSlot,
     ObservationRow,
@@ -19,6 +21,8 @@ from paleokalman.core import (
     flatten_records,
     is_missing,
 )
+
+from conftest import MIXED_RECORDS, mixed_panels
 
 
 def test_missing_sentinel():
@@ -232,3 +236,78 @@ def test_max_slots_enforced():
     records = [(-2.0, 0, float(i), f"src{i}", "s") for i in range(5)]
     with pytest.raises(ValueError):
         collate_rows(records)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ((float("nan"), 0, 1.0, "a", "s"), "NaN time stamp in records"),
+        ((-2.0, 0, float("nan"), "a", "s"), "NaN value at stamp -2.0; use None for missing"),
+        ((-2.0, 1.0, 1.0, "a", "s"), "unknown series tag: 1.0"),
+        ((-2.0, "d15N", 1.0, "a", "s"), "unknown series tag: 'd15N'"),
+    ],
+)
+def test_collate_rejects_bad_records(record, message):
+    # the valid int tag 1 comes first, so that a tag equal to it (1.0)
+    # must still be rejected
+    with pytest.raises(ValueError, match=re.escape(message)):
+        collate_rows([(-3.0, 1, 1.0, "a", "s"), record])
+
+
+def test_collate_fifth_slot_message():
+    records = [(-2.0, "d13C", float(i), f"src{i}", "s") for i in range(5)]
+    with pytest.raises(
+        ValueError, match="more than 4 simultaneous values for series d13C at stamp -2.0"
+    ):
+        collate_rows(records)
+
+
+def test_collate_series_tags():
+    records = [
+        (-2.0, 2, 1.0, "a", "s"),
+        (-2.0, "d13C", 2.0, "a", "s"),
+        (-2.0, 1, 3.0, "a", "s"),
+        (-2.0, "d18O", 4.0, "a", "s"),
+        (-2.0, 0, 5.0, "a", "s"),
+    ]
+    row = collate_rows(records).rows[0]
+    assert [s.value for s in row.slots(0) if not s.missing] == [4.0, 5.0]
+    assert [s.value for s in row.slots(1) if not s.missing] == [1.0, 2.0, 3.0]
+    assert collate_rows([(-2.0, None, None, "a", "s")]).rows[0].all_missing
+
+
+def _slot_walk(data):
+    # the columns of the view, read off the slot objects one by one
+    at, value, source, species = [], [], [], []
+    for nu, row in enumerate(data.rows):
+        for s in (0, 1):
+            for i, slot in enumerate(row.slots(s)):
+                if not slot.missing:
+                    at.append((nu * 2 + s) * MAX_SLOTS + i)
+                    value.append(slot.value)
+                    source.append(slot.source_id)
+                    species.append(slot.species_id)
+    return at, value, source, species
+
+
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged"])
+def test_panel_view_equals_slot_walk(tmp_path, build):
+    data = mixed_panels(tmp_path)[build]
+    view = data.view
+    assert view is data.view  # built once, then cached
+    assert view.stamps.tolist() == [r.stamp for r in data.rows]
+    assert np.array_equal(view.dts, [r.dt for r in data.rows], equal_nan=True)
+    assert view.climate_states.tolist() == [r.climate_state for r in data.rows]
+    at, value, source, species = _slot_walk(data)
+    assert view.at.tolist() == at
+    assert view.value.tolist() == value
+    assert view.source.tolist() == source
+    assert view.species.tolist() == species
+    assert view.row.tolist() == [a // (2 * MAX_SLOTS) for a in at]
+    assert view.series.tolist() == [a // MAX_SLOTS % 2 for a in at]
+    assert (view.at.dtype, view.source.dtype, view.species.dtype) == (np.int64, np.int32, np.int32)
+    for name in ("stamps", "dts", "climate_states", "at", "value", "source", "species"):
+        assert not getattr(view, name).flags.writeable
+    assert data.n_observed_slots() == len(at) == sum(r[2] is not None for r in MIXED_RECORDS)
+    assert data.n_observed_slots("d18O") == 8
+    assert data.n_observed_slots(2) == 4

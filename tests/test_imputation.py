@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import paleokalman as pk
-from paleokalman import ModelSpec, build_layout
+from paleokalman import ModelSpec, build_layout, kalman
 from paleokalman.core import compute_increments
 from paleokalman.imputation import (
     COINCIDENCE_TOL,
@@ -214,6 +214,22 @@ def test_impute_on_higher_order_reads_level():
     paths = smooth(kfilter(spec, layout, params, data))
     table = impute(params, spec, data, [-2.2])
     assert table.means[0, 0] == paths.smoothed_means[1, 0]  # level component
+
+
+def test_impute_rejects_negative_smoothed_variance(monkeypatch):
+    spec, params, data = _fitted_small()
+    grid = [-2.0, -1.2]
+    _, indices = merge_grid(data, grid)
+    smooth_ = kalman.smooth
+
+    def smooth_with_negative_variance(run):
+        paths = smooth_(run)
+        paths.smoothed_covs[indices[1], 0, 0] = -2.5e-07
+        return paths
+
+    monkeypatch.setattr(kalman, "smooth", smooth_with_negative_variance)
+    with pytest.raises(ValueError, match=r"-2\.5e-07 of d18O at grid stamp -1\.2"):
+        impute(params, spec, data, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,29 @@ def test_parse_empty_age_is_error(tmp_path):
         parse_csv(_write(tmp_path, text))
 
 
+def test_parse_whitespace_lines_and_padded_rows(tmp_path):
+    text = (
+        "age_tuned,d18O,d13C,source,species\n"
+        "   \n"
+        "3.5,2.1,0.5,Site A,CSPP\n"
+        " , ,\t, , \n"
+        "2.0\n"
+        "1.0,1.9\n"
+    )
+    records, diag = parse_csv(_write(tmp_path, text))
+    assert [r.age_tuned for r in records] == [3.5, 2.0, 1.0]
+    assert records[1].both_empty and not records[2].both_empty
+    assert math.isnan(records[2].d13C)
+    assert (records[2].source, records[2].species) == ("", "")
+    assert diag == {"n_records": 3, "n_missing_cells": 3, "n_both_empty": 1}
+
+
+def test_parse_empty_age_in_short_row_reports_line(tmp_path):
+    text = "d18O,age_tuned,d13C,source,species\n2.1,3.5,0.5,A,S\n \n2.0\n"
+    with pytest.raises(ParseError, match="line 4: empty age_tuned cell"):
+        parse_csv(_write(tmp_path, text))
+
+
 # ---------------------------------------------------------------------------
 # canonicalization
 # ---------------------------------------------------------------------------
@@ -240,6 +263,14 @@ def test_canonical_csv_without_registry(tmp_path):
     ids1 = [sl.source_id for r in data.rows for sl in r.slots(0) if not sl.missing]
     ids2 = [sl.source_id for r in again.rows for sl in r.slots(0) if not sl.missing]
     assert ids1 == ids2
+
+
+def test_canonical_csv_rejects_a_fifth_slot(tmp_path):
+    lines = ["stamp,series,value,source_id,species_id,climate_state"]
+    lines += [f"-2.0,d18O,{v},0,0,6" for v in (1.0, 1.1, 1.2, 1.3, 1.4)]
+    path = _write(tmp_path, "\n".join(lines) + "\n", "canon.csv")
+    with pytest.raises(ValueError, match="more than 4 slots for series d18O at stamp -2.0"):
+        read_canonical_csv(path)
 
 
 def test_ingest_csv_round_trip(tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout
 from paleokalman.core import (
+    MAX_SLOTS,
     MeasurementSlot,
     ObservationRow,
     PanelDataset,
@@ -34,7 +35,7 @@ from paleokalman.kalman import (
 )
 from paleokalman import _kernels
 
-from conftest import rows_from_values, small_simulated
+from conftest import MIXED_RECORDS, mixed_panels, rows_from_values, small_simulated
 
 
 def _instance_a():
@@ -533,3 +534,72 @@ def test_write_state_paths_csv(tmp_path):
     assert float(first[0]) == -3.0
     mean_idx = header.index("mean.d18O.level")
     assert float(first[mean_idx]) == pytest.approx(-0.043734114673350616, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# compile_model's group indices against a slot-by-slot reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_indices(spec, layout, data):
+    # hidx, tvar_idx and corr_idx resolved row by row and slot by slot
+    n, k = data.n_rows, spec.n_series
+    hidx = np.full((n, MAX_SLOTS * k), -1, dtype=np.int64)
+    tvar_idx = np.full((n, k), -1, dtype=np.int64)
+    corr_idx = np.full(n, -1, dtype=np.int64)
+    for nu, row in enumerate(data.rows):
+        regime = row.climate_state
+        tkey = regime if spec.trans_grouping == "by-climate-state" else 0
+        for j, sr in enumerate(spec.series):
+            tvar_idx[nu, j] = layout.trans_index.get((sr, tkey), -1)
+            for i, slot in enumerate(row.slots(sr)):
+                if slot.missing:
+                    continue
+                key = {"pooled": 0, "by-source": slot.source_id, "by-species": slot.species_id}[
+                    spec.meas_grouping
+                ]
+                hidx[nu, j * MAX_SLOTS + i] = layout.meas_index[(sr, key)]
+        if k == 2:
+            ckey = regime if spec.corr_grouping == "by-climate-state" else 0
+            corr_idx[nu] = layout.corr_index.get(ckey, -1)
+    return hidx, tvar_idx, corr_idx
+
+
+_GROUPED_SPECS = [
+    ModelSpec(),
+    ModelSpec(meas_grouping="by-source"),
+    ModelSpec(meas_grouping="by-species", trans_grouping="by-climate-state"),
+    ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled"),
+    ModelSpec(
+        arity="bivariate",
+        meas_grouping="by-source",
+        trans_grouping="by-climate-state",
+        corr_grouping="by-climate-state",
+    ),
+    ModelSpec(arity="univariate-series2", order_m=3, meas_grouping="by-species"),
+]
+
+
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged"])
+def test_compiled_indices_match_slot_walk(tmp_path, build):
+    data = mixed_panels(tmp_path)[build]
+    for spec in _GROUPED_SPECS:
+        layout = build_layout(spec, data)
+        cm = compile_model(spec, layout, data)
+        hidx, tvar_idx, corr_idx = _reference_indices(spec, layout, data)
+        for name, ref in (("hidx", hidx), ("tvar_idx", tvar_idx), ("corr_idx", corr_idx)):
+            got = getattr(cm, name)
+            assert got.dtype == np.int64, (spec, name)
+            assert np.array_equal(got, ref), (spec, name)
+        assert cm.n_obs_slots == int(np.sum(hidx >= 0))
+        assert np.array_equal(np.isnan(cm.values), hidx < 0)
+
+
+def test_compile_rejects_layout_missing_a_source():
+    data = pk.collate_rows(MIXED_RECORDS)
+    without_c = pk.collate_rows([r for r in MIXED_RECORDS if r[3] != "c"])
+    spec = ModelSpec(meas_grouping="by-source")
+    layout = build_layout(spec, without_c)
+    assert layout.meas_var_count == 2  # sources a and b
+    with pytest.raises(KeyError):
+        compile_model(spec, layout, data)

@@ -1,16 +1,16 @@
-"""Model variants, parameter layouts, and per-row system matrices."""
+"""Model variants, parameter layouts, the booking schedule, and the
+per-row arrays compile_model resolves from them."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paleokalman.core import MeasurementSlot
+from paleokalman import kalman
+from paleokalman.core import MeasurementSlot, collate_rows
 from paleokalman.modelspec import (
-    GapState,
     ModelSpec,
     booking_schedule,
     build_layout,
-    realize,
     trend_transition_matrix,
 )
 
@@ -157,6 +157,44 @@ def test_layout_corr_needs_joint_rows():
     assert layout.corr_count == 0
 
 
+def test_layout_bivariate_by_species_and_climate_state():
+    # regime 1 (60 MYA) sees both series; regime 5 (10 MYA) sees only d18O,
+    # so it gets a d18O transition variance but no correlation
+    data = collate_rows(
+        [
+            (-60.0, 0, 1.0, "a", "s"),
+            (-60.0, 1, 0.5, "a", "t"),
+            (-59.0, 0, 1.1, "a", "t"),
+            (-59.0, 1, 0.6, "a", "t"),
+            (-10.0, 0, 1.2, "a", "s"),
+            (-9.0, 0, 1.3, "a", "u"),
+        ]
+    )
+    spec = ModelSpec(
+        arity="bivariate",
+        meas_grouping="by-species",
+        trans_grouping="by-climate-state",
+        corr_grouping="by-climate-state",
+    )
+    layout = build_layout(spec, data)
+    assert [(p.role, p.series, p.group) for p in layout.params] == [
+        ("sigma_eps2", 0, "s"),
+        ("sigma_eps2", 0, "t"),
+        ("sigma_eps2", 0, "u"),
+        ("sigma_eps2", 1, "t"),
+        ("sigma_eta2", 0, "Warmhouse 2"),
+        ("sigma_eta2", 0, "Coolhouse 2"),
+        ("sigma_eta2", 1, "Warmhouse 2"),
+        ("rho", None, "Warmhouse 2"),
+    ]
+    assert layout.meas_index == {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3}
+    assert layout.trans_index == {(0, 1): 4, (0, 5): 5, (1, 1): 6}
+    assert layout.corr_index == {1: 7}
+    keys = [*layout.meas_index, *layout.trans_index]
+    assert all(type(i) is int for key in keys for i in key)
+    assert all(type(p.group_key) is int for p in layout.params)
+
+
 def test_validate_params_bounds():
     data = rows_from_values([-3.0, -2.0], [[1.0], [1.1]])
     layout = build_layout(ModelSpec(), data)
@@ -210,16 +248,14 @@ def test_trend_transition_powers_differ(m):
 # ---------------------------------------------------------------------------
 
 
-def test_gap_state_frozen_until_first_observed():
-    gap = GapState(1)
-    assert gap.advance(0, 0.0, False) == (False, 0.0)
-    assert gap.advance(0, 0.5, False) == (False, 0.0)
-    # first observation: still nothing booked
-    assert gap.advance(0, 0.3, True) == (False, 0.0)
-    # now the clock runs
-    assert gap.advance(0, 0.2, True) == (True, pytest.approx(0.2))
-    assert gap.advance(0, 0.1, False) == (False, 0.0)
-    assert gap.advance(0, 0.4, True) == (True, pytest.approx(0.5))
+def test_booking_schedule_frozen_until_first_observed():
+    dts = [np.nan, 0.5, 0.3, 0.2, 0.1, 0.4]
+    observed = np.array([[False], [False], [True], [True], [False], [True]])
+    apply_, window = booking_schedule(dts, observed)
+    # nothing is booked before or at the first observation; then the clock
+    # runs from the first observed row
+    assert apply_[:, 0].tolist() == [False, False, False, True, False, True]
+    assert window[:, 0].tolist() == [0.0, 0.0, 0.0, 0.2, 0.0, pytest.approx(0.5)]
 
 
 def test_booking_schedule_windows_telescope():
@@ -264,23 +300,32 @@ def test_booking_schedule_telescopes_any_pattern(pattern, seed):
 
 
 # ---------------------------------------------------------------------------
-# realize
+# compiled per-row arrays
 # ---------------------------------------------------------------------------
 
 
-def test_realize_first_row_frozen():
+def _zero_prior(s):
+    # a known, exact initial state, so that predicted covariances show the
+    # disturbance each row adds
+    return np.zeros(s), np.zeros((s, s))
+
+
+def test_compiled_first_row_frozen():
+    spec = ModelSpec()
     data = rows_from_values([-3.0, -2.0], [[1.0], [1.1]])
-    layout = build_layout(ModelSpec(), data)
-    gap = GapState(1)
-    sm = realize(ModelSpec(), layout, [0.3, 0.7], data.rows[0], gap)
-    assert np.array_equal(sm.T, np.eye(1))
-    assert sm.Q[0, 0] == 0.0
-    assert sm.H[0, 0] == pytest.approx(0.3)
-    sm2 = realize(ModelSpec(), layout, [0.3, 0.7], data.rows[1], gap)
-    assert sm2.Q[0, 0] == pytest.approx(0.7 * 1.0)
+    layout = build_layout(spec, data)
+    cm = kalman.compile_model(spec, layout, data)
+    assert cm.apply[:, 0].tolist() == [False, True]
+    assert cm.window[:, 0].tolist() == [0.0, 1.0]
+    assert cm.hidx[:, 0].tolist() == [0, 0]
+    assert cm.tvar_idx[:, 0].tolist() == [1, 1]
+    paths = kalman.filter(spec, layout, [0.3, 0.7], data, init=_zero_prior(1)).paths
+    assert paths.predicted_covs[0, 0, 0] == 0.0
+    assert paths.innovation_variances[0, 0] == pytest.approx(0.3)
+    assert paths.predicted_covs[1, 0, 0] == pytest.approx(0.7 * 1.0)
 
 
-def test_realize_bivariate_cross_term_uses_min_window():
+def test_compiled_bivariate_cross_term_uses_min_window():
     data = rows_from_values(
         [-3.0, -2.5, -2.0],
         [[1.0], None, [1.1]],  # series 1 skips the middle row
@@ -288,40 +333,42 @@ def test_realize_bivariate_cross_term_uses_min_window():
     )
     spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
     layout = build_layout(spec, data)
+    cm = kalman.compile_model(spec, layout, data)
+    # only series 2 books at the middle row: no cross term there
+    assert cm.apply.tolist() == [[False, False], [False, True], [True, True]]
+    assert cm.window[1].tolist() == [0.0, 0.5]
+    assert cm.window[2].tolist() == [1.0, 0.5]
+    assert cm.tvar_idx.tolist() == [[2, 3]] * 3
+    assert cm.corr_idx.tolist() == [4, 4, 4]
     params = [0.1, 0.2, 0.4, 0.9, 0.5]
-    gap = GapState(2)
-    realize(spec, layout, params, data.rows[0], gap)
-    sm1 = realize(spec, layout, params, data.rows[1], gap)
-    # only series 2 books here: no cross term
-    assert sm1.Q[0, 1] == 0.0
-    assert sm1.Q[1, 1] == pytest.approx(0.9 * 0.5)
-    sm2 = realize(spec, layout, params, data.rows[2], gap)
+    paths = kalman.filter(spec, layout, params, data, init=_zero_prior(2)).paths
+    P1, P2 = paths.predicted_covs[1], paths.predicted_covs[2]
+    assert P1[0, 1] == 0.0
+    assert P1[1, 1] == pytest.approx(0.9 * 0.5)
     # series 1 booked 1.0, series 2 booked 0.5; overlap is min = 0.5
-    assert sm2.Q[0, 0] == pytest.approx(0.4 * 1.0)
-    assert sm2.Q[1, 1] == pytest.approx(0.9 * 0.5)
+    assert P2[0, 0] == pytest.approx(0.4 * 1.0)
     expected_cross = 0.5 * np.sqrt(0.4) * np.sqrt(0.9) * 0.5
-    assert sm2.Q[0, 1] == pytest.approx(expected_cross)
-    assert sm2.Q[1, 0] == sm2.Q[0, 1]
+    assert P2[0, 1] == pytest.approx(expected_cross)
+    assert P2[1, 0] == P2[0, 1]
 
 
-def test_realize_z_points_at_levels():
+def test_compiled_slots_point_at_levels():
     spec = ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled")
     data = rows_from_values([-3.0, -2.0], [[1.0], [1.1]], [[0.5], [0.6]])
     layout = build_layout(spec, data)
-    gap = GapState(2)
-    sm = realize(spec, layout, [0.1, 0.2, 0.3, 0.4, 0.0], data.rows[0], gap)
-    assert sm.Z.shape == (8, 4)
-    assert sm.Z[0, 0] == 1.0  # series-1 slot 0 -> series-1 level (index 0)
-    assert sm.Z[4, 2] == 1.0  # series-2 slot 0 -> series-2 level (index m)
-    assert sm.missing.tolist() == [False, True, True, True, False, True, True, True]
+    cm = kalman.compile_model(spec, layout, data)
+    assert cm.p == 8 and cm.s == 4
+    # series-1 slots -> series-1 level (index 0), series-2 -> index m
+    assert cm.lvl_of_col.tolist() == [0, 0, 0, 0, 2, 2, 2, 2]
+    assert cm.hidx[0].tolist() == [0, -1, -1, -1, 1, -1, -1, -1]
+    assert (cm.hidx[0] < 0).tolist() == [False, True, True, True, False, True, True, True]
 
 
-def test_realize_disturbance_enters_last_component():
+def test_compiled_disturbance_enters_last_component():
     spec = ModelSpec(order_m=3)
     data = rows_from_values([-3.0, -2.0], [[1.0], [1.1]])
     layout = build_layout(spec, data)
-    gap = GapState(1)
-    realize(spec, layout, [0.1, 0.5], data.rows[0], gap)
-    sm = realize(spec, layout, [0.1, 0.5], data.rows[1], gap)
-    assert sm.R[:, 0].tolist() == [0.0, 0.0, 1.0]
-    assert sm.Q[0, 0] == pytest.approx(0.5)
+    paths = kalman.filter(spec, layout, [0.1, 0.5], data, init=_zero_prior(3)).paths
+    expected = np.zeros((3, 3))
+    expected[2, 2] = 0.5
+    assert np.array_equal(paths.predicted_covs[1], expected)
