@@ -1,9 +1,11 @@
 """The log-likelihood entry point that the fitting loop evaluates.
 
-The loglik is kalman.loglik, the filter's own forward recursion run without
-its paths. Here an inadmissible parameter point (an innovation variance that
-is not positive, or trend variances with no real increment covariance)
-gives NaN rather than ConditioningError, so the optimizer can score it.
+The loglik is kalman.loglik: the filter's own forward recursion run without
+its paths or, at state dimension 1, the same recursion on plain floats,
+which gives the filter's loglik bit for bit. Here an inadmissible parameter
+point (an innovation variance that is not positive, or trend variances with
+no real increment covariance) gives NaN rather than ConditioningError, so
+the optimizer can score it.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ shared by every model variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -174,9 +174,13 @@ def _panel_view(rows) -> PanelView:
         np.array([slot.source_id for slot in observed], dtype=np.int32),
         np.array([slot.species_id for slot in observed], dtype=np.int32),
     )
-    for a in arrays:
-        a.setflags(write=False)
-    return PanelView(*arrays)
+    return _read_only(PanelView(*arrays))
+
+
+def _read_only(view: PanelView) -> PanelView:
+    for f in fields(view):
+        getattr(view, f.name).setflags(write=False)
+    return view
 
 
 def _raise_capacity(row: ObservationRow, series: int):
@@ -199,7 +203,8 @@ class PanelDataset:
     diagnostics, build_layout and compile_model of one set-up share that
     walk instead of each walking the slot objects. The rows must not change
     after it is built; a dataset derived by replacing its rows gets its own
-    view.
+    view, built by a new walk or derived from the old view and handed over
+    by with_view (as imputation.merge_grid does).
     """
 
     rows: tuple
@@ -223,6 +228,14 @@ class PanelDataset:
         if series is None:
             return self.view.at.size
         return int(np.count_nonzero(self.view.series == _normalize_series(series)))
+
+
+def with_view(data: PanelDataset, view: PanelView) -> PanelDataset:
+    """Cache view as data.view, in place of the walk of data's rows that
+    would build it; view must equal what that walk gives. Its arrays are
+    made read-only. Returns data."""
+    vars(data)["view"] = _read_only(view)
+    return data
 
 
 def compute_increments(stamps) -> list:

@@ -23,9 +23,11 @@ from .core import (
     MeasurementSlot,
     ObservationRow,
     PanelDataset,
+    PanelView,
     SERIES_NAMES,
     clamped_climate_state,
     compute_increments,
+    with_view,
 )
 from .modelspec import ModelSpec, ParameterLayout, build_layout
 
@@ -73,42 +75,66 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
 
     indices[i] is the merged-row index holding grid stamp grid[i]. Stamps
     within tol of an existing row are not inserted; the existing row is
-    referenced instead.
+    referenced instead. The merged panel's view comes from the data's view,
+    with the rows renumbered, not from a walk of the merged rows.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    stamps = np.array([r.stamp for r in data.rows])
+    view = data.view
+    stamps = view.stamps
     extra = grid[~_near(stamps, grid, tol, (-1, 0))[1].any(axis=0)].tolist()
+    extra_states = [clamped_climate_state(abs(g)) for g in extra]
 
     # a stable sort by stamp of the data rows followed by the extra rows;
     # each merged row is built once, with its final dt, and a data row is
     # reused as it is unless an inserted row changes its dt
+    n = data.n_rows
     unsorted = list(data.rows) + [None] * len(extra)
     all_stamps = stamps.tolist() + extra
-    order = np.argsort(np.array(all_stamps), kind="stable").tolist()
-    merged_stamps = [all_stamps[i] for i in order]
+    order = np.argsort(np.array(all_stamps), kind="stable")
+    old_index = order.tolist()
+    merged_stamps = [all_stamps[i] for i in old_index]
     dts = compute_increments(merged_stamps)
     rows = []
-    for i, dt in zip(order, dts):
+    for i, dt in zip(old_index, dts):
         r = unsorted[i]
         if r is None:
-            g = all_stamps[i]
             r = ObservationRow(
-                stamp=g,
+                stamp=all_stamps[i],
                 dt=dt,
                 slots_series1=_EMPTY_SLOTS,
                 slots_series2=_EMPTY_SLOTS,
-                climate_state=clamped_climate_state(abs(g)),
+                climate_state=extra_states[i - n],
             )
         elif not (r.dt is dt or r.dt == dt):
             r = ObservationRow(
                 r.stamp, dt, r.slots_series1, r.slots_series2, r.climate_state
             )
         rows.append(r)
-    merged = PanelDataset(rows=tuple(rows), sources=data.sources, species=data.species)
+
+    # the data rows keep their order, so a data slot's flat index moves by
+    # its row's shift and the slot columns stay in row-major order
+    new_row = np.empty(order.size, dtype=np.int64)
+    new_row[order] = np.arange(order.size)
+    shift = (new_row[:n] - np.arange(n)) * (2 * MAX_SLOTS)
+    merged_view = PanelView(
+        stamps=np.array(merged_stamps, dtype=float),
+        dts=np.array(dts, dtype=float),
+        climate_states=np.concatenate(
+            [view.climate_states, np.array(extra_states, dtype=np.int32)]
+        )[order],
+        at=view.at + shift[view.row],
+        value=view.value,
+        source=view.source,
+        species=view.species,
+    )
+    merged = with_view(
+        PanelDataset(rows=tuple(rows), sources=data.sources, species=data.species),
+        merged_view,
+    )
 
     # each stamp's row: the first of the rows just below, at and above its
     # insertion point that lies within tol
-    at, near = _near(np.array(merged_stamps), grid, tol, (-1, 0, 1))
+    at, near = _near(merged_view.stamps, grid, tol, (-1, 0, 1))
     lost = ~near.any(axis=0)
     if lost.any():
         raise AssertionError(f"grid stamp {grid[lost][0]} lost in the merge")

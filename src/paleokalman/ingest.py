@@ -143,13 +143,27 @@ def parse_csv(path) -> tuple:
                 if all(c.strip() == "" for c in row):
                     continue  # a blank line
                 raise ParseError(line_number, "empty age_tuned cell")
-            age = _parse_cell(age_text, line_number, "age_tuned")
+            try:
+                age = float(age_text)
+            except ValueError:  # a malformed cell: _parse_cell raises its error
+                age = _parse_cell(age_text, line_number, "age_tuned")
             if not 0.0 < age < 70.0:
                 raise ParseError(
                     line_number, f"age_tuned {age} outside the supported (0, 70) MYA"
                 )
-            d18o = _parse_cell(row[i_d18o], line_number, "d18O")
-            d13c = _parse_cell(row[i_d13c], line_number, "d13C")
+            # one float() per isotope cell, which skips surrounding
+            # whitespace; a cell it rejects (blank or malformed) goes to
+            # _parse_cell, for MISSING or the error
+            cell = row[i_d18o]
+            try:
+                d18o = float(cell) if cell else MISSING
+            except ValueError:
+                d18o = _parse_cell(cell, line_number, "d18O")
+            cell = row[i_d13c]
+            try:
+                d13c = float(cell) if cell else MISSING
+            except ValueError:
+                d13c = _parse_cell(cell, line_number, "d13C")
             no_d18o = d18o != d18o
             no_d13c = d13c != d13c
             n_missing_cells += no_d18o + no_d13c

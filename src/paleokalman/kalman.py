@@ -34,9 +34,12 @@ predicted and filtered paths to array('d') buffers and keeps what the
 backward pass needs of each observed slot in compact buffers
 (SlotRecords). loglik, which every fit evaluation calls, runs the same loop
 but keeps only the innovations and their variances, so the two logliks are
-equal bit for bit. The backward pass keeps only what is sequential, r0 and
-N0 at every row and r1, N1, N2 at the diffuse rows; the smoothed moments
-then come from batched matrix products over all rows at once.
+equal bit for bit. At state dimension 1 loglik runs _loglik_dim1 instead:
+that loop on floats rather than one-element lists, with the same
+operations in the same order, so it too equals filter's loglik bit for
+bit. The backward pass keeps only what is sequential, r0 and N0 at every
+row and r1, N1, N2 at the diffuse rows; the smoothed moments then come
+from batched matrix products over all rows at once.
 """
 
 from __future__ import annotations
@@ -436,12 +439,61 @@ def filter(
 def loglik(compiled: CompiledModel, params) -> float:
     """Exact-diffuse loglik at params: filter's forward pass without paths.
 
-    The parameters are used as given, not validated. A point where some
-    innovation variance is not positive, or where the trend variances give
-    no real increment covariance, raises ConditioningError.
+    At state dimension 1 (univariate, order 1) it runs _loglik_dim1, the
+    same recursion on plain floats, equal to filter's loglik bit for bit;
+    otherwise _forward itself. The parameters are used as given, not
+    validated. A point where some innovation variance is not positive, or
+    where the trend variances give no real increment covariance, raises
+    ConditioningError.
     """
     h = np.asarray(params, dtype=float).tolist()
+    if compiled.s == 1:
+        return _loglik_dim1(compiled, h)
     return _forward(compiled, h, *_diffuse_start(compiled.s), False)[0]
+
+
+def _loglik_dim1(cm: CompiledModel, h: list) -> float:
+    # _forward at s = 1 without paths: a, P and P_inf are floats instead of
+    # one-element lists, and every operation is _forward's, in its order
+    fl = cm.flat
+    count, y, hidx = fl.count, fl.y, fl.hidx
+    apply_, window, tvar = fl.apply_, fl.window, fl.tvar  # per row: one series
+    rec_v, rec_F = array("d"), array("d")
+    keep_v, keep_F = rec_v.append, rec_F.append
+    rec_diffuse = {}
+    inf = math.inf
+    a, P, Pi, diffuse = 0.0, 0.0, 1.0, True  # _diffuse_start(1)
+    first = 0
+
+    for nu, c in enumerate(count):
+        if nu > 0 and apply_[nu]:
+            P += h[tvar[nu]] * window[nu]
+        last = first + c
+        for o in range(first, last):
+            v = y[o] - a
+            F = P + h[hidx[o]]
+            if diffuse and Pi > DIFFUSE_TOL:
+                K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
+                a += K * v
+                P = ((P + K * K * F) - K * P) - P * K
+                rec_diffuse[o] = (Pi, None)  # _log_sum reads F_inf only
+                Pi -= K * Pi
+            else:
+                if not 0.0 < F < inf:
+                    raise ConditioningError(
+                        nu, f"innovation variance {F} at slot column {fl.obs_col[o]}"
+                    )
+                K = P / F
+                a += K * v
+                P -= K * P
+            keep_v(v)
+            keep_F(F)
+        first = last
+        if diffuse and abs(Pi) < DIFFUSE_TOL:
+            Pi = 0.0
+            diffuse = False
+
+    return _log_sum(rec_v, rec_F, rec_diffuse)
 
 
 def _diffuse_start(s: int) -> tuple:

@@ -14,7 +14,7 @@ from paleokalman.core import (
     collate_rows,
     compute_increments,
 )
-from paleokalman.imputation import merge_grid
+from paleokalman.imputation import COINCIDENCE_TOL, merge_grid
 from paleokalman.ingest import read_canonical_csv, write_canonical_csv, write_registry_json
 
 
@@ -133,15 +133,27 @@ MIXED_RECORDS = [
 
 
 def mixed_panels(tmp_path):
-    """The MIXED_RECORDS panel built three ways: by collate_rows, read back
+    """The MIXED_RECORDS panel built four ways: by collate_rows, read back
     from its canonical CSV (whose padding slots are fresh objects) and with
-    grid rows merged in."""
+    grid rows merged in, twice. The second grid has several stamps before
+    the first row and stamps within COINCIDENCE_TOL of data rows, on both
+    sides."""
     collated = collate_rows(MIXED_RECORDS)
     write_canonical_csv(collated, tmp_path / "panel.csv")
     write_registry_json(collated, tmp_path / "registry.json")
     read_back = read_canonical_csv(tmp_path / "panel.csv", tmp_path / "registry.json")
     merged, _ = merge_grid(collated, [-61.0, -59.0, -40.0, -20.0, -0.5])
-    return {"collated": collated, "canonical": read_back, "merged": merged}
+    near = 0.5 * COINCIDENCE_TOL
+    merged_edges, _ = merge_grid(
+        collated,
+        [-69.0, -64.0, -60.5 + near, -58.0 - near, -45.0, -30.0 + near, -1.0 - near, -0.2],
+    )
+    return {
+        "collated": collated,
+        "canonical": read_back,
+        "merged": merged,
+        "merged_edges": merged_edges,
+    }
 
 
 __all__ = [

@@ -290,7 +290,7 @@ def _slot_walk(data):
     return at, value, source, species
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged"])
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges"])
 def test_panel_view_equals_slot_walk(tmp_path, build):
     data = mixed_panels(tmp_path)[build]
     view = data.view

@@ -90,6 +90,35 @@ def test_parse_malformed_number_reports_line(tmp_path):
     assert "oops" in str(err.value)
 
 
+def test_parse_cells_read_as_their_stripped_text(tmp_path):
+    # whitespace float() skips, and the ASCII separators \x1c-\x1f, which
+    # only strip() removes, both give the stripped cell's value
+    text = (
+        "age_tuned,d18O,d13C,source,species\n"
+        " 3.5 , 2.1 ,\t0.5\t,A,S\n"
+        "2.0,\x1c1.5\x1f,  ,A,S\n"
+    )
+    records, diag = parse_csv(_write(tmp_path, text))
+    assert [(r.age_tuned, r.d18O) for r in records] == [(3.5, 2.1), (2.0, 1.5)]
+    assert records[0].d13C == 0.5 and math.isnan(records[1].d13C)
+    assert diag["n_missing_cells"] == 1
+
+
+@pytest.mark.parametrize(
+    "line, column, text",
+    [
+        (" 3.5a ,2.1,0.5,A,S", "age_tuned", "3.5a"),
+        ("3.5, 2.1x ,0.5,A,S", "d18O", "2.1x"),
+        ("3.5,2.1,\x1c0.5 5\x1c,A,S", "d13C", "0.5 5"),
+    ],
+)
+def test_parse_malformed_cell_names_its_stripped_text(tmp_path, line, column, text):
+    raw = f"age_tuned,d18O,d13C,source,species\n3.0,1.0,0.1,A,S\n{line}\n"
+    with pytest.raises(ParseError) as err:
+        parse_csv(_write(tmp_path, raw))
+    assert str(err.value) == f"line 3: malformed numeric {text!r} in column {column}"
+
+
 @pytest.mark.parametrize("age", ["0", "-1.5", "70", "71.2"])
 def test_parse_age_domain_enforced(tmp_path, age):
     text = f"age_tuned,d18O,d13C,source,species\n{age},2.1,0.5,A,S\n"

@@ -33,7 +33,7 @@ from paleokalman.kalman import (
     state_component_names,
     write_state_paths_csv,
 )
-from paleokalman import _kernels
+from paleokalman import _kernels, kalman
 
 from conftest import MIXED_RECORDS, mixed_panels, rows_from_values, small_simulated
 
@@ -424,6 +424,88 @@ def test_kernel_reports_nan_outside_admissible_region(instance, bad, reason):
     assert math.isnan(_kernels.loglik_from_compiled(cm, np.array(bad)))
 
 
+# ---------------------------------------------------------------------------
+# the dimension-1 loglik loop against the general recursion
+# ---------------------------------------------------------------------------
+
+
+def _dim1_panel(seed, n_rows=150):
+    # two series over all six climate states: three leading all-missing rows,
+    # then rows with 0-4 slots of each series (0: a gap row for it) over four
+    # sources and three species
+    rng = np.random.default_rng(seed)
+    stamps = np.sort(rng.uniform(-66.0, -0.01, n_rows)).tolist()
+    counts = rng.integers(0, MAX_SLOTS + 1, (n_rows, 2))
+    counts[:3] = 0
+    levels = np.cumsum(rng.normal(0.0, 0.3, (n_rows, 2)), axis=0)
+    records = []
+    for t, row_counts, row_levels in zip(stamps, counts.tolist(), levels.tolist()):
+        records.append((t, "d18O", None, "", ""))  # the stamp alone
+        for series, (c, level) in enumerate(zip(row_counts, row_levels)):
+            for _ in range(c):
+                value = level + float(rng.normal(0.0, 0.2))
+                records.append(
+                    (t, series, value, f"src{rng.integers(4)}", f"sp{rng.integers(3)}")
+                )
+    data = pk.collate_rows(records)
+    assert all(data.rows[nu].all_missing for nu in range(3))
+    return data
+
+
+DIM1_SPECS = {
+    "pooled": ModelSpec(),
+    "by-source": ModelSpec(meas_grouping="by-source"),
+    "by-species": ModelSpec(meas_grouping="by-species"),
+    "by-climate-trans": ModelSpec(trans_grouping="by-climate-state"),
+    "by-source-by-climate-trans": ModelSpec(
+        meas_grouping="by-source", trans_grouping="by-climate-state"
+    ),
+    "d13C-by-species": ModelSpec(arity="univariate-series2", meas_grouping="by-species"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(DIM1_SPECS))
+def test_dim1_loglik_equals_filter_bitwise(name, seed):
+    spec = DIM1_SPECS[name]
+    data = _dim1_panel(seed)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.s == 1
+    # interior gap rows, and rows with one to four observed slots
+    assert 0 in cm.flat.count[3:] and set(cm.flat.count) >= {1, 2, 3, 4}
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(10):
+        # variances from 6e-6 to 20: signal-to-noise ratios over ~7 decades
+        params = np.exp(rng.uniform(-12.0, 3.0, layout.n_params))
+        ll = kloglik(cm, params)
+        assert ll == kfilter(spec, layout, params, data, compiled=cm).loglik
+        assert ll == _kernels.loglik_from_compiled(cm, params)
+
+
+def test_dim1_loglik_raises_as_the_general_recursion():
+    # one source's variance negative: an innovation variance of its slots
+    # turns negative once the diffuse phase is over. filter rejects the
+    # point before its pass (ValueError), so the reference is that pass,
+    # _forward, called directly.
+    spec = DIM1_SPECS["by-source"]
+    data = _dim1_panel(0)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    params = np.full(layout.n_params, 0.5)
+    src2 = {label: i for i, label in data.sources.items()}["src2"]
+    params[layout.meas_index[(0, src2)]] = -3.0
+    with pytest.raises(ValueError, match="variance must be positive"):
+        kfilter(spec, layout, params, data, compiled=cm)
+    with pytest.raises(ConditioningError) as fast:
+        kloglik(cm, params)
+    with pytest.raises(ConditioningError) as ref:
+        kalman._forward(cm, params.tolist(), *kalman._diffuse_start(1), True)
+    assert str(fast.value) == str(ref.value)
+    assert fast.value.row_index == ref.value.row_index > 3
+    assert "innovation variance" in str(fast.value)
+
+
 def test_cached_flat_inputs_are_not_mutated():
     spec = ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled")
     A = [0.1, 0.2, 1.0, 0.7, 0.4]
@@ -580,7 +662,7 @@ _GROUPED_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged"])
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges"])
 def test_compiled_indices_match_slot_walk(tmp_path, build):
     data = mixed_panels(tmp_path)[build]
     for spec in _GROUPED_SPECS:
