@@ -63,7 +63,6 @@ from .butterworth import (
 )
 from .ingest import (
     ParseError,
-    RawRecord,
     SchemaError,
     build_dataset,
     canonicalize_sources,
@@ -140,7 +139,6 @@ __all__ = [
     "write_gain_csv",
     # ingest
     "ParseError",
-    "RawRecord",
     "SchemaError",
     "build_dataset",
     "canonicalize_sources",

@@ -233,7 +233,7 @@ def cmd_impute(args, argv) -> int:
     if args.span_start is not None:
         span_start = args.span_start
     else:
-        span_start = float(math.floor(-data.rows[0].stamp))
+        span_start = float(math.floor(-data.view.stamps[0]))
     span_end = args.span_end if args.span_end is not None else 0.0
     grid = make_grid(span_start, span_end, args.mesh_years)
     print(f"N_g = {len(grid)}")
@@ -268,7 +268,7 @@ def cmd_gain(args, argv) -> int:
             mean_dt = args.mean_dt
         elif args.data is not None:
             data, _diag = _load_data(args)
-            mean_dt = mean_increment([r.stamp for r in data.rows])
+            mean_dt = mean_increment(data.stamps())
         else:
             raise UsageError("--fit needs --mean-dt (or --data to derive it)")
         q = signal_to_noise(etas[0], epss[0], mean_dt)

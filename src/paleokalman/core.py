@@ -5,12 +5,19 @@ negative-age convention: -67.1 is old, -0.000564 is nearly present). Each row
 carries up to four tagged measurement slots per series plus a climate-state
 regime index. Group registries (sources, species) are dense int -> label maps
 shared by every model variant.
+
+A panel is stored as a PanelView, one array per column. Collated panels
+(ingest, collate_rows, read_canonical_csv, merge_grid) hold nothing else:
+their ObservationRows are built from the view when a reader asks for them.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -23,10 +30,12 @@ __all__ = [
     "MeasurementSlot",
     "ObservationRow",
     "PanelDataset",
+    "PanelRows",
     "PanelView",
     "compute_increments",
     "assign_climate_state",
     "clamped_climate_state",
+    "climate_states",
     "collate_rows",
     "flatten_records",
 ]
@@ -117,13 +126,13 @@ class ObservationRow:
 
 @dataclass(frozen=True)
 class PanelView:
-    """Columnar, read-only copy of a panel, for the set-up stages.
+    """Columnar, read-only form of a panel; set-up, fitting and smoothing
+    read nothing else.
 
     Per row: stamps, dts (NaN first) and climate_states. Per observed slot
     only, in row-major (row, series, slot) order: at[o], the flat index
     (row * 2 + series) * MAX_SLOTS + slot, then value[o] and the source and
-    species ids. Missing slots are not stored, so the view stays small next
-    to the rows it copies.
+    species ids. Missing slots are not stored.
     """
 
     stamps: np.ndarray  # (n,) float64
@@ -191,23 +200,84 @@ def _raise_capacity(row: ObservationRow, series: int):
     )
 
 
+class PanelRows(Sequence):
+    """The rows of a panel, built from its view when asked for.
+
+    rows[i] (negative i too), rows[a:b] and iteration build ObservationRows
+    for the requested rows only, and nothing keeps them: the full tuple of
+    a large panel is never held. A slice is a tuple.
+    """
+
+    __slots__ = ("view",)
+
+    def __init__(self, view: PanelView):
+        self.view = _read_only(view)
+
+    def __len__(self) -> int:
+        return self.view.stamps.size
+
+    def __getitem__(self, index):
+        rows = range(len(self))
+        if isinstance(index, slice):
+            rows = rows[index]
+            if rows.step == 1:
+                return tuple(self._build(rows.start, rows.stop))
+            return tuple(self[i] for i in rows)
+        i = rows[operator.index(index)]
+        return next(self._build(i, i + 1))
+
+    def __iter__(self):
+        return self._build(0, len(self))
+
+    def _build(self, start: int, stop: int):
+        # rows start..stop-1; their slots, by flat index, are the view's
+        # from row start's first index up to row stop's
+        v = self.view
+        width = 2 * MAX_SLOTS
+        lo, hi = np.searchsorted(v.at, [start * width, stop * width]).tolist()
+        slots = {
+            at: MeasurementSlot(value, source, species)
+            for at, value, source, species in zip(
+                v.at[lo:hi].tolist(),
+                v.value[lo:hi].tolist(),
+                v.source[lo:hi].tolist(),
+                v.species[lo:hi].tolist(),
+            )
+        }
+        rows = zip(
+            range(start, stop),
+            v.stamps[start:stop].tolist(),
+            v.dts[start:stop].tolist(),
+            v.climate_states[start:stop].tolist(),
+        )
+        for r, stamp, dt, state in rows:
+            cells = [slots.get(r * width + i, _EMPTY_SLOTS[0]) for i in range(width)]
+            # MISSING itself, as in rows built by compute_increments, so that
+            # rows compare equal (== on a tuple tests identity first)
+            yield ObservationRow(
+                stamp,
+                MISSING if dt != dt else dt,
+                tuple(cells[:MAX_SLOTS]),
+                tuple(cells[MAX_SLOTS:]),
+                state,
+            )
+
+
 @dataclass(frozen=True)
 class PanelDataset:
     """Immutable ordered panel: rows plus the group registries they index.
 
-    rows are sorted ascending by stamp with unique stamps; construction goes
-    through collate_rows (or ingest/simulation, which call it).
-
-    view is a columnar copy of the rows (PanelView), built by one walk of
-    the rows on first use and cached on the dataset, so that the ingest
-    diagnostics, build_layout and compile_model of one set-up share that
-    walk instead of each walking the slot objects. The rows must not change
-    after it is built; a dataset derived by replacing its rows gets its own
-    view, built by a new walk or derived from the old view and handed over
-    by with_view (as imputation.merge_grid does).
+    rows are sorted ascending by stamp with unique stamps. A collated panel
+    (collate_rows, ingest, read_canonical_csv, imputation.merge_grid) is
+    stored as its view: rows is a PanelRows, which builds ObservationRows
+    only when a reader asks for them, and view and n_rows are read off it.
+    A panel may also be given a tuple of ObservationRows (as
+    dataclasses.replace(data, rows=data.rows[a:b]) does); its view is then
+    built by one walk of the rows on first use and cached on the dataset.
+    The rows must not change after that.
     """
 
-    rows: tuple
+    rows: Sequence
     sources: dict = field(default_factory=dict)
     species: dict = field(default_factory=dict)
     climate_boundaries: tuple = CLIMATE_STATE_AGES
@@ -217,25 +287,18 @@ class PanelDataset:
         return len(self.rows)
 
     def stamps(self) -> list:
-        return [r.stamp for r in self.rows]
+        return self.view.stamps.tolist()
 
     @cached_property
     def view(self) -> PanelView:
-        return _panel_view(self.rows)
+        rows = self.rows
+        return rows.view if isinstance(rows, PanelRows) else _panel_view(rows)
 
     def n_observed_slots(self, series=None) -> int:
         """Count non-missing slots, over one series or both."""
         if series is None:
             return self.view.at.size
         return int(np.count_nonzero(self.view.series == _normalize_series(series)))
-
-
-def with_view(data: PanelDataset, view: PanelView) -> PanelDataset:
-    """Cache view as data.view, in place of the walk of data's rows that
-    would build it; view must equal what that walk gives. Its arrays are
-    made read-only. Returns data."""
-    vars(data)["view"] = _read_only(view)
-    return data
 
 
 def compute_increments(stamps) -> list:
@@ -300,6 +363,17 @@ def clamped_climate_state(age_mya: float) -> int:
     return assign_climate_state(age_mya)
 
 
+# the inner regime boundaries, ascending: an age's regime is 6 minus the
+# number of them below it (clamped_climate_state for an array)
+_INNER_BOUNDARIES = np.array(CLIMATE_STATE_AGES[-2:0:-1])
+
+
+def climate_states(stamps) -> np.ndarray:
+    """clamped_climate_state of each stamp's age, as an int32 array."""
+    below = np.searchsorted(_INNER_BOUNDARIES, np.abs(stamps), side="left")
+    return (6 - below).astype(np.int32)
+
+
 def collate_rows(records) -> PanelDataset:
     """Merge flat records into a PanelDataset.
 
@@ -318,64 +392,99 @@ def collate_rows(records) -> PanelDataset:
     capacity error. NaN passed as a value is rejected; missing is expressed
     by None.
     """
-    sources: dict = {}
-    species: dict = {}
-    source_ids: dict = {}
-    species_ids: dict = {}
-    by_stamp: dict = {}
-    # a tag's index by (type, tag): 1 and 1.0 compare equal but only the
-    # int is a valid tag
-    series_of: dict = {}
-
-    for stamp, series, value, source, species_label in records:
+    stamps, series, values, sources, species = [], [], [], [], []
+    for stamp, tag, value, source, species_label in records:
         stamp = float(stamp)
         if stamp != stamp:
             raise ValueError("NaN time stamp in records")
-        slots = by_stamp.get(stamp)
-        if slots is None:
-            slots = by_stamp[stamp] = ([], [])
+        stamps.append(stamp)
         if value is None:
+            values.append(MISSING)
+            series.append(0)
+            sources.append(None)
+            species.append(None)
             continue
         value = float(value)
         if value != value:
             raise ValueError(f"NaN value at stamp {stamp}; use None for missing")
-        try:
-            s = series_of[type(series), series]
-        except KeyError:
-            s = series_of[type(series), series] = _normalize_series(series)
-        except TypeError:  # unhashable: _normalize_series rejects it
-            s = _normalize_series(series)
-        slots = slots[s]
-        if len(slots) >= MAX_SLOTS:
-            raise ValueError(
-                f"more than {MAX_SLOTS} simultaneous values for series "
-                f"{SERIES_NAMES[s]} at stamp {stamp}"
-            )
-        source_id = source_ids.get(source)
-        if source_id is None:
-            source_id = source_ids[source] = len(source_ids)
-            sources[source_id] = source
-        species_id = species_ids.get(species_label)
-        if species_id is None:
-            species_id = species_ids[species_label] = len(species_ids)
-            species[species_id] = species_label
-        slots.append(MeasurementSlot(value, source_id, species_id))
+        values.append(value)
+        series.append(_normalize_series(tag))
+        sources.append(source)
+        species.append(species_label)
+    observed = [v == v for v in values]
+    source_ids, source_index = _intern(sources, observed)
+    species_ids, species_index = _intern(species, observed)
+    return _collate(
+        np.array(stamps, dtype=float),
+        np.array(series, dtype=np.int64),
+        np.array(values, dtype=float),
+        source_ids,
+        species_ids,
+        dict(enumerate(source_index)),
+        dict(enumerate(species_index)),
+    )
 
-    stamps = sorted(by_stamp)
-    dts = compute_increments(stamps)
-    rows = []
-    for stamp, dt in zip(stamps, dts):
-        s1, s2 = by_stamp[stamp]
-        rows.append(
-            ObservationRow(
-                stamp,
-                dt,
-                tuple(s1) + _EMPTY_SLOTS[len(s1):],
-                tuple(s2) + _EMPTY_SLOTS[len(s2):],
-                clamped_climate_state(abs(stamp)),
-            )
+
+def _intern(labels, keep) -> tuple:
+    """(ids, index): index numbers the labels where keep is true by first
+    appearance, and ids holds each label's number as an int32 array, -1
+    where keep is false."""
+    keep = np.asarray(keep, dtype=bool)
+    kept = list(compress(labels, keep.tolist()))
+    index = {label: i for i, label in enumerate(dict.fromkeys(kept))}
+    ids = np.full(keep.size, -1, dtype=np.int32)
+    ids[keep] = list(map(index.__getitem__, kept))
+    return ids, index
+
+
+def _collate(stamps, series, values, source, species, sources, species_labels):
+    """The one collate: entries (stamp, series, value, source id, species
+    id), given as arrays, to a PanelDataset that holds only its view.
+
+    The entries are sorted by stamp (stable), and a row starts at each
+    change of stamp. An entry with a NaN value only registers its stamp.
+    An observed entry's slot is its rank within its (row, series) group in
+    that order, so slot order is input order. The ids are stored as given,
+    with sources and species_labels as the registries. Stamps must not be
+    NaN.
+
+    Raises ValueError for a fifth slot of a (row, series), naming the
+    series and stamp of the first entry, in input order, that overflows.
+    """
+    order = np.argsort(stamps, kind="stable")
+    sorted_stamps = stamps[order]
+    starts = np.ones(sorted_stamps.size, dtype=bool)
+    np.not_equal(sorted_stamps[1:], sorted_stamps[:-1], out=starts[1:])
+    row = np.cumsum(starts) - 1
+    row_stamps = sorted_stamps[starts]
+
+    observed = ~np.isnan(values[order])
+    entry = order[observed]
+    # row-major (row, series) groups; a stable sort keeps input order inside
+    group = row[observed] * 2 + series[entry]
+    by_group = np.argsort(group, kind="stable")
+    group, entry = group[by_group], entry[by_group]
+    first = np.ones(group.size, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    position = np.arange(group.size)
+    rank = position - np.maximum.accumulate(np.where(first, position, 0))
+    overflow = rank >= MAX_SLOTS
+    if overflow.any():
+        i = int(entry[overflow].min())
+        raise ValueError(
+            f"more than {MAX_SLOTS} simultaneous values for series "
+            f"{SERIES_NAMES[series[i]]} at stamp {float(stamps[i])}"
         )
-    return PanelDataset(tuple(rows), sources, species)
+    view = PanelView(
+        stamps=row_stamps,
+        dts=np.diff(row_stamps, prepend=np.nan),
+        climate_states=climate_states(row_stamps),
+        at=group * MAX_SLOTS + rank,
+        value=values[entry],
+        source=source[entry].astype(np.int32),
+        species=species[entry].astype(np.int32),
+    )
+    return PanelDataset(PanelRows(view), sources, species_labels)
 
 
 def flatten_records(ds: PanelDataset) -> list:

@@ -20,14 +20,12 @@ import numpy as np
 from . import kalman
 from .core import (
     MAX_SLOTS,
-    MeasurementSlot,
-    ObservationRow,
     PanelDataset,
+    PanelRows,
     PanelView,
     SERIES_NAMES,
-    clamped_climate_state,
+    climate_states,
     compute_increments,
-    with_view,
 )
 from .modelspec import ModelSpec, ParameterLayout, build_layout
 
@@ -41,8 +39,6 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-12
-
-_EMPTY_SLOTS = tuple(MeasurementSlot() for _ in range(MAX_SLOTS))
 
 
 def make_grid(span_start_mya: float, span_end_mya: float, mesh_years: float) -> list:
@@ -75,41 +71,21 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
 
     indices[i] is the merged-row index holding grid stamp grid[i]. Stamps
     within tol of an existing row are not inserted; the existing row is
-    referenced instead. The merged panel's view comes from the data's view,
-    with the rows renumbered, not from a walk of the merged rows.
+    referenced instead. The merged panel holds only its view, which is the
+    data's view with the rows renumbered; no row objects are built.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     view = data.view
-    stamps = view.stamps
-    extra = grid[~_near(stamps, grid, tol, (-1, 0))[1].any(axis=0)].tolist()
-    extra_states = [clamped_climate_state(abs(g)) for g in extra]
+    extra = grid[~_near(view.stamps, grid, tol, (-1, 0))[1].any(axis=0)]
 
-    # a stable sort by stamp of the data rows followed by the extra rows;
-    # each merged row is built once, with its final dt, and a data row is
-    # reused as it is unless an inserted row changes its dt
+    # a stable sort by stamp of the data rows followed by the extra rows
     n = data.n_rows
-    unsorted = list(data.rows) + [None] * len(extra)
-    all_stamps = stamps.tolist() + extra
-    order = np.argsort(np.array(all_stamps), kind="stable")
-    old_index = order.tolist()
-    merged_stamps = [all_stamps[i] for i in old_index]
-    dts = compute_increments(merged_stamps)
-    rows = []
-    for i, dt in zip(old_index, dts):
-        r = unsorted[i]
-        if r is None:
-            r = ObservationRow(
-                stamp=all_stamps[i],
-                dt=dt,
-                slots_series1=_EMPTY_SLOTS,
-                slots_series2=_EMPTY_SLOTS,
-                climate_state=extra_states[i - n],
-            )
-        elif not (r.dt is dt or r.dt == dt):
-            r = ObservationRow(
-                r.stamp, dt, r.slots_series1, r.slots_series2, r.climate_state
-            )
-        rows.append(r)
+    stamps = np.concatenate([view.stamps, extra])
+    order = np.argsort(stamps, kind="stable")
+    stamps = stamps[order]
+    dts = np.diff(stamps, prepend=np.nan)
+    if not np.all(dts[1:] > 0.0):
+        compute_increments(stamps.tolist())  # raises, naming the first bad index
 
     # the data rows keep their order, so a data slot's flat index moves by
     # its row's shift and the slot columns stay in row-major order
@@ -117,24 +93,21 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
     new_row[order] = np.arange(order.size)
     shift = (new_row[:n] - np.arange(n)) * (2 * MAX_SLOTS)
     merged_view = PanelView(
-        stamps=np.array(merged_stamps, dtype=float),
-        dts=np.array(dts, dtype=float),
+        stamps=stamps,
+        dts=dts,
         climate_states=np.concatenate(
-            [view.climate_states, np.array(extra_states, dtype=np.int32)]
+            [view.climate_states, climate_states(extra)]
         )[order],
         at=view.at + shift[view.row],
         value=view.value,
         source=view.source,
         species=view.species,
     )
-    merged = with_view(
-        PanelDataset(rows=tuple(rows), sources=data.sources, species=data.species),
-        merged_view,
-    )
+    merged = PanelDataset(PanelRows(merged_view), data.sources, data.species)
 
     # each stamp's row: the first of the rows just below, at and above its
     # insertion point that lies within tol
-    at, near = _near(merged_view.stamps, grid, tol, (-1, 0, 1))
+    at, near = _near(stamps, grid, tol, (-1, 0, 1))
     lost = ~near.any(axis=0)
     if lost.any():
         raise AssertionError(f"grid stamp {grid[lost][0]} lost in the merge")
@@ -189,7 +162,7 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
 
     merged, indices = merge_grid(data, grid)
     run = kalman.filter(spec, layout, params, merged)
-    del merged  # its rows and cached view are not needed while smoothing
+    del merged  # its view is not needed while smoothing
     paths = kalman.smooth(run)
 
     rows = np.array(indices, dtype=np.intp)[:, None]

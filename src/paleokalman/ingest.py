@@ -7,6 +7,10 @@ with up to four slots per series. Source labels pass through a small alias
 map first (merging known misspellings); species labels can be bucketed
 through a JSON sidecar for the by-species models.
 
+The records are read into columns (parse_csv) and collated with numpy
+straight into the dataset's PanelView (core's one collate); no object per
+record, slot or row is made on the way.
+
 A canonical CSV (one line per slot, ids instead of labels) plus a JSON
 registry round-trip the collated dataset exactly.
 """
@@ -15,27 +19,21 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     MAX_SLOTS,
     MISSING,
-    MeasurementSlot,
-    ObservationRow,
     PanelDataset,
     SERIES_NAMES,
-    collate_rows,
-    compute_increments,
-    clamped_climate_state,
-    is_missing,
+    _collate,
+    _intern,
 )
 
 __all__ = [
     "ParseError",
     "SchemaError",
-    "RawRecord",
     "REQUIRED_COLUMNS",
     "DEFAULT_SOURCE_ALIASES",
     "DEFAULT_SPECIES_BUCKETS",
@@ -66,6 +64,10 @@ class SchemaError(ValueError):
 
 REQUIRED_COLUMNS = ("age_tuned", "d18O", "d13C", "source", "species")
 
+CANONICAL_COLUMNS = (
+    "stamp", "series", "value", "source_id", "species_id", "climate_state"
+)
+
 # The two label merges named alongside the published per-source tables,
 # plus the self-reference used by the source file.
 DEFAULT_SOURCE_ALIASES = {
@@ -83,21 +85,6 @@ DEFAULT_SPECIES_BUCKETS = {
 }
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One input line; missing isotope cells are NaN."""
-
-    age_tuned: float
-    d18O: float
-    d13C: float
-    source: str
-    species: str
-
-    @property
-    def both_empty(self) -> bool:
-        return is_missing(self.d18O) and is_missing(self.d13C)
-
-
 def _parse_cell(text: str, line_number: int, column: str) -> float:
     text = text.strip()
     if text == "":
@@ -111,14 +98,15 @@ def _parse_cell(text: str, line_number: int, column: str) -> float:
 
 
 def parse_csv(path) -> tuple:
-    """Read raw records in file order; returns (records, diagnostics).
+    """Read the raw records in file order; returns (records, diagnostics).
 
-    Empty isotope cells become MISSING. Both-empty records are kept (they
-    mark a stamp) and counted in the diagnostics.
+    records holds five columns keyed by REQUIRED_COLUMNS, one entry per
+    record: age_tuned, d18O and d13C as float arrays, with MISSING (NaN)
+    for an empty isotope cell, and source and species as lists of stripped
+    labels. Both-empty records are kept (they mark a stamp) and counted in
+    the diagnostics.
     """
-    records = []
-    n_missing_cells = 0
-    n_both_empty = 0
+    ages, d18o_cells, d13c_cells, sources, species = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -134,26 +122,26 @@ def parse_csv(path) -> tuple:
         )
         width = len(header)
         for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
             if len(row) < width:
+                if not row:
+                    continue
                 row = row + [""] * (width - len(row))
-            age_text = row[i_age].strip()
-            if age_text == "":
-                if all(c.strip() == "" for c in row):
-                    continue  # a blank line
-                raise ParseError(line_number, "empty age_tuned cell")
+            # one float() per numeric cell, which skips surrounding
+            # whitespace; a cell it rejects (blank or malformed) goes to
+            # _parse_cell, for MISSING or the error
+            cell = row[i_age]
             try:
-                age = float(age_text)
-            except ValueError:  # a malformed cell: _parse_cell raises its error
-                age = _parse_cell(age_text, line_number, "age_tuned")
+                age = float(cell)
+            except ValueError:
+                if cell.strip() == "":
+                    if all(c.strip() == "" for c in row):
+                        continue  # a blank line
+                    raise ParseError(line_number, "empty age_tuned cell") from None
+                age = _parse_cell(cell, line_number, "age_tuned")
             if not 0.0 < age < 70.0:
                 raise ParseError(
                     line_number, f"age_tuned {age} outside the supported (0, 70) MYA"
                 )
-            # one float() per isotope cell, which skips surrounding
-            # whitespace; a cell it rejects (blank or malformed) goes to
-            # _parse_cell, for MISSING or the error
             cell = row[i_d18o]
             try:
                 d18o = float(cell) if cell else MISSING
@@ -164,39 +152,42 @@ def parse_csv(path) -> tuple:
                 d13c = float(cell) if cell else MISSING
             except ValueError:
                 d13c = _parse_cell(cell, line_number, "d13C")
-            no_d18o = d18o != d18o
-            no_d13c = d13c != d13c
-            n_missing_cells += no_d18o + no_d13c
-            n_both_empty += no_d18o and no_d13c
-            records.append(
-                RawRecord(age, d18o, d13c, row[i_source].strip(), row[i_species].strip())
-            )
+            ages.append(age)
+            d18o_cells.append(d18o)
+            d13c_cells.append(d13c)
+            sources.append(row[i_source].strip())
+            species.append(row[i_species].strip())
+    records = {
+        "age_tuned": np.array(ages, dtype=float),
+        "d18O": np.array(d18o_cells, dtype=float),
+        "d13C": np.array(d13c_cells, dtype=float),
+        "source": sources,
+        "species": species,
+    }
+    no_d18o, no_d13c = np.isnan(records["d18O"]), np.isnan(records["d13C"])
     diagnostics = {
-        "n_records": len(records),
-        "n_missing_cells": n_missing_cells,
-        "n_both_empty": n_both_empty,
+        "n_records": len(ages),
+        "n_missing_cells": int(no_d18o.sum() + no_d13c.sum()),
+        "n_both_empty": int((no_d18o & no_d13c).sum()),
     }
     return records, diagnostics
 
 
 def canonicalize_sources(records, aliases=None) -> tuple:
-    """Apply the alias map; returns (records, registry label -> id).
+    """Apply the alias map to the source column; returns (records, registry
+    label -> id).
 
-    Ids are dense in first-appearance order over the canonical labels.
-    Unknown labels pass through unchanged.
+    Ids are dense in file order of first appearance over the canonical
+    labels of records that hold a value. Unknown labels pass through
+    unchanged.
     """
     if aliases is None:
         aliases = DEFAULT_SOURCE_ALIASES
-    out = []
-    registry: dict = {}
-    for rec in records:
-        label = aliases.get(rec.source, rec.source)
-        if label != rec.source:
-            rec = replace(rec, source=label)
-        if not rec.both_empty and label not in registry:
-            registry[label] = len(registry)
-        out.append(rec)
-    return out, registry
+    source = [aliases.get(label, label) for label in records["source"]]
+    # a both-empty record only marks a stamp
+    observed = ~(np.isnan(records["d18O"]) & np.isnan(records["d13C"]))
+    _, registry = _intern(source, observed)
+    return {**records, "source": source}, registry
 
 
 def load_species_buckets(path=None) -> dict:
@@ -211,35 +202,49 @@ def load_species_buckets(path=None) -> dict:
     return buckets
 
 
-def apply_species_buckets(records, buckets=None) -> list:
+def apply_species_buckets(records, buckets=None) -> dict:
     """Replace species labels by their buckets; unknown labels unchanged."""
     if buckets is None:
         buckets = DEFAULT_SPECIES_BUCKETS
-    out = []
-    for rec in records:
-        bucket = buckets.get(rec.species, rec.species)
-        out.append(replace(rec, species=bucket) if bucket != rec.species else rec)
-    return out
+    species = [buckets.get(label, label) for label in records["species"]]
+    return {**records, "species": species}
 
 
 def build_dataset(records) -> tuple:
-    """Collate records into a PanelDataset; returns (dataset, diagnostics).
+    """Collate the record columns into a PanelDataset; returns (dataset,
+    diagnostics).
 
-    Records are sorted by age descending (stable), ages negated to stamps,
-    and collated; both-empty records become all-missing stamp markers.
+    Records are sorted by age descending (stable) and ages negated to
+    stamps. Each record gives an entry per isotope value, d18O first, and
+    a both-empty record one entry that marks its stamp (an all-missing row
+    unless other records share it). Sources and species are numbered by
+    first appearance over the entries in that order.
     """
-    ordered = sorted(records, key=lambda r: -r.age_tuned)
-    flat = []
-    for rec in ordered:
-        stamp = -rec.age_tuned
-        d18o, d13c = rec.d18O, rec.d13C
-        if d18o == d18o:
-            flat.append((stamp, 0, d18o, rec.source, rec.species))
-        if d13c == d13c:
-            flat.append((stamp, 1, d13c, rec.source, rec.species))
-        elif d18o != d18o:  # both empty: the stamp alone
-            flat.append((stamp, 0, None, rec.source, rec.species))
-    data = collate_rows(flat)
+    age, d18o, d13c = (
+        np.asarray(records[c], dtype=float) for c in ("age_tuned", "d18O", "d13C")
+    )
+    order = np.argsort(-age, kind="stable")
+    cells = np.stack([d18o[order], d13c[order]], axis=1)
+    keep = ~np.isnan(cells)
+    observed = keep.any(axis=1)
+    keep[:, 0] |= ~observed
+    record, column = np.nonzero(keep)
+    order_list = order.tolist()
+    source_ids, source_index = _intern(
+        list(map(records["source"].__getitem__, order_list)), observed
+    )
+    species_ids, species_index = _intern(
+        list(map(records["species"].__getitem__, order_list)), observed
+    )
+    data = _collate(
+        -age[order][record],
+        column,
+        cells[record, column],
+        source_ids[record],
+        species_ids[record],
+        dict(enumerate(source_index)),
+        dict(enumerate(species_index)),
+    )
 
     view = data.view
     dts = view.dts[1:]
@@ -255,14 +260,14 @@ def build_dataset(records) -> tuple:
     # observed slots per (row, series)
     max_slots = int(np.bincount(view.at // MAX_SLOTS).max()) if view.at.size else 0
     diagnostics = {
-        "n_records": len(records),
+        "n_records": age.size,
         "n_rows": data.n_rows,
         "n_values": data.n_observed_slots(),
         "max_slots_used": max_slots,
         "min_dt": float(dts.min()) if dts.size else MISSING,
         "max_dt": float(dts.max()) if dts.size else MISSING,
         "per_source_counts": per_source,
-        "warnings": [] if records else ["empty input: no records"],
+        "warnings": [] if age.size else ["empty input: no records"],
     }
     return data, diagnostics
 
@@ -283,36 +288,42 @@ def ingest(path, source_aliases=None, species_buckets=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _lines(view):
+    """Yield (row, o) per line of an export, in file order: o indexes each
+    observed slot in row-major order, and is None for an all-missing row."""
+    counts = np.bincount(view.row, minlength=view.stamps.size)
+    o = 0
+    for r, count in enumerate(counts.tolist()):
+        if count == 0:
+            yield r, None
+        for k in range(o, o + count):
+            yield r, k
+        o += count
+
+
 def write_canonical_csv(data: PanelDataset, path, header_lines=()) -> None:
     """One line per filled slot: stamp, series, value, ids, climate state.
 
     All-missing rows are preserved as lines with empty series/value/ids.
     """
+    v = data.view
+    stamps = [repr(stamp) for stamp in v.stamps.tolist()]
+    states = v.climate_states.tolist()
+    series = [SERIES_NAMES[s] for s in v.series.tolist()]
+    values, sources, species = v.value.tolist(), v.source.tolist(), v.species.tolist()
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line.rstrip("\n") + "\n")
         writer = csv.writer(fh)
-        writer.writerow(
-            ["stamp", "series", "value", "source_id", "species_id", "climate_state"]
-        )
-        for row in data.rows:
-            if row.all_missing:
-                writer.writerow([repr(row.stamp), "", "", "", "", row.climate_state])
-                continue
-            for s in (0, 1):
-                for slot in row.slots(s):
-                    if slot.missing:
-                        continue
-                    writer.writerow(
-                        [
-                            repr(row.stamp),
-                            SERIES_NAMES[s],
-                            repr(slot.value),
-                            slot.source_id,
-                            slot.species_id,
-                            row.climate_state,
-                        ]
-                    )
+        writer.writerow(CANONICAL_COLUMNS)
+        for r, o in _lines(v):
+            if o is None:
+                writer.writerow([stamps[r], "", "", "", "", states[r]])
+            else:
+                value = repr(values[o])
+                writer.writerow(
+                    [stamps[r], series[o], value, sources[o], species[o], states[r]]
+                )
 
 
 def write_registry_json(data: PanelDataset, path) -> None:
@@ -327,7 +338,13 @@ def write_registry_json(data: PanelDataset, path) -> None:
 
 
 def read_canonical_csv(path, registry_path=None) -> PanelDataset:
-    """Rebuild the exact PanelDataset written by write_canonical_csv."""
+    """Rebuild the exact PanelDataset written by write_canonical_csv.
+
+    Lines starting with "#" are skipped. Raises SchemaError for a file
+    without the header row, and ParseError, with the file's 1-based line
+    number, for a short line, an unknown series, a malformed or NaN number
+    and a fifth slot of one series at one stamp.
+    """
     sources: dict = {}
     species: dict = {}
     if registry_path is not None:
@@ -336,49 +353,75 @@ def read_canonical_csv(path, registry_path=None) -> PanelDataset:
         sources = {int(k): v for k, v in payload.get("sources", {}).items()}
         species = {int(k): v for k, v in payload.get("species", {}).items()}
 
-    by_stamp: dict = {}
+    stamps, series, values, source_ids, species_ids = [], [], [], [], []
+    n_slots: dict = {}  # by (stamp, series)
+    header = None
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header = rows[0]
-    expected = ["stamp", "series", "value", "source_id", "species_id", "climate_state"]
-    if header != expected:
-        raise SchemaError(f"canonical CSV header mismatch: {header}")
-    for line_number, row in enumerate(rows[1:], start=2):
-        stamp = float(row[0])
-        if stamp not in by_stamp:
-            by_stamp[stamp] = ([], [])
-        if row[1] == "":
-            continue
-        s = SERIES_NAMES.index(row[1])
-        by_stamp[stamp][s].append(
-            MeasurementSlot(
-                value=float(row[2]),
-                source_id=int(row[3]),
-                species_id=int(row[4]),
-            )
-        )
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            line_number = reader.line_num
+            if header is None:
+                header = row
+                if tuple(header) != CANONICAL_COLUMNS:
+                    raise SchemaError(f"canonical CSV header mismatch: {header}")
+                continue
+            if len(row) < len(CANONICAL_COLUMNS):
+                raise ParseError(
+                    line_number,
+                    f"{len(row)} fields, expected {len(CANONICAL_COLUMNS)}",
+                )
+            stamp = _parse_number(float, row[0], line_number, "stamp")
+            stamps.append(stamp)
+            if row[1] == "":  # an all-missing row's stamp
+                series.append(0)
+                values.append(MISSING)
+                source_ids.append(-1)
+                species_ids.append(-1)
+                continue
+            if row[1] not in SERIES_NAMES:
+                raise ParseError(line_number, f"unknown series {row[1]!r}")
+            s = SERIES_NAMES.index(row[1])
+            count = n_slots[stamp, s] = n_slots.get((stamp, s), 0) + 1
+            if count > MAX_SLOTS:
+                raise ParseError(
+                    line_number,
+                    f"more than {MAX_SLOTS} slots for series {row[1]} at stamp {stamp}",
+                )
+            series.append(s)
+            values.append(_parse_number(float, row[2], line_number, "value"))
+            source_ids.append(_parse_number(int, row[3], line_number, "source_id"))
+            species_ids.append(_parse_number(int, row[4], line_number, "species_id"))
+    if header is None:
+        raise SchemaError("empty file: no header row")
 
-    stamps = sorted(by_stamp)
-    dts = compute_increments(stamps)
-    pad = tuple(MeasurementSlot() for _ in range(MAX_SLOTS))
-    out_rows = []
-    for stamp, dt in zip(stamps, dts):
-        s1, s2 = by_stamp[stamp]
-        out_rows.append(
-            ObservationRow(
-                stamp=stamp,
-                dt=dt,
-                slots_series1=tuple(s1) + pad[len(s1):],
-                slots_series2=tuple(s2) + pad[len(s2):],
-                climate_state=clamped_climate_state(abs(stamp)),
-            )
-        )
-    data = PanelDataset(rows=tuple(out_rows), sources=sources, species=species)
+    data = _collate(
+        np.array(stamps, dtype=float),
+        np.array(series, dtype=np.int64),
+        np.array(values, dtype=float),
+        np.array(source_ids, dtype=np.int32),
+        np.array(species_ids, dtype=np.int32),
+        sources,
+        species,
+    )
     for sid in np.unique(data.view.source).tolist():
         sources.setdefault(sid, f"source_{sid}")
     for sid in np.unique(data.view.species).tolist():
         species.setdefault(sid, f"species_{sid}")
     return data
+
+
+def _parse_number(kind, text: str, line_number: int, column: str):
+    try:
+        number = kind(text)
+    except ValueError:
+        raise ParseError(
+            line_number, f"malformed numeric {text!r} in column {column}"
+        ) from None
+    if number != number:
+        raise ParseError(line_number, f"NaN in column {column}")
+    return number
 
 
 def write_ingest_csv(data: PanelDataset, path, header_lines=()) -> None:
@@ -387,28 +430,21 @@ def write_ingest_csv(data: PanelDataset, path, header_lines=()) -> None:
     One line per filled slot (the parser collates them back); all-missing
     rows become both-empty lines.
     """
+    v = data.view
+    ages = [repr(age) for age in (-v.stamps).tolist()]
+    series = v.series.tolist()
+    values = [repr(value) for value in v.value.tolist()]
+    sources = [data.sources[i] for i in v.source.tolist()]
+    species = [data.species[i] for i in v.species.tolist()]
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line.rstrip("\n") + "\n")
         writer = csv.writer(fh)
         writer.writerow(list(REQUIRED_COLUMNS))
-        for row in data.rows:
-            age = repr(-row.stamp)
-            if row.all_missing:
-                writer.writerow([age, "", "", "", ""])
-                continue
-            for s in (0, 1):
-                for slot in row.slots(s):
-                    if slot.missing:
-                        continue
-                    d18o = repr(slot.value) if s == 0 else ""
-                    d13c = repr(slot.value) if s == 1 else ""
-                    writer.writerow(
-                        [
-                            age,
-                            d18o,
-                            d13c,
-                            data.sources[slot.source_id],
-                            data.species[slot.species_id],
-                        ]
-                    )
+        for r, o in _lines(v):
+            if o is None:
+                writer.writerow([ages[r], "", "", "", ""])
+            elif series[o] == 0:
+                writer.writerow([ages[r], values[o], "", sources[o], species[o]])
+            else:
+                writer.writerow([ages[r], "", values[o], sources[o], species[o]])

@@ -60,16 +60,16 @@ def _chain_matrices(spec, layout, params, data):
     n = data.n_rows
     T_m = trend_transition_matrix(m)
 
-    dts = np.array([row.dt for row in data.rows])
+    rows = tuple(data.rows)
+    dts = np.array([row.dt for row in rows])
     observed = np.array(
-        [[row.series_observed(sr) for sr in spec.series] for row in data.rows]
+        [[row.series_observed(sr) for sr in spec.series] for row in rows]
     )
     apply_, window = booking_schedule(dts, observed)
 
     A = np.zeros((n, s, s))
     W = np.zeros((n, s, s))
-    for nu in range(n):
-        row = data.rows[nu]
+    for nu, row in enumerate(rows):
         regime = row.climate_state
         tkey = regime if spec.trans_grouping == "by-climate-state" else POOLED_KEY
         sig2 = np.zeros(k)
@@ -446,14 +446,13 @@ def simulate(
         ) @ rng.standard_normal(s)
 
     values: list = []
-    for nu in range(n):
+    for nu, row in enumerate(skeleton.rows):
         if nu > 0:
             x = A[nu] @ x
             Wn = W[nu]
             if np.any(Wn):
                 x = x + _psd_sqrt(Wn) @ rng.standard_normal(s)
         per_row = []
-        row = skeleton.rows[nu]
         for j, sr in enumerate(spec.series):
             vals = []
             if observed[nu, j]:

@@ -1,0 +1,234 @@
+"""Reference ingest: the object pipeline the columnar one replaced.
+
+One frozen RawRecord per CSV line, aliases and buckets applied with
+dataclasses.replace, and the record-by-record collate that builds every
+MeasurementSlot and ObservationRow. The parity tests compare the package's
+ingest and collate_rows against it, so it stays in this plain form.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass, replace
+
+from paleokalman.core import (
+    MAX_SLOTS,
+    MISSING,
+    SERIES_NAMES,
+    MeasurementSlot,
+    ObservationRow,
+    PanelDataset,
+    _normalize_series,
+    clamped_climate_state,
+    compute_increments,
+    is_missing,
+)
+from paleokalman.ingest import (
+    DEFAULT_SOURCE_ALIASES,
+    DEFAULT_SPECIES_BUCKETS,
+    REQUIRED_COLUMNS,
+    ParseError,
+    SchemaError,
+)
+
+
+@dataclass(frozen=True)
+class RawRecord:
+    """One input line; missing isotope cells are NaN."""
+
+    age_tuned: float
+    d18O: float
+    d13C: float
+    source: str
+    species: str
+
+    @property
+    def both_empty(self) -> bool:
+        return is_missing(self.d18O) and is_missing(self.d13C)
+
+
+def _parse_cell(text: str, line_number: int, column: str) -> float:
+    text = text.strip()
+    if text == "":
+        return MISSING
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(
+            line_number, f"malformed numeric {text!r} in column {column}"
+        ) from None
+
+
+def parse_csv(path) -> tuple:
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty file: no header row") from None
+        header = [h.strip() for h in header]
+        missing_cols = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing_cols:
+            raise SchemaError(f"missing header columns: {', '.join(missing_cols)}")
+        i_age, i_d18o, i_d13c, i_source, i_species = (
+            header.index(name) for name in REQUIRED_COLUMNS
+        )
+        width = len(header)
+        for line_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < width:
+                row = row + [""] * (width - len(row))
+            age_text = row[i_age].strip()
+            if age_text == "":
+                if all(c.strip() == "" for c in row):
+                    continue
+                raise ParseError(line_number, "empty age_tuned cell")
+            age = _parse_cell(age_text, line_number, "age_tuned")
+            if not 0.0 < age < 70.0:
+                raise ParseError(
+                    line_number, f"age_tuned {age} outside the supported (0, 70) MYA"
+                )
+            records.append(
+                RawRecord(
+                    age,
+                    _parse_cell(row[i_d18o], line_number, "d18O"),
+                    _parse_cell(row[i_d13c], line_number, "d13C"),
+                    row[i_source].strip(),
+                    row[i_species].strip(),
+                )
+            )
+    diagnostics = {
+        "n_records": len(records),
+        "n_missing_cells": sum(
+            is_missing(r.d18O) + is_missing(r.d13C) for r in records
+        ),
+        "n_both_empty": sum(r.both_empty for r in records),
+    }
+    return records, diagnostics
+
+
+def canonicalize_sources(records, aliases=None) -> tuple:
+    if aliases is None:
+        aliases = DEFAULT_SOURCE_ALIASES
+    out = []
+    registry: dict = {}
+    for rec in records:
+        label = aliases.get(rec.source, rec.source)
+        if label != rec.source:
+            rec = replace(rec, source=label)
+        if not rec.both_empty and label not in registry:
+            registry[label] = len(registry)
+        out.append(rec)
+    return out, registry
+
+
+def apply_species_buckets(records, buckets=None) -> list:
+    if buckets is None:
+        buckets = DEFAULT_SPECIES_BUCKETS
+    out = []
+    for rec in records:
+        bucket = buckets.get(rec.species, rec.species)
+        out.append(replace(rec, species=bucket) if bucket != rec.species else rec)
+    return out
+
+
+def collate_rows(records) -> PanelDataset:
+    """Record-by-record collate into a PanelDataset of ObservationRows."""
+    sources: dict = {}
+    species: dict = {}
+    source_ids: dict = {}
+    species_ids: dict = {}
+    by_stamp: dict = {}
+    for stamp, series, value, source, species_label in records:
+        stamp = float(stamp)
+        if stamp != stamp:
+            raise ValueError("NaN time stamp in records")
+        slots = by_stamp.get(stamp)
+        if slots is None:
+            slots = by_stamp[stamp] = ([], [])
+        if value is None:
+            continue
+        value = float(value)
+        if value != value:
+            raise ValueError(f"NaN value at stamp {stamp}; use None for missing")
+        s = _normalize_series(series)
+        slots = slots[s]
+        if len(slots) >= MAX_SLOTS:
+            raise ValueError(
+                f"more than {MAX_SLOTS} simultaneous values for series "
+                f"{SERIES_NAMES[s]} at stamp {stamp}"
+            )
+        if source not in source_ids:
+            source_ids[source] = len(source_ids)
+            sources[source_ids[source]] = source
+        if species_label not in species_ids:
+            species_ids[species_label] = len(species_ids)
+            species[species_ids[species_label]] = species_label
+        slots.append(
+            MeasurementSlot(value, source_ids[source], species_ids[species_label])
+        )
+
+    stamps = sorted(by_stamp)
+    pad = tuple(MeasurementSlot() for _ in range(MAX_SLOTS))
+    rows = []
+    for stamp, dt in zip(stamps, compute_increments(stamps)):
+        s1, s2 = by_stamp[stamp]
+        rows.append(
+            ObservationRow(
+                stamp,
+                dt,
+                tuple(s1) + pad[len(s1):],
+                tuple(s2) + pad[len(s2):],
+                clamped_climate_state(abs(stamp)),
+            )
+        )
+    return PanelDataset(tuple(rows), sources, species)
+
+
+def build_dataset(records) -> tuple:
+    ordered = sorted(records, key=lambda r: -r.age_tuned)
+    flat = []
+    for rec in ordered:
+        stamp = -rec.age_tuned
+        if not is_missing(rec.d18O):
+            flat.append((stamp, 0, rec.d18O, rec.source, rec.species))
+        if not is_missing(rec.d13C):
+            flat.append((stamp, 1, rec.d13C, rec.source, rec.species))
+        elif is_missing(rec.d18O):
+            flat.append((stamp, 0, None, rec.source, rec.species))
+    data = collate_rows(flat)
+
+    per_source = {label: {name: 0 for name in SERIES_NAMES} for label in data.sources.values()}
+    max_slots = 0
+    n_values = 0
+    for row in data.rows:
+        for s, name in enumerate(SERIES_NAMES):
+            observed = [slot for slot in row.slots(s) if not slot.missing]
+            max_slots = max(max_slots, len(observed))
+            n_values += len(observed)
+            for slot in observed:
+                per_source[data.sources[slot.source_id]][name] += 1
+    dts = [row.dt for row in data.rows[1:]]
+    diagnostics = {
+        "n_records": len(records),
+        "n_rows": len(data.rows),
+        "n_values": n_values,
+        "max_slots_used": max_slots,
+        "min_dt": min(dts) if dts else MISSING,
+        "max_dt": max(dts) if dts else MISSING,
+        "per_source_counts": per_source,
+        "warnings": [] if records else ["empty input: no records"],
+    }
+    return data, diagnostics
+
+
+def ingest(path, source_aliases=None, species_buckets=None) -> tuple:
+    records, parse_diag = parse_csv(path)
+    records, registry = canonicalize_sources(records, aliases=source_aliases)
+    records = apply_species_buckets(records, buckets=species_buckets)
+    data, diag = build_dataset(records)
+    diag.update(parse_diag)
+    diag["source_registry"] = registry
+    return data, diag

@@ -249,6 +249,17 @@ def test_fit_malformed_csv_exits_65(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+def test_fit_fifth_slot_exits_65(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    lines = ["age_tuned,d18O,d13C,source,species", "3.0,1.0,,s,x"]
+    lines += [f"2.0,{v},,s,x" for v in (1.0, 1.1, 1.2, 1.3, 1.4)]
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "f")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "more than 4 simultaneous values for series d18O at stamp -2.0" in err
+
+
 def test_fit_age_out_of_domain_exits_65(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(

@@ -1,5 +1,6 @@
 """Row model, climate-state assignment, and record collation."""
 
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from paleokalman import ModelSpec, build_layout, compile_model
 from paleokalman.core import (
     CLIMATE_STATE_AGES,
     CLIMATE_STATE_NAMES,
@@ -14,14 +16,18 @@ from paleokalman.core import (
     MISSING,
     MeasurementSlot,
     ObservationRow,
+    PanelDataset,
+    PanelRows,
     assign_climate_state,
     clamped_climate_state,
+    climate_states,
     collate_rows,
     compute_increments,
     flatten_records,
     is_missing,
 )
 
+import reference_ingest as reference
 from conftest import MIXED_RECORDS, mixed_panels
 
 
@@ -101,6 +107,17 @@ def test_clamped_state_total_and_ordered(age):
     # older ages never get a larger state index
     j2 = clamped_climate_state(min(age + 1.0, 70.0))
     assert j2 <= j
+
+
+@given(st.lists(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False)))
+def test_climate_states_is_clamped_climate_state_per_stamp(stamps):
+    edges = np.array(CLIMATE_STATE_AGES)
+    stamps = np.concatenate(
+        [stamps, edges, -edges, np.nextafter(edges, 0.0), np.nextafter(edges, 99.0)]
+    )
+    states = climate_states(stamps)
+    assert states.dtype == np.int32
+    assert states.tolist() == [clamped_climate_state(abs(t)) for t in stamps.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +328,58 @@ def test_panel_view_equals_slot_walk(tmp_path, build):
     assert data.n_observed_slots() == len(at) == sum(r[2] is not None for r in MIXED_RECORDS)
     assert data.n_observed_slots("d18O") == 8
     assert data.n_observed_slots(2) == 4
+
+
+# ---------------------------------------------------------------------------
+# rows built on demand
+# ---------------------------------------------------------------------------
+
+
+def test_rows_built_on_demand_equal_the_object_collate():
+    data = collate_rows(MIXED_RECORDS)
+    old = reference.collate_rows(MIXED_RECORDS).rows
+    rows = data.rows
+    assert isinstance(rows, PanelRows)
+    assert len(rows) == data.n_rows == len(old) == 8
+    for i in range(-len(old), len(old)):
+        assert rows[i] == old[i]
+    for s in (slice(2, 5), slice(-3, None), slice(None, None, 3), slice(6, 1, -2), slice(5, 2)):
+        assert rows[s] == old[s]
+    assert tuple(rows) == old
+    with pytest.raises(IndexError):
+        rows[len(old)]
+    # built afresh on each access: no row is kept
+    assert rows[2] == rows[2] and rows[2] is not rows[2]
+    # the fields == compares, spelled out: NaN first dt, padded slots
+    first, busy, d13c_only = rows[0], rows[2], rows[3]
+    assert math.isnan(first.dt) and first.all_missing
+    assert first.climate_state == 1 and d13c_only.climate_state == 3
+    assert [s.value for s in busy.slots_series1] == [1.0, 1.1, 1.2, 1.3]
+    assert [s.source_id for s in busy.slots_series1] == [0, 1, 2, 0]
+    assert busy.slots_series2[0].value == 0.4
+    assert all(s.missing and s.source_id == -1 for s in busy.slots_series2[1:])
+    assert not d13c_only.series_observed(0) and d13c_only.dt == 18.0
+
+
+_BY_SOURCE_BIV = ModelSpec(arity="bivariate", meas_grouping="by-source", corr_grouping="pooled")
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(), _BY_SOURCE_BIV])
+@pytest.mark.parametrize("window", [(2, 6), (3, 8), (0, 8)])
+def test_window_of_a_view_born_panel(spec, window):
+    # perfbench slices fit windows this way; the window walks its rows
+    data = collate_rows(MIXED_RECORDS)
+    old = reference.collate_rows(MIXED_RECORDS)
+    a, b = window
+    sub = dataclasses.replace(data, rows=data.rows[a:b])
+    built = PanelDataset(old.rows[a:b], old.sources, old.species)
+    assert sub.n_rows == built.n_rows == b - a
+    for f in dataclasses.fields(built.view):
+        x, y = getattr(sub.view, f.name), getattr(built.view, f.name)
+        assert np.array_equal(x, y, equal_nan=True), f.name
+    cm_sub = compile_model(spec, build_layout(spec, sub), sub)
+    cm_built = compile_model(spec, build_layout(spec, built), built)
+    for f in dataclasses.fields(cm_built):
+        x, y = getattr(cm_sub, f.name), getattr(cm_built, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), f.name

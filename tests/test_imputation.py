@@ -1,6 +1,7 @@
 """Regular-grid construction and smoothed-value imputation."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout, kalman
-from paleokalman.core import compute_increments
+from paleokalman.core import ObservationRow, PanelRows, compute_increments
 from paleokalman.imputation import (
     COINCIDENCE_TOL,
     ImputationTable,
@@ -102,6 +103,13 @@ def test_merge_coincident_stamp_reuses_row():
     assert merged.rows[2].slots_series1 == data.rows[1].slots_series1
     dts = [r.dt for r in merged.rows]
     np.testing.assert_array_equal(dts, compute_increments(stamps))
+    # every field of every merged row, built from the merged view on demand
+    assert isinstance(merged.rows, PanelRows)
+    assert tuple(merged.rows) == (
+        data.rows[0],
+        ObservationRow(stamp=-2.0, dt=1.0, climate_state=6),
+        dataclasses.replace(data.rows[1], dt=1.0),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,27 +48,31 @@ def test_parse_happy_path(tmp_path):
     assert diag["n_records"] == 5
     assert diag["n_both_empty"] == 1
     assert diag["n_missing_cells"] == 3  # one lone d13C gap + the empty pair
-    assert records[0].age_tuned == 3.5
-    assert records[1].d18O == 1.95
-    assert math.isnan(records[1].d13C)
-    assert records[3].both_empty
+    assert set(records) == {"age_tuned", "d18O", "d13C", "source", "species"}
+    assert records["age_tuned"].tolist() == [3.5, 2.0, 2.0, 1.0, 0.5]
+    assert records["d18O"][1] == 1.95
+    assert math.isnan(records["d13C"][1])
+    assert math.isnan(records["d18O"][3]) and math.isnan(records["d13C"][3])
+    assert records["source"] == ["Site A", "Site B", "Site A", "Site A", "this study"]
+    assert records["species"][1] == "CSPP, >250"
 
 
 def test_parse_header_order_does_not_matter(tmp_path):
     text = "species,source,d13C,d18O,age_tuned\nCSPP,Site A,0.5,2.1,3.5\n"
     records, _ = parse_csv(_write(tmp_path, text))
-    assert records[0].age_tuned == 3.5
-    assert records[0].d18O == 2.1
-    assert records[0].d13C == 0.5
-    assert records[0].source == "Site A"
+    assert records["age_tuned"][0] == 3.5
+    assert records["d18O"][0] == 2.1
+    assert records["d13C"][0] == 0.5
+    assert records["source"][0] == "Site A"
+    assert records["species"][0] == "CSPP"
 
 
 def test_parse_skips_blank_lines_and_pads_short_rows(tmp_path):
     text = "age_tuned,d18O,d13C,source,species\n3.5,2.1,0.5,Site A,CSPP\n\n2.0,1.9\n"
     records, _ = parse_csv(_write(tmp_path, text))
-    assert len(records) == 2
-    assert math.isnan(records[1].d13C)
-    assert records[1].source == ""
+    assert len(records["age_tuned"]) == 2
+    assert math.isnan(records["d13C"][1])
+    assert records["source"][1] == ""
 
 
 def test_parse_missing_column_is_schema_error(tmp_path):
@@ -99,8 +103,9 @@ def test_parse_cells_read_as_their_stripped_text(tmp_path):
         "2.0,\x1c1.5\x1f,  ,A,S\n"
     )
     records, diag = parse_csv(_write(tmp_path, text))
-    assert [(r.age_tuned, r.d18O) for r in records] == [(3.5, 2.1), (2.0, 1.5)]
-    assert records[0].d13C == 0.5 and math.isnan(records[1].d13C)
+    assert records["age_tuned"].tolist() == [3.5, 2.0]
+    assert records["d18O"].tolist() == [2.1, 1.5]
+    assert records["d13C"][0] == 0.5 and math.isnan(records["d13C"][1])
     assert diag["n_missing_cells"] == 1
 
 
@@ -143,10 +148,10 @@ def test_parse_whitespace_lines_and_padded_rows(tmp_path):
         "1.0,1.9\n"
     )
     records, diag = parse_csv(_write(tmp_path, text))
-    assert [r.age_tuned for r in records] == [3.5, 2.0, 1.0]
-    assert records[1].both_empty and not records[2].both_empty
-    assert math.isnan(records[2].d13C)
-    assert (records[2].source, records[2].species) == ("", "")
+    assert records["age_tuned"].tolist() == [3.5, 2.0, 1.0]
+    assert math.isnan(records["d18O"][1]) and math.isnan(records["d13C"][1])
+    assert records["d18O"][2] == 1.9 and math.isnan(records["d13C"][2])
+    assert (records["source"][2], records["species"][2]) == ("", "")
     assert diag == {"n_records": 3, "n_missing_cells": 3, "n_both_empty": 1}
 
 
@@ -163,39 +168,39 @@ def test_parse_empty_age_in_short_row_reports_line(tmp_path):
 
 def test_source_aliases_applied():
     records, _ = canonicalize_sources(
-        [
+        _columns(
             _rec(3.0, source="this study"),
             _rec(2.0, source="McCarren et al. 2008 et al. 2008"),
             _rec(1.0, source="Bickert et al.1997"),
-        ]
+        )
     )
-    assert records[0].source == "Westerhold et al. 2020"
-    assert records[1].source == "McCarren et al. 2008"
-    assert records[2].source == "Bickert et al. 1997"
+    assert records["source"] == [
+        "Westerhold et al. 2020",
+        "McCarren et al. 2008",
+        "Bickert et al. 1997",
+    ]
 
 
 def test_registry_first_appearance_skips_markers():
-    records = [
+    records = _columns(
         _rec(3.0, source="B"),
         _rec(2.5, source="marker", d18O=float("nan"), d13C=float("nan")),
         _rec(2.0, source="A"),
         _rec(1.0, source="B"),
-    ]
+    )
     _, registry = canonicalize_sources(records)
     assert registry == {"B": 0, "A": 1}
 
 
 def test_species_buckets_defaults():
     records = apply_species_buckets(
-        [
+        _columns(
             _rec(3.0, species="CSPP, >250"),
             _rec(2.0, species="CSPP, whole specimen"),
             _rec(1.0, species="Unlisted sp."),
-        ]
+        )
     )
-    assert records[0].species == "CSPP >250"
-    assert records[1].species == "CSPP other"
-    assert records[2].species == "Unlisted sp."
+    assert records["species"] == ["CSPP >250", "CSPP other", "Unlisted sp."]
 
 
 def test_species_bucket_sidecar_overlay(tmp_path):
@@ -216,9 +221,19 @@ def test_species_bucket_sidecar_must_be_object(tmp_path):
 
 
 def _rec(age, d18O=1.0, d13C=0.5, source="src", species="sp"):
-    from paleokalman.ingest import RawRecord
+    return (age, d18O, d13C, source, species)
 
-    return RawRecord(age_tuned=age, d18O=d18O, d13C=d13C, source=source, species=species)
+
+def _columns(*recs):
+    # parse_csv's record columns, from (age, d18O, d13C, source, species)
+    ages, d18o, d13c, sources, species = zip(*recs)
+    return {
+        "age_tuned": np.array(ages),
+        "d18O": np.array(d18o),
+        "d13C": np.array(d13c),
+        "source": list(sources),
+        "species": list(species),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +267,9 @@ def test_build_dataset_stamps_negated_and_sorted(tmp_path):
 
 
 def test_build_dataset_empty_records():
-    data, diag = build_dataset([])
+    data, diag = build_dataset(
+        {c: np.array([]) for c in ("age_tuned", "d18O", "d13C")} | {"source": [], "species": []}
+    )
     assert diag["warnings"]
     assert data.n_rows == 0
 
@@ -300,6 +317,78 @@ def test_canonical_csv_rejects_a_fifth_slot(tmp_path):
     path = _write(tmp_path, "\n".join(lines) + "\n", "canon.csv")
     with pytest.raises(ValueError, match="more than 4 slots for series d18O at stamp -2.0"):
         read_canonical_csv(path)
+
+
+_CANON_HEADER = "stamp,series,value,source_id,species_id,climate_state\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", SchemaError, "empty file: no header row"),
+        ("# a comment\n\n# another\n", SchemaError, "empty file: no header row"),
+        (
+            _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n-1.0,d18O\n",
+            ParseError,
+            "line 3: 2 fields, expected 6",
+        ),
+        (
+            _CANON_HEADER + "-2.0,d15N,1.0,0,0,6\n",
+            ParseError,
+            "line 2: unknown series 'd15N'",
+        ),
+        # the line number counts the comment lines too
+        (
+            "# written by hand\n" + _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n"
+            "# note\n-1.0,d13C,oops,0,0,6\n",
+            ParseError,
+            "line 5: malformed numeric 'oops' in column value",
+        ),
+        (
+            _CANON_HEADER + "-2.0x,,,,,6\n",
+            ParseError,
+            "line 2: malformed numeric '-2.0x' in column stamp",
+        ),
+        (
+            _CANON_HEADER + "-2.0,d18O,1.0,0.5,0,6\n",
+            ParseError,
+            "line 2: malformed numeric '0.5' in column source_id",
+        ),
+        (
+            _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n-1.0,d18O,nan,0,0,6\n",
+            ParseError,
+            "line 3: NaN in column value",
+        ),
+        (_CANON_HEADER + "nan,,,,,6\n", ParseError, "line 2: NaN in column stamp"),
+    ],
+)
+def test_read_canonical_csv_rejects_bad_input(tmp_path, text, error, message):
+    with pytest.raises(error) as err:
+        read_canonical_csv(_write(tmp_path, text, "canon.csv"))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_exports_are_byte_exact(tmp_path):
+    # both writers read the view; the all-missing row at age 1.0 stays a line
+    data, _ = ingest(_write(tmp_path, RAW))
+    write_canonical_csv(data, tmp_path / "canon.csv", header_lines=["# canon"])
+    write_ingest_csv(data, tmp_path / "export.csv")
+    assert (tmp_path / "canon.csv").read_text() == (
+        "# canon\n"
+        "stamp,series,value,source_id,species_id,climate_state\n"
+        "-3.5,d18O,2.1,0,0,5\n-3.5,d13C,0.55,0,0,5\n"
+        "-2.0,d18O,1.95,1,1,6\n-2.0,d18O,1.9,0,0,6\n-2.0,d13C,0.6,0,0,6\n"
+        "-1.0,,,,,6\n"
+        "-0.5,d18O,1.8,2,0,6\n-0.5,d13C,0.4,2,0,6\n"
+    )
+    assert (tmp_path / "export.csv").read_text() == (
+        "age_tuned,d18O,d13C,source,species\n"
+        "3.5,2.1,,Site A,CSPP\n3.5,,0.55,Site A,CSPP\n"
+        "2.0,1.95,,Site B,CSPP >250\n2.0,1.9,,Site A,CSPP\n2.0,,0.6,Site A,CSPP\n"
+        "1.0,,,,\n"
+        "0.5,1.8,,Westerhold et al. 2020,CSPP\n0.5,,0.4,Westerhold et al. 2020,CSPP\n"
+    )
 
 
 def test_ingest_csv_round_trip(tmp_path):
