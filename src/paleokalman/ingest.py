@@ -121,7 +121,9 @@ def parse_csv(path) -> tuple:
             header.index(name) for name in REQUIRED_COLUMNS
         )
         width = len(header)
-        for line_number, row in enumerate(reader, start=2):
+        # errors give reader.line_num, the file line a record ends on: a
+        # quoted cell can span lines
+        for row in reader:
             if len(row) < width:
                 if not row:
                     continue
@@ -136,22 +138,22 @@ def parse_csv(path) -> tuple:
                 if cell.strip() == "":
                     if all(c.strip() == "" for c in row):
                         continue  # a blank line
-                    raise ParseError(line_number, "empty age_tuned cell") from None
-                age = _parse_cell(cell, line_number, "age_tuned")
+                    raise ParseError(reader.line_num, "empty age_tuned cell") from None
+                age = _parse_cell(cell, reader.line_num, "age_tuned")
             if not 0.0 < age < 70.0:
                 raise ParseError(
-                    line_number, f"age_tuned {age} outside the supported (0, 70) MYA"
+                    reader.line_num, f"age_tuned {age} outside the supported (0, 70) MYA"
                 )
             cell = row[i_d18o]
             try:
                 d18o = float(cell) if cell else MISSING
             except ValueError:
-                d18o = _parse_cell(cell, line_number, "d18O")
+                d18o = _parse_cell(cell, reader.line_num, "d18O")
             cell = row[i_d13c]
             try:
                 d13c = float(cell) if cell else MISSING
             except ValueError:
-                d13c = _parse_cell(cell, line_number, "d13C")
+                d13c = _parse_cell(cell, reader.line_num, "d13C")
             ages.append(age)
             d18o_cells.append(d18o)
             d13c_cells.append(d13c)

@@ -15,11 +15,12 @@ next observed row with the disturbance variance scaled by the accumulated
 window. Inserting all-missing rows therefore changes nothing at the
 original rows.
 
-The smoother is the matching backward pass. During the diffuse phase it
-carries the kappa-expansion terms (r0, r1) and (N0, N1, N2); after the
-phase the extra terms are identically zero, so one code path covers both
-regimes. Smoothed covariances are finite everywhere once the data identify
-the initial state.
+The smoother is one backward recursion over the filter's stored paths: the
+RTS smoother in disturbance form, which needs only the predicted moments,
+the disturbance covariance each row booked and the predicted precision,
+taken in its kappa -> infinity limit at the diffuse rows. One code path
+covers both regimes, and smoothed covariances are finite everywhere once
+the data identify the initial state.
 
 Both recursions run on plain Python floats: a state vector is a list of s
 floats and an s x s matrix a flat list of s*s floats, entry (r, c) at
@@ -30,16 +31,16 @@ At the state dimensions measured (s = 1 to 6) this beats numpy, whose
 per-call overhead dominates on such small arrays.
 
 There is one forward recursion with two modes. filter appends the
-predicted and filtered paths to array('d') buffers and keeps what the
-backward pass needs of each observed slot in compact buffers
-(SlotRecords). loglik, which every fit evaluation calls, runs the same loop
-but keeps only the innovations and their variances, so the two logliks are
-equal bit for bit. At state dimension 1 loglik runs _loglik_dim1 instead:
-that loop on floats rather than one-element lists, with the same
-operations in the same order, so it too equals filter's loglik bit for
-bit. The backward pass keeps only what is sequential, r0 and N0 at every
-row and r1, N1, N2 at the diffuse rows; the smoothed moments then come
-from batched matrix products over all rows at once.
+predicted and filtered paths to array('d') buffers and records the
+disturbance covariance booked at each row, for the backward pass. loglik,
+which every fit evaluation calls, runs the same loop but keeps only the
+innovations and their variances, so the two logliks are equal bit for
+bit. At state dimension 1 loglik runs _loglik_dim1 instead: that loop on
+floats rather than one-element lists, with the same operations in the same
+order, so it too equals filter's loglik bit for bit. The backward pass
+keeps only what is sequential, a rank-k update and a block
+back-substitution per row; the precisions it needs come from batched
+solves, and at state dimension 1 it too runs on floats (_backward_dim1).
 """
 
 from __future__ import annotations
@@ -231,14 +232,6 @@ def _lookup(keys: np.ndarray, index) -> np.ndarray:
 # floats with entry (r, c) at r*s + c, so column c is the slice [c::s].
 
 
-def _dot(x, y) -> float:
-    return sum(map(mul, x, y))
-
-
-def _matvec(N: list, x: list, s: int) -> list:
-    return [sum(map(mul, N[i : i + s], x)) for i in range(0, s * s, s)]
-
-
 def _transposer(s: int) -> list:
     # P[j] for j in _transposer(s) lists P' in flat order
     return [c * s + r for r in range(s) for c in range(s)]
@@ -247,15 +240,6 @@ def _transposer(s: int) -> list:
 def _symmetrized(P: list, transposer: list) -> list:
     # 0.5 (P + P'); the diagonal is unchanged bit for bit
     return [0.5 * (x + P[j]) for x, j in zip(P, transposer)]
-
-
-def _rank_update(N: list, e: int, s: int, w: list, d: float) -> None:
-    # N <- N - z w' - w z' + d z z', z the unit vector at e
-    row = e * s
-    N[row : row + s] = map(sub, N[row : row + s], w)
-    for i, x in zip(range(e, s * s, s), w):
-        N[i] -= x
-    N[row + e] += d
 
 
 # the unit upper-bidiagonal trend transition T on the listed blocks (tops),
@@ -273,15 +257,15 @@ def _T_mat(P: list, tops, m: int, s: int) -> None:
                 P[j] += P[j + 1]
 
 
-def _Tt_mat(N: list, tops, m: int, s: int) -> None:
-    # N <- A' N A: row i += row i-1 then column i += column i-1, descending
+def _T_inv_mat(V: list, tops, m: int, s: int) -> None:
+    # V <- A^-1 V A^-T: row i -= row i+1 then column i -= column i+1, descending
     for top in tops:
-        for i in range((top + m - 1) * s, top * s, -s):
-            N[i : i + s] = map(add, N[i : i + s], N[i - s : i])
+        for i in range((top + m - 2) * s, top * s - 1, -s):
+            V[i : i + s] = map(sub, V[i : i + s], V[i + s : i + 2 * s])
     for top in tops:
-        for i in range(top + m - 1, top, -1):
+        for i in range(top + m - 2, top - 1, -1):
             for j in range(i, s * s, s):
-                N[j] += N[j - 1]
+                V[j] -= V[j + 1]
 
 
 def _paths_array(buf: array, shape: tuple) -> np.ndarray:
@@ -354,28 +338,10 @@ class StatePaths:
 
 
 @dataclass
-class SlotRecords:
-    """What the backward pass needs of each observed slot, in filter order.
-
-    Row nu owns the next count[nu] slots. level[o] is the state index of
-    slot o's series level, v[o] its innovation, F[o] its proper innovation
-    variance F_star, and K[o*s : (o+1)*s] its gain: M_star / F_star for an
-    ordinary slot, M_inf / F_inf for a diffuse one. diffuse maps each
-    diffuse slot (at most s of them) to (F_inf, K1), with
-    K1 = M_star / F_inf - M_inf F_star / F_inf^2.
-    """
-
-    count: tuple
-    level: tuple
-    v: array
-    F: array
-    K: array
-    diffuse: dict
-
-
-@dataclass
 class FilterRun:
-    """Filter output plus what the backward pass needs."""
+    """Filter output plus what the backward pass needs: booked[nu] is the
+    k x k covariance of the trend-tail disturbances that row nu booked,
+    zero where no block moves."""
 
     compiled: CompiledModel
     params: np.ndarray
@@ -383,7 +349,7 @@ class FilterRun:
     final_state: FilterState
     paths: StatePaths
     n_diffuse_slots: int
-    slot_records: SlotRecords | None = field(repr=False, default=None)
+    booked: np.ndarray = field(repr=False)
 
     def __iter__(self):
         # allows (state, paths, loglik) unpacking
@@ -417,7 +383,7 @@ def filter(
         Ps = np.asarray(P1, dtype=float).reshape(s * s).tolist()
         start = a, Ps, [0.0] * (s * s), False
 
-    ll, (a, Ps, Pi), paths, records = _forward(cm, params.tolist(), *start, True)
+    ll, (a, Ps, Pi), paths, booked, n_diffuse = _forward(cm, params.tolist(), *start, True)
     state = FilterState(
         a=np.array(a),
         P=np.array(Ps).reshape(s, s),
@@ -431,8 +397,8 @@ def filter(
         loglik=ll,
         final_state=state,
         paths=paths,
-        n_diffuse_slots=len(records.diffuse),
-        slot_records=records,
+        n_diffuse_slots=n_diffuse,
+        booked=booked,
     )
 
 
@@ -476,7 +442,7 @@ def _loglik_dim1(cm: CompiledModel, h: list) -> float:
                 K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
                 a += K * v
                 P = ((P + K * K * F) - K * P) - P * K
-                rec_diffuse[o] = (Pi, None)  # _log_sum reads F_inf only
+                rec_diffuse[o] = Pi  # F_inf at s = 1
                 Pi -= K * Pi
             else:
                 if not 0.0 < F < inf:
@@ -508,9 +474,10 @@ def _forward(
     """The exact-diffuse forward recursion, Durbin & Koopman (2012)
     sections 5.2-5.3, from the state (a, Ps, Pi) before row 0.
 
-    Returns (loglik, final (a, Ps, Pi), paths, slot records). Without
-    keep_paths only the innovations and their variances are kept, for the
-    log terms, and paths and slot records are None.
+    Returns (loglik, final (a, Ps, Pi), paths, booked, number of diffuse
+    slots), booked the (n, k, k) trend-tail disturbance covariance booked at
+    each row. Without keep_paths only the innovations and their variances
+    are kept, for the log terms, and paths and booked are None.
     """
     fl = cm.flat
     n, s, p = cm.n, cm.s, cm.p
@@ -531,7 +498,7 @@ def _forward(
         pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
         filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
         diffuse_rows = []
-        rec_K = array("d")
+        booked = array("d", bytes(8 * n * k * k))  # row nu's k x k block at nu*k*k
     first = 0  # the row's first slot
 
     for nu in range(n):
@@ -547,7 +514,10 @@ def _forward(
                     _T_mat(Pi, tops, m, s)
             for j in range(k):
                 if apply_[at + j]:
-                    Ps[tail[j]] += h[tvar[at + j]] * window[at + j]
+                    q = h[tvar[at + j]] * window[at + j]
+                    Ps[tail[j]] += q
+                    if keep_paths:
+                        booked[at * k + j * (k + 1)] = q
             if k == 2 and apply_[at] and apply_[at + 1]:
                 ci = corr[nu]
                 if ci >= 0 and h[ci] != 0.0:
@@ -559,6 +529,8 @@ def _forward(
                     cross = h[ci] * math.sqrt(var2) * min(window[at], window[at + 1])
                     Ps[cross_at[0]] += cross
                     Ps[cross_at[1]] += cross
+                    if keep_paths:
+                        booked[4 * nu + 1] = booked[4 * nu + 2] = cross
 
         if keep_paths:
             pred_a.fromlist(a)
@@ -585,8 +557,7 @@ def _forward(
                     for x, kr, kc, mr, mc in zip(Ps, KK, K * s, MK, Ms * s)
                 ]
                 Pi = list(map(sub, Pi, [kr * mc for kr in K for mc in Mi]))
-                K1 = [ms / Fi - mi * (Fs / (Fi * Fi)) for ms, mi in zip(Ms, Mi)]
-                rec_diffuse[o] = (Fi, K1)
+                rec_diffuse[o] = Fi
             else:
                 if not 0.0 < Fs < inf:
                     raise ConditioningError(
@@ -597,8 +568,6 @@ def _forward(
                 Ps = list(map(sub, Ps, [kr * mc for kr in K for mc in Ms]))
             keep_v(v)
             keep_F(Fs)
-            if keep_paths:
-                rec_K.fromlist(K)
         first = last
 
         if s > 1:
@@ -618,7 +587,7 @@ def _forward(
 
     ll = _log_sum(rec_v, rec_F, rec_diffuse)
     if not keep_paths:
-        return ll, (a, Ps, Pi), None, None
+        return ll, (a, Ps, Pi), None, None, len(rec_diffuse)
     paths = StatePaths(
         stamps=cm.stamps,
         predicted_means=_paths_array(pred_a, (n, s)),
@@ -631,18 +600,17 @@ def _forward(
         innovation_variances=_slot_columns(rec_F, fl.obs_row, fl.obs_col, (n, p)),
         diffuse_rows=np.array(diffuse_rows, dtype=bool),
     )
-    records = SlotRecords(count, level, rec_v, rec_F, rec_K, rec_diffuse)
-    return ll, (a, Ps, Pi), paths, records
+    return ll, (a, Ps, Pi), paths, _paths_array(booked, (n, k, k)), len(rec_diffuse)
 
 
-def _log_sum(v: array, F: array, diffuse_slots: dict) -> float:
+def _log_sum(v: array, F: array, F_inf: dict) -> float:
     # slot o adds -(log 2pi + log F + v^2 / F) / 2, with F_inf for F and no
     # v^2 term at a diffuse slot. The terms are vectorized; the sum runs in
     # slot order (np.cumsum: np.sum adds pairwise, which moves the last bits)
     v, F = np.array(v), np.array(F)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = v * v / F  # F_star is unchecked at diffuse slots, where q is unused
-    for o, (Fi, _) in diffuse_slots.items():
+    for o, Fi in F_inf.items():
         F[o] = Fi
         q[o] = 0.0
     return float(np.cumsum(-0.5 * (_LOG2PI + np.log(F) + q))[-1]) if F.size else 0.0
@@ -656,112 +624,114 @@ def _log_sum(v: array, F: array, diffuse_slots: dict) -> float:
 def smooth(run: FilterRun) -> StatePaths:
     """Fixed-interval smoother; fills the smoothed fields of the paths.
 
-    Backward recursion in (r0, r1) and (N0, N1, N2), Durbin & Koopman
-    (2012) sections 5.3 and 6.3. Post-diffuse slots leave the extra terms
-    at zero, so a single pass covers both phases. The pass keeps r0 and N0
-    for every row and r1, N1, N2 for the diffuse rows; the moments then
-    come from batched products over all rows. At each row, with P the
-    proper and Pi the diffuse predicted parts:
+    One backward recursion over the filter's stored paths, the RTS
+    smoother of Durbin & Koopman (2012) section 4.4 in disturbance form,
+    for diffuse and post-diffuse rows alike. The last row starts from its
+    filtered moments, and a row whose successor moves no block takes the
+    successor's smoothed moments. Otherwise, with T the successor's
+    transition, Q the disturbance covariance it booked, G its predicted
+    precision P_{t+1|t}^-1 and L = I - Q G:
 
-        mean = a_pred + P r0 + Pi r1
-        cov  = P - P N0 P - Pi N1 P - P N1 Pi - Pi N2 Pi
+        mean_t = T^-1 (mean_{t+1} - Q G (mean_{t+1} - a_{t+1|t}))
+        cov_t  = T^-1 (Q - Q G Q + L cov_{t+1} L') T^-T
+
+    Inside the diffuse phase G is the kappa -> infinity limit
+    U (U' P_star U)^-1 U', U spanning the null space of the diffuse part
+    P_inf of P_{t+1|t}. Q is nonzero only at the trend tails, so only G's
+    tail rows enter; they come from batched solves, and the sequential
+    part is a rank-k update and a block back-substitution per row.
     """
     cm = run.compiled
     n, s, m, k = cm.n, cm.s, cm.m, cm.n_series
-    ss = s * s
     paths = run.paths
-    rec = run.slot_records
-    count, level, diffuse_slots = rec.count, rec.level, rec.diffuse
-    rec_v, rec_F, rec_K = rec.v, rec.F, rec.K
-    in_diffuse_rows = paths.diffuse_rows.tolist()
-    # with m = 1 the transition is the identity and the backward pass skips it
-    moved = cm.flat.moved if m > 1 else (False,) * n
-    apply_ = cm.flat.apply_
+    tails = [j * m + m - 1 for j in range(k)]
+    succ = np.flatnonzero(cm.flat.moved[1:]) + 1  # the rows that move some block
+    Q = run.booked[succ]
+    B = Q @ _tail_precision(paths, succ, tails)  # the tail rows of Q G
+    C = Q - B[:, :, tails] @ Q  # Q - Q G Q at the tails
+    back = slice(None, None, -1)
+    last = (paths.filtered_means[n - 1], paths.filtered_covs[n - 1])
+    steps = (succ[back], B[back], C[back], paths.predicted_means[succ[back]])
+    if s == 1:
+        X, XV = _backward_dim1(*last, *steps)
+    else:
+        X, XV = _backward(*last, *steps, tails, m, cm.flat.apply_)
 
-    r0 = [0.0] * s
-    r1 = [0.0] * s
-    N0 = [0.0] * ss
-    N1 = [0.0] * ss
-    N2 = [0.0] * ss
-    # per row, last row first; r1, N1, N2 only over the diffuse rows
-    R0, M0 = array("d"), array("d")
-    R1, M1, M2 = array("d"), array("d"), array("d")
-
-    last = len(level)  # one past the row's last slot
-    for nu in range(n - 1, -1, -1):
-        in_diffuse = in_diffuse_rows[nu]
-        first = last - count[nu]
-        for o in range(last - 1, first - 1, -1):
-            e, v, Fs = level[o], rec_v[o], rec_F[o]
-            K = rec_K[o * s : o * s + s]
-            if o not in diffuse_slots:
-                # ordinary update, L = I - K z'
-                r0[e] += v / Fs - _dot(K, r0)
-                w0 = _matvec(N0, K, s)
-                _rank_update(N0, e, s, w0, _dot(K, w0) + 1.0 / Fs)
-                if in_diffuse:
-                    # the extra terms are nonzero inside the diffuse phase
-                    # and must ride through ordinary slots too
-                    r1[e] -= _dot(K, r1)
-                    w1 = _matvec(N1, K, s)
-                    _rank_update(N1, e, s, w1, _dot(K, w1))
-                    w2 = _matvec(N2, K, s)
-                    _rank_update(N2, e, s, w2, _dot(K, w2))
-                continue
-            Fi, K1 = diffuse_slots[o]
-            # with L0 = I - K z', L1 = -K1 z', z the unit vector at e:
-            # r1 <- z v/Fi + L0'r1 + L1'r0 ; r0 <- L0'r0
-            c00 = _dot(K, r0)
-            r1[e] += v / Fi - _dot(K, r1) - _dot(K1, r0)
-            r0[e] -= c00
-
-            w0 = _matvec(N0, K, s)
-            w1 = _matvec(N1, K, s)
-            w2 = _matvec(N2, K, s)
-            u0 = _matvec(N0, K1, s)
-            u1 = _matvec(N1, K1, s)
-            # N2 <- -zz' Fs/Fi^2 + L0'N2L0 + L1'N1L0 + L0'N1L1 + L1'N0L1
-            d2 = _dot(K, w2) + 2.0 * _dot(K1, w1) + _dot(K1, u0) - Fs / (Fi * Fi)
-            _rank_update(N2, e, s, list(map(add, w2, u1)), d2)
-            # N1 <- zz'/Fi + L0'N1L0 + L1'N0L0 + L0'N0L1
-            d1 = _dot(K, w1) + 2.0 * _dot(K1, w0) + 1.0 / Fi
-            _rank_update(N1, e, s, list(map(add, w1, u0)), d1)
-            # N0 <- L0'N0L0
-            _rank_update(N0, e, s, w0, _dot(K, w0))
-        last = first
-
-        R0.fromlist(r0)
-        M0.fromlist(N0)
-        if in_diffuse:
-            R1.fromlist(r1)
-            M1.fromlist(N1)
-            M2.fromlist(N2)
-
-        if nu > 0 and moved[nu]:
-            tops = [j * m for j in range(k) if apply_[nu * k + j]]
-            # r1, N1, N2 are zero until the backward pass reaches the diffuse rows
-            for x in (r0, r1) if in_diffuse else (r0,):
-                for top in tops:
-                    for i in range(top + m - 1, top, -1):
-                        x[i] += x[i - 1]
-            for N in (N0, N1, N2) if in_diffuse else (N0,):
-                _Tt_mat(N, tops, m, s)
-
-    P = paths.predicted_covs
-    r0s = _paths_array(R0, (n, s, 1))[::-1]
-    mean = paths.predicted_means + (P @ r0s)[:, :, 0]
-    V = P - P @ _paths_array(M0, (n, s, s))[::-1] @ P
-    nd = len(R1) // s  # the diffuse rows lead
-    if nd:
-        Pi = paths.predicted_covs_inf[:nd]
-        r1s = _paths_array(R1, (nd, s, 1))[::-1]
-        mean[:nd] += (Pi @ r1s)[:, :, 0]
-        PiN1P = Pi @ _paths_array(M1, (nd, s, s))[::-1] @ P[:nd]
-        PiN2Pi = Pi @ _paths_array(M2, (nd, s, s))[::-1] @ Pi
-        V[:nd] = V[:nd] - PiN1P - PiN1P.transpose(0, 2, 1) - PiN2Pi
-    paths.smoothed_means = mean
+    # X and XV hold row n - 1, then row u - 1 for each u in succ, last first;
+    # every other row takes the moments of the first of those at or after it
+    done = np.append(succ - 1, n - 1)
+    at = succ.size - np.searchsorted(done, np.arange(n))
+    paths.smoothed_means = _paths_array(X, (done.size, s))[at]
+    V = _paths_array(XV, (done.size, s, s))[at]
     paths.smoothed_covs = 0.5 * (V + V.transpose(0, 2, 1))
     return paths
+
+
+def _backward(x, V, succ, B, C, A, tails: list, m: int, apply_: tuple) -> tuple:
+    # smooth's recursion from row n - 1's moments (x, V): for each step, the
+    # moments of row u - 1 from those of row u, with B the tail rows of Q G,
+    # C = Q - Q G Q at the tails and A = a_{u|u-1}
+    s, k = x.size, len(tails)
+    x, V = x.tolist(), V.ravel().tolist()
+    X, XV = array("d", x), array("d", V)
+    tail_pairs = [e * s + f for e in tails for f in tails]
+    for u, b, c, a in zip(succ.tolist(), B.tolist(), C.reshape(-1, k * k).tolist(), A.tolist()):
+        # Q G is zero outside the tail rows: x <- x - Q G (x - a), and
+        # V <- (L V) L' + Q - Q G Q, updating the tail rows, then the tail
+        # columns from the updated rows. (Expanding L V L' into separate
+        # terms cancels catastrophically at high orders.)
+        d = list(map(sub, x, a))
+        W = [[sum(map(mul, bj, V[col::s])) for col in range(s)] for bj in b]
+        for e, bj, wj in zip(tails, b, W):
+            x[e] -= sum(map(mul, bj, d))
+            V[e * s : e * s + s] = map(sub, V[e * s : e * s + s], wj)
+        W = [[sum(map(mul, bj, V[r : r + s])) for r in range(0, s * s, s)] for bj in b]
+        for e, wj in zip(tails, W):
+            V[e::s] = list(map(sub, V[e::s], wj))
+        for i, cij in zip(tail_pairs, c):
+            V[i] += cij
+        if m > 1:
+            tops = [j * m for j in range(k) if apply_[u * k + j]]
+            for top in tops:
+                for i in range(top + m - 2, top - 1, -1):
+                    x[i] -= x[i + 1]
+            _T_inv_mat(V, tops, m, s)
+        X.fromlist(x)
+        XV.fromlist(V)
+    return X, XV
+
+
+def _backward_dim1(x, V, succ, B, C, A) -> tuple:
+    # _backward at s = 1, where T is 1, on floats instead of one-element
+    # lists: every operation is _backward's, in its order
+    x, V = float(x[0]), float(V[0, 0])
+    X, XV = array("d", [x]), array("d", [V])
+    keep_x, keep_V = X.append, XV.append
+    for b, c, a in zip(B.ravel().tolist(), C.ravel().tolist(), A.ravel().tolist()):
+        x -= b * (x - a)
+        V -= b * V
+        V = (V - b * V) + c
+        keep_x(x)
+        keep_V(V)
+    return X, XV
+
+
+def _tail_precision(paths: StatePaths, rows: np.ndarray, tails: list) -> np.ndarray:
+    # (len(rows), k, s): the tail rows of G = P_pred^-1 at each listed row,
+    # the kappa -> infinity limit of (P_star + kappa P_inf)^-1 at diffuse rows
+    P = paths.predicted_covs[rows]
+    G = np.empty((rows.size, len(tails), P.shape[1]))
+    diffuse = paths.diffuse_rows[rows]
+    proper = ~diffuse
+    E = np.eye(P.shape[1])[:, tails]
+    G[proper] = np.linalg.solve(
+        P[proper], np.broadcast_to(E, (int(proper.sum()), *E.shape))
+    ).transpose(0, 2, 1)
+    for i in np.flatnonzero(diffuse).tolist():
+        w, vecs = np.linalg.eigh(paths.predicted_covs_inf[rows[i]])
+        U = vecs[:, w < DIFFUSE_TOL * w[-1]]
+        G[i] = U[tails] @ np.linalg.solve(U.T @ P[i] @ U, U.T)
+    return G
 
 
 def standardized_residuals(run: FilterRun) -> np.ndarray:
@@ -791,11 +761,23 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
     Columns: stamp, per-component smoothed mean and variance, then per-slot
     standardized residuals. Missing entries are written as empty fields.
     Extra header lines (comments) go in first, verbatim.
+
+    Raises ValueError, naming the stamp and the component, where a smoothed
+    variance is negative: the smoother has lost precision there. Nothing
+    is written then.
     """
     if paths.smoothed_means is None:
         raise ValueError("smoothed paths required; run smooth() first")
     comp = state_component_names(spec)
     n, s = paths.smoothed_means.shape
+    var = paths.smoothed_covs.diagonal(axis1=1, axis2=2)
+    negative = np.argwhere(var < 0.0)
+    if negative.size:
+        nu, i = negative[0].tolist()
+        raise ValueError(
+            f"negative smoothed variance {float(var[nu, i])!r} of {comp[i]} "
+            f"at stamp {float(paths.stamps[nu])!r}"
+        )
     p = paths.innovations.shape[1]
 
     resid = paths.standardized_residuals()
@@ -820,6 +802,6 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
         for nu in range(n):
             row = [repr(float(paths.stamps[nu]))]
             row += [fmt(paths.smoothed_means[nu, i]) for i in range(s)]
-            row += [fmt(paths.smoothed_covs[nu, i, i]) for i in range(s)]
+            row += [fmt(var[nu, i]) for i in range(s)]
             row += [fmt(resid[nu, i]) for i in range(p)]
             writer.writerow(row)

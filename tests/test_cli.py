@@ -286,6 +286,26 @@ def test_smooth_happy_path(raw_csv, fitted, tmp_path, capsys):
     assert len(lines) == 2 + 120
 
 
+def test_smooth_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):
+    from paleokalman import kalman
+    from paleokalman.ingest import ingest
+
+    smooth_ = kalman.smooth
+
+    def smooth_with_negative_variance(run):
+        paths = smooth_(run)
+        paths.smoothed_covs[3:, 0, 0] = -1.0
+        return paths
+
+    monkeypatch.setattr(kalman, "smooth", smooth_with_negative_variance)
+    out = tmp_path / "states.csv"
+    argv = ["smooth", "--data", str(raw_csv), "--fit", str(fitted), "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    stamp = float(ingest(raw_csv)[0].view.stamps[3])
+    assert f"negative smoothed variance -1.0 of d18O.level at stamp {stamp!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_smooth_layout_mismatch_exits_66(tmp_path, capsys):
     csv_a = _write_raw(tmp_path / "a.csv", n=40, sources=("Site A", "Site B"))
     csv_b = _write_raw(

@@ -94,6 +94,14 @@ def test_parse_malformed_number_reports_line(tmp_path):
     assert "oops" in str(err.value)
 
 
+def test_parse_error_gives_the_file_line_after_a_multiline_record(tmp_path):
+    # the first record's quoted source label spans lines 2 and 3
+    text = 'age_tuned,d18O,d13C,source,species\n3.5,2.1,0.5,"Site\nA",S\n2.0,oops,0.1,A,S\n'
+    with pytest.raises(ParseError) as err:
+        parse_csv(_write(tmp_path, text))
+    assert str(err.value) == "line 4: malformed numeric 'oops' in column d18O"
+
+
 def test_parse_cells_read_as_their_stripped_text(tmp_path):
     # whitespace float() skips, and the ASCII separators \x1c-\x1f, which
     # only strip() removes, both give the stripped cell's value

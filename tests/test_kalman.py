@@ -190,23 +190,50 @@ def test_proper_prior_matches_oracle(m):
     assert np.allclose(paths.smoothed_covs, orc.smoothed_covs, atol=1e-10)
 
 
+_MIXED_BUILDS = ["collated", "canonical", "merged", "merged_edges"]
+_MIXED_SPECS = {
+    "by-source-m2": ModelSpec(order_m=2, meas_grouping="by-source"),
+    "biv-m2-by-climate": ModelSpec(
+        arity="bivariate",
+        order_m=2,
+        trans_grouping="by-climate-state",
+        corr_grouping="by-climate-state",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "spec, params",
+    "spec, params, build",
     [
-        (ModelSpec(meas_grouping="by-source"), [0.1, 0.25, 1.3]),
-        (ModelSpec(trans_grouping="by-climate-state"), None),
-        (
+        pytest.param(
+            ModelSpec(meas_grouping="by-source"), [0.1, 0.25, 1.3], None, id="spec0-params0"
+        ),
+        pytest.param(ModelSpec(trans_grouping="by-climate-state"), None, None, id="spec1-None"),
+        pytest.param(
             ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled"),
             [0.1, 0.2, 1.3, 0.7, -0.5],
+            None,
+            id="spec2-params2",
         ),
+        # the mixed panels: grid rows older than the data, a 4-slot row,
+        # and one series' block frozen while the other moves in the diffuse phase
+        *[
+            pytest.param(spec, None, build, id=f"{name}-{build}")
+            for name, spec in _MIXED_SPECS.items()
+            for build in _MIXED_BUILDS
+        ],
     ],
 )
-def test_diffuse_matches_gls_oracle(spec, params):
-    seed_params = params if params is not None else [0.1, 1.0]
-    data = small_simulated(spec, seed_params, n_rows=7, slots=2, seed=17, n_sources=2)
+def test_diffuse_matches_gls_oracle(spec, params, build, tmp_path):
+    if build is None:
+        seed_params = params if params is not None else [0.1, 1.0]
+        data = small_simulated(spec, seed_params, n_rows=7, slots=2, seed=17, n_sources=2)
+    else:
+        data = mixed_panels(tmp_path)[build]
     layout = build_layout(spec, data)
-    if params is None:  # by-climate-state: size the vector to the layout
+    if params is None:  # size the vector to the layout
         params = [0.1] + [1.0 + 0.1 * i for i in range(layout.n_params - 1)]
+        params = [-0.5 if p.role == "rho" else x for p, x in zip(layout.params, params)]
     _assert_matches_diffuse_oracle(spec, params, data, layout)
 
 
@@ -347,6 +374,31 @@ def test_smoothed_covs_are_psd():
         paths = smooth(kfilter(spec, layout, params, data))
         for V in paths.smoothed_covs:
             assert np.linalg.eigvalsh(0.5 * (V + V.T)).min() > -1e-12
+
+
+def _indefinite_rows(covs, tol=1e-10):
+    # rows whose min eigenvalue < -tol * max |eigenvalue|
+    eig = np.linalg.eigvalsh(covs)
+    return int(np.sum(eig[:, 0] < -tol * np.abs(eig).max(axis=1)))
+
+
+@pytest.mark.parametrize("m, q, n", [(4, 1e-8, 4000), (6, 3.1e-12, 4000), (6, 3.1e-12, 23_722)])
+def test_high_order_smoothed_covs_stay_psd(m, q, n):
+    # a long record smoothed at a high trend order and a small
+    # signal-to-noise ratio q: one slot per row at the paper's mean spacing
+    # (My), up to its record length, drawn as random-walk-plus-noise on the
+    # paper's d18O scale (the covariances depend on the stamps alone)
+    eps2 = 0.0205
+    rng = np.random.default_rng(0)
+    stamps = -np.cumsum(rng.exponential(0.00283, n))[::-1] - 0.001
+    data = pk.simulate(ModelSpec(), [eps2, 1.8364], stamps, seed=1)
+    spec = ModelSpec(order_m=m)
+    params = [eps2, q * eps2]
+    paths = smooth(kfilter(spec, build_layout(spec, data), params, data))
+    assert _indefinite_rows(paths.smoothed_covs) == 0
+    # smoothing never widens the filtered covariance
+    post = ~paths.diffuse_rows
+    assert _indefinite_rows(paths.filtered_covs[post] - paths.smoothed_covs[post]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +556,28 @@ def test_dim1_loglik_raises_as_the_general_recursion():
     assert str(fast.value) == str(ref.value)
     assert fast.value.row_index == ref.value.row_index > 3
     assert "innovation variance" in str(fast.value)
+
+
+def test_dim1_smoother_equals_general_recursion_bitwise(monkeypatch):
+    # smooth's float loop at s = 1 against the list-based backward pass
+    spec = DIM1_SPECS["by-source-by-climate-trans"]
+    data = _dim1_panel(1)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    rng = np.random.default_rng(7)
+    runs = [
+        kfilter(spec, layout, np.exp(rng.uniform(-12.0, 3.0, layout.n_params)), data, compiled=cm)
+        for _ in range(5)
+    ]
+    fast = [(p.smoothed_means.copy(), p.smoothed_covs.copy()) for p in map(smooth, runs)]
+    general = kalman._backward
+    monkeypatch.setattr(
+        kalman, "_backward_dim1", lambda x, V, *steps: general(x, V, *steps, [0], 1, ())
+    )
+    for run, (means, covs) in zip(runs, fast):
+        paths = smooth(run)
+        assert np.array_equal(paths.smoothed_means, means)
+        assert np.array_equal(paths.smoothed_covs, covs)
 
 
 def test_cached_flat_inputs_are_not_mutated():
