@@ -32,7 +32,7 @@ from .butterworth import (
 from .fitting import FitOptions, FitResult, InitializationError, fit as run_fit
 from .imputation import impute, make_grid, write_impute_csv
 from .ingest import ParseError, SchemaError, ingest, load_species_buckets
-from .modelspec import ModelSpec, build_layout
+from .modelspec import MAX_ORDER, ModelSpec, build_layout
 
 __all__ = ["main"]
 
@@ -55,6 +55,23 @@ class _Parser(argparse.ArgumentParser):
     # main() can map it to exit 64 instead.
     def error(self, message):
         raise UsageError(message)
+
+
+def _bounded(kind, accept, bound: str):
+    # an argparse type: kind(text), which accept() must pass; argparse turns
+    # a rejection into a usage error, before any file is read
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_ORDER = _bounded(int, lambda m: 1 <= m <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
+_AT_LEAST_ONE = _bounded(int, lambda n: n >= 1, "at least 1")
 
 
 def _invocation(argv) -> str:
@@ -309,10 +326,10 @@ def _build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit")
     p_fit.add_argument("--data", required=True, help="ingest CSV path")
     p_fit.add_argument("--model", choices=PRESETS, default="rwn")
-    p_fit.add_argument("--order", type=int, default=None, help="trend order m")
+    p_fit.add_argument("--order", type=_ORDER, default=None, help="trend order m")
     p_fit.add_argument("--series", choices=("d18O", "d13C", "both"), default=None)
     p_fit.add_argument("--out", default="fit.json")
-    p_fit.add_argument("--starts", type=int, default=1, help="jittered multi-starts")
+    p_fit.add_argument("--starts", type=_AT_LEAST_ONE, default=1, help="jittered multi-starts")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--eval-budget", type=int, default=None, dest="eval_budget")
     p_fit.add_argument("--meas-source", action="store_true", dest="meas_source")
@@ -331,7 +348,8 @@ def _build_parser() -> _Parser:
     p_impute.add_argument("--data", required=True)
     p_impute.add_argument("--fit", required=True)
     p_impute.add_argument(
-        "--mesh-years", type=float, required=True, dest="mesh_years"
+        "--mesh-years", type=_bounded(float, lambda x: 0.0 < x < math.inf, "a positive number"),
+        required=True, dest="mesh_years",
     )
     p_impute.add_argument("--span-start", type=float, default=None, dest="span_start")
     p_impute.add_argument("--span-end", type=float, default=None, dest="span_end")
@@ -345,9 +363,11 @@ def _build_parser() -> _Parser:
     p_gain.add_argument("--sigma-eps2", type=float, default=None, dest="sigma_eps2")
     p_gain.add_argument("--mean-dt", type=float, default=None, dest="mean_dt")
     p_gain.add_argument("--data", default=None, help="derive mean dt from this CSV")
-    p_gain.add_argument("--order", type=int, default=None)
+    p_gain.add_argument("--order", type=_AT_LEAST_ONE, default=None)
     p_gain.add_argument("--out", default=None)
-    p_gain.add_argument("--samples", type=int, default=1024)
+    p_gain.add_argument(
+        "--samples", type=_bounded(int, lambda n: n >= 2, "at least 2"), default=1024
+    )
     p_gain.add_argument("--species-buckets", default=None, dest="species_buckets")
 
     return parser

@@ -13,6 +13,7 @@ their ObservationRows are built from the view when a reader asks for them.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -389,14 +390,16 @@ def collate_rows(records) -> PanelDataset:
     -----
     Records sharing a stamp (exact equality) merge into one row; slot order
     is input order. More than four values for one series at one stamp is a
-    capacity error. NaN passed as a value is rejected; missing is expressed
-    by None.
+    capacity error. A NaN or infinite stamp or value raises ValueError;
+    missing is expressed by None.
     """
     stamps, series, values, sources, species = [], [], [], [], []
     for stamp, tag, value, source, species_label in records:
         stamp = float(stamp)
         if stamp != stamp:
             raise ValueError("NaN time stamp in records")
+        if stamp in (math.inf, -math.inf):
+            raise ValueError(f"infinite time stamp {stamp} in records")
         stamps.append(stamp)
         if value is None:
             values.append(MISSING)
@@ -407,6 +410,8 @@ def collate_rows(records) -> PanelDataset:
         value = float(value)
         if value != value:
             raise ValueError(f"NaN value at stamp {stamp}; use None for missing")
+        if value in (math.inf, -math.inf):
+            raise ValueError(f"infinite value {value} at stamp {stamp}")
         values.append(value)
         series.append(_normalize_series(tag))
         sources.append(source)

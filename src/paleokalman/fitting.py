@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy import optimize
@@ -234,25 +235,22 @@ def default_start(layout: ParameterLayout, cm: CompiledModel) -> np.ndarray:
     spec = cm.spec
     eps_start = {}
     eta_start = {}
+    y = np.array(cm.y)
     for j, sr in enumerate(spec.series):
-        cols = slice(j * MAX_SLOTS, (j + 1) * MAX_SLOTS)
-        block = cm.values[:, cols]
-        vals = block[np.isfinite(block)]
+        on = cm.obs_col // MAX_SLOTS == j
+        vals, rows = y[on], cm.obs_row[on]
         total_var = float(np.var(vals, ddof=1)) if vals.size >= 2 else 1.0
-        diffs = []
-        for nu in range(cm.n):
-            row = block[nu]
-            row = row[np.isfinite(row)]
-            for i in range(row.size):
-                for i2 in range(i + 1, row.size):
-                    diffs.append(row[i] - row[i2])
+        diffs = [
+            a - b
+            for row in np.split(vals, np.flatnonzero(np.diff(rows)) + 1)
+            for a, b in combinations(row.tolist(), 2)
+        ]
         if len(diffs) >= 2:
             eps = 0.5 * float(np.var(diffs, ddof=1))
         else:
             eps = 0.5 * total_var
-        obs_rows = np.isfinite(block).any(axis=1)
-        if obs_rows.any():
-            span = float(cm.stamps[obs_rows][-1] - cm.stamps[obs_rows][0])
+        if rows.size:
+            span = float(cm.stamps[rows[-1]] - cm.stamps[rows[0]])
         else:
             span = 1.0
         eta = total_var / span if span > 0 else total_var

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+from math import inf
 
 import numpy as np
 
@@ -90,11 +91,14 @@ def _parse_cell(text: str, line_number: int, column: str) -> float:
     if text == "":
         return MISSING
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(
             line_number, f"malformed numeric {text!r} in column {column}"
         ) from None
+    if not -inf < value < inf:
+        raise ParseError(line_number, f"non-finite value {text!r} in column {column}")
+    return value
 
 
 def parse_csv(path) -> tuple:
@@ -104,7 +108,8 @@ def parse_csv(path) -> tuple:
     record: age_tuned, d18O and d13C as float arrays, with MISSING (NaN)
     for an empty isotope cell, and source and species as lists of stripped
     labels. Both-empty records are kept (they mark a stamp) and counted in
-    the diagnostics.
+    the diagnostics. A malformed or non-finite number (nan, inf) raises
+    ParseError with its file line and column.
     """
     ages, d18o_cells, d13c_cells, sources, species = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -129,8 +134,9 @@ def parse_csv(path) -> tuple:
                     continue
                 row = row + [""] * (width - len(row))
             # one float() per numeric cell, which skips surrounding
-            # whitespace; a cell it rejects (blank or malformed) goes to
-            # _parse_cell, for MISSING or the error
+            # whitespace; a cell it rejects (blank or malformed), and an
+            # isotope cell it reads as nan or inf, go to _parse_cell, for
+            # MISSING or the error
             cell = row[i_age]
             try:
                 age = float(cell)
@@ -147,11 +153,15 @@ def parse_csv(path) -> tuple:
             cell = row[i_d18o]
             try:
                 d18o = float(cell) if cell else MISSING
+                if cell and not -inf < d18o < inf:
+                    raise ValueError
             except ValueError:
                 d18o = _parse_cell(cell, reader.line_num, "d18O")
             cell = row[i_d13c]
             try:
                 d13c = float(cell) if cell else MISSING
+                if cell and not -inf < d13c < inf:
+                    raise ValueError
             except ValueError:
                 d13c = _parse_cell(cell, reader.line_num, "d13C")
             ages.append(age)
@@ -423,6 +433,8 @@ def _parse_number(kind, text: str, line_number: int, column: str):
         ) from None
     if number != number:
         raise ParseError(line_number, f"NaN in column {column}")
+    if number in (inf, -inf):
+        raise ParseError(line_number, f"infinite value in column {column}")
     return number
 
 

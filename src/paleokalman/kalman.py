@@ -24,11 +24,11 @@ the data identify the initial state.
 
 Both recursions run on plain Python floats: a state vector is a list of s
 floats and an s x s matrix a flat list of s*s floats, entry (r, c) at
-r*s + c. Their parameter-independent inputs are flat tuples (FlatInputs),
-built from the CompiledModel arrays on the first pass that needs them and
-cached on the model, so the many loglik passes of a fit pay for them once.
-At the state dimensions measured (s = 1 to 6) this beats numpy, whose
-per-call overhead dominates on such small arrays.
+r*s + c. Their parameter-independent inputs are the flat tuples of a
+CompiledModel, which compile_model builds once from the panel's group keys,
+so the many loglik passes of a fit share them. At the state dimensions
+measured (s = 1 to 6) this beats numpy, whose per-call overhead dominates
+on such small arrays.
 
 There is one forward recursion with two modes. filter appends the
 predicted and filtered paths to array('d') buffers and records the
@@ -49,7 +49,6 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import add, mul, sub
 
 import numpy as np
@@ -91,20 +90,29 @@ class ConditioningError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# compilation: dataset + spec -> flat arrays the recursions consume
+# compilation: dataset + spec -> the flat inputs the recursions read
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledModel:
-    """Flat-array view of (spec, layout, data) for filter passes.
+    """The parameter-independent inputs of the recursions, in the flat form
+    they read.
 
-    Everything parameter-independent is precomputed here, including the
-    booking schedule: which rows apply the trend transition for each series
-    and with what accumulated time window. compile_model builds it from the
-    panel's cached columnar view (PanelDataset.view) and the group keys
-    modelspec.group_keys resolves there, with one layout lookup per
-    distinct key; a key the layout lacks raises KeyError.
+    The observed slots are listed in row-major order, at (obs_row, obs_col)
+    of the (n, p) slot grid: row nu owns the next count[nu] of them, and
+    slot o reads the value y[o], the measurement-variance index hidx[o] and
+    the state index level[o] of its series level. Per row, moved[nu] says
+    whether some series applies the trend transition and corr[nu] is the
+    correlation index (-1 absent). Per (row, series), at nu*k + j, apply_
+    and window give the booking schedule (modelspec.booking_schedule) and
+    tvar the transition-variance index (-1 absent).
+
+    compile_model builds it once from the panel's columnar view
+    (PanelDataset.view) and the group keys modelspec.group_keys resolves
+    there, with one layout lookup per distinct key; a key the layout lacks
+    raises KeyError. The model is frozen and holds only tuples and
+    read-only arrays, so every pass reads the same inputs.
     """
 
     spec: ModelSpec
@@ -115,61 +123,21 @@ class CompiledModel:
     s: int
     p: int
     stamps: np.ndarray  # (n,)
-    values: np.ndarray  # (n, p), NaN where missing
-    hidx: np.ndarray  # (n, p) flat meas-variance param index, -1 missing
-    lvl_of_col: np.ndarray  # (p,) state index of each slot's level
-    apply: np.ndarray  # (n, n_series) bool
-    window: np.ndarray  # (n, n_series)
-    tvar_idx: np.ndarray  # (n, n_series) trans-variance index, -1 absent
-    corr_idx: np.ndarray  # (n,) correlation index, -1 absent
-    n_obs_slots: int
-
-    @cached_property
-    def flat(self) -> "FlatInputs":
-        """The recursions' inputs in flat form, built on the first pass that
-        needs them and shared by every later pass on this model; the model's
-        arrays must not change after that."""
-        obs_row, obs_col = np.nonzero(self.hidx >= 0)
-        obs_row.setflags(write=False)
-        obs_col.setflags(write=False)
-        return FlatInputs(
-            obs_row=obs_row,
-            obs_col=obs_col,
-            count=tuple(np.bincount(obs_row, minlength=self.n).tolist()),
-            level=tuple(self.lvl_of_col[obs_col].tolist()),
-            y=tuple(self.values[obs_row, obs_col].tolist()),
-            hidx=tuple(self.hidx[obs_row, obs_col].tolist()),
-            moved=tuple(self.apply.any(axis=1).tolist()),
-            corr=tuple(self.corr_idx.tolist()),
-            apply_=tuple(self.apply.ravel().tolist()),
-            window=tuple(np.asarray(self.window, dtype=float).ravel().tolist()),
-            tvar=tuple(self.tvar_idx.ravel().tolist()),
-        )
-
-
-@dataclass(frozen=True)
-class FlatInputs:
-    """Parameter-independent inputs of the recursions in flat form.
-
-    The observed slots are listed in row-major order, at (obs_row, obs_col)
-    of the (n, p) slot grid: row nu owns the next count[nu] of them, and
-    slot o reads the value y[o], the measurement-variance index hidx[o] and
-    the state index level[o] of its series level. moved[nu] and corr[nu]
-    are per row; apply_, window and tvar are per (row, series), at nu*k + j.
-    Tuples and read-only arrays, so that no pass can change them.
-    """
-
     obs_row: np.ndarray
     obs_col: np.ndarray
-    count: tuple
     level: tuple
     y: tuple
     hidx: tuple
-    moved: tuple  # some series applies the transition at the row
+    count: tuple
+    moved: tuple
     corr: tuple
     apply_: tuple
     window: tuple
     tvar: tuple
+
+    @property
+    def n_obs_slots(self) -> int:
+        return len(self.y)
 
 
 def compile_model(
@@ -178,28 +146,21 @@ def compile_model(
     n = data.n_rows
     k = spec.n_series
     m = spec.order_m
-    p = MAX_SLOTS * k
     view = data.view
     keys = group_keys(spec, view)
 
-    values = np.full((n, p), np.nan)
-    values[keys.row, keys.col] = view.value[keys.slot]
-    hidx = np.full((n, p), -1, dtype=np.int64)
-    tvar_idx = np.full((n, k), -1, dtype=np.int64)
-    corr_idx = np.full(n, -1, dtype=np.int64)
+    hidx = np.empty(keys.slot.size, dtype=np.int64)
+    tvar = np.empty((n, k), dtype=np.int64)
+    corr = np.full(n, -1, dtype=np.int64)
     for j, sr in enumerate(spec.series):
         on = keys.local == j
-        hidx[keys.row[on], keys.col[on]] = _lookup(
-            keys.meas[on], lambda key: layout.meas_index[(sr, key)]
-        )
-        tvar_idx[:, j] = _lookup(
-            keys.trans, lambda key: layout.trans_index.get((sr, key), -1)
-        )
+        hidx[on] = _lookup(keys.meas[on], lambda key: layout.meas_index[(sr, key)])
+        tvar[:, j] = _lookup(keys.trans, lambda key: layout.trans_index.get((sr, key), -1))
     if k == 2:
-        corr_idx[:] = _lookup(keys.corr, lambda key: layout.corr_index.get(key, -1))
-
+        corr[:] = _lookup(keys.corr, lambda key: layout.corr_index.get(key, -1))
     apply_, window = booking_schedule(view.dts, keys.observed)
-    lvl_of_col = np.array([j * m for j in range(k) for _ in range(MAX_SLOTS)])
+    for a in (keys.row, keys.col):
+        a.setflags(write=False)
 
     return CompiledModel(
         spec=spec,
@@ -208,16 +169,19 @@ def compile_model(
         n_series=k,
         m=m,
         s=k * m,
-        p=p,
-        stamps=view.stamps.copy(),
-        values=values,
-        hidx=hidx,
-        lvl_of_col=lvl_of_col,
-        apply=apply_,
-        window=window,
-        tvar_idx=tvar_idx,
-        corr_idx=corr_idx,
-        n_obs_slots=keys.row.size,
+        p=MAX_SLOTS * k,
+        stamps=view.stamps,
+        obs_row=keys.row,
+        obs_col=keys.col,
+        level=tuple((keys.local * m).tolist()),
+        y=tuple(view.value[keys.slot].tolist()),
+        hidx=tuple(hidx.tolist()),
+        count=tuple(np.bincount(keys.row, minlength=n).tolist()),
+        moved=tuple(apply_.any(axis=1).tolist()),
+        corr=tuple(corr.tolist()),
+        apply_=tuple(apply_.ravel().tolist()),
+        window=tuple(window.ravel().tolist()),
+        tvar=tuple(tvar.ravel().tolist()),
     )
 
 
@@ -421,9 +385,8 @@ def loglik(compiled: CompiledModel, params) -> float:
 def _loglik_dim1(cm: CompiledModel, h: list) -> float:
     # _forward at s = 1 without paths: a, P and P_inf are floats instead of
     # one-element lists, and every operation is _forward's, in its order
-    fl = cm.flat
-    count, y, hidx = fl.count, fl.y, fl.hidx
-    apply_, window, tvar = fl.apply_, fl.window, fl.tvar  # per row: one series
+    count, y, hidx = cm.count, cm.y, cm.hidx
+    apply_, window, tvar = cm.apply_, cm.window, cm.tvar  # per row: one series
     rec_v, rec_F = array("d"), array("d")
     keep_v, keep_F = rec_v.append, rec_F.append
     rec_diffuse = {}
@@ -447,7 +410,7 @@ def _loglik_dim1(cm: CompiledModel, h: list) -> float:
             else:
                 if not 0.0 < F < inf:
                     raise ConditioningError(
-                        nu, f"innovation variance {F} at slot column {fl.obs_col[o]}"
+                        nu, f"innovation variance {F} at slot column {cm.obs_col[o]}"
                     )
                 K = P / F
                 a += K * v
@@ -479,12 +442,11 @@ def _forward(
     each row. Without keep_paths only the innovations and their variances
     are kept, for the log terms, and paths and booked are None.
     """
-    fl = cm.flat
     n, s, p = cm.n, cm.s, cm.p
     m, k = cm.m, cm.n_series
     ss = s * s
-    count, level, y, hidx = fl.count, fl.level, fl.y, fl.hidx
-    moved, corr, apply_, window, tvar = fl.moved, fl.corr, fl.apply_, fl.window, fl.tvar
+    count, level, y, hidx = cm.count, cm.level, cm.y, cm.hidx
+    moved, corr, apply_, window, tvar = cm.moved, cm.corr, cm.apply_, cm.window, cm.tvar
     tail = [(j * m + m - 1) * (s + 1) for j in range(k)]  # flat index of (last, last)
     cross_at = ((m - 1) * s + 2 * m - 1, (2 * m - 1) * s + m - 1)
     rs = range(s)
@@ -561,7 +523,7 @@ def _forward(
             else:
                 if not 0.0 < Fs < inf:
                     raise ConditioningError(
-                        nu, f"innovation variance {Fs} at slot column {fl.obs_col[o]}"
+                        nu, f"innovation variance {Fs} at slot column {cm.obs_col[o]}"
                     )
                 K = [x / Fs for x in Ms]
                 a = [x + kr * v for x, kr in zip(a, K)]
@@ -596,8 +558,8 @@ def _forward(
         filtered_means=_paths_array(filt_a, (n, s)),
         filtered_covs=_paths_array(filt_P, (n, s, s)),
         filtered_covs_inf=_paths_array(filt_Pi, (n, s, s)),
-        innovations=_slot_columns(rec_v, fl.obs_row, fl.obs_col, (n, p)),
-        innovation_variances=_slot_columns(rec_F, fl.obs_row, fl.obs_col, (n, p)),
+        innovations=_slot_columns(rec_v, cm.obs_row, cm.obs_col, (n, p)),
+        innovation_variances=_slot_columns(rec_F, cm.obs_row, cm.obs_col, (n, p)),
         diffuse_rows=np.array(diffuse_rows, dtype=bool),
     )
     return ll, (a, Ps, Pi), paths, _paths_array(booked, (n, k, k)), len(rec_diffuse)
@@ -645,7 +607,7 @@ def smooth(run: FilterRun) -> StatePaths:
     n, s, m, k = cm.n, cm.s, cm.m, cm.n_series
     paths = run.paths
     tails = [j * m + m - 1 for j in range(k)]
-    succ = np.flatnonzero(cm.flat.moved[1:]) + 1  # the rows that move some block
+    succ = np.flatnonzero(cm.moved[1:]) + 1  # the rows that move some block
     Q = run.booked[succ]
     B = Q @ _tail_precision(paths, succ, tails)  # the tail rows of Q G
     C = Q - B[:, :, tails] @ Q  # Q - Q G Q at the tails
@@ -655,7 +617,7 @@ def smooth(run: FilterRun) -> StatePaths:
     if s == 1:
         X, XV = _backward_dim1(*last, *steps)
     else:
-        X, XV = _backward(*last, *steps, tails, m, cm.flat.apply_)
+        X, XV = _backward(*last, *steps, tails, m, cm.apply_)
 
     # X and XV hold row n - 1, then row u - 1 for each u in succ, last first;
     # every other row takes the moments of the first of those at or after it

@@ -52,6 +52,7 @@ TRANS_GROUPINGS = ("pooled", "by-climate-state")
 CORR_GROUPINGS = ("pooled", "by-climate-state")
 
 POOLED_KEY = 0  # group key used when a grouping is pooled
+MAX_ORDER = 8  # the highest trend order m a spec may have
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.arity not in ARITIES:
             raise ValueError(f"arity must be one of {ARITIES}, got {self.arity!r}")
-        if not (1 <= int(self.order_m) <= 8):
-            raise ValueError(f"order_m must be in [1, 8], got {self.order_m}")
+        if not (1 <= int(self.order_m) <= MAX_ORDER):
+            raise ValueError(f"order_m must be in [1, {MAX_ORDER}], got {self.order_m}")
         if self.meas_grouping not in MEAS_GROUPINGS:
             raise ValueError(f"unknown meas_grouping {self.meas_grouping!r}")
         if self.trans_grouping not in TRANS_GROUPINGS:

@@ -1,5 +1,7 @@
 """Shared builders for small synthetic datasets used across the test modules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,11 +135,13 @@ MIXED_RECORDS = [
 
 
 def mixed_panels(tmp_path):
-    """The MIXED_RECORDS panel built four ways: by collate_rows, read back
-    from its canonical CSV (whose padding slots are fresh objects) and with
-    grid rows merged in, twice. The second grid has several stamps before
-    the first row and stamps within COINCIDENCE_TOL of data rows, on both
-    sides."""
+    """The MIXED_RECORDS panel built five ways: by collate_rows, read back
+    from its canonical CSV (whose padding slots are fresh objects), with
+    grid rows merged in, twice, and sliced. The second grid has several
+    stamps before the first row and stamps within COINCIDENCE_TOL of data
+    rows, on both sides. The sliced panel is given a tuple of rows (rows 1
+    to 6, so one leading all-missing row and a first dt that is not NaN),
+    as a fit window on a sub-panel is."""
     collated = collate_rows(MIXED_RECORDS)
     write_canonical_csv(collated, tmp_path / "panel.csv")
     write_registry_json(collated, tmp_path / "registry.json")
@@ -153,6 +157,7 @@ def mixed_panels(tmp_path):
         "canonical": read_back,
         "merged": merged,
         "merged_edges": merged_edges,
+        "sliced": dataclasses.replace(collated, rows=collated.rows[1:7]),
     }
 
 

@@ -163,6 +163,42 @@ def test_usage_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+# Out-of-range flags are usage errors, found before any file is read: the
+# data and fit paths below do not exist, which would otherwise exit 65.
+
+
+@pytest.mark.parametrize("order", ["0", "9"])
+def test_usage_fit_order_out_of_range(tmp_path, capsys, order):
+    argv = ["fit", "--data", str(tmp_path / "none.csv"), "--order", order]
+    assert main(argv) == EXIT_USAGE
+    assert "argument --order: must be in [1, 8]" in capsys.readouterr().err
+
+
+def test_usage_fit_starts_zero(tmp_path, capsys):
+    argv = ["fit", "--data", str(tmp_path / "none.csv"), "--starts", "0"]
+    assert main(argv) == EXIT_USAGE
+    assert "argument --starts: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh", ["0", "-5", "nan"])
+def test_usage_impute_mesh_years_not_positive(tmp_path, capsys, mesh):
+    argv = [
+        "impute", "--data", str(tmp_path / "none.csv"), "--fit", str(tmp_path / "none.json"),
+        "--mesh-years", mesh,
+    ]
+    assert main(argv) == EXIT_USAGE
+    assert "argument --mesh-years: must be a positive number" in capsys.readouterr().err
+
+
+def test_usage_gain_samples_below_two(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["gain", "--q", "0.5", "--samples", "1", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing computed or printed first
+    assert "argument --samples: must be at least 2" in captured.err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -262,6 +262,9 @@ def test_max_slots_enforced():
         ((-2.0, 0, float("nan"), "a", "s"), "NaN value at stamp -2.0; use None for missing"),
         ((-2.0, 1.0, 1.0, "a", "s"), "unknown series tag: 1.0"),
         ((-2.0, "d15N", 1.0, "a", "s"), "unknown series tag: 'd15N'"),
+        ((-math.inf, 0, 1.0, "a", "s"), "infinite time stamp -inf in records"),
+        ((-2.0, 0, math.inf, "a", "s"), "infinite value inf at stamp -2.0"),
+        ((-2.0, "d13C", "-inf", "a", "s"), "infinite value -inf at stamp -2.0"),
     ],
 )
 def test_collate_rejects_bad_records(record, message):
@@ -307,7 +310,7 @@ def _slot_walk(data):
     return at, value, source, species
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges"])
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
 def test_panel_view_equals_slot_walk(tmp_path, build):
     data = mixed_panels(tmp_path)[build]
     view = data.view
@@ -325,8 +328,10 @@ def test_panel_view_equals_slot_walk(tmp_path, build):
     assert (view.at.dtype, view.source.dtype, view.species.dtype) == (np.int64, np.int32, np.int32)
     for name in ("stamps", "dts", "climate_states", "at", "value", "source", "species"):
         assert not getattr(view, name).flags.writeable
-    assert data.n_observed_slots() == len(at) == sum(r[2] is not None for r in MIXED_RECORDS)
-    assert data.n_observed_slots("d18O") == 8
+    # the sliced panel drops the last row, which holds one d18O value
+    n_d18o = 7 if build == "sliced" else 8
+    assert data.n_observed_slots() == len(at) == n_d18o + 4
+    assert data.n_observed_slots("d18O") == n_d18o
     assert data.n_observed_slots(2) == 4
 
 

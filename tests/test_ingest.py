@@ -132,6 +132,23 @@ def test_parse_malformed_cell_names_its_stripped_text(tmp_path, line, column, te
     assert str(err.value) == f"line 3: malformed numeric {text!r} in column {column}"
 
 
+@pytest.mark.parametrize(
+    "line, column, text",
+    [
+        ("3.5,nan,0.5,A,S", "d18O", "nan"),
+        ("3.5,2.1, NaN ,A,S", "d13C", "NaN"),
+        ("3.5,inf,0.5,A,S", "d18O", "inf"),
+        ("3.5,,-Infinity,A,S", "d13C", "-Infinity"),
+    ],
+)
+def test_parse_rejects_non_finite_isotope_cells(tmp_path, line, column, text):
+    # a nan cell is not a missing value, and an infinite one no observation
+    raw = f"age_tuned,d18O,d13C,source,species\n3.0,1.0,,A,S\n{line}\n"
+    with pytest.raises(ParseError) as err:
+        parse_csv(_write(tmp_path, raw))
+    assert str(err.value) == f"line 3: non-finite value {text!r} in column {column}"
+
+
 @pytest.mark.parametrize("age", ["0", "-1.5", "70", "71.2"])
 def test_parse_age_domain_enforced(tmp_path, age):
     text = f"age_tuned,d18O,d13C,source,species\n{age},2.1,0.5,A,S\n"
@@ -368,6 +385,13 @@ _CANON_HEADER = "stamp,series,value,source_id,species_id,climate_state\n"
             "line 3: NaN in column value",
         ),
         (_CANON_HEADER + "nan,,,,,6\n", ParseError, "line 2: NaN in column stamp"),
+        (_CANON_HEADER + "inf,,,,,6\n", ParseError, "line 2: infinite value in column stamp"),
+        (_CANON_HEADER + "-2.0,d18O,-inf,0,0,6\n", ParseError, "line 2: infinite value in column value"),
+        (
+            _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n-1.0,d13C,Infinity,0,0,6\n",
+            ParseError,
+            "line 3: infinite value in column value",
+        ),
     ],
 )
 def test_read_canonical_csv_rejects_bad_input(tmp_path, text, error, message):

@@ -34,6 +34,7 @@ from paleokalman.kalman import (
     write_state_paths_csv,
 )
 from paleokalman import _kernels, kalman
+from paleokalman.modelspec import booking_schedule
 
 from conftest import MIXED_RECORDS, mixed_panels, rows_from_values, small_simulated
 
@@ -525,7 +526,7 @@ def test_dim1_loglik_equals_filter_bitwise(name, seed):
     cm = compile_model(spec, layout, data)
     assert cm.s == 1
     # interior gap rows, and rows with one to four observed slots
-    assert 0 in cm.flat.count[3:] and set(cm.flat.count) >= {1, 2, 3, 4}
+    assert 0 in cm.count[3:] and set(cm.count) >= {1, 2, 3, 4}
     rng = np.random.default_rng(100 + seed)
     for _ in range(10):
         # variances from 6e-6 to 20: signal-to-noise ratios over ~7 decades
@@ -580,7 +581,7 @@ def test_dim1_smoother_equals_general_recursion_bitwise(monkeypatch):
         assert np.array_equal(paths.smoothed_covs, covs)
 
 
-def test_cached_flat_inputs_are_not_mutated():
+def test_compiled_model_is_frozen_and_shared_by_passes():
     spec = ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled")
     A = [0.1, 0.2, 1.0, 0.7, 0.4]
     B = [0.3, 0.05, 0.2, 2.0, -0.6]
@@ -590,6 +591,13 @@ def test_cached_flat_inputs_are_not_mutated():
     data = small_simulated(spec, A, n_rows=40, slots=2, seed=11, observed=obs)
     layout = build_layout(spec, data)
     cm = compile_model(spec, layout, data)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cm.y = ()
+    for f in dataclasses.fields(cm):
+        x = getattr(cm, f.name)
+        assert not isinstance(x, (list, dict)), f.name
+        if isinstance(x, np.ndarray):
+            assert not x.flags.writeable, f.name
     ll_a = kloglik(cm, A)
     assert kloglik(cm, B) != ll_a
     assert kloglik(cm, A) == ll_a
@@ -698,8 +706,10 @@ def test_write_state_paths_csv(tmp_path):
 
 
 def _reference_indices(spec, layout, data):
-    # hidx, tvar_idx and corr_idx resolved row by row and slot by slot
+    # the slot values, hidx, tvar_idx and corr_idx resolved row by row and
+    # slot by slot, on the dense (n, 8k) slot grid (NaN and -1 where missing)
     n, k = data.n_rows, spec.n_series
+    values = np.full((n, MAX_SLOTS * k), np.nan)
     hidx = np.full((n, MAX_SLOTS * k), -1, dtype=np.int64)
     tvar_idx = np.full((n, k), -1, dtype=np.int64)
     corr_idx = np.full(n, -1, dtype=np.int64)
@@ -714,11 +724,12 @@ def _reference_indices(spec, layout, data):
                 key = {"pooled": 0, "by-source": slot.source_id, "by-species": slot.species_id}[
                     spec.meas_grouping
                 ]
+                values[nu, j * MAX_SLOTS + i] = slot.value
                 hidx[nu, j * MAX_SLOTS + i] = layout.meas_index[(sr, key)]
         if k == 2:
             ckey = regime if spec.corr_grouping == "by-climate-state" else 0
             corr_idx[nu] = layout.corr_index.get(ckey, -1)
-    return hidx, tvar_idx, corr_idx
+    return values, hidx, tvar_idx, corr_idx
 
 
 _GROUPED_SPECS = [
@@ -736,19 +747,36 @@ _GROUPED_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges"])
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
 def test_compiled_indices_match_slot_walk(tmp_path, build):
     data = mixed_panels(tmp_path)[build]
     for spec in _GROUPED_SPECS:
         layout = build_layout(spec, data)
         cm = compile_model(spec, layout, data)
-        hidx, tvar_idx, corr_idx = _reference_indices(spec, layout, data)
-        for name, ref in (("hidx", hidx), ("tvar_idx", tvar_idx), ("corr_idx", corr_idx)):
-            got = getattr(cm, name)
-            assert got.dtype == np.int64, (spec, name)
-            assert np.array_equal(got, ref), (spec, name)
-        assert cm.n_obs_slots == int(np.sum(hidx >= 0))
-        assert np.array_equal(np.isnan(cm.values), hidx < 0)
+        values, hidx, tvar_idx, corr_idx = _reference_indices(spec, layout, data)
+        n, k = data.n_rows, spec.n_series
+        # the observed slots, row-major, are where the reference has a value
+        rows, cols = np.nonzero(hidx >= 0)
+        assert np.array_equal(cm.obs_row, rows) and np.array_equal(cm.obs_col, cols), spec
+        assert cm.n_obs_slots == rows.size
+        assert cm.count == tuple(np.bincount(rows, minlength=n).tolist()), spec
+        assert cm.level == tuple((cols // MAX_SLOTS * spec.order_m).tolist()), spec
+        # scattered back to the grid, the slot fields equal the reference
+        got_values = np.full(values.shape, np.nan)
+        got_values[cm.obs_row, cm.obs_col] = cm.y
+        got_hidx = np.full(hidx.shape, -1, dtype=np.int64)
+        got_hidx[cm.obs_row, cm.obs_col] = cm.hidx
+        assert np.array_equal(got_values, values, equal_nan=True), spec
+        assert np.array_equal(got_hidx, hidx), spec
+        assert np.array_equal(np.reshape(cm.tvar, (n, k)), tvar_idx), spec
+        assert cm.corr == tuple(corr_idx.tolist()), spec
+        observed = (hidx >= 0).reshape(n, k, MAX_SLOTS).any(axis=2)
+        apply_, window = booking_schedule([r.dt for r in data.rows], observed)
+        assert cm.apply_ == tuple(apply_.ravel().tolist()), spec
+        assert cm.window == tuple(window.ravel().tolist()), spec
+        assert cm.moved == tuple(apply_.any(axis=1).tolist()), spec
+        for name in ("level", "hidx", "count", "corr", "tvar"):
+            assert all(type(x) is int for x in getattr(cm, name)), (spec, name)
 
 
 def test_compile_rejects_layout_missing_a_source():

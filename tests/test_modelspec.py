@@ -300,7 +300,7 @@ def test_booking_schedule_telescopes_any_pattern(pattern, seed):
 
 
 # ---------------------------------------------------------------------------
-# compiled per-row arrays
+# compiled per-slot and per-row inputs
 # ---------------------------------------------------------------------------
 
 
@@ -315,10 +315,10 @@ def test_compiled_first_row_frozen():
     data = rows_from_values([-3.0, -2.0], [[1.0], [1.1]])
     layout = build_layout(spec, data)
     cm = kalman.compile_model(spec, layout, data)
-    assert cm.apply[:, 0].tolist() == [False, True]
-    assert cm.window[:, 0].tolist() == [0.0, 1.0]
-    assert cm.hidx[:, 0].tolist() == [0, 0]
-    assert cm.tvar_idx[:, 0].tolist() == [1, 1]
+    assert cm.apply_ == (False, True)
+    assert cm.window == (0.0, 1.0)
+    assert cm.hidx == (0, 0)
+    assert cm.tvar == (1, 1)
     paths = kalman.filter(spec, layout, [0.3, 0.7], data, init=_zero_prior(1)).paths
     assert paths.predicted_covs[0, 0, 0] == 0.0
     assert paths.innovation_variances[0, 0] == pytest.approx(0.3)
@@ -334,12 +334,14 @@ def test_compiled_bivariate_cross_term_uses_min_window():
     spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
     layout = build_layout(spec, data)
     cm = kalman.compile_model(spec, layout, data)
-    # only series 2 books at the middle row: no cross term there
-    assert cm.apply.tolist() == [[False, False], [False, True], [True, True]]
-    assert cm.window[1].tolist() == [0.0, 0.5]
-    assert cm.window[2].tolist() == [1.0, 0.5]
-    assert cm.tvar_idx.tolist() == [[2, 3]] * 3
-    assert cm.corr_idx.tolist() == [4, 4, 4]
+    # only series 2 books at the middle row: no cross term there; the
+    # per-(row, series) fields are row-major, row nu's series j at nu*2 + j
+    assert cm.apply_ == (False, False, False, True, True, True)
+    assert cm.moved == (False, True, True)
+    assert cm.window[2:4] == (0.0, 0.5)
+    assert cm.window[4:6] == (1.0, 0.5)
+    assert cm.tvar == (2, 3) * 3
+    assert cm.corr == (4, 4, 4)
     params = [0.1, 0.2, 0.4, 0.9, 0.5]
     paths = kalman.filter(spec, layout, params, data, init=_zero_prior(2)).paths
     P1, P2 = paths.predicted_covs[1], paths.predicted_covs[2]
@@ -358,10 +360,15 @@ def test_compiled_slots_point_at_levels():
     layout = build_layout(spec, data)
     cm = kalman.compile_model(spec, layout, data)
     assert cm.p == 8 and cm.s == 4
-    # series-1 slots -> series-1 level (index 0), series-2 -> index m
-    assert cm.lvl_of_col.tolist() == [0, 0, 0, 0, 2, 2, 2, 2]
-    assert cm.hidx[0].tolist() == [0, -1, -1, -1, 1, -1, -1, -1]
-    assert (cm.hidx[0] < 0).tolist() == [False, True, True, True, False, True, True, True]
+    # one observed slot per series and row, listed row-major: series-1
+    # slots (column 0) -> series-1 level (index 0), series-2 (column 4) ->
+    # index m
+    assert cm.obs_row.tolist() == [0, 0, 1, 1]
+    assert cm.obs_col.tolist() == [0, 4, 0, 4]
+    assert cm.count == (2, 2)
+    assert cm.level == (0, 2, 0, 2)
+    assert cm.hidx == (0, 1, 0, 1)
+    assert cm.y == (1.0, 0.5, 1.1, 0.6)
 
 
 def test_compiled_disturbance_enters_last_component():
