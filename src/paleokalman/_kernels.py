@@ -1,8 +1,9 @@
 """The log-likelihood entry point that the fitting loop evaluates.
 
 The loglik is kalman.loglik: the filter's own forward recursion run without
-its paths or, at state dimension 1, the same recursion on plain floats,
-which gives the filter's loglik bit for bit. Here an inadmissible parameter
+its paths. At state dimension 1 that is the filter's dim-1 forward
+(kalman._forward_dim1) on plain floats, used by loglik and filter alike, so
+the two logliks are equal bit for bit. Here an inadmissible parameter
 point (an innovation variance that is not positive, or trend variances with
 no real increment covariance) gives NaN rather than ConditioningError, so
 the optimizer can score it.

@@ -35,12 +35,14 @@ predicted and filtered paths to array('d') buffers and records the
 disturbance covariance booked at each row, for the backward pass. loglik,
 which every fit evaluation calls, runs the same loop but keeps only the
 innovations and their variances, so the two logliks are equal bit for
-bit. At state dimension 1 loglik runs _loglik_dim1 instead: that loop on
-floats rather than one-element lists, with the same operations in the same
-order, so it too equals filter's loglik bit for bit. The backward pass
-keeps only what is sequential, a rank-k update and a block
-back-substitution per row; the precisions it needs come from batched
-solves, and at state dimension 1 it too runs on floats (_backward_dim1).
+bit. At state dimension 1 both run _forward_dim1, the twin of _forward on
+floats rather than one-element lists, with the same two modes and the same
+operations in the same order, so its loglik, paths and booked variances
+equal _forward's bit for bit; _forward, the reference, runs every larger
+state. The backward pass keeps only what is sequential, a rank-k update
+and a block back-substitution per row; the precisions it needs come from
+batched solves, and at state dimension 1 it too runs on floats
+(_backward_dim1).
 """
 
 from __future__ import annotations
@@ -347,7 +349,8 @@ def filter(
         Ps = np.asarray(P1, dtype=float).reshape(s * s).tolist()
         start = a, Ps, [0.0] * (s * s), False
 
-    ll, (a, Ps, Pi), paths, booked, n_diffuse = _forward(cm, params.tolist(), *start, True)
+    forward = _forward_dim1 if s == 1 else _forward
+    ll, (a, Ps, Pi), paths, booked, n_diffuse = forward(cm, params.tolist(), *start, True)
     state = FilterState(
         a=np.array(a),
         P=np.array(Ps).reshape(s, s),
@@ -369,60 +372,15 @@ def filter(
 def loglik(compiled: CompiledModel, params) -> float:
     """Exact-diffuse loglik at params: filter's forward pass without paths.
 
-    At state dimension 1 (univariate, order 1) it runs _loglik_dim1, the
-    same recursion on plain floats, equal to filter's loglik bit for bit;
-    otherwise _forward itself. The parameters are used as given, not
-    validated. A point where some innovation variance is not positive, or
-    where the trend variances give no real increment covariance, raises
-    ConditioningError.
+    At state dimension 1 (univariate, order 1) the pass is _forward_dim1,
+    otherwise _forward, as in filter, so the two logliks are equal bit for
+    bit. The parameters are used as given, not validated. A point where
+    some innovation variance is not positive, or where the trend variances
+    give no real increment covariance, raises ConditioningError.
     """
     h = np.asarray(params, dtype=float).tolist()
-    if compiled.s == 1:
-        return _loglik_dim1(compiled, h)
-    return _forward(compiled, h, *_diffuse_start(compiled.s), False)[0]
-
-
-def _loglik_dim1(cm: CompiledModel, h: list) -> float:
-    # _forward at s = 1 without paths: a, P and P_inf are floats instead of
-    # one-element lists, and every operation is _forward's, in its order
-    count, y, hidx = cm.count, cm.y, cm.hidx
-    apply_, window, tvar = cm.apply_, cm.window, cm.tvar  # per row: one series
-    rec_v, rec_F = array("d"), array("d")
-    keep_v, keep_F = rec_v.append, rec_F.append
-    rec_diffuse = {}
-    inf = math.inf
-    a, P, Pi, diffuse = 0.0, 0.0, 1.0, True  # _diffuse_start(1)
-    first = 0
-
-    for nu, c in enumerate(count):
-        if nu > 0 and apply_[nu]:
-            P += h[tvar[nu]] * window[nu]
-        last = first + c
-        for o in range(first, last):
-            v = y[o] - a
-            F = P + h[hidx[o]]
-            if diffuse and Pi > DIFFUSE_TOL:
-                K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
-                a += K * v
-                P = ((P + K * K * F) - K * P) - P * K
-                rec_diffuse[o] = Pi  # F_inf at s = 1
-                Pi -= K * Pi
-            else:
-                if not 0.0 < F < inf:
-                    raise ConditioningError(
-                        nu, f"innovation variance {F} at slot column {cm.obs_col[o]}"
-                    )
-                K = P / F
-                a += K * v
-                P -= K * P
-            keep_v(v)
-            keep_F(F)
-        first = last
-        if diffuse and abs(Pi) < DIFFUSE_TOL:
-            Pi = 0.0
-            diffuse = False
-
-    return _log_sum(rec_v, rec_F, rec_diffuse)
+    forward = _forward_dim1 if compiled.s == 1 else _forward
+    return forward(compiled, h, *_diffuse_start(compiled.s), False)[0]
 
 
 def _diffuse_start(s: int) -> tuple:
@@ -442,7 +400,7 @@ def _forward(
     each row. Without keep_paths only the innovations and their variances
     are kept, for the log terms, and paths and booked are None.
     """
-    n, s, p = cm.n, cm.s, cm.p
+    n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
     ss = s * s
     count, level, y, hidx = cm.count, cm.level, cm.y, cm.hidx
@@ -459,7 +417,6 @@ def _forward(
     if keep_paths:
         pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
         filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
-        diffuse_rows = []
         booked = array("d", bytes(8 * n * k * k))  # row nu's k x k block at nu*k*k
     first = 0  # the row's first slot
 
@@ -498,8 +455,7 @@ def _forward(
             pred_a.fromlist(a)
             pred_P.fromlist(Ps)
             if diffuse:
-                pred_Pi.fromlist(Pi)
-            diffuse_rows.append(diffuse)
+                pred_Pi.fromlist(Pi)  # the diffuse rows are a leading run
 
         last = first + count[nu]
         for o in range(first, last):
@@ -550,7 +506,84 @@ def _forward(
     ll = _log_sum(rec_v, rec_F, rec_diffuse)
     if not keep_paths:
         return ll, (a, Ps, Pi), None, None, len(rec_diffuse)
-    paths = StatePaths(
+    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, filt_Pi, rec_v, rec_F)
+    return ll, (a, Ps, Pi), paths, _paths_array(booked, (n, k, k)), len(rec_diffuse)
+
+
+def _forward_dim1(
+    cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
+) -> tuple:
+    # _forward at s = 1, with the same arguments and results: a, P and P_inf
+    # are floats instead of one-element lists, and every operation is
+    # _forward's, in its order
+    n = cm.n
+    count, y, hidx = cm.count, cm.y, cm.hidx
+    apply_, window, tvar = cm.apply_, cm.window, cm.tvar  # per row: one series
+    rec_v, rec_F = array("d"), array("d")
+    keep_v, keep_F = rec_v.append, rec_F.append
+    rec_diffuse = {}
+    inf = math.inf
+    (a,), (P,), (Pi,) = a, Ps, Pi
+    if keep_paths:
+        pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
+        filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
+        booked = array("d", bytes(8 * n))
+    first = 0
+
+    for nu, c in enumerate(count):
+        if nu > 0 and apply_[nu]:
+            q = h[tvar[nu]] * window[nu]
+            P += q
+            if keep_paths:
+                booked[nu] = q
+        if keep_paths:
+            pred_a.append(a)
+            pred_P.append(P)
+            if diffuse:
+                pred_Pi.append(Pi)
+        last = first + c
+        for o in range(first, last):
+            v = y[o] - a
+            F = P + h[hidx[o]]
+            if diffuse and Pi > DIFFUSE_TOL:
+                K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
+                a += K * v
+                P = ((P + K * K * F) - K * P) - P * K
+                rec_diffuse[o] = Pi  # F_inf at s = 1
+                Pi -= K * Pi
+            else:
+                if not 0.0 < F < inf:
+                    raise ConditioningError(
+                        nu, f"innovation variance {F} at slot column {cm.obs_col[o]}"
+                    )
+                K = P / F
+                a += K * v
+                P -= K * P
+            keep_v(v)
+            keep_F(F)
+        first = last
+        if diffuse and abs(Pi) < DIFFUSE_TOL:
+            Pi = 0.0
+            diffuse = False
+        if keep_paths:
+            filt_a.append(a)
+            filt_P.append(P)
+            if diffuse:
+                filt_Pi.append(Pi)
+
+    ll = _log_sum(rec_v, rec_F, rec_diffuse)
+    if not keep_paths:
+        return ll, ([a], [P], [Pi]), None, None, len(rec_diffuse)
+    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, filt_Pi, rec_v, rec_F)
+    return ll, ([a], [P], [Pi]), paths, _paths_array(booked, (n, 1, 1)), len(rec_diffuse)
+
+
+def _state_paths(cm: CompiledModel, pred_a, pred_P, pred_Pi, filt_a, filt_P, filt_Pi, v, F):
+    # StatePaths from a forward pass's buffers: the moments of every row, the
+    # diffuse parts of the leading diffuse rows, and one innovation and its
+    # variance per observed slot
+    n, s, p = cm.n, cm.s, cm.p
+    return StatePaths(
         stamps=cm.stamps,
         predicted_means=_paths_array(pred_a, (n, s)),
         predicted_covs=_paths_array(pred_P, (n, s, s)),
@@ -558,24 +591,23 @@ def _forward(
         filtered_means=_paths_array(filt_a, (n, s)),
         filtered_covs=_paths_array(filt_P, (n, s, s)),
         filtered_covs_inf=_paths_array(filt_Pi, (n, s, s)),
-        innovations=_slot_columns(rec_v, cm.obs_row, cm.obs_col, (n, p)),
-        innovation_variances=_slot_columns(rec_F, cm.obs_row, cm.obs_col, (n, p)),
-        diffuse_rows=np.array(diffuse_rows, dtype=bool),
+        innovations=_slot_columns(v, cm.obs_row, cm.obs_col, (n, p)),
+        innovation_variances=_slot_columns(F, cm.obs_row, cm.obs_col, (n, p)),
+        diffuse_rows=np.arange(n) < len(pred_Pi) // (s * s),
     )
-    return ll, (a, Ps, Pi), paths, _paths_array(booked, (n, k, k)), len(rec_diffuse)
 
 
 def _log_sum(v: array, F: array, F_inf: dict) -> float:
     # slot o adds -(log 2pi + log F + v^2 / F) / 2, with F_inf for F and no
     # v^2 term at a diffuse slot. The terms are vectorized; the sum runs in
     # slot order (np.cumsum: np.sum adds pairwise, which moves the last bits)
-    v, F = np.array(v), np.array(F)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = v * v / F  # F_star is unchecked at diffuse slots, where q is unused
+    v, F = np.array(v), np.array(F)  # copies: the filter reads v afterwards
     for o, Fi in F_inf.items():
+        # F_star is unchecked at a diffuse slot, but F_inf > 0: every divisor
+        # is positive, and the v^2 term is +0.0
         F[o] = Fi
-        q[o] = 0.0
-    return float(np.cumsum(-0.5 * (_LOG2PI + np.log(F) + q))[-1]) if F.size else 0.0
+        v[o] = 0.0
+    return float(np.cumsum(-0.5 * (_LOG2PI + np.log(F) + v * v / F))[-1]) if F.size else 0.0
 
 
 # ---------------------------------------------------------------------------

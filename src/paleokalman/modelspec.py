@@ -345,21 +345,34 @@ def booking_schedule(dts, observed) -> tuple:
     apply : (n, k) bool, True where the trend transition applies.
     window : (n, k) float, accumulated time booked at applied rows (0 else).
     """
-    steps = np.asarray(dts, dtype=float).tolist()
+    steps = np.asarray(dts, dtype=float)
     observed = np.asarray(observed, dtype=bool)
     if observed.ndim == 1:
         observed = observed[:, None]
     n, k = observed.shape
     apply_ = np.zeros((n, k), dtype=bool)
     window = np.zeros((n, k))
-    for j in range(k):
-        rows = np.flatnonzero(observed[:, j]).tolist()
-        booked = []
-        for prev, nu in zip(rows, rows[1:]):
-            acc = 0.0
-            for dt in steps[prev + 1 : nu + 1]:
-                acc += dt
-            booked.append(acc)
-        apply_[rows[1:], j] = True
-        window[rows[1:], j] = booked
+    # the gaps between consecutive observed rows of each series, longest first
+    series, rows = np.nonzero(observed.T)
+    same = series[1:] == series[:-1]
+    start, end, series = rows[:-1][same], rows[1:][same], series[1:][same]
+    order = np.argsort(start - end)
+    start, end, series = start[order], end[order], series[order]
+    # Each window is the running sum of its gap's increments, left to right.
+    # While more than `few` gaps are at least i rows long (a prefix of them),
+    # iteration i adds the i-th increment of each; then each gap still open
+    # adds the rest of its increments alone (np.cumsum adds in order). So a
+    # long gap costs no numpy call per row.
+    few = 32
+    at_least = np.searchsorted(start - end, -np.arange(1, n), side="right")
+    many = at_least[at_least > few].tolist()
+    acc = np.zeros(start.size)
+    for i, c in enumerate(many, start=1):
+        acc[:c] += steps[start[:c] + i]
+    done = len(many)
+    for g in np.flatnonzero(end - start > done).tolist():
+        rest = steps[start[g] + done + 1 : end[g] + 1]
+        acc[g] = np.cumsum(np.concatenate(([acc[g]], rest)))[-1]
+    apply_[end, series] = True
+    window[end, series] = acc
     return apply_, window

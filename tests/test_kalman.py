@@ -478,7 +478,7 @@ def test_kernel_reports_nan_outside_admissible_region(instance, bad, reason):
 
 
 # ---------------------------------------------------------------------------
-# the dimension-1 loglik loop against the general recursion
+# the dimension-1 forward recursion against the general one
 # ---------------------------------------------------------------------------
 
 
@@ -534,6 +534,7 @@ def test_dim1_loglik_equals_filter_bitwise(name, seed):
         ll = kloglik(cm, params)
         assert ll == kfilter(spec, layout, params, data, compiled=cm).loglik
         assert ll == _kernels.loglik_from_compiled(cm, params)
+        assert ll == kalman._forward(cm, params.tolist(), *kalman._diffuse_start(1), False)[0]
 
 
 def test_dim1_loglik_raises_as_the_general_recursion():
@@ -579,6 +580,131 @@ def test_dim1_smoother_equals_general_recursion_bitwise(monkeypatch):
         paths = smooth(run)
         assert np.array_equal(paths.smoothed_means, means)
         assert np.array_equal(paths.smoothed_covs, covs)
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _assert_forward_dim1_equals_forward(cm, h, prior=None):
+    # both modes of _forward_dim1 against _forward, called directly, from the
+    # diffuse start or from the proper prior (a1, P1); _forward updates its
+    # start in place, so each pass gets a fresh one
+    def start():
+        if prior is None:
+            return kalman._diffuse_start(1)
+        return [prior[0]], [prior[1]], [0.0], False
+
+    for keep_paths in (False, True):
+        ll, final, paths, booked, n_diffuse = kalman._forward_dim1(cm, h, *start(), keep_paths)
+        ref = kalman._forward(cm, h, *start(), keep_paths)
+        assert _same_bits(ll, ref[0])
+        assert _same_bits(final, ref[1])
+        assert n_diffuse == ref[4]
+        if not keep_paths:
+            assert paths is booked is ref[2] is ref[3] is None
+            continue
+        assert _same_bits(booked, ref[3])
+        for f in dataclasses.fields(paths):
+            x, y = getattr(paths, f.name), getattr(ref[2], f.name)
+            assert (x is None and y is None) or _same_bits(x, y), f.name
+
+
+@pytest.mark.parametrize("prior", [None, (0.3, 0.5)], ids=["diffuse", "proper"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_dim1_equals_forward_bitwise(seed, prior):
+    data = _dim1_panel(seed)
+    rng = np.random.default_rng(200 + seed)
+    for spec in DIM1_SPECS.values():
+        layout = build_layout(spec, data)
+        cm = compile_model(spec, layout, data)
+        for _ in range(3):
+            h = np.exp(rng.uniform(-12.0, 3.0, layout.n_params)).tolist()
+            _assert_forward_dim1_equals_forward(cm, h, prior)
+
+
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
+def test_forward_dim1_equals_forward_on_mixed_panels(tmp_path, build):
+    # leading all-missing rows, grid rows, four slots in a row, and a sliced
+    # panel whose first dt is not NaN
+    data = mixed_panels(tmp_path)[build]
+    rng = np.random.default_rng(5)
+    for spec in (
+        ModelSpec(meas_grouping="by-source", trans_grouping="by-climate-state"),
+        ModelSpec(arity="univariate-series2", meas_grouping="by-species"),
+    ):
+        layout = build_layout(spec, data)
+        cm = compile_model(spec, layout, data)
+        assert cm.s == 1
+        for prior in (None, (-0.2, 2.0)):
+            h = np.exp(rng.uniform(-12.0, 3.0, layout.n_params)).tolist()
+            _assert_forward_dim1_equals_forward(cm, h, prior)
+
+
+def test_forward_dim1_raises_as_forward_with_paths():
+    # variances near the largest float: once the first observed slot (row 3)
+    # has ended the diffuse phase, the next innovation variance overflows to
+    # inf, which filter's pass rejects
+    spec = DIM1_SPECS["pooled"]
+    data = _dim1_panel(2)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    h = [1e308, 1e308]
+    with pytest.raises(ConditioningError) as fast:
+        kalman._forward_dim1(cm, h, *kalman._diffuse_start(1), True)
+    with pytest.raises(ConditioningError) as ref:
+        kalman._forward(cm, h, *kalman._diffuse_start(1), True)
+    assert str(fast.value) == str(ref.value)
+    assert fast.value.row_index == ref.value.row_index == 3
+    assert "innovation variance inf" in str(fast.value)
+    with pytest.raises(ConditioningError) as run:
+        kfilter(spec, layout, h, data, compiled=cm)
+    assert str(run.value) == str(ref.value)
+
+
+def test_dim1_passes_never_reach_the_general_recursion(monkeypatch, tmp_path):
+    # at s = 1 loglik, filter, smooth, impute and the CLI's smooth all run
+    # _forward_dim1; at s = 2 the pass is _forward
+    from paleokalman.cli import EXIT_OK, main
+
+    def general(*args):
+        raise AssertionError("_forward called")
+
+    monkeypatch.setattr(kalman, "_forward", general)
+    spec = ModelSpec()
+    data = _dim1_panel(0)
+    layout = build_layout(spec, data)
+    params = [0.04, 0.9]
+    assert math.isfinite(kloglik(compile_model(spec, layout, data), params))
+    paths = smooth(kfilter(spec, layout, params, data))
+    assert np.isfinite(paths.smoothed_means).all()
+    table = pk.impute(params, spec, data, [-60.0, -30.0, -1.0])
+    assert np.isfinite(table.means).all()
+
+    rng = np.random.default_rng(0)
+    ages = np.sort(rng.uniform(0.1, 3.0, 40))[::-1]
+    level = np.cumsum(rng.normal(0.0, 0.3, 40))
+    lines = ["age_tuned,d18O,d13C,source,species"]
+    for t, x in zip(ages, level):
+        lines.append(f"{t:.6f},{x + rng.normal(0.0, 0.2):.6f},,Site A,Cibicidoides")
+    raw = tmp_path / "data.csv"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fit_json = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(raw), "--out", str(fit_json)]) == EXIT_OK
+    out = tmp_path / "states.csv"
+    argv = ["smooth", "--data", str(raw), "--fit", str(fit_json), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert out.stat().st_size > 0
+
+    biv = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    biv_layout = build_layout(biv, data)
+    cm = compile_model(biv, biv_layout, data)
+    assert cm.s == 2
+    with pytest.raises(AssertionError, match="_forward called"):
+        kloglik(cm, [0.04, 0.04, 0.9, 0.9, 0.3])
+    with pytest.raises(AssertionError, match="_forward called"):
+        kfilter(biv, biv_layout, [0.04, 0.04, 0.9, 0.9, 0.3], data, compiled=cm)
 
 
 def test_compiled_model_is_frozen_and_shared_by_passes():

@@ -3,7 +3,7 @@ per-row arrays compile_model resolves from them."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from paleokalman import kalman
 from paleokalman.core import MeasurementSlot, collate_rows
@@ -15,6 +15,7 @@ from paleokalman.modelspec import (
 )
 
 from conftest import rows_from_values
+import reference_booking
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,61 @@ def test_booking_schedule_telescopes_any_pattern(pattern, seed):
     else:
         assert window.sum() == 0.0
         assert not apply_.any()
+
+
+@st.composite
+def _booking_inputs(draw):
+    # k = 1 or 2 series over n rows, each observed never, once, at the first
+    # and last rows only (one gap of the full length), or on a random set of
+    # rows after a run of leading missing rows; the first dt NaN or finite.
+    # Up to 80 rows, so that some panels have more than 32 gaps (the
+    # schedule's per-position adds) as well as long gaps (its per-gap sums)
+    n = draw(st.integers(min_value=1, max_value=80))
+    k = draw(st.sampled_from([1, 2]))
+    observed = np.zeros((n, k), dtype=bool)
+    for j in range(k):
+        kind = draw(st.sampled_from(["never", "once", "ends", "random"]))
+        if kind == "once":
+            observed[draw(st.integers(0, n - 1)), j] = True
+        elif kind == "ends":
+            observed[[0, n - 1], j] = True
+        elif kind == "random":
+            lead = draw(st.integers(0, n - 1))
+            observed[lead:, j] = draw(st.lists(st.booleans(), min_size=n - lead, max_size=n - lead))
+    dt = st.floats(min_value=0.0, max_value=10.0)
+    dts = draw(st.lists(dt, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        dts[0] = np.nan
+    return np.array(dts), observed
+
+
+def _assert_booking_equals_reference(dts, observed):
+    got = booking_schedule(dts, observed)
+    want = reference_booking.booking_schedule(dts, observed)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@given(_booking_inputs())
+@example((np.array([np.nan, 0.1, 0.2, 0.3]), np.array([[True, False]] * 4)))
+@example((np.array([0.5, 0.1, 0.2, 0.3]), np.array([[False], [True], [False], [True]])))
+def test_booking_schedule_equals_reference_bitwise(inputs):
+    # the vectorized running sums against the row-by-row loop, bit for bit
+    dts, observed = inputs
+    _assert_booking_equals_reference(dts, observed)
+    if observed.shape[1] == 1:  # a 1-d observed column is one series
+        _assert_booking_equals_reference(dts, observed[:, 0])
+
+
+def test_booking_schedule_equals_reference_on_long_gaps():
+    # sums of many increments, whose low bits depend on the summation order
+    rng = np.random.default_rng(3)
+    n = 2000
+    dts = rng.exponential(0.00283, n)
+    observed = rng.random((n, 2)) < 0.3
+    observed[5:1900, 1] = False  # one gap of 1,895 rows or more
+    _assert_booking_equals_reference(dts, observed)
 
 
 # ---------------------------------------------------------------------------
