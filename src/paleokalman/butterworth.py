@@ -46,7 +46,7 @@ def _check_order(m) -> int:
 def gain(lam: float, q: float, m: int) -> float:
     """Low-pass gain at angular frequency lam in [0, pi]."""
     m = _check_order(m)
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
     if not 0.0 <= lam <= math.pi + 1e-12:
         raise ValueError(f"lambda must lie in [0, pi], got {lam}")
@@ -61,7 +61,7 @@ def cutoff_frequency(q: float, m: int) -> float:
     asin exceeds 1 and no finite cutoff exists.
     """
     _check_order(m)
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
     arg = 0.5 * math.sqrt(q)
     if arg > 1.0:
@@ -75,7 +75,7 @@ def half_gain_frequency(q: float, m: int) -> float:
     lambda = 2*asin(q^(1/(2m))/2); defined for 0 < q <= 2^(2m).
     """
     m = _check_order(m)
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
     arg = 0.5 * q ** (1.0 / (2.0 * m))
     if arg > 1.0:
@@ -85,9 +85,9 @@ def half_gain_frequency(q: float, m: int) -> float:
 
 def signal_to_noise(sigma_eta2: float, sigma_eps2: float, mean_dt: float) -> float:
     """q = sigma_eta2 * mean_dt / sigma_eps2."""
-    if sigma_eps2 <= 0:
+    if not sigma_eps2 > 0:
         raise ValueError(f"measurement variance must be positive, got {sigma_eps2}")
-    if sigma_eta2 < 0 or mean_dt <= 0:
+    if not (sigma_eta2 >= 0 and mean_dt > 0):
         raise ValueError("sigma_eta2 must be >= 0 and mean_dt > 0")
     return sigma_eta2 * mean_dt / sigma_eps2
 

@@ -331,7 +331,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--out", default="fit.json")
     p_fit.add_argument("--starts", type=_AT_LEAST_ONE, default=1, help="jittered multi-starts")
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--eval-budget", type=int, default=None, dest="eval_budget")
+    p_fit.add_argument("--eval-budget", type=_AT_LEAST_ONE, default=None, dest="eval_budget")
     p_fit.add_argument("--meas-source", action="store_true", dest="meas_source")
     p_fit.add_argument("--meas-species", action="store_true", dest="meas_species")
     p_fit.add_argument("--trans-climate", action="store_true", dest="trans_climate")
@@ -358,7 +358,9 @@ def _build_parser() -> _Parser:
 
     p_gain = sub.add_parser("gain", help="gain curve and cutoff frequencies")
     p_gain.add_argument("--fit", default=None)
-    p_gain.add_argument("--q", type=float, default=None)
+    p_gain.add_argument(
+        "--q", type=_bounded(float, lambda q: q > 0, "a positive number"), default=None
+    )
     p_gain.add_argument("--sigma-eta2", type=float, default=None, dest="sigma_eta2")
     p_gain.add_argument("--sigma-eps2", type=float, default=None, dest="sigma_eps2")
     p_gain.add_argument("--mean-dt", type=float, default=None, dest="mean_dt")

@@ -130,14 +130,13 @@ class PanelView:
     """Columnar, read-only form of a panel; set-up, fitting and smoothing
     read nothing else.
 
-    Per row: stamps, dts (NaN first) and climate_states. Per observed slot
-    only, in row-major (row, series, slot) order: at[o], the flat index
+    Per row: stamps and climate_states. Per observed slot only, in
+    row-major (row, series, slot) order: at[o], the flat index
     (row * 2 + series) * MAX_SLOTS + slot, then value[o] and the source and
     species ids. Missing slots are not stored.
     """
 
     stamps: np.ndarray  # (n,) float64
-    dts: np.ndarray  # (n,) float64
     climate_states: np.ndarray  # (n,) int32
     at: np.ndarray  # (n_obs,) int64
     value: np.ndarray  # (n_obs,) float64
@@ -177,7 +176,6 @@ def _panel_view(rows) -> PanelView:
             _raise_capacity(row, 1)
     arrays = (
         np.array([r.stamp for r in rows], dtype=float),
-        np.array([r.dt for r in rows], dtype=float),
         np.array([r.climate_state for r in rows], dtype=np.int32),
         np.array(at, dtype=np.int64),
         np.array([slot.value for slot in observed], dtype=float),
@@ -245,19 +243,17 @@ class PanelRows(Sequence):
                 v.species[lo:hi].tolist(),
             )
         }
-        rows = zip(
-            range(start, stop),
-            v.stamps[start:stop].tolist(),
-            v.dts[start:stop].tolist(),
-            v.climate_states[start:stop].tolist(),
-        )
-        for r, stamp, dt, state in rows:
+        stamps = v.stamps[start:stop].tolist()
+        # each row's dt is its stamp minus the previous row's; row 0 has
+        # MISSING itself, as in rows built by compute_increments, so that
+        # rows compare equal (== on a tuple tests identity first)
+        previous = [v.stamps[start - 1].item() if start else MISSING] + stamps[:-1]
+        states = v.climate_states[start:stop].tolist()
+        for r, stamp, before, state in zip(range(start, stop), stamps, previous, states):
             cells = [slots.get(r * width + i, _EMPTY_SLOTS[0]) for i in range(width)]
-            # MISSING itself, as in rows built by compute_increments, so that
-            # rows compare equal (== on a tuple tests identity first)
             yield ObservationRow(
                 stamp,
-                MISSING if dt != dt else dt,
+                stamp - before if r else MISSING,
                 tuple(cells[:MAX_SLOTS]),
                 tuple(cells[MAX_SLOTS:]),
                 state,
@@ -482,7 +478,6 @@ def _collate(stamps, series, values, source, species, sources, species_labels):
         )
     view = PanelView(
         stamps=row_stamps,
-        dts=np.diff(row_stamps, prepend=np.nan),
         climate_states=climate_states(row_stamps),
         at=group * MAX_SLOTS + rank,
         value=values[entry],

@@ -83,8 +83,7 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
     stamps = np.concatenate([view.stamps, extra])
     order = np.argsort(stamps, kind="stable")
     stamps = stamps[order]
-    dts = np.diff(stamps, prepend=np.nan)
-    if not np.all(dts[1:] > 0.0):
+    if not np.all(np.diff(stamps) > 0.0):
         compute_increments(stamps.tolist())  # raises, naming the first bad index
 
     # the data rows keep their order, so a data slot's flat index moves by
@@ -94,7 +93,6 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
     shift = (new_row[:n] - np.arange(n)) * (2 * MAX_SLOTS)
     merged_view = PanelView(
         stamps=stamps,
-        dts=dts,
         climate_states=np.concatenate(
             [view.climate_states, climate_states(extra)]
         )[order],

@@ -259,7 +259,7 @@ def build_dataset(records) -> tuple:
     )
 
     view = data.view
-    dts = view.dts[1:]
+    dts = np.diff(view.stamps)
     series = view.series
     per_source = {
         label: {SERIES_NAMES[0]: 0, SERIES_NAMES[1]: 0}

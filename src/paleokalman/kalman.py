@@ -11,9 +11,10 @@ is the ordinary Kalman filter.
 
 Missing-row semantics: a series' state block stays frozen across rows where
 the series has no value, and the trend transition is applied once at its
-next observed row with the disturbance variance scaled by the accumulated
-window. Inserting all-missing rows therefore changes nothing at the
-original rows.
+next observed row with the disturbance variance scaled by the window since
+its previous observed row, the difference of the two stamps. Inserting
+all-missing rows therefore changes nothing at the original rows, bit for
+bit.
 
 The smoother is one backward recursion over the filter's stored paths: the
 RTS smoother in disturbance form, which needs only the predicted moments,
@@ -107,8 +108,9 @@ class CompiledModel:
     the state index level[o] of its series level. Per row, moved[nu] says
     whether some series applies the trend transition and corr[nu] is the
     correlation index (-1 absent). Per (row, series), at nu*k + j, apply_
-    and window give the booking schedule (modelspec.booking_schedule) and
-    tvar the transition-variance index (-1 absent).
+    and window give the booking schedule (modelspec.booking_schedule): the
+    window is the row's stamp minus that of the series' previous observed
+    row. tvar is the transition-variance index (-1 absent).
 
     compile_model builds it once from the panel's columnar view
     (PanelDataset.view) and the group keys modelspec.group_keys resolves
@@ -160,7 +162,7 @@ def compile_model(
         tvar[:, j] = _lookup(keys.trans, lambda key: layout.trans_index.get((sr, key), -1))
     if k == 2:
         corr[:] = _lookup(keys.corr, lambda key: layout.corr_index.get(key, -1))
-    apply_, window = booking_schedule(view.dts, keys.observed)
+    apply_, window = booking_schedule(view.stamps, keys.observed)
     for a in (keys.row, keys.col):
         a.setflags(write=False)
 

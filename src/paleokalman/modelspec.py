@@ -9,12 +9,12 @@ present into a concrete parameter vector layout, and kalman.compile_model()
 looks each key up in that layout.
 
 Transition semantics for rows where a series has no observation: that
-series' state block is frozen (T block = identity, no disturbance), and the
-elapsed time accumulates; at the series' next observed row the trend
-transition applies once with the disturbance variance scaled by the whole
-accumulated window (booking_schedule). The two windows of a bivariate
-disturbance both end at the current stamp, so their overlap is min(w1, w2),
-which scales the cross-covariance term.
+series' state block is frozen (T block = identity, no disturbance). At the
+series' next observed row the trend transition applies once, with the
+disturbance variance scaled by the window since its previous observed row:
+the difference of the two rows' stamps (booking_schedule). The two windows
+of a bivariate disturbance both end at the current stamp, so their overlap
+is min(w1, w2), which scales the cross-covariance term.
 """
 
 from __future__ import annotations
@@ -326,53 +326,35 @@ def trend_transition_matrix(m: int) -> np.ndarray:
     return T
 
 
-def booking_schedule(dts, observed) -> tuple:
+def booking_schedule(stamps, observed) -> tuple:
     """Where each series applies the trend transition, and the time booked.
 
     A series' clock starts at its first observed row (nothing is booked
     there; the initial state covers it). At each later observed row the
-    transition applies once, with the running sum of the row increments
-    since the series' previous observed row as its window, so the windows
-    of a series telescope to its last observed stamp minus its first.
+    transition applies once, with the stamp difference to the series'
+    previous observed row as its window. Rows where the series has no value
+    book nothing, so inserting them leaves every window bitwise unchanged.
 
     Parameters
     ----------
-    dts : (n,) array of row increments (first entry may be NaN).
+    stamps : (n,) array of strictly increasing row stamps.
     observed : (n, k) bool array, True where the series has a value.
 
     Returns
     -------
     apply : (n, k) bool, True where the trend transition applies.
-    window : (n, k) float, accumulated time booked at applied rows (0 else).
+    window : (n, k) float, time booked at applied rows (0 else).
     """
-    steps = np.asarray(dts, dtype=float)
+    stamps = np.asarray(stamps, dtype=float)
     observed = np.asarray(observed, dtype=bool)
     if observed.ndim == 1:
         observed = observed[:, None]
-    n, k = observed.shape
-    apply_ = np.zeros((n, k), dtype=bool)
-    window = np.zeros((n, k))
-    # the gaps between consecutive observed rows of each series, longest first
+    apply_ = np.zeros(observed.shape, dtype=bool)
+    window = np.zeros(observed.shape)
+    # consecutive observed rows (prev, row) of each series
     series, rows = np.nonzero(observed.T)
-    same = series[1:] == series[:-1]
-    start, end, series = rows[:-1][same], rows[1:][same], series[1:][same]
-    order = np.argsort(start - end)
-    start, end, series = start[order], end[order], series[order]
-    # Each window is the running sum of its gap's increments, left to right.
-    # While more than `few` gaps are at least i rows long (a prefix of them),
-    # iteration i adds the i-th increment of each; then each gap still open
-    # adds the rest of its increments alone (np.cumsum adds in order). So a
-    # long gap costs no numpy call per row.
-    few = 32
-    at_least = np.searchsorted(start - end, -np.arange(1, n), side="right")
-    many = at_least[at_least > few].tolist()
-    acc = np.zeros(start.size)
-    for i, c in enumerate(many, start=1):
-        acc[:c] += steps[start[:c] + i]
-    done = len(many)
-    for g in np.flatnonzero(end - start > done).tolist():
-        rest = steps[start[g] + done + 1 : end[g] + 1]
-        acc[g] = np.cumsum(np.concatenate(([acc[g]], rest)))[-1]
-    apply_[end, series] = True
-    window[end, series] = acc
+    later = series[1:] == series[:-1]
+    prev, rows, series = rows[:-1][later], rows[1:][later], series[1:][later]
+    apply_[rows, series] = True
+    window[rows, series] = stamps[rows] - stamps[prev]
     return apply_, window

@@ -61,11 +61,11 @@ def _chain_matrices(spec, layout, params, data):
     T_m = trend_transition_matrix(m)
 
     rows = tuple(data.rows)
-    dts = np.array([row.dt for row in rows])
+    stamps = np.array([row.stamp for row in rows])
     observed = np.array(
         [[row.series_observed(sr) for sr in spec.series] for row in rows]
     )
-    apply_, window = booking_schedule(dts, observed)
+    apply_, window = booking_schedule(stamps, observed)
 
     A = np.zeros((n, s, s))
     W = np.zeros((n, s, s))

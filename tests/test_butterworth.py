@@ -85,6 +85,8 @@ def test_cutoff_frequency_boundary_and_domain():
         cutoff_frequency(0.0, 1)
     with pytest.raises(ValueError):
         cutoff_frequency(-1.0, 2)
+    with pytest.raises(ValueError, match="must be positive"):
+        cutoff_frequency(math.nan, 1)
     with pytest.raises(ValueError):
         cutoff_frequency(0.1, 0)
 
@@ -126,6 +128,8 @@ def test_half_gain_domain():
         half_gain_frequency(16.1, 2)
     with pytest.raises(ValueError):
         half_gain_frequency(4.1, 1)
+    with pytest.raises(ValueError, match="must be positive"):
+        half_gain_frequency(math.nan, 2)
 
 
 def test_gain_monotone_in_lambda_and_q():
@@ -163,6 +167,8 @@ def test_gain_domain_errors():
         gain(math.pi + 0.1, 0.2, 1)
     with pytest.raises(ValueError):
         gain(1.0, -0.2, 1)
+    with pytest.raises(ValueError, match="must be positive"):
+        gain(1.0, math.nan, 1)
     with pytest.raises(ValueError):
         gain(1.0, 0.2, 0)
 
@@ -188,6 +194,11 @@ def test_signal_to_noise_errors():
         signal_to_noise(1.0, 0.0, 0.01)
     with pytest.raises(ValueError):
         signal_to_noise(1.0, -0.5, 0.01)
+    # NaN fails every comparison, so no check may pass it
+    for args in [(math.nan, 0.02, 0.01), (1.0, math.nan, 0.01), (1.0, 0.02, math.nan)]:
+        with pytest.raises(ValueError):
+            signal_to_noise(*args)
+
 
 
 def test_mean_increment_unique_stamps():

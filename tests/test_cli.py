@@ -180,6 +180,13 @@ def test_usage_fit_starts_zero(tmp_path, capsys):
     assert "argument --starts: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_usage_fit_eval_budget_below_one(tmp_path, capsys, budget):
+    argv = ["fit", "--data", str(tmp_path / "none.csv"), "--eval-budget", budget]
+    assert main(argv) == EXIT_USAGE
+    assert "argument --eval-budget: must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mesh", ["0", "-5", "nan"])
 def test_usage_impute_mesh_years_not_positive(tmp_path, capsys, mesh):
     argv = [
@@ -188,6 +195,14 @@ def test_usage_impute_mesh_years_not_positive(tmp_path, capsys, mesh):
     ]
     assert main(argv) == EXIT_USAGE
     assert "argument --mesh-years: must be a positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["nan", "0", "-1"])
+def test_usage_gain_q_not_positive(capsys, q):
+    assert main(["gain", "--q", q]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing computed or printed first
+    assert "argument --q: must be a positive number" in captured.err
 
 
 def test_usage_gain_samples_below_two(tmp_path, capsys):
@@ -253,21 +268,6 @@ def test_fit_budget_exhausted_exits_2(raw_csv, tmp_path, capsys):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["converged"] is False
     assert "note:" in capsys.readouterr().out
-
-
-def test_fit_budget_zero_exits_data_error(raw_csv, tmp_path, capsys):
-    code = main(
-        [
-            "fit",
-            "--data",
-            str(raw_csv),
-            "--out",
-            str(tmp_path / "f.json"),
-            "--eval-budget",
-            "0",
-        ]
-    )
-    assert code == EXIT_DATA
 
 
 def test_fit_missing_file_exits_65(tmp_path, capsys):
@@ -524,10 +524,22 @@ def test_gain_explicit_q(tmp_path, capsys):
     assert len(lines) == 2 + 1024
 
 
-def test_gain_no_finite_cutoff_exits_3(capsys):
-    code = main(["gain", "--q", "5.0"])
+@pytest.mark.parametrize("q", ["5.0", "inf"])
+def test_gain_no_finite_cutoff_exits_3(capsys, q):
+    code = main(["gain", "--q", q])
     assert code == EXIT_NO_CUTOFF
     assert "no finite cutoff" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--sigma-eta2", "--sigma-eps2", "--mean-dt"])
+def test_gain_nan_variance_is_an_error(capsys, flag):
+    values = {"--sigma-eta2": "1.8", "--sigma-eps2": "0.02", "--mean-dt": "0.00283"}
+    values[flag] = "nan"
+    argv = ["gain"] + [text for pair in values.items() for text in pair]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no q, no cutoff printed
+    assert "error:" in captured.err
 
 
 def test_gain_from_variances(capsys):

@@ -297,16 +297,43 @@ def _insert_empty_rows(data, stamps):
     return PanelDataset(rows=tuple(rows), sources=data.sources, species=data.species)
 
 
-@pytest.mark.parametrize("m", [1, 2, 4])
-def test_empty_row_insertion_is_exactly_neutral(m):
+# six stamps spread over 65 My; the window from the second to the third
+# spans four of the empty rows, whose increments do not add up to it exactly
+_LONG_GAP_STAMPS = [
+    -64.95457479087665, -54.14828599577981, -1.723786955100852,
+    -1.328571691172042, -0.9330277925457364, -0.07106513362502544,
+]
+_LONG_GAP_EMPTY = [
+    -56.18903940259409, -39.71998782221641, -22.750494057504888,
+    -20.47420482037205, -20.285734699373755,
+]
+
+
+@pytest.mark.parametrize(
+    "m, long_gap",
+    [
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(4, False, id="4"),
+        pytest.param(1, True, id="long-gap-1"),
+        pytest.param(2, True, id="long-gap-2"),
+    ],
+)
+def test_empty_row_insertion_is_exactly_neutral(m, long_gap):
     spec = ModelSpec(order_m=m)
-    params = [0.1, 1.0]
-    data = small_simulated(spec, params, n_rows=8, slots=1, seed=m + 40)
+    if long_gap:
+        params = [0.1, 1.2]
+        data = pk.simulate(spec, params, _LONG_GAP_STAMPS, seed=1)
+        empty = _LONG_GAP_EMPTY
+    else:
+        params = [0.1, 1.0]
+        data = small_simulated(spec, params, n_rows=8, slots=1, seed=m + 40)
+        empty = [-2.71, -1.93, -0.77]
     layout = build_layout(spec, data)
     run = kfilter(spec, layout, params, data)
     paths = smooth(run)
     base = {r.stamp for r in data.rows}
-    aug = _insert_empty_rows(data, [-2.71, -1.93, -0.77])
+    aug = _insert_empty_rows(data, empty)
     run2 = kfilter(spec, layout, params, aug)
     paths2 = smooth(run2)
     keep = [i for i, r in enumerate(aug.rows) if r.stamp in base]
@@ -897,7 +924,7 @@ def test_compiled_indices_match_slot_walk(tmp_path, build):
         assert np.array_equal(np.reshape(cm.tvar, (n, k)), tvar_idx), spec
         assert cm.corr == tuple(corr_idx.tolist()), spec
         observed = (hidx >= 0).reshape(n, k, MAX_SLOTS).any(axis=2)
-        apply_, window = booking_schedule([r.dt for r in data.rows], observed)
+        apply_, window = booking_schedule([r.stamp for r in data.rows], observed)
         assert cm.apply_ == tuple(apply_.ravel().tolist()), spec
         assert cm.window == tuple(window.ravel().tolist()), spec
         assert cm.moved == tuple(apply_.any(axis=1).tolist()), spec

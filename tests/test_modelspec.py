@@ -15,7 +15,6 @@ from paleokalman.modelspec import (
 )
 
 from conftest import rows_from_values
-import reference_booking
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +249,33 @@ def test_trend_transition_powers_differ(m):
 
 
 def test_booking_schedule_frozen_until_first_observed():
-    dts = [np.nan, 0.5, 0.3, 0.2, 0.1, 0.4]
+    stamps = [0.0, 0.5, 0.8, 1.0, 1.1, 1.5]
     observed = np.array([[False], [False], [True], [True], [False], [True]])
-    apply_, window = booking_schedule(dts, observed)
+    apply_, window = booking_schedule(stamps, observed)
     # nothing is booked before or at the first observation; then the clock
     # runs from the first observed row
     assert apply_[:, 0].tolist() == [False, False, False, True, False, True]
-    assert window[:, 0].tolist() == [0.0, 0.0, 0.0, 0.2, 0.0, pytest.approx(0.5)]
+    assert window[:, 0].tolist() == [0.0, 0.0, 0.0, 1.0 - 0.8, 0.0, 1.5 - 1.0]
 
 
 def test_booking_schedule_windows_telescope():
-    dts = [np.nan, 0.2, 0.3, 0.1, 0.4]
+    stamps = [0.0, 0.2, 0.5, 0.6, 1.0]
     observed = np.array([[True], [False], [True], [False], [True]])
-    apply_, window = booking_schedule(dts, observed)
+    apply_, window = booking_schedule(stamps, observed)
     assert apply_[:, 0].tolist() == [False, False, True, False, True]
-    assert window[2, 0] == pytest.approx(0.5)
-    assert window[4, 0] == pytest.approx(0.5)
+    assert window[2, 0] == 0.5
+    assert window[4, 0] == 0.5
     # booked time sums to span between first and last observed stamps
-    assert window.sum() == pytest.approx(1.0)
+    assert window.sum() == 1.0
 
 
 def test_booking_schedule_independent_series():
-    dts = [np.nan, 0.2, 0.3]
+    stamps = [0.0, 0.2, 0.5]
     observed = np.array([[True, False], [False, True], [True, True]])
-    apply_, window = booking_schedule(dts, observed)
+    apply_, window = booking_schedule(stamps, observed)
     assert apply_.tolist() == [[False, False], [False, False], [True, True]]
-    assert window[2, 0] == pytest.approx(0.5)
-    assert window[2, 1] == pytest.approx(0.3)
+    assert window[2, 0] == 0.5
+    assert window[2, 1] == 0.5 - 0.2
 
 
 @given(
@@ -286,12 +285,11 @@ def test_booking_schedule_independent_series():
 def test_booking_schedule_telescopes_any_pattern(pattern, seed):
     rng = np.random.default_rng(seed)
     n = len(pattern)
-    dts = np.concatenate([[np.nan], rng.uniform(0.01, 1.0, n - 1)])
+    stamps = np.cumsum(rng.uniform(0.01, 1.0, n))
     observed = np.array(pattern)[:, None]
-    apply_, window = booking_schedule(dts, observed)
+    apply_, window = booking_schedule(stamps, observed)
     idx = np.flatnonzero(observed[:, 0])
     if idx.size >= 2:
-        stamps = np.concatenate([[0.0], np.cumsum(dts[1:])])
         assert window.sum() == pytest.approx(stamps[idx[-1]] - stamps[idx[0]])
         assert not apply_[idx[0], 0]
         assert apply_[idx[1:], 0].all()
@@ -302,11 +300,10 @@ def test_booking_schedule_telescopes_any_pattern(pattern, seed):
 
 @st.composite
 def _booking_inputs(draw):
-    # k = 1 or 2 series over n rows, each observed never, once, at the first
-    # and last rows only (one gap of the full length), or on a random set of
-    # rows after a run of leading missing rows; the first dt NaN or finite.
-    # Up to 80 rows, so that some panels have more than 32 gaps (the
-    # schedule's per-position adds) as well as long gaps (its per-gap sums)
+    # k = 1 or 2 series over n rows at distinct sorted stamps, each series
+    # observed never, once, at the first and last rows only (one gap of the
+    # full length), or on a random set of rows after a run of leading
+    # missing rows
     n = draw(st.integers(min_value=1, max_value=80))
     k = draw(st.sampled_from([1, 2]))
     observed = np.zeros((n, k), dtype=bool)
@@ -319,40 +316,51 @@ def _booking_inputs(draw):
         elif kind == "random":
             lead = draw(st.integers(0, n - 1))
             observed[lead:, j] = draw(st.lists(st.booleans(), min_size=n - lead, max_size=n - lead))
-    dt = st.floats(min_value=0.0, max_value=10.0)
-    dts = draw(st.lists(dt, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        dts[0] = np.nan
-    return np.array(dts), observed
+    stamp = st.floats(min_value=-100.0, max_value=100.0)
+    stamps = sorted(draw(st.lists(stamp, min_size=n, max_size=n, unique=True)))
+    return np.array(stamps), observed
 
 
-def _assert_booking_equals_reference(dts, observed):
-    got = booking_schedule(dts, observed)
-    want = reference_booking.booking_schedule(dts, observed)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert g.tobytes() == w.tobytes()
+def _assert_booked_at_stamp_differences(stamps, observed):
+    apply_, window = booking_schedule(stamps, observed)
+    assert apply_.shape == window.shape == (len(stamps), observed.shape[1])
+    assert apply_.dtype == bool and window.dtype == np.float64
+    want_apply = np.zeros(apply_.shape, dtype=bool)
+    want_window = np.zeros(window.shape)
+    for j in range(observed.shape[1]):
+        rows = np.flatnonzero(observed[:, j])
+        # every observed row after the series' first, and only those
+        want_apply[rows[1:], j] = True
+        want_window[rows[1:], j] = [
+            stamps[b] - stamps[a] for a, b in zip(rows.tolist(), rows[1:].tolist())
+        ]
+    assert np.array_equal(apply_, want_apply)
+    assert window.tobytes() == want_window.tobytes()
 
 
 @given(_booking_inputs())
-@example((np.array([np.nan, 0.1, 0.2, 0.3]), np.array([[True, False]] * 4)))
-@example((np.array([0.5, 0.1, 0.2, 0.3]), np.array([[False], [True], [False], [True]])))
-def test_booking_schedule_equals_reference_bitwise(inputs):
-    # the vectorized running sums against the row-by-row loop, bit for bit
-    dts, observed = inputs
-    _assert_booking_equals_reference(dts, observed)
+@example((np.array([0.0, 0.1, 0.2, 0.3]), np.array([[True, False]] * 4)))
+@example((np.array([-0.5, 0.1, 0.2, 0.3]), np.array([[False], [True], [False], [True]])))
+def test_booking_schedule_is_the_stamp_difference(inputs):
+    stamps, observed = inputs
+    _assert_booked_at_stamp_differences(stamps, observed)
     if observed.shape[1] == 1:  # a 1-d observed column is one series
-        _assert_booking_equals_reference(dts, observed[:, 0])
+        got = booking_schedule(stamps, observed[:, 0])
+        want = booking_schedule(stamps, observed)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def test_booking_schedule_equals_reference_on_long_gaps():
-    # sums of many increments, whose low bits depend on the summation order
-    rng = np.random.default_rng(3)
-    n = 2000
-    dts = rng.exponential(0.00283, n)
-    observed = rng.random((n, 2)) < 0.3
-    observed[5:1900, 1] = False  # one gap of 1,895 rows or more
-    _assert_booking_equals_reference(dts, observed)
+@given(_booking_inputs())
+def test_booking_schedule_unobserved_rows_are_bitwise_neutral(inputs):
+    # the panel with its all-unobserved rows is the one without them plus
+    # inserted empty rows: every observed row books the same bits
+    stamps, observed = inputs
+    kept = observed.any(axis=1)
+    apply_, window = booking_schedule(stamps, observed)
+    apply_kept, window_kept = booking_schedule(stamps[kept], observed[kept])
+    assert np.array_equal(apply_[kept], apply_kept)
+    assert window[kept].tobytes() == window_kept.tobytes()
+    assert not apply_[~kept].any() and not window[~kept].any()
 
 
 # ---------------------------------------------------------------------------
