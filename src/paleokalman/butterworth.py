@@ -84,12 +84,18 @@ def half_gain_frequency(q: float, m: int) -> float:
 
 
 def signal_to_noise(sigma_eta2: float, sigma_eps2: float, mean_dt: float) -> float:
-    """q = sigma_eta2 * mean_dt / sigma_eps2."""
-    if not sigma_eps2 > 0:
-        raise ValueError(f"measurement variance must be positive, got {sigma_eps2}")
-    if not (sigma_eta2 >= 0 and mean_dt > 0):
-        raise ValueError("sigma_eta2 must be >= 0 and mean_dt > 0")
-    return sigma_eta2 * mean_dt / sigma_eps2
+    """q = sigma_eta2 * mean_dt / sigma_eps2.
+
+    All three inputs must be positive and finite, and so must q: a zero or
+    infinite q has no cutoff frequency.
+    """
+    for name, x in (("sigma_eta2", sigma_eta2), ("sigma_eps2", sigma_eps2), ("mean_dt", mean_dt)):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x}")
+    q = sigma_eta2 * mean_dt / sigma_eps2
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"signal-to-noise ratio q = {q} is not positive and finite")
+    return q
 
 
 def mean_increment(stamps) -> float:

@@ -72,6 +72,7 @@ def _bounded(kind, accept, bound: str):
 
 _ORDER = _bounded(int, lambda m: 1 <= m <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
 _AT_LEAST_ONE = _bounded(int, lambda n: n >= 1, "at least 1")
+_POSITIVE_FINITE = _bounded(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
 
 
 def _invocation(argv) -> str:
@@ -361,9 +362,9 @@ def _build_parser() -> _Parser:
     p_gain.add_argument(
         "--q", type=_bounded(float, lambda q: q > 0, "a positive number"), default=None
     )
-    p_gain.add_argument("--sigma-eta2", type=float, default=None, dest="sigma_eta2")
-    p_gain.add_argument("--sigma-eps2", type=float, default=None, dest="sigma_eps2")
-    p_gain.add_argument("--mean-dt", type=float, default=None, dest="mean_dt")
+    p_gain.add_argument("--sigma-eta2", type=_POSITIVE_FINITE, default=None, dest="sigma_eta2")
+    p_gain.add_argument("--sigma-eps2", type=_POSITIVE_FINITE, default=None, dest="sigma_eps2")
+    p_gain.add_argument("--mean-dt", type=_POSITIVE_FINITE, default=None, dest="mean_dt")
     p_gain.add_argument("--data", default=None, help="derive mean dt from this CSV")
     p_gain.add_argument("--order", type=_AT_LEAST_ONE, default=None)
     p_gain.add_argument("--out", default=None)

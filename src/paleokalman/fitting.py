@@ -4,14 +4,16 @@ Variances are optimized as log-variances and correlations through atanh, so
 the optimizer works on an unconstrained vector theta. The objective is the
 per-slot average exact-diffuse negative loglik, from the filter's path-free
 forward pass (_kernels.loglik_from_compiled); averaging keeps the
-tolerances meaningful across sample sizes. Parameter points where the
-filter degenerates get a large finite penalty.
+tolerances meaningful across sample sizes. Its gradient is exact: the
+score from kalman.score (Fisher's identity over one forward pass in paths
+mode and the smoother's backward pass), mapped to theta by the chain rule.
+Parameter points where the filter degenerates get a large finite penalty.
 
-The driver is a Nelder-Mead start (200 * dim evaluation cap) followed by
-BFGS polish rounds using central-difference gradients with step
-1e-5 * (1 + |theta|). A fit is declared converged when the gradient
-infinity-norm is below 1e-4 and the last polish round improved the loglik
-by less than 1e-8.
+The driver runs BFGS polish rounds on that gradient from each start. A fit
+is declared converged when the gradient infinity-norm is below 1e-4 and
+the last polish round improved the objective by less than 1e-8. Only when
+the polish does not converge does Nelder-Mead (200 * dim evaluation cap)
+run, from the polish's best point, followed by one more polish.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from scipy import optimize
 
-from . import _kernels
+from . import _kernels, kalman
 from .core import MAX_SLOTS, PanelDataset
 from .kalman import CompiledModel, compile_model
 from .modelspec import ModelSpec, ParameterLayout, build_layout
@@ -42,9 +44,9 @@ __all__ = [
 ]
 
 _PENALTY = 1e12
-_GRAD_STEP = 1e-5
 _HESS_STEP = 1e-4
 _GRAD_TOL = 1e-4
+_BFGS_GTOL = 1e-7  # BFGS's own stop, tighter than _GRAD_TOL
 _IMPROVE_TOL = 1e-8
 
 
@@ -145,18 +147,24 @@ class _Objective:
             self.best_x = np.array(theta, dtype=float)
         return f
 
-
-def _central_gradient(f, x, step_scale=_GRAD_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = step_scale * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+    def value_and_grad(self, theta) -> tuple:
+        """(value, gradient) at theta: the value as a call returns it, the
+        gradient -score * d(natural)/d(theta) * scale. A point that is
+        inadmissible, or where the score is not finite, gives the penalty
+        and a zero gradient."""
+        f = self(theta)
+        if f < _PENALTY:
+            # a variance that underflows to zero leaves the loglik finite
+            # but divides by zero in the score
+            with np.errstate(divide="ignore", invalid="ignore"):
+                try:
+                    score = kalman.score(self.cm, self.transform.to_natural(theta))
+                except np.linalg.LinAlgError:  # a singular Q, as at |rho| = 1
+                    score = np.nan
+                g = -score * self.transform.natural_jacobian_diag(theta) * self.scale
+            if np.all(np.isfinite(g)):
+                return f, g
+        return _PENALTY, np.zeros(len(theta))
 
 
 def numerical_hessian(f, x, step_scale=_HESS_STEP) -> np.ndarray:
@@ -275,7 +283,16 @@ def default_start(layout: ParameterLayout, cm: CompiledModel) -> np.ndarray:
 
 @dataclass
 class FitResult:
-    """Estimates on the natural scale plus fit diagnostics."""
+    """Estimates on the natural scale plus fit diagnostics.
+
+    iterations counts the optimizer's iterations over every start: BFGS
+    iterations of each polish round, plus Nelder-Mead's where the fallback
+    ran. n_evals counts the objective's evaluations outside the
+    standard-error Hessian: the start point and every point BFGS or
+    Nelder-Mead scored, each one loglik pass unless the point maps to a
+    non-finite parameter. A BFGS evaluation also runs kalman.score for the
+    gradient, which n_evals does not count separately.
+    """
 
     spec: ModelSpec
     param_names: tuple
@@ -367,28 +384,29 @@ def bic(loglik: float, n_params: int, n_obs: int) -> float:
 
 
 def _polish(obj, theta, f_start, max_rounds) -> tuple:
-    """BFGS rounds until the convergence criteria hold; returns
-    (theta, f, converged, iterations)."""
-    grad = lambda x: _central_gradient(obj, x)  # noqa: E731
+    """BFGS rounds on the exact gradient until the convergence criteria
+    hold; returns (theta, f, converged, iterations)."""
     x_best = np.asarray(theta, dtype=float)
     f_best = f_start
+    g_best = None  # the gradient at x_best, from the round that found it
     prev = f_start
     iterations = 0
     converged = False
     for _ in range(max_rounds):
         res = optimize.minimize(
-            obj,
+            obj.value_and_grad,
             x_best,
-            jac=grad,
+            jac=True,
             method="BFGS",
-            options={"gtol": _GRAD_TOL, "maxiter": 100 * max(1, x_best.size)},
+            options={"gtol": _BFGS_GTOL, "maxiter": 100 * max(1, x_best.size)},
         )
         iterations += int(res.nit)
-        if res.fun < f_best:
+        if g_best is None or res.fun < f_best:
             f_best = float(res.fun)
             x_best = np.asarray(res.x, dtype=float)
+            g_best = np.asarray(res.jac, dtype=float)
         improvement = prev - f_best
-        gnorm = float(np.max(np.abs(grad(x_best))))
+        gnorm = float(np.max(np.abs(g_best)))
         if gnorm < _GRAD_TOL and improvement < _IMPROVE_TOL:
             converged = True
             break
@@ -448,23 +466,26 @@ def fit(
     best_converged = False
     iterations = 0
     budget_hit = False
-    for th in starts:
+    for i, th in enumerate(starts):
         try:
-            nm = optimize.minimize(
-                obj,
-                th,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": 200 * dim,
-                    "xatol": 1e-6,
-                    "fatol": 1e-9,
-                    "adaptive": dim > 4,
-                },
-            )
-            iterations += int(nm.nit)
-            x, f = np.asarray(nm.x, dtype=float), float(nm.fun)
-            x, f, conv, nit = _polish(obj, x, f, options.max_polish_rounds)
+            x, f, conv, nit = _polish(obj, th, f0 if i == 0 else np.inf, options.max_polish_rounds)
             iterations += nit
+            if not conv:
+                nm = optimize.minimize(
+                    obj,
+                    x,
+                    method="Nelder-Mead",
+                    options={
+                        "maxfev": 200 * dim,
+                        "xatol": 1e-6,
+                        "fatol": 1e-9,
+                        "adaptive": dim > 4,
+                    },
+                )
+                x, f, conv, nit = _polish(
+                    obj, np.asarray(nm.x, dtype=float), float(nm.fun), options.max_polish_rounds
+                )
+                iterations += int(nm.nit) + nit
         except _BudgetExhausted:
             budget_hit = True
             if obj.best_x is not None:

@@ -44,6 +44,11 @@ state. The backward pass keeps only what is sequential, a rank-k update
 and a block back-substitution per row; the precisions it needs come from
 batched solves, and at state dimension 1 it too runs on floats
 (_backward_dim1).
+
+score, the exact gradient of the loglik that fitting climbs, runs the
+forward recursion in paths mode and the backward pass of smooth, and
+reads the gradient off the smoothed moments by Fisher's identity. It calls
+neither filter nor smooth, so those two remain whole-panel passes only.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ __all__ = [
     "compile_model",
     "filter",
     "loglik",
+    "score",
     "smooth",
     "standardized_residuals",
     "state_component_names",
@@ -385,6 +391,65 @@ def loglik(compiled: CompiledModel, params) -> float:
     return forward(compiled, h, *_diffuse_start(compiled.s), False)[0]
 
 
+def score(compiled: CompiledModel, params) -> np.ndarray:
+    """d loglik / d params at params, on the natural scale.
+
+    Fisher's identity (Segal & Weinstein 1989): the score is the expected
+    complete-data score given the data, so one forward pass in paths mode
+    and smooth's backward pass give it exactly. With x and V the smoothed
+    moments, a slot with measurement variance r adds
+    -1/(2r) + ((y - x_level)^2 + V_level)/(2r^2) to r's coordinate. A row u
+    that books the trend-tail disturbance covariance Q adds
+    tr((Q^-1 S Q^-1 - Q^-1) dQ)/2 over the series it moves, where
+    S = E[eta eta' | data] = eta eta' + C + B V_u B' with
+    eta = B (x_u - a_{u|u-1}) and B, C as in smooth. dQ covers the
+    cross-covariance rho sqrt(s1 s2) min(w1, w2) of a bivariate row.
+
+    The parameters are used as given, as in loglik, which raises the same
+    ConditioningError at an inadmissible point.
+    """
+    cm = compiled
+    h = np.asarray(params, dtype=float)
+    forward = _forward_dim1 if cm.s == 1 else _forward
+    _, _, paths, booked, _ = forward(cm, h.tolist(), *_diffuse_start(cm.s), True)
+    X, V, (succ, Q, B, C) = _smoothed(cm, paths, booked)
+
+    rows, level, hidx = cm.obs_row, np.array(cm.level, dtype=int), np.array(cm.hidx, dtype=int)
+    e = np.array(cm.y) - X[rows, level]
+    var = h[hidx]
+    grad = np.bincount(
+        hidx, ((e * e + V[rows, level, level]) / var - 1.0) / (2.0 * var), minlength=h.size
+    )
+
+    n, k = cm.n, cm.n_series
+    apply_ = np.reshape(cm.apply_, (n, k))[succ]
+    window = np.reshape(cm.window, (n, k))[succ]
+    tvar = np.reshape(cm.tvar, (n, k))[succ]
+    eta = B @ (X[succ] - paths.predicted_means[succ])[:, :, None]
+    S = eta * eta.transpose(0, 2, 1) + C + B @ V[succ] @ B.transpose(0, 2, 1)
+    both = apply_.all(axis=1) if k == 2 else np.zeros(succ.size, dtype=bool)
+    for j in range(k):  # rows where series j moves alone
+        one = apply_[:, j] & ~both
+        q = Q[one, j, j]
+        grad += np.bincount(
+            tvar[one, j], (S[one, j, j] / q - 1.0) / q * window[one, j] / 2.0, minlength=h.size
+        )
+    if both.any():  # rows where both move: batched 2 x 2 inverses
+        Q2, w = Q[both], window[both]
+        Qi = np.linalg.inv(Q2)
+        M = Qi @ S[both] @ Qi - Qi
+        m12 = 0.5 * (M[:, 0, 1] + M[:, 1, 0])
+        sig = h[tvar[both]]  # (rows, 2) the two trend variances
+        for j in range(2):
+            d = (M[:, j, j] * w[:, j] + m12 * Q2[:, 0, 1] / sig[:, j]) / 2.0
+            grad += np.bincount(tvar[both, j], d, minlength=h.size)
+        ci = np.array(cm.corr)[succ[both]]
+        on = ci >= 0
+        d = m12 * np.sqrt(sig[:, 0] * sig[:, 1]) * w.min(axis=1)
+        grad += np.bincount(ci[on], d[on], minlength=h.size)
+    return grad
+
+
 def _diffuse_start(s: int) -> tuple:
     # (a, P_star, P_inf, diffuse) with P_inf the identity
     P_inf = [float(i % (s + 1) == 0) for i in range(s * s)]
@@ -637,14 +702,22 @@ def smooth(run: FilterRun) -> StatePaths:
     tail rows enter; they come from batched solves, and the sequential
     part is a rank-k update and a block back-substitution per row.
     """
-    cm = run.compiled
-    n, s, m, k = cm.n, cm.s, cm.m, cm.n_series
     paths = run.paths
+    paths.smoothed_means, paths.smoothed_covs, _ = _smoothed(run.compiled, paths, run.booked)
+    return paths
+
+
+def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple:
+    # smooth's backward pass over a forward pass's paths and booked
+    # covariances: (smoothed means, smoothed covs, (succ, Q, B, C)), with
+    # succ the rows that move some block, Q the covariance each booked, B
+    # the tail rows of its Q G and C = Q - Q G Q at the tails
+    n, s, m, k = cm.n, cm.s, cm.m, cm.n_series
     tails = [j * m + m - 1 for j in range(k)]
-    succ = np.flatnonzero(cm.moved[1:]) + 1  # the rows that move some block
-    Q = run.booked[succ]
-    B = Q @ _tail_precision(paths, succ, tails)  # the tail rows of Q G
-    C = Q - B[:, :, tails] @ Q  # Q - Q G Q at the tails
+    succ = np.flatnonzero(cm.moved[1:]) + 1
+    Q = booked[succ]
+    B = Q @ _tail_precision(paths, succ, tails)
+    C = Q - B[:, :, tails] @ Q
     back = slice(None, None, -1)
     last = (paths.filtered_means[n - 1], paths.filtered_covs[n - 1])
     steps = (succ[back], B[back], C[back], paths.predicted_means[succ[back]])
@@ -657,10 +730,8 @@ def smooth(run: FilterRun) -> StatePaths:
     # every other row takes the moments of the first of those at or after it
     done = np.append(succ - 1, n - 1)
     at = succ.size - np.searchsorted(done, np.arange(n))
-    paths.smoothed_means = _paths_array(X, (done.size, s))[at]
     V = _paths_array(XV, (done.size, s, s))[at]
-    paths.smoothed_covs = 0.5 * (V + V.transpose(0, 2, 1))
-    return paths
+    return _paths_array(X, (done.size, s))[at], 0.5 * (V + V.transpose(0, 2, 1)), (succ, Q, B, C)
 
 
 def _backward(x, V, succ, B, C, A, tails: list, m: int, apply_: tuple) -> tuple:

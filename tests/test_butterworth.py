@@ -198,6 +198,17 @@ def test_signal_to_noise_errors():
     for args in [(math.nan, 0.02, 0.01), (1.0, math.nan, 0.01), (1.0, 0.02, math.nan)]:
         with pytest.raises(ValueError):
             signal_to_noise(*args)
+    # a zero or infinite input, or a q that overflows or underflows, has no cutoff
+    for args in [
+        (0.0, 0.02, 0.003),
+        (math.inf, 0.02, 0.003),
+        (1.0, math.inf, 0.003),
+        (1.0, 0.02, math.inf),
+        (1e300, 1e-300, 1e10),
+        (1e-300, 1e300, 1e-10),
+    ]:
+        with pytest.raises(ValueError):
+            signal_to_noise(*args)
 
 
 

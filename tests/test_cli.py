@@ -531,15 +531,21 @@ def test_gain_no_finite_cutoff_exits_3(capsys, q):
     assert "no finite cutoff" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
 @pytest.mark.parametrize("flag", ["--sigma-eta2", "--sigma-eps2", "--mean-dt"])
-def test_gain_nan_variance_is_an_error(capsys, flag):
+def test_gain_input_not_positive_finite_exits_64(capsys, flag, value):
     values = {"--sigma-eta2": "1.8", "--sigma-eps2": "0.02", "--mean-dt": "0.00283"}
-    values[flag] = "nan"
+    values[flag] = value
     argv = ["gain"] + [text for pair in values.items() for text in pair]
-    assert main(argv) == EXIT_DATA
+    assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""  # no q, no cutoff printed
-    assert "error:" in captured.err
+    assert f"argument {flag}: must be a positive finite number" in captured.err
+
+
+def test_gain_from_fit_rejects_infinite_mean_dt(fitted, capsys):
+    assert main(["gain", "--fit", str(fitted), "--mean-dt", "inf"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_gain_from_variances(capsys):

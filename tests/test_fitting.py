@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import paleokalman as pk
-from paleokalman import ModelSpec, build_layout
+from paleokalman import ModelSpec, build_layout, fitting
 from paleokalman.fitting import (
     FitOptions,
     FitResult,
@@ -225,6 +225,91 @@ def test_fit_nesting_by_source_dominates_pooled():
     pooled = fit(ModelSpec(), data)
     by_src = fit(spec, data)
     assert by_src.loglik >= pooled.loglik - 1e-6
+
+
+def test_converged_fit_has_small_exact_gradient():
+    spec = ModelSpec(meas_grouping="by-source")
+    rng = np.random.default_rng(78)
+    stamps = random_stamps(rng, 200, mean_dt=0.01)
+    data = pk.simulate(spec, [0.2, 0.6, 1.0], stamps, slots_per_row=2, seed=5, n_sources=2)
+    res = fit(spec, data, FitOptions(compute_se=False))
+    assert res.converged
+    cm = compile_model(spec, res.layout, data)
+    tr = ParamTransform.for_layout(res.layout)
+    obj = fitting._Objective(cm, tr, scale=1.0 / cm.n_obs_slots)
+    f, g = obj.value_and_grad(res.theta_hat)
+    assert f == pytest.approx(-res.loglik / cm.n_obs_slots, rel=1e-15)
+    assert np.max(np.abs(g)) < fitting._GRAD_TOL
+
+
+def test_objective_gradient_where_the_score_breaks_down():
+    # rho = tanh(25) = 1 with equal trend variances makes Q exactly
+    # singular, and a trend variance that underflows to zero divides by
+    # zero in the score, though the loglik is finite at both: the optimizer
+    # gets the penalty and no gradient
+    spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], [-3.0, -2.5, -2.0, -1.2], seed=1)
+    layout = build_layout(spec, data)
+    tr = ParamTransform.for_layout(layout)
+    obj = fitting._Objective(compile_model(spec, layout, data), tr)
+    theta = tr.to_unconstrained([0.1, 0.2, 1.0, 1.0, 0.4])
+    f, g = obj.value_and_grad(theta)
+    assert f < fitting._PENALTY and np.all(g != 0.0)
+    for i, x in [(4, 25.0), (3, -800.0)]:
+        bad = theta.copy()
+        bad[i] = x
+        assert np.isfinite(obj(bad))
+        f, g = obj.value_and_grad(bad)
+        assert f == fitting._PENALTY and not g.any()
+
+
+def test_stalled_polish_falls_back_to_nelder_mead(monkeypatch):
+    spec, data = _recovery_data(seed=8, n=300)
+    want = fit(spec, data)
+    polish = fitting._polish
+    calls = []
+
+    def stall_once(obj, theta, f_start, max_rounds):
+        calls.append(np.array(theta))
+        if len(calls) == 1:  # the first polish gets nowhere
+            return np.asarray(theta, dtype=float), f_start, False, 0
+        return polish(obj, theta, f_start, max_rounds)
+
+    monkeypatch.setattr(fitting, "_polish", stall_once)
+    minimize = fitting.optimize.minimize
+    methods = []
+
+    def record(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    res = fit(spec, data)
+    assert methods[0] == "Nelder-Mead" and set(methods[1:]) == {"BFGS"}
+    assert len(calls) == 2  # the stalled polish, then one more after Nelder-Mead
+    assert res.converged
+    assert res.loglik == pytest.approx(want.loglik, abs=1e-6)
+    assert np.allclose(res.params_hat, want.params_hat, rtol=1e-3)
+    assert res.n_evals > want.n_evals
+
+
+def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
+    spec, data = _recovery_data(seed=4, n=200)
+    kernel = fitting._kernels.loglik_from_compiled
+    calls = []
+
+    def counted(cm, params):
+        calls.append(None)
+        return kernel(cm, params)
+
+    monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", counted)
+    res = fit(spec, data)
+    d = res.n_params
+    assert res.converged
+    assert len(calls) == res.n_evals + 2 * d * d + 1
+    calls.clear()
+    res = fit(spec, data, FitOptions(compute_se=False))
+    assert len(calls) == res.n_evals
 
 
 # ---------------------------------------------------------------------------

@@ -413,9 +413,11 @@ def _indefinite_rows(covs, tol=1e-10):
 @pytest.mark.parametrize("m, q, n", [(4, 1e-8, 4000), (6, 3.1e-12, 4000), (6, 3.1e-12, 23_722)])
 def test_high_order_smoothed_covs_stay_psd(m, q, n):
     # a long record smoothed at a high trend order and a small
-    # signal-to-noise ratio q: one slot per row at the paper's mean spacing
+    # signal-to-noise ratio: one slot per row at the paper's mean spacing
     # (My), up to its record length, drawn as random-walk-plus-noise on the
-    # paper's d18O scale (the covariances depend on the stamps alone)
+    # paper's d18O scale (the covariances depend on the stamps alone). The
+    # trend variance is q * eps2, so the paper's q = eta2 * mean dt / eps2
+    # is 0.00283 * q: 8.8e-15 at the m = 6 cases, not 3.1e-12
     eps2 = 0.0205
     rng = np.random.default_rng(0)
     stamps = -np.cumsum(rng.exponential(0.00283, n))[::-1] - 0.001
@@ -940,3 +942,99 @@ def test_compile_rejects_layout_missing_a_source():
     assert layout.meas_var_count == 2  # sources a and b
     with pytest.raises(KeyError):
         compile_model(spec, layout, data)
+
+
+# ---------------------------------------------------------------------------
+# the exact score
+# ---------------------------------------------------------------------------
+
+
+def _loglik_differences(cm, params) -> np.ndarray:
+    # d loglik / d params by the five-point central stencil, step 1e-3 |p_i|:
+    # its truncation error is O(h^4), and a smaller step lets the loglik's
+    # rounding dominate
+    params = np.asarray(params, dtype=float)
+    out = np.empty(params.size)
+    for i, x in enumerate(params):
+        h = 1e-3 * abs(x)
+        at = []
+        for c in (-2, -1, 1, 2):
+            moved = params.copy()
+            moved[i] = x + c * h
+            at.append(kloglik(cm, moved))
+        out[i] = (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * h)
+    return out
+
+
+def _assert_score_matches(cm, params):
+    got = kalman.score(cm, params)
+    want = _loglik_differences(cm, params)
+    # 1e-6 relative, a coordinate measured against the largest one when its
+    # own slope is near zero
+    scale = np.maximum(np.abs(want), 1e-3 * np.abs(want).max())
+    assert np.all(np.abs(got - want) <= 1e-6 * scale), (got, want)
+
+
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
+def test_score_matches_loglik_differences_on_mixed_panels(tmp_path, build):
+    # leading empty rows, diffuse rows, 1-4 slots a row, and by-climate rho
+    data = mixed_panels(tmp_path)[build]
+    for spec in _GROUPED_SPECS:
+        layout = build_layout(spec, data)
+        params = [0.1 + 0.15 * i for i in range(layout.n_params)]
+        params = [-0.5 if p.role == "rho" else x for p, x in zip(layout.params, params)]
+        _assert_score_matches(compile_model(spec, layout, data), params)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_score_matches_loglik_differences_bivariate_with_gaps(m):
+    spec = ModelSpec(
+        arity="bivariate", order_m=m, meas_grouping="by-source", corr_grouping="pooled"
+    )
+    rng = np.random.default_rng(40 + m)
+    n = 320
+    observed = rng.random((n, 2)) < 0.7
+    observed[:5, 1] = False  # d13C starts late
+    stamps = -np.cumsum(rng.exponential(0.01, n))[::-1] - 0.001
+    params = [0.2, 0.3, 0.25, 0.4, 1.0, 0.8, 0.5]
+    data = pk.simulate(
+        spec, params, stamps, slots_per_row=2, seed=m, n_sources=2, observed=observed
+    )
+    layout = build_layout(spec, data)
+    assert layout.n_params == 7 and layout.params[-1].role == "rho"
+    _assert_score_matches(compile_model(spec, layout, data), params)
+
+
+def test_score_matches_loglik_differences_at_order_6():
+    spec = ModelSpec(order_m=6)
+    data = small_simulated(ModelSpec(), [0.05, 2.0], n_rows=40, slots=1, seed=8)
+    layout = build_layout(spec, data)
+    _assert_score_matches(compile_model(spec, layout, data), [0.05, 0.02])
+
+
+def test_score_raises_loglik_conditioning_error():
+    spec, params, data = _instance_c()
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    bad = [-0.5, *params[1:]]  # a negative measurement variance
+    with pytest.raises(ConditioningError) as from_loglik:
+        kloglik(cm, bad)
+    with pytest.raises(ConditioningError) as from_score:
+        kalman.score(cm, bad)
+    assert str(from_score.value) == str(from_loglik.value)
+    assert from_score.value.row_index == from_loglik.value.row_index
+
+
+def test_score_calls_neither_filter_nor_smooth(monkeypatch):
+    # the score runs the private recursions, so that timing the public
+    # filter and smooth measures whole-panel passes only
+    spec, params, data = _instance_b()
+    cm = compile_model(spec, build_layout(spec, data), data)
+    want = kalman.score(cm, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(kalman, "filter", refuse)
+    monkeypatch.setattr(kalman, "smooth", refuse)
+    assert np.array_equal(kalman.score(cm, params), want)
