@@ -42,6 +42,6 @@ for i in range(5):
     print(f"  t = {data.rows[i].stamp:9.4f}   {mean:7.3f} +- {sd:.3f}")
 
 # Prediction residuals should look like white noise when the model fits.
-resid = pk.standardized_residuals(run)
+resid = run.paths.standardized_residuals()
 flat = resid[np.isfinite(resid)]
 print(f"\nresiduals: mean {flat.mean():+.3f}, variance {flat.var():.3f}")

@@ -33,11 +33,9 @@ from .kalman import (
     CompiledModel,
     ConditioningError,
     FilterRun,
-    FilterState,
     StatePaths,
     compile_model,
     smooth,
-    standardized_residuals,
     state_component_names,
     write_state_paths_csv,
 )
@@ -112,12 +110,10 @@ __all__ = [
     "CompiledModel",
     "ConditioningError",
     "FilterRun",
-    "FilterState",
     "StatePaths",
     "compile_model",
     "kalman_filter",
     "smooth",
-    "standardized_residuals",
     "state_component_names",
     "write_state_paths_csv",
     # fitting

@@ -73,6 +73,7 @@ def _bounded(kind, accept, bound: str):
 _ORDER = _bounded(int, lambda m: 1 <= m <= MAX_ORDER, f"in [1, {MAX_ORDER}]")
 _AT_LEAST_ONE = _bounded(int, lambda n: n >= 1, "at least 1")
 _POSITIVE_FINITE = _bounded(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_AGE_MYA = _bounded(float, lambda x: 0.0 <= x < math.inf, "a non-negative finite number")
 
 
 def _invocation(argv) -> str:
@@ -331,7 +332,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--series", choices=("d18O", "d13C", "both"), default=None)
     p_fit.add_argument("--out", default="fit.json")
     p_fit.add_argument("--starts", type=_AT_LEAST_ONE, default=1, help="jittered multi-starts")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_bounded(int, lambda n: n >= 0, "at least 0"), default=0)
     p_fit.add_argument("--eval-budget", type=_AT_LEAST_ONE, default=None, dest="eval_budget")
     p_fit.add_argument("--meas-source", action="store_true", dest="meas_source")
     p_fit.add_argument("--meas-species", action="store_true", dest="meas_species")
@@ -352,8 +353,8 @@ def _build_parser() -> _Parser:
         "--mesh-years", type=_bounded(float, lambda x: 0.0 < x < math.inf, "a positive number"),
         required=True, dest="mesh_years",
     )
-    p_impute.add_argument("--span-start", type=float, default=None, dest="span_start")
-    p_impute.add_argument("--span-end", type=float, default=None, dest="span_end")
+    p_impute.add_argument("--span-start", type=_AGE_MYA, default=None, dest="span_start")
+    p_impute.add_argument("--span-end", type=_AGE_MYA, default=None, dest="span_end")
     p_impute.add_argument("--out", default="grid.csv")
     p_impute.add_argument("--species-buckets", default=None, dest="species_buckets")
 
@@ -366,7 +367,7 @@ def _build_parser() -> _Parser:
     p_gain.add_argument("--sigma-eps2", type=_POSITIVE_FINITE, default=None, dest="sigma_eps2")
     p_gain.add_argument("--mean-dt", type=_POSITIVE_FINITE, default=None, dest="mean_dt")
     p_gain.add_argument("--data", default=None, help="derive mean dt from this CSV")
-    p_gain.add_argument("--order", type=_AT_LEAST_ONE, default=None)
+    p_gain.add_argument("--order", type=_ORDER, default=None)
     p_gain.add_argument("--out", default=None)
     p_gain.add_argument(
         "--samples", type=_bounded(int, lambda n: n >= 2, "at least 2"), default=1024

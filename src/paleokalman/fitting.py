@@ -9,11 +9,10 @@ score from kalman.score (Fisher's identity over one forward pass in paths
 mode and the smoother's backward pass), mapped to theta by the chain rule.
 Parameter points where the filter degenerates get a large finite penalty.
 
-The driver runs BFGS polish rounds on that gradient from each start. A fit
-is declared converged when the gradient infinity-norm is below 1e-4 and
-the last polish round improved the objective by less than 1e-8. Only when
-the polish does not converge does Nelder-Mead (200 * dim evaluation cap)
-run, from the polish's best point, followed by one more polish.
+The driver runs BFGS on that gradient once from each start. A start is
+converged when the gradient infinity-norm at the end of the run is below
+1e-4. Only when it is not does Nelder-Mead (200 * dim evaluation cap) run,
+from where BFGS stopped, followed by one more BFGS run.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ _PENALTY = 1e12
 _HESS_STEP = 1e-4
 _GRAD_TOL = 1e-4
 _BFGS_GTOL = 1e-7  # BFGS's own stop, tighter than _GRAD_TOL
-_IMPROVE_TOL = 1e-8
 
 
 class InitializationError(RuntimeError):
@@ -285,13 +283,14 @@ def default_start(layout: ParameterLayout, cm: CompiledModel) -> np.ndarray:
 class FitResult:
     """Estimates on the natural scale plus fit diagnostics.
 
-    iterations counts the optimizer's iterations over every start: BFGS
-    iterations of each polish round, plus Nelder-Mead's where the fallback
-    ran. n_evals counts the objective's evaluations outside the
-    standard-error Hessian: the start point and every point BFGS or
-    Nelder-Mead scored, each one loglik pass unless the point maps to a
-    non-finite parameter. A BFGS evaluation also runs kalman.score for the
-    gradient, which n_evals does not count separately.
+    iterations counts the optimizer's iterations over every start: those
+    of each BFGS run, plus Nelder-Mead's where the fallback ran. n_evals
+    counts the objective's evaluations outside the standard-error Hessian:
+    the start point and every point BFGS or Nelder-Mead scored, each one
+    loglik pass unless the point maps to a non-finite parameter. BFGS
+    scores its own start again, so the first start point counts twice. A
+    BFGS evaluation also runs kalman.score for the gradient, which n_evals
+    does not count separately.
     """
 
     spec: ModelSpec
@@ -361,13 +360,14 @@ class FitResult:
 
 @dataclass
 class FitOptions:
-    """Knobs for fit(); defaults reproduce the standard two-stage driver."""
+    """Knobs for fit(): n_starts starts in all, the first at start (or
+    default_start) and the rest jittered from it by seed; eval_budget caps
+    n_evals; compute_se runs the Hessian for the standard errors."""
 
     n_starts: int = 1
     seed: int = 0
     start: object = None  # natural-scale start vector, or None for defaults
     eval_budget: int | None = None
-    max_polish_rounds: int = 6
     compute_se: bool = True
 
 
@@ -383,38 +383,19 @@ def bic(loglik: float, n_params: int, n_obs: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _polish(obj, theta, f_start, max_rounds) -> tuple:
-    """BFGS rounds on the exact gradient until the convergence criteria
-    hold; returns (theta, f, converged, iterations)."""
-    x_best = np.asarray(theta, dtype=float)
-    f_best = f_start
-    g_best = None  # the gradient at x_best, from the round that found it
-    prev = f_start
-    iterations = 0
-    converged = False
-    for _ in range(max_rounds):
-        res = optimize.minimize(
-            obj.value_and_grad,
-            x_best,
-            jac=True,
-            method="BFGS",
-            options={"gtol": _BFGS_GTOL, "maxiter": 100 * max(1, x_best.size)},
-        )
-        iterations += int(res.nit)
-        if g_best is None or res.fun < f_best:
-            f_best = float(res.fun)
-            x_best = np.asarray(res.x, dtype=float)
-            g_best = np.asarray(res.jac, dtype=float)
-        improvement = prev - f_best
-        gnorm = float(np.max(np.abs(g_best)))
-        if gnorm < _GRAD_TOL and improvement < _IMPROVE_TOL:
-            converged = True
-            break
-        if improvement <= 0.0 and gnorm >= _GRAD_TOL:
-            # stalled short of the gradient criterion
-            break
-        prev = f_best
-    return x_best, f_best, converged, iterations
+def _polish(obj, theta) -> tuple:
+    """One BFGS run on the exact gradient from theta; returns (theta, f,
+    converged, iterations), converged when the gradient's infinity-norm
+    at the end of the run is below _GRAD_TOL."""
+    res = optimize.minimize(
+        obj.value_and_grad,
+        theta,
+        jac=True,
+        method="BFGS",
+        options={"gtol": _BFGS_GTOL, "maxiter": 100 * max(1, len(theta))},
+    )
+    converged = float(np.max(np.abs(res.jac))) < _GRAD_TOL
+    return np.asarray(res.x, dtype=float), float(res.fun), converged, int(res.nit)
 
 
 def fit(
@@ -466,9 +447,9 @@ def fit(
     best_converged = False
     iterations = 0
     budget_hit = False
-    for i, th in enumerate(starts):
+    for th in starts:
         try:
-            x, f, conv, nit = _polish(obj, th, f0 if i == 0 else np.inf, options.max_polish_rounds)
+            x, f, conv, nit = _polish(obj, th)
             iterations += nit
             if not conv:
                 nm = optimize.minimize(
@@ -482,9 +463,7 @@ def fit(
                         "adaptive": dim > 4,
                     },
                 )
-                x, f, conv, nit = _polish(
-                    obj, np.asarray(nm.x, dtype=float), float(nm.fun), options.max_polish_rounds
-                )
+                x, f, conv, nit = _polish(obj, np.asarray(nm.x, dtype=float))
                 iterations += int(nm.nit) + nit
         except _BudgetExhausted:
             budget_hit = True

@@ -48,9 +48,9 @@ def make_grid(span_start_mya: float, span_end_mya: float, mesh_years: float) -> 
     apart starting at the old end; the final partial interval is dropped.
     Returns stamps (negative-age convention), ascending.
     """
-    if not span_start_mya > span_end_mya >= 0.0:
+    if not (math.isfinite(span_start_mya) and span_start_mya > span_end_mya >= 0.0):
         raise ValueError(
-            f"need span_start > span_end >= 0, got ({span_start_mya}, {span_end_mya})"
+            f"need finite span_start > span_end >= 0, got ({span_start_mya}, {span_end_mya})"
         )
     if mesh_years <= 0:
         raise ValueError(f"mesh_years must be positive, got {mesh_years}")

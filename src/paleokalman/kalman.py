@@ -72,7 +72,6 @@ from .modelspec import (
 __all__ = [
     "ConditioningError",
     "CompiledModel",
-    "FilterState",
     "StatePaths",
     "FilterRun",
     "compile_model",
@@ -80,7 +79,6 @@ __all__ = [
     "loglik",
     "score",
     "smooth",
-    "standardized_residuals",
     "state_component_names",
     "write_state_paths_csv",
     "DIFFUSE_TOL",
@@ -264,25 +262,15 @@ def _slot_columns(buf: array, rows, cols, shape: tuple) -> np.ndarray:
 
 
 @dataclass
-class FilterState:
-    """Final state of a filter pass."""
-
-    a: np.ndarray
-    P: np.ndarray  # proper covariance part
-    P_inf: np.ndarray  # diffuse part, zero once the diffuse phase has ended
-    loglik_acc: float
-    t_index: int
-
-
-@dataclass
 class StatePaths:
     """Per-row state estimates in predicted, filtered, and smoothed form.
 
-    Covariance arrays hold the proper parts; *_covs_inf carry the diffuse
-    parts, exactly zero after the diffuse phase. Innovations and their
-    variances are per slot, NaN where the slot is missing. diffuse_rows
-    flags rows processed while initialization was still diffuse; they are
-    always a leading run of rows.
+    Covariance arrays hold the proper parts; predicted_covs_inf carries
+    the diffuse part of the prediction, exactly zero after the diffuse
+    phase. Innovations and their variances are per slot, NaN where the
+    slot is missing. diffuse_rows flags rows processed while
+    initialization was still diffuse; they are always a leading run of
+    rows.
     """
 
     stamps: np.ndarray
@@ -291,7 +279,6 @@ class StatePaths:
     predicted_covs_inf: np.ndarray
     filtered_means: np.ndarray
     filtered_covs: np.ndarray
-    filtered_covs_inf: np.ndarray
     innovations: np.ndarray
     innovation_variances: np.ndarray
     diffuse_rows: np.ndarray
@@ -320,14 +307,9 @@ class FilterRun:
     compiled: CompiledModel
     params: np.ndarray
     loglik: float
-    final_state: FilterState
     paths: StatePaths
     n_diffuse_slots: int
     booked: np.ndarray = field(repr=False)
-
-    def __iter__(self):
-        # allows (state, paths, loglik) unpacking
-        return iter((self.final_state, self.paths, self.loglik))
 
 
 def filter(
@@ -338,7 +320,7 @@ def filter(
     init="diffuse",
     compiled: CompiledModel | None = None,
 ) -> FilterRun:
-    """One forward pass: loglik, final state, predicted/filtered paths.
+    """One forward pass: loglik and the predicted/filtered paths.
 
     init is "diffuse" (the default) or a proper prior (a1, P1). Missing
     slots are skipped; rows where every slot of a series is missing leave
@@ -358,19 +340,11 @@ def filter(
         start = a, Ps, [0.0] * (s * s), False
 
     forward = _forward_dim1 if s == 1 else _forward
-    ll, (a, Ps, Pi), paths, booked, n_diffuse = forward(cm, params.tolist(), *start, True)
-    state = FilterState(
-        a=np.array(a),
-        P=np.array(Ps).reshape(s, s),
-        P_inf=np.array(Pi).reshape(s, s),
-        loglik_acc=ll,
-        t_index=cm.n - 1,
-    )
+    ll, _, paths, booked, n_diffuse = forward(cm, params.tolist(), *start, True)
     return FilterRun(
         compiled=cm,
         params=params,
         loglik=ll,
-        final_state=state,
         paths=paths,
         n_diffuse_slots=n_diffuse,
         booked=booked,
@@ -483,7 +457,7 @@ def _forward(
     inf = math.inf
     if keep_paths:
         pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
-        filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
+        filt_a, filt_P = array("d"), array("d")
         booked = array("d", bytes(8 * n * k * k))  # row nu's k x k block at nu*k*k
     first = 0  # the row's first slot
 
@@ -567,13 +541,11 @@ def _forward(
         if keep_paths:
             filt_a.fromlist(a)
             filt_P.fromlist(Ps)
-            if diffuse:
-                filt_Pi.fromlist(Pi)
 
     ll = _log_sum(rec_v, rec_F, rec_diffuse)
     if not keep_paths:
         return ll, (a, Ps, Pi), None, None, len(rec_diffuse)
-    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, filt_Pi, rec_v, rec_F)
+    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F)
     return ll, (a, Ps, Pi), paths, _paths_array(booked, (n, k, k)), len(rec_diffuse)
 
 
@@ -593,7 +565,7 @@ def _forward_dim1(
     (a,), (P,), (Pi,) = a, Ps, Pi
     if keep_paths:
         pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
-        filt_a, filt_P, filt_Pi = array("d"), array("d"), array("d")
+        filt_a, filt_P = array("d"), array("d")
         booked = array("d", bytes(8 * n))
     first = 0
 
@@ -635,20 +607,18 @@ def _forward_dim1(
         if keep_paths:
             filt_a.append(a)
             filt_P.append(P)
-            if diffuse:
-                filt_Pi.append(Pi)
 
     ll = _log_sum(rec_v, rec_F, rec_diffuse)
     if not keep_paths:
         return ll, ([a], [P], [Pi]), None, None, len(rec_diffuse)
-    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, filt_Pi, rec_v, rec_F)
+    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F)
     return ll, ([a], [P], [Pi]), paths, _paths_array(booked, (n, 1, 1)), len(rec_diffuse)
 
 
-def _state_paths(cm: CompiledModel, pred_a, pred_P, pred_Pi, filt_a, filt_P, filt_Pi, v, F):
+def _state_paths(cm: CompiledModel, pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F):
     # StatePaths from a forward pass's buffers: the moments of every row, the
-    # diffuse parts of the leading diffuse rows, and one innovation and its
-    # variance per observed slot
+    # diffuse part of each leading diffuse row's prediction, and one
+    # innovation and its variance per observed slot
     n, s, p = cm.n, cm.s, cm.p
     return StatePaths(
         stamps=cm.stamps,
@@ -657,7 +627,6 @@ def _state_paths(cm: CompiledModel, pred_a, pred_P, pred_Pi, filt_a, filt_P, fil
         predicted_covs_inf=_paths_array(pred_Pi, (n, s, s)),
         filtered_means=_paths_array(filt_a, (n, s)),
         filtered_covs=_paths_array(filt_P, (n, s, s)),
-        filtered_covs_inf=_paths_array(filt_Pi, (n, s, s)),
         innovations=_slot_columns(v, cm.obs_row, cm.obs_col, (n, p)),
         innovation_variances=_slot_columns(F, cm.obs_row, cm.obs_col, (n, p)),
         diffuse_rows=np.arange(n) < len(pred_Pi) // (s * s),
@@ -799,11 +768,6 @@ def _tail_precision(paths: StatePaths, rows: np.ndarray, tails: list) -> np.ndar
         U = vecs[:, w < DIFFUSE_TOL * w[-1]]
         G[i] = U[tails] @ np.linalg.solve(U.T @ P[i] @ U, U.T)
     return G
-
-
-def standardized_residuals(run: FilterRun) -> np.ndarray:
-    """StatePaths.standardized_residuals of a filter run's paths."""
-    return run.paths.standardized_residuals()
 
 
 # ---------------------------------------------------------------------------

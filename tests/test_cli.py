@@ -167,17 +167,33 @@ def test_usage_unknown_subcommand(capsys):
 # data and fit paths below do not exist, which would otherwise exit 65.
 
 
-@pytest.mark.parametrize("order", ["0", "9"])
-def test_usage_fit_order_out_of_range(tmp_path, capsys, order):
-    argv = ["fit", "--data", str(tmp_path / "none.csv"), "--order", order]
+@pytest.mark.parametrize(
+    "command, order",
+    [("fit", "0"), ("fit", "9"), ("gain", "0"), ("gain", "9"), ("gain", "600")],
+    ids=["0", "9", "gain-0", "gain-9", "gain-600"],
+)
+def test_usage_fit_order_out_of_range(tmp_path, capsys, command, order):
+    if command == "fit":
+        argv = ["fit", "--data", str(tmp_path / "none.csv"), "--order", order]
+    else:
+        argv = ["gain", "--q", "0.5", "--order", order, "--out", str(tmp_path / "g.csv")]
     assert main(argv) == EXIT_USAGE
-    assert "argument --order: must be in [1, 8]" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing computed or printed first
+    assert "argument --order: must be in [1, 8]" in captured.err
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_usage_fit_starts_zero(tmp_path, capsys):
     argv = ["fit", "--data", str(tmp_path / "none.csv"), "--starts", "0"]
     assert main(argv) == EXIT_USAGE
     assert "argument --starts: must be at least 1" in capsys.readouterr().err
+
+
+def test_usage_fit_seed_negative(tmp_path, capsys):
+    argv = ["fit", "--data", str(tmp_path / "none.csv"), "--seed", "-1"]
+    assert main(argv) == EXIT_USAGE
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -447,6 +463,21 @@ def test_impute_explicit_span(raw_csv, fitted, tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2 + 20
     assert float(lines[2].split(",")[0]) == -2.0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("flag", ["--span-start", "--span-end"])
+def test_impute_span_out_of_range_exits_64(raw_csv, fitted, tmp_path, capsys, flag, value):
+    out = tmp_path / "grid.csv"
+    argv = [
+        "impute", "--data", str(raw_csv), "--fit", str(fitted),
+        "--mesh-years", "50000", flag, value, "--out", str(out),
+    ]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing computed or printed first
+    assert f"argument {flag}: must be a non-negative finite number" in captured.err
+    assert not out.exists()
 
 
 def test_impute_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):

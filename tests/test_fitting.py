@@ -269,11 +269,11 @@ def test_stalled_polish_falls_back_to_nelder_mead(monkeypatch):
     polish = fitting._polish
     calls = []
 
-    def stall_once(obj, theta, f_start, max_rounds):
+    def stall_once(obj, theta):
         calls.append(np.array(theta))
-        if len(calls) == 1:  # the first polish gets nowhere
-            return np.asarray(theta, dtype=float), f_start, False, 0
-        return polish(obj, theta, f_start, max_rounds)
+        if len(calls) == 1:  # the first polish gets nowhere from the start point
+            return np.asarray(theta, dtype=float), obj.best_f, False, 0
+        return polish(obj, theta)
 
     monkeypatch.setattr(fitting, "_polish", stall_once)
     minimize = fitting.optimize.minimize
@@ -291,6 +291,22 @@ def test_stalled_polish_falls_back_to_nelder_mead(monkeypatch):
     assert res.loglik == pytest.approx(want.loglik, abs=1e-6)
     assert np.allclose(res.params_hat, want.params_hat, rtol=1e-3)
     assert res.n_evals > want.n_evals
+
+
+@pytest.mark.parametrize("n_starts", [1, 3])
+def test_converged_fit_runs_bfgs_once_per_start(monkeypatch, n_starts):
+    spec, data = _recovery_data(seed=6, n=240)
+    minimize = fitting.optimize.minimize
+    methods = []
+
+    def record(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    res = fit(spec, data, FitOptions(n_starts=n_starts, seed=11, compute_se=False))
+    assert res.converged
+    assert methods == ["BFGS"] * n_starts  # no confirming run, no Nelder-Mead
 
 
 def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):

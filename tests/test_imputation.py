@@ -66,6 +66,8 @@ def test_grid_domain_errors():
         make_grid(2.0, -1.0, 1000)
     with pytest.raises(ValueError):
         make_grid(2.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="need finite span_start > span_end >= 0"):
+        make_grid(math.inf, 1.0, 1000)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from paleokalman.kalman import (
     filter as kfilter,
     loglik as kloglik,
     smooth,
-    standardized_residuals,
     state_component_names,
     write_state_paths_csv,
 )
@@ -780,7 +779,7 @@ def test_residuals_missing_and_diffuse_are_nan():
     data = rows_from_values([-2.0, -1.5, -1.0], [[1.0], None, [2.5, 2.0]])
     layout = build_layout(spec, data)
     run = kfilter(spec, layout, [0.3, 0.8], data)
-    resid = standardized_residuals(run)
+    resid = run.paths.standardized_residuals()
     assert resid.shape == (3, 4)
     assert np.isnan(resid[0]).all()  # diffuse row
     assert np.isnan(resid[1]).all()  # missing row
@@ -796,7 +795,7 @@ def test_residuals_are_standard_normal_in_distribution():
     data = pk.simulate(spec, params, stamps, slots_per_row=1, seed=21)
     layout = build_layout(spec, data)
     run = kfilter(spec, layout, params, data)
-    resid = standardized_residuals(run)
+    resid = run.paths.standardized_residuals()
     flat = resid[np.isfinite(resid)]
     assert flat.size >= n - 2
     assert abs(flat.mean()) < 0.06
@@ -810,13 +809,12 @@ def test_residuals_are_standard_normal_in_distribution():
 # ---------------------------------------------------------------------------
 
 
-def test_filter_run_unpacks_as_triple():
+def test_filter_run_carries_loglik_and_paths():
     spec, params, data = _instance_a()
     layout = build_layout(spec, data)
-    state, paths, loglik = kfilter(spec, layout, params, data)
-    assert loglik == pytest.approx(-11.884805084795222, rel=1e-12)
-    assert paths.predicted_means.shape == (5, 1)
-    assert state.t_index == data.n_rows - 1  # index of the last processed row
+    run = kfilter(spec, layout, params, data)
+    assert run.loglik == pytest.approx(-11.884805084795222, rel=1e-12)
+    assert run.paths.predicted_means.shape == (5, 1)
 
 
 def test_state_component_names():
