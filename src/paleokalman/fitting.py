@@ -10,9 +10,11 @@ mode and the smoother's backward pass), mapped to theta by the chain rule.
 Parameter points where the filter degenerates get a large finite penalty.
 
 The driver runs BFGS on that gradient once from each start. A start is
-converged when the gradient infinity-norm at the end of the run is below
-1e-4. Only when it is not does Nelder-Mead (200 * dim evaluation cap) run,
-from where BFGS stopped, followed by one more BFGS run.
+converged when the run ends below the penalty and the gradient
+infinity-norm at its end is below 1e-4: a run that stops on the penalty
+has a zero gradient, not a small one. Only when it is not does Nelder-Mead
+(200 * dim evaluation cap) run, from where BFGS stopped, followed by one
+more BFGS run.
 """
 
 from __future__ import annotations
@@ -117,7 +119,10 @@ class _Objective:
 
     With scale < 1 the objective is the per-slot average negative loglik,
     which keeps the optimizer tolerances meaningful across sample sizes.
-    The penalty for inadmissible points is returned unscaled.
+    The penalty for inadmissible points is returned unscaled. The value of
+    the last call is kept, so that value_and_grad at that same theta (BFGS
+    starting where fit scored its start point) neither runs nor counts a
+    second loglik pass.
     """
 
     def __init__(
@@ -130,19 +135,23 @@ class _Objective:
         self.n_evals = 0
         self.best_f = np.inf
         self.best_x = None
+        self._last = None  # (theta's bytes, value) of the last call
 
     def __call__(self, theta) -> float:
         if self.budget is not None and self.n_evals >= self.budget:
             raise _BudgetExhausted()
         self.n_evals += 1
+        theta = np.array(theta, dtype=float)
         params = self.transform.to_natural(theta)
         if not np.all(np.isfinite(params)):
+            self._last = theta.tobytes(), _PENALTY
             return _PENALTY
         ll = _kernels.loglik_from_compiled(self.cm, params)
         f = -ll * self.scale if np.isfinite(ll) else _PENALTY
+        self._last = theta.tobytes(), f
         if f < self.best_f:
             self.best_f = f
-            self.best_x = np.array(theta, dtype=float)
+            self.best_x = theta
         return f
 
     def value_and_grad(self, theta) -> tuple:
@@ -150,15 +159,18 @@ class _Objective:
         gradient -score * d(natural)/d(theta) * scale. A point that is
         inadmissible, or where the score is not finite, gives the penalty
         and a zero gradient."""
-        f = self(theta)
+        theta = np.asarray(theta, dtype=float)
+        last = self._last
+        f = last[1] if last is not None and last[0] == theta.tobytes() else self(theta)
         if f < _PENALTY:
             # a variance that underflows to zero leaves the loglik finite
-            # but divides by zero in the score
+            # but divides by zero in the score: inf or NaN from numpy, a
+            # ZeroDivisionError from the score's float path at s = 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 try:
                     score = kalman.score(self.cm, self.transform.to_natural(theta))
-                except np.linalg.LinAlgError:  # a singular Q, as at |rho| = 1
-                    score = np.nan
+                except (np.linalg.LinAlgError, ZeroDivisionError):
+                    score = np.nan  # LinAlgError: a singular Q, as at |rho| = 1
                 g = -score * self.transform.natural_jacobian_diag(theta) * self.scale
             if np.all(np.isfinite(g)):
                 return f, g
@@ -287,10 +299,12 @@ class FitResult:
     of each BFGS run, plus Nelder-Mead's where the fallback ran. n_evals
     counts the objective's evaluations outside the standard-error Hessian:
     the start point and every point BFGS or Nelder-Mead scored, each one
-    loglik pass unless the point maps to a non-finite parameter. BFGS
-    scores its own start again, so the first start point counts twice. A
-    BFGS evaluation also runs kalman.score for the gradient, which n_evals
-    does not count separately.
+    loglik pass unless the point maps to a non-finite parameter. A BFGS
+    evaluation at the point scored just before it reuses that value and is
+    not counted again, so the first start point, which fit scores before
+    BFGS starts there, counts once. A BFGS evaluation also runs
+    kalman.score for the gradient, which n_evals does not count
+    separately.
     """
 
     spec: ModelSpec
@@ -385,8 +399,8 @@ def bic(loglik: float, n_params: int, n_obs: int) -> float:
 
 def _polish(obj, theta) -> tuple:
     """One BFGS run on the exact gradient from theta; returns (theta, f,
-    converged, iterations), converged when the gradient's infinity-norm
-    at the end of the run is below _GRAD_TOL."""
+    converged, iterations), converged when the run ends below the penalty
+    with the gradient's infinity-norm below _GRAD_TOL."""
     res = optimize.minimize(
         obj.value_and_grad,
         theta,
@@ -394,7 +408,8 @@ def _polish(obj, theta) -> tuple:
         method="BFGS",
         options={"gtol": _BFGS_GTOL, "maxiter": 100 * max(1, len(theta))},
     )
-    converged = float(np.max(np.abs(res.jac))) < _GRAD_TOL
+    # a run that stopped on the penalty has a zero gradient, not a small one
+    converged = res.fun < _PENALTY and float(np.max(np.abs(res.jac))) < _GRAD_TOL
     return np.asarray(res.x, dtype=float), float(res.fun), converged, int(res.nit)
 
 

@@ -47,8 +47,13 @@ batched solves, and at state dimension 1 it too runs on floats
 
 score, the exact gradient of the loglik that fitting climbs, runs the
 forward recursion in paths mode and the backward pass of smooth, and
-reads the gradient off the smoothed moments by Fisher's identity. It calls
-neither filter nor smooth, so those two remain whole-panel passes only.
+reads the gradient off the smoothed moments by Fisher's identity. At state
+dimension 1 it runs on floats end to end (_score_dim1): _forward_dim1's
+buffers, then one backward sweep that does smooth's operations and the
+gradient's terms, with no numpy between the forward pass and the sum. The
+numpy path, _score, runs every larger state and is its bitwise reference,
+as _forward is _forward_dim1's. score calls neither filter nor smooth, so
+those two remain whole-panel passes only.
 """
 
 from __future__ import annotations
@@ -379,11 +384,22 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     eta = B (x_u - a_{u|u-1}) and B, C as in smooth. dQ covers the
     cross-covariance rho sqrt(s1 s2) min(w1, w2) of a bivariate row.
 
+    At state dimension 1 the score runs on floats (_score_dim1), equal bit
+    for bit to the numpy path (_score) that runs every larger state. A zero
+    variance that the numpy path turns into an inf or NaN coordinate
+    raises ZeroDivisionError there.
+
     The parameters are used as given, as in loglik, which raises the same
     ConditioningError at an inadmissible point.
     """
-    cm = compiled
     h = np.asarray(params, dtype=float)
+    if compiled.s == 1:
+        return _score_dim1(compiled, h.tolist())
+    return _score(compiled, h)
+
+
+def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
+    # score's numpy path: every state dimension, and the reference at s = 1
     forward = _forward_dim1 if cm.s == 1 else _forward
     _, _, paths, booked, _ = forward(cm, h.tolist(), *_diffuse_start(cm.s), True)
     X, V, (succ, Q, B, C) = _smoothed(cm, paths, booked)
@@ -422,6 +438,48 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
         d = m12 * np.sqrt(sig[:, 0] * sig[:, 1]) * w.min(axis=1)
         grad += np.bincount(ci[on], d[on], minlength=h.size)
     return grad
+
+
+def _score_dim1(cm: CompiledModel, h: list) -> np.ndarray:
+    # _score at s = 1 on floats, bit for bit: _forward_dim1's buffers, then
+    # one backward sweep with _smoothed's operations in their order (G =
+    # 1 / P_{u|u-1} is what the batched 1 x 1 solve gives) and _score's
+    # terms. The measurement terms add up in slot order and the transition
+    # terms in row order, each from zero, as np.bincount adds them. A zero
+    # divisor raises ZeroDivisionError where _score gives inf or NaN.
+    _, ((x,), (V,), _), buffers, _ = _forward_dim1_buffers(cm, h, *_diffuse_start(1), True)
+    pred_a, pred_P, pred_Pi, *_, booked = buffers
+    moved, window, tvar = cm.moved, cm.window, cm.tvar
+    X, XV, trans = [], [], []  # per row, and (index, term) per moving row; last first
+    for nu in range(cm.n - 1, -1, -1):
+        # (x, V) are row nu's smoothed moments, V before the symmetrization
+        Vs = 0.5 * (V + V)
+        X.append(x)
+        XV.append(Vs)
+        if nu and moved[nu]:
+            # a series moves only after its first observed row, whose slot
+            # ends the diffuse phase at s = 1, so G needs no diffuse limit
+            if nu < len(pred_Pi):
+                raise AssertionError(f"row {nu} moves inside the diffuse phase")
+            q = booked[nu]
+            b = q * (1.0 / pred_P[nu])
+            c = q - b * q
+            eta = b * (x - pred_a[nu])
+            S = (eta * eta + c) + b * Vs * b
+            trans.append((tvar[nu], (S / q - 1.0) / q * window[nu] / 2.0))
+            x -= eta
+            V -= b * V
+            V = (V - b * V) + c
+    X.reverse()
+    XV.reverse()
+    grad, moves = [0.0] * len(h), [0.0] * len(h)
+    for yo, i, nu in zip(cm.y, cm.hidx, cm.obs_row.tolist()):
+        e = yo - X[nu]
+        r = h[i]
+        grad[i] += ((e * e + XV[nu]) / r - 1.0) / (2.0 * r)
+    for i, t in reversed(trans):
+        moves[i] += t
+    return np.array(list(map(add, grad, moves)))
 
 
 def _diffuse_start(s: int) -> tuple:
@@ -552,9 +610,24 @@ def _forward(
 def _forward_dim1(
     cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
 ) -> tuple:
-    # _forward at s = 1, with the same arguments and results: a, P and P_inf
-    # are floats instead of one-element lists, and every operation is
-    # _forward's, in its order
+    # _forward at s = 1, with the same arguments and results: the paths and
+    # booked variances are _forward_dim1_buffers' buffers as arrays
+    ll, final, buffers, n_diffuse = _forward_dim1_buffers(cm, h, a, Ps, Pi, diffuse, keep_paths)
+    if buffers is None:
+        return ll, final, None, None, n_diffuse
+    *paths, booked = buffers
+    return ll, final, _state_paths(cm, *paths), _paths_array(booked, (cm.n, 1, 1)), n_diffuse
+
+
+def _forward_dim1_buffers(
+    cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
+) -> tuple:
+    # the recursion of _forward_dim1: a, P and P_inf are floats instead of
+    # one-element lists, and every operation is _forward's, in its order.
+    # Returns (loglik, final state, buffers, number of diffuse slots), the
+    # buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, booked) one
+    # float per row or per observed slot, pred_Pi over the diffuse rows
+    # only; None without keep_paths
     n = cm.n
     count, y, hidx = cm.count, cm.y, cm.hidx
     apply_, window, tvar = cm.apply_, cm.window, cm.tvar  # per row: one series
@@ -609,10 +682,10 @@ def _forward_dim1(
             filt_P.append(P)
 
     ll = _log_sum(rec_v, rec_F, rec_diffuse)
-    if not keep_paths:
-        return ll, ([a], [P], [Pi]), None, None, len(rec_diffuse)
-    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F)
-    return ll, ([a], [P], [Pi]), paths, _paths_array(booked, (n, 1, 1)), len(rec_diffuse)
+    buffers = None
+    if keep_paths:
+        buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
+    return ll, ([a], [P], [Pi]), buffers, len(rec_diffuse)
 
 
 def _state_paths(cm: CompiledModel, pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F):

@@ -262,6 +262,25 @@ def test_objective_gradient_where_the_score_breaks_down():
         f, g = obj.value_and_grad(bad)
         assert f == fitting._PENALTY and not g.any()
 
+    # at state dimension 1 the score runs on floats, where a zero divisor
+    # raises instead of giving inf or NaN: each variance of a by-source
+    # panel underflowed in turn
+    spec = ModelSpec(meas_grouping="by-source")
+    stamps = random_stamps(np.random.default_rng(3), 30)
+    data = pk.simulate(spec, [0.1, 0.3, 1.0], stamps, slots_per_row=2, seed=2, n_sources=2)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.s == 1 and layout.n_params == 3
+    tr = ParamTransform.for_layout(layout)
+    obj = fitting._Objective(cm, tr)
+    theta = tr.to_unconstrained([0.1, 0.3, 1.0])
+    for i in range(3):
+        bad = theta.copy()
+        bad[i] = -800.0  # exp(-800) == 0.0
+        assert np.isfinite(obj(bad))
+        f, g = obj.value_and_grad(bad)
+        assert f == fitting._PENALTY and not g.any()
+
 
 def test_stalled_polish_falls_back_to_nelder_mead(monkeypatch):
     spec, data = _recovery_data(seed=8, n=300)
@@ -293,6 +312,31 @@ def test_stalled_polish_falls_back_to_nelder_mead(monkeypatch):
     assert res.n_evals > want.n_evals
 
 
+def test_bfgs_stopped_on_the_penalty_falls_back_to_nelder_mead(monkeypatch):
+    # from a trend variance of 1e-320 the loglik is finite but the score is
+    # not, so the first BFGS run stops on the penalty with a zero gradient:
+    # that is no convergence, and Nelder-Mead takes over
+    spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    stamps = -np.cumsum(np.random.default_rng(1).exponential(0.01, 40))[::-1] - 0.001
+    data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], stamps, seed=1)
+    start = fit(spec, data, FitOptions(compute_se=False)).params_hat.copy()
+    start[2] = 1e-320  # sigma_eta2.d18O
+    cm = compile_model(spec, build_layout(spec, data), data)
+    start_loglik = pk.kalman.loglik(cm, start)
+    assert np.isfinite(start_loglik)
+    minimize = fitting.optimize.minimize
+    methods = []
+
+    def record(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    res = fit(spec, data, FitOptions(start=start, compute_se=False))
+    assert methods == ["BFGS", "Nelder-Mead", "BFGS"]
+    assert res.loglik > start_loglik + 1.0
+
+
 @pytest.mark.parametrize("n_starts", [1, 3])
 def test_converged_fit_runs_bfgs_once_per_start(monkeypatch, n_starts):
     spec, data = _recovery_data(seed=6, n=240)
@@ -315,7 +359,7 @@ def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
     calls = []
 
     def counted(cm, params):
-        calls.append(None)
+        calls.append(np.array(params))
         return kernel(cm, params)
 
     monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", counted)
@@ -326,6 +370,9 @@ def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
     calls.clear()
     res = fit(spec, data, FitOptions(compute_se=False))
     assert len(calls) == res.n_evals
+    # BFGS starts at the point fit has just scored and takes its value:
+    # no point is scored twice in a row
+    assert all(not np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
 
 # ---------------------------------------------------------------------------

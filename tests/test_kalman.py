@@ -548,6 +548,7 @@ DIM1_SPECS = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", list(DIM1_SPECS))
 def test_dim1_loglik_equals_filter_bitwise(name, seed):
+    # and the score's float path equals its numpy path, called directly
     spec = DIM1_SPECS[name]
     data = _dim1_panel(seed)
     layout = build_layout(spec, data)
@@ -563,6 +564,7 @@ def test_dim1_loglik_equals_filter_bitwise(name, seed):
         assert ll == kfilter(spec, layout, params, data, compiled=cm).loglik
         assert ll == _kernels.loglik_from_compiled(cm, params)
         assert ll == kalman._forward(cm, params.tolist(), *kalman._diffuse_start(1), False)[0]
+        assert _same_bits(kalman.score(cm, params), kalman._score(cm, params))
 
 
 def test_dim1_loglik_raises_as_the_general_recursion():
@@ -586,6 +588,13 @@ def test_dim1_loglik_raises_as_the_general_recursion():
     assert str(fast.value) == str(ref.value)
     assert fast.value.row_index == ref.value.row_index > 3
     assert "innovation variance" in str(fast.value)
+    # the score's float path raises as its numpy path
+    with pytest.raises(ConditioningError) as fast:
+        kalman.score(cm, params)
+    with pytest.raises(ConditioningError) as ref:
+        kalman._score(cm, params)
+    assert str(fast.value) == str(ref.value)
+    assert fast.value.row_index == ref.value.row_index
 
 
 def test_dim1_smoother_equals_general_recursion_bitwise(monkeypatch):
@@ -1036,3 +1045,21 @@ def test_score_calls_neither_filter_nor_smooth(monkeypatch):
     monkeypatch.setattr(kalman, "filter", refuse)
     monkeypatch.setattr(kalman, "smooth", refuse)
     assert np.array_equal(kalman.score(cm, params), want)
+
+
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
+def test_dim1_score_equals_general_path_on_mixed_panels(tmp_path, build):
+    # leading all-missing rows, grid rows that move nothing and one to four
+    # slots in a row
+    data = mixed_panels(tmp_path)[build]
+    rng = np.random.default_rng(6)
+    for spec in (
+        ModelSpec(meas_grouping="by-source", trans_grouping="by-climate-state"),
+        ModelSpec(arity="univariate-series2", meas_grouping="by-species"),
+    ):
+        layout = build_layout(spec, data)
+        cm = compile_model(spec, layout, data)
+        assert cm.s == 1
+        for _ in range(10):
+            params = np.exp(rng.uniform(-12.0, 3.0, layout.n_params))
+            assert _same_bits(kalman.score(cm, params), kalman._score(cm, params))
