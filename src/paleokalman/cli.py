@@ -6,8 +6,8 @@ leading comment line with the tool version and the exact invocation; the
 fit JSON carries the same information under a "meta" key.
 
 Exit codes: 0 success, 2 fit did not converge (best effort written),
-3 no finite cutoff frequency, 64 usage error, 65 data/parse error,
-66 fit/data mismatch.
+3 no finite cutoff frequency, 64 usage error, 65 data/parse error (or a
+filter that fails on the fitted estimates), 66 fit/data mismatch.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ PRESETS = ("rwn", "rwn-source", "rwn-species", "rwn-climate", "biv", "biv-full",
 
 
 class UsageError(Exception):
+    pass
+
+
+class _FitMismatch(Exception):
     pass
 
 
@@ -176,11 +180,20 @@ def _load_fit(path) -> tuple:
     return FitResult.from_json_dict(payload), payload
 
 
-def _check_fit_matches(result: FitResult, payload: dict, layout) -> bool:
+def _load_fit_and_data(args) -> tuple:
+    """(result, data, layout) for --fit and --data; raises _FitMismatch if
+    the fit's layout is not the one its model gives on this data."""
+    result, payload = _load_fit(args.fit)
+    data, _diag = _load_data(args)
+    layout = build_layout(result.spec, data)
     stored_hash = payload.get("layout_hash")
     if stored_hash is not None:
-        return stored_hash == layout.hash()
-    return tuple(result.param_names) == tuple(layout.names())
+        matches = stored_hash == layout.hash()
+    else:
+        matches = tuple(result.param_names) == tuple(layout.names())
+    if not matches:
+        raise _FitMismatch("fit file does not match this data/model (layout differs)")
+    return result, data, layout
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +232,8 @@ def cmd_fit(args, argv) -> int:
 
 
 def cmd_smooth(args, argv) -> int:
-    result, payload = _load_fit(args.fit)
+    result, data, layout = _load_fit_and_data(args)
     spec = result.spec
-    data, diag = _load_data(args)
-    layout = build_layout(spec, data)
-    if not _check_fit_matches(result, payload, layout):
-        print(
-            "error: fit file does not match this data/model (layout differs)",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
     run = kalman.filter(spec, layout, result.params_hat, data)
     paths = kalman.smooth(run)
     kalman.write_state_paths_csv(paths, spec, args.out, _header_lines(argv))
@@ -238,16 +243,7 @@ def cmd_smooth(args, argv) -> int:
 
 
 def cmd_impute(args, argv) -> int:
-    result, payload = _load_fit(args.fit)
-    spec = result.spec
-    data, diag = _load_data(args)
-    layout = build_layout(spec, data)
-    if not _check_fit_matches(result, payload, layout):
-        print(
-            "error: fit file does not match this data/model (layout differs)",
-            file=sys.stderr,
-        )
-        return EXIT_MISMATCH
+    result, data, _layout = _load_fit_and_data(args)
 
     if args.span_start is not None:
         span_start = args.span_start
@@ -256,7 +252,7 @@ def cmd_impute(args, argv) -> int:
     span_end = args.span_end if args.span_end is not None else 0.0
     grid = make_grid(span_start, span_end, args.mesh_years)
     print(f"N_g = {len(grid)}")
-    table = impute(result, spec, data, grid)
+    table = impute(result, result.spec, data, grid)
     write_impute_csv(table, args.out, _header_lines(argv))
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -400,9 +396,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (InitializationError, ValueError) as exc:
+    except (InitializationError, ValueError, kalman.ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except _FitMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 def console_entry() -> None:  # pragma: no cover - exercised via main()

@@ -6,9 +6,10 @@ carries up to four tagged measurement slots per series plus a climate-state
 regime index. Group registries (sources, species) are dense int -> label maps
 shared by every model variant.
 
-A panel is stored as a PanelView, one array per column. Collated panels
-(ingest, collate_rows, read_canonical_csv, merge_grid) hold nothing else:
-their ObservationRows are built from the view when a reader asks for them.
+A panel is stored only as a PanelView, one array per column: every panel
+is collated (collate_rows, ingest, read_canonical_csv, merge_grid) or is a
+window of one, and its ObservationRows are built from the view when a
+reader asks for them. A window data.rows[a:b] slices the view.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -103,12 +103,10 @@ _EMPTY_SLOTS = tuple(MeasurementSlot() for _ in range(MAX_SLOTS))
 class ObservationRow:
     """All measurements sharing one time stamp.
 
-    dt is the increment from the previous row in million years (NaN for the
-    first row). climate_state is the Table-style regime index j in 1..6.
+    climate_state is the Table-style regime index j in 1..6.
     """
 
     stamp: float
-    dt: float
     slots_series1: tuple = _EMPTY_SLOTS
     slots_series2: tuple = _EMPTY_SLOTS
     climate_state: int = 6
@@ -152,59 +150,19 @@ class PanelView:
         return self.at // MAX_SLOTS % 2
 
 
-def _panel_view(rows) -> PanelView:
-    at, observed = [], []
-    base = 0
-    for row in rows:
-        i = base
-        for slot in row.slots_series1:
-            if slot.value == slot.value:
-                at.append(i)
-                observed.append(slot)
-            i += 1
-        end = base + MAX_SLOTS
-        if i > end:
-            _raise_capacity(row, 0)
-        i = end
-        for slot in row.slots_series2:
-            if slot.value == slot.value:
-                at.append(i)
-                observed.append(slot)
-            i += 1
-        base += 2 * MAX_SLOTS
-        if i > base:
-            _raise_capacity(row, 1)
-    arrays = (
-        np.array([r.stamp for r in rows], dtype=float),
-        np.array([r.climate_state for r in rows], dtype=np.int32),
-        np.array(at, dtype=np.int64),
-        np.array([slot.value for slot in observed], dtype=float),
-        np.array([slot.source_id for slot in observed], dtype=np.int32),
-        np.array([slot.species_id for slot in observed], dtype=np.int32),
-    )
-    return _read_only(PanelView(*arrays))
-
-
 def _read_only(view: PanelView) -> PanelView:
     for f in fields(view):
         getattr(view, f.name).setflags(write=False)
     return view
 
 
-def _raise_capacity(row: ObservationRow, series: int):
-    # a fifth slot would land in the next series' columns
-    raise ValueError(
-        f"more than {MAX_SLOTS} slots for series {SERIES_NAMES[series]} "
-        f"at stamp {row.stamp}"
-    )
-
-
 class PanelRows(Sequence):
     """The rows of a panel, built from its view when asked for.
 
-    rows[i] (negative i too), rows[a:b] and iteration build ObservationRows
-    for the requested rows only, and nothing keeps them: the full tuple of
-    a large panel is never held. A slice is a tuple.
+    rows[i] (negative i too) and iteration build ObservationRows for the
+    requested rows only, and nothing keeps them: the full tuple of a large
+    panel is never held. rows[a:b] is a PanelRows over a window of the
+    view and builds no row; a slice with any other step is a tuple.
     """
 
     __slots__ = ("view",)
@@ -220,64 +178,67 @@ class PanelRows(Sequence):
         if isinstance(index, slice):
             rows = rows[index]
             if rows.step == 1:
-                return tuple(self._build(rows.start, rows.stop))
+                return PanelRows(self._window(rows.start, rows.stop))
             return tuple(self[i] for i in rows)
         i = rows[operator.index(index)]
-        return next(self._build(i, i + 1))
+        return next(iter(self[i : i + 1]))
 
     def __iter__(self):
-        return self._build(0, len(self))
-
-    def _build(self, start: int, stop: int):
-        # rows start..stop-1; their slots, by flat index, are the view's
-        # from row start's first index up to row stop's
         v = self.view
         width = 2 * MAX_SLOTS
-        lo, hi = np.searchsorted(v.at, [start * width, stop * width]).tolist()
         slots = {
             at: MeasurementSlot(value, source, species)
             for at, value, source, species in zip(
-                v.at[lo:hi].tolist(),
-                v.value[lo:hi].tolist(),
-                v.source[lo:hi].tolist(),
-                v.species[lo:hi].tolist(),
+                v.at.tolist(), v.value.tolist(), v.source.tolist(), v.species.tolist()
             )
         }
-        stamps = v.stamps[start:stop].tolist()
-        # each row's dt is its stamp minus the previous row's; row 0 has
-        # MISSING itself, as in rows built by compute_increments, so that
-        # rows compare equal (== on a tuple tests identity first)
-        previous = [v.stamps[start - 1].item() if start else MISSING] + stamps[:-1]
-        states = v.climate_states[start:stop].tolist()
-        for r, stamp, before, state in zip(range(start, stop), stamps, previous, states):
+        states = v.climate_states.tolist()
+        for r, (stamp, state) in enumerate(zip(v.stamps.tolist(), states)):
             cells = [slots.get(r * width + i, _EMPTY_SLOTS[0]) for i in range(width)]
             yield ObservationRow(
-                stamp,
-                stamp - before if r else MISSING,
-                tuple(cells[:MAX_SLOTS]),
-                tuple(cells[MAX_SLOTS:]),
-                state,
+                stamp, tuple(cells[:MAX_SLOTS]), tuple(cells[MAX_SLOTS:]), state
             )
+
+    def _window(self, start: int, stop: int) -> PanelView:
+        # rows start..stop-1; their slots, by flat index, are the view's
+        # from row start's first index up to row stop's, renumbered from
+        # row start
+        v = self.view
+        width = 2 * MAX_SLOTS
+        lo, hi = np.searchsorted(v.at, [start * width, stop * width]).tolist()
+        return PanelView(
+            v.stamps[start:stop],
+            v.climate_states[start:stop],
+            v.at[lo:hi] - start * width,
+            v.value[lo:hi],
+            v.source[lo:hi],
+            v.species[lo:hi],
+        )
 
 
 @dataclass(frozen=True)
 class PanelDataset:
     """Immutable ordered panel: rows plus the group registries they index.
 
-    rows are sorted ascending by stamp with unique stamps. A collated panel
-    (collate_rows, ingest, read_canonical_csv, imputation.merge_grid) is
-    stored as its view: rows is a PanelRows, which builds ObservationRows
-    only when a reader asks for them, and view and n_rows are read off it.
-    A panel may also be given a tuple of ObservationRows (as
-    dataclasses.replace(data, rows=data.rows[a:b]) does); its view is then
-    built by one walk of the rows on first use and cached on the dataset.
-    The rows must not change after that.
+    rows are sorted ascending by stamp with unique stamps. rows is always a
+    PanelRows, which holds the panel's view and builds ObservationRows only
+    when a reader asks for them; view and n_rows are read off it. Panels
+    are made by collate_rows (or ingest, read_canonical_csv,
+    imputation.merge_grid), and a window of one by
+    dataclasses.replace(data, rows=data.rows[a:b]).
     """
 
-    rows: Sequence
+    rows: PanelRows
     sources: dict = field(default_factory=dict)
     species: dict = field(default_factory=dict)
     climate_boundaries: tuple = CLIMATE_STATE_AGES
+
+    def __post_init__(self):
+        if not isinstance(self.rows, PanelRows):
+            raise TypeError(
+                f"PanelDataset rows must be a PanelRows, not "
+                f"{type(self.rows).__name__}; build the panel with collate_rows"
+            )
 
     @property
     def n_rows(self) -> int:
@@ -286,10 +247,9 @@ class PanelDataset:
     def stamps(self) -> list:
         return self.view.stamps.tolist()
 
-    @cached_property
+    @property
     def view(self) -> PanelView:
-        rows = self.rows
-        return rows.view if isinstance(rows, PanelRows) else _panel_view(rows)
+        return self.rows.view
 
     def n_observed_slots(self, series=None) -> int:
         """Count non-missing slots, over one series or both."""

@@ -177,11 +177,11 @@ class _Objective:
         return _PENALTY, np.zeros(len(theta))
 
 
-def numerical_hessian(f, x, step_scale=_HESS_STEP) -> np.ndarray:
+def numerical_hessian(f, x) -> np.ndarray:
     """Central-difference Hessian with per-coordinate step 1e-4*(1+|x_i|)."""
     x = np.asarray(x, dtype=float)
     d = x.size
-    h = step_scale * (1.0 + np.abs(x))
+    h = _HESS_STEP * (1.0 + np.abs(x))
     H = np.empty((d, d))
     f0 = f(x)
     for i in range(d):

@@ -66,17 +66,18 @@ def make_grid(span_start_mya: float, span_end_mya: float, mesh_years: float) -> 
     return [-(span_start_mya - (i * mesh_years) / 1e6) for i in range(n_g)]
 
 
-def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
+def merge_grid(data: PanelDataset, grid) -> tuple:
     """Insert grid stamps as all-missing rows; returns (merged, indices).
 
     indices[i] is the merged-row index holding grid stamp grid[i]. Stamps
-    within tol of an existing row are not inserted; the existing row is
-    referenced instead. The merged panel holds only its view, which is the
-    data's view with the rows renumbered; no row objects are built.
+    within COINCIDENCE_TOL of an existing row are not inserted; the
+    existing row is referenced instead. The merged panel holds only its
+    view, which is the data's view with the rows renumbered; no row
+    objects are built.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     view = data.view
-    extra = grid[~_near(view.stamps, grid, tol, (-1, 0))[1].any(axis=0)]
+    extra = grid[~_near(view.stamps, grid, (-1, 0))[1].any(axis=0)]
 
     # a stable sort by stamp of the data rows followed by the extra rows
     n = data.n_rows
@@ -104,8 +105,8 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
     merged = PanelDataset(PanelRows(merged_view), data.sources, data.species)
 
     # each stamp's row: the first of the rows just below, at and above its
-    # insertion point that lies within tol
-    at, near = _near(stamps, grid, tol, (-1, 0, 1))
+    # insertion point that lies within COINCIDENCE_TOL
+    at, near = _near(stamps, grid, (-1, 0, 1))
     lost = ~near.any(axis=0)
     if lost.any():
         raise AssertionError(f"grid stamp {grid[lost][0]} lost in the merge")
@@ -113,15 +114,16 @@ def merge_grid(data: PanelDataset, grid, tol: float = COINCIDENCE_TOL) -> tuple:
     return merged, indices
 
 
-def _near(stamps: np.ndarray, grid: np.ndarray, tol: float, offsets: tuple) -> tuple:
+def _near(stamps: np.ndarray, grid: np.ndarray, offsets: tuple) -> tuple:
     # (at, near): at[g] is grid[g]'s insertion point in stamps, and near[i, g]
-    # says that the row at at[g] + offsets[i] exists and lies within tol
+    # says that the row at at[g] + offsets[i] exists and lies within
+    # COINCIDENCE_TOL
     at = np.searchsorted(stamps, grid)
     near = np.zeros((len(offsets), grid.size), dtype=bool)
     for i, off in enumerate(offsets):
         j = at + off
         ok = (j >= 0) & (j < stamps.size)
-        near[i, ok] = np.abs(stamps[j[ok]] - grid[ok]) <= tol
+        near[i, ok] = np.abs(stamps[j[ok]] - grid[ok]) <= COINCIDENCE_TOL
     return at, near
 
 

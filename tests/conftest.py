@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 
 from paleokalman import ModelSpec, simulate
-from paleokalman.core import (
-    MAX_SLOTS,
-    MISSING,
-    MeasurementSlot,
-    ObservationRow,
-    PanelDataset,
-    clamped_climate_state,
-    collate_rows,
-    compute_increments,
-)
+from paleokalman.core import MISSING, _collate, collate_rows
 from paleokalman.imputation import COINCIDENCE_TOL, merge_grid
 from paleokalman.ingest import read_canonical_csv, write_canonical_csv, write_registry_json
 
@@ -25,48 +16,47 @@ def rows_from_values(stamps, values_series1, values_series2=None, sources=None):
 
     values_series1/2: list (len == len(stamps)) of lists of floats, one entry
     per filled slot of that row; None entries mean the series is unobserved.
-    sources: optional per-slot source ids (parallel structure), default 0.
+    sources: optional per-slot source ids of series 1 (parallel structure),
+    default 0; they are kept as given, with registry labels source_<id>.
     """
-    def pad(slots):
-        return tuple(slots) + tuple(
-            MeasurementSlot() for _ in range(MAX_SLOTS - len(slots))
-        )
-
-    dts = compute_increments(stamps)
-    rows = []
-    for nu, stamp in enumerate(stamps):
-        s1 = values_series1[nu] if values_series1 is not None else None
-        s2 = values_series2[nu] if values_series2 is not None else None
-        slots1 = pad(
-            [
-                MeasurementSlot(
-                    value=v,
-                    source_id=(sources[nu][i] if sources else 0),
-                    species_id=0,
-                )
-                for i, v in enumerate(s1 or [])
-            ]
-        )
-        slots2 = pad(
-            [MeasurementSlot(value=v, source_id=0, species_id=0) for v in (s2 or [])]
-        )
-        rows.append(
-            ObservationRow(
-                stamp=stamp,
-                dt=dts[nu],
-                slots_series1=slots1,
-                slots_series2=slots2,
-                climate_state=clamped_climate_state(abs(stamp)),
-            )
-        )
-    n_src = 1 + max(
-        (sl.source_id for r in rows for sl in r.slots_series1 + r.slots_series2),
-        default=0,
+    # one missing entry per stamp registers the row, then each value
+    entries = [(stamp, 0, MISSING, -1) for stamp in stamps]
+    for s, per_row in enumerate((values_series1, values_series2)):
+        for nu, values in enumerate(per_row or []):
+            for i, v in enumerate(values or []):
+                source = sources[nu][i] if sources and s == 0 else 0
+                entries.append((stamps[nu], s, v, source))
+    stamp, series, value, source = map(np.array, zip(*entries))
+    n_src = 1 + source.max()
+    return _collate(
+        stamp.astype(float),
+        series,
+        value.astype(float),
+        source,
+        np.zeros(source.size, dtype=np.int32),
+        {i: f"source_{i}" for i in range(n_src)},
+        {0: "species_0"},
     )
-    return PanelDataset(
-        rows=tuple(rows),
-        sources={i: f"source_{i}" for i in range(n_src)},
-        species={0: "species_0"},
+
+
+def recollate(data, window=slice(None), empty_stamps=()):
+    """The rows of data in window, collated afresh by core._collate from
+    their entries, with an all-missing row added at each of empty_stamps;
+    ids and registries are kept."""
+    v = data.view
+    a, b, _ = window.indices(data.n_rows)
+    keep = (v.row >= a) & (v.row < b)
+    # one missing entry per stamp registers the row, then each value
+    stamps = np.concatenate([v.stamps[a:b], empty_stamps])
+    n = stamps.size
+    return _collate(
+        np.concatenate([stamps, v.stamps[v.row[keep]]]),
+        np.concatenate([np.zeros(n, dtype=np.int64), v.series[keep]]),
+        np.concatenate([np.full(n, MISSING), v.value[keep]]),
+        np.concatenate([np.full(n, -1, dtype=np.int32), v.source[keep]]),
+        np.concatenate([np.full(n, -1, dtype=np.int32), v.species[keep]]),
+        data.sources,
+        data.species,
     )
 
 
@@ -139,9 +129,9 @@ def mixed_panels(tmp_path):
     from its canonical CSV (whose padding slots are fresh objects), with
     grid rows merged in, twice, and sliced. The second grid has several
     stamps before the first row and stamps within COINCIDENCE_TOL of data
-    rows, on both sides. The sliced panel is given a tuple of rows (rows 1
-    to 6, so one leading all-missing row and a first dt that is not NaN),
-    as a fit window on a sub-panel is."""
+    rows, on both sides. The sliced panel is the window rows[1:7] of the
+    collated one (so one leading all-missing row), as a fit window on a
+    sub-panel is."""
     collated = collate_rows(MIXED_RECORDS)
     write_canonical_csv(collated, tmp_path / "panel.csv")
     write_registry_json(collated, tmp_path / "registry.json")
@@ -163,6 +153,7 @@ def mixed_panels(tmp_path):
 
 __all__ = [
     "rows_from_values",
+    "recollate",
     "random_stamps",
     "small_simulated",
     "mixed_panels",

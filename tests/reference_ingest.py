@@ -2,8 +2,10 @@
 
 One frozen RawRecord per CSV line, aliases and buckets applied with
 dataclasses.replace, and the record-by-record collate that builds every
-MeasurementSlot and ObservationRow. The parity tests compare the package's
-ingest and collate_rows against it, so it stays in this plain form.
+MeasurementSlot and ObservationRow. Its panels are (rows, sources, species)
+tuples, with no PanelDataset, so that it shares no code with the package's
+collate. The parity tests compare the package's ingest and collate_rows
+against it, so it stays in this plain form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from paleokalman.core import (
     SERIES_NAMES,
     MeasurementSlot,
     ObservationRow,
-    PanelDataset,
     _normalize_series,
     clamped_climate_state,
     compute_increments,
@@ -134,8 +135,9 @@ def apply_species_buckets(records, buckets=None) -> list:
     return out
 
 
-def collate_rows(records) -> PanelDataset:
-    """Record-by-record collate into a PanelDataset of ObservationRows."""
+def collate_rows(records) -> tuple:
+    """Record-by-record collate: (rows, sources, species), rows a tuple of
+    ObservationRows and the registries id -> label dicts."""
     sources: dict = {}
     species: dict = {}
     source_ids: dict = {}
@@ -173,18 +175,17 @@ def collate_rows(records) -> PanelDataset:
     stamps = sorted(by_stamp)
     pad = tuple(MeasurementSlot() for _ in range(MAX_SLOTS))
     rows = []
-    for stamp, dt in zip(stamps, compute_increments(stamps)):
+    for stamp in stamps:
         s1, s2 = by_stamp[stamp]
         rows.append(
             ObservationRow(
                 stamp,
-                dt,
                 tuple(s1) + pad[len(s1):],
                 tuple(s2) + pad[len(s2):],
                 clamped_climate_state(abs(stamp)),
             )
         )
-    return PanelDataset(tuple(rows), sources, species)
+    return tuple(rows), sources, species
 
 
 def build_dataset(records) -> tuple:
@@ -198,22 +199,23 @@ def build_dataset(records) -> tuple:
             flat.append((stamp, 1, rec.d13C, rec.source, rec.species))
         elif is_missing(rec.d18O):
             flat.append((stamp, 0, None, rec.source, rec.species))
-    data = collate_rows(flat)
+    panel = collate_rows(flat)
+    rows, sources, _species = panel
 
-    per_source = {label: {name: 0 for name in SERIES_NAMES} for label in data.sources.values()}
+    per_source = {label: {name: 0 for name in SERIES_NAMES} for label in sources.values()}
     max_slots = 0
     n_values = 0
-    for row in data.rows:
+    for row in rows:
         for s, name in enumerate(SERIES_NAMES):
             observed = [slot for slot in row.slots(s) if not slot.missing]
             max_slots = max(max_slots, len(observed))
             n_values += len(observed)
             for slot in observed:
-                per_source[data.sources[slot.source_id]][name] += 1
-    dts = [row.dt for row in data.rows[1:]]
+                per_source[sources[slot.source_id]][name] += 1
+    dts = compute_increments([row.stamp for row in rows])[1:]
     diagnostics = {
         "n_records": len(records),
-        "n_rows": len(data.rows),
+        "n_rows": len(rows),
         "n_values": n_values,
         "max_slots_used": max_slots,
         "min_dt": min(dts) if dts else MISSING,
@@ -221,14 +223,14 @@ def build_dataset(records) -> tuple:
         "per_source_counts": per_source,
         "warnings": [] if records else ["empty input: no records"],
     }
-    return data, diagnostics
+    return panel, diagnostics
 
 
 def ingest(path, source_aliases=None, species_buckets=None) -> tuple:
     records, parse_diag = parse_csv(path)
     records, registry = canonicalize_sources(records, aliases=source_aliases)
     records = apply_species_buckets(records, buckets=species_buckets)
-    data, diag = build_dataset(records)
+    panel, diag = build_dataset(records)
     diag.update(parse_diag)
     diag["source_registry"] = registry
-    return data, diag
+    return panel, diag

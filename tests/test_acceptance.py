@@ -6,7 +6,6 @@ inline. Criterion 9 needs the full published dataset, which is not
 bundled; point PALEOKALMAN_DATA at a CSV in the ingest schema to run it.
 """
 
-import dataclasses
 import math
 import os
 import time
@@ -16,15 +15,7 @@ import pytest
 
 from paleokalman import ModelSpec, build_layout
 from paleokalman.butterworth import cutoff_frequency, signal_to_noise
-from paleokalman.core import (
-    MeasurementSlot,
-    ObservationRow,
-    PanelDataset,
-    clamped_climate_state,
-    collate_rows,
-    compute_increments,
-    flatten_records,
-)
+from paleokalman.core import collate_rows, flatten_records
 from paleokalman.fitting import FitOptions, bic, fit
 from paleokalman.imputation import impute, make_grid
 from paleokalman.ingest import ingest
@@ -32,28 +23,12 @@ from paleokalman.kalman import filter as kfilter
 from paleokalman.kalman import smooth
 from paleokalman.oracle import exact_gaussian, simulate
 
+from conftest import recollate
+
 
 def _random_stamps(rng, n, lo=0.02, hi=0.3):
     t = np.cumsum(rng.uniform(lo, hi, size=n))
     return list(t - t[-1] - 0.05)
-
-
-def _insert_empty_rows(data, stamps):
-    rows = list(data.rows)
-    for stamp in stamps:
-        rows.append(
-            ObservationRow(
-                stamp=stamp,
-                dt=np.nan,
-                slots_series1=tuple(MeasurementSlot() for _ in range(4)),
-                slots_series2=tuple(MeasurementSlot() for _ in range(4)),
-                climate_state=clamped_climate_state(abs(stamp)),
-            )
-        )
-    rows.sort(key=lambda r: r.stamp)
-    dts = compute_increments([r.stamp for r in rows])
-    rows = [dataclasses.replace(r, dt=d) for r, d in zip(rows, dts)]
-    return PanelDataset(rows=tuple(rows), sources=data.sources, species=data.species)
 
 
 def _series_subset(data, series_name):
@@ -161,7 +136,7 @@ def test_criterion_02_na_insertion_invariance():
         paths = smooth(run)
 
         fillers = rng.uniform(min(stamps), max(stamps), size=100)
-        aug = _insert_empty_rows(data, list(fillers))
+        aug = recollate(data, empty_stamps=fillers)
         run2 = kfilter(spec, layout, params, aug)
         paths2 = smooth(run2)
 

@@ -358,6 +358,32 @@ def test_smooth_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, c
     assert not out.exists()
 
 
+_MISMATCH = "error: fit file does not match this data/model (layout differs)\n"
+
+
+def _overflowing_fit(fitted, tmp_path):
+    # every estimate near the largest float: the filter's first innovation
+    # variance after the diffuse phase overflows to inf
+    payload = json.loads(fitted.read_text(encoding="utf-8"))
+    for param in payload["params"]:
+        param["estimate"] = 1e308
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["smooth", "impute"])
+def test_conditioning_error_exits_65(raw_csv, fitted, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--data", str(raw_csv), "--fit", str(_overflowing_fit(fitted, tmp_path))]
+    if command == "impute":
+        argv += ["--mesh-years", "100000"]
+    assert main(argv + ["--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: row 1: innovation variance inf at slot column 0\n"
+    assert not out.exists()
+
+
 def test_smooth_layout_mismatch_exits_66(tmp_path, capsys):
     csv_a = _write_raw(tmp_path / "a.csv", n=40, sources=("Site A", "Site B"))
     csv_b = _write_raw(
@@ -391,7 +417,7 @@ def test_smooth_layout_mismatch_exits_66(tmp_path, capsys):
         ]
     )
     assert code == EXIT_MISMATCH
-    assert "does not match" in capsys.readouterr().err
+    assert capsys.readouterr().err == _MISMATCH
 
 
 def test_smooth_missing_fit_file_exits_65(raw_csv, tmp_path, capsys):
@@ -534,6 +560,7 @@ def test_impute_layout_mismatch_exits_66(raw_csv, fitted, tmp_path, capsys):
         ]
     )
     assert code == EXIT_MISMATCH
+    assert capsys.readouterr() == ("", _MISMATCH)
 
 
 # ---------------------------------------------------------------------------

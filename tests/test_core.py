@@ -26,9 +26,10 @@ from paleokalman.core import (
     flatten_records,
     is_missing,
 )
+from paleokalman.kalman import loglik
 
 import reference_ingest as reference
-from conftest import MIXED_RECORDS, mixed_panels
+from conftest import MIXED_RECORDS, mixed_panels, recollate
 
 
 def test_missing_sentinel():
@@ -159,8 +160,6 @@ def test_collate_merges_same_stamp():
     assert [s.value for s in row.slots_series2 if not s.missing] == [1.1]
     assert len(row.slots_series1) == 4  # rows are padded to the slot budget
     assert data.rows[1].stamp == -1.0
-    assert math.isnan(data.rows[0].dt)
-    assert data.rows[1].dt == pytest.approx(1.0)
 
 
 def test_collate_sorts_ascending():
@@ -229,6 +228,17 @@ def test_dataset_counters():
     assert data.n_rows == 3
     assert data.n_observed_slots() == 3
     assert list(data.stamps()) == [-3.0, -2.0, -1.0]
+
+
+def test_panel_is_stored_only_as_its_view():
+    # a row carries no increment: time is the view's stamps alone
+    names = [f.name for f in dataclasses.fields(ObservationRow)]
+    assert names == ["stamp", "slots_series1", "slots_series2", "climate_state"]
+    data = collate_rows(MIXED_RECORDS)
+    for rows in (tuple(data.rows), list(data.rows), data.rows[::2]):
+        with pytest.raises(TypeError, match="collate_rows"):
+            PanelDataset(rows, data.sources, data.species)
+    assert PanelDataset(data.rows).view is data.view
 
 
 def test_flatten_records_round_trip():
@@ -314,13 +324,8 @@ def _slot_walk(data):
 def test_panel_view_equals_slot_walk(tmp_path, build):
     data = mixed_panels(tmp_path)[build]
     view = data.view
-    assert view is data.view  # built once, then cached
+    assert isinstance(data.rows, PanelRows) and view is data.rows.view
     assert view.stamps.tolist() == [r.stamp for r in data.rows]
-    if isinstance(data.rows, PanelRows):
-        # rows built from the view take dt from consecutive stamps
-        dts = [r.dt for r in data.rows]
-        assert dts[0] is MISSING
-        assert dts[1:] == compute_increments(view.stamps.tolist())[1:]
     assert view.climate_states.tolist() == [r.climate_state for r in data.rows]
     at, value, source, species = _slot_walk(data)
     assert view.at.tolist() == at
@@ -346,49 +351,98 @@ def test_panel_view_equals_slot_walk(tmp_path, build):
 
 def test_rows_built_on_demand_equal_the_object_collate():
     data = collate_rows(MIXED_RECORDS)
-    old = reference.collate_rows(MIXED_RECORDS).rows
+    old = reference.collate_rows(MIXED_RECORDS)[0]
     rows = data.rows
     assert isinstance(rows, PanelRows)
     assert len(rows) == data.n_rows == len(old) == 8
     for i in range(-len(old), len(old)):
         assert rows[i] == old[i]
-    for s in (slice(2, 5), slice(-3, None), slice(None, None, 3), slice(6, 1, -2), slice(5, 2)):
+    # a slice with step 1 is a window of the view, any other a tuple
+    for s in (slice(2, 5), slice(-3, None), slice(5, 2)):
+        assert isinstance(rows[s], PanelRows) and tuple(rows[s]) == old[s]
+    for s in (slice(None, None, 3), slice(6, 1, -2)):
         assert rows[s] == old[s]
     assert tuple(rows) == old
     with pytest.raises(IndexError):
         rows[len(old)]
     # built afresh on each access: no row is kept
     assert rows[2] == rows[2] and rows[2] is not rows[2]
-    # the fields == compares, spelled out: NaN first dt, padded slots
+    # the fields == compares, spelled out: padded slots
     first, busy, d13c_only = rows[0], rows[2], rows[3]
-    assert math.isnan(first.dt) and first.all_missing
+    assert first.all_missing
     assert first.climate_state == 1 and d13c_only.climate_state == 3
     assert [s.value for s in busy.slots_series1] == [1.0, 1.1, 1.2, 1.3]
     assert [s.source_id for s in busy.slots_series1] == [0, 1, 2, 0]
     assert busy.slots_series2[0].value == 0.4
     assert all(s.missing and s.source_id == -1 for s in busy.slots_series2[1:])
-    assert not d13c_only.series_observed(0) and d13c_only.dt == 18.0
+    assert not d13c_only.series_observed(0)
 
 
 _BY_SOURCE_BIV = ModelSpec(arity="bivariate", meas_grouping="by-source", corr_grouping="pooled")
 
 
+def _assert_same_panel_and_model(window, fresh, specs):
+    # the same view, column for column with its dtype, and for each spec
+    # the same compiled model and loglik (or the same layout error)
+    for f in dataclasses.fields(fresh.view):
+        x, y = getattr(window.view, f.name), getattr(fresh.view, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        assert not x.flags.writeable, f.name
+    assert tuple(window.rows) == tuple(fresh.rows)
+    for spec in specs:
+        try:
+            layout = build_layout(spec, fresh)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                build_layout(spec, window)
+            continue
+        cm_window = compile_model(spec, build_layout(spec, window), window)
+        cm_fresh = compile_model(spec, layout, fresh)
+        for f in dataclasses.fields(cm_fresh):
+            x, y = getattr(cm_window, f.name), getattr(cm_fresh, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            else:
+                assert x == y, f.name
+        params = [0.3 + 0.1 * i for i in range(layout.n_params)]
+        params = [-0.5 if p.role == "rho" else x for p, x in zip(layout.params, params)]
+        assert loglik(cm_window, params) == loglik(cm_fresh, params)
+
+
 @pytest.mark.parametrize("spec", [ModelSpec(), _BY_SOURCE_BIV])
 @pytest.mark.parametrize("window", [(2, 6), (3, 8), (0, 8)])
 def test_window_of_a_view_born_panel(spec, window):
-    # perfbench slices fit windows this way; the window walks its rows
+    # perfbench slices fit windows this way; the window slices the view
     data = collate_rows(MIXED_RECORDS)
-    old = reference.collate_rows(MIXED_RECORDS)
     a, b = window
     sub = dataclasses.replace(data, rows=data.rows[a:b])
-    built = PanelDataset(old.rows[a:b], old.sources, old.species)
-    assert sub.n_rows == built.n_rows == b - a
-    for f in dataclasses.fields(built.view):
-        x, y = getattr(sub.view, f.name), getattr(built.view, f.name)
-        assert np.array_equal(x, y, equal_nan=True), f.name
-    cm_sub = compile_model(spec, build_layout(spec, sub), sub)
-    cm_built = compile_model(spec, build_layout(spec, built), built)
-    for f in dataclasses.fields(cm_built):
-        x, y = getattr(cm_sub, f.name), getattr(cm_built, f.name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), f.name
+    assert isinstance(sub.rows, PanelRows) and sub.n_rows == b - a
+    _assert_same_panel_and_model(sub, recollate(data, slice(a, b)), [spec])
+
+
+def _windows(data):
+    # from the last leading all-missing row, from the middle, the last
+    # three rows, and an empty window
+    n = data.n_rows
+    first = int(data.view.row[0])
+    return {
+        "leading": slice(first - 1, first + 3),
+        "middle": slice(n // 2, n - 1),
+        "last3": slice(-3, None),
+        "empty": slice(n // 2, n // 2),
+    }
+
+
+@pytest.mark.parametrize("window", ["leading", "middle", "last3", "empty"])
+@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
+def test_view_slice_windows(tmp_path, build, window):
+    data = mixed_panels(tmp_path)[build]
+    index = _windows(data)[window]
+    a, b, _ = index.indices(data.n_rows)
+    if window == "leading":
+        assert data.rows[a].all_missing
+    sub = dataclasses.replace(data, rows=data.rows[index])
+    assert isinstance(sub.rows, PanelRows) and sub.n_rows == max(b - a, 0)
+    assert tuple(sub.rows) == tuple(data.rows)[index]
+    assert (sub.sources, sub.species) == (data.sources, data.species)
+    _assert_same_panel_and_model(sub, recollate(data, index), [ModelSpec(), _BY_SOURCE_BIV])

@@ -1,7 +1,6 @@
 """Regular-grid construction and smoothed-value imputation."""
 
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout, kalman
-from paleokalman.core import ObservationRow, PanelRows, compute_increments
+from paleokalman.core import ObservationRow, PanelRows
 from paleokalman.imputation import (
     COINCIDENCE_TOL,
     ImputationTable,
@@ -82,9 +81,6 @@ def test_merge_inserts_missing_rows():
     assert merged.rows[1].stamp == -2.0
     assert merged.rows[1].all_missing
     assert idx == [1]
-    # increments recomputed across the insertion
-    assert merged.rows[1].dt == pytest.approx(1.0)
-    assert merged.rows[2].dt == pytest.approx(1.0)
 
 
 def test_merge_coincident_stamp_reuses_row():
@@ -103,14 +99,12 @@ def test_merge_coincident_stamp_reuses_row():
     assert merged.rows[0] == data.rows[0]
     assert merged.rows[1].all_missing
     assert merged.rows[2].slots_series1 == data.rows[1].slots_series1
-    dts = [r.dt for r in merged.rows]
-    np.testing.assert_array_equal(dts, compute_increments(stamps))
     # every field of every merged row, built from the merged view on demand
     assert isinstance(merged.rows, PanelRows)
     assert tuple(merged.rows) == (
         data.rows[0],
-        ObservationRow(stamp=-2.0, dt=1.0, climate_state=6),
-        dataclasses.replace(data.rows[1], dt=1.0),
+        ObservationRow(stamp=-2.0, climate_state=6),
+        data.rows[1],
     )
 
 

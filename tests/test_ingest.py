@@ -317,7 +317,6 @@ def test_canonical_csv_round_trip(tmp_path):
     for r1, r2 in zip(data.rows, again.rows):
         assert r1.stamp == r2.stamp
         assert r1.climate_state == r2.climate_state
-        assert (r1.dt == r2.dt) or (math.isnan(r1.dt) and math.isnan(r2.dt))
         for s in (0, 1):
             v1 = [(sl.value, sl.source_id) for sl in r1.slots(s) if not sl.missing]
             v2 = [(sl.value, sl.source_id) for sl in r2.slots(s) if not sl.missing]

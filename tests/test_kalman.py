@@ -15,14 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout
-from paleokalman.core import (
-    MAX_SLOTS,
-    MeasurementSlot,
-    ObservationRow,
-    PanelDataset,
-    clamped_climate_state,
-    compute_increments,
-)
+from paleokalman.core import MAX_SLOTS
 from paleokalman.kalman import (
     ConditioningError,
     compile_model,
@@ -35,7 +28,13 @@ from paleokalman.kalman import (
 from paleokalman import _kernels, kalman
 from paleokalman.modelspec import booking_schedule
 
-from conftest import MIXED_RECORDS, mixed_panels, rows_from_values, small_simulated
+from conftest import (
+    MIXED_RECORDS,
+    mixed_panels,
+    recollate,
+    rows_from_values,
+    small_simulated,
+)
 
 
 def _instance_a():
@@ -278,24 +277,6 @@ def test_diffuse_leading_gap_bivariate_matches_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _insert_empty_rows(data, stamps):
-    rows = list(data.rows)
-    for stamp in stamps:
-        rows.append(
-            ObservationRow(
-                stamp=stamp,
-                dt=np.nan,
-                slots_series1=tuple(MeasurementSlot() for _ in range(4)),
-                slots_series2=tuple(MeasurementSlot() for _ in range(4)),
-                climate_state=clamped_climate_state(abs(stamp)),
-            )
-        )
-    rows.sort(key=lambda r: r.stamp)
-    dts = compute_increments([r.stamp for r in rows])
-    rows = [dataclasses.replace(r, dt=d) for r, d in zip(rows, dts)]
-    return PanelDataset(rows=tuple(rows), sources=data.sources, species=data.species)
-
-
 # six stamps spread over 65 My; the window from the second to the third
 # spans four of the empty rows, whose increments do not add up to it exactly
 _LONG_GAP_STAMPS = [
@@ -332,7 +313,7 @@ def test_empty_row_insertion_is_exactly_neutral(m, long_gap):
     run = kfilter(spec, layout, params, data)
     paths = smooth(run)
     base = {r.stamp for r in data.rows}
-    aug = _insert_empty_rows(data, empty)
+    aug = recollate(data, empty_stamps=empty)
     run2 = kfilter(spec, layout, params, aug)
     paths2 = smooth(run2)
     keep = [i for i, r in enumerate(aug.rows) if r.stamp in base]
@@ -663,8 +644,8 @@ def test_forward_dim1_equals_forward_bitwise(seed, prior):
 
 @pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
 def test_forward_dim1_equals_forward_on_mixed_panels(tmp_path, build):
-    # leading all-missing rows, grid rows, four slots in a row, and a sliced
-    # panel whose first dt is not NaN
+    # leading all-missing rows, grid rows, four slots in a row, and a window
+    # that starts after the panel's first row
     data = mixed_panels(tmp_path)[build]
     rng = np.random.default_rng(5)
     for spec in (
