@@ -1,9 +1,10 @@
 """The log-likelihood entry point that the fitting loop evaluates.
 
 The loglik is kalman.loglik: the filter's own forward recursion run without
-its paths. At state dimension 1 that is the filter's dim-1 forward
-(kalman._forward_dim1) on plain floats, used by loglik and filter alike, so
-the two logliks are equal bit for bit. Here an inadmissible parameter
+its paths, so the two logliks are equal bit for bit. At state dimension 1
+that is the one float forward recursion (kalman._forward_dim1), whose paths
+mode feeds the one float backward sweep (kalman._smoothed_dim1) that smooth
+and the score share. Here an inadmissible parameter
 point (an innovation variance that is not positive, or trend variances with
 no real increment covariance) gives NaN rather than ConditioningError, so
 the optimizer can score it.

@@ -404,9 +404,5 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
 
 
-def console_entry() -> None:  # pragma: no cover - exercised via main()
-    sys.exit(main())
-
-
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -36,24 +36,24 @@ predicted and filtered paths to array('d') buffers and records the
 disturbance covariance booked at each row, for the backward pass. loglik,
 which every fit evaluation calls, runs the same loop but keeps only the
 innovations and their variances, so the two logliks are equal bit for
-bit. At state dimension 1 both run _forward_dim1, the twin of _forward on
-floats rather than one-element lists, with the same two modes and the same
-operations in the same order, so its loglik, paths and booked variances
-equal _forward's bit for bit; _forward, the reference, runs every larger
-state. The backward pass keeps only what is sequential, a rank-k update
-and a block back-substitution per row; the precisions it needs come from
-batched solves, and at state dimension 1 it too runs on floats
-(_backward_dim1).
+bit. The backward pass keeps only what is sequential, a rank-k update and
+a block back-substitution per row; the precisions it needs come from
+batched solves. At state dimension 1 there is one float recursion each
+way: _forward_dim1, the twin of _forward on floats rather than one-element
+lists with the same two modes and buffers, and _smoothed_dim1, the one
+backward sweep, which smooth and score share. Each does the list
+recursion's operations in its order, so their numbers are equal bit for
+bit; the list recursions (_forward, _smoothed) run every larger state.
 
 score, the exact gradient of the loglik that fitting climbs, runs the
 forward recursion in paths mode and the backward pass of smooth, and
 reads the gradient off the smoothed moments by Fisher's identity. At state
 dimension 1 it runs on floats end to end (_score_dim1): _forward_dim1's
-buffers, then one backward sweep that does smooth's operations and the
-gradient's terms, with no numpy between the forward pass and the sum. The
-numpy path, _score, runs every larger state and is its bitwise reference,
-as _forward is _forward_dim1's. score calls neither filter nor smooth, so
-those two remain whole-panel passes only.
+buffers, _smoothed_dim1, then the gradient's sums. The numpy path, _score,
+runs _forward and _smoothed at every state dimension, so at state
+dimension 1 it is a reference that shares no code with the float path.
+score calls neither filter nor smooth, so those two remain whole-panel
+passes only.
 """
 
 from __future__ import annotations
@@ -345,7 +345,8 @@ def filter(
         start = a, Ps, [0.0] * (s * s), False
 
     forward = _forward_dim1 if s == 1 else _forward
-    ll, _, paths, booked, n_diffuse = forward(cm, params.tolist(), *start, True)
+    ll, _, buffers, n_diffuse = forward(cm, params.tolist(), *start, True)
+    paths, booked = _paths_and_booked(cm, buffers)
     return FilterRun(
         compiled=cm,
         params=params,
@@ -400,8 +401,8 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
 
 def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     # score's numpy path: every state dimension, and the reference at s = 1
-    forward = _forward_dim1 if cm.s == 1 else _forward
-    _, _, paths, booked, _ = forward(cm, h.tolist(), *_diffuse_start(cm.s), True)
+    _, _, buffers, _ = _forward(cm, h.tolist(), *_diffuse_start(cm.s), True)
+    paths, booked = _paths_and_booked(cm, buffers)
     X, V, (succ, Q, B, C) = _smoothed(cm, paths, booked)
 
     rows, level, hidx = cm.obs_row, np.array(cm.level, dtype=int), np.array(cm.hidx, dtype=int)
@@ -441,44 +442,29 @@ def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
 
 
 def _score_dim1(cm: CompiledModel, h: list) -> np.ndarray:
-    # _score at s = 1 on floats, bit for bit: _forward_dim1's buffers, then
-    # one backward sweep with _smoothed's operations in their order (G =
-    # 1 / P_{u|u-1} is what the batched 1 x 1 solve gives) and _score's
-    # terms. The measurement terms add up in slot order and the transition
-    # terms in row order, each from zero, as np.bincount adds them. A zero
-    # divisor raises ZeroDivisionError where _score gives inf or NaN.
-    _, ((x,), (V,), _), buffers, _ = _forward_dim1_buffers(cm, h, *_diffuse_start(1), True)
+    # _score at s = 1 on floats, bit for bit: _forward_dim1's buffers, the
+    # smoothed moments from _smoothed_dim1, then _score's terms. The
+    # measurement terms add up in slot order and the transition terms in
+    # row order, each from zero, as np.bincount adds them; a moving row's
+    # b, c and eta are the sweep's, recomputed. A zero divisor raises
+    # ZeroDivisionError where _score gives inf or NaN.
+    _, ((x,), (V,), _), buffers, _ = _forward_dim1(cm, h, *_diffuse_start(1), True)
     pred_a, pred_P, pred_Pi, *_, booked = buffers
-    moved, window, tvar = cm.moved, cm.window, cm.tvar
-    X, XV, trans = [], [], []  # per row, and (index, term) per moving row; last first
-    for nu in range(cm.n - 1, -1, -1):
-        # (x, V) are row nu's smoothed moments, V before the symmetrization
-        Vs = 0.5 * (V + V)
-        X.append(x)
-        XV.append(Vs)
-        if nu and moved[nu]:
-            # a series moves only after its first observed row, whose slot
-            # ends the diffuse phase at s = 1, so G needs no diffuse limit
-            if nu < len(pred_Pi):
-                raise AssertionError(f"row {nu} moves inside the diffuse phase")
-            q = booked[nu]
-            b = q * (1.0 / pred_P[nu])
-            c = q - b * q
-            eta = b * (x - pred_a[nu])
-            S = (eta * eta + c) + b * Vs * b
-            trans.append((tvar[nu], (S / q - 1.0) / q * window[nu] / 2.0))
-            x -= eta
-            V -= b * V
-            V = (V - b * V) + c
-    X.reverse()
-    XV.reverse()
+    X, XV = _smoothed_dim1(cm, pred_a, pred_P, booked, len(pred_Pi), x, V)
     grad, moves = [0.0] * len(h), [0.0] * len(h)
     for yo, i, nu in zip(cm.y, cm.hidx, cm.obs_row.tolist()):
         e = yo - X[nu]
         r = h[i]
         grad[i] += ((e * e + XV[nu]) / r - 1.0) / (2.0 * r)
-    for i, t in reversed(trans):
-        moves[i] += t
+    moved, window, tvar = cm.moved, cm.window, cm.tvar
+    for nu in range(1, cm.n):
+        if moved[nu]:
+            q = booked[nu]
+            b = q * (1.0 / pred_P[nu])
+            c = q - b * q
+            eta = b * (X[nu] - pred_a[nu])
+            S = (eta * eta + c) + b * XV[nu] * b
+            moves[tvar[nu]] += (S / q - 1.0) / q * window[nu] / 2.0
     return np.array(list(map(add, grad, moves)))
 
 
@@ -494,10 +480,12 @@ def _forward(
     """The exact-diffuse forward recursion, Durbin & Koopman (2012)
     sections 5.2-5.3, from the state (a, Ps, Pi) before row 0.
 
-    Returns (loglik, final (a, Ps, Pi), paths, booked, number of diffuse
-    slots), booked the (n, k, k) trend-tail disturbance covariance booked at
-    each row. Without keep_paths only the innovations and their variances
-    are kept, for the log terms, and paths and booked are None.
+    Returns (loglik, final (a, Ps, Pi), buffers, number of diffuse slots),
+    the buffers array('d')s (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F,
+    booked): per row, pred_Pi over the diffuse rows only; v and F per
+    observed slot; booked the k x k trend-tail disturbance covariance of
+    each row. Without keep_paths only v and F are kept, for the log terms,
+    and buffers is None.
     """
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
@@ -601,33 +589,18 @@ def _forward(
             filt_P.fromlist(Ps)
 
     ll = _log_sum(rec_v, rec_F, rec_diffuse)
-    if not keep_paths:
-        return ll, (a, Ps, Pi), None, None, len(rec_diffuse)
-    paths = _state_paths(cm, pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F)
-    return ll, (a, Ps, Pi), paths, _paths_array(booked, (n, k, k)), len(rec_diffuse)
+    buffers = None
+    if keep_paths:
+        buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
+    return ll, (a, Ps, Pi), buffers, len(rec_diffuse)
 
 
 def _forward_dim1(
     cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
 ) -> tuple:
-    # _forward at s = 1, with the same arguments and results: the paths and
-    # booked variances are _forward_dim1_buffers' buffers as arrays
-    ll, final, buffers, n_diffuse = _forward_dim1_buffers(cm, h, a, Ps, Pi, diffuse, keep_paths)
-    if buffers is None:
-        return ll, final, None, None, n_diffuse
-    *paths, booked = buffers
-    return ll, final, _state_paths(cm, *paths), _paths_array(booked, (cm.n, 1, 1)), n_diffuse
-
-
-def _forward_dim1_buffers(
-    cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
-) -> tuple:
-    # the recursion of _forward_dim1: a, P and P_inf are floats instead of
-    # one-element lists, and every operation is _forward's, in its order.
-    # Returns (loglik, final state, buffers, number of diffuse slots), the
-    # buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, booked) one
-    # float per row or per observed slot, pred_Pi over the diffuse rows
-    # only; None without keep_paths
+    # _forward at s = 1, with the same arguments and results: a, P and
+    # P_inf are floats instead of one-element lists, and every operation is
+    # _forward's, in its order
     n = cm.n
     count, y, hidx = cm.count, cm.y, cm.hidx
     apply_, window, tvar = cm.apply_, cm.window, cm.tvar  # per row: one series
@@ -688,12 +661,11 @@ def _forward_dim1_buffers(
     return ll, ([a], [P], [Pi]), buffers, len(rec_diffuse)
 
 
-def _state_paths(cm: CompiledModel, pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F):
-    # StatePaths from a forward pass's buffers: the moments of every row, the
-    # diffuse part of each leading diffuse row's prediction, and one
-    # innovation and its variance per observed slot
-    n, s, p = cm.n, cm.s, cm.p
-    return StatePaths(
+def _paths_and_booked(cm: CompiledModel, buffers: tuple) -> tuple:
+    # (StatePaths, booked covariances (n, k, k)) from a forward pass's buffers
+    pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, booked = buffers
+    n, s, p, k = cm.n, cm.s, cm.p, cm.n_series
+    paths = StatePaths(
         stamps=cm.stamps,
         predicted_means=_paths_array(pred_a, (n, s)),
         predicted_covs=_paths_array(pred_P, (n, s, s)),
@@ -704,6 +676,7 @@ def _state_paths(cm: CompiledModel, pred_a, pred_P, pred_Pi, filt_a, filt_P, v, 
         innovation_variances=_slot_columns(F, cm.obs_row, cm.obs_col, (n, p)),
         diffuse_rows=np.arange(n) < len(pred_Pi) // (s * s),
     )
+    return paths, _paths_array(booked, (n, k, k))
 
 
 def _log_sum(v: array, F: array, F_inf: dict) -> float:
@@ -742,11 +715,51 @@ def smooth(run: FilterRun) -> StatePaths:
     U (U' P_star U)^-1 U', U spanning the null space of the diffuse part
     P_inf of P_{t+1|t}. Q is nonzero only at the trend tails, so only G's
     tail rows enter; they come from batched solves, and the sequential
-    part is a rank-k update and a block back-substitution per row.
+    part is a rank-k update and a block back-substitution per row. At
+    state dimension 1 the pass is one sweep on floats (_smoothed_dim1),
+    the one score also runs, with the same numbers bit for bit.
     """
-    paths = run.paths
-    paths.smoothed_means, paths.smoothed_covs, _ = _smoothed(run.compiled, paths, run.booked)
+    cm, paths = run.compiled, run.paths
+    if cm.s > 1:
+        paths.smoothed_means, paths.smoothed_covs, _ = _smoothed(cm, paths, run.booked)
+        return paths
+    # memoryviews index to floats, as lists do, without copying the paths
+    pred = (memoryview(x.ravel()) for x in (paths.predicted_means, paths.predicted_covs, run.booked))
+    n_diffuse_rows = int(np.count_nonzero(paths.diffuse_rows))
+    last = float(paths.filtered_means[-1, 0]), float(paths.filtered_covs[-1, 0, 0])
+    X, XV = _smoothed_dim1(cm, *pred, n_diffuse_rows, *last)
+    paths.smoothed_means = np.array(X).reshape(cm.n, 1)
+    paths.smoothed_covs = np.array(XV).reshape(cm.n, 1, 1)
     return paths
+
+
+def _smoothed_dim1(
+    cm: CompiledModel, pred_a, pred_P, booked, n_diffuse_rows: int, x: float, V: float
+) -> tuple:
+    # _smoothed at s = 1 on floats, bit for bit, from row n - 1's filtered
+    # moments (x, V): lists of every row's smoothed mean and variance, first
+    # row first. G = 1.0 / P_{u|u-1} is what the batched 1 x 1 solve gives,
+    # and 0.5 * (V + V) is _smoothed's symmetrization. A zero predicted
+    # variance at a moving row raises ZeroDivisionError.
+    moved = cm.moved
+    X, XV = [], []  # last row first
+    for nu in range(cm.n - 1, -1, -1):
+        X.append(x)
+        XV.append(0.5 * (V + V))
+        if nu and moved[nu]:
+            # a series moves only after its first observed row, whose slot
+            # ends the diffuse phase at s = 1, so G needs no diffuse limit
+            if nu < n_diffuse_rows:
+                raise AssertionError(f"row {nu} moves inside the diffuse phase")
+            q = booked[nu]
+            b = q * (1.0 / pred_P[nu])
+            c = q - b * q
+            x -= b * (x - pred_a[nu])
+            V -= b * V
+            V = (V - b * V) + c
+    X.reverse()
+    XV.reverse()
+    return X, XV
 
 
 def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple:
@@ -763,10 +776,7 @@ def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple
     back = slice(None, None, -1)
     last = (paths.filtered_means[n - 1], paths.filtered_covs[n - 1])
     steps = (succ[back], B[back], C[back], paths.predicted_means[succ[back]])
-    if s == 1:
-        X, XV = _backward_dim1(*last, *steps)
-    else:
-        X, XV = _backward(*last, *steps, tails, m, cm.apply_)
+    X, XV = _backward(*last, *steps, tails, m, cm.apply_)
 
     # X and XV hold row n - 1, then row u - 1 for each u in succ, last first;
     # every other row takes the moments of the first of those at or after it
@@ -807,21 +817,6 @@ def _backward(x, V, succ, B, C, A, tails: list, m: int, apply_: tuple) -> tuple:
             _T_inv_mat(V, tops, m, s)
         X.fromlist(x)
         XV.fromlist(V)
-    return X, XV
-
-
-def _backward_dim1(x, V, succ, B, C, A) -> tuple:
-    # _backward at s = 1, where T is 1, on floats instead of one-element
-    # lists: every operation is _backward's, in its order
-    x, V = float(x[0]), float(V[0, 0])
-    X, XV = array("d", [x]), array("d", [V])
-    keep_x, keep_V = X.append, XV.append
-    for b, c, a in zip(B.ravel().tolist(), C.ravel().tolist(), A.ravel().tolist()):
-        x -= b * (x - a)
-        V -= b * V
-        V = (V - b * V) + c
-        keep_x(x)
-        keep_V(V)
     return X, XV
 
 

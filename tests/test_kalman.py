@@ -578,26 +578,32 @@ def test_dim1_loglik_raises_as_the_general_recursion():
     assert fast.value.row_index == ref.value.row_index
 
 
-def test_dim1_smoother_equals_general_recursion_bitwise(monkeypatch):
-    # smooth's float loop at s = 1 against the list-based backward pass
-    spec = DIM1_SPECS["by-source-by-climate-trans"]
-    data = _dim1_panel(1)
-    layout = build_layout(spec, data)
-    cm = compile_model(spec, layout, data)
-    rng = np.random.default_rng(7)
-    runs = [
-        kfilter(spec, layout, np.exp(rng.uniform(-12.0, 3.0, layout.n_params)), data, compiled=cm)
-        for _ in range(5)
-    ]
-    fast = [(p.smoothed_means.copy(), p.smoothed_covs.copy()) for p in map(smooth, runs)]
-    general = kalman._backward
-    monkeypatch.setattr(
-        kalman, "_backward_dim1", lambda x, V, *steps: general(x, V, *steps, [0], 1, ())
-    )
-    for run, (means, covs) in zip(runs, fast):
-        paths = smooth(run)
-        assert np.array_equal(paths.smoothed_means, means)
-        assert np.array_equal(paths.smoothed_covs, covs)
+def _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior=None):
+    # smooth at s = 1 against the reference backward pass, _smoothed, over
+    # _forward's paths, from the diffuse start or from the proper prior
+    if prior is None:
+        init, start = "diffuse", kalman._diffuse_start(1)
+    else:
+        init, start = ([prior[0]], [[prior[1]]]), ([prior[0]], [prior[1]], [0.0], False)
+    paths = smooth(kfilter(spec, layout, h, data, init=init, compiled=cm))
+    buffers = kalman._forward(cm, list(h), *start, True)[2]
+    means, covs, _ = kalman._smoothed(cm, *kalman._paths_and_booked(cm, buffers))
+    assert _same_bits(paths.smoothed_means, means)
+    assert _same_bits(paths.smoothed_covs, covs)
+
+
+def test_dim1_smoother_equals_general_recursion_bitwise():
+    for seed in (0, 1, 2):
+        data = _dim1_panel(seed)
+        rng = np.random.default_rng(300 + seed)
+        for spec in DIM1_SPECS.values():
+            layout = build_layout(spec, data)
+            cm = compile_model(spec, layout, data)
+            assert cm.s == 1
+            for prior in (None, (0.3, 0.5)):
+                for _ in range(3):
+                    h = np.exp(rng.uniform(-12.0, 3.0, layout.n_params)).tolist()
+                    _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior)
 
 
 def _same_bits(x, y) -> bool:
@@ -615,18 +621,17 @@ def _assert_forward_dim1_equals_forward(cm, h, prior=None):
         return [prior[0]], [prior[1]], [0.0], False
 
     for keep_paths in (False, True):
-        ll, final, paths, booked, n_diffuse = kalman._forward_dim1(cm, h, *start(), keep_paths)
+        ll, final, buffers, n_diffuse = kalman._forward_dim1(cm, h, *start(), keep_paths)
         ref = kalman._forward(cm, h, *start(), keep_paths)
         assert _same_bits(ll, ref[0])
         assert _same_bits(final, ref[1])
-        assert n_diffuse == ref[4]
+        assert n_diffuse == ref[3]
         if not keep_paths:
-            assert paths is booked is ref[2] is ref[3] is None
+            assert buffers is ref[2] is None
             continue
-        assert _same_bits(booked, ref[3])
-        for f in dataclasses.fields(paths):
-            x, y = getattr(paths, f.name), getattr(ref[2], f.name)
-            assert (x is None and y is None) or _same_bits(x, y), f.name
+        assert len(buffers) == len(ref[2]) == 8
+        for x, y in zip(buffers, ref[2]):
+            assert x.typecode == y.typecode == "d" and x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("prior", [None, (0.3, 0.5)], ids=["diffuse", "proper"])
@@ -658,6 +663,7 @@ def test_forward_dim1_equals_forward_on_mixed_panels(tmp_path, build):
         for prior in (None, (-0.2, 2.0)):
             h = np.exp(rng.uniform(-12.0, 3.0, layout.n_params)).tolist()
             _assert_forward_dim1_equals_forward(cm, h, prior)
+            _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior)
 
 
 def test_forward_dim1_raises_as_forward_with_paths():
@@ -682,19 +688,27 @@ def test_forward_dim1_raises_as_forward_with_paths():
 
 
 def test_dim1_passes_never_reach_the_general_recursion(monkeypatch, tmp_path):
-    # at s = 1 loglik, filter, smooth, impute and the CLI's smooth all run
-    # _forward_dim1; at s = 2 the pass is _forward
+    # at s = 1 loglik, filter, smooth, score, impute and the CLI's fit and
+    # smooth all run the float recursions, _forward_dim1 and
+    # _smoothed_dim1; at s = 2 the passes are _forward and _smoothed
     from paleokalman.cli import EXIT_OK, main
 
-    def general(*args):
-        raise AssertionError("_forward called")
+    def refuse(name):
+        def general(*args):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(kalman, "_forward", general)
+        return general
+
+    forward = kalman._forward
+    for name in ("_forward", "_smoothed", "_backward", "_tail_precision"):
+        monkeypatch.setattr(kalman, name, refuse(name))
     spec = ModelSpec()
     data = _dim1_panel(0)
     layout = build_layout(spec, data)
     params = [0.04, 0.9]
-    assert math.isfinite(kloglik(compile_model(spec, layout, data), params))
+    cm = compile_model(spec, layout, data)
+    assert math.isfinite(kloglik(cm, params))
+    assert np.isfinite(kalman.score(cm, params)).all()
     paths = smooth(kfilter(spec, layout, params, data))
     assert np.isfinite(paths.smoothed_means).all()
     table = pk.impute(params, spec, data, [-60.0, -30.0, -1.0])
@@ -723,6 +737,10 @@ def test_dim1_passes_never_reach_the_general_recursion(monkeypatch, tmp_path):
         kloglik(cm, [0.04, 0.04, 0.9, 0.9, 0.3])
     with pytest.raises(AssertionError, match="_forward called"):
         kfilter(biv, biv_layout, [0.04, 0.04, 0.9, 0.9, 0.3], data, compiled=cm)
+    monkeypatch.setattr(kalman, "_forward", forward)
+    run = kfilter(biv, biv_layout, [0.04, 0.04, 0.9, 0.9, 0.3], data, compiled=cm)
+    with pytest.raises(AssertionError, match="_smoothed called"):
+        smooth(run)
 
 
 def test_compiled_model_is_frozen_and_shared_by_passes():
