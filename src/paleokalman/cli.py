@@ -7,7 +7,8 @@ fit JSON carries the same information under a "meta" key.
 
 Exit codes: 0 success, 2 fit did not converge (best effort written),
 3 no finite cutoff frequency, 64 usage error, 65 data/parse error (or a
-filter that fails on the fitted estimates), 66 fit/data mismatch.
+malformed fit file, or a filter that fails on the fitted estimates),
+66 fit/data mismatch.
 """
 
 from __future__ import annotations
@@ -175,9 +176,16 @@ def _print_fit_summary(result: FitResult, out=None) -> None:
 
 
 def _load_fit(path) -> tuple:
+    """(result, payload) for a fit JSON; a file that is not one, by its
+    syntax or its keys, raises ValueError naming it (exit 65)."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return FitResult.from_json_dict(payload), payload
+        try:
+            payload = json.load(fh)
+            return FitResult.from_json_dict(payload), payload
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"malformed fit file {path}: {type(exc).__name__}: {exc}"
+            ) from None
 
 
 def _load_fit_and_data(args) -> tuple:

@@ -3,7 +3,8 @@
 Rows are indexed by a strictly increasing time stamp (millions of years,
 negative-age convention: -67.1 is old, -0.000564 is nearly present). Each row
 carries up to four tagged measurement slots per series plus a climate-state
-regime index. Group registries (sources, species) are dense int -> label maps
+regime index, which climate_states gives for every panel (the scalar maps
+wrap it). Group registries (sources, species) are dense int -> label maps
 shared by every model variant.
 
 A panel is stored only as a PanelView, one array per column: every panel
@@ -220,7 +221,8 @@ class PanelRows(Sequence):
 class PanelDataset:
     """Immutable ordered panel: rows plus the group registries they index.
 
-    rows are sorted ascending by stamp with unique stamps. rows is always a
+    rows are sorted ascending by stamp with unique stamps, each with its
+    regime from climate_states. rows is always a
     PanelRows, which holds the panel's view and builds ObservationRows only
     when a reader asks for them; view and n_rows are read off it. Panels
     are made by collate_rows (or ingest, read_canonical_csv,
@@ -231,7 +233,6 @@ class PanelDataset:
     rows: PanelRows
     sources: dict = field(default_factory=dict)
     species: dict = field(default_factory=dict)
-    climate_boundaries: tuple = CLIMATE_STATE_AGES
 
     def __post_init__(self):
         if not isinstance(self.rows, PanelRows):
@@ -302,31 +303,31 @@ def assign_climate_state(age_mya: float) -> int:
             f"age {age_mya} MYA outside the covered range "
             f"[{ages[-1]}, {ages[0]}]"
         )
-    for j in range(1, 7):
-        if age_mya > ages[j]:
-            return j
-    return 6  # age == youngest endpoint
+    return int(climate_states(age_mya))
 
 
 def clamped_climate_state(age_mya: float) -> int:
     """Total variant of assign_climate_state: out-of-range ages clamp to the
-    nearest regime (older than the record -> 1, younger -> 6). Used when
-    building rows for simulated data and imputation grids, whose stamps may
-    fall outside the observed record."""
-    if age_mya >= CLIMATE_STATE_AGES[0]:
-        return 1
-    if age_mya <= CLIMATE_STATE_AGES[-1]:
-        return 6
-    return assign_climate_state(age_mya)
+    nearest regime (older than the record -> 1, younger, negative ages too,
+    -> 6). Used when building rows for simulated data and imputation grids,
+    whose stamps may fall outside the observed record. A NaN age raises
+    assign_climate_state's ValueError."""
+    ages = CLIMATE_STATE_AGES
+    return assign_climate_state(min(max(age_mya, ages[-1]), ages[0]))
 
 
 # the inner regime boundaries, ascending: an age's regime is 6 minus the
-# number of them below it (clamped_climate_state for an array)
+# number of them below it
 _INNER_BOUNDARIES = np.array(CLIMATE_STATE_AGES[-2:0:-1])
 
 
 def climate_states(stamps) -> np.ndarray:
-    """clamped_climate_state of each stamp's age, as an int32 array."""
+    """Regime index j in 1..6 of each stamp, as an int32 array; the one
+    regime rule, which assign_climate_state and clamped_climate_state wrap.
+
+    A stamp's age is its absolute value. Ages older than the record get
+    regime 1 and younger ones regime 6, as clamped_climate_state gives.
+    """
     below = np.searchsorted(_INNER_BOUNDARIES, np.abs(stamps), side="left")
     return (6 - below).astype(np.int32)
 

@@ -376,13 +376,13 @@ class FitResult:
 class FitOptions:
     """Knobs for fit(): n_starts starts in all, the first at start (or
     default_start) and the rest jittered from it by seed; eval_budget caps
-    n_evals; compute_se runs the Hessian for the standard errors."""
+    n_evals. A fit runs the Hessian for the standard errors unless the
+    budget ran out."""
 
     n_starts: int = 1
     seed: int = 0
     start: object = None  # natural-scale start vector, or None for defaults
     eval_budget: int | None = None
-    compute_se: bool = True
 
 
 def bic(loglik: float, n_params: int, n_obs: int) -> float:
@@ -506,7 +506,7 @@ def fit(
         best_converged = False
 
     se_nat = np.full(dim, np.nan)
-    if options.compute_se and not budget_hit:
+    if not budget_hit:
         se_nat, ok = _delta_method_errors(cm, transform, theta_hat)
         if not ok.all():
             notes.append("singular Hessian: some standard errors are missing")

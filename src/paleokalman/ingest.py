@@ -5,7 +5,9 @@ Ages are in MYA, newest near zero; internally ages are negated so stamps
 ascend toward the present. Records sharing an age collate into one row
 with up to four slots per series. Source labels pass through a small alias
 map first (merging known misspellings); species labels can be bucketed
-through a JSON sidecar for the by-species models.
+through a JSON sidecar for the by-species models. Sources and species are
+numbered once, in the dataset's age order (build_dataset), and the ingest
+diagnostics' source registry is read off that numbering.
 
 The records are read into columns (parse_csv) and collated with numpy
 straight into the dataset's PanelView (core's one collate); no object per
@@ -185,21 +187,15 @@ def parse_csv(path) -> tuple:
     return records, diagnostics
 
 
-def canonicalize_sources(records, aliases=None) -> tuple:
-    """Apply the alias map to the source column; returns (records, registry
-    label -> id).
-
-    Ids are dense in file order of first appearance over the canonical
-    labels of records that hold a value. Unknown labels pass through
-    unchanged.
+def canonicalize_sources(records, aliases=None) -> dict:
+    """Apply the alias map (DEFAULT_SOURCE_ALIASES unless given) to the
+    source column; returns the records. Unknown labels pass through
+    unchanged. Sources are numbered later, by build_dataset.
     """
     if aliases is None:
         aliases = DEFAULT_SOURCE_ALIASES
     source = [aliases.get(label, label) for label in records["source"]]
-    # a both-empty record only marks a stamp
-    observed = ~(np.isnan(records["d18O"]) & np.isnan(records["d13C"]))
-    _, registry = _intern(source, observed)
-    return {**records, "source": source}, registry
+    return {**records, "source": source}
 
 
 def load_species_buckets(path=None) -> dict:
@@ -284,14 +280,16 @@ def build_dataset(records) -> tuple:
     return data, diagnostics
 
 
-def ingest(path, source_aliases=None, species_buckets=None) -> tuple:
-    """parse -> canonicalize -> bucket -> collate; returns (data, diag)."""
+def ingest(path, species_buckets=None) -> tuple:
+    """parse -> canonicalize -> bucket -> collate; returns (data, diag).
+    diag["source_registry"] maps each source label to its id in
+    data.sources."""
     records, parse_diag = parse_csv(path)
-    records, registry = canonicalize_sources(records, aliases=source_aliases)
+    records = canonicalize_sources(records)
     records = apply_species_buckets(records, buckets=species_buckets)
     data, diag = build_dataset(records)
     diag.update(parse_diag)
-    diag["source_registry"] = registry
+    diag["source_registry"] = {label: sid for sid, label in data.sources.items()}
     return data, diag
 
 

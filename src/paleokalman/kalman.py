@@ -129,7 +129,6 @@ class CompiledModel:
     """
 
     spec: ModelSpec
-    layout: ParameterLayout
     n: int
     n_series: int
     m: int
@@ -177,7 +176,6 @@ def compile_model(
 
     return CompiledModel(
         spec=spec,
-        layout=layout,
         n=n,
         n_series=k,
         m=m,

@@ -147,18 +147,6 @@ class ParameterLayout:
     def n_params(self) -> int:
         return len(self.params)
 
-    @property
-    def meas_var_count(self) -> int:
-        return len(self.meas_index)
-
-    @property
-    def trans_var_count(self) -> int:
-        return len(self.trans_index)
-
-    @property
-    def corr_count(self) -> int:
-        return len(self.corr_index)
-
     def names(self) -> list:
         return [p.name for p in self.params]
 

@@ -126,8 +126,8 @@ MIXED_RECORDS = [
 
 def mixed_panels(tmp_path):
     """The MIXED_RECORDS panel built five ways: by collate_rows, read back
-    from its canonical CSV (whose padding slots are fresh objects), with
-    grid rows merged in, twice, and sliced. The second grid has several
+    from its canonical CSV and registry JSON (a second collate, from ids
+    rather than labels), with grid rows merged in, twice, and sliced. The second grid has several
     stamps before the first row and stamps within COINCIDENCE_TOL of data
     rows, on both sides. The sliced panel is the window rows[1:7] of the
     collated one (so one leading all-missing row), as a fit window on a

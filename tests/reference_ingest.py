@@ -110,19 +110,14 @@ def parse_csv(path) -> tuple:
     return records, diagnostics
 
 
-def canonicalize_sources(records, aliases=None) -> tuple:
+def canonicalize_sources(records, aliases=None) -> list:
     if aliases is None:
         aliases = DEFAULT_SOURCE_ALIASES
     out = []
-    registry: dict = {}
     for rec in records:
         label = aliases.get(rec.source, rec.source)
-        if label != rec.source:
-            rec = replace(rec, source=label)
-        if not rec.both_empty and label not in registry:
-            registry[label] = len(registry)
-        out.append(rec)
-    return out, registry
+        out.append(replace(rec, source=label) if label != rec.source else rec)
+    return out
 
 
 def apply_species_buckets(records, buckets=None) -> list:
@@ -226,11 +221,12 @@ def build_dataset(records) -> tuple:
     return panel, diagnostics
 
 
-def ingest(path, source_aliases=None, species_buckets=None) -> tuple:
+def ingest(path, species_buckets=None) -> tuple:
     records, parse_diag = parse_csv(path)
-    records, registry = canonicalize_sources(records, aliases=source_aliases)
+    records = canonicalize_sources(records)
     records = apply_species_buckets(records, buckets=species_buckets)
     panel, diag = build_dataset(records)
     diag.update(parse_diag)
-    diag["source_registry"] = registry
+    # label -> id, as the panel's source registry numbers them
+    diag["source_registry"] = {label: sid for sid, label in panel[1].items()}
     return panel, diag

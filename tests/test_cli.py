@@ -384,6 +384,41 @@ def test_conditioning_error_exits_65(raw_csv, fitted, tmp_path, capsys, command)
     assert not out.exists()
 
 
+def _without_model(payload):
+    del payload["model"]
+    return json.dumps(payload)
+
+
+def _without_an_estimate(payload):
+    del payload["params"][0]["estimate"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [
+        _without_model,
+        _without_an_estimate,
+        lambda payload: json.dumps([payload]),  # not an object
+        lambda payload: json.dumps({**payload, "model": "rwn"}),
+        lambda payload: json.dumps(payload)[:-1],  # not JSON
+    ],
+    ids=["no-model", "no-estimate", "list", "model-string", "truncated"],
+)
+@pytest.mark.parametrize("command", ["smooth", "impute", "gain"])
+def test_malformed_fit_file_exits_65(raw_csv, fitted, tmp_path, capsys, command, make_text):
+    path = tmp_path / "malformed.json"
+    path.write_text(make_text(json.loads(fitted.read_text(encoding="utf-8"))), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = [command, "--data", str(raw_csv), "--fit", str(path), "--out", str(out)]
+    argv += {"impute": ["--mesh-years", "100000"], "gain": ["--mean-dt", "0.01"]}.get(command, [])
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed fit file {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
 def test_smooth_layout_mismatch_exits_66(tmp_path, capsys):
     csv_a = _write_raw(tmp_path / "a.csv", n=40, sources=("Site A", "Site B"))
     csv_b = _write_raw(

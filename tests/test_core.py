@@ -81,16 +81,23 @@ def test_assign_climate_state_boundaries(age, state):
     assert assign_climate_state(age) == state
 
 
-@pytest.mark.parametrize("age", [0.0, 0.0005, 67.2, -1.0, 70.0])
+@pytest.mark.parametrize(
+    "age", [0.0, 0.0005, 67.2, -1.0, 70.0, 1e-300, 80.0, math.inf, -math.inf]
+)
 def test_assign_climate_state_out_of_domain(age):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the covered range"):
         assign_climate_state(age)
+    # the clamped map takes the nearest endpoint's regime instead
+    assert clamped_climate_state(age) == (1 if age > CLIMATE_STATE_AGES[0] else 6)
 
 
 def test_clamped_state_extends_endpoints():
     assert clamped_climate_state(0.0) == 6
     assert clamped_climate_state(0.0001) == 6
     assert clamped_climate_state(69.0) == 1
+    # a negative age is younger than the record
+    for age in (-0.0, -1e-300, -0.000564, -1.0, -67.2, -math.inf):
+        assert clamped_climate_state(age) == 6
     # interior agrees with the strict map
     for age in (0.01, 3.3, 13.9, 34.0, 47.0, 56.0, 66.0):
         assert clamped_climate_state(age) == assign_climate_state(age)
@@ -108,6 +115,44 @@ def test_clamped_state_total_and_ordered(age):
     # older ages never get a larger state index
     j2 = clamped_climate_state(min(age + 1.0, 70.0))
     assert j2 <= j
+
+
+@pytest.mark.parametrize("i", range(len(CLIMATE_STATE_AGES)))
+def test_climate_state_at_each_boundary_and_its_float_neighbours(i):
+    # boundary i closes the old end of regime i + 1; the youngest boundary
+    # closes the young end of regime 6
+    edge = CLIMATE_STATE_AGES[i]
+    older = float(np.nextafter(edge, math.inf))
+    younger = float(np.nextafter(edge, 0.0))
+    at = min(i + 1, 6)
+    assert assign_climate_state(edge) == clamped_climate_state(edge) == at
+    assert clamped_climate_state(older) == max(i, 1)
+    assert clamped_climate_state(younger) == at
+    if i == 0:
+        with pytest.raises(ValueError, match="outside the covered range"):
+            assign_climate_state(older)
+    else:
+        assert assign_climate_state(older) == i
+    if i == len(CLIMATE_STATE_AGES) - 1:
+        with pytest.raises(ValueError, match="outside the covered range"):
+            assign_climate_state(younger)
+    else:
+        assert assign_climate_state(younger) == at
+
+
+def test_clamped_state_of_nan_age_raises():
+    with pytest.raises(ValueError, match="outside the covered range"):
+        clamped_climate_state(math.nan)
+
+
+@given(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))
+def test_clamped_state_follows_the_interval_table(age):
+    # regime j covers (ages[j], ages[j-1]], the youngest endpoint included;
+    # an age beyond the record takes its nearest endpoint's regime
+    ages = CLIMATE_STATE_AGES
+    clamped = min(max(age, ages[-1]), ages[0])
+    expected = [j for j in range(1, 7) if ages[j] < clamped <= ages[j - 1]] or [6]
+    assert clamped_climate_state(age) == expected[0]
 
 
 @given(st.lists(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False)))

@@ -192,7 +192,7 @@ def test_parse_empty_age_in_short_row_reports_line(tmp_path):
 
 
 def test_source_aliases_applied():
-    records, _ = canonicalize_sources(
+    records = canonicalize_sources(
         _columns(
             _rec(3.0, source="this study"),
             _rec(2.0, source="McCarren et al. 2008 et al. 2008"),
@@ -213,8 +213,22 @@ def test_registry_first_appearance_skips_markers():
         _rec(2.0, source="A"),
         _rec(1.0, source="B"),
     )
-    _, registry = canonicalize_sources(records)
-    assert registry == {"B": 0, "A": 1}
+    data, _ = build_dataset(canonicalize_sources(records))
+    assert data.sources == {0: "B", 1: "A"}
+
+
+def test_source_registry_numbers_sources_as_the_dataset_does(tmp_path):
+    # file order (young first) differs from age order (old first): the
+    # registry takes the dataset's ids, which follow age order
+    text = (
+        "age_tuned,d18O,d13C,source,species\n"
+        "1.0,1.5,,Young Site,CSPP\n"
+        "5.0,1.7,,Old Site,CSPP\n"
+    )
+    data, diag = ingest(_write(tmp_path, text))
+    assert data.sources == {0: "Old Site", 1: "Young Site"}
+    assert diag["source_registry"] == {"Old Site": 0, "Young Site": 1}
+    assert data.view.source.tolist() == [0, 1]
 
 
 def test_species_buckets_defaults():

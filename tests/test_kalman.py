@@ -945,7 +945,7 @@ def test_compile_rejects_layout_missing_a_source():
     without_c = pk.collate_rows([r for r in MIXED_RECORDS if r[3] != "c"])
     spec = ModelSpec(meas_grouping="by-source")
     layout = build_layout(spec, without_c)
-    assert layout.meas_var_count == 2  # sources a and b
+    assert len(layout.meas_index) == 2  # sources a and b
     with pytest.raises(KeyError):
         compile_model(spec, layout, data)
 

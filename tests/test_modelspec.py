@@ -84,9 +84,9 @@ def test_layout_pooled_univariate():
     layout = build_layout(ModelSpec(), data)
     assert layout.names() == ["sigma_eps2.d18O", "sigma_eta2.d18O"]
     assert layout.n_params == 2
-    assert layout.meas_var_count == 1
-    assert layout.trans_var_count == 1
-    assert layout.corr_count == 0
+    assert len(layout.meas_index) == 1
+    assert len(layout.trans_index) == 1
+    assert len(layout.corr_index) == 0
 
 
 def test_layout_by_source_orders_by_registry():
@@ -154,7 +154,7 @@ def test_layout_corr_needs_joint_rows():
     )
     spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
     layout = build_layout(spec, data)
-    assert layout.corr_count == 0
+    assert len(layout.corr_index) == 0
 
 
 def test_layout_bivariate_by_species_and_climate_state():
