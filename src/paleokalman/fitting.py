@@ -119,10 +119,11 @@ class _Objective:
 
     With scale < 1 the objective is the per-slot average negative loglik,
     which keeps the optimizer tolerances meaningful across sample sizes.
-    The penalty for inadmissible points is returned unscaled. The value of
-    the last call is kept, so that value_and_grad at that same theta (BFGS
-    starting where fit scored its start point) neither runs nor counts a
-    second loglik pass.
+    The penalty for inadmissible points is returned unscaled. The value and
+    the natural parameters of the last call are kept: value_and_grad maps
+    each theta to the natural scale once, and at the theta of the last call
+    (BFGS starting where fit scored its start point) it neither runs nor
+    counts a second loglik pass.
     """
 
     def __init__(
@@ -135,7 +136,7 @@ class _Objective:
         self.n_evals = 0
         self.best_f = np.inf
         self.best_x = None
-        self._last = None  # (theta's bytes, value) of the last call
+        self._last = None  # (theta's bytes, value, natural params) of the last call
 
     def __call__(self, theta) -> float:
         if self.budget is not None and self.n_evals >= self.budget:
@@ -144,11 +145,11 @@ class _Objective:
         theta = np.array(theta, dtype=float)
         params = self.transform.to_natural(theta)
         if not np.all(np.isfinite(params)):
-            self._last = theta.tobytes(), _PENALTY
+            self._last = theta.tobytes(), _PENALTY, params
             return _PENALTY
         ll = _kernels.loglik_from_compiled(self.cm, params)
         f = -ll * self.scale if np.isfinite(ll) else _PENALTY
-        self._last = theta.tobytes(), f
+        self._last = theta.tobytes(), f, params
         if f < self.best_f:
             self.best_f = f
             self.best_x = theta
@@ -160,15 +161,16 @@ class _Objective:
         inadmissible, or where the score is not finite, gives the penalty
         and a zero gradient."""
         theta = np.asarray(theta, dtype=float)
-        last = self._last
-        f = last[1] if last is not None and last[0] == theta.tobytes() else self(theta)
+        if self._last is None or self._last[0] != theta.tobytes():
+            self(theta)
+        _, f, params = self._last
         if f < _PENALTY:
             # a variance that underflows to zero leaves the loglik finite
             # but divides by zero in the score: inf or NaN from numpy, a
             # ZeroDivisionError from the score's float path at s = 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 try:
-                    score = kalman.score(self.cm, self.transform.to_natural(theta))
+                    score = kalman.score(self.cm, params)
                 except (np.linalg.LinAlgError, ZeroDivisionError):
                     score = np.nan  # LinAlgError: a singular Q, as at |rho| = 1
                 g = -score * self.transform.natural_jacobian_diag(theta) * self.scale

@@ -31,19 +31,28 @@ so the many loglik passes of a fit share them. At the state dimensions
 measured (s = 1 to 6) this beats numpy, whose per-call overhead dominates
 on such small arrays.
 
-There is one forward recursion with two modes. filter appends the
-predicted and filtered paths to array('d') buffers and records the
-disturbance covariance booked at each row, for the backward pass. loglik,
-which every fit evaluation calls, runs the same loop but keeps only the
-innovations and their variances, so the two logliks are equal bit for
-bit. The backward pass keeps only what is sequential, a rank-k update and
-a block back-substitution per row; the precisions it needs come from
-batched solves. At state dimension 1 there is one float recursion each
-way: _forward_dim1, the twin of _forward on floats rather than one-element
-lists with the same two modes and buffers, and _smoothed_dim1, the one
-backward sweep, which smooth and score share. Each does the list
-recursion's operations in its order, so their numbers are equal bit for
-bit; the list recursions (_forward, _smoothed) run every larger state.
+There is one forward recursion with two modes. filter keeps the predicted
+and filtered paths and the disturbance covariance booked at each row, for
+the backward pass. loglik, which every fit evaluation calls, runs the same
+loop but keeps only the innovations and their variances, so the two
+logliks are equal bit for bit. The backward pass keeps only what is
+sequential, a rank-k update and a block back-substitution per row; the
+precisions it needs come from batched solves. At state dimension 1 there
+is one float recursion each way: _forward_dim1, the twin of _forward on
+floats rather than one-element lists with the same two modes, results and
+buffers, and _smoothed_dim1, the one backward sweep, which smooth and
+score share. Each does the list recursion's operations in its order, so
+their numbers are equal bit for bit; the list recursions (_forward,
+_smoothed) run every larger state.
+
+_forward_dim1 is one loop over the observed slots, not the rows. At state
+dimension 1 a moving row books its transition variance just before its
+first slot, a row without slots changes nothing, and the diffuse phase
+ends at its one diffuse slot. Paths mode keeps each slot's filtered (a, P)
+after the start's, and _rows_dim1 derives the per-row buffers from them by
+numpy indexing on the running slot count: a row is filtered as its last
+slot left it (as the row before it, if it has none) and predicted as the
+row before it was filtered, plus the variance it books.
 
 score, the exact gradient of the loglik that fitting climbs, runs the
 forward recursion in paths mode and the backward pass of smooth, and
@@ -121,10 +130,20 @@ class CompiledModel:
     window is the row's stamp minus that of the series' previous observed
     row. tvar is the transition-variance index (-1 absent).
 
+    At state dimension 1 (None otherwise) two more tuples are per slot, for
+    _forward_dim1's slot loop: book_tvar[o] is the transition-variance
+    index booked just before slot o, set only at the first slot of a moving
+    row and -1 elsewhere, and book_window[o] is the window of slot o's row.
+    paths_index holds the read-only arrays (at, moving, tvar, window) that
+    _rows_dim1 derives the per-row paths with: at[nu] is the number of
+    slots before row nu (at[n] of all), moving lists the rows that move,
+    and tvar and window are what each of them books.
+
     compile_model builds it once from the panel's columnar view
     (PanelDataset.view) and the group keys modelspec.group_keys resolves
     there, with one layout lookup per distinct key; a key the layout lacks
-    raises KeyError. The model is frozen and holds only tuples and
+    raises KeyError, as does a transition regime the layout lacks at a row
+    where the series moves. The model is frozen and holds only tuples and
     read-only arrays, so every pass reads the same inputs.
     """
 
@@ -146,6 +165,9 @@ class CompiledModel:
     apply_: tuple
     window: tuple
     tvar: tuple
+    book_tvar: tuple | None
+    book_window: tuple | None
+    paths_index: tuple | None
 
     @property
     def n_obs_slots(self) -> int:
@@ -171,7 +193,22 @@ def compile_model(
     if k == 2:
         corr[:] = _lookup(keys.corr, lambda key: layout.corr_index.get(key, -1))
     apply_, window = booking_schedule(view.stamps, keys.observed)
-    for a in (keys.row, keys.col):
+    unbooked = np.argwhere(apply_ & (tvar < 0))
+    if unbooked.size:  # a row moves a series under a regime the layout lacks
+        nu, j = unbooked[0].tolist()
+        raise KeyError((spec.series[j], keys.trans[nu : nu + 1].tolist()[0]))
+    count = np.bincount(keys.row, minlength=n)
+    book_tvar = book_window = paths_index = None
+    if k * m == 1:
+        at = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(count, out=at[1:])
+        moving = np.flatnonzero(apply_[:, 0])
+        book = np.full(keys.row.size, -1, dtype=np.int64)
+        book[at[moving]] = tvar[moving, 0]  # at each moving row's first slot
+        book_tvar = tuple(book.tolist())
+        book_window = tuple(window[keys.row, 0].tolist())
+        paths_index = at, moving, tvar[moving, 0], window[moving, 0]
+    for a in (keys.row, keys.col, *(paths_index or ())):
         a.setflags(write=False)
 
     return CompiledModel(
@@ -187,12 +224,15 @@ def compile_model(
         level=tuple((keys.local * m).tolist()),
         y=tuple(view.value[keys.slot].tolist()),
         hidx=tuple(hidx.tolist()),
-        count=tuple(np.bincount(keys.row, minlength=n).tolist()),
+        count=tuple(count.tolist()),
         moved=tuple(apply_.any(axis=1).tolist()),
         corr=tuple(corr.tolist()),
         apply_=tuple(apply_.ravel().tolist()),
         window=tuple(window.ravel().tolist()),
         tvar=tuple(tvar.ravel().tolist()),
+        book_tvar=book_tvar,
+        book_window=book_window,
+        paths_index=paths_index,
     )
 
 
@@ -440,15 +480,16 @@ def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
 
 
 def _score_dim1(cm: CompiledModel, h: list) -> np.ndarray:
-    # _score at s = 1 on floats, bit for bit: _forward_dim1's buffers, the
-    # smoothed moments from _smoothed_dim1, then _score's terms. The
-    # measurement terms add up in slot order and the transition terms in
-    # row order, each from zero, as np.bincount adds them; a moving row's
-    # b, c and eta are the sweep's, recomputed. A zero divisor raises
-    # ZeroDivisionError where _score gives inf or NaN.
+    # _score at s = 1 on floats, bit for bit: _forward_dim1's predicted
+    # moments and booked variances, read through memoryviews without a copy,
+    # and its final state; the smoothed moments from _smoothed_dim1; then
+    # _score's terms. The measurement terms add up in slot order and the
+    # transition terms in row order, each from zero, as np.bincount adds
+    # them; a moving row's b, c and eta are the sweep's, recomputed. A zero
+    # divisor raises ZeroDivisionError where _score gives inf or NaN.
     _, ((x,), (V,), _), buffers, _ = _forward_dim1(cm, h, *_diffuse_start(1), True)
-    pred_a, pred_P, pred_Pi, *_, booked = buffers
-    X, XV = _smoothed_dim1(cm, pred_a, pred_P, booked, len(pred_Pi), x, V)
+    pred_a, pred_P, booked = (memoryview(buffers[j]) for j in (0, 1, 7))
+    X, XV = _smoothed_dim1(cm, pred_a, pred_P, booked, len(buffers[2]), x, V)
     grad, moves = [0.0] * len(h), [0.0] * len(h)
     for yo, i, nu in zip(cm.y, cm.hidx, cm.obs_row.tolist()):
         e = yo - X[nu]
@@ -479,11 +520,14 @@ def _forward(
     sections 5.2-5.3, from the state (a, Ps, Pi) before row 0.
 
     Returns (loglik, final (a, Ps, Pi), buffers, number of diffuse slots),
-    the buffers array('d')s (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F,
-    booked): per row, pred_Pi over the diffuse rows only; v and F per
-    observed slot; booked the k x k trend-tail disturbance covariance of
-    each row. Without keep_paths only v and F are kept, for the log terms,
-    and buffers is None.
+    the buffers flat float64 arrays (pred_a, pred_P, pred_Pi, filt_a,
+    filt_P, v, F, booked): per row, pred_Pi over the diffuse rows only; v
+    and F per observed slot; booked the k x k trend-tail disturbance
+    covariance of each row. Here all eight are array('d')s appended row by
+    row. _forward_dim1 appends v and F per slot as well, but derives the
+    six per-row buffers afterwards as numpy arrays (_rows_dim1), with the
+    same bytes. Without keep_paths only v and F are kept, for the log
+    terms, and buffers is None.
     """
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
@@ -596,67 +640,81 @@ def _forward(
 def _forward_dim1(
     cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
 ) -> tuple:
-    # _forward at s = 1, with the same arguments and results: a, P and
-    # P_inf are floats instead of one-element lists, and every operation is
-    # _forward's, in its order
-    n = cm.n
-    count, y, hidx = cm.count, cm.y, cm.hidx
-    apply_, window, tvar = cm.apply_, cm.window, cm.tvar  # per row: one series
+    # _forward at s = 1, with the same arguments and results, from the
+    # diffuse start (P_inf = 1) or a proper prior: a, P and P_inf are floats
+    # instead of one-element lists, and every operation is _forward's, in
+    # its order. The one loop walks the observed slots, not the rows: a
+    # moving row books its transition variance just before its first slot,
+    # and a row without slots changes nothing. The diffuse phase ends at its
+    # one diffuse slot, where K = 1 annihilates P_inf. Paths mode keeps each
+    # slot's filtered (a, P) after the start's, and _rows_dim1 derives the
+    # per-row buffers from them.
     rec_v, rec_F = array("d"), array("d")
     keep_v, keep_F = rec_v.append, rec_F.append
     rec_diffuse = {}
     inf = math.inf
     (a,), (P,), (Pi,) = a, Ps, Pi
+    Pi_start = Pi if diffuse else 0.0
     if keep_paths:
-        pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
-        filt_a, filt_P = array("d"), array("d")
-        booked = array("d", bytes(8 * n))
-    first = 0
+        slot_a, slot_P = array("d", [a]), array("d", [P])
+        keep_a, keep_P = slot_a.append, slot_P.append
 
-    for nu, c in enumerate(count):
-        if nu > 0 and apply_[nu]:
-            q = h[tvar[nu]] * window[nu]
-            P += q
-            if keep_paths:
-                booked[nu] = q
-        if keep_paths:
-            pred_a.append(a)
-            pred_P.append(P)
-            if diffuse:
-                pred_Pi.append(Pi)
-        last = first + c
-        for o in range(first, last):
-            v = y[o] - a
-            F = P + h[hidx[o]]
-            if diffuse and Pi > DIFFUSE_TOL:
-                K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
-                a += K * v
-                P = ((P + K * K * F) - K * P) - P * K
-                rec_diffuse[o] = Pi  # F_inf at s = 1
-                Pi -= K * Pi
-            else:
-                if not 0.0 < F < inf:
-                    raise ConditioningError(
-                        nu, f"innovation variance {F} at slot column {cm.obs_col[o]}"
-                    )
-                K = P / F
-                a += K * v
-                P -= K * P
-            keep_v(v)
-            keep_F(F)
-        first = last
-        if diffuse and abs(Pi) < DIFFUSE_TOL:
-            Pi = 0.0
+    for o, (yo, i, t, w) in enumerate(zip(cm.y, cm.hidx, cm.book_tvar, cm.book_window)):
+        if t >= 0:
+            P += h[t] * w
+        v = yo - a
+        F = P + h[i]
+        if diffuse and Pi > DIFFUSE_TOL:
+            K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
+            a += K * v
+            P = ((P + K * K * F) - K * P) - P * K
+            rec_diffuse[o] = Pi  # F_inf at s = 1
+            Pi -= K * Pi
             diffuse = False
+        else:
+            if not 0.0 < F < inf:
+                raise ConditioningError(
+                    int(cm.obs_row[o]), f"innovation variance {F} at slot column {cm.obs_col[o]}"
+                )
+            K = P / F
+            a += K * v
+            P -= K * P
+        keep_v(v)
+        keep_F(F)
         if keep_paths:
-            filt_a.append(a)
-            filt_P.append(P)
+            keep_a(a)
+            keep_P(P)
 
     ll = _log_sum(rec_v, rec_F, rec_diffuse)
     buffers = None
     if keep_paths:
+        pred_a, pred_P, pred_Pi, filt_a, filt_P, booked = _rows_dim1(
+            cm, h, slot_a, slot_P, Pi_start, rec_diffuse
+        )
         buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
     return ll, ([a], [P], [Pi]), buffers, len(rec_diffuse)
+
+
+def _rows_dim1(cm: CompiledModel, h: list, slot_a, slot_P, Pi: float, rec_diffuse: dict) -> tuple:
+    # _forward's per-row buffers at s = 1 (pred_a, pred_P, pred_Pi, filt_a,
+    # filt_P, booked) from the start and each slot's filtered (a, P), at 0
+    # and o + 1 of slot_a and slot_P. Row nu is filtered as its last slot
+    # left it, or as row nu - 1 if it has none, and predicted as row nu - 1
+    # was filtered, plus the variance it books if it moves. The diffuse rows,
+    # from a start with P_inf = Pi (0 if proper), run to the diffuse slot's
+    # row, or to the end if no slot ends the phase.
+    at, moving, tvar, window = cm.paths_index
+    A = np.frombuffer(slot_a)[at]  # the start, then each row's filtered mean
+    P = np.frombuffer(slot_P)[at]
+    q = np.array(h)[tvar] * window
+    booked = np.zeros(cm.n)
+    booked[moving] = q
+    pred_P = P[:-1].copy()
+    pred_P[moving] += q
+    n_diffuse_rows = 0
+    if Pi:
+        n_diffuse_rows = int(cm.obs_row[min(rec_diffuse)]) + 1 if rec_diffuse else cm.n
+    return A[:-1].copy(), pred_P, np.full(n_diffuse_rows, Pi), A[1:], P[1:], booked
 
 
 def _paths_and_booked(cm: CompiledModel, buffers: tuple) -> tuple:

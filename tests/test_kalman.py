@@ -629,9 +629,85 @@ def _assert_forward_dim1_equals_forward(cm, h, prior=None):
         if not keep_paths:
             assert buffers is ref[2] is None
             continue
+        # each of the eight buffers as float64 bytes: _forward's are
+        # array('d')s, _forward_dim1's per-row ones numpy arrays
         assert len(buffers) == len(ref[2]) == 8
         for x, y in zip(buffers, ref[2]):
-            assert x.typecode == y.typecode == "d" and x.tobytes() == y.tobytes()
+            assert _same_bits(np.frombuffer(x), np.frombuffer(y))
+
+
+def _diffuse_rows_dim1(cm, h, prior=None) -> list:
+    start = kalman._diffuse_start(1) if prior is None else ([prior[0]], [prior[1]], [0.0], False)
+    buffers = kalman._forward_dim1(cm, h, *start, True)[2]
+    return kalman._paths_and_booked(cm, buffers)[0].diffuse_rows.tolist()
+
+
+def test_forward_dim1_equals_forward_without_slots():
+    # d18O modelled where only d13C has values: no slot, so the loglik is
+    # 0.0, the state stays at its start and every row is diffuse
+    data = rows_from_values([-3.0, -2.0, -1.5, -1.0], [None] * 4, [[0.1], [0.2, 0.3], None, [0.4]])
+    spec = ModelSpec()
+    cm = compile_model(spec, build_layout(spec, data), data)
+    assert cm.s == 1 and cm.n_obs_slots == 0 and cm.book_tvar == cm.book_window == ()
+    for prior in (None, (0.3, 0.5)):
+        _assert_forward_dim1_equals_forward(cm, [], prior)
+    assert kloglik(cm, []) == 0.0
+    assert kalman._forward_dim1(cm, [], *kalman._diffuse_start(1), True)[1] == ([0.0], [0.0], [1.0])
+    assert _diffuse_rows_dim1(cm, []) == [True] * 4
+    assert _diffuse_rows_dim1(cm, [], (0.3, 0.5)) == [False] * 4
+
+
+def _four_slot_panel():
+    # an empty row, then a first observed row with four slots over four
+    # sources, a gap row and two later rows, the last one's second slot the
+    # only one of a fifth source
+    stamps = [-4.0, -3.0, -2.5, -2.0, -1.0]
+    values = [None, [0.1, 0.3, -0.2, 0.05], None, [0.4], [0.2, 0.6]]
+    data = rows_from_values(stamps, values, sources=[None, [0, 1, 2, 3], None, [1], [2, 4]])
+    spec = ModelSpec(meas_grouping="by-source")
+    layout = build_layout(spec, data)
+    return spec, layout, data, compile_model(spec, layout, data)
+
+
+def test_forward_dim1_diffuse_slot_shares_its_row():
+    # the first observed row's first slot ends the diffuse phase, and its
+    # other three slots are regular updates in the same row
+    spec, layout, data, cm = _four_slot_panel()
+    assert cm.s == 1 and cm.count == (0, 4, 0, 1, 2)
+    t = cm.tvar[3]  # pooled: one transition variance
+    assert t >= 0 and cm.book_tvar == (-1, -1, -1, -1, t, t, -1)
+    rng = np.random.default_rng(11)
+    for prior in (None, (0.3, 0.5)):
+        for _ in range(5):
+            h = np.exp(rng.uniform(-12.0, 3.0, layout.n_params)).tolist()
+            _assert_forward_dim1_equals_forward(cm, h, prior)
+            _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior)
+    assert kalman._forward_dim1(cm, h, *kalman._diffuse_start(1), False)[3] == 1
+    assert _diffuse_rows_dim1(cm, h) == [True, True, False, False, False]
+    assert _diffuse_rows_dim1(cm, h, (0.3, 0.5)) == [False] * 5
+
+
+@pytest.mark.parametrize("at", [(1, 1), (4, 1)], ids=["diffuse-row", "later-row"])
+@pytest.mark.parametrize("keep_paths", [False, True], ids=["loglik", "paths"])
+def test_forward_dim1_raises_on_a_second_slot_as_forward(at, keep_paths):
+    # the source of a row's second slot gets a variance that makes that
+    # slot's innovation variance the first negative one: in the row whose
+    # first slot ends the diffuse phase, or in a later two-slot row
+    spec, layout, data, cm = _four_slot_panel()
+    nu, col = at
+    source = {(1, 1): 1, (4, 1): 4}[at]
+    h = np.full(layout.n_params, 0.5)
+    h[layout.meas_index[(0, source)]] = -50.0
+    h = h.tolist()
+    with pytest.raises(ConditioningError) as fast:
+        kalman._forward_dim1(cm, h, *kalman._diffuse_start(1), keep_paths)
+    with pytest.raises(ConditioningError) as ref:
+        kalman._forward(cm, h, *kalman._diffuse_start(1), keep_paths)
+    assert str(fast.value) == str(ref.value)
+    assert type(fast.value.row_index) is int
+    assert fast.value.row_index == ref.value.row_index == nu
+    assert str(fast.value).startswith(f"row {nu}: innovation variance -")
+    assert str(fast.value).endswith(f"at slot column {col}")
 
 
 @pytest.mark.parametrize("prior", [None, (0.3, 0.5)], ids=["diffuse", "proper"])
@@ -938,6 +1014,26 @@ def test_compiled_indices_match_slot_walk(tmp_path, build):
         assert cm.moved == tuple(apply_.any(axis=1).tolist()), spec
         for name in ("level", "hidx", "count", "corr", "tvar"):
             assert all(type(x) is int for x in getattr(cm, name)), (spec, name)
+        if cm.s > 1:
+            assert cm.book_tvar is cm.book_window is cm.paths_index is None, spec
+            continue
+        # at s = 1, per slot: the index booked at a moving row's first slot
+        # (-1 at every other slot), and the window of the slot's row
+        first = [o == 0 or rows[o - 1] != nu for o, nu in enumerate(rows.tolist())]
+        assert cm.book_tvar == tuple(
+            cm.tvar[nu] if at_first and cm.apply_[nu] else -1
+            for nu, at_first in zip(rows.tolist(), first)
+        ), spec
+        assert cm.book_window == tuple(cm.window[nu] for nu in rows.tolist()), spec
+        assert all(type(x) is int for x in cm.book_tvar), spec
+        assert all(type(x) is float for x in cm.book_window), spec
+        # per row: the slots before it, and the moving rows with their booking
+        at, moving, tvar, window = cm.paths_index
+        assert at.tolist() == [0, *np.cumsum(cm.count).tolist()], spec
+        assert moving.tolist() == [nu for nu in range(n) if cm.apply_[nu]], spec
+        assert tvar.tolist() == [cm.tvar[nu] for nu in moving.tolist()], spec
+        assert window.tolist() == [cm.window[nu] for nu in moving.tolist()], spec
+        assert not any(a.flags.writeable for a in cm.paths_index), spec
 
 
 def test_compile_rejects_layout_missing_a_source():
@@ -948,6 +1044,23 @@ def test_compile_rejects_layout_missing_a_source():
     assert len(layout.meas_index) == 2  # sources a and b
     with pytest.raises(KeyError):
         compile_model(spec, layout, data)
+
+
+def test_compile_rejects_layout_missing_a_moving_regime():
+    # a layout laid out on the youngest rows lacks the older climate states,
+    # where the whole panel's rows move the trend: compile names the first
+    # (series, regime) it cannot book instead of booking another variance
+    data = _dim1_panel(0)
+    young = dataclasses.replace(data, rows=data.rows[-10:])
+    for spec in (
+        ModelSpec(trans_grouping="by-climate-state"),
+        ModelSpec(arity="bivariate", trans_grouping="by-climate-state", corr_grouping="pooled"),
+    ):
+        layout = build_layout(spec, young)
+        with pytest.raises(KeyError) as missing:
+            compile_model(spec, layout, data)
+        series, regime = missing.value.args[0]
+        assert series == spec.series[0] and (series, regime) not in layout.trans_index
 
 
 # ---------------------------------------------------------------------------
