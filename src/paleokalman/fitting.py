@@ -161,21 +161,21 @@ class _Objective:
         inadmissible, or where the score is not finite, gives the penalty
         and a zero gradient."""
         theta = np.asarray(theta, dtype=float)
-        if self._last is None or self._last[0] != theta.tobytes():
-            self(theta)
-        _, f, params = self._last
-        if f < _PENALTY:
-            # a variance that underflows to zero leaves the loglik finite
-            # but divides by zero in the score: inf or NaN from numpy, a
-            # ZeroDivisionError from the score's float path at s = 1
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # a variance at or near zero can overflow the loglik to -inf (the
+        # penalty), divide by zero or overflow in the score, or zero a
+        # predicted variance, which the sweep at s = 1 raises as an error
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self._last is None or self._last[0] != theta.tobytes():
+                self(theta)
+            _, f, params = self._last
+            if f < _PENALTY:
                 try:
                     score = kalman.score(self.cm, params)
                 except (np.linalg.LinAlgError, ZeroDivisionError):
                     score = np.nan  # LinAlgError: a singular Q, as at |rho| = 1
                 g = -score * self.transform.natural_jacobian_diag(theta) * self.scale
-            if np.all(np.isfinite(g)):
-                return f, g
+                if np.all(np.isfinite(g)):
+                    return f, g
         return _PENALTY, np.zeros(len(theta))
 
 

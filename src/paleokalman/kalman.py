@@ -40,10 +40,10 @@ sequential, a rank-k update and a block back-substitution per row; the
 precisions it needs come from batched solves. At state dimension 1 there
 is one float recursion each way: _forward_dim1, the twin of _forward on
 floats rather than one-element lists with the same two modes, results and
-buffers, and _smoothed_dim1, the one backward sweep, which smooth and
-score share. Each does the list recursion's operations in its order, so
-their numbers are equal bit for bit; the list recursions (_forward,
-_smoothed) run every larger state.
+buffers, and _smoothed_dim1, the twin of _smoothed, the one backward sweep
+that smooth and score share. Each does the list recursion's operations in
+its order, so their numbers are equal bit for bit; the list recursions
+(_forward, _smoothed) run every larger state.
 
 _forward_dim1 is one loop over the observed slots, not the rows. At state
 dimension 1 a moving row books its transition variance just before its
@@ -54,15 +54,19 @@ numpy indexing on the running slot count: a row is filtered as its last
 slot left it (as the row before it, if it has none) and predicted as the
 row before it was filtered, plus the variance it books.
 
+Both backward passes step only through the rows that move some block, last
+first, and fill every other row by one index (_filled), so the all-missing
+grid rows that impute inserts cost no step. At state dimension 1 numpy
+gives each moving row's b and c first, and the float loop only updates the
+mean and the variance.
+
 score, the exact gradient of the loglik that fitting climbs, runs the
 forward recursion in paths mode and the backward pass of smooth, and
-reads the gradient off the smoothed moments by Fisher's identity. At state
-dimension 1 it runs on floats end to end (_score_dim1): _forward_dim1's
-buffers, _smoothed_dim1, then the gradient's sums. The numpy path, _score,
-runs _forward and _smoothed at every state dimension, so at state
-dimension 1 it is a reference that shares no code with the float path.
-score calls neither filter nor smooth, so those two remain whole-panel
-passes only.
+reads the gradient off the smoothed moments by Fisher's identity, its
+terms summed by np.bincount. At state dimension 1 (_score_dim1) those
+passes are _forward_dim1 and _smoothed_dim1, whose b and c it reads; the
+numpy path, _score, is the reference there. score calls neither filter
+nor smooth, so those two remain whole-panel passes only.
 """
 
 from __future__ import annotations
@@ -423,18 +427,17 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     eta = B (x_u - a_{u|u-1}) and B, C as in smooth. dQ covers the
     cross-covariance rho sqrt(s1 s2) min(w1, w2) of a bivariate row.
 
-    At state dimension 1 the score runs on floats (_score_dim1), equal bit
-    for bit to the numpy path (_score) that runs every larger state. A zero
-    variance that the numpy path turns into an inf or NaN coordinate
-    raises ZeroDivisionError there.
+    At state dimension 1 the score runs the float passes (_score_dim1),
+    equal bit for bit to the numpy path (_score) that runs every larger
+    state. A measurement or trend variance of 0.0 gives the same inf or
+    NaN coordinates on both; a zero predicted variance at a moving row
+    raises ZeroDivisionError there, as in smooth.
 
     The parameters are used as given, as in loglik, which raises the same
     ConditioningError at an inadmissible point.
     """
     h = np.asarray(params, dtype=float)
-    if compiled.s == 1:
-        return _score_dim1(compiled, h.tolist())
-    return _score(compiled, h)
+    return (_score_dim1 if compiled.s == 1 else _score)(compiled, h)
 
 
 def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
@@ -479,32 +482,25 @@ def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _score_dim1(cm: CompiledModel, h: list) -> np.ndarray:
-    # _score at s = 1 on floats, bit for bit: _forward_dim1's predicted
-    # moments and booked variances, read through memoryviews without a copy,
-    # and its final state; the smoothed moments from _smoothed_dim1; then
-    # _score's terms. The measurement terms add up in slot order and the
-    # transition terms in row order, each from zero, as np.bincount adds
-    # them; a moving row's b, c and eta are the sweep's, recomputed. A zero
-    # divisor raises ZeroDivisionError where _score gives inf or NaN.
-    _, ((x,), (V,), _), buffers, _ = _forward_dim1(cm, h, *_diffuse_start(1), True)
-    pred_a, pred_P, booked = (memoryview(buffers[j]) for j in (0, 1, 7))
-    X, XV = _smoothed_dim1(cm, pred_a, pred_P, booked, len(buffers[2]), x, V)
-    grad, moves = [0.0] * len(h), [0.0] * len(h)
-    for yo, i, nu in zip(cm.y, cm.hidx, cm.obs_row.tolist()):
-        e = yo - X[nu]
-        r = h[i]
-        grad[i] += ((e * e + XV[nu]) / r - 1.0) / (2.0 * r)
-    moved, window, tvar = cm.moved, cm.window, cm.tvar
-    for nu in range(1, cm.n):
-        if moved[nu]:
-            q = booked[nu]
-            b = q * (1.0 / pred_P[nu])
-            c = q - b * q
-            eta = b * (X[nu] - pred_a[nu])
-            S = (eta * eta + c) + b * XV[nu] * b
-            moves[tvar[nu]] += (S / q - 1.0) / q * window[nu] / 2.0
-    return np.array(list(map(add, grad, moves)))
+def _score_dim1(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
+    # _score at s = 1, bit for bit: _forward_dim1's paths and final state,
+    # then _smoothed_dim1's moments and the q, b and c of its moving rows,
+    # and _score's two np.bincount sums, the measurement terms in slot
+    # order and the transition terms over the moving rows in row order
+    _, ((x,), (V,), _), buffers, _ = _forward_dim1(cm, h.tolist(), *_diffuse_start(1), True)
+    pred_a, pred_P, pred_Pi, *_, booked = buffers
+    X, XV, (succ, q, b, c) = _smoothed_dim1(cm, pred_a, pred_P, booked, pred_Pi.size, x, V)
+    X, XV = X[:, 0], XV[:, 0, 0]
+
+    rows, hidx = cm.obs_row, np.array(cm.hidx, dtype=int)
+    e = np.array(cm.y) - X[rows]
+    var = h[hidx]
+    grad = np.bincount(hidx, ((e * e + XV[rows]) / var - 1.0) / (2.0 * var), minlength=h.size)
+
+    _, _, tvar, window = cm.paths_index
+    eta = b * (X[succ] - pred_a[succ])
+    S = (eta * eta + c) + b * XV[succ] * b
+    return grad + np.bincount(tvar, (S / q - 1.0) / q * window / 2.0, minlength=h.size)
 
 
 def _diffuse_start(s: int) -> tuple:
@@ -772,50 +768,59 @@ def smooth(run: FilterRun) -> StatePaths:
     P_inf of P_{t+1|t}. Q is nonzero only at the trend tails, so only G's
     tail rows enter; they come from batched solves, and the sequential
     part is a rank-k update and a block back-substitution per row. At
-    state dimension 1 the pass is one sweep on floats (_smoothed_dim1),
-    the one score also runs, with the same numbers bit for bit.
+    state dimension 1 the pass is one float sweep over the moving rows
+    (_smoothed_dim1), the one score also runs, with the same numbers bit
+    for bit; a zero predicted variance at a moving row raises
+    ZeroDivisionError there, naming the row.
     """
     cm, paths = run.compiled, run.paths
     if cm.s > 1:
-        paths.smoothed_means, paths.smoothed_covs, _ = _smoothed(cm, paths, run.booked)
-        return paths
-    # memoryviews index to floats, as lists do, without copying the paths
-    pred = (memoryview(x.ravel()) for x in (paths.predicted_means, paths.predicted_covs, run.booked))
-    n_diffuse_rows = int(np.count_nonzero(paths.diffuse_rows))
-    last = float(paths.filtered_means[-1, 0]), float(paths.filtered_covs[-1, 0, 0])
-    X, XV = _smoothed_dim1(cm, *pred, n_diffuse_rows, *last)
-    paths.smoothed_means = np.array(X).reshape(cm.n, 1)
-    paths.smoothed_covs = np.array(XV).reshape(cm.n, 1, 1)
+        moments = _smoothed(cm, paths, run.booked)
+    else:
+        pred = (x.ravel() for x in (paths.predicted_means, paths.predicted_covs, run.booked))
+        n_diffuse_rows = int(np.count_nonzero(paths.diffuse_rows))
+        last = float(paths.filtered_means[-1, 0]), float(paths.filtered_covs[-1, 0, 0])
+        moments = _smoothed_dim1(cm, *pred, n_diffuse_rows, *last)
+    paths.smoothed_means, paths.smoothed_covs, _ = moments
     return paths
 
 
 def _smoothed_dim1(
     cm: CompiledModel, pred_a, pred_P, booked, n_diffuse_rows: int, x: float, V: float
 ) -> tuple:
-    # _smoothed at s = 1 on floats, bit for bit, from row n - 1's filtered
-    # moments (x, V): lists of every row's smoothed mean and variance, first
-    # row first. G = 1.0 / P_{u|u-1} is what the batched 1 x 1 solve gives,
-    # and 0.5 * (V + V) is _smoothed's symmetrization. A zero predicted
-    # variance at a moving row raises ZeroDivisionError.
-    moved = cm.moved
-    X, XV = [], []  # last row first
-    for nu in range(cm.n - 1, -1, -1):
+    # _smoothed at s = 1, bit for bit, over the per-row arrays pred_a, pred_P
+    # and booked, from row n - 1's filtered moments (x, V): (smoothed means,
+    # smoothed variances, (succ, q, b, c)) over the moving rows succ, with
+    # b = q * (1.0 / P_{u|u-1}) as the batched 1 x 1 solve gives it. A series
+    # moves only after its first observed row, whose slot ends the diffuse
+    # phase at s = 1, so G needs no diffuse limit.
+    succ = cm.paths_index[1]
+    if succ.size and succ[0] < n_diffuse_rows:
+        raise AssertionError(f"row {succ[0]} moves inside the diffuse phase")
+    P = pred_P[succ]
+    if not P.all():
+        nu = succ[P == 0.0][-1]
+        raise ZeroDivisionError(f"row {nu}: predicted variance 0.0 at a moving row")
+    q = booked[succ]
+    b = q * (1.0 / P)
+    c = q - b * q
+    X, XV = [x], [V]
+    for bu, cu, au in zip(b[::-1].tolist(), c[::-1].tolist(), pred_a[succ[::-1]].tolist()):
+        x -= bu * (x - au)
+        V -= bu * V
+        V = (V - bu * V) + cu
         X.append(x)
-        XV.append(0.5 * (V + V))
-        if nu and moved[nu]:
-            # a series moves only after its first observed row, whose slot
-            # ends the diffuse phase at s = 1, so G needs no diffuse limit
-            if nu < n_diffuse_rows:
-                raise AssertionError(f"row {nu} moves inside the diffuse phase")
-            q = booked[nu]
-            b = q * (1.0 / pred_P[nu])
-            c = q - b * q
-            x -= b * (x - pred_a[nu])
-            V -= b * V
-            V = (V - b * V) + c
-    X.reverse()
-    XV.reverse()
-    return X, XV
+        XV.append(V)
+    return (*_filled(array("d", X), array("d", XV), succ, cm.n, 1), (succ, q, b, c))
+
+
+def _filled(X: array, XV: array, succ: np.ndarray, n: int, s: int) -> tuple:
+    # every row's moments from X and XV, which hold row n - 1, then row u - 1
+    # for each u in succ, last first: row nu takes those reached after the
+    # steps of the rows in succ above it. The covariances are symmetrized.
+    at = succ.size - np.searchsorted(succ, np.arange(n), side="right")
+    V = _paths_array(XV, (succ.size + 1, s, s))[at]
+    return _paths_array(X, (succ.size + 1, s))[at], 0.5 * (V + V.transpose(0, 2, 1))
 
 
 def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple:
@@ -833,13 +838,7 @@ def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple
     last = (paths.filtered_means[n - 1], paths.filtered_covs[n - 1])
     steps = (succ[back], B[back], C[back], paths.predicted_means[succ[back]])
     X, XV = _backward(*last, *steps, tails, m, cm.apply_)
-
-    # X and XV hold row n - 1, then row u - 1 for each u in succ, last first;
-    # every other row takes the moments of the first of those at or after it
-    done = np.append(succ - 1, n - 1)
-    at = succ.size - np.searchsorted(done, np.arange(n))
-    V = _paths_array(XV, (done.size, s, s))[at]
-    return _paths_array(X, (done.size, s))[at], 0.5 * (V + V.transpose(0, 2, 1)), (succ, Q, B, C)
+    return (*_filled(X, XV, succ, n, s), (succ, Q, B, C))
 
 
 def _backward(x, V, succ, B, C, A, tails: list, m: int, apply_: tuple) -> tuple:

@@ -125,13 +125,15 @@ MIXED_RECORDS = [
 
 
 def mixed_panels(tmp_path):
-    """The MIXED_RECORDS panel built five ways: by collate_rows, read back
+    """The MIXED_RECORDS panel built six ways: by collate_rows, read back
     from its canonical CSV and registry JSON (a second collate, from ids
-    rather than labels), with grid rows merged in, twice, and sliced. The second grid has several
-    stamps before the first row and stamps within COINCIDENCE_TOL of data
-    rows, on both sides. The sliced panel is the window rows[1:7] of the
-    collated one (so one leading all-missing row), as a fit window on a
-    sub-panel is."""
+    rather than labels), with grid rows merged in, twice, and sliced,
+    twice. The second grid has several stamps before the first row and
+    stamps within COINCIDENCE_TOL of data rows, on both sides. The sliced
+    panel is the window rows[1:7] of the collated one (so one leading
+    all-missing row), as a fit window on a sub-panel is. The head panel is
+    its window rows[:3]: the two leading all-missing rows, then one row
+    with both series, so that no series moves."""
     collated = collate_rows(MIXED_RECORDS)
     write_canonical_csv(collated, tmp_path / "panel.csv")
     write_registry_json(collated, tmp_path / "registry.json")
@@ -148,6 +150,7 @@ def mixed_panels(tmp_path):
         "merged": merged,
         "merged_edges": merged_edges,
         "sliced": dataclasses.replace(collated, rows=collated.rows[1:7]),
+        "head": dataclasses.replace(collated, rows=collated.rows[:3]),
     }
 
 

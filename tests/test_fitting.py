@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,24 +263,39 @@ def test_objective_gradient_where_the_score_breaks_down():
         f, g = obj.value_and_grad(bad)
         assert f == fitting._PENALTY and not g.any()
 
-    # at state dimension 1 the score runs on floats, where a zero divisor
-    # raises instead of giving inf or NaN: each variance of a by-source
-    # panel underflowed in turn
-    spec = ModelSpec(meas_grouping="by-source")
-    stamps = random_stamps(np.random.default_rng(3), 30)
-    data = pk.simulate(spec, [0.1, 0.3, 1.0], stamps, slots_per_row=2, seed=2, n_sources=2)
-    layout = build_layout(spec, data)
-    cm = compile_model(spec, layout, data)
-    assert cm.s == 1 and layout.n_params == 3
-    tr = ParamTransform.for_layout(layout)
-    obj = fitting._Objective(cm, tr)
-    theta = tr.to_unconstrained([0.1, 0.3, 1.0])
-    for i in range(3):
-        bad = theta.copy()
-        bad[i] = -800.0  # exp(-800) == 0.0
-        assert np.isfinite(obj(bad))
-        f, g = obj.value_and_grad(bad)
-        assert f == fitting._PENALTY and not g.any()
+    # each variance of a 30-row panel in turn at zero (-800), at the
+    # smallest subnormal (-744) and near the smallest normal float (-700),
+    # where the score's terms overflow: at state dimension 1 (by-source),
+    # at s = 2 (irw) and bivariate. The objective gives the penalty or a
+    # finite value and gradient, and raises no warning; a zero variance
+    # gives the penalty
+    stamps = random_stamps(np.random.default_rng(0), 30)
+    for spec, params in [
+        (ModelSpec(meas_grouping="by-source"), [0.1, 0.3, 1.0]),
+        (ModelSpec(order_m=2), [0.1, 1.0]),
+        (ModelSpec(arity="bivariate", corr_grouping="pooled"), [0.1, 0.2, 1.0, 0.7, 0.4]),
+    ]:
+        data = pk.simulate(spec, params, stamps, slots_per_row=2, seed=0, n_sources=2)
+        layout = build_layout(spec, data)
+        assert layout.n_params == len(params)
+        tr = ParamTransform.for_layout(layout)
+        cm = compile_model(spec, layout, data)
+        obj = fitting._Objective(cm, tr)
+        theta = tr.to_unconstrained(params)
+        for i in range(len(params)):
+            for x in (-800.0, -744.0, -700.0):
+                bad = theta.copy()
+                bad[i] = x
+                if cm.s == 1 and x == -800.0:
+                    assert np.isfinite(obj(bad))  # the score, not the loglik, breaks down
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    f, g = obj.value_and_grad(bad)
+                if f == fitting._PENALTY:
+                    assert not g.any()
+                else:
+                    assert np.isfinite(f) and np.all(np.isfinite(g)), (spec, i, x)
+                    assert x != -800.0 or layout.params[i].role == "rho", (spec, i)
 
 
 def test_stalled_polish_falls_back_to_nelder_mead(monkeypatch):

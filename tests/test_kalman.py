@@ -723,7 +723,9 @@ def test_forward_dim1_equals_forward_bitwise(seed, prior):
             _assert_forward_dim1_equals_forward(cm, h, prior)
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
+@pytest.mark.parametrize(
+    "build", ["collated", "canonical", "merged", "merged_edges", "sliced", "head"]
+)
 def test_forward_dim1_equals_forward_on_mixed_panels(tmp_path, build):
     # leading all-missing rows, grid rows, four slots in a row, and a window
     # that starts after the panel's first row
@@ -1159,7 +1161,9 @@ def test_score_calls_neither_filter_nor_smooth(monkeypatch):
     assert np.array_equal(kalman.score(cm, params), want)
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
+@pytest.mark.parametrize(
+    "build", ["collated", "canonical", "merged", "merged_edges", "sliced", "head"]
+)
 def test_dim1_score_equals_general_path_on_mixed_panels(tmp_path, build):
     # leading all-missing rows, grid rows that move nothing and one to four
     # slots in a row
@@ -1175,3 +1179,40 @@ def test_dim1_score_equals_general_path_on_mixed_panels(tmp_path, build):
         for _ in range(10):
             params = np.exp(rng.uniform(-12.0, 3.0, layout.n_params))
             assert _same_bits(kalman.score(cm, params), kalman._score(cm, params))
+
+
+@pytest.mark.parametrize("role", ["sigma_eps2", "sigma_eta2"])
+def test_dim1_score_at_a_zero_variance_equals_general_path(role):
+    # one source's measurement variance, or the trend variance, at 0.0: the
+    # loglik stays finite (one slot a row, and every later row moves), and
+    # the float path's coordinates are the numpy path's, inf or NaN where
+    # it divides by zero
+    spec = ModelSpec(meas_grouping="by-source")
+    data = small_simulated(spec, [0.1, 0.3, 1.0], n_rows=30, slots=1, seed=4, n_sources=2)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.s == 1 and layout.n_params == 3
+    params = np.array([0.1, 0.3, 1.0])
+    params[[p.role for p in layout.params].index(role)] = 0.0
+    assert math.isfinite(kloglik(cm, params))
+    with np.errstate(all="ignore"):
+        got, want = kalman.score(cm, params), kalman._score(cm, params)
+    finite = np.isfinite(want)
+    assert not finite.all()
+    assert _same_bits(got[finite], want[finite])
+    np.testing.assert_array_equal(got, want)  # inf and NaN in the same places
+
+
+def test_dim1_smooth_raises_on_a_zero_predicted_variance():
+    # a proper prior with P1 = 0 and a trend variance whose booked windows
+    # underflow to 0.0: every moving row's predicted variance is zero, and
+    # the sweep names the last one
+    spec = ModelSpec()
+    data = small_simulated(spec, [0.1, 1.0], n_rows=12, slots=1, seed=3)
+    layout = build_layout(spec, data)
+    params = [0.1, 5e-324]
+    run = kfilter(spec, layout, params, data, init=([0.0], [[0.0]]))
+    assert run.compiled.s == 1 and not run.booked.any()
+    last = int(run.compiled.paths_index[1][-1])
+    with pytest.raises(ZeroDivisionError, match=f"^row {last}: predicted variance 0.0 at a moving"):
+        smooth(run)
