@@ -9,12 +9,20 @@ score from kalman.score (Fisher's identity over one forward pass in paths
 mode and the smoother's backward pass), mapped to theta by the chain rule.
 Parameter points where the filter degenerates get a large finite penalty.
 
-The driver runs BFGS on that gradient once from each start. A start is
-converged when the run ends below the penalty and the gradient
-infinity-norm at its end is below 1e-4: a run that stops on the penalty
-has a zero gradient, not a small one. Only when it is not does Nelder-Mead
-(200 * dim evaluation cap) run, from where BFGS stopped, followed by one
-more BFGS run.
+fit runs BFGS on that gradient once from each start. Each BFGS run
+starts from a diagonal inverse Hessian, the inverse of the objective's
+central second differences along each coordinate at its start point (2d
+value-only probes with the standard-error Hessian's step), not the
+identity: the per-slot average objective curves far less than 1 per
+log-variance unit, so identity steps would be much too short (Nocedal &
+Wright, Numerical Optimization, 2nd ed., sec. 6.1). A coordinate whose
+second difference is not finite and positive, or whose probe scores the
+penalty, keeps 1. A start is converged when the run ends below the
+penalty and the gradient infinity-norm at its end is below 1e-4: a run
+that stops on the penalty has a zero gradient, not a small one. Only when
+it is not does Nelder-Mead (200 * dim evaluation cap) run, from where BFGS
+stopped, followed by one more BFGS run; if that does not converge either,
+the start ends at the best point scored so far.
 """
 
 from __future__ import annotations
@@ -120,10 +128,10 @@ class _Objective:
     With scale < 1 the objective is the per-slot average negative loglik,
     which keeps the optimizer tolerances meaningful across sample sizes.
     The penalty for inadmissible points is returned unscaled. The value and
-    the natural parameters of the last call are kept: value_and_grad maps
-    each theta to the natural scale once, and at the theta of the last call
-    (BFGS starting where fit scored its start point) it neither runs nor
-    counts a second loglik pass.
+    the natural parameters of the last call are kept: value and
+    value_and_grad map each theta to the natural scale once, and at the
+    theta of the last call (BFGS starting where _polish scored its start
+    point) neither runs nor counts a second loglik pass.
     """
 
     def __init__(
@@ -147,13 +155,37 @@ class _Objective:
         if not np.all(np.isfinite(params)):
             self._last = theta.tobytes(), _PENALTY, params
             return _PENALTY
-        ll = _kernels.loglik_from_compiled(self.cm, params)
+        # a variance at or near zero can divide by zero or overflow in the
+        # filter, whose loglik is then not finite: the penalty
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ll = _kernels.loglik_from_compiled(self.cm, params)
         f = -ll * self.scale if np.isfinite(ll) else _PENALTY
         self._last = theta.tobytes(), f, params
         if f < self.best_f:
             self.best_f = f
             self.best_x = theta
         return f
+
+    def value(self, theta) -> float:
+        """The value at theta, taken from the last call when it was at theta."""
+        theta = np.asarray(theta, dtype=float)
+        if self._last is None or self._last[0] != theta.tobytes():
+            return self(theta)
+        return self._last[1]
+
+    def diagonal_curvature(self, theta) -> np.ndarray:
+        """The objective's central second difference along each coordinate
+        at theta, from the value there (scored only if it is not the last
+        call's) and 2d probes; 1 where that is not finite and positive or a
+        probe scores the penalty. The value at theta stays the cached one,
+        so BFGS starting there does not score it again."""
+        theta = np.asarray(theta, dtype=float)
+        f0 = self.value(theta)
+        start = self._last
+        c, worst = _second_differences(self, theta, f0)
+        self._last = start
+        usable = np.isfinite(c) & (c > 0.0) & (worst < _PENALTY)
+        return np.where(usable, c, 1.0)
 
     def value_and_grad(self, theta) -> tuple:
         """(value, gradient) at theta: the value as a call returns it, the
@@ -165,8 +197,7 @@ class _Objective:
         # penalty), divide by zero or overflow in the score, or zero a
         # predicted variance, which the sweep at s = 1 raises as an error
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self._last is None or self._last[0] != theta.tobytes():
-                self(theta)
+            self.value(theta)
             _, f, params = self._last
             if f < _PENALTY:
                 try:
@@ -179,6 +210,25 @@ class _Objective:
         return _PENALTY, np.zeros(len(theta))
 
 
+def _second_differences(f, x, f0) -> tuple:
+    """(c, worst): c[i] is f's central second difference along coordinate i
+    at x, where f0 = f(x), with step 1e-4*(1+|x_i|), and worst[i] the larger
+    of its two probes. The probes run in coordinate order, + before -."""
+    h = _HESS_STEP * (1.0 + np.abs(x))
+    c = np.empty(x.size)
+    worst = np.empty(x.size)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        fp = f(xp)
+        fm = f(xm)
+        c[i] = (fp - 2.0 * f0 + fm) / (h[i] * h[i])
+        worst[i] = max(fp, fm)
+    return c, worst
+
+
 def numerical_hessian(f, x) -> np.ndarray:
     """Central-difference Hessian with per-coordinate step 1e-4*(1+|x_i|)."""
     x = np.asarray(x, dtype=float)
@@ -186,12 +236,7 @@ def numerical_hessian(f, x) -> np.ndarray:
     h = _HESS_STEP * (1.0 + np.abs(x))
     H = np.empty((d, d))
     f0 = f(x)
-    for i in range(d):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        H[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / (h[i] * h[i])
+    np.fill_diagonal(H, _second_differences(f, x, f0)[0])
     for i in range(d):
         for j in range(i + 1, d):
             xpp = x.copy()
@@ -300,12 +345,13 @@ class FitResult:
     iterations counts the optimizer's iterations over every start: those
     of each BFGS run, plus Nelder-Mead's where the fallback ran. n_evals
     counts the objective's evaluations outside the standard-error Hessian:
-    the start point and every point BFGS or Nelder-Mead scored, each one
-    loglik pass unless the point maps to a non-finite parameter. A BFGS
-    evaluation at the point scored just before it reuses that value and is
-    not counted again, so the first start point, which fit scores before
-    BFGS starts there, counts once. A BFGS evaluation also runs
-    kalman.score for the gradient, which n_evals does not count
+    the start point, the 2d curvature probes before each BFGS run, and
+    every point BFGS or Nelder-Mead scored, each one loglik pass unless the
+    point maps to a non-finite parameter. A BFGS run's start point is
+    scored once, before its probes, or not at all when it is the point
+    scored just before (the first start, which fit scores to check it); BFGS
+    takes that value and does not count it again. A BFGS evaluation also
+    runs kalman.score for the gradient, which n_evals does not count
     separately.
     """
 
@@ -400,15 +446,21 @@ def bic(loglik: float, n_params: int, n_obs: int) -> float:
 
 
 def _polish(obj, theta) -> tuple:
-    """One BFGS run on the exact gradient from theta; returns (theta, f,
-    converged, iterations), converged when the run ends below the penalty
-    with the gradient's infinity-norm below _GRAD_TOL."""
+    """One BFGS run on the exact gradient from theta, its inverse Hessian
+    starting at the inverse of obj's diagonal curvature there; returns
+    (theta, f, converged, iterations), converged when the run ends below
+    the penalty with the gradient's infinity-norm below _GRAD_TOL."""
+    hess_inv0 = np.diag(1.0 / obj.diagonal_curvature(theta))
     res = optimize.minimize(
         obj.value_and_grad,
         theta,
         jac=True,
         method="BFGS",
-        options={"gtol": _BFGS_GTOL, "maxiter": 100 * max(1, len(theta))},
+        options={
+            "gtol": _BFGS_GTOL,
+            "maxiter": 100 * max(1, len(theta)),
+            "hess_inv0": hess_inv0,
+        },
     )
     # a run that stopped on the penalty has a zero gradient, not a small one
     converged = res.fun < _PENALTY and float(np.max(np.abs(res.jac))) < _GRAD_TOL
@@ -482,6 +534,10 @@ def fit(
                 )
                 x, f, conv, nit = _polish(obj, np.asarray(nm.x, dtype=float))
                 iterations += int(nm.nit) + nit
+                if not conv and obj.best_f < f:
+                    # the last run can end above points seen before it, or
+                    # on the penalty where Nelder-Mead stopped at |rho| = 1
+                    x, f = obj.best_x, obj.best_f
         except _BudgetExhausted:
             budget_hit = True
             if obj.best_x is not None:

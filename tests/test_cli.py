@@ -276,14 +276,28 @@ def test_fit_rerun_is_byte_identical(raw_csv, tmp_path, capsys):
 
 
 def test_fit_budget_exhausted_exits_2(raw_csv, tmp_path, capsys):
+    # the fit converges in 10 evals; 8 runs out during the BFGS run
     out = tmp_path / "fit.json"
     code = main(
-        ["fit", "--data", str(raw_csv), "--out", str(out), "--eval-budget", "12"]
+        ["fit", "--data", str(raw_csv), "--out", str(out), "--eval-budget", "8"]
     )
     assert code == EXIT_NOT_CONVERGED
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["converged"] is False
     assert "note:" in capsys.readouterr().out
+
+
+def test_fit_budget_exhausted_in_the_curvature_probes_exits_2(raw_csv, tmp_path, capsys):
+    # d = 2: the start and two of the four probes before BFGS's first step
+    out = tmp_path / "fit.json"
+    code = main(
+        ["fit", "--data", str(raw_csv), "--out", str(out), "--eval-budget", "3"]
+    )
+    assert code == EXIT_NOT_CONVERGED
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["converged"] is False
+    assert all(p["se"] is None for p in payload["params"])
+    assert "budget" in capsys.readouterr().out
 
 
 def test_fit_missing_file_exits_65(tmp_path, capsys):

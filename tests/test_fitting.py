@@ -124,6 +124,32 @@ def _recovery_data(seed=0, n=1500, true=(0.5, 1.2)):
     return spec, data
 
 
+def _record_methods(monkeypatch) -> list:
+    """The method of each optimize.minimize call, in call order."""
+    minimize = fitting.optimize.minimize
+    methods = []
+
+    def record(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    return methods
+
+
+def _record_logliks(monkeypatch) -> list:
+    """The result of each loglik kernel call, in call order."""
+    kernel = fitting._kernels.loglik_from_compiled
+    logliks = []
+
+    def counted(cm, params):
+        logliks.append(kernel(cm, params))
+        return logliks[-1]
+
+    monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", counted)
+    return logliks
+
+
 def test_fit_recovers_truth_within_three_se():
     true = np.array([0.5, 1.2])
     spec, data = _recovery_data(true=tuple(true))
@@ -207,13 +233,28 @@ def test_fit_flags_unidentified_parameter():
 
 
 def test_fit_budget_exhaustion_returns_best_seen():
+    # the fit converges in 11 evals; 8 runs out during the BFGS run
     spec, data = _recovery_data(seed=7, n=200)
-    res = fit(spec, data, FitOptions(eval_budget=12))
+    res = fit(spec, data, FitOptions(eval_budget=8))
     assert not res.converged
     assert any("budget" in n for n in res.notes)
     assert np.isfinite(res.loglik)
     with pytest.raises(InitializationError):
         fit(spec, data, FitOptions(eval_budget=0))
+
+
+def test_fit_budget_exhausted_in_the_curvature_probes(monkeypatch):
+    # d = 2, budget 3 < 2d + 1: the start and two probes are scored, and
+    # the third probe runs out before BFGS starts
+    spec, data = _recovery_data(seed=7, n=200)
+    logliks = _record_logliks(monkeypatch)
+    methods = _record_methods(monkeypatch)
+    res = fit(spec, data, FitOptions(eval_budget=3))
+    assert methods == [] and len(logliks) == res.n_evals == 3
+    assert not res.converged
+    assert any("budget" in n for n in res.notes)
+    assert res.loglik == pytest.approx(max(logliks), rel=1e-14)
+    assert np.isnan(res.std_errors).all()
 
 
 def test_fit_nesting_by_source_dominates_pooled():
@@ -286,11 +327,13 @@ def test_objective_gradient_where_the_score_breaks_down():
             for x in (-800.0, -744.0, -700.0):
                 bad = theta.copy()
                 bad[i] = x
-                if cm.s == 1 and x == -800.0:
-                    assert np.isfinite(obj(bad))  # the score, not the loglik, breaks down
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
+                    value = obj(bad)
                     f, g = obj.value_and_grad(bad)
+                if cm.s == 1 and x == -800.0:
+                    assert value < fitting._PENALTY  # the score, not the loglik, breaks down
+                assert f == value or f == fitting._PENALTY
                 if f == fitting._PENALTY:
                     assert not g.any()
                 else:
@@ -311,14 +354,7 @@ def test_stalled_polish_falls_back_to_nelder_mead(monkeypatch):
         return polish(obj, theta)
 
     monkeypatch.setattr(fitting, "_polish", stall_once)
-    minimize = fitting.optimize.minimize
-    methods = []
-
-    def record(*args, **kwargs):
-        methods.append(kwargs.get("method"))
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    methods = _record_methods(monkeypatch)
     res = fit(spec, data)
     assert methods[0] == "Nelder-Mead" and set(methods[1:]) == {"BFGS"}
     assert len(calls) == 2  # the stalled polish, then one more after Nelder-Mead
@@ -340,30 +376,38 @@ def test_bfgs_stopped_on_the_penalty_falls_back_to_nelder_mead(monkeypatch):
     cm = compile_model(spec, build_layout(spec, data), data)
     start_loglik = pk.kalman.loglik(cm, start)
     assert np.isfinite(start_loglik)
-    minimize = fitting.optimize.minimize
-    methods = []
-
-    def record(*args, **kwargs):
-        methods.append(kwargs.get("method"))
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    methods = _record_methods(monkeypatch)
     res = fit(spec, data, FitOptions(start=start))
     assert methods == ["BFGS", "Nelder-Mead", "BFGS"]
     assert res.loglik > start_loglik + 1.0
 
 
+def test_unconverged_fit_returns_the_best_point_seen(monkeypatch):
+    # the d13C trend is the d18O trend halved, so the optimum is at rho = 1:
+    # BFGS stalls short of it, Nelder-Mead takes atanh(rho) to where
+    # tanh rounds to 1, and the last BFGS run starts there on the penalty.
+    # The fit returns the best point any stage scored, not the start
+    rng = np.random.default_rng(6)
+    stamps = np.sort(-rng.uniform(0.2, 4.0, size=150))
+    level = np.cumsum(rng.standard_normal(150) * 0.25)
+    d18o = level + rng.standard_normal(150) * 0.15
+    d13c = 0.5 * level + rng.standard_normal(150) * 0.2
+    data = rows_from_values(stamps, [[v] for v in d18o], [[v] for v in d13c])
+    spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    logliks = _record_logliks(monkeypatch)
+    methods = _record_methods(monkeypatch)
+    res = fit(spec, data)
+    assert methods == ["BFGS", "Nelder-Mead", "BFGS"]
+    assert not res.converged
+    seen = [ll for ll in logliks[: res.n_evals] if np.isfinite(ll)]
+    assert res.loglik == pytest.approx(max(seen), rel=1e-12)
+    assert res.loglik > logliks[0] + 100.0
+
+
 @pytest.mark.parametrize("n_starts", [1, 3])
 def test_converged_fit_runs_bfgs_once_per_start(monkeypatch, n_starts):
     spec, data = _recovery_data(seed=6, n=240)
-    minimize = fitting.optimize.minimize
-    methods = []
-
-    def record(*args, **kwargs):
-        methods.append(kwargs.get("method"))
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    methods = _record_methods(monkeypatch)
     res = fit(spec, data, FitOptions(n_starts=n_starts, seed=11))
     assert res.converged
     assert methods == ["BFGS"] * n_starts  # no confirming run, no Nelder-Mead
@@ -383,10 +427,120 @@ def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
     d = res.n_params
     assert res.converged
     assert len(calls) == res.n_evals + 2 * d * d + 1
-    # BFGS starts at the point fit has just scored and takes its value: no
-    # point is scored twice in a row before the Hessian's evals
+    # fit scores the start, then the curvature probes run at +-h_i along
+    # each coordinate in turn
+    tr = ParamTransform.for_layout(res.layout)
+    theta0 = tr.to_unconstrained(default_start(res.layout, compile_model(spec, res.layout, data)))
+    h = fitting._HESS_STEP * (1.0 + np.abs(theta0))
+    want = [theta0]
+    for i in range(d):
+        for sign in (1.0, -1.0):
+            probe = theta0.copy()
+            probe[i] += sign * h[i]
+            want.append(probe)
     fit_calls = calls[: res.n_evals]
+    for got, theta in zip(fit_calls, want):
+        assert np.array_equal(got, tr.to_natural(theta))
+    # BFGS starts at the start point and takes its value: the start is
+    # scored once, and no point twice in a row before the Hessian's evals
+    assert sum(np.array_equal(c, fit_calls[0]) for c in fit_calls) == 1
     assert all(not np.array_equal(a, b) for a, b in zip(fit_calls, fit_calls[1:]))
+
+
+def _inline_numerical_hessian(f, x):
+    """numerical_hessian with its diagonal loop written out, as it was
+    before the loop moved into _second_differences: the reference for
+    evaluation order and bits."""
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    h = fitting._HESS_STEP * (1.0 + np.abs(x))
+    H = np.empty((d, d))
+    f0 = f(x)
+    for i in range(d):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        H[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / (h[i] * h[i])
+    for i in range(d):
+        for j in range(i + 1, d):
+            xpp = x.copy()
+            xpm = x.copy()
+            xmp = x.copy()
+            xmm = x.copy()
+            xpp[i] += h[i]
+            xpp[j] += h[j]
+            xpm[i] += h[i]
+            xpm[j] -= h[j]
+            xmp[i] -= h[i]
+            xmp[j] += h[j]
+            xmm[i] -= h[i]
+            xmm[j] -= h[j]
+            H[i, j] = H[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (
+                4.0 * h[i] * h[j]
+            )
+    return H
+
+
+def test_numerical_hessian_is_bitwise_the_inline_loop():
+    spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    stamps = random_stamps(np.random.default_rng(3), 60)
+    data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], stamps, slots_per_row=2, seed=3)
+    layout = build_layout(spec, data)
+    tr = ParamTransform.for_layout(layout)
+    obj = fitting._Objective(compile_model(spec, layout, data), tr)
+    theta = tr.to_unconstrained([0.12, 0.25, 0.9, 0.6, 0.3])
+    points = {"new": [], "inline": []}
+
+    def recorded(key):
+        def f(x):
+            points[key].append(np.array(x))
+            return obj(x)
+
+        return f
+
+    H = numerical_hessian(recorded("new"), theta)
+    want = _inline_numerical_hessian(recorded("inline"), theta)
+    assert H.tobytes() == want.tobytes()
+    assert len(points["new"]) == 2 * 5 * 5 + 1
+    assert all(np.array_equal(a, b) for a, b in zip(points["new"], points["inline"], strict=True))
+
+
+def test_curvature_probe_on_the_penalty_keeps_the_identity(monkeypatch):
+    # the + probe of coordinate 0 at the start scores the penalty: BFGS
+    # starts with 1 there and the measured curvature elsewhere, and the fit
+    # still converges to the unhindered optimum
+    spec, data = _recovery_data(seed=5, n=240)
+    want = fit(spec, data)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    tr = ParamTransform.for_layout(layout)
+    theta0 = tr.to_unconstrained(default_start(layout, cm))
+    scaled = fitting._Objective(cm, tr, scale=1.0 / cm.n_obs_slots)
+    c, worst = fitting._second_differences(scaled, theta0, scaled(theta0))
+    assert np.all(c > 0) and np.all(worst < fitting._PENALTY)
+    bad = theta0.copy()
+    bad[0] += fitting._HESS_STEP * (1.0 + abs(theta0[0]))
+    bad_params = tr.to_natural(bad)
+    kernel = fitting._kernels.loglik_from_compiled
+
+    def failing(cm, params):
+        return np.nan if np.array_equal(params, bad_params) else kernel(cm, params)
+
+    monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", failing)
+    minimize = fitting.optimize.minimize
+    hess_inv0 = []
+
+    def record(*args, **kwargs):
+        hess_inv0.append(kwargs["options"]["hess_inv0"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(fitting.optimize, "minimize", record)
+    res = fit(spec, data)
+    assert np.array_equal(hess_inv0[0], np.diag([1.0, 1.0 / c[1]]))
+    assert res.converged
+    assert res.loglik == pytest.approx(want.loglik, rel=1e-10)
+    assert np.allclose(res.params_hat, want.params_hat, rtol=1e-4)
 
 
 # ---------------------------------------------------------------------------
