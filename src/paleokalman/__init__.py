@@ -47,7 +47,6 @@ from .fitting import (
     ParamTransform,
     bic,
     fit,
-    standard_errors,
 )
 from .butterworth import (
     GainCurve,
@@ -66,10 +65,7 @@ from .ingest import (
     canonicalize_sources,
     ingest,
     parse_csv,
-    read_canonical_csv,
-    write_canonical_csv,
     write_ingest_csv,
-    write_registry_json,
 )
 from .imputation import (
     ImputationTable,
@@ -123,7 +119,6 @@ __all__ = [
     "ParamTransform",
     "bic",
     "fit",
-    "standard_errors",
     # butterworth
     "GainCurve",
     "cutoff_frequency",
@@ -140,10 +135,7 @@ __all__ = [
     "canonicalize_sources",
     "ingest",
     "parse_csv",
-    "read_canonical_csv",
-    "write_canonical_csv",
     "write_ingest_csv",
-    "write_registry_json",
     # imputation
     "ImputationTable",
     "impute",

@@ -8,9 +8,9 @@ wrap it). Group registries (sources, species) are dense int -> label maps
 shared by every model variant.
 
 A panel is stored only as a PanelView, one array per column: every panel
-is collated (collate_rows, ingest, read_canonical_csv, merge_grid) or is a
-window of one, and its ObservationRows are built from the view when a
-reader asks for them. A window data.rows[a:b] slices the view.
+is collated (collate_rows, ingest, merge_grid) or is a window of one,
+and its ObservationRows are built from the view when a reader asks for
+them. A window data.rows[a:b] slices the view.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ class PanelDataset:
     regime from climate_states. rows is always a
     PanelRows, which holds the panel's view and builds ObservationRows only
     when a reader asks for them; view and n_rows are read off it. Panels
-    are made by collate_rows (or ingest, read_canonical_csv,
-    imputation.merge_grid), and a window of one by
+    are made by collate_rows (or ingest, imputation.merge_grid), and a
+    window of one by
     dataclasses.replace(data, rows=data.rows[a:b]).
     """
 

@@ -46,7 +46,6 @@ __all__ = [
     "FitResult",
     "fit",
     "bic",
-    "standard_errors",
     "numerical_hessian",
     "covariance_from_hessian",
     "default_start",
@@ -56,6 +55,7 @@ _PENALTY = 1e12
 _HESS_STEP = 1e-4
 _GRAD_TOL = 1e-4
 _BFGS_GTOL = 1e-7  # BFGS's own stop, tighter than _GRAD_TOL
+_RHO_EDGE = 1.0 - 1e-6  # a fitted |rho| at or above this is on the boundary
 
 
 class InitializationError(RuntimeError):
@@ -479,6 +479,7 @@ def fit(
     Deterministic given (data, spec, options.seed, options.start). On an
     optimizer stall the best point found is returned with converged False;
     a non-finite loglik at the starting point raises InitializationError.
+    Each correlation that ends within 1e-6 of +-1 gets a note.
     """
     options = options or FitOptions()
     if layout is None:
@@ -568,6 +569,12 @@ def fit(
         se_nat, ok = _delta_method_errors(cm, transform, theta_hat)
         if not ok.all():
             notes.append("singular Hessian: some standard errors are missing")
+    for i in np.flatnonzero(transform.is_corr & (np.abs(params_hat) >= _RHO_EDGE)):
+        info = layout.params[i]
+        notes.append(
+            f"{info.name} (group {info.group}) = {float(params_hat[i])!r}: the "
+            "correlation is at the boundary |rho| = 1, so no optimum lies inside (-1, 1)"
+        )
 
     n_obs = cm.n_obs_slots
     return FitResult(
@@ -589,30 +596,11 @@ def fit(
     )
 
 
-def standard_errors(
-    theta_hat,
-    spec: ModelSpec,
-    data: PanelDataset,
-    layout: ParameterLayout | None = None,
-) -> np.ndarray:
-    """Natural-scale standard errors at an unconstrained optimum theta_hat.
-
-    Central-difference Hessian of -loglik (step 1e-4*(1+|theta|)),
-    inverted, then delta-method mapped: SE(sigma^2) = sigma^2 * SE(theta),
-    SE(rho) = (1 - rho^2) * SE(theta). Coordinates in flat directions of a
-    singular Hessian come back as NaN.
-    """
-    if layout is None:
-        layout = build_layout(spec, data)
-    cm = compile_model(spec, layout, data)
-    transform = ParamTransform.for_layout(layout)
-    return _delta_method_errors(cm, transform, np.asarray(theta_hat, dtype=float))[0]
-
-
 def _delta_method_errors(cm: CompiledModel, transform: ParamTransform, theta_hat):
     """(natural-scale SEs, ok) at theta_hat: the central-difference Hessian
     of -loglik, inverted by covariance_from_hessian, then delta-method
-    mapped. SEs are NaN where ok is False."""
+    mapped, SE(sigma^2) = sigma^2 * SE(theta) and SE(rho) = (1 - rho^2) *
+    SE(theta). SEs are NaN where ok is False."""
     H = numerical_hessian(_Objective(cm, transform, budget=None), theta_hat)
     cov, ok = covariance_from_hessian(H)
     se_theta = np.full(theta_hat.size, np.nan)

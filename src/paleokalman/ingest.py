@@ -12,9 +12,6 @@ diagnostics' source registry is read off that numbering.
 The records are read into columns (parse_csv) and collated with numpy
 straight into the dataset's PanelView (core's one collate); no object per
 record, slot or row is made on the way.
-
-A canonical CSV (one line per slot, ids instead of labels) plus a JSON
-registry round-trip the collated dataset exactly.
 """
 
 from __future__ import annotations
@@ -46,9 +43,6 @@ __all__ = [
     "apply_species_buckets",
     "build_dataset",
     "ingest",
-    "write_canonical_csv",
-    "write_registry_json",
-    "read_canonical_csv",
     "write_ingest_csv",
 ]
 
@@ -66,10 +60,6 @@ class SchemaError(ValueError):
 
 
 REQUIRED_COLUMNS = ("age_tuned", "d18O", "d13C", "source", "species")
-
-CANONICAL_COLUMNS = (
-    "stamp", "series", "value", "source_id", "species_id", "climate_state"
-)
 
 # The two label merges named alongside the published per-source tables,
 # plus the self-reference used by the source file.
@@ -294,7 +284,7 @@ def ingest(path, species_buckets=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# canonical CSV + registry round trip
+# export
 # ---------------------------------------------------------------------------
 
 
@@ -309,131 +299,6 @@ def _lines(view):
         for k in range(o, o + count):
             yield r, k
         o += count
-
-
-def write_canonical_csv(data: PanelDataset, path, header_lines=()) -> None:
-    """One line per filled slot: stamp, series, value, ids, climate state.
-
-    All-missing rows are preserved as lines with empty series/value/ids.
-    """
-    v = data.view
-    stamps = [repr(stamp) for stamp in v.stamps.tolist()]
-    states = v.climate_states.tolist()
-    series = [SERIES_NAMES[s] for s in v.series.tolist()]
-    values, sources, species = v.value.tolist(), v.source.tolist(), v.species.tolist()
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
-        for r, o in _lines(v):
-            if o is None:
-                writer.writerow([stamps[r], "", "", "", "", states[r]])
-            else:
-                value = repr(values[o])
-                writer.writerow(
-                    [stamps[r], series[o], value, sources[o], species[o], states[r]]
-                )
-
-
-def write_registry_json(data: PanelDataset, path) -> None:
-    """Id -> label maps for sources and species, as JSON."""
-    payload = {
-        "sources": {str(k): v for k, v in sorted(data.sources.items())},
-        "species": {str(k): v for k, v in sorted(data.species.items())},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-
-
-def read_canonical_csv(path, registry_path=None) -> PanelDataset:
-    """Rebuild the exact PanelDataset written by write_canonical_csv.
-
-    Lines starting with "#" are skipped. Raises SchemaError for a file
-    without the header row, and ParseError, with the file's 1-based line
-    number, for a short line, an unknown series, a malformed or NaN number
-    and a fifth slot of one series at one stamp.
-    """
-    sources: dict = {}
-    species: dict = {}
-    if registry_path is not None:
-        with open(registry_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        sources = {int(k): v for k, v in payload.get("sources", {}).items()}
-        species = {int(k): v for k, v in payload.get("species", {}).items()}
-
-    stamps, series, values, source_ids, species_ids = [], [], [], [], []
-    n_slots: dict = {}  # by (stamp, series)
-    header = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            line_number = reader.line_num
-            if header is None:
-                header = row
-                if tuple(header) != CANONICAL_COLUMNS:
-                    raise SchemaError(f"canonical CSV header mismatch: {header}")
-                continue
-            if len(row) < len(CANONICAL_COLUMNS):
-                raise ParseError(
-                    line_number,
-                    f"{len(row)} fields, expected {len(CANONICAL_COLUMNS)}",
-                )
-            stamp = _parse_number(float, row[0], line_number, "stamp")
-            stamps.append(stamp)
-            if row[1] == "":  # an all-missing row's stamp
-                series.append(0)
-                values.append(MISSING)
-                source_ids.append(-1)
-                species_ids.append(-1)
-                continue
-            if row[1] not in SERIES_NAMES:
-                raise ParseError(line_number, f"unknown series {row[1]!r}")
-            s = SERIES_NAMES.index(row[1])
-            count = n_slots[stamp, s] = n_slots.get((stamp, s), 0) + 1
-            if count > MAX_SLOTS:
-                raise ParseError(
-                    line_number,
-                    f"more than {MAX_SLOTS} slots for series {row[1]} at stamp {stamp}",
-                )
-            series.append(s)
-            values.append(_parse_number(float, row[2], line_number, "value"))
-            source_ids.append(_parse_number(int, row[3], line_number, "source_id"))
-            species_ids.append(_parse_number(int, row[4], line_number, "species_id"))
-    if header is None:
-        raise SchemaError("empty file: no header row")
-
-    data = _collate(
-        np.array(stamps, dtype=float),
-        np.array(series, dtype=np.int64),
-        np.array(values, dtype=float),
-        np.array(source_ids, dtype=np.int32),
-        np.array(species_ids, dtype=np.int32),
-        sources,
-        species,
-    )
-    for sid in np.unique(data.view.source).tolist():
-        sources.setdefault(sid, f"source_{sid}")
-    for sid in np.unique(data.view.species).tolist():
-        species.setdefault(sid, f"species_{sid}")
-    return data
-
-
-def _parse_number(kind, text: str, line_number: int, column: str):
-    try:
-        number = kind(text)
-    except ValueError:
-        raise ParseError(
-            line_number, f"malformed numeric {text!r} in column {column}"
-        ) from None
-    if number != number:
-        raise ParseError(line_number, f"NaN in column {column}")
-    if number in (inf, -inf):
-        raise ParseError(line_number, f"infinite value in column {column}")
-    return number
 
 
 def write_ingest_csv(data: PanelDataset, path, header_lines=()) -> None:

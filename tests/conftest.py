@@ -8,7 +8,6 @@ import pytest
 from paleokalman import ModelSpec, simulate
 from paleokalman.core import MISSING, _collate, collate_rows
 from paleokalman.imputation import COINCIDENCE_TOL, merge_grid
-from paleokalman.ingest import read_canonical_csv, write_canonical_csv, write_registry_json
 
 
 def rows_from_values(stamps, values_series1, values_series2=None, sources=None):
@@ -124,20 +123,16 @@ MIXED_RECORDS = [
 ]
 
 
-def mixed_panels(tmp_path):
-    """The MIXED_RECORDS panel built six ways: by collate_rows, read back
-    from its canonical CSV and registry JSON (a second collate, from ids
-    rather than labels), with grid rows merged in, twice, and sliced,
-    twice. The second grid has several stamps before the first row and
-    stamps within COINCIDENCE_TOL of data rows, on both sides. The sliced
-    panel is the window rows[1:7] of the collated one (so one leading
-    all-missing row), as a fit window on a sub-panel is. The head panel is
-    its window rows[:3]: the two leading all-missing rows, then one row
-    with both series, so that no series moves."""
+def mixed_panels():
+    """The MIXED_RECORDS panel built five ways: by collate_rows, with grid
+    rows merged in, twice, and sliced, twice. The second grid has several
+    stamps before the first row and stamps within COINCIDENCE_TOL of data
+    rows, on both sides. The sliced panel is the window rows[1:7] of the
+    collated one (so one leading all-missing row), as a fit window on a
+    sub-panel is. The head panel is its window rows[:3]: the two leading
+    all-missing rows, then one row with both series, so that no series
+    moves."""
     collated = collate_rows(MIXED_RECORDS)
-    write_canonical_csv(collated, tmp_path / "panel.csv")
-    write_registry_json(collated, tmp_path / "registry.json")
-    read_back = read_canonical_csv(tmp_path / "panel.csv", tmp_path / "registry.json")
     merged, _ = merge_grid(collated, [-61.0, -59.0, -40.0, -20.0, -0.5])
     near = 0.5 * COINCIDENCE_TOL
     merged_edges, _ = merge_grid(
@@ -146,7 +141,6 @@ def mixed_panels(tmp_path):
     )
     return {
         "collated": collated,
-        "canonical": read_back,
         "merged": merged,
         "merged_edges": merged_edges,
         "sliced": dataclasses.replace(collated, rows=collated.rows[1:7]),

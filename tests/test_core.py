@@ -365,9 +365,9 @@ def _slot_walk(data):
     return at, value, source, species
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
-def test_panel_view_equals_slot_walk(tmp_path, build):
-    data = mixed_panels(tmp_path)[build]
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced"])
+def test_panel_view_equals_slot_walk(build):
+    data = mixed_panels()[build]
     view = data.view
     assert isinstance(data.rows, PanelRows) and view is data.rows.view
     assert view.stamps.tolist() == [r.stamp for r in data.rows]
@@ -483,9 +483,9 @@ def _windows(data):
 
 
 @pytest.mark.parametrize("window", ["leading", "middle", "last3", "empty"])
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
-def test_view_slice_windows(tmp_path, build, window):
-    data = mixed_panels(tmp_path)[build]
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced"])
+def test_view_slice_windows(build, window):
+    data = mixed_panels()[build]
     index = _windows(data)[window]
     a, b, _ = index.indices(data.n_rows)
     if window == "leading":

@@ -1,11 +1,14 @@
-"""The engine at trend order 6 and the paper's signal-to-noise ratio, against
-a 60-digit reference.
+"""The engine at high trend order and on a bivariate multi-slot panel,
+against a 60-digit reference.
 
-The reference is the textbook Kalman filter and Rauch-Tung-Striebel
-smoother in mpmath at 60 significant digits. It approximates the diffuse
-initial state by a proper prior of variance kappa = 1e30 and takes log
-kappa off the log innovation variance of each of the s diffuse slots, as
-the exact-diffuse loglik does in the limit; the approximation error is
+The reference is the textbook Kalman filter, one slot at a time, and the
+Rauch-Tung-Striebel smoother in mpmath at 60 significant digits, on the
+row transitions, booked disturbance covariances and observation stack of
+oracle._chain_matrices and oracle._observation_stack (float64 entries
+convert to mpf exactly). It approximates the diffuse initial state by a
+proper prior of variance kappa = 1e30 and takes log kappa off the log
+innovation variance of each slot whose innovation variance is O(kappa),
+as the exact-diffuse loglik does in the limit; the approximation error is
 O(1/kappa). At order 6 the state covariances span many decades (the trend
 variance is ~1e-11 of the measurement variance), which is where a
 double-precision filter and smoother could lose their accuracy.
@@ -13,57 +16,61 @@ double-precision filter and smoother could lose their accuracy.
 
 import mpmath
 import numpy as np
-import pytest
 
 import paleokalman as pk
-from paleokalman import ModelSpec, build_layout
+from paleokalman import ModelSpec, build_layout, collate_rows
+from paleokalman.core import SERIES_NAMES
 from paleokalman.kalman import filter as kfilter, smooth
+from paleokalman.oracle import _chain_matrices, _observation_stack
 
 mp = mpmath.mp
 
 
-def _reference(stamps, y, m, eps2, eta2, kappa):
-    # (per-slot loglik terms, smoothed level means, smoothed level
-    # variances), one slot per row; the trend transition is T = I +
-    # superdiagonal, and the disturbance variance eta2 * (stamp difference)
-    # enters the last component
-    eps2, eta2, kappa = mp.mpf(eps2), mp.mpf(eta2), mp.mpf(kappa)
-    rm = range(m)
-
-    def T_mat(P):  # T P T'
-        TP = [[P[i][j] + (P[i + 1][j] if i + 1 < m else 0) for j in rm] for i in rm]
-        return [[TP[i][j] + (TP[i][j + 1] if j + 1 < m else 0) for j in rm] for i in rm]
-
-    a = [mp.mpf(0)] * m
-    P = [[kappa if i == j else mp.mpf(0) for j in rm] for i in rm]
-    terms, pred, filt = [], [], []
-    for t, (stamp, obs) in enumerate(zip(stamps, y)):
+def _reference(spec, layout, params, data, kappa):
+    # (per-slot loglik terms, the number of diffuse slots, smoothed state
+    # means, smoothed state covariances), at mp's working precision
+    A, W = _chain_matrices(spec, layout, params, data)
+    rows_of, Z, y, h = _observation_stack(spec, layout, params, data)
+    n, s = A.shape[:2]
+    cols = np.argmax(Z, axis=1) - rows_of * s
+    kappa = mp.mpf(kappa)
+    a = mp.matrix(s, 1)
+    P = kappa * mp.eye(s)
+    terms, n_diffuse, pred, filt = [], 0, [], []
+    o = 0
+    for t in range(n):
+        At = mp.matrix(A[t].tolist())
         if t > 0:
-            a = [a[i] + (a[i + 1] if i + 1 < m else 0) for i in rm]
-            P = T_mat(P)
-            P[m - 1][m - 1] += eta2 * (mp.mpf(stamp) - mp.mpf(stamps[t - 1]))
+            a = At * a
+            P = At * P * At.T + mp.matrix(W[t].tolist())
         pred.append((a, P))
-        v = mp.mpf(obs) - a[0]
-        F = P[0][0] + eps2
-        K = [P[i][0] / F for i in rm]
-        a = [a[i] + K[i] * v for i in rm]
-        P = [[P[i][j] - K[i] * P[0][j] for j in rm] for i in rm]
-        # the first m slots are the diffuse ones: log kappa comes off log F
-        terms.append(-(mp.log(2 * mp.pi) + mp.log(F / kappa if t < m else F) + v * v / F) / 2)
+        while o < rows_of.size and rows_of[o] == t:
+            c = int(cols[o])
+            v = mp.mpf(y[o]) - a[c]
+            F = P[c, c] + mp.mpf(h[o])
+            K = P[:, c] / F
+            a = a + K * v
+            P = P - K * P[c, :]
+            diffuse = F > mp.sqrt(kappa)  # F is O(kappa)
+            n_diffuse += diffuse
+            log_F = mp.log(F / kappa if diffuse else F)
+            terms.append(-(mp.log(2 * mp.pi) + log_F + v * v / F) / 2)
+            o += 1
         filt.append((a, P))
 
-    x, V = (mp.matrix(z) for z in filt[-1])
-    means, variances = [x[0]], [V[0, 0]]
-    T = mp.matrix([[1 if j in (i, i + 1) else 0 for j in rm] for i in rm])
-    for t in range(len(y) - 2, -1, -1):
-        af, Pf = (mp.matrix(z) for z in filt[t])
-        ap, Pp = (mp.matrix(z) for z in pred[t + 1])
-        J = Pf * T.T * mp.inverse(Pp)
+    x, V = filt[-1]
+    means, covs = [x], [V]
+    for t in range(n - 2, -1, -1):
+        af, Pf = filt[t]
+        ap, Pp = pred[t + 1]
+        J = Pf * mp.matrix(A[t + 1].tolist()).T * mp.inverse(Pp)
         x = af + J * (x - ap)
         V = Pf + J * (V - Pp) * J.T
-        means.append(x[0])
-        variances.append(V[0, 0])
-    return terms, means[::-1], variances[::-1]
+        means.append(x)
+        covs.append(V)
+    means = np.array([[float(x[i]) for i in range(s)] for x in means[::-1]])
+    covs = np.array([[[float(V[i, j]) for j in range(s)] for i in range(s)] for V in covs[::-1]])
+    return terms, n_diffuse, means, covs
 
 
 def test_order_6_at_paper_q_matches_60_digit_reference():
@@ -75,20 +82,61 @@ def test_order_6_at_paper_q_matches_60_digit_reference():
     data = pk.simulate(ModelSpec(), [eps2, 1.8364], stamps, seed=1)
     eta2 = q * eps2 / float(np.mean(np.diff(stamps)))  # q = eta2 * mean dt / eps2
     spec = ModelSpec(order_m=m)
-    run = kfilter(spec, build_layout(spec, data), [eps2, eta2], data)
+    layout = build_layout(spec, data)
+    run = kfilter(spec, layout, [eps2, eta2], data)
     paths = smooth(run)
     assert run.n_diffuse_slots == m
 
-    y = [row.slots_series1[0].value for row in data.rows]
     with mp.workdps(60):
-        terms, means, variances = _reference(stamps.tolist(), y, m, eps2, eta2, 1e30)
+        terms, n_diffuse, means, covs = _reference(spec, layout, [eps2, eta2], data, 1e30)
         ll, size = float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
-    means, variances = np.array(means, dtype=float), np.array(variances, dtype=float)
+    assert n_diffuse == m
 
     # the loglik sums terms of both signs and nearly cancels here (|ll| ~ 2
     # against a summed size of ~210), so its error is measured against the
     # size of what it sums: |ll| would make the bound depend on the draw
     assert abs(run.loglik - ll) <= 1e-9 * size
-    level_sd = np.sqrt(variances)
-    assert np.all(np.abs(paths.smoothed_means[:, 0] - means) <= 1e-7 * level_sd)
-    assert np.allclose(paths.smoothed_covs[:, 0, 0], variances, rtol=1e-7, atol=0.0)
+    level_sd = np.sqrt(covs[:, 0, 0])
+    assert np.all(np.abs(paths.smoothed_means[:, 0] - means[:, 0]) <= 1e-7 * level_sd)
+    assert np.allclose(paths.smoothed_covs[:, 0, 0], covs[:, 0, 0], rtol=1e-7, atol=0.0)
+
+
+def test_bivariate_order_2_multi_slot_matches_60_digit_reference():
+    # 80 rows across the Coolhouse 2 / Icehouse boundary at 3.3 My, each
+    # series observed at about three rows in four with 1-3 slots there,
+    # and rho by climate state
+    n, m = 80, 2
+    spec = ModelSpec(arity="bivariate", order_m=m, corr_grouping="by-climate-state")
+    params = [0.02, 0.03, 0.05, 0.03, 0.6, -0.4]  # rho: Coolhouse 2, Icehouse
+    rng = np.random.default_rng(4)
+    stamps = -4.2 + np.cumsum(rng.exponential(0.02, n))
+    observed = rng.random((n, 2)) < 0.75
+    observed[~observed.any(axis=1), 0] = True
+    v = pk.simulate(spec, params, stamps, slots_per_row=3, seed=5, observed=observed).view
+    n_slots = rng.integers(1, 4, size=(n, 2))
+    slots = zip(v.row.tolist(), v.series.tolist(), (v.at % 4).tolist(), v.value.tolist())
+    data = collate_rows(
+        (stamps[r], SERIES_NAMES[j], x, "src0", "sp0")
+        for r, j, i, x in slots
+        if i < n_slots[r, j]
+    )
+    layout = build_layout(spec, data)
+    assert [p.group for p in layout.params[4:]] == ["Coolhouse 2", "Icehouse"]
+    run = kfilter(spec, layout, params, data)
+    paths = smooth(run)
+    assert run.n_diffuse_slots == 2 * m
+
+    with mp.workdps(60):
+        terms, n_diffuse, means, covs = _reference(spec, layout, params, data, 1e30)
+        ll, size = float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+    assert n_diffuse == 2 * m
+
+    # measured: 3e-16 of the summed size, 6e-14 of a level's sd and 5e-15
+    # of the level covariances' scale
+    assert abs(run.loglik - ll) <= 1e-12 * size
+    levels = np.ix_(range(n), [0, m], [0, m])
+    got, want = paths.smoothed_covs[levels], covs[levels]
+    level_sd = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
+    assert np.all(np.abs(paths.smoothed_means[:, [0, m]] - means[:, [0, m]]) <= 1e-10 * level_sd)
+    scale = level_sd[:, :, None] * level_sd[:, None, :]
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)

@@ -1,4 +1,4 @@
-"""Raw CSV parsing, label canonicalization, and the export round trips."""
+"""Raw CSV parsing, label canonicalization, and the export round trip."""
 
 import json
 import math
@@ -17,10 +17,7 @@ from paleokalman.ingest import (
     ingest,
     load_species_buckets,
     parse_csv,
-    read_canonical_csv,
-    write_canonical_csv,
     write_ingest_csv,
-    write_registry_json,
 )
 
 RAW = """age_tuned,d18O,d13C,source,species
@@ -318,115 +315,10 @@ def test_build_dataset_empty_records():
 # ---------------------------------------------------------------------------
 
 
-def test_canonical_csv_round_trip(tmp_path):
-    data, _ = ingest(_write(tmp_path, RAW))
-    out = tmp_path / "canon.csv"
-    reg = tmp_path / "registry.json"
-    write_canonical_csv(data, out, header_lines=["# canon"])
-    write_registry_json(data, reg)
-    again = read_canonical_csv(out, registry_path=reg)
-    assert again.n_rows == data.n_rows
-    assert again.sources == data.sources
-    assert again.species == data.species
-    for r1, r2 in zip(data.rows, again.rows):
-        assert r1.stamp == r2.stamp
-        assert r1.climate_state == r2.climate_state
-        for s in (0, 1):
-            v1 = [(sl.value, sl.source_id) for sl in r1.slots(s) if not sl.missing]
-            v2 = [(sl.value, sl.source_id) for sl in r2.slots(s) if not sl.missing]
-            assert v1 == v2
-
-
-def test_canonical_csv_without_registry(tmp_path):
-    data, _ = ingest(_write(tmp_path, RAW))
-    out = tmp_path / "canon.csv"
-    write_canonical_csv(data, out)
-    again = read_canonical_csv(out)
-    assert again.n_rows == data.n_rows
-    # labels are synthesized but ids survive
-    ids1 = [sl.source_id for r in data.rows for sl in r.slots(0) if not sl.missing]
-    ids2 = [sl.source_id for r in again.rows for sl in r.slots(0) if not sl.missing]
-    assert ids1 == ids2
-
-
-def test_canonical_csv_rejects_a_fifth_slot(tmp_path):
-    lines = ["stamp,series,value,source_id,species_id,climate_state"]
-    lines += [f"-2.0,d18O,{v},0,0,6" for v in (1.0, 1.1, 1.2, 1.3, 1.4)]
-    path = _write(tmp_path, "\n".join(lines) + "\n", "canon.csv")
-    with pytest.raises(ValueError, match="more than 4 slots for series d18O at stamp -2.0"):
-        read_canonical_csv(path)
-
-
-_CANON_HEADER = "stamp,series,value,source_id,species_id,climate_state\n"
-
-
-@pytest.mark.parametrize(
-    "text, error, message",
-    [
-        ("", SchemaError, "empty file: no header row"),
-        ("# a comment\n\n# another\n", SchemaError, "empty file: no header row"),
-        (
-            _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n-1.0,d18O\n",
-            ParseError,
-            "line 3: 2 fields, expected 6",
-        ),
-        (
-            _CANON_HEADER + "-2.0,d15N,1.0,0,0,6\n",
-            ParseError,
-            "line 2: unknown series 'd15N'",
-        ),
-        # the line number counts the comment lines too
-        (
-            "# written by hand\n" + _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n"
-            "# note\n-1.0,d13C,oops,0,0,6\n",
-            ParseError,
-            "line 5: malformed numeric 'oops' in column value",
-        ),
-        (
-            _CANON_HEADER + "-2.0x,,,,,6\n",
-            ParseError,
-            "line 2: malformed numeric '-2.0x' in column stamp",
-        ),
-        (
-            _CANON_HEADER + "-2.0,d18O,1.0,0.5,0,6\n",
-            ParseError,
-            "line 2: malformed numeric '0.5' in column source_id",
-        ),
-        (
-            _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n-1.0,d18O,nan,0,0,6\n",
-            ParseError,
-            "line 3: NaN in column value",
-        ),
-        (_CANON_HEADER + "nan,,,,,6\n", ParseError, "line 2: NaN in column stamp"),
-        (_CANON_HEADER + "inf,,,,,6\n", ParseError, "line 2: infinite value in column stamp"),
-        (_CANON_HEADER + "-2.0,d18O,-inf,0,0,6\n", ParseError, "line 2: infinite value in column value"),
-        (
-            _CANON_HEADER + "-2.0,d18O,1.0,0,0,6\n-1.0,d13C,Infinity,0,0,6\n",
-            ParseError,
-            "line 3: infinite value in column value",
-        ),
-    ],
-)
-def test_read_canonical_csv_rejects_bad_input(tmp_path, text, error, message):
-    with pytest.raises(error) as err:
-        read_canonical_csv(_write(tmp_path, text, "canon.csv"))
-    assert type(err.value) is error
-    assert str(err.value) == message
-
-
 def test_exports_are_byte_exact(tmp_path):
-    # both writers read the view; the all-missing row at age 1.0 stays a line
+    # the all-missing row at age 1.0 stays a line
     data, _ = ingest(_write(tmp_path, RAW))
-    write_canonical_csv(data, tmp_path / "canon.csv", header_lines=["# canon"])
     write_ingest_csv(data, tmp_path / "export.csv")
-    assert (tmp_path / "canon.csv").read_text() == (
-        "# canon\n"
-        "stamp,series,value,source_id,species_id,climate_state\n"
-        "-3.5,d18O,2.1,0,0,5\n-3.5,d13C,0.55,0,0,5\n"
-        "-2.0,d18O,1.95,1,1,6\n-2.0,d18O,1.9,0,0,6\n-2.0,d13C,0.6,0,0,6\n"
-        "-1.0,,,,,6\n"
-        "-0.5,d18O,1.8,2,0,6\n-0.5,d13C,0.4,2,0,6\n"
-    )
     assert (tmp_path / "export.csv").read_text() == (
         "age_tuned,d18O,d13C,source,species\n"
         "3.5,2.1,,Site A,CSPP\n3.5,,0.55,Site A,CSPP\n"

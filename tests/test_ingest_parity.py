@@ -77,10 +77,10 @@ def assert_same_ingest(path):
     assert_same_outcome(lambda: ingest(path), lambda: reference.ingest(path), compare)
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges"])
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges"])
 def test_mixed_panels_as_ingest_csv(tmp_path, build):
     path = tmp_path / "panel.csv"
-    write_ingest_csv(mixed_panels(tmp_path)[build], path)
+    write_ingest_csv(mixed_panels()[build], path)
     assert_same_ingest(path)
 
 

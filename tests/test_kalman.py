@@ -189,7 +189,7 @@ def test_proper_prior_matches_oracle(m):
     assert np.allclose(paths.smoothed_covs, orc.smoothed_covs, atol=1e-10)
 
 
-_MIXED_BUILDS = ["collated", "canonical", "merged", "merged_edges"]
+_MIXED_BUILDS = ["collated", "merged", "merged_edges"]
 _MIXED_SPECS = {
     "by-source-m2": ModelSpec(order_m=2, meas_grouping="by-source"),
     "biv-m2-by-climate": ModelSpec(
@@ -223,12 +223,12 @@ _MIXED_SPECS = {
         ],
     ],
 )
-def test_diffuse_matches_gls_oracle(spec, params, build, tmp_path):
+def test_diffuse_matches_gls_oracle(spec, params, build):
     if build is None:
         seed_params = params if params is not None else [0.1, 1.0]
         data = small_simulated(spec, seed_params, n_rows=7, slots=2, seed=17, n_sources=2)
     else:
-        data = mixed_panels(tmp_path)[build]
+        data = mixed_panels()[build]
     layout = build_layout(spec, data)
     if params is None:  # size the vector to the layout
         params = [0.1] + [1.0 + 0.1 * i for i in range(layout.n_params - 1)]
@@ -723,13 +723,11 @@ def test_forward_dim1_equals_forward_bitwise(seed, prior):
             _assert_forward_dim1_equals_forward(cm, h, prior)
 
 
-@pytest.mark.parametrize(
-    "build", ["collated", "canonical", "merged", "merged_edges", "sliced", "head"]
-)
-def test_forward_dim1_equals_forward_on_mixed_panels(tmp_path, build):
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced", "head"])
+def test_forward_dim1_equals_forward_on_mixed_panels(build):
     # leading all-missing rows, grid rows, four slots in a row, and a window
     # that starts after the panel's first row
-    data = mixed_panels(tmp_path)[build]
+    data = mixed_panels()[build]
     rng = np.random.default_rng(5)
     for spec in (
         ModelSpec(meas_grouping="by-source", trans_grouping="by-climate-state"),
@@ -986,9 +984,9 @@ _GROUPED_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
-def test_compiled_indices_match_slot_walk(tmp_path, build):
-    data = mixed_panels(tmp_path)[build]
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced"])
+def test_compiled_indices_match_slot_walk(build):
+    data = mixed_panels()[build]
     for spec in _GROUPED_SPECS:
         layout = build_layout(spec, data)
         cm = compile_model(spec, layout, data)
@@ -1096,10 +1094,10 @@ def _assert_score_matches(cm, params):
     assert np.all(np.abs(got - want) <= 1e-6 * scale), (got, want)
 
 
-@pytest.mark.parametrize("build", ["collated", "canonical", "merged", "merged_edges", "sliced"])
-def test_score_matches_loglik_differences_on_mixed_panels(tmp_path, build):
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced"])
+def test_score_matches_loglik_differences_on_mixed_panels(build):
     # leading empty rows, diffuse rows, 1-4 slots a row, and by-climate rho
-    data = mixed_panels(tmp_path)[build]
+    data = mixed_panels()[build]
     for spec in _GROUPED_SPECS:
         layout = build_layout(spec, data)
         params = [0.1 + 0.15 * i for i in range(layout.n_params)]
@@ -1161,13 +1159,11 @@ def test_score_calls_neither_filter_nor_smooth(monkeypatch):
     assert np.array_equal(kalman.score(cm, params), want)
 
 
-@pytest.mark.parametrize(
-    "build", ["collated", "canonical", "merged", "merged_edges", "sliced", "head"]
-)
-def test_dim1_score_equals_general_path_on_mixed_panels(tmp_path, build):
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced", "head"])
+def test_dim1_score_equals_general_path_on_mixed_panels(build):
     # leading all-missing rows, grid rows that move nothing and one to four
     # slots in a row
-    data = mixed_panels(tmp_path)[build]
+    data = mixed_panels()[build]
     rng = np.random.default_rng(6)
     for spec in (
         ModelSpec(meas_grouping="by-source", trans_grouping="by-climate-state"),
