@@ -19,10 +19,10 @@ Wright, Numerical Optimization, 2nd ed., sec. 6.1). A coordinate whose
 second difference is not finite and positive, or whose probe scores the
 penalty, keeps 1. A start is converged when the run ends below the
 penalty and the gradient infinity-norm at its end is below 1e-4: a run
-that stops on the penalty has a zero gradient, not a small one. Only when
-it is not does Nelder-Mead (200 * dim evaluation cap) run, from where BFGS
-stopped, followed by one more BFGS run; if that does not converge either,
-the start ends at the best point scored so far.
+that stops on the penalty has a zero gradient, not a small one. A start
+that does not converge ends at the best point scored so far; a correlation
+on the boundary |rho| = 1, where the likelihood has no interior optimum,
+is such a run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize
 
 from . import _kernels, kalman
 from .core import MAX_SLOTS, PanelDataset
@@ -342,17 +341,15 @@ def default_start(layout: ParameterLayout, cm: CompiledModel) -> np.ndarray:
 class FitResult:
     """Estimates on the natural scale plus fit diagnostics.
 
-    iterations counts the optimizer's iterations over every start: those
-    of each BFGS run, plus Nelder-Mead's where the fallback ran. n_evals
-    counts the objective's evaluations outside the standard-error Hessian:
-    the start point, the 2d curvature probes before each BFGS run, and
-    every point BFGS or Nelder-Mead scored, each one loglik pass unless the
-    point maps to a non-finite parameter. A BFGS run's start point is
-    scored once, before its probes, or not at all when it is the point
-    scored just before (the first start, which fit scores to check it); BFGS
-    takes that value and does not count it again. A BFGS evaluation also
-    runs kalman.score for the gradient, which n_evals does not count
-    separately.
+    iterations counts the BFGS iterations over every start. n_evals counts
+    the objective's evaluations outside the standard-error Hessian: the
+    start point, the 2d curvature probes before each BFGS run, and every
+    point BFGS scored, each one loglik pass unless the point maps to a
+    non-finite parameter. A BFGS run's start point is scored once, before
+    its probes, or not at all when it is the point scored just before (the
+    first start, which fit scores to check it); BFGS takes that value and
+    does not count it again. A BFGS evaluation also runs kalman.score for
+    the gradient, which n_evals does not count separately.
     """
 
     spec: ModelSpec
@@ -450,6 +447,8 @@ def _polish(obj, theta) -> tuple:
     starting at the inverse of obj's diagonal curvature there; returns
     (theta, f, converged, iterations), converged when the run ends below
     the penalty with the gradient's infinity-norm below _GRAD_TOL."""
+    from scipy import optimize  # most of the package's import time; only a fit needs it
+
     hess_inv0 = np.diag(1.0 / obj.diagonal_curvature(theta))
     res = optimize.minimize(
         obj.value_and_grad,
@@ -479,7 +478,7 @@ def fit(
     Deterministic given (data, spec, options.seed, options.start). On an
     optimizer stall the best point found is returned with converged False;
     a non-finite loglik at the starting point raises InitializationError.
-    Each correlation that ends within 1e-6 of +-1 gets a note.
+    Each correlation that ends within 1e-6 of +-1 gets a note and no SE.
     """
     options = options or FitOptions()
     if layout is None:
@@ -521,31 +520,13 @@ def fit(
         try:
             x, f, conv, nit = _polish(obj, th)
             iterations += nit
-            if not conv:
-                nm = optimize.minimize(
-                    obj,
-                    x,
-                    method="Nelder-Mead",
-                    options={
-                        "maxfev": 200 * dim,
-                        "xatol": 1e-6,
-                        "fatol": 1e-9,
-                        "adaptive": dim > 4,
-                    },
-                )
-                x, f, conv, nit = _polish(obj, np.asarray(nm.x, dtype=float))
-                iterations += int(nm.nit) + nit
-                if not conv and obj.best_f < f:
-                    # the last run can end above points seen before it, or
-                    # on the penalty where Nelder-Mead stopped at |rho| = 1
-                    x, f = obj.best_x, obj.best_f
+            if not conv and obj.best_f < f:
+                # a run that stalls, or stops on the penalty, can end above
+                # points it scored before
+                x, f = obj.best_x, obj.best_f
         except _BudgetExhausted:
             budget_hit = True
-            if obj.best_x is not None:
-                x, f = obj.best_x, obj.best_f
-            else:
-                x, f = th, _PENALTY
-            conv = False
+            x, f, conv = obj.best_x, obj.best_f, False  # fit scored theta0 first
         if f < best_f:
             best_f = f
             best_x = x
@@ -570,6 +551,7 @@ def fit(
         if not ok.all():
             notes.append("singular Hessian: some standard errors are missing")
     for i in np.flatnonzero(transform.is_corr & (np.abs(params_hat) >= _RHO_EDGE)):
+        se_nat[i] = np.nan  # a delta-method SE means nothing on the boundary
         info = layout.params[i]
         notes.append(
             f"{info.name} (group {info.group}) = {float(params_hat[i])!r}: the "

@@ -129,19 +129,23 @@ class CompiledModel:
     slot o reads the value y[o], the measurement-variance index hidx[o] and
     the state index level[o] of its series level. Per row, moved[nu] says
     whether some series applies the trend transition and corr[nu] is the
-    correlation index (-1 absent). Per (row, series), at nu*k + j, apply_
-    and window give the booking schedule (modelspec.booking_schedule): the
-    window is the row's stamp minus that of the series' previous observed
-    row. tvar is the transition-variance index (-1 absent).
+    correlation index (-1 absent). moving lists the rows where moved is set
+    (never row 0), the only rows the backward passes step through; they
+    give row n - 1's moments, then row u - 1's for each moving row u, last
+    first, and row nu takes entry fill[nu], the count of moving rows above
+    it. Per (row, series), at nu*k + j, apply_ and window give the booking
+    schedule (modelspec.booking_schedule): the window is the row's stamp
+    minus that of the series' previous observed row. tvar is the
+    transition-variance index (-1 absent).
 
     At state dimension 1 (None otherwise) two more tuples are per slot, for
     _forward_dim1's slot loop: book_tvar[o] is the transition-variance
     index booked just before slot o, set only at the first slot of a moving
     row and -1 elsewhere, and book_window[o] is the window of slot o's row.
-    paths_index holds the read-only arrays (at, moving, tvar, window) that
+    paths_index holds the read-only arrays (at, tvar, window) that
     _rows_dim1 derives the per-row paths with: at[nu] is the number of
-    slots before row nu (at[n] of all), moving lists the rows that move,
-    and tvar and window are what each of them books.
+    slots before row nu (at[n] of all), and tvar and window are what each
+    moving row books.
 
     compile_model builds it once from the panel's columnar view
     (PanelDataset.view) and the group keys modelspec.group_keys resolves
@@ -169,6 +173,8 @@ class CompiledModel:
     apply_: tuple
     window: tuple
     tvar: tuple
+    moving: np.ndarray
+    fill: np.ndarray
     book_tvar: tuple | None
     book_window: tuple | None
     paths_index: tuple | None
@@ -202,17 +208,19 @@ def compile_model(
         nu, j = unbooked[0].tolist()
         raise KeyError((spec.series[j], keys.trans[nu : nu + 1].tolist()[0]))
     count = np.bincount(keys.row, minlength=n)
+    moved = apply_.any(axis=1)
+    moving = np.flatnonzero(moved)
+    fill = moving.size - np.searchsorted(moving, np.arange(n), side="right")
     book_tvar = book_window = paths_index = None
     if k * m == 1:
         at = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(count, out=at[1:])
-        moving = np.flatnonzero(apply_[:, 0])
         book = np.full(keys.row.size, -1, dtype=np.int64)
         book[at[moving]] = tvar[moving, 0]  # at each moving row's first slot
         book_tvar = tuple(book.tolist())
         book_window = tuple(window[keys.row, 0].tolist())
-        paths_index = at, moving, tvar[moving, 0], window[moving, 0]
-    for a in (keys.row, keys.col, *(paths_index or ())):
+        paths_index = at, tvar[moving, 0], window[moving, 0]
+    for a in (keys.row, keys.col, moving, fill, *(paths_index or ())):
         a.setflags(write=False)
 
     return CompiledModel(
@@ -229,11 +237,13 @@ def compile_model(
         y=tuple(view.value[keys.slot].tolist()),
         hidx=tuple(hidx.tolist()),
         count=tuple(count.tolist()),
-        moved=tuple(apply_.any(axis=1).tolist()),
+        moved=tuple(moved.tolist()),
         corr=tuple(corr.tolist()),
         apply_=tuple(apply_.ravel().tolist()),
         window=tuple(window.ravel().tolist()),
         tvar=tuple(tvar.ravel().tolist()),
+        moving=moving,
+        fill=fill,
         book_tvar=book_tvar,
         book_window=book_window,
         paths_index=paths_index,
@@ -497,7 +507,7 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     var = h[hidx]
     grad = np.bincount(hidx, ((e * e + XV[rows]) / var - 1.0) / (2.0 * var), minlength=h.size)
 
-    _, _, tvar, window = cm.paths_index
+    _, tvar, window = cm.paths_index
     eta = b * (X[succ] - pred_a[succ])
     S = (eta * eta + c) + b * XV[succ] * b
     return grad + np.bincount(tvar, (S / q - 1.0) / q * window / 2.0, minlength=h.size)
@@ -699,14 +709,14 @@ def _rows_dim1(cm: CompiledModel, h: list, slot_a, slot_P, Pi: float, rec_diffus
     # was filtered, plus the variance it books if it moves. The diffuse rows,
     # from a start with P_inf = Pi (0 if proper), run to the diffuse slot's
     # row, or to the end if no slot ends the phase.
-    at, moving, tvar, window = cm.paths_index
+    at, tvar, window = cm.paths_index
     A = np.frombuffer(slot_a)[at]  # the start, then each row's filtered mean
     P = np.frombuffer(slot_P)[at]
     q = np.array(h)[tvar] * window
     booked = np.zeros(cm.n)
-    booked[moving] = q
+    booked[cm.moving] = q
     pred_P = P[:-1].copy()
-    pred_P[moving] += q
+    pred_P[cm.moving] += q
     n_diffuse_rows = 0
     if Pi:
         n_diffuse_rows = int(cm.obs_row[min(rec_diffuse)]) + 1 if rec_diffuse else cm.n
@@ -794,7 +804,7 @@ def _smoothed_dim1(
     # b = q * (1.0 / P_{u|u-1}) as the batched 1 x 1 solve gives it. A series
     # moves only after its first observed row, whose slot ends the diffuse
     # phase at s = 1, so G needs no diffuse limit.
-    succ = cm.paths_index[1]
+    succ = cm.moving
     if succ.size and succ[0] < n_diffuse_rows:
         raise AssertionError(f"row {succ[0]} moves inside the diffuse phase")
     P = pred_P[succ]
@@ -811,16 +821,16 @@ def _smoothed_dim1(
         V = (V - bu * V) + cu
         X.append(x)
         XV.append(V)
-    return (*_filled(array("d", X), array("d", XV), succ, cm.n, 1), (succ, q, b, c))
+    return (*_filled(cm, array("d", X), array("d", XV)), (succ, q, b, c))
 
 
-def _filled(X: array, XV: array, succ: np.ndarray, n: int, s: int) -> tuple:
+def _filled(cm: CompiledModel, X: array, XV: array) -> tuple:
     # every row's moments from X and XV, which hold row n - 1, then row u - 1
-    # for each u in succ, last first: row nu takes those reached after the
-    # steps of the rows in succ above it. The covariances are symmetrized.
-    at = succ.size - np.searchsorted(succ, np.arange(n), side="right")
-    V = _paths_array(XV, (succ.size + 1, s, s))[at]
-    return _paths_array(X, (succ.size + 1, s))[at], 0.5 * (V + V.transpose(0, 2, 1))
+    # for each moving row u, last first: row nu takes entry cm.fill[nu]. The
+    # covariances are symmetrized.
+    size, s = cm.moving.size + 1, cm.s
+    V = _paths_array(XV, (size, s, s))[cm.fill]
+    return _paths_array(X, (size, s))[cm.fill], 0.5 * (V + V.transpose(0, 2, 1))
 
 
 def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple:
@@ -828,9 +838,9 @@ def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple
     # covariances: (smoothed means, smoothed covs, (succ, Q, B, C)), with
     # succ the rows that move some block, Q the covariance each booked, B
     # the tail rows of its Q G and C = Q - Q G Q at the tails
-    n, s, m, k = cm.n, cm.s, cm.m, cm.n_series
+    n, m, k = cm.n, cm.m, cm.n_series
     tails = [j * m + m - 1 for j in range(k)]
-    succ = np.flatnonzero(cm.moved[1:]) + 1
+    succ = cm.moving
     Q = booked[succ]
     B = Q @ _tail_precision(paths, succ, tails)
     C = Q - B[:, :, tails] @ Q
@@ -838,7 +848,7 @@ def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple
     last = (paths.filtered_means[n - 1], paths.filtered_covs[n - 1])
     steps = (succ[back], B[back], C[back], paths.predicted_means[succ[back]])
     X, XV = _backward(*last, *steps, tails, m, cm.apply_)
-    return (*_filled(X, XV, succ, n, s), (succ, Q, B, C))
+    return (*_filled(cm, X, XV), (succ, Q, B, C))
 
 
 def _backward(x, V, succ, B, C, A, tails: list, m: int, apply_: tuple) -> tuple:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paleokalman
 from paleokalman import __version__
 from paleokalman.butterworth import signal_to_noise
 from paleokalman.cli import (
@@ -235,6 +240,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy.optimize takes ~0.5 s to import and only fit runs it, so smooth,
+    # impute and gain do without it
+    src = str(Path(paleokalman.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, paleokalman.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1014,6 +1014,13 @@ def test_compiled_indices_match_slot_walk(build):
         assert cm.moved == tuple(apply_.any(axis=1).tolist()), spec
         for name in ("level", "hidx", "count", "corr", "tvar"):
             assert all(type(x) is int for x in getattr(cm, name)), (spec, name)
+        # at every state dimension: the moving rows, of which row 0 is never
+        # one, and for each row the count of moving rows above it, the
+        # entry of the backward pass's moments it takes
+        moving = [nu for nu in range(n) if cm.moved[nu]]
+        assert cm.moving.tolist() == moving and not cm.moved[0], spec
+        assert cm.fill.tolist() == [sum(u > nu for u in moving) for nu in range(n)], spec
+        assert not cm.moving.flags.writeable and not cm.fill.flags.writeable, spec
         if cm.s > 1:
             assert cm.book_tvar is cm.book_window is cm.paths_index is None, spec
             continue
@@ -1027,12 +1034,12 @@ def test_compiled_indices_match_slot_walk(build):
         assert cm.book_window == tuple(cm.window[nu] for nu in rows.tolist()), spec
         assert all(type(x) is int for x in cm.book_tvar), spec
         assert all(type(x) is float for x in cm.book_window), spec
-        # per row: the slots before it, and the moving rows with their booking
-        at, moving, tvar, window = cm.paths_index
+        # per row: the slots before it, and what each moving row books
+        at, tvar, window = cm.paths_index
         assert at.tolist() == [0, *np.cumsum(cm.count).tolist()], spec
-        assert moving.tolist() == [nu for nu in range(n) if cm.apply_[nu]], spec
-        assert tvar.tolist() == [cm.tvar[nu] for nu in moving.tolist()], spec
-        assert window.tolist() == [cm.window[nu] for nu in moving.tolist()], spec
+        assert moving == [nu for nu in range(n) if cm.apply_[nu]], spec
+        assert tvar.tolist() == [cm.tvar[nu] for nu in moving], spec
+        assert window.tolist() == [cm.window[nu] for nu in moving], spec
         assert not any(a.flags.writeable for a in cm.paths_index), spec
 
 
@@ -1209,6 +1216,6 @@ def test_dim1_smooth_raises_on_a_zero_predicted_variance():
     params = [0.1, 5e-324]
     run = kfilter(spec, layout, params, data, init=([0.0], [[0.0]]))
     assert run.compiled.s == 1 and not run.booked.any()
-    last = int(run.compiled.paths_index[1][-1])
+    last = int(run.compiled.moving[-1])
     with pytest.raises(ZeroDivisionError, match=f"^row {last}: predicted variance 0.0 at a moving"):
         smooth(run)
