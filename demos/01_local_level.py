@@ -39,7 +39,7 @@ print("\nfirst five smoothed levels (mean +- sd):")
 for i in range(5):
     mean = paths.smoothed_means[i, 0]
     sd = np.sqrt(paths.smoothed_covs[i, 0, 0])
-    print(f"  t = {data.rows[i].stamp:9.4f}   {mean:7.3f} +- {sd:.3f}")
+    print(f"  t = {data.view.stamps[i]:9.4f}   {mean:7.3f} +- {sd:.3f}")
 
 # Prediction residuals should look like white noise when the model fits.
 resid = run.paths.standardized_residuals()

@@ -22,7 +22,7 @@ stamps = list(t - t[-1] - 0.005)
 
 # one dataset, three trend orders
 base = pk.simulate(pk.ModelSpec(order_m=2), [0.05, 2.0], stamps, seed=8)
-mean_dt = pk.mean_increment([r.stamp for r in base.rows])
+mean_dt = pk.mean_increment(base.view.stamps)
 print(f"mean increment {mean_dt:.5f} My over {base.n_rows} rows\n")
 
 print(f"{'m':>2} {'sigma_eps2':>11} {'sigma_eta2':>11} {'loglik':>9} "

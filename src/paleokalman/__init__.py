@@ -13,8 +13,6 @@ from .core import (
     CLIMATE_STATE_NAMES,
     MAX_SLOTS,
     MISSING,
-    MeasurementSlot,
-    ObservationRow,
     PanelDataset,
     SERIES_NAMES,
     assign_climate_state,
@@ -22,7 +20,6 @@ from .core import (
     collate_rows,
     compute_increments,
     flatten_records,
-    is_missing,
 )
 from .modelspec import (
     ModelSpec,
@@ -88,8 +85,6 @@ __all__ = [
     "CLIMATE_STATE_NAMES",
     "MAX_SLOTS",
     "MISSING",
-    "MeasurementSlot",
-    "ObservationRow",
     "PanelDataset",
     "SERIES_NAMES",
     "assign_climate_state",
@@ -97,7 +92,6 @@ __all__ = [
     "collate_rows",
     "compute_increments",
     "flatten_records",
-    "is_missing",
     # model spec
     "ModelSpec",
     "ParameterLayout",

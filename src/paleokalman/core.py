@@ -7,17 +7,14 @@ regime index, which climate_states gives for every panel (the scalar maps
 wrap it). Group registries (sources, species) are dense int -> label maps
 shared by every model variant.
 
-A panel is stored only as a PanelView, one array per column: every panel
-is collated (collate_rows, ingest, merge_grid) or is a window of one,
-and its ObservationRows are built from the view when a reader asks for
-them. A window data.rows[a:b] slices the view.
+A panel is stored only as a PanelView, one array per column, and is read
+only from it: every panel is collated (collate_rows, ingest, merge_grid)
+or is a window data.rows[a:b] of one, which slices the view.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import compress
 
@@ -25,12 +22,9 @@ import numpy as np
 
 __all__ = [
     "MISSING",
-    "is_missing",
     "SERIES_NAMES",
     "CLIMATE_STATE_AGES",
     "CLIMATE_STATE_NAMES",
-    "MeasurementSlot",
-    "ObservationRow",
     "PanelDataset",
     "PanelRows",
     "PanelView",
@@ -63,11 +57,6 @@ CLIMATE_STATE_NAMES = (
 )
 
 
-def is_missing(x: float) -> bool:
-    """True if the value is the missing marker (NaN)."""
-    return x != x
-
-
 def _normalize_series(tag) -> int:
     """Map a series tag (0/1, 1/2, or name) to internal index 0 or 1."""
     if tag in (0, 1) and isinstance(tag, int):
@@ -78,50 +67,6 @@ def _normalize_series(tag) -> int:
         return SERIES_NAMES.index(tag)
     except ValueError:
         raise ValueError(f"unknown series tag: {tag!r}") from None
-
-
-@dataclass(frozen=True)
-class MeasurementSlot:
-    """One tagged measurement: value (NaN when missing) plus group ids.
-
-    source_id/species_id index into the dataset registries; they are
-    meaningless (-1) when the value is missing.
-    """
-
-    value: float = MISSING
-    source_id: int = -1
-    species_id: int = -1
-
-    @property
-    def missing(self) -> bool:
-        return is_missing(self.value)
-
-
-_EMPTY_SLOTS = tuple(MeasurementSlot() for _ in range(MAX_SLOTS))
-
-
-@dataclass(frozen=True)
-class ObservationRow:
-    """All measurements sharing one time stamp.
-
-    climate_state is the Table-style regime index j in 1..6.
-    """
-
-    stamp: float
-    slots_series1: tuple = _EMPTY_SLOTS
-    slots_series2: tuple = _EMPTY_SLOTS
-    climate_state: int = 6
-
-    def slots(self, series: int) -> tuple:
-        return self.slots_series1 if series == 0 else self.slots_series2
-
-    def series_observed(self, series: int) -> bool:
-        """True if at least one slot of the series holds a value."""
-        return any(not s.missing for s in self.slots(series))
-
-    @property
-    def all_missing(self) -> bool:
-        return not (self.series_observed(0) or self.series_observed(1))
 
 
 @dataclass(frozen=True)
@@ -157,16 +102,15 @@ def _read_only(view: PanelView) -> PanelView:
     return view
 
 
-class PanelRows(Sequence):
-    """The rows of a panel, built from its view when asked for.
-
-    rows[i] (negative i too) and iteration build ObservationRows for the
-    requested rows only, and nothing keeps them: the full tuple of a large
-    panel is never held. rows[a:b] is a PanelRows over a window of the
-    view and builds no row; a slice with any other step is a tuple.
+class PanelRows:
+    """The rows of a panel, as windows of its view: rows[a:b] is a
+    PanelRows over rows a..b-1. A panel's contents are read from its view;
+    indexing by anything but a slice with step 1, and iterating, raise
+    TypeError.
     """
 
     __slots__ = ("view",)
+    __iter__ = None  # not iterable: read the view's columns
 
     def __init__(self, view: PanelView):
         self.view = _read_only(view)
@@ -175,30 +119,14 @@ class PanelRows(Sequence):
         return self.view.stamps.size
 
     def __getitem__(self, index):
-        rows = range(len(self))
         if isinstance(index, slice):
-            rows = rows[index]
+            rows = range(len(self))[index]
             if rows.step == 1:
                 return PanelRows(self._window(rows.start, rows.stop))
-            return tuple(self[i] for i in rows)
-        i = rows[operator.index(index)]
-        return next(iter(self[i : i + 1]))
-
-    def __iter__(self):
-        v = self.view
-        width = 2 * MAX_SLOTS
-        slots = {
-            at: MeasurementSlot(value, source, species)
-            for at, value, source, species in zip(
-                v.at.tolist(), v.value.tolist(), v.source.tolist(), v.species.tolist()
-            )
-        }
-        states = v.climate_states.tolist()
-        for r, (stamp, state) in enumerate(zip(v.stamps.tolist(), states)):
-            cells = [slots.get(r * width + i, _EMPTY_SLOTS[0]) for i in range(width)]
-            yield ObservationRow(
-                stamp, tuple(cells[:MAX_SLOTS]), tuple(cells[MAX_SLOTS:]), state
-            )
+        raise TypeError(
+            f"panel rows take only a slice with step 1, not {index!r}; "
+            "read the rows from the view"
+        )
 
     def _window(self, start: int, stop: int) -> PanelView:
         # rows start..stop-1; their slots, by flat index, are the view's
@@ -219,14 +147,13 @@ class PanelRows(Sequence):
 
 @dataclass(frozen=True)
 class PanelDataset:
-    """Immutable ordered panel: rows plus the group registries they index.
+    """Immutable ordered panel: its view plus the group registries that the
+    view's ids index.
 
-    rows are sorted ascending by stamp with unique stamps, each with its
-    regime from climate_states. rows is always a
-    PanelRows, which holds the panel's view and builds ObservationRows only
-    when a reader asks for them; view and n_rows are read off it. Panels
-    are made by collate_rows (or ingest, imputation.merge_grid), and a
-    window of one by
+    The rows are sorted ascending by stamp with unique stamps, each with
+    its regime from climate_states. rows is always a PanelRows, which holds
+    the view; view and n_rows are read off it. Panels are made by
+    collate_rows (or ingest, imputation.merge_grid), and a window of one by
     dataclasses.replace(data, rows=data.rows[a:b]).
     """
 

@@ -477,8 +477,10 @@ def fit(
 
     Deterministic given (data, spec, options.seed, options.start). On an
     optimizer stall the best point found is returned with converged False;
-    a non-finite loglik at the starting point raises InitializationError.
-    Each correlation that ends within 1e-6 of +-1 gets a note and no SE.
+    a non-finite loglik at the starting point raises InitializationError,
+    and a start where the loglik is finite but its score is not gets a note,
+    since BFGS takes no step from it. Each correlation that ends within
+    1e-6 of +-1 gets a note and no SE.
     """
     options = options or FitOptions()
     if layout is None:
@@ -516,10 +518,17 @@ def fit(
     best_converged = False
     iterations = 0
     budget_hit = False
-    for th in starts:
+    notes = []
+    for i, th in enumerate(starts):
         try:
             x, f, conv, nit = _polish(obj, th)
             iterations += nit
+            # a run that took no step and ends on the penalty scored only
+            # th, whose value is then the last call's: no pass
+            if nit == 0 and f >= _PENALTY > obj.value(th):
+                notes.append(
+                    f"the score is not finite at start {i + 1}, so BFGS took no step from it"
+                )
             if not conv and obj.best_f < f:
                 # a run that stalls, or stops on the penalty, can end above
                 # points it scored before
@@ -540,7 +549,6 @@ def fit(
     params_hat = transform.to_natural(theta_hat)
     loglik = -best_f * n_scale
 
-    notes = []
     if budget_hit:
         notes.append("evaluation budget exhausted; returning best point seen")
         best_converged = False

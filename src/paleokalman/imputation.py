@@ -71,9 +71,9 @@ def merge_grid(data: PanelDataset, grid) -> tuple:
 
     indices[i] is the merged-row index holding grid stamp grid[i]. Stamps
     within COINCIDENCE_TOL of an existing row are not inserted; the
-    existing row is referenced instead. The merged panel holds only its
-    view, which is the data's view with the rows renumbered; no row
-    objects are built.
+    existing row is referenced instead. The merged panel's view is the
+    data's view with the rows renumbered and the grid rows, which hold no
+    slot, added.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     view = data.view
@@ -187,6 +187,9 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
 
 def write_impute_csv(table: ImputationTable, path, header_lines=()) -> None:
     """CSV with stamp_mya then mean/sd column pair per series."""
+    n, k = table.means.shape
+    pairs = np.stack([table.means, table.sds], axis=2).reshape(n, 2 * k)
+    columns = np.column_stack([np.asarray(table.stamps, dtype=float).reshape(n), pairs])
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line.rstrip("\n") + "\n")
@@ -195,8 +198,6 @@ def write_impute_csv(table: ImputationTable, path, header_lines=()) -> None:
         for name in table.series:
             header += [f"mean_{name}", f"sd_{name}"]
         writer.writerow(header)
-        for i, stamp in enumerate(table.stamps):
-            row = [repr(stamp)]
-            for j in range(len(table.series)):
-                row += [repr(float(table.means[i, j])), repr(float(table.sds[i, j]))]
-            writer.writerow(row)
+        # csv writes a float as its repr
+        for lo in range(0, n, kalman._CSV_BLOCK_ROWS):
+            writer.writerows(columns[lo : lo + kalman._CSV_BLOCK_ROWS].tolist())

@@ -79,7 +79,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .core import MAX_SLOTS, SERIES_NAMES, is_missing, PanelDataset
+from .core import MAX_SLOTS, SERIES_NAMES, PanelDataset
 from .modelspec import (
     ModelSpec,
     ParameterLayout,
@@ -104,6 +104,7 @@ __all__ = [
 
 DIFFUSE_TOL = 1e-10
 _LOG2PI = float(np.log(2.0 * np.pi))
+_CSV_BLOCK_ROWS = 4096  # rows per .tolist() in the CSV writers
 
 
 class ConditioningError(RuntimeError):
@@ -933,7 +934,7 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
     if paths.smoothed_means is None:
         raise ValueError("smoothed paths required; run smooth() first")
     comp = state_component_names(spec)
-    n, s = paths.smoothed_means.shape
+    n = paths.smoothed_means.shape[0]
     var = paths.smoothed_covs.diagonal(axis1=1, axis2=2)
     negative = np.argwhere(var < 0.0)
     if negative.size:
@@ -942,17 +943,11 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
             f"negative smoothed variance {float(var[nu, i])!r} of {comp[i]} "
             f"at stamp {float(paths.stamps[nu])!r}"
         )
-    p = paths.innovations.shape[1]
-
     resid = paths.standardized_residuals()
-
     slot_names = [
         f"resid.{SERIES_NAMES[sr]}.{i}" for sr in spec.series for i in range(MAX_SLOTS)
     ]
-
-    def fmt(x):
-        return "" if is_missing(x) else repr(float(x))
-
+    columns = np.column_stack([paths.stamps, paths.smoothed_means, var, resid])
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line.rstrip("\n") + "\n")
@@ -963,9 +958,7 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
             + [f"var.{c}" for c in comp]
             + slot_names
         )
-        for nu in range(n):
-            row = [repr(float(paths.stamps[nu]))]
-            row += [fmt(paths.smoothed_means[nu, i]) for i in range(s)]
-            row += [fmt(var[nu, i]) for i in range(s)]
-            row += [fmt(resid[nu, i]) for i in range(p)]
-            writer.writerow(row)
+        # csv writes a float as its repr and None as an empty field
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            block = columns[lo : lo + _CSV_BLOCK_ROWS].tolist()
+            writer.writerows([None if x != x else x for x in row] for row in block)

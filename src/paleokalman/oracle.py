@@ -15,16 +15,11 @@ clarity over speed and refuse instances with more than 64 observed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    MISSING,
-    PanelDataset,
-    SERIES_NAMES,
-    collate_rows,
-)
+from .core import MISSING, PanelDataset, PanelRows, _collate
 from .modelspec import (
     ModelSpec,
     ParameterLayout,
@@ -60,17 +55,15 @@ def _chain_matrices(spec, layout, params, data):
     n = data.n_rows
     T_m = trend_transition_matrix(m)
 
-    rows = tuple(data.rows)
-    stamps = np.array([row.stamp for row in rows])
-    observed = np.array(
-        [[row.series_observed(sr) for sr in spec.series] for row in rows]
-    )
-    apply_, window = booking_schedule(stamps, observed)
+    v = data.view
+    observed = np.zeros((n, k), dtype=bool)
+    for j, sr in enumerate(spec.series):
+        observed[v.row[v.series == sr], j] = True
+    apply_, window = booking_schedule(v.stamps, observed)
 
     A = np.zeros((n, s, s))
     W = np.zeros((n, s, s))
-    for nu, row in enumerate(rows):
-        regime = row.climate_state
+    for nu, regime in enumerate(v.climate_states.tolist()):
         tkey = regime if spec.trans_grouping == "by-climate-state" else POOLED_KEY
         sig2 = np.zeros(k)
         for j, sr in enumerate(spec.series):
@@ -94,34 +87,21 @@ def _chain_matrices(spec, layout, params, data):
 
 
 def _observation_stack(spec, layout, params, data):
-    """Flatten non-missing slots: selector matrix onto the stacked states,
-    the value vector, and the measurement variance vector."""
-    m = spec.order_m
-    s = spec.state_dim
-    n = data.n_rows
-    rows_of = []
-    z_cols = []
-    y = []
-    h = []
-    for nu, row in enumerate(data.rows):
-        for j, sr in enumerate(spec.series):
-            for slot in row.slots(sr):
-                if slot.missing:
-                    continue
-                rows_of.append(nu)
-                z_cols.append(nu * s + j * m)
-                y.append(slot.value)
-                if spec.meas_grouping == "pooled":
-                    key = POOLED_KEY
-                elif spec.meas_grouping == "by-source":
-                    key = slot.source_id
-                else:
-                    key = slot.species_id
-                h.append(params[layout.meas_index[(sr, key)]])
-    Zbig = np.zeros((len(y), n * s))
-    for i, c in enumerate(z_cols):
-        Zbig[i, c] = 1.0
-    return np.array(rows_of), Zbig, np.array(y), np.array(h)
+    """The observed slots of the model's series, in row-major (row, series,
+    slot) order: each one's row, the state column its value loads on
+    within its row's state, its value, and its measurement variance."""
+    v = data.view
+    slot = np.isin(v.series, spec.series)
+    series = v.series[slot]
+    # a series' level is the first column of its block
+    cols = np.searchsorted(spec.series, series) * spec.order_m
+    keys = {"by-source": v.source, "by-species": v.species}.get(spec.meas_grouping)
+    keys = np.full(series.size, POOLED_KEY) if keys is None else keys[slot]
+    # a variance's index by (series, key), looked up once per pair
+    pairs, pair = np.unique(np.stack([series, keys]), axis=1, return_inverse=True)
+    index = np.array([layout.meas_index[sr, key] for sr, key in pairs.T.tolist()], dtype=int)
+    h = np.asarray(params, dtype=float)[index[pair.reshape(-1)]]
+    return v.row[slot], cols, v.value[slot], h
 
 
 def _psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -174,11 +154,14 @@ def exact_gaussian(
     n = data.n_rows
 
     A, W = _chain_matrices(spec, layout, params, data)
-    rows_of, Zbig, y, h = _observation_stack(spec, layout, params, data)
+    rows_of, cols, y, h = _observation_stack(spec, layout, params, data)
     if len(y) > _SIZE_CAP:
         raise ValueError(
             f"exact_gaussian is capped at {_SIZE_CAP} observed values, got {len(y)}"
         )
+    # each slot's unit selector onto the stacked states of all rows
+    Zbig = np.zeros((len(y), n * s))
+    Zbig[np.arange(len(y)), rows_of * s + cols] = 1.0
 
     # joint moments of the stacked states
     mean_x = np.zeros(n * s)
@@ -272,11 +255,14 @@ def diffuse_exact_gaussian(
     n = data.n_rows
 
     A, W = _chain_matrices(spec, layout, params, data)
-    rows_of, Zbig, y, h = _observation_stack(spec, layout, params, data)
+    rows_of, cols, y, h = _observation_stack(spec, layout, params, data)
     if len(y) > _SIZE_CAP:
         raise ValueError(
             f"diffuse_exact_gaussian is capped at {_SIZE_CAP} observed values"
         )
+    # each slot's unit selector onto the stacked states of all rows
+    Zbig = np.zeros((len(y), n * s))
+    Zbig[np.arange(len(y)), rows_of * s + cols] = 1.0
     n_y = len(y)
     if n_y < s:
         raise ValueError("not enough observed values to resolve the diffuse prior")
@@ -376,48 +362,39 @@ def simulate(
         stands in for the diffuse case in a simulation.
     seed : feeds numpy's default 64-bit generator (PCG64).
     """
-    stamps = [float(t) for t in stamps]
-    n = len(stamps)
-    if sorted(set(stamps)) != stamps:
-        raise ValueError("stamps must be strictly increasing and unique")
+    stamps = np.array([float(t) for t in stamps])
+    n = stamps.size
+    if not (np.all(np.isfinite(stamps)) and np.all(np.diff(stamps) > 0.0)):
+        raise ValueError("stamps must be finite, strictly increasing and unique")
     if not 1 <= slots_per_row <= 4:
         raise ValueError("slots_per_row must be in 1..4")
 
     k = spec.n_series
-    if observed is None:
-        observed = np.ones((n, k), dtype=bool)
-    else:
-        observed = np.asarray(observed, dtype=bool)
-        if observed.ndim == 1:
-            observed = np.repeat(observed[:, None], k, axis=1)
+    observed = np.ones(n, dtype=bool) if observed is None else np.asarray(observed, dtype=bool)
+    if observed.ndim == 1:
+        observed = np.repeat(observed[:, None], k, axis=1)
+    observed = observed[:, :k]  # columns past the model's series are not read
+    if observed.shape != (n, k):
+        raise ValueError(f"observed must be a mask of shape ({n},) or ({n}, {k})")
 
-    # skeleton with placeholder values fixes the registries and the layout
-    def records(values=None):
-        recs = []
-        counter = 0
-        for nu in range(n):
-            any_here = False
-            for j, sr in enumerate(spec.series):
-                if not observed[nu, j]:
-                    continue
-                any_here = True
-                for i in range(slots_per_row):
-                    v = 0.0 if values is None else values[nu][j][i]
-                    recs.append(
-                        (
-                            stamps[nu],
-                            SERIES_NAMES[sr],
-                            v,
-                            f"src{(counter + i) % n_sources}",
-                            f"sp{(counter + i) % n_species}",
-                        )
-                    )
-                counter += slots_per_row
-            if not any_here:
-                recs.append((stamps[nu], SERIES_NAMES[spec.series[0]], None, "", ""))
-        return recs
-
-    skeleton = collate_rows(records())
+    # the panel with placeholder values fixes the registries and the layout:
+    # each observed (row, series) gets slots_per_row slots, numbered g = 0,
+    # 1, ... in row-major order, and slot g the labels src{g % n_sources}
+    # and sp{g % n_species}; a row with no value only registers its stamp,
+    # with -1 for the series and ids, which collate does not read
+    cell = np.repeat(np.flatnonzero(observed), slots_per_row)
+    g = np.arange(cell.size)
+    empty = np.flatnonzero(~observed.any(axis=1))
+    none = np.full(empty.size, -1)
+    skeleton = _collate(
+        np.concatenate([stamps[cell // k], stamps[empty]]),
+        np.concatenate([np.asarray(spec.series)[cell % k], none]),
+        np.concatenate([np.zeros(g.size), np.full(empty.size, MISSING)]),
+        np.concatenate([g % n_sources, none]),
+        np.concatenate([g % n_species, none]),
+        {i: f"src{i}" for i in range(min(n_sources, g.size))},
+        {i: f"sp{i}" for i in range(min(n_species, g.size))},
+    )
     layout = build_layout(spec, skeleton)
     # simulation tolerates the degenerate boundary |rho| = 1 that estimation
     # rejects, so validate by hand
@@ -431,9 +408,9 @@ def simulate(
         elif not value >= 0.0:
             raise ValueError(f"{info.name}: variance must be nonnegative")
 
-    m = spec.order_m
     s = spec.state_dim
     A, W = _chain_matrices(spec, layout, params, skeleton)
+    rows_of, cols, _, h = _observation_stack(spec, layout, params, skeleton)
 
     rng = np.random.default_rng(seed)
     if diffuse_start or init_mean is None:
@@ -445,32 +422,22 @@ def simulate(
             np.asarray(init_cov, dtype=float).reshape(s, s)
         ) @ rng.standard_normal(s)
 
-    values: list = []
-    for nu, row in enumerate(skeleton.rows):
+    # the draws, row by row: s for the transition where its disturbance is
+    # not zero (never at row 0), then one per slot in slot order
+    moves = W.reshape(n, s * s).any(axis=1)
+    per_row = s * moves + np.bincount(rows_of, minlength=n)
+    z = rng.standard_normal(int(per_row.sum()))
+    transition = np.zeros(z.size, dtype=bool)
+    first = np.cumsum(per_row) - per_row
+    transition[(first[moves][:, None] + np.arange(s)).reshape(-1)] = True
+    shocks = iter(z[transition].reshape(-1, s))
+    states = np.empty((n, s))
+    for nu in range(n):
         if nu > 0:
             x = A[nu] @ x
-            Wn = W[nu]
-            if np.any(Wn):
-                x = x + _psd_sqrt(Wn) @ rng.standard_normal(s)
-        per_row = []
-        for j, sr in enumerate(spec.series):
-            vals = []
-            if observed[nu, j]:
-                level = x[j * m]
-                for i in range(slots_per_row):
-                    slot = row.slots(sr)[i]
-                    key = (
-                        POOLED_KEY
-                        if spec.meas_grouping == "pooled"
-                        else (
-                            slot.source_id
-                            if spec.meas_grouping == "by-source"
-                            else slot.species_id
-                        )
-                    )
-                    hvar = params[layout.meas_index[(sr, key)]]
-                    vals.append(level + np.sqrt(hvar) * rng.standard_normal())
-            per_row.append(vals)
-        values.append(per_row)
-
-    return collate_rows(records(values))
+            if moves[nu]:
+                x = x + _psd_sqrt(W[nu]) @ next(shocks)
+        states[nu] = x
+    values = states[rows_of, cols] + np.sqrt(h) * z[~transition]
+    view = replace(skeleton.view, value=values)
+    return PanelDataset(PanelRows(view), skeleton.sources, skeleton.species)

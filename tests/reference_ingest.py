@@ -2,27 +2,26 @@
 
 One frozen RawRecord per CSV line, aliases and buckets applied with
 dataclasses.replace, and the record-by-record collate that builds every
-MeasurementSlot and ObservationRow. Its panels are (rows, sources, species)
+Slot and Row, its own row record. Its panels are (rows, sources, species)
 tuples, with no PanelDataset, so that it shares no code with the package's
-collate. The parity tests compare the package's ingest and collate_rows
-against it, so it stays in this plain form.
+collate; view_columns reads a PanelView's columns off its rows. The parity
+tests compare the package's ingest and collate_rows against it, so it
+stays in this plain form.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 from paleokalman.core import (
     MAX_SLOTS,
     MISSING,
     SERIES_NAMES,
-    MeasurementSlot,
-    ObservationRow,
     _normalize_series,
     clamped_climate_state,
     compute_increments,
-    is_missing,
 )
 from paleokalman.ingest import (
     DEFAULT_SOURCE_ALIASES,
@@ -31,6 +30,55 @@ from paleokalman.ingest import (
     ParseError,
     SchemaError,
 )
+
+
+def is_missing(x: float) -> bool:
+    return math.isnan(x)
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One tagged measurement: value (NaN when missing) plus group ids,
+    -1 when missing."""
+
+    value: float = MISSING
+    source_id: int = -1
+    species_id: int = -1
+
+    @property
+    def missing(self) -> bool:
+        return is_missing(self.value)
+
+
+@dataclass(frozen=True)
+class Row:
+    """All measurements sharing one stamp, each series padded to MAX_SLOTS
+    slots; climate_state is the regime index j in 1..6."""
+
+    stamp: float
+    slots_series1: tuple
+    slots_series2: tuple
+    climate_state: int
+
+    def slots(self, series: int) -> tuple:
+        return self.slots_series1 if series == 0 else self.slots_series2
+
+
+def view_columns(rows) -> dict:
+    """The columns of the PanelView of rows, as lists, read off the rows
+    and their slots one by one."""
+    columns = {name: [] for name in ("stamps", "climate_states", "at", "value", "source", "species")}
+    for nu, row in enumerate(rows):
+        columns["stamps"].append(row.stamp)
+        columns["climate_states"].append(row.climate_state)
+        for s in (0, 1):
+            for i, slot in enumerate(row.slots(s)):
+                if not slot.missing:
+                    columns["at"].append((nu * 2 + s) * MAX_SLOTS + i)
+                    columns["value"].append(slot.value)
+                    columns["source"].append(slot.source_id)
+                    columns["species"].append(slot.species_id)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -132,7 +180,7 @@ def apply_species_buckets(records, buckets=None) -> list:
 
 def collate_rows(records) -> tuple:
     """Record-by-record collate: (rows, sources, species), rows a tuple of
-    ObservationRows and the registries id -> label dicts."""
+    Rows and the registries id -> label dicts."""
     sources: dict = {}
     species: dict = {}
     source_ids: dict = {}
@@ -163,17 +211,15 @@ def collate_rows(records) -> tuple:
         if species_label not in species_ids:
             species_ids[species_label] = len(species_ids)
             species[species_ids[species_label]] = species_label
-        slots.append(
-            MeasurementSlot(value, source_ids[source], species_ids[species_label])
-        )
+        slots.append(Slot(value, source_ids[source], species_ids[species_label]))
 
     stamps = sorted(by_stamp)
-    pad = tuple(MeasurementSlot() for _ in range(MAX_SLOTS))
+    pad = tuple(Slot() for _ in range(MAX_SLOTS))
     rows = []
     for stamp in stamps:
         s1, s2 = by_stamp[stamp]
         rows.append(
-            ObservationRow(
+            Row(
                 stamp,
                 tuple(s1) + pad[len(s1):],
                 tuple(s2) + pad[len(s2):],

@@ -1,4 +1,4 @@
-"""Row model, climate-state assignment, and record collation."""
+"""Panel model, climate-state assignment, and record collation."""
 
 import dataclasses
 import math
@@ -14,8 +14,6 @@ from paleokalman.core import (
     CLIMATE_STATE_NAMES,
     MAX_SLOTS,
     MISSING,
-    MeasurementSlot,
-    ObservationRow,
     PanelDataset,
     PanelRows,
     assign_climate_state,
@@ -24,7 +22,6 @@ from paleokalman.core import (
     collate_rows,
     compute_increments,
     flatten_records,
-    is_missing,
 )
 from paleokalman.kalman import loglik
 
@@ -33,17 +30,7 @@ from conftest import MIXED_RECORDS, mixed_panels, recollate
 
 
 def test_missing_sentinel():
-    assert is_missing(MISSING)
-    assert is_missing(float("nan"))
-    assert not is_missing(0.0)
-    assert not is_missing(-3.7)
-
-
-def test_slot_default_is_missing():
-    slot = MeasurementSlot()
-    assert slot.missing
-    assert slot.source_id == -1
-    assert not MeasurementSlot(value=1.5).missing
+    assert math.isnan(MISSING)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +184,11 @@ def test_collate_merges_same_stamp():
         (-1.0, 0, 2.9, "src A", "sp"),
         (-2.0, 1, 1.1, "src A", "sp"),
     ]
-    data = collate_rows(records)
-    assert data.n_rows == 2
-    row = data.rows[0]
-    assert row.stamp == -2.0
-    assert [s.value for s in row.slots_series1 if not s.missing] == [3.1, 3.3]
-    assert [s.value for s in row.slots_series2 if not s.missing] == [1.1]
-    assert len(row.slots_series1) == 4  # rows are padded to the slot budget
-    assert data.rows[1].stamp == -1.0
+    v = collate_rows(records).view
+    assert v.stamps.tolist() == [-2.0, -1.0]
+    # row 0: d18O slots 0 and 1, then d13C slot 0; row 1: d18O slot 0
+    assert v.at.tolist() == [0, 1, MAX_SLOTS, 2 * MAX_SLOTS]
+    assert v.value.tolist() == [3.1, 3.3, 1.1, 2.9]
 
 
 def test_collate_sorts_ascending():
@@ -214,7 +198,7 @@ def test_collate_sorts_ascending():
         (-2.0, 0, 3.0, "a", "s"),
     ]
     data = collate_rows(records)
-    assert [r.stamp for r in data.rows] == [-3.0, -2.0, -1.0]
+    assert data.view.stamps.tolist() == [-3.0, -2.0, -1.0]
 
 
 def test_collate_interns_sources_first_appearance():
@@ -226,8 +210,8 @@ def test_collate_interns_sources_first_appearance():
     data = collate_rows(records)
     assert data.sources == {0: "beta", 1: "alpha"}
     assert data.species == {0: "x", 1: "y"}
-    assert data.rows[0].slots_series1[0].source_id == 0
-    assert data.rows[1].slots_series1[0].source_id == 1
+    assert data.view.source.tolist() == [0, 1, 0]
+    assert data.view.species.tolist() == [0, 0, 1]
 
 
 def test_collate_stamp_marker_makes_all_missing_row():
@@ -238,7 +222,7 @@ def test_collate_stamp_marker_makes_all_missing_row():
     ]
     data = collate_rows(records)
     assert data.n_rows == 3
-    assert data.rows[1].all_missing
+    assert data.view.row.tolist() == [0, 2]  # row 1 holds no slot
     # the marker must not intern its labels
     assert "phantom" not in data.sources.values()
     assert "phantom" not in data.species.values()
@@ -247,19 +231,16 @@ def test_collate_stamp_marker_makes_all_missing_row():
 def test_collate_assigns_climate_state():
     records = [(-60.0, 0, 1.0, "a", "s"), (-10.0, 0, 1.0, "a", "s")]
     data = collate_rows(records)
-    assert data.rows[0].climate_state == 1
-    assert data.rows[1].climate_state == 5
+    assert data.view.climate_states.tolist() == [1, 5]
 
 
 def test_row_accessors():
-    records = [(-2.0, 0, 3.1, "a", "s"), (-2.0, 1, 1.1, "a", "s")]
-    data = collate_rows(records)
-    row = data.rows[0]
-    assert row.series_observed(0)
-    assert row.series_observed(1)
-    assert not row.all_missing
-    assert [s.value for s in row.slots(0) if not s.missing] == [3.1]
-    assert [s.value for s in row.slots(1) if not s.missing] == [1.1]
+    # the view's row and series of each slot, from its flat index
+    records = [(-2.0, 1, 1.1, "a", "s"), (-2.0, 0, 3.1, "a", "s"), (-1.0, 1, 0.9, "a", "s")]
+    v = collate_rows(records).view
+    assert v.row.tolist() == [0, 0, 1]
+    assert v.series.tolist() == [0, 1, 1]
+    assert v.value.tolist() == [3.1, 1.1, 0.9]
 
 
 def test_dataset_counters():
@@ -276,11 +257,8 @@ def test_dataset_counters():
 
 
 def test_panel_is_stored_only_as_its_view():
-    # a row carries no increment: time is the view's stamps alone
-    names = [f.name for f in dataclasses.fields(ObservationRow)]
-    assert names == ["stamp", "slots_series1", "slots_series2", "climate_state"]
     data = collate_rows(MIXED_RECORDS)
-    for rows in (tuple(data.rows), list(data.rows), data.rows[::2]):
+    for rows in (data.view, list(range(data.n_rows)), ()):
         with pytest.raises(TypeError, match="collate_rows"):
             PanelDataset(rows, data.sources, data.species)
     assert PanelDataset(data.rows).view is data.view
@@ -297,11 +275,8 @@ def test_flatten_records_round_trip():
     again = collate_rows(flat)
     assert again.n_rows == data.n_rows
     assert again.sources == data.sources
-    for r1, r2 in zip(data.rows, again.rows):
-        assert r1.stamp == r2.stamp
-        assert [s.value for s in r1.slots_series1] == [
-            s.value for s in r2.slots_series1
-        ]
+    for f in dataclasses.fields(data.view):
+        assert np.array_equal(getattr(again.view, f.name), getattr(data.view, f.name)), f.name
 
 
 def test_max_slots_enforced():
@@ -345,24 +320,20 @@ def test_collate_series_tags():
         (-2.0, "d18O", 4.0, "a", "s"),
         (-2.0, 0, 5.0, "a", "s"),
     ]
-    row = collate_rows(records).rows[0]
-    assert [s.value for s in row.slots(0) if not s.missing] == [4.0, 5.0]
-    assert [s.value for s in row.slots(1) if not s.missing] == [1.0, 2.0, 3.0]
-    assert collate_rows([(-2.0, None, None, "a", "s")]).rows[0].all_missing
+    v = collate_rows(records).view
+    assert v.series.tolist() == [0, 0, 1, 1, 1]
+    assert v.value.tolist() == [4.0, 5.0, 1.0, 2.0, 3.0]
+    stamp_only = collate_rows([(-2.0, None, None, "a", "s")])
+    assert stamp_only.n_rows == 1 and stamp_only.view.at.size == 0
 
 
-def _slot_walk(data):
-    # the columns of the view, read off the slot objects one by one
-    at, value, source, species = [], [], [], []
-    for nu, row in enumerate(data.rows):
-        for s in (0, 1):
-            for i, slot in enumerate(row.slots(s)):
-                if not slot.missing:
-                    at.append((nu * 2 + s) * MAX_SLOTS + i)
-                    value.append(slot.value)
-                    source.append(slot.source_id)
-                    species.append(slot.species_id)
-    return at, value, source, species
+def _reference_rows(build):
+    # each of mixed_panels' panels as the reference collate's rows, a grid
+    # row merged in as a stamp-only record
+    grids = {"merged": [-61.0, -59.0, -20.0, -0.5], "merged_edges": [-69.0, -64.0, -45.0, -0.2]}
+    records = MIXED_RECORDS + [(t, 0, None, "", "") for t in grids.get(build, [])]
+    rows = reference.collate_rows(records)[0]
+    return rows[1:7] if build == "sliced" else rows
 
 
 @pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced"])
@@ -370,13 +341,10 @@ def test_panel_view_equals_slot_walk(build):
     data = mixed_panels()[build]
     view = data.view
     assert isinstance(data.rows, PanelRows) and view is data.rows.view
-    assert view.stamps.tolist() == [r.stamp for r in data.rows]
-    assert view.climate_states.tolist() == [r.climate_state for r in data.rows]
-    at, value, source, species = _slot_walk(data)
-    assert view.at.tolist() == at
-    assert view.value.tolist() == value
-    assert view.source.tolist() == source
-    assert view.species.tolist() == species
+    want = reference.view_columns(_reference_rows(build))
+    for name, column in want.items():
+        assert getattr(view, name).tolist() == column, name
+    at = want["at"]
     assert view.row.tolist() == [a // (2 * MAX_SLOTS) for a in at]
     assert view.series.tolist() == [a // MAX_SLOTS % 2 for a in at]
     assert (view.at.dtype, view.source.dtype, view.species.dtype) == (np.int64, np.int32, np.int32)
@@ -390,37 +358,31 @@ def test_panel_view_equals_slot_walk(build):
 
 
 # ---------------------------------------------------------------------------
-# rows built on demand
+# rows: windows of the view, and nothing else
 # ---------------------------------------------------------------------------
 
 
-def test_rows_built_on_demand_equal_the_object_collate():
+def test_rows_take_only_a_step_1_slice():
     data = collate_rows(MIXED_RECORDS)
-    old = reference.collate_rows(MIXED_RECORDS)[0]
     rows = data.rows
     assert isinstance(rows, PanelRows)
-    assert len(rows) == data.n_rows == len(old) == 8
-    for i in range(-len(old), len(old)):
-        assert rows[i] == old[i]
-    # a slice with step 1 is a window of the view, any other a tuple
-    for s in (slice(2, 5), slice(-3, None), slice(5, 2)):
-        assert isinstance(rows[s], PanelRows) and tuple(rows[s]) == old[s]
-    for s in (slice(None, None, 3), slice(6, 1, -2)):
-        assert rows[s] == old[s]
-    assert tuple(rows) == old
-    with pytest.raises(IndexError):
-        rows[len(old)]
-    # built afresh on each access: no row is kept
-    assert rows[2] == rows[2] and rows[2] is not rows[2]
-    # the fields == compares, spelled out: padded slots
-    first, busy, d13c_only = rows[0], rows[2], rows[3]
-    assert first.all_missing
-    assert first.climate_state == 1 and d13c_only.climate_state == 3
-    assert [s.value for s in busy.slots_series1] == [1.0, 1.1, 1.2, 1.3]
-    assert [s.source_id for s in busy.slots_series1] == [0, 1, 2, 0]
-    assert busy.slots_series2[0].value == 0.4
-    assert all(s.missing and s.source_id == -1 for s in busy.slots_series2[1:])
-    assert not d13c_only.series_observed(0)
+    assert len(rows) == data.n_rows == 8
+    # a slice with step 1 is a window of the view, empty ones too
+    for s, stamps in [
+        (slice(2, 5), [-58.0, -40.0, -30.0]),
+        (slice(-3, None), [-10.0, -2.0, -1.0]),
+        (slice(5, 2), []),
+        (slice(3, 4, 1), [-40.0]),
+    ]:
+        assert isinstance(rows[s], PanelRows) and rows[s].view.stamps.tolist() == stamps
+    # a row is read from the view: no index but such a slice, and no iteration
+    for index in (0, -1, len(rows), slice(None, None, 2), slice(6, 1, -2), [0, 1], np.int64(0)):
+        with pytest.raises(TypeError, match="slice with step 1"):
+            rows[index]
+    with pytest.raises(TypeError, match="not iterable"):
+        iter(rows)
+    with pytest.raises(TypeError):
+        tuple(rows)
 
 
 _BY_SOURCE_BIV = ModelSpec(arity="bivariate", meas_grouping="by-source", corr_grouping="pooled")
@@ -433,7 +395,6 @@ def _assert_same_panel_and_model(window, fresh, specs):
         x, y = getattr(window.view, f.name), getattr(fresh.view, f.name)
         assert x.dtype == y.dtype and np.array_equal(x, y), f.name
         assert not x.flags.writeable, f.name
-    assert tuple(window.rows) == tuple(fresh.rows)
     for spec in specs:
         try:
             layout = build_layout(spec, fresh)
@@ -489,9 +450,9 @@ def test_view_slice_windows(build, window):
     index = _windows(data)[window]
     a, b, _ = index.indices(data.n_rows)
     if window == "leading":
-        assert data.rows[a].all_missing
+        assert a not in data.view.row
     sub = dataclasses.replace(data, rows=data.rows[index])
     assert isinstance(sub.rows, PanelRows) and sub.n_rows == max(b - a, 0)
-    assert tuple(sub.rows) == tuple(data.rows)[index]
+    assert sub.view.stamps.tolist() == data.view.stamps.tolist()[index]
     assert (sub.sources, sub.species) == (data.sources, data.species)
     _assert_same_panel_and_model(sub, recollate(data, index), [ModelSpec(), _BY_SOURCE_BIV])

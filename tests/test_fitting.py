@@ -367,7 +367,8 @@ def test_a_stalled_start_leaves_the_next_start_to_converge(monkeypatch):
 def test_bfgs_stopped_on_the_penalty_ends_unconverged(monkeypatch):
     # from a trend variance of 1e-320 the loglik is finite but the score is
     # not, so the BFGS run stops on the penalty with a zero gradient: that
-    # is no convergence, and the fit ends at the best point it scored
+    # is no convergence, the fit ends at the best point it scored, and a
+    # note says why BFGS took no step
     spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
     stamps = -np.cumsum(np.random.default_rng(1).exponential(0.01, 40))[::-1] - 0.001
     data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], stamps, seed=1)
@@ -381,6 +382,8 @@ def test_bfgs_stopped_on_the_penalty_ends_unconverged(monkeypatch):
     assert methods == ["BFGS"]
     assert not res.converged
     assert res.loglik >= start_loglik
+    assert res.iterations == 0
+    assert "the score is not finite at start 1, so BFGS took no step from it" in res.notes
 
 
 def test_unconverged_fit_returns_the_best_point_seen(monkeypatch):

@@ -30,9 +30,8 @@ def _reference(spec, layout, params, data, kappa):
     # (per-slot loglik terms, the number of diffuse slots, smoothed state
     # means, smoothed state covariances), at mp's working precision
     A, W = _chain_matrices(spec, layout, params, data)
-    rows_of, Z, y, h = _observation_stack(spec, layout, params, data)
+    rows_of, cols, y, h = _observation_stack(spec, layout, params, data)
     n, s = A.shape[:2]
-    cols = np.argmax(Z, axis=1) - rows_of * s
     kappa = mp.mpf(kappa)
     a = mp.matrix(s, 1)
     P = kappa * mp.eye(s)

@@ -8,7 +8,7 @@ import pytest
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout, kalman
-from paleokalman.core import ObservationRow, PanelRows
+from paleokalman.core import MAX_SLOTS, PanelRows
 from paleokalman.imputation import (
     COINCIDENCE_TOL,
     ImputationTable,
@@ -77,9 +77,8 @@ def test_grid_domain_errors():
 def test_merge_inserts_missing_rows():
     data = rows_from_values([-3.0, -1.0], [[1.0], [2.0]])
     merged, idx = merge_grid(data, [-2.0])
-    assert merged.n_rows == 3
-    assert merged.rows[1].stamp == -2.0
-    assert merged.rows[1].all_missing
+    assert merged.view.stamps.tolist() == [-3.0, -2.0, -1.0]
+    assert merged.view.row.tolist() == [0, 2]  # row 1 holds no slot
     assert idx == [1]
 
 
@@ -93,19 +92,16 @@ def test_merge_coincident_stamp_reuses_row():
     # and just above the last data row, inside COINCIDENCE_TOL
     below, above = -1.0 - 0.5 * COINCIDENCE_TOL, -1.0 + 0.5 * COINCIDENCE_TOL
     merged, idx = merge_grid(data, [-3.0, -2.0, below, above])
-    stamps = [r.stamp for r in merged.rows]
-    assert stamps == [-3.0, -2.0, -1.0]
     assert idx == [0, 1, 2, 2]
-    assert merged.rows[0] == data.rows[0]
-    assert merged.rows[1].all_missing
-    assert merged.rows[2].slots_series1 == data.rows[1].slots_series1
-    # every field of every merged row, built from the merged view on demand
+    # every column of the merged view: the data's slots, the second one
+    # moved to row 2, and a new row 1 with none
     assert isinstance(merged.rows, PanelRows)
-    assert tuple(merged.rows) == (
-        data.rows[0],
-        ObservationRow(stamp=-2.0, climate_state=6),
-        data.rows[1],
-    )
+    v = merged.view
+    assert v.stamps.tolist() == [-3.0, -2.0, -1.0]
+    assert v.climate_states.tolist() == [6, 6, 6]
+    assert v.at.tolist() == [0, 2 * 2 * MAX_SLOTS]
+    for name in ("value", "source", "species"):
+        assert np.array_equal(getattr(v, name), getattr(data.view, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +249,8 @@ def test_write_impute_csv(tmp_path):
     assert len(rows) == 2
     assert float(rows[0][0]) == -2.0
     assert float(rows[0][1]) == pytest.approx(table.means[0, 0], rel=1e-15)
+    # every field, one at a time: a float's repr
+    assert rows == [
+        [repr(float(x)) for x in (stamp, mean, sd)]
+        for stamp, mean, sd in zip(table.stamps, table.means[:, 0], table.sds[:, 0])
+    ]

@@ -299,7 +299,7 @@ def test_build_dataset_stamps_negated_and_sorted(tmp_path):
     data, _ = ingest(_write(tmp_path, RAW))
     stamps = list(data.stamps())
     assert stamps == [-3.5, -2.0, -1.0, -0.5]
-    assert data.rows[2].all_missing  # the both-empty marker
+    assert 2 not in data.view.row  # the both-empty marker holds no slot
 
 
 def test_build_dataset_empty_records():
@@ -335,12 +335,14 @@ def test_ingest_csv_round_trip(tmp_path):
     data2, diag2 = ingest(out)
     assert data2.n_rows == data.n_rows
     assert diag2["n_values"] == diag["n_values"]
-    for r1, r2 in zip(data.rows, data2.rows):
-        assert r1.stamp == pytest.approx(r2.stamp, abs=1e-12)
-        for s in (0, 1):
-            v1 = sorted(sl.value for sl in r1.slots(s) if not sl.missing)
-            v2 = sorted(sl.value for sl in r2.slots(s) if not sl.missing)
-            assert np.allclose(v1, v2)
+    assert np.allclose(data2.view.stamps, data.view.stamps, rtol=0.0, atol=1e-12)
+    # per (row, series), the same values
+    got, want = (
+        sorted(zip(d.view.row.tolist(), d.view.series.tolist(), d.view.value.tolist()))
+        for d in (data2, data)
+    )
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    assert np.allclose([g[2] for g in got], [w[2] for w in want])
 
 
 def test_ingest_missing_file_raises(tmp_path):

@@ -1,8 +1,9 @@
 """The columnar ingest and collate against the object pipeline they replaced.
 
 reference_ingest holds that pipeline. Both read the same inputs, and the
-panels must agree: every row field for field, registries with their
-order, diagnostics, and every error with its text.
+panels must agree: every column of the view with the reference's rows
+read slot by slot, registries with their order, diagnostics, and every
+error with its text.
 """
 
 import csv
@@ -30,12 +31,16 @@ VIEW_DTYPES = {
 }
 
 
+def view_lists(view) -> dict:
+    return {name: getattr(view, name).tolist() for name in VIEW_DTYPES}
+
+
 def assert_same_panel(new, old):
     # old is the reference's (rows, sources, species): the panels agree
     # row by row, field by field, and registries with their order
     old_rows, old_sources, old_species = old
     assert isinstance(new.rows, PanelRows)
-    assert tuple(new.rows) == old_rows
+    assert view_lists(new.view) == reference.view_columns(old_rows)
     assert list(new.sources.items()) == list(old_sources.items())
     assert list(new.species.items()) == list(old_species.items())
     for name, dtype in VIEW_DTYPES.items():

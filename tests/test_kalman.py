@@ -312,11 +312,10 @@ def test_empty_row_insertion_is_exactly_neutral(m, long_gap):
     layout = build_layout(spec, data)
     run = kfilter(spec, layout, params, data)
     paths = smooth(run)
-    base = {r.stamp for r in data.rows}
     aug = recollate(data, empty_stamps=empty)
     run2 = kfilter(spec, layout, params, aug)
     paths2 = smooth(run2)
-    keep = [i for i, r in enumerate(aug.rows) if r.stamp in base]
+    keep = np.isin(aug.view.stamps, data.view.stamps)
     assert run2.loglik == run.loglik  # bitwise: frozen blocks do nothing
     assert np.array_equal(paths.smoothed_means, paths2.smoothed_means[keep])
     assert np.array_equal(paths.smoothed_covs, paths2.smoothed_covs[keep])
@@ -510,7 +509,7 @@ def _dim1_panel(seed, n_rows=150):
                     (t, series, value, f"src{rng.integers(4)}", f"sp{rng.integers(3)}")
                 )
     data = pk.collate_rows(records)
-    assert all(data.rows[nu].all_missing for nu in range(3))
+    assert data.view.row.min() >= 3  # rows 0-2 hold no slot
     return data
 
 
@@ -935,6 +934,15 @@ def test_write_state_paths_csv(tmp_path):
     assert float(first[0]) == -3.0
     mean_idx = header.index("mean.d18O.level")
     assert float(first[mean_idx]) == pytest.approx(-0.043734114673350616, rel=1e-12)
+    # every field, one at a time: a float's repr, empty where it is missing
+    var = paths.smoothed_covs.diagonal(axis1=1, axis2=2)
+    resid = paths.standardized_residuals()
+    assert np.isnan(resid).any()
+    want = [
+        ",".join("" if np.isnan(x) else repr(float(x)) for x in [t, *mean, *v, *r])
+        for t, mean, v, r in zip(paths.stamps, paths.smoothed_means, var, resid)
+    ]
+    assert lines[2:] == want
 
 
 # ---------------------------------------------------------------------------
@@ -950,22 +958,29 @@ def _reference_indices(spec, layout, data):
     hidx = np.full((n, MAX_SLOTS * k), -1, dtype=np.int64)
     tvar_idx = np.full((n, k), -1, dtype=np.int64)
     corr_idx = np.full(n, -1, dtype=np.int64)
-    for nu, row in enumerate(data.rows):
-        regime = row.climate_state
+    v = data.view
+    for nu, regime in enumerate(v.climate_states.tolist()):
         tkey = regime if spec.trans_grouping == "by-climate-state" else 0
         for j, sr in enumerate(spec.series):
             tvar_idx[nu, j] = layout.trans_index.get((sr, tkey), -1)
-            for i, slot in enumerate(row.slots(sr)):
-                if slot.missing:
-                    continue
-                key = {"pooled": 0, "by-source": slot.source_id, "by-species": slot.species_id}[
-                    spec.meas_grouping
-                ]
-                values[nu, j * MAX_SLOTS + i] = slot.value
-                hidx[nu, j * MAX_SLOTS + i] = layout.meas_index[(sr, key)]
         if k == 2:
             ckey = regime if spec.corr_grouping == "by-climate-state" else 0
             corr_idx[nu] = layout.corr_index.get(ckey, -1)
+    slots = zip(
+        v.row.tolist(),
+        v.series.tolist(),
+        (v.at % MAX_SLOTS).tolist(),
+        v.value.tolist(),
+        v.source.tolist(),
+        v.species.tolist(),
+    )
+    for nu, sr, i, value, source, species in slots:
+        if sr not in spec.series:
+            continue
+        j = spec.series.index(sr)
+        key = {"pooled": 0, "by-source": source, "by-species": species}[spec.meas_grouping]
+        values[nu, j * MAX_SLOTS + i] = value
+        hidx[nu, j * MAX_SLOTS + i] = layout.meas_index[(sr, key)]
     return values, hidx, tvar_idx, corr_idx
 
 
@@ -1008,7 +1023,7 @@ def test_compiled_indices_match_slot_walk(build):
         assert np.array_equal(np.reshape(cm.tvar, (n, k)), tvar_idx), spec
         assert cm.corr == tuple(corr_idx.tolist()), spec
         observed = (hidx >= 0).reshape(n, k, MAX_SLOTS).any(axis=2)
-        apply_, window = booking_schedule([r.stamp for r in data.rows], observed)
+        apply_, window = booking_schedule(data.view.stamps, observed)
         assert cm.apply_ == tuple(apply_.ravel().tolist()), spec
         assert cm.window == tuple(window.ravel().tolist()), spec
         assert cm.moved == tuple(apply_.any(axis=1).tolist()), spec

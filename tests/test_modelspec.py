@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from paleokalman import kalman
-from paleokalman.core import MeasurementSlot, collate_rows
+from paleokalman.core import collate_rows
 from paleokalman.modelspec import (
     ModelSpec,
     booking_schedule,

@@ -7,6 +7,7 @@ simulated paths, and the large-kappa limit that connects the proper-prior
 oracle to the diffuse one.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -177,11 +178,8 @@ def test_simulate_is_deterministic_per_seed():
     d1 = simulate(spec, [0.2, 0.9], [-2.0, -1.0], seed=5)
     d2 = simulate(spec, [0.2, 0.9], [-2.0, -1.0], seed=5)
     d3 = simulate(spec, [0.2, 0.9], [-2.0, -1.0], seed=6)
-    v1 = [s.value for r in d1.rows for s in r.slots_series1 if not s.missing]
-    v2 = [s.value for r in d2.rows for s in r.slots_series1 if not s.missing]
-    v3 = [s.value for r in d3.rows for s in r.slots_series1 if not s.missing]
-    assert v1 == v2
-    assert v1 != v3
+    assert d1.view.value.tolist() == d2.view.value.tolist()
+    assert d1.view.value.tolist() != d3.view.value.tolist()
 
 
 def test_simulate_increment_moments():
@@ -192,9 +190,7 @@ def test_simulate_increment_moments():
     n = 4000
     stamps = list(np.linspace(-5.0, -0.1, n))
     data = simulate(spec, [eps, eta], stamps, slots_per_row=2, seed=12)
-    vals = np.array(
-        [[s.value for s in r.slots_series1[:2]] for r in data.rows]
-    )
+    vals = data.view.value.reshape(n, 2)  # each row's two d18O slots
     within = vals[:, 0] - vals[:, 1]
     assert np.var(within) == pytest.approx(2.0 * eps, rel=0.1)
     dt = stamps[1] - stamps[0]
@@ -213,8 +209,7 @@ def test_simulate_bivariate_correlation_sign():
     eps, eta, rho = 0.001, 1.0, 0.8
     params = [eps, eps, eta, eta, rho]
     data = simulate(spec, params, stamps, slots_per_row=1, seed=3)
-    v1 = np.array([r.slots_series1[0].value for r in data.rows])
-    v2 = np.array([r.slots_series2[0].value for r in data.rows])
+    v1, v2 = data.view.value.reshape(n, 2).T  # each row's d18O and d13C slot
     corr = np.corrcoef(np.diff(v1), np.diff(v2))[0, 1]
     dt = stamps[1] - stamps[0]
     expected = rho * eta * dt / (eta * dt + 2.0 * eps)
@@ -225,6 +220,59 @@ def test_simulate_respects_observed_mask():
     spec = ModelSpec()
     obs = np.array([[True], [False], [True]])
     data = simulate(spec, [0.2, 0.9], [-2.0, -1.5, -1.0], observed=obs, seed=2)
-    assert not data.rows[0].all_missing
-    assert data.rows[1].all_missing
-    assert not data.rows[2].all_missing
+    assert data.n_rows == 3
+    assert data.view.row.tolist() == [0, 2]  # row 1 holds no slot
+
+
+# twelve stamps across the Coolhouse 2 / Icehouse boundary at 3.3 My, and
+# observed masks with all-missing rows
+_STAMPS = np.linspace(-3.6, -3.0, 12)
+_MASK = np.array([True, True, False, True, False, False, True, True, True, False, True, True])
+_MASK2 = np.stack([_MASK, np.roll(~_MASK, 1) | _MASK[::-1]], axis=1)
+# SHA-256 of each panel's view columns and registries, as simulate drew
+# them when it read row objects; its draws, their order and its panels must
+# not change, since the benchmark's inputs are drawn by it
+_SIMULATE_PINS = {
+    "observed-mask": (
+        ModelSpec(),
+        [0.02, 1.8],
+        dict(observed=_MASK, seed=3),
+        "af90ec7c0e9b94f1c8620ed8b90f5e362db4f561256ca93227b66d36df6e0be0",
+    ),
+    "two-slots-by-source": (
+        ModelSpec(meas_grouping="by-source"),
+        [0.01, 0.02, 0.04, 1.5],
+        dict(slots_per_row=2, n_sources=3, seed=4),
+        "114ad62e9d74d141f31946ba939ff085395530251864225c78af35d098cdd8ab",
+    ),
+    "by-species-by-climate": (
+        ModelSpec(meas_grouping="by-species", trans_grouping="by-climate-state"),
+        [0.01, 0.03, 1.5, 0.5],
+        dict(slots_per_row=3, n_species=2, seed=5),
+        "9f4eb970b1589db62e7f129a0e499094bef4e0d59124c500d313b1ef8d1cf124",
+    ),
+    "bivariate-rho-at-the-boundary": (
+        ModelSpec(arity="bivariate", corr_grouping="by-climate-state"),
+        [0.02, 0.03, 1.8, 1.2, 1.0, -1.0],
+        dict(slots_per_row=2, observed=_MASK2, seed=6),
+        "1bf7b59cc3cdf46aa1251050a5d6906b8029cea8e46be743b2a197f0ca9b83d4",
+    ),
+    "order-2-proper-prior": (
+        ModelSpec(order_m=2),
+        [0.02, 0.5],
+        dict(init_mean=[1.0, -0.5], init_cov=[[0.3, 0.1], [0.1, 0.2]], seed=7),
+        "20cdaf73e3aedd23a7f2b7e7f2c9ef1810a8133ad893148d05f171446b0bd5e1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIMULATE_PINS))
+def test_simulate_draws_the_pinned_panel(case):
+    spec, params, options, digest = _SIMULATE_PINS[case]
+    data = simulate(spec, params, _STAMPS, **options)
+    v = data.view
+    sha = hashlib.sha256()
+    for column in (v.stamps, v.climate_states, v.at, v.value, v.source, v.species):
+        sha.update(column.tobytes())
+    sha.update(repr((data.sources, data.species)).encode())
+    assert sha.hexdigest() == digest
