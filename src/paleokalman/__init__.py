@@ -16,9 +16,7 @@ from .core import (
     PanelDataset,
     SERIES_NAMES,
     assign_climate_state,
-    clamped_climate_state,
     collate_rows,
-    compute_increments,
     flatten_records,
 )
 from .modelspec import (
@@ -88,9 +86,7 @@ __all__ = [
     "PanelDataset",
     "SERIES_NAMES",
     "assign_climate_state",
-    "clamped_climate_state",
     "collate_rows",
-    "compute_increments",
     "flatten_records",
     # model spec
     "ModelSpec",

@@ -19,11 +19,12 @@ For m = 1 the two coincide.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import _write_csv
 
 __all__ = [
     "gain",
@@ -127,10 +128,5 @@ def gain_curve(q: float, m: int, n_samples: int = 1024) -> GainCurve:
 
 def write_gain_csv(curve: GainCurve, path, header_lines=()) -> None:
     """Emit lambda,gain rows for external plotting."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "gain"])
-        for lam, g in curve.samples:
-            writer.writerow([repr(lam), repr(g)])
+    rows = ([repr(lam), repr(g)] for lam, g in curve.samples)
+    _write_csv(path, header_lines, ["lambda", "gain"], rows)

@@ -212,16 +212,15 @@ def _load_fit_and_data(args) -> tuple:
 def cmd_fit(args, argv) -> int:
     spec = _spec_from_flags(args)
     data, diag = _load_data(args)
-    layout = build_layout(spec, data)
     options = FitOptions(
         n_starts=args.starts,
         seed=args.seed,
         eval_budget=args.eval_budget,
     )
-    result = run_fit(spec, data, options, layout=layout)
+    result = run_fit(spec, data, options)
 
     payload = result.to_json_dict()
-    payload["layout_hash"] = layout.hash()
+    payload["layout_hash"] = result.layout.hash()
     payload["meta"] = {
         "tool": "paleokalman",
         "version": __version__,
@@ -291,7 +290,7 @@ def cmd_gain(args, argv) -> int:
             mean_dt = args.mean_dt
         elif args.data is not None:
             data, _diag = _load_data(args)
-            mean_dt = mean_increment(data.stamps())
+            mean_dt = mean_increment(data.view.stamps)
         else:
             raise UsageError("--fit needs --mean-dt (or --data to derive it)")
         q = signal_to_noise(etas[0], epss[0], mean_dt)
@@ -401,7 +400,8 @@ def main(argv=None) -> int:
     except (ParseError, SchemaError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing, unreadable or directory path, in or out
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (InitializationError, ValueError, kalman.ConditioningError) as exc:

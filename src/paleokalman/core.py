@@ -3,9 +3,9 @@
 Rows are indexed by a strictly increasing time stamp (millions of years,
 negative-age convention: -67.1 is old, -0.000564 is nearly present). Each row
 carries up to four tagged measurement slots per series plus a climate-state
-regime index, which climate_states gives for every panel (the scalar maps
-wrap it). Group registries (sources, species) are dense int -> label maps
-shared by every model variant.
+regime index, which climate_states gives for every panel (the scalar map
+assign_climate_state wraps it). Group registries (sources, species) are
+dense int -> label maps shared by every model variant.
 
 A panel is stored only as a PanelView, one array per column, and is read
 only from it: every panel is collated (collate_rows, ingest, merge_grid)
@@ -14,6 +14,7 @@ or is a window data.rows[a:b] of one, which slices the view.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, fields
 from itertools import compress
@@ -28,9 +29,7 @@ __all__ = [
     "PanelDataset",
     "PanelRows",
     "PanelView",
-    "compute_increments",
     "assign_climate_state",
-    "clamped_climate_state",
     "climate_states",
     "collate_rows",
     "flatten_records",
@@ -172,57 +171,23 @@ class PanelDataset:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def stamps(self) -> list:
-        return self.view.stamps.tolist()
-
     @property
     def view(self) -> PanelView:
         return self.rows.view
 
-    def n_observed_slots(self, series=None) -> int:
-        """Count non-missing slots, over one series or both."""
-        if series is None:
-            return self.view.at.size
-        return int(np.count_nonzero(self.view.series == _normalize_series(series)))
-
-
-def compute_increments(stamps) -> list:
-    """Increments between consecutive stamps; first entry is NaN.
-
-    Parameters
-    ----------
-    stamps : sequence of float
-        Strictly increasing time stamps in million years.
-
-    Returns
-    -------
-    list of float, same length as stamps.
-
-    Raises
-    ------
-    ValueError if the stamps are not strictly increasing, naming the first
-    offending index.
-    """
-    if not len(stamps):
-        return []
-    out = [MISSING]
-    for i in range(1, len(stamps)):
-        d = stamps[i] - stamps[i - 1]
-        if not d > 0.0:
-            raise ValueError(
-                f"stamps must be strictly increasing: index {i} "
-                f"({stamps[i]!r} after {stamps[i - 1]!r})"
-            )
-        out.append(d)
-    return out
+    def n_observed_slots(self) -> int:
+        """Count the observed (non-missing) slots of both series."""
+        return self.view.at.size
 
 
 def assign_climate_state(age_mya: float) -> int:
-    """Regime index j in 1..6 for a positive age in MYA.
+    """Regime index j in 1..6 for a positive age in MYA: climate_states'
+    rule for one age, which must lie in the record.
 
     An interval "a to b" (a > b) covers ages in (b, a]; the oldest interval
     also includes 67.10113 and the youngest also includes 0.000564 (the first
-    and last observations sit exactly on those endpoints).
+    and last observations sit exactly on those endpoints). An age outside
+    them, or NaN, raises ValueError.
     """
     ages = CLIMATE_STATE_AGES
     if not (ages[-1] <= age_mya <= ages[0]):
@@ -233,16 +198,6 @@ def assign_climate_state(age_mya: float) -> int:
     return int(climate_states(age_mya))
 
 
-def clamped_climate_state(age_mya: float) -> int:
-    """Total variant of assign_climate_state: out-of-range ages clamp to the
-    nearest regime (older than the record -> 1, younger, negative ages too,
-    -> 6). Used when building rows for simulated data and imputation grids,
-    whose stamps may fall outside the observed record. A NaN age raises
-    assign_climate_state's ValueError."""
-    ages = CLIMATE_STATE_AGES
-    return assign_climate_state(min(max(age_mya, ages[-1]), ages[0]))
-
-
 # the inner regime boundaries, ascending: an age's regime is 6 minus the
 # number of them below it
 _INNER_BOUNDARIES = np.array(CLIMATE_STATE_AGES[-2:0:-1])
@@ -250,10 +205,12 @@ _INNER_BOUNDARIES = np.array(CLIMATE_STATE_AGES[-2:0:-1])
 
 def climate_states(stamps) -> np.ndarray:
     """Regime index j in 1..6 of each stamp, as an int32 array; the one
-    regime rule, which assign_climate_state and clamped_climate_state wrap.
+    regime rule, which assign_climate_state wraps. Every panel's regimes
+    come from it, those of simulated data and imputation grids too.
 
     A stamp's age is its absolute value. Ages older than the record get
-    regime 1 and younger ones regime 6, as clamped_climate_state gives.
+    regime 1 and younger ones regime 6, so a stamp outside the record
+    takes the regime of its nearer endpoint.
     """
     below = np.searchsorted(_INNER_BOUNDARIES, np.abs(stamps), side="left")
     return (6 - below).astype(np.int32)
@@ -388,3 +345,29 @@ def flatten_records(ds: PanelDataset) -> list:
             [ds.species[i] for i in v.species.tolist()],
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+# ---------------------------------------------------------------------------
+
+_CSV_BLOCK_ROWS = 4096  # rows per .tolist() in _float_rows
+
+
+def _write_csv(path, header_lines, header, rows) -> None:
+    """The one CSV writer: each of header_lines (comments) on a line of its
+    own, then the header row and rows, an iterable of row lists. csv writes
+    a float as its repr and None as an empty field."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(line.rstrip("\n") + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _float_rows(columns: np.ndarray):
+    """The rows of a 2-D float array as lists, made by one .tolist() per
+    block of _CSV_BLOCK_ROWS rows."""
+    for lo in range(0, columns.shape[0], _CSV_BLOCK_ROWS):
+        yield from columns[lo : lo + _CSV_BLOCK_ROWS].tolist()

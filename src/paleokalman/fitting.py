@@ -470,8 +470,6 @@ def fit(
     spec: ModelSpec,
     data: PanelDataset,
     options: FitOptions | None = None,
-    layout: ParameterLayout | None = None,
-    compiled: CompiledModel | None = None,
 ) -> FitResult:
     """Maximize the exact-diffuse loglik over the layout's parameters.
 
@@ -483,11 +481,10 @@ def fit(
     1e-6 of +-1 gets a note and no SE.
     """
     options = options or FitOptions()
-    if layout is None:
-        layout = build_layout(spec, data)
+    layout = build_layout(spec, data)
     if layout.n_params == 0:
         raise InitializationError("the layout has no parameters to estimate")
-    cm = compiled if compiled is not None else compile_model(spec, layout, data)
+    cm = compile_model(spec, layout, data)
     transform = ParamTransform.for_layout(layout)
 
     if options.start is not None:

@@ -10,7 +10,6 @@ row carries the state of the nearest observed row on its old side.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,8 +23,9 @@ from .core import (
     PanelRows,
     PanelView,
     SERIES_NAMES,
+    _float_rows,
+    _write_csv,
     climate_states,
-    compute_increments,
 )
 from .modelspec import ModelSpec, ParameterLayout, build_layout
 
@@ -76,16 +76,28 @@ def merge_grid(data: PanelDataset, grid) -> tuple:
     slot, added.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        g = int(bad[0])
+        raise ValueError(f"grid entry {g} is {float(grid[g])!r}, not a finite stamp")
     view = data.view
-    extra = grid[~_near(view.stamps, grid, (-1, 0))[1].any(axis=0)]
+    new = np.flatnonzero(~_near(view.stamps, grid, (-1, 0))[1].any(axis=0))
+    extra = grid[new]
 
     # a stable sort by stamp of the data rows followed by the extra rows
     n = data.n_rows
     stamps = np.concatenate([view.stamps, extra])
     order = np.argsort(stamps, kind="stable")
     stamps = stamps[order]
-    if not np.all(np.diff(stamps) > 0.0):
-        compute_increments(stamps.tolist())  # raises, naming the first bad index
+    repeat = np.flatnonzero(np.diff(stamps) <= 0.0)
+    if repeat.size:
+        # the data stamps increase and no extra stamp is a data stamp, so a
+        # repeat is two extra rows, in grid order
+        first, again = new[order[repeat[0] : repeat[0] + 2] - n].tolist()
+        raise ValueError(
+            f"grid entry {again} repeats the stamp {float(grid[again])!r} "
+            f"of grid entry {first}"
+        )
 
     # the data rows keep their order, so a data slot's flat index moves by
     # its row's shift and the slot columns stay in row-major order
@@ -190,14 +202,7 @@ def write_impute_csv(table: ImputationTable, path, header_lines=()) -> None:
     n, k = table.means.shape
     pairs = np.stack([table.means, table.sds], axis=2).reshape(n, 2 * k)
     columns = np.column_stack([np.asarray(table.stamps, dtype=float).reshape(n), pairs])
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        header = ["stamp_mya"]
-        for name in table.series:
-            header += [f"mean_{name}", f"sd_{name}"]
-        writer.writerow(header)
-        # csv writes a float as its repr
-        for lo in range(0, n, kalman._CSV_BLOCK_ROWS):
-            writer.writerows(columns[lo : lo + kalman._CSV_BLOCK_ROWS].tolist())
+    header = ["stamp_mya"]
+    for name in table.series:
+        header += [f"mean_{name}", f"sd_{name}"]
+    _write_csv(path, header_lines, header, _float_rows(columns))

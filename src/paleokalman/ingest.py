@@ -29,6 +29,7 @@ from .core import (
     SERIES_NAMES,
     _collate,
     _intern,
+    _write_csv,
 )
 
 __all__ = [
@@ -177,27 +178,23 @@ def parse_csv(path) -> tuple:
     return records, diagnostics
 
 
-def canonicalize_sources(records, aliases=None) -> dict:
-    """Apply the alias map (DEFAULT_SOURCE_ALIASES unless given) to the
-    source column; returns the records. Unknown labels pass through
-    unchanged. Sources are numbered later, by build_dataset.
+def canonicalize_sources(records) -> dict:
+    """Apply DEFAULT_SOURCE_ALIASES to the source column; returns the
+    records. Unknown labels pass through unchanged. Sources are numbered
+    later, by build_dataset.
     """
-    if aliases is None:
-        aliases = DEFAULT_SOURCE_ALIASES
-    source = [aliases.get(label, label) for label in records["source"]]
+    source = [DEFAULT_SOURCE_ALIASES.get(label, label) for label in records["source"]]
     return {**records, "source": source}
 
 
-def load_species_buckets(path=None) -> dict:
-    """Bucket map for by-species models; JSON sidecar overlays defaults."""
-    buckets = dict(DEFAULT_SPECIES_BUCKETS)
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise SchemaError("species bucket sidecar must be a JSON object")
-        buckets.update({str(k): str(v) for k, v in loaded.items()})
-    return buckets
+def load_species_buckets(path) -> dict:
+    """Bucket map for by-species models: the JSON sidecar at path overlays
+    DEFAULT_SPECIES_BUCKETS."""
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise SchemaError("species bucket sidecar must be a JSON object")
+    return {**DEFAULT_SPECIES_BUCKETS, **{str(k): str(v) for k, v in loaded.items()}}
 
 
 def apply_species_buckets(records, buckets=None) -> dict:
@@ -313,15 +310,11 @@ def write_ingest_csv(data: PanelDataset, path, header_lines=()) -> None:
     values = [repr(value) for value in v.value.tolist()]
     sources = [data.sources[i] for i in v.source.tolist()]
     species = [data.species[i] for i in v.species.tolist()]
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(REQUIRED_COLUMNS))
-        for r, o in _lines(v):
-            if o is None:
-                writer.writerow([ages[r], "", "", "", ""])
-            elif series[o] == 0:
-                writer.writerow([ages[r], values[o], "", sources[o], species[o]])
-            else:
-                writer.writerow([ages[r], "", values[o], sources[o], species[o]])
+
+    def line(r, o):
+        if o is None:
+            return [ages[r], "", "", "", ""]
+        cells = [values[o], ""] if series[o] == 0 else ["", values[o]]
+        return [ages[r], *cells, sources[o], species[o]]
+
+    _write_csv(path, header_lines, list(REQUIRED_COLUMNS), (line(r, o) for r, o in _lines(v)))

@@ -71,7 +71,6 @@ nor smooth, so those two remain whole-panel passes only.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -79,7 +78,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .core import MAX_SLOTS, SERIES_NAMES, PanelDataset
+from .core import MAX_SLOTS, SERIES_NAMES, PanelDataset, _float_rows, _write_csv
 from .modelspec import (
     ModelSpec,
     ParameterLayout,
@@ -104,7 +103,6 @@ __all__ = [
 
 DIFFUSE_TOL = 1e-10
 _LOG2PI = float(np.log(2.0 * np.pi))
-_CSV_BLOCK_ROWS = 4096  # rows per .tolist() in the CSV writers
 
 
 class ConditioningError(RuntimeError):
@@ -934,7 +932,6 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
     if paths.smoothed_means is None:
         raise ValueError("smoothed paths required; run smooth() first")
     comp = state_component_names(spec)
-    n = paths.smoothed_means.shape[0]
     var = paths.smoothed_covs.diagonal(axis1=1, axis2=2)
     negative = np.argwhere(var < 0.0)
     if negative.size:
@@ -947,18 +944,6 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
     slot_names = [
         f"resid.{SERIES_NAMES[sr]}.{i}" for sr in spec.series for i in range(MAX_SLOTS)
     ]
-    columns = np.column_stack([paths.stamps, paths.smoothed_means, var, resid])
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["stamp"]
-            + [f"mean.{c}" for c in comp]
-            + [f"var.{c}" for c in comp]
-            + slot_names
-        )
-        # csv writes a float as its repr and None as an empty field
-        for lo in range(0, n, _CSV_BLOCK_ROWS):
-            block = columns[lo : lo + _CSV_BLOCK_ROWS].tolist()
-            writer.writerows([None if x != x else x for x in row] for row in block)
+    header = ["stamp"] + [f"mean.{c}" for c in comp] + [f"var.{c}" for c in comp] + slot_names
+    rows = _float_rows(np.column_stack([paths.stamps, paths.smoothed_means, var, resid]))
+    _write_csv(path, header_lines, header, ([None if x != x else x for x in row] for row in rows))

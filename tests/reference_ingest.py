@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, replace
 
 from paleokalman.core import (
+    CLIMATE_STATE_AGES,
     MAX_SLOTS,
     MISSING,
     SERIES_NAMES,
     _normalize_series,
-    clamped_climate_state,
-    compute_increments,
 )
 from paleokalman.ingest import (
     DEFAULT_SOURCE_ALIASES,
@@ -158,9 +157,8 @@ def parse_csv(path) -> tuple:
     return records, diagnostics
 
 
-def canonicalize_sources(records, aliases=None) -> list:
-    if aliases is None:
-        aliases = DEFAULT_SOURCE_ALIASES
+def canonicalize_sources(records) -> list:
+    aliases = DEFAULT_SOURCE_ALIASES
     out = []
     for rec in records:
         label = aliases.get(rec.source, rec.source)
@@ -176,6 +174,15 @@ def apply_species_buckets(records, buckets=None) -> list:
         bucket = buckets.get(rec.species, rec.species)
         out.append(replace(rec, species=bucket) if bucket != rec.species else rec)
     return out
+
+
+def climate_state(age: float) -> int:
+    """Regime j in 1..6 of an age: regime j covers (ages[j], ages[j-1]],
+    the youngest endpoint included, and an age beyond the record takes the
+    regime of its nearer endpoint."""
+    ages = CLIMATE_STATE_AGES
+    age = min(max(age, ages[-1]), ages[0])
+    return next((j for j in range(1, 7) if ages[j] < age <= ages[j - 1]), 6)
 
 
 def collate_rows(records) -> tuple:
@@ -223,7 +230,7 @@ def collate_rows(records) -> tuple:
                 stamp,
                 tuple(s1) + pad[len(s1):],
                 tuple(s2) + pad[len(s2):],
-                clamped_climate_state(abs(stamp)),
+                climate_state(abs(stamp)),
             )
         )
     return tuple(rows), sources, species
@@ -253,7 +260,7 @@ def build_dataset(records) -> tuple:
             n_values += len(observed)
             for slot in observed:
                 per_source[sources[slot.source_id]][name] += 1
-    dts = compute_increments([row.stamp for row in rows])[1:]
+    dts = [b.stamp - a.stamp for a, b in zip(rows, rows[1:])]
     diagnostics = {
         "n_records": len(records),
         "n_rows": len(rows),

@@ -323,6 +323,19 @@ def test_fit_missing_file_exits_65(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", "--data", "{dir}", "--out", "{dir}/f"], ["gain", "--q", "0.5", "--out", "{dir}"]],
+    ids=["data", "out"],
+)
+def test_directory_path_exits_65(tmp_path, capsys, argv):
+    # a directory in place of a file is an OSError, but not FileNotFoundError
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
 def test_fit_malformed_csv_exits_65(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("age_tuned,d18O\n1.0,2.0\n", encoding="utf-8")

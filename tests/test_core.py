@@ -17,10 +17,8 @@ from paleokalman.core import (
     PanelDataset,
     PanelRows,
     assign_climate_state,
-    clamped_climate_state,
     climate_states,
     collate_rows,
-    compute_increments,
     flatten_records,
 )
 from paleokalman.kalman import loglik
@@ -68,39 +66,46 @@ def test_assign_climate_state_boundaries(age, state):
     assert assign_climate_state(age) == state
 
 
+def _clamped_state(age) -> int:
+    # climate_states' rule for one age: the strict map of the age clamped
+    # into the record
+    ages = CLIMATE_STATE_AGES
+    return assign_climate_state(min(max(age, ages[-1]), ages[0]))
+
+
 @pytest.mark.parametrize(
     "age", [0.0, 0.0005, 67.2, -1.0, 70.0, 1e-300, 80.0, math.inf, -math.inf]
 )
 def test_assign_climate_state_out_of_domain(age):
     with pytest.raises(ValueError, match="outside the covered range"):
         assign_climate_state(age)
-    # the clamped map takes the nearest endpoint's regime instead
-    assert clamped_climate_state(age) == (1 if age > CLIMATE_STATE_AGES[0] else 6)
+    # climate_states takes the nearest endpoint's regime instead; a stamp's
+    # age is its absolute value
+    assert climate_states(age) == (1 if abs(age) > CLIMATE_STATE_AGES[0] else 6)
 
 
 def test_clamped_state_extends_endpoints():
-    assert clamped_climate_state(0.0) == 6
-    assert clamped_climate_state(0.0001) == 6
-    assert clamped_climate_state(69.0) == 1
-    # a negative age is younger than the record
-    for age in (-0.0, -1e-300, -0.000564, -1.0, -67.2, -math.inf):
-        assert clamped_climate_state(age) == 6
+    assert climate_states(0.0) == 6
+    assert climate_states(0.0001) == 6
+    assert climate_states(69.0) == 1
+    # a stamp's sign is the age convention: -69.0 is as old as 69.0
+    assert climate_states(-69.0) == 1
     # interior agrees with the strict map
     for age in (0.01, 3.3, 13.9, 34.0, 47.0, 56.0, 66.0):
-        assert clamped_climate_state(age) == assign_climate_state(age)
+        assert climate_states(age) == climate_states(-age) == assign_climate_state(age)
 
 
 @given(st.floats(min_value=0.000564, max_value=67.10113, allow_nan=False))
 def test_climate_state_strict_and_clamped_agree_in_domain(age):
-    assert assign_climate_state(age) == clamped_climate_state(age)
+    assert assign_climate_state(age) == climate_states(-age)
 
 
 @given(st.floats(min_value=0.0, max_value=70.0, allow_nan=False))
 def test_clamped_state_total_and_ordered(age):
-    j = clamped_climate_state(age)
+    j = climate_states(age)
     assert 1 <= j <= 6
     # older ages never get a larger state index
-    j2 = clamped_climate_state(min(age + 1.0, 70.0))
+    j2 = climate_states(min(age + 1.0, 70.0))
     assert j2 <= j
 
 
@@ -112,9 +117,9 @@ def test_climate_state_at_each_boundary_and_its_float_neighbours(i):
     older = float(np.nextafter(edge, math.inf))
     younger = float(np.nextafter(edge, 0.0))
     at = min(i + 1, 6)
-    assert assign_climate_state(edge) == clamped_climate_state(edge) == at
-    assert clamped_climate_state(older) == max(i, 1)
-    assert clamped_climate_state(younger) == at
+    assert assign_climate_state(edge) == climate_states(edge) == at
+    assert climate_states(older) == max(i, 1)
+    assert climate_states(younger) == at
     if i == 0:
         with pytest.raises(ValueError, match="outside the covered range"):
             assign_climate_state(older)
@@ -127,9 +132,9 @@ def test_climate_state_at_each_boundary_and_its_float_neighbours(i):
         assert assign_climate_state(younger) == at
 
 
-def test_clamped_state_of_nan_age_raises():
+def test_assign_climate_state_of_nan_age_raises():
     with pytest.raises(ValueError, match="outside the covered range"):
-        clamped_climate_state(math.nan)
+        assign_climate_state(math.nan)
 
 
 @given(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))
@@ -137,9 +142,9 @@ def test_clamped_state_follows_the_interval_table(age):
     # regime j covers (ages[j], ages[j-1]], the youngest endpoint included;
     # an age beyond the record takes its nearest endpoint's regime
     ages = CLIMATE_STATE_AGES
-    clamped = min(max(age, ages[-1]), ages[0])
+    clamped = min(max(abs(age), ages[-1]), ages[0])
     expected = [j for j in range(1, 7) if ages[j] < clamped <= ages[j - 1]] or [6]
-    assert clamped_climate_state(age) == expected[0]
+    assert climate_states(age) == _clamped_state(abs(age)) == expected[0]
 
 
 @given(st.lists(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False)))
@@ -150,26 +155,7 @@ def test_climate_states_is_clamped_climate_state_per_stamp(stamps):
     )
     states = climate_states(stamps)
     assert states.dtype == np.int32
-    assert states.tolist() == [clamped_climate_state(abs(t)) for t in stamps.tolist()]
-
-
-# ---------------------------------------------------------------------------
-# increments
-# ---------------------------------------------------------------------------
-
-
-def test_compute_increments_basic():
-    dts = compute_increments([-3.0, -2.5, -1.0])
-    assert math.isnan(dts[0])
-    assert dts[1] == pytest.approx(0.5)
-    assert dts[2] == pytest.approx(1.5)
-
-
-def test_compute_increments_requires_ascending():
-    with pytest.raises(ValueError):
-        compute_increments([-1.0, -2.0])
-    with pytest.raises(ValueError):
-        compute_increments([-1.0, -1.0])
+    assert states.tolist() == [_clamped_state(abs(t)) for t in stamps.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +239,7 @@ def test_dataset_counters():
     data = collate_rows(records)
     assert data.n_rows == 3
     assert data.n_observed_slots() == 3
-    assert list(data.stamps()) == [-3.0, -2.0, -1.0]
+    assert data.view.stamps.tolist() == [-3.0, -2.0, -1.0]
 
 
 def test_panel_is_stored_only_as_its_view():
@@ -353,8 +339,7 @@ def test_panel_view_equals_slot_walk(build):
     # the sliced panel drops the last row, which holds one d18O value
     n_d18o = 7 if build == "sliced" else 8
     assert data.n_observed_slots() == len(at) == n_d18o + 4
-    assert data.n_observed_slots("d18O") == n_d18o
-    assert data.n_observed_slots(2) == 4
+    assert np.count_nonzero(view.series == 0) == n_d18o
 
 
 # ---------------------------------------------------------------------------

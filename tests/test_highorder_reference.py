@@ -14,8 +14,11 @@ variance is ~1e-11 of the measurement variance), which is where a
 double-precision filter and smoother could lose their accuracy.
 """
 
+import os
+
 import mpmath
 import numpy as np
+import pytest
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout, collate_rows
@@ -72,10 +75,10 @@ def _reference(spec, layout, params, data, kappa):
     return terms, n_diffuse, means, covs
 
 
-def test_order_6_at_paper_q_matches_60_digit_reference():
+def _check_order_6(n, q):
     # drawn as in test_kalman's high-order PSD test: one slot per row at the
     # paper's mean spacing (My), random-walk-plus-noise on the d18O scale
-    n, m, q, eps2 = 300, 6, 3.1e-12, 0.0205
+    m, eps2 = 6, 0.0205
     rng = np.random.default_rng(0)
     stamps = -np.cumsum(rng.exponential(0.00283, n))[::-1] - 0.001
     data = pk.simulate(ModelSpec(), [eps2, 1.8364], stamps, seed=1)
@@ -98,6 +101,20 @@ def test_order_6_at_paper_q_matches_60_digit_reference():
     level_sd = np.sqrt(covs[:, 0, 0])
     assert np.all(np.abs(paths.smoothed_means[:, 0] - means[:, 0]) <= 1e-7 * level_sd)
     assert np.allclose(paths.smoothed_covs[:, 0, 0], covs[:, 0, 0], rtol=1e-7, atol=0.0)
+
+
+def test_order_6_at_paper_q_matches_60_digit_reference():
+    _check_order_6(300, 3.1e-12)
+
+
+@pytest.mark.skipif(
+    os.environ.get("PALEOKALMAN_FULL_LENGTH") != "1",
+    reason="a full-length 60-digit reference takes minutes; set PALEOKALMAN_FULL_LENGTH=1",
+)
+@pytest.mark.parametrize("q", [3.1e-12, 1e-15], ids=["paper-q", "q-1e-15"])
+def test_order_6_at_full_length_matches_60_digit_reference(q):
+    # the paper record's length: 23,722 rows over ~67 My
+    _check_order_6(23_722, q)
 
 
 def test_bivariate_order_2_multi_slot_matches_60_digit_reference():

@@ -104,6 +104,22 @@ def test_merge_coincident_stamp_reuses_row():
         assert np.array_equal(getattr(v, name), getattr(data.view, name)), name
 
 
+def test_merge_rejects_a_repeated_grid_stamp():
+    data = rows_from_values([-3.0, -1.0], [[1.0], [2.0]])
+    # a repeated data stamp reuses the data row; a repeated new stamp is an
+    # error that names both grid entries
+    assert merge_grid(data, [-3.0, -3.0])[1] == [0, 0]
+    with pytest.raises(ValueError, match=r"^grid entry 2 repeats the stamp -2\.5 of grid entry 0$"):
+        merge_grid(data, [-2.5, -1.5, -2.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_merge_rejects_a_grid_stamp_that_is_not_finite(bad):
+    data = rows_from_values([-3.0, -1.0], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match=rf"^grid entry 1 is {bad!r}, not a finite stamp$"):
+        merge_grid(data, [-2.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # imputation semantics
 # ---------------------------------------------------------------------------

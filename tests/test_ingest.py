@@ -297,7 +297,7 @@ def test_build_dataset_diagnostics(tmp_path):
 
 def test_build_dataset_stamps_negated_and_sorted(tmp_path):
     data, _ = ingest(_write(tmp_path, RAW))
-    stamps = list(data.stamps())
+    stamps = data.view.stamps.tolist()
     assert stamps == [-3.5, -2.0, -1.0, -0.5]
     assert 2 not in data.view.row  # the both-empty marker holds no slot
 
