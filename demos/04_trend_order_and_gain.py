@@ -32,7 +32,7 @@ for m in (1, 2, 3):
     res = pk.fit(spec, base, pk.FitOptions(seed=0))
     eps, eta = res.params_hat
     q = pk.signal_to_noise(eta, eps, mean_dt)
-    lam = pk.cutoff_frequency(q, m) if q <= 4.0 else float("nan")
+    lam = pk.cutoff_frequency(q) if q <= 4.0 else float("nan")
     print(f"{m:>2} {eps:>11.4f} {eta:>11.4f} {res.loglik:>9.2f} "
           f"{q:>10.3g} {lam:>9.4f}")
 
@@ -52,6 +52,6 @@ print("\nwrote gain_m2.csv (lambda,gain pairs, plot-ready)")
 # No finite cutoff exists once q exceeds 4: the filter passes more than
 # half the signal at every frequency.
 try:
-    pk.cutoff_frequency(5.0, 1)
+    pk.cutoff_frequency(5.0)
 except ValueError as exc:
     print(f"q=5: {exc}")

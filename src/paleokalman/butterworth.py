@@ -54,14 +54,13 @@ def gain(lam: float, q: float, m: int) -> float:
     return 1.0 / (1.0 + (2.0 ** (2 * m)) * math.sin(0.5 * lam) ** (2 * m) / q)
 
 
-def cutoff_frequency(q: float, m: int) -> float:
+def cutoff_frequency(q: float) -> float:
     """Tabulated cutoff lambda_h = 2*asin(sqrt(q)/2).
 
-    The order m does not enter the expression; it selects which fitted q
-    is plugged in. Defined for 0 < q <= 4; beyond that the argument of
+    The trend order does not enter the expression; it selects which fitted
+    q is plugged in. Defined for 0 < q <= 4; beyond that the argument of
     asin exceeds 1 and no finite cutoff exists.
     """
-    _check_order(m)
     if not q > 0:
         raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
     arg = 0.5 * math.sqrt(q)

@@ -306,7 +306,7 @@ def cmd_gain(args, argv) -> int:
     if q > 4.0:
         print("no finite cutoff")
         return EXIT_NO_CUTOFF
-    lam_h = cutoff_frequency(q, m)
+    lam_h = cutoff_frequency(q)
     print(f"lambda_h = {lam_h:.6g}")
     print(f"lambda_h/2 = {0.5 * lam_h:.6g}")
     if q <= 2 ** (2 * m):

@@ -9,7 +9,7 @@ dense int -> label maps shared by every model variant.
 
 A panel is stored only as a PanelView, one array per column, and is read
 only from it: every panel is collated (collate_rows, ingest, merge_grid)
-or is a window data.rows[a:b] of one, which slices the view.
+or is a window data.rows[a:b] of one, a slice of the view.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "CLIMATE_STATE_AGES",
     "CLIMATE_STATE_NAMES",
     "PanelDataset",
-    "PanelRows",
     "PanelView",
     "assign_climate_state",
     "climate_states",
@@ -57,11 +56,9 @@ CLIMATE_STATE_NAMES = (
 
 
 def _normalize_series(tag) -> int:
-    """Map a series tag (0/1, 1/2, or name) to internal index 0 or 1."""
+    """Map a series tag (the int 0 or 1, or a name) to index 0 or 1."""
     if tag in (0, 1) and isinstance(tag, int):
         return tag
-    if tag == 2:
-        return 1
     try:
         return SERIES_NAMES.index(tag)
     except ValueError:
@@ -77,6 +74,10 @@ class PanelView:
     row-major (row, series, slot) order: at[o], the flat index
     (row * 2 + series) * MAX_SLOTS + slot, then value[o] and the source and
     species ids. Missing slots are not stored.
+
+    len is the number of rows, and view[a:b] is the view of rows a..b-1.
+    Indexing by anything but a slice with step 1, and iterating, raise
+    TypeError.
     """
 
     stamps: np.ndarray  # (n,) float64
@@ -86,6 +87,12 @@ class PanelView:
     source: np.ndarray  # (n_obs,) int32
     species: np.ndarray  # (n_obs,) int32
 
+    __iter__ = None  # not iterable: read the columns
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
     @property
     def row(self) -> np.ndarray:
         return self.at // (2 * MAX_SLOTS)
@@ -94,53 +101,32 @@ class PanelView:
     def series(self) -> np.ndarray:
         return self.at // MAX_SLOTS % 2
 
-
-def _read_only(view: PanelView) -> PanelView:
-    for f in fields(view):
-        getattr(view, f.name).setflags(write=False)
-    return view
-
-
-class PanelRows:
-    """The rows of a panel, as windows of its view: rows[a:b] is a
-    PanelRows over rows a..b-1. A panel's contents are read from its view;
-    indexing by anything but a slice with step 1, and iterating, raise
-    TypeError.
-    """
-
-    __slots__ = ("view",)
-    __iter__ = None  # not iterable: read the view's columns
-
-    def __init__(self, view: PanelView):
-        self.view = _read_only(view)
-
     def __len__(self) -> int:
-        return self.view.stamps.size
+        return self.stamps.size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             rows = range(len(self))[index]
             if rows.step == 1:
-                return PanelRows(self._window(rows.start, rows.stop))
+                return self._window(rows.start, rows.stop)
         raise TypeError(
-            f"panel rows take only a slice with step 1, not {index!r}; "
-            "read the rows from the view"
+            f"a panel view takes only a slice with step 1, not {index!r}; "
+            "read the rows from its columns"
         )
 
     def _window(self, start: int, stop: int) -> PanelView:
         # rows start..stop-1; their slots, by flat index, are the view's
         # from row start's first index up to row stop's, renumbered from
         # row start
-        v = self.view
         width = 2 * MAX_SLOTS
-        lo, hi = np.searchsorted(v.at, [start * width, stop * width]).tolist()
+        lo, hi = np.searchsorted(self.at, [start * width, stop * width]).tolist()
         return PanelView(
-            v.stamps[start:stop],
-            v.climate_states[start:stop],
-            v.at[lo:hi] - start * width,
-            v.value[lo:hi],
-            v.source[lo:hi],
-            v.species[lo:hi],
+            self.stamps[start:stop],
+            self.climate_states[start:stop],
+            self.at[lo:hi] - start * width,
+            self.value[lo:hi],
+            self.source[lo:hi],
+            self.species[lo:hi],
         )
 
 
@@ -150,20 +136,20 @@ class PanelDataset:
     view's ids index.
 
     The rows are sorted ascending by stamp with unique stamps, each with
-    its regime from climate_states. rows is always a PanelRows, which holds
-    the view; view and n_rows are read off it. Panels are made by
-    collate_rows (or ingest, imputation.merge_grid), and a window of one by
+    its regime from climate_states. rows is always a PanelView, also read
+    as view. Panels are made by collate_rows (or ingest,
+    imputation.merge_grid), and a window of one by
     dataclasses.replace(data, rows=data.rows[a:b]).
     """
 
-    rows: PanelRows
+    rows: PanelView
     sources: dict = field(default_factory=dict)
     species: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.rows, PanelRows):
+        if not isinstance(self.rows, PanelView):
             raise TypeError(
-                f"PanelDataset rows must be a PanelRows, not "
+                f"PanelDataset rows must be a PanelView, not "
                 f"{type(self.rows).__name__}; build the panel with collate_rows"
             )
 
@@ -173,7 +159,7 @@ class PanelDataset:
 
     @property
     def view(self) -> PanelView:
-        return self.rows.view
+        return self.rows
 
     def n_observed_slots(self) -> int:
         """Count the observed (non-missing) slots of both series."""
@@ -210,9 +196,14 @@ def climate_states(stamps) -> np.ndarray:
 
     A stamp's age is its absolute value. Ages older than the record get
     regime 1 and younger ones regime 6, so a stamp outside the record
-    takes the regime of its nearer endpoint.
+    takes the regime of its nearer endpoint. A NaN stamp has no regime:
+    the first one raises ValueError.
     """
-    below = np.searchsorted(_INNER_BOUNDARIES, np.abs(stamps), side="left")
+    ages = np.abs(stamps)
+    nan = np.flatnonzero(np.isnan(ages))
+    if nan.size:
+        raise ValueError(f"stamps[{int(nan[0])}] is NaN, which has no climate state")
+    below = np.searchsorted(_INNER_BOUNDARIES, ages, side="left")
     return (6 - below).astype(np.int32)
 
 
@@ -222,10 +213,11 @@ def collate_rows(records) -> PanelDataset:
     Parameters
     ----------
     records : iterable of (stamp, series, value, source, species)
-        stamp: time stamp in My (negative-age convention). series: 0/1,
-        1/2 or "d18O"/"d13C". value: float, or None to register the stamp
-        without filling a slot (an all-missing row). source/species: labels;
-        registries are built in first-appearance order.
+        stamp: time stamp in My (negative-age convention). series: 0/1
+        or "d18O"/"d13C"; any other tag raises ValueError. value: float, or
+        None to register the stamp without filling a slot (an all-missing
+        row). source/species: labels; registries are built in
+        first-appearance order.
 
     Notes
     -----
@@ -329,7 +321,7 @@ def _collate(stamps, series, values, source, species, sources, species_labels):
         source=source[entry].astype(np.int32),
         species=species[entry].astype(np.int32),
     )
-    return PanelDataset(PanelRows(view), sources, species_labels)
+    return PanelDataset(view, sources, species_labels)
 
 
 def flatten_records(ds: PanelDataset) -> list:

@@ -20,7 +20,6 @@ from . import kalman
 from .core import (
     MAX_SLOTS,
     PanelDataset,
-    PanelRows,
     PanelView,
     SERIES_NAMES,
     _float_rows,
@@ -114,7 +113,7 @@ def merge_grid(data: PanelDataset, grid) -> tuple:
         source=view.source,
         species=view.species,
     )
-    merged = PanelDataset(PanelRows(merged_view), data.sources, data.species)
+    merged = PanelDataset(merged_view, data.sources, data.species)
 
     # each stamp's row: the first of the rows just below, at and above its
     # insertion point that lies within COINCIDENCE_TOL

@@ -361,7 +361,6 @@ class FilterRun:
     zero where no block moves."""
 
     compiled: CompiledModel
-    params: np.ndarray
     loglik: float
     paths: StatePaths
     n_diffuse_slots: int
@@ -373,21 +372,19 @@ def filter(
     layout: ParameterLayout,
     params,
     data: PanelDataset,
-    init="diffuse",
+    init=None,
     compiled: CompiledModel | None = None,
 ) -> FilterRun:
     """One forward pass: loglik and the predicted/filtered paths.
 
-    init is "diffuse" (the default) or a proper prior (a1, P1). Missing
+    init is None, the diffuse start, or a proper prior (a1, P1). Missing
     slots are skipped; rows where every slot of a series is missing leave
     that series' state block frozen per the booking semantics.
     """
     cm = compiled if compiled is not None else compile_model(spec, layout, data)
     params = layout.validate_params(params)
     s = cm.s
-    if isinstance(init, str):
-        if init != "diffuse":
-            raise ValueError(f"unknown init mode {init!r}")
+    if init is None:
         start = _diffuse_start(s)
     else:
         a1, P1 = init
@@ -400,7 +397,6 @@ def filter(
     paths, booked = _paths_and_booked(cm, buffers)
     return FilterRun(
         compiled=cm,
-        params=params,
         loglik=ll,
         paths=paths,
         n_diffuse_slots=n_diffuse,

@@ -126,7 +126,6 @@ class ParamInfo:
 
     role: str  # "sigma_eps2" | "sigma_eta2" | "rho"
     series: int | None  # None for rho
-    group_key: int  # registry id / regime j / POOLED_KEY
     name: str
     group: str
 
@@ -270,7 +269,6 @@ def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
                 ParamInfo(
                     role="sigma_eps2",
                     series=s,
-                    group_key=key,
                     name=f"sigma_eps2.{SERIES_NAMES[s]}",
                     group=label,
                 )
@@ -283,7 +281,6 @@ def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
                 ParamInfo(
                     role="sigma_eta2",
                     series=s,
-                    group_key=key,
                     name=f"sigma_eta2.{SERIES_NAMES[s]}",
                     group=label,
                 )
@@ -291,9 +288,7 @@ def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
     for key in corr_groups:
         corr_index[key] = len(params)
         label = group_label(spec.corr_grouping or "pooled", key)
-        params.append(
-            ParamInfo(role="rho", series=None, group_key=key, name="rho", group=label)
-        )
+        params.append(ParamInfo(role="rho", series=None, name="rho", group=label))
 
     return ParameterLayout(
         spec=spec,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MISSING, PanelDataset, PanelRows, _collate
+from .core import MISSING, PanelDataset, _collate
 from .modelspec import (
     ModelSpec,
     ParameterLayout,
@@ -343,7 +343,6 @@ def simulate(
     observed=None,
     init_mean=None,
     init_cov=None,
-    diffuse_start: bool = False,
 ) -> PanelDataset:
     """Draw a dataset from the generative model.
 
@@ -357,9 +356,9 @@ def simulate(
     observed : optional (n,) or (n, n_series) bool mask; False rows for a
         series get no values there (the trend still diffuses across the gap,
         booked at the next observed row). Default: all observed.
-    init_mean, init_cov : proper prior for the initial state (defaults to
-        zeros). diffuse_start=True starts the state at exactly zero, which
-        stands in for the diffuse case in a simulation.
+    init_mean, init_cov : proper prior for the initial state. Without
+        init_cov the state starts exactly at init_mean (default zeros),
+        which stands in for the diffuse case in a simulation.
     seed : feeds numpy's default 64-bit generator (PCG64).
     """
     stamps = np.array([float(t) for t in stamps])
@@ -413,11 +412,11 @@ def simulate(
     rows_of, cols, _, h = _observation_stack(spec, layout, params, skeleton)
 
     rng = np.random.default_rng(seed)
-    if diffuse_start or init_mean is None:
+    if init_mean is None:
         x = np.zeros(s)
     else:
         x = np.asarray(init_mean, dtype=float).reshape(s).copy()
-    if init_cov is not None and not diffuse_start:
+    if init_cov is not None:
         x = x + _psd_sqrt(
             np.asarray(init_cov, dtype=float).reshape(s, s)
         ) @ rng.standard_normal(s)
@@ -440,4 +439,4 @@ def simulate(
         states[nu] = x
     values = states[rows_of, cols] + np.sqrt(h) * z[~transition]
     view = replace(skeleton.view, value=values)
-    return PanelDataset(PanelRows(view), skeleton.sources, skeleton.species)
+    return PanelDataset(view, skeleton.sources, skeleton.species)

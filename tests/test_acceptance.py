@@ -207,7 +207,7 @@ def test_criterion_04_butterworth_anchors():
     """cutoff_frequency reproduces the published (q, m) anchor cells. Budget 1 s."""
     started = time.perf_counter()
     for q, m, lam in _ANCHORS:
-        got = cutoff_frequency(q, m)
+        got = cutoff_frequency(q)
         if lam < 0.01:
             assert abs(got - lam) <= 0.05 * lam, (q, m)
         else:
@@ -222,7 +222,7 @@ def test_criterion_04_butterworth_anchors():
     "lambda_h reproduces 0.0122 exactly",
 )
 def test_criterion_04_butterworth_anchor_m3_printed_q():
-    got = cutoff_frequency(0.0001, 3)
+    got = cutoff_frequency(0.0001)
     assert abs(got - 0.0122) <= 5e-4
 
 

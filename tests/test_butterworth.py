@@ -43,7 +43,7 @@ TABLE_CELLS = [
 
 
 def _check_cell(q, m, expected):
-    got = cutoff_frequency(q, m)
+    got = cutoff_frequency(q)
     if expected < 0.01:  # tiny cells: printed digits only support relative
         assert got == pytest.approx(expected, rel=5e-2)
     else:
@@ -69,26 +69,19 @@ def test_cutoff_frequency_m3_cell_with_unrounded_q():
     # from; the table relation then holds
     q_implied = (2.0 * math.sin(0.0122 / 2.0)) ** 2
     assert q_implied == pytest.approx(1.4884e-4, rel=1e-3)
-    assert cutoff_frequency(q_implied, 3) == pytest.approx(0.0122, rel=1e-9)
-
-
-def test_cutoff_frequency_ignores_m_given_q():
-    # the table convention plugs q into a fixed map; m selects q upstream
-    assert cutoff_frequency(0.01, 1) == cutoff_frequency(0.01, 5)
+    assert cutoff_frequency(q_implied) == pytest.approx(0.0122, rel=1e-9)
 
 
 def test_cutoff_frequency_boundary_and_domain():
-    assert cutoff_frequency(4.0, 1) == pytest.approx(math.pi, rel=1e-12)
+    assert cutoff_frequency(4.0) == pytest.approx(math.pi, rel=1e-12)
     with pytest.raises(ValueError, match="no finite cutoff"):
-        cutoff_frequency(4.0000001, 1)
+        cutoff_frequency(4.0000001)
     with pytest.raises(ValueError):
-        cutoff_frequency(0.0, 1)
+        cutoff_frequency(0.0)
     with pytest.raises(ValueError):
-        cutoff_frequency(-1.0, 2)
+        cutoff_frequency(-1.0)
     with pytest.raises(ValueError, match="must be positive"):
-        cutoff_frequency(math.nan, 1)
-    with pytest.raises(ValueError):
-        cutoff_frequency(0.1, 0)
+        cutoff_frequency(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +110,7 @@ def test_gain_half_at_half_gain_frequency(q, m):
 def test_half_gain_equals_cutoff_at_order_one():
     for q in (0.01, 0.2537, 1.0, 3.9):
         assert half_gain_frequency(q, 1) == pytest.approx(
-            cutoff_frequency(q, 1), rel=1e-14
+            cutoff_frequency(q), rel=1e-14
         )
 
 

@@ -15,7 +15,7 @@ from paleokalman.core import (
     MAX_SLOTS,
     MISSING,
     PanelDataset,
-    PanelRows,
+    PanelView,
     assign_climate_state,
     climate_states,
     collate_rows,
@@ -137,6 +137,15 @@ def test_assign_climate_state_of_nan_age_raises():
         assign_climate_state(math.nan)
 
 
+@pytest.mark.parametrize(
+    "stamps, first", [([math.nan, -1.0], 0), ([-1.0, -2.0, math.nan, math.nan], 2), (math.nan, 0)]
+)
+def test_climate_states_of_a_nan_stamp_raises(stamps, first):
+    # a NaN has no age, so no regime
+    with pytest.raises(ValueError, match=re.escape(f"stamps[{first}] is NaN")):
+        climate_states(stamps)
+
+
 @given(st.floats(min_value=-80.0, max_value=80.0, allow_nan=False))
 def test_clamped_state_follows_the_interval_table(age):
     # regime j covers (ages[j], ages[j-1]], the youngest endpoint included;
@@ -244,10 +253,10 @@ def test_dataset_counters():
 
 def test_panel_is_stored_only_as_its_view():
     data = collate_rows(MIXED_RECORDS)
-    for rows in (data.view, list(range(data.n_rows)), ()):
+    for rows in (list(range(data.n_rows)), (), None):
         with pytest.raises(TypeError, match="collate_rows"):
             PanelDataset(rows, data.sources, data.species)
-    assert PanelDataset(data.rows).view is data.view
+    assert PanelDataset(data.view).rows is data.view
 
 
 def test_flatten_records_round_trip():
@@ -281,6 +290,7 @@ def test_max_slots_enforced():
         ((-math.inf, 0, 1.0, "a", "s"), "infinite time stamp -inf in records"),
         ((-2.0, 0, math.inf, "a", "s"), "infinite value inf at stamp -2.0"),
         ((-2.0, "d13C", "-inf", "a", "s"), "infinite value -inf at stamp -2.0"),
+        ((-2.0, 2, 1.0, "a", "s"), "unknown series tag: 2"),
     ],
 )
 def test_collate_rejects_bad_records(record, message):
@@ -300,15 +310,14 @@ def test_collate_fifth_slot_message():
 
 def test_collate_series_tags():
     records = [
-        (-2.0, 2, 1.0, "a", "s"),
         (-2.0, "d13C", 2.0, "a", "s"),
         (-2.0, 1, 3.0, "a", "s"),
         (-2.0, "d18O", 4.0, "a", "s"),
         (-2.0, 0, 5.0, "a", "s"),
     ]
     v = collate_rows(records).view
-    assert v.series.tolist() == [0, 0, 1, 1, 1]
-    assert v.value.tolist() == [4.0, 5.0, 1.0, 2.0, 3.0]
+    assert v.series.tolist() == [0, 0, 1, 1]
+    assert v.value.tolist() == [4.0, 5.0, 2.0, 3.0]
     stamp_only = collate_rows([(-2.0, None, None, "a", "s")])
     assert stamp_only.n_rows == 1 and stamp_only.view.at.size == 0
 
@@ -326,7 +335,7 @@ def _reference_rows(build):
 def test_panel_view_equals_slot_walk(build):
     data = mixed_panels()[build]
     view = data.view
-    assert isinstance(data.rows, PanelRows) and view is data.rows.view
+    assert isinstance(view, PanelView) and view is data.rows
     want = reference.view_columns(_reference_rows(build))
     for name, column in want.items():
         assert getattr(view, name).tolist() == column, name
@@ -350,7 +359,7 @@ def test_panel_view_equals_slot_walk(build):
 def test_rows_take_only_a_step_1_slice():
     data = collate_rows(MIXED_RECORDS)
     rows = data.rows
-    assert isinstance(rows, PanelRows)
+    assert rows is data.view
     assert len(rows) == data.n_rows == 8
     # a slice with step 1 is a window of the view, empty ones too
     for s, stamps in [
@@ -359,7 +368,9 @@ def test_rows_take_only_a_step_1_slice():
         (slice(5, 2), []),
         (slice(3, 4, 1), [-40.0]),
     ]:
-        assert isinstance(rows[s], PanelRows) and rows[s].view.stamps.tolist() == stamps
+        window = rows[s]
+        assert isinstance(window, PanelView) and window.stamps.tolist() == stamps
+        assert not window.stamps.flags.writeable
     # a row is read from the view: no index but such a slice, and no iteration
     for index in (0, -1, len(rows), slice(None, None, 2), slice(6, 1, -2), [0, 1], np.int64(0)):
         with pytest.raises(TypeError, match="slice with step 1"):
@@ -411,7 +422,7 @@ def test_window_of_a_view_born_panel(spec, window):
     data = collate_rows(MIXED_RECORDS)
     a, b = window
     sub = dataclasses.replace(data, rows=data.rows[a:b])
-    assert isinstance(sub.rows, PanelRows) and sub.n_rows == b - a
+    assert isinstance(sub.rows, PanelView) and sub.n_rows == b - a
     _assert_same_panel_and_model(sub, recollate(data, slice(a, b)), [spec])
 
 
@@ -437,7 +448,7 @@ def test_view_slice_windows(build, window):
     if window == "leading":
         assert a not in data.view.row
     sub = dataclasses.replace(data, rows=data.rows[index])
-    assert isinstance(sub.rows, PanelRows) and sub.n_rows == max(b - a, 0)
+    assert isinstance(sub.rows, PanelView) and sub.n_rows == max(b - a, 0)
     assert sub.view.stamps.tolist() == data.view.stamps.tolist()[index]
     assert (sub.sources, sub.species) == (data.sources, data.species)
     _assert_same_panel_and_model(sub, recollate(data, index), [ModelSpec(), _BY_SOURCE_BIV])

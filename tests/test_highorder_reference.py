@@ -22,7 +22,7 @@ import pytest
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout, collate_rows
-from paleokalman.core import SERIES_NAMES
+from paleokalman.core import CLIMATE_STATE_NAMES, SERIES_NAMES
 from paleokalman.kalman import filter as kfilter, smooth
 from paleokalman.oracle import _chain_matrices, _observation_stack
 
@@ -107,25 +107,32 @@ def test_order_6_at_paper_q_matches_60_digit_reference():
     _check_order_6(300, 3.1e-12)
 
 
-@pytest.mark.skipif(
+# the paper record's length: 23,722 rows over ~67 My
+FULL_LENGTH = 23_722
+full_length = pytest.mark.skipif(
     os.environ.get("PALEOKALMAN_FULL_LENGTH") != "1",
     reason="a full-length 60-digit reference takes minutes; set PALEOKALMAN_FULL_LENGTH=1",
 )
+
+
+@full_length
 @pytest.mark.parametrize("q", [3.1e-12, 1e-15], ids=["paper-q", "q-1e-15"])
 def test_order_6_at_full_length_matches_60_digit_reference(q):
-    # the paper record's length: 23,722 rows over ~67 My
-    _check_order_6(23_722, q)
+    _check_order_6(FULL_LENGTH, q)
 
 
-def test_bivariate_order_2_multi_slot_matches_60_digit_reference():
-    # 80 rows across the Coolhouse 2 / Icehouse boundary at 3.3 My, each
-    # series observed at about three rows in four with 1-3 slots there,
-    # and rho by climate state
-    n, m = 80, 2
+def _check_bivariate_order_2(n, start, spacing, rhos, bounds):
+    # n rows from start (My) on, exponential(spacing) apart; each series
+    # observed at about three rows in four with 1-3 slots there, and rho by
+    # climate state, one per regime that the rows cross. bounds: the
+    # loglik's error as a share of the summed size of its terms, the level
+    # means' as a share of their sd, and the level covariances' as a share
+    # of their scale
+    m = 2
     spec = ModelSpec(arity="bivariate", order_m=m, corr_grouping="by-climate-state")
-    params = [0.02, 0.03, 0.05, 0.03, 0.6, -0.4]  # rho: Coolhouse 2, Icehouse
+    params = [0.02, 0.03, 0.05, 0.03, *rhos]
     rng = np.random.default_rng(4)
-    stamps = -4.2 + np.cumsum(rng.exponential(0.02, n))
+    stamps = start + np.cumsum(rng.exponential(spacing, n))
     observed = rng.random((n, 2)) < 0.75
     observed[~observed.any(axis=1), 0] = True
     v = pk.simulate(spec, params, stamps, slots_per_row=3, seed=5, observed=observed).view
@@ -137,7 +144,6 @@ def test_bivariate_order_2_multi_slot_matches_60_digit_reference():
         if i < n_slots[r, j]
     )
     layout = build_layout(spec, data)
-    assert [p.group for p in layout.params[4:]] == ["Coolhouse 2", "Icehouse"]
     run = kfilter(spec, layout, params, data)
     paths = smooth(run)
     assert run.n_diffuse_slots == 2 * m
@@ -147,12 +153,34 @@ def test_bivariate_order_2_multi_slot_matches_60_digit_reference():
         ll, size = float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
     assert n_diffuse == 2 * m
 
-    # measured: 3e-16 of the summed size, 6e-14 of a level's sd and 5e-15
-    # of the level covariances' scale
-    assert abs(run.loglik - ll) <= 1e-12 * size
+    ll_bound, mean_bound, cov_bound = bounds
+    assert abs(run.loglik - ll) <= ll_bound * size
     levels = np.ix_(range(n), [0, m], [0, m])
     got, want = paths.smoothed_covs[levels], covs[levels]
     level_sd = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
-    assert np.all(np.abs(paths.smoothed_means[:, [0, m]] - means[:, [0, m]]) <= 1e-10 * level_sd)
+    assert np.all(np.abs(paths.smoothed_means[:, [0, m]] - means[:, [0, m]]) <= mean_bound * level_sd)
     scale = level_sd[:, :, None] * level_sd[:, None, :]
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs(got - want) <= cov_bound * scale)
+    return [p.group for p in layout.params[4:]]
+
+
+def test_bivariate_order_2_multi_slot_matches_60_digit_reference():
+    # 80 rows across the Coolhouse 2 / Icehouse boundary at 3.3 My; measured:
+    # 3e-16 of the summed size, 6e-14 of a level's sd and 5e-15 of the level
+    # covariances' scale
+    groups = _check_bivariate_order_2(80, -4.2, 0.02, [0.6, -0.4], (1e-12, 1e-10, 1e-12))
+    assert groups == ["Coolhouse 2", "Icehouse"]
+
+
+@full_length
+def test_bivariate_order_2_at_full_length_matches_60_digit_reference():
+    # the record's length at the paper's mean spacing, across all six
+    # regimes, with the order-6 full-length bounds. Measured: 3.9e-14 of
+    # the summed size, 4.2e-10 of a level's sd and 3.6e-15 of the level
+    # covariances' scale. The levels wander to ~22,700 with an sd of
+    # ~0.035, so one ulp of a mean is ~1e-10 of its sd there, and the worst
+    # error is 4 ulps; the 80-row case's 1e-10 of the sd is below what a
+    # double can resolve.
+    rhos = [0.5, -0.3, 0.2, 0.6, 0.6, -0.4]
+    groups = _check_bivariate_order_2(FULL_LENGTH, -67.0, 0.0028, rhos, (1e-9, 1e-7, 1e-7))
+    assert groups == list(CLIMATE_STATE_NAMES)

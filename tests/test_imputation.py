@@ -8,7 +8,7 @@ import pytest
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout, kalman
-from paleokalman.core import MAX_SLOTS, PanelRows
+from paleokalman.core import MAX_SLOTS, PanelView
 from paleokalman.imputation import (
     COINCIDENCE_TOL,
     ImputationTable,
@@ -95,7 +95,7 @@ def test_merge_coincident_stamp_reuses_row():
     assert idx == [0, 1, 2, 2]
     # every column of the merged view: the data's slots, the second one
     # moved to row 2, and a new row 1 with none
-    assert isinstance(merged.rows, PanelRows)
+    assert isinstance(merged.rows, PanelView)
     v = merged.view
     assert v.stamps.tolist() == [-3.0, -2.0, -1.0]
     assert v.climate_states.tolist() == [6, 6, 6]

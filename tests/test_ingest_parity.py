@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paleokalman.core import PanelRows, collate_rows
+from paleokalman.core import PanelView, collate_rows
 from paleokalman.ingest import ParseError, ingest, write_ingest_csv
 
 import reference_ingest as reference
@@ -39,7 +39,7 @@ def assert_same_panel(new, old):
     # old is the reference's (rows, sources, species): the panels agree
     # row by row, field by field, and registries with their order
     old_rows, old_sources, old_species = old
-    assert isinstance(new.rows, PanelRows)
+    assert isinstance(new.rows, PanelView)
     assert view_lists(new.view) == reference.view_columns(old_rows)
     assert list(new.sources.items()) == list(old_sources.items())
     assert list(new.species.items()) == list(old_species.items())

@@ -581,7 +581,7 @@ def _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior=None):
     # smooth at s = 1 against the reference backward pass, _smoothed, over
     # _forward's paths, from the diffuse start or from the proper prior
     if prior is None:
-        init, start = "diffuse", kalman._diffuse_start(1)
+        init, start = None, kalman._diffuse_start(1)
     else:
         init, start = ([prior[0]], [[prior[1]]]), ([prior[0]], [prior[1]], [0.0], False)
     paths = smooth(kfilter(spec, layout, h, data, init=init, compiled=cm))

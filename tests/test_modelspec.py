@@ -98,7 +98,7 @@ def test_layout_by_source_orders_by_registry():
     spec = ModelSpec(meas_grouping="by-source")
     layout = build_layout(spec, data)
     eps = [p for p in layout.params if p.role == "sigma_eps2"]
-    assert [p.group_key for p in eps] == [0, 1]
+    assert layout.meas_index == {(0, 0): 0, (0, 1): 1}
     assert [p.group for p in eps] == ["source_0", "source_1"]
     assert layout.n_params == 3
 
@@ -112,8 +112,7 @@ def test_layout_drops_empty_cells():
     )
     data.sources[1] = "never used"
     layout = build_layout(ModelSpec(meas_grouping="by-source"), data)
-    eps = [p for p in layout.params if p.role == "sigma_eps2"]
-    assert [p.group_key for p in eps] == [0, 2]
+    assert layout.meas_index == {(0, 0): 0, (0, 2): 1}
 
 
 def test_layout_by_climate_state_trans():
@@ -122,7 +121,7 @@ def test_layout_by_climate_state_trans():
     spec = ModelSpec(trans_grouping="by-climate-state")
     layout = build_layout(spec, data)
     trans = [p for p in layout.params if p.role == "sigma_eta2"]
-    assert [p.group_key for p in trans] == [1, 5]
+    assert layout.trans_index == {(0, 1): 1, (0, 5): 2}
     assert [p.group for p in trans] == ["Warmhouse 2", "Coolhouse 2"]
 
 
@@ -192,7 +191,7 @@ def test_layout_bivariate_by_species_and_climate_state():
     assert layout.corr_index == {1: 7}
     keys = [*layout.meas_index, *layout.trans_index]
     assert all(type(i) is int for key in keys for i in key)
-    assert all(type(p.group_key) is int for p in layout.params)
+    assert all(type(key) is int for key in layout.corr_index)
 
 
 def test_validate_params_bounds():
