@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
-from itertools import compress
+from itertools import count
 
 import numpy as np
 
@@ -263,16 +263,28 @@ def collate_rows(records) -> PanelDataset:
     )
 
 
-def _intern(labels, keep) -> tuple:
-    """(ids, index): index numbers the labels where keep is true by first
-    appearance, and ids holds each label's number as an int32 array, -1
-    where keep is false."""
+def _intern(labels, keep, order=None) -> tuple:
+    """(ids, index) of labels taken in order (their own when order is None):
+    index numbers the labels where keep is true by first appearance, and
+    ids holds each label's number as an int32 array, -1 where keep is
+    false.
+
+    Each label is looked up once, for the position of its first copy in
+    labels; those codes are reordered and numbered with numpy.
+    """
+    first = {}
+    codes = np.fromiter(map(first.setdefault, labels, count()), np.intp, len(labels))
+    if order is not None:
+        codes = codes[order]
     keep = np.asarray(keep, dtype=bool)
-    kept = list(compress(labels, keep.tolist()))
-    index = {label: i for i, label in enumerate(dict.fromkeys(kept))}
+    kept = codes[keep]
+    found, at = np.unique(kept, return_index=True)
+    ranked = found[np.argsort(at)]
+    number = np.full(len(labels), -1, dtype=np.int32)
+    number[ranked] = np.arange(ranked.size, dtype=np.int32)
     ids = np.full(keep.size, -1, dtype=np.int32)
-    ids[keep] = list(map(index.__getitem__, kept))
-    return ids, index
+    ids[keep] = number[kept]
+    return ids, {labels[c]: i for i, c in enumerate(ranked.tolist())}
 
 
 def _collate(stamps, series, values, source, species, sources, species_labels):

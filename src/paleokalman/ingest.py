@@ -12,12 +12,34 @@ diagnostics' source registry is read off that numbering.
 The records are read into columns (parse_csv) and collated with numpy
 straight into the dataset's PanelView (core's one collate); no object per
 record, slot or row is made on the way.
+
+parse_csv reads the file (UTF-8, a byte-order mark skipped) block by block
+and converts each block column by column: a float() per age and per filled
+isotope cell, NaN for an empty one, a strip() per label, and the range and
+finiteness checks on whole arrays. A bad record is found from those arrays
+and then named by the same checks run on its cells alone. A block comes
+from one of two tokenizers, which give the same cells:
+
+- a file with no quote (and no NUL) is read in blocks of about 64 KiB,
+  ended at a line end, and each block is split on commas and line ends in
+  one str.split, once its line ends and commas show that every line has the
+  header's width. A block that fails that check, or holds a line longer
+  than csv.field_size_limit(), goes through csv.reader instead, which is
+  then exact, since in such a file no cell spans lines;
+- any other file goes through csv.reader, taken _BLOCK_LINES rows at a
+  time. A row's file line is then found, on error only, by reading the file
+  again up to that row.
+
+Labels are mapped (canonicalize_sources, apply_species_buckets) and
+numbered (core._intern) once per distinct label, and build_dataset puts the
+records in age order by reordering integer codes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import compress, islice, repeat, zip_longest
 from math import inf
 
 import numpy as np
@@ -79,19 +101,155 @@ DEFAULT_SPECIES_BUCKETS = {
 }
 
 
-def _parse_cell(text: str, line_number: int, column: str) -> float:
-    text = text.strip()
-    if text == "":
-        return MISSING
+_BLOCK_LINES = 4096  # rows per block that csv.reader tokenizes
+# characters per block that str.split tokenizes, read on to the end of a
+# line: about 1,300 lines of the benchmark's CSV
+_BLOCK_CHARS = 1 << 16
+# every byte but the two that separate cells, neither of which UTF-8 uses
+# inside a multi-byte character
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _quoted(path) -> bool:
+    """Whether the file holds a quote or a NUL byte, the two cases in which
+    a line may not split like csv.reader splits it: a quoted cell can span
+    lines, and csv.reader's handling of NUL depends on the Python version."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            if b'"' in chunk or b"\0" in chunk:
+                return True
+    return False
+
+
+def _csv_blocks(reader, first_line=1):
+    """Blocks of up to _BLOCK_LINES rows from a csv.reader whose first line
+    is first_line of the file. A csv.Error raises ParseError with its line,
+    once the rows read before it have been yielded."""
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(reader, _BLOCK_LINES))
+        except csv.Error as exc:
+            if rows:
+                yield rows
+            raise ParseError(first_line - 1 + reader.line_num, str(exc)) from None
+        if not rows:
+            return
+        yield rows
+
+
+def _columns(rows, width) -> list:
+    """A block's rows as columns, at least width of them, short rows padded
+    with empty cells."""
+    columns = list(zip_longest(*rows, fillvalue=""))
+    columns += [("",) * len(rows)] * (width - len(columns))
+    return columns
+
+
+def _split_blocks(fh, width):
+    """The columns of each block after the header of a quote-free file. A
+    block whose lines all have width cells, none longer than
+    csv.field_size_limit(), is split on commas; any other goes through
+    csv.reader. With no quote no cell spans lines, so either way a block's
+    rows are its lines, and the split gives the cells csv.reader gives."""
+    limit = csv.field_size_limit()
+    line_marks = b"," * (width - 1) + b"\n"
+    line = 2
+    while text := fh.read(_BLOCK_CHARS):
+        text += fh.readline()
+        # read with newline="", a CR here can only end a line
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if not text.endswith("\n"):
+            text += "\n"
+        n = text.count("\n")
+        # a line end is one more separator, and the last one leaves an
+        # empty cell after the block's n * width
+        cells = text.replace("\n", ",").split(",")
+        if text.encode().translate(None, _NOT_SEPARATORS) == line_marks * n and (
+            len(text) <= limit or max(map(len, cells)) <= limit
+        ):
+            yield [cells[j : n * width : width] for j in range(width)]
+        else:
+            for rows in _csv_blocks(csv.reader(text.split("\n")[:-1]), line):
+                yield _columns(rows, width)
+        line += n
+
+
+def _number(text: str) -> float:
+    """A numeric cell's float: NaN for a blank cell, inf for a malformed or
+    non-finite one. float() skips whitespace; strip() also removes the ASCII
+    separators 0x1c-0x1f, so a cell reads as its stripped text."""
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(
-            line_number, f"malformed numeric {text!r} in column {column}"
-        ) from None
-    if not -inf < value < inf:
-        raise ParseError(line_number, f"non-finite value {text!r} in column {column}")
-    return value
+        text = text.strip()
+        if not text:
+            return MISSING
+        try:
+            value = float(text)
+        except ValueError:
+            return inf
+    return value if -inf < value < inf else inf
+
+
+def _floats(column) -> np.ndarray:
+    """A numeric column as floats: NaN (MISSING) for an empty or blank cell,
+    inf for a malformed or non-finite one. A column with an empty cell has
+    only its filled cells read."""
+    n = len(column)
+    try:
+        values = np.fromiter(map(float, column), float, n)
+        filled = True
+    except ValueError:
+        filled = np.fromiter(map(bool, column), bool, n)
+        values = np.full(n, MISSING)
+        try:
+            values[filled] = np.fromiter(map(float, compress(column, column)), float)
+        except ValueError:
+            return np.fromiter(map(_number, column), float, n)
+    values[filled & ~np.isfinite(values)] = inf
+    return values
+
+
+def _record_error(cells, index, line_number) -> ParseError:
+    """The error of a record that the block checks found bad: the first
+    check, in the order age_tuned, its range, d18O, d13C, that fails."""
+    i_age, i_d18o, i_d13c = index[:3]
+    cell = cells[i_age]
+    try:
+        age = float(cell)
+    except ValueError:
+        text = cell.strip()
+        if not text:
+            return ParseError(line_number, "empty age_tuned cell")
+        age = _number(text)
+        if age == inf:
+            return _cell_error(text, line_number, "age_tuned")
+    if not 0.0 < age < 70.0:
+        return ParseError(
+            line_number, f"age_tuned {age} outside the supported (0, 70) MYA"
+        )
+    if _number(cells[i_d18o]) == inf:
+        return _cell_error(cells[i_d18o], line_number, "d18O")
+    return _cell_error(cells[i_d13c], line_number, "d13C")
+
+
+def _cell_error(text, line_number, column) -> ParseError:
+    text = text.strip()
+    try:
+        float(text)
+    except ValueError:
+        return ParseError(line_number, f"malformed numeric {text!r} in column {column}")
+    return ParseError(line_number, f"non-finite value {text!r} in column {column}")
+
+
+def _line_of_row(path, row) -> int:
+    """The file line that row (0 the header) of a quoted file ends on."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(islice(reader, row, None))
+        return reader.line_num
 
 
 def parse_csv(path) -> tuple:
@@ -100,78 +258,64 @@ def parse_csv(path) -> tuple:
     records holds five columns keyed by REQUIRED_COLUMNS, one entry per
     record: age_tuned, d18O and d13C as float arrays, with MISSING (NaN)
     for an empty isotope cell, and source and species as lists of stripped
-    labels. Both-empty records are kept (they mark a stamp) and counted in
-    the diagnostics. A malformed or non-finite number (nan, inf) raises
-    ParseError with its file line and column.
+    labels. Blank lines are skipped and short rows padded with empty cells.
+    Both-empty records are kept (they mark a stamp) and counted in the
+    diagnostics. A malformed or non-finite number (nan, inf), an age
+    outside (0, 70) and a line that csv.reader rejects raise ParseError
+    with the file line (and column); a missing header column raises
+    SchemaError.
+
+    The file is read and converted block by block; see the module docstring
+    for the two tokenizers.
     """
+    quoted = _quoted(path)
     ages, d18o_cells, d13c_cells, sources, species = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty file: no header row") from None
+        except csv.Error as exc:
+            raise ParseError(reader.line_num, str(exc)) from None
         header = [h.strip() for h in header]
         missing_cols = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing_cols:
             raise SchemaError(f"missing header columns: {', '.join(missing_cols)}")
-        i_age, i_d18o, i_d13c, i_source, i_species = (
-            header.index(name) for name in REQUIRED_COLUMNS
-        )
+        index = [header.index(name) for name in REQUIRED_COLUMNS]
+        i_source, i_species = index[3:]
         width = len(header)
-        # errors give reader.line_num, the file line a record ends on: a
-        # quoted cell can span lines
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                row = row + [""] * (width - len(row))
-            # one float() per numeric cell, which skips surrounding
-            # whitespace; a cell it rejects (blank or malformed), and an
-            # isotope cell it reads as nan or inf, go to _parse_cell, for
-            # MISSING or the error
-            cell = row[i_age]
-            try:
-                age = float(cell)
-            except ValueError:
-                if cell.strip() == "":
-                    if all(c.strip() == "" for c in row):
-                        continue  # a blank line
-                    raise ParseError(reader.line_num, "empty age_tuned cell") from None
-                age = _parse_cell(cell, reader.line_num, "age_tuned")
-            if not 0.0 < age < 70.0:
-                raise ParseError(
-                    reader.line_num, f"age_tuned {age} outside the supported (0, 70) MYA"
-                )
-            cell = row[i_d18o]
-            try:
-                d18o = float(cell) if cell else MISSING
-                if cell and not -inf < d18o < inf:
-                    raise ValueError
-            except ValueError:
-                d18o = _parse_cell(cell, reader.line_num, "d18O")
-            cell = row[i_d13c]
-            try:
-                d13c = float(cell) if cell else MISSING
-                if cell and not -inf < d13c < inf:
-                    raise ValueError
-            except ValueError:
-                d13c = _parse_cell(cell, reader.line_num, "d13C")
-            ages.append(age)
-            d18o_cells.append(d18o)
-            d13c_cells.append(d13c)
-            sources.append(row[i_source].strip())
-            species.append(row[i_species].strip())
+        if quoted:
+            blocks = (_columns(rows, width) for rows in _csv_blocks(reader))
+        else:
+            blocks = _split_blocks(fh, width)
+        row = 1  # rows before the block, the header included
+        for columns in blocks:
+            age, d18o, d13c = (_floats(columns[i]) for i in index[:3])
+            keep = (0.0 < age) & (age < 70.0) & ~np.isinf(d18o) & ~np.isinf(d13c)
+            for i in np.flatnonzero(~keep).tolist():
+                cells = [column[i] for column in columns]
+                if any(map(str.strip, cells)):
+                    line = _line_of_row(path, row + i) if quoted else row + i + 1
+                    raise _record_error(cells, index, line)
+                # a blank line
+            row += age.size
+            ages.append(age[keep])
+            d18o_cells.append(d18o[keep])
+            d13c_cells.append(d13c[keep])
+            kept = keep.tolist()
+            sources.extend(compress(map(str.strip, columns[i_source]), kept))
+            species.extend(compress(map(str.strip, columns[i_species]), kept))
     records = {
-        "age_tuned": np.array(ages, dtype=float),
-        "d18O": np.array(d18o_cells, dtype=float),
-        "d13C": np.array(d13c_cells, dtype=float),
+        "age_tuned": np.concatenate([[], *ages]),
+        "d18O": np.concatenate([[], *d18o_cells]),
+        "d13C": np.concatenate([[], *d13c_cells]),
         "source": sources,
         "species": species,
     }
     no_d18o, no_d13c = np.isnan(records["d18O"]), np.isnan(records["d13C"])
     diagnostics = {
-        "n_records": len(ages),
+        "n_records": len(sources),
         "n_missing_cells": int(no_d18o.sum() + no_d13c.sum()),
         "n_both_empty": int((no_d18o & no_d13c).sum()),
     }
@@ -183,8 +327,7 @@ def canonicalize_sources(records) -> dict:
     records. Unknown labels pass through unchanged. Sources are numbered
     later, by build_dataset.
     """
-    source = [DEFAULT_SOURCE_ALIASES.get(label, label) for label in records["source"]]
-    return {**records, "source": source}
+    return {**records, "source": _relabel(records["source"], DEFAULT_SOURCE_ALIASES)}
 
 
 def load_species_buckets(path) -> dict:
@@ -201,8 +344,14 @@ def apply_species_buckets(records, buckets=None) -> dict:
     """Replace species labels by their buckets; unknown labels unchanged."""
     if buckets is None:
         buckets = DEFAULT_SPECIES_BUCKETS
-    species = [buckets.get(label, label) for label in records["species"]]
-    return {**records, "species": species}
+    return {**records, "species": _relabel(records["species"], buckets)}
+
+
+def _relabel(labels, mapping) -> list:
+    """labels with each one that mapping holds replaced by its value; each
+    distinct label is looked up once."""
+    new = {label: mapping.get(label, label) for label in dict.fromkeys(labels)}
+    return list(map(new.__getitem__, labels))
 
 
 def build_dataset(records) -> tuple:
@@ -224,13 +373,8 @@ def build_dataset(records) -> tuple:
     observed = keep.any(axis=1)
     keep[:, 0] |= ~observed
     record, column = np.nonzero(keep)
-    order_list = order.tolist()
-    source_ids, source_index = _intern(
-        list(map(records["source"].__getitem__, order_list)), observed
-    )
-    species_ids, species_index = _intern(
-        list(map(records["species"].__getitem__, order_list)), observed
-    )
+    source_ids, source_index = _intern(records["source"], observed, order)
+    species_ids, species_index = _intern(records["species"], observed, order)
     data = _collate(
         -age[order][record],
         column,

@@ -343,6 +343,22 @@ def test_fit_malformed_csv_exits_65(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_fit_field_over_the_csv_limit_exits_65(tmp_path, capsys, quote):
+    # csv.reader's own error is a data error naming the line, with no
+    # traceback
+    bad = tmp_path / "bad.csv"
+    label = quote + "x" * 200_000 + quote
+    bad.write_text(
+        f"age_tuned,d18O,d13C,source,species\n3.0,1.0,,{label},x\n", encoding="utf-8"
+    )
+    code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "f")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: line 2: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_fit_fifth_slot_exits_65(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     lines = ["age_tuned,d18O,d13C,source,species", "3.0,1.0,,s,x"]

@@ -1,11 +1,14 @@
 """Raw CSV parsing, label canonicalization, and the export round trip."""
 
+import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from paleokalman import ModelSpec, simulate
 from paleokalman.ingest import (
     DEFAULT_SOURCE_ALIASES,
     DEFAULT_SPECIES_BUCKETS,
@@ -181,6 +184,117 @@ def test_parse_empty_age_in_short_row_reports_line(tmp_path):
     text = "d18O,age_tuned,d13C,source,species\n2.1,3.5,0.5,A,S\n \n2.0\n"
     with pytest.raises(ParseError, match="line 4: empty age_tuned cell"):
         parse_csv(_write(tmp_path, text))
+
+
+HEADER = "age_tuned,d18O,d13C,source,species\n"
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_parse_field_over_the_csv_limit_is_parse_error(tmp_path, quote):
+    # csv.reader rejects a cell longer than csv.field_size_limit(); both
+    # tokenizers give that as a ParseError on the cell's line
+    label = quote + "x" * 200_000 + quote
+    text = HEADER + "3.0,1.0,,A,S\n" + f"2.0,1.0,,{label},S\n" + "1.0,1.0,,A,S\n"
+    with pytest.raises(ParseError) as err:
+        parse_csv(_write(tmp_path, text))
+    assert err.value.line_number == 3
+    assert str(err.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_parse_nul_byte_is_read_as_csv_reader_reads_it(tmp_path, quote):
+    # csv.reader rejects a NUL on Python 3.10 and keeps it from 3.11 on;
+    # parse_csv does the same in both tokenizers
+    text = HEADER + "3.0,1.0,,A,S\n" + f"2.0,1.0,,{quote}A\0B{quote},S\n"
+    path = _write(tmp_path, text)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            list(csv.reader(fh))
+    except csv.Error as exc:
+        with pytest.raises(ParseError) as err:
+            parse_csv(path)
+        assert str(err.value) == f"line 3: {exc}"
+    else:
+        records, _ = parse_csv(path)
+        assert records["source"] == ["A", "A\0B"]
+
+
+def test_parse_skips_a_byte_order_mark(tmp_path):
+    # a file saved as "CSV UTF-8" starts with a BOM, which is not part of
+    # the first header name
+    plain = _write(tmp_path, RAW, "plain.csv")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (data, diag), (twin, twin_diag) = ingest(marked), ingest(plain)
+    for name in ("stamps", "climate_states", "at", "value", "source", "species"):
+        assert getattr(data.view, name).tobytes() == getattr(twin.view, name).tobytes()
+    assert (data.sources, data.species) == (twin.sources, twin.species)
+    assert diag.keys() == twin_diag.keys()
+    assert json.dumps(diag) == json.dumps(twin_diag)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final", [True, False])
+def test_parse_line_ends(tmp_path, end, final):
+    text = RAW.replace('"CSPP, >250"', "CSPP >250").replace("\n", end)
+    if not final:
+        text = text[: -len(end)]
+    path = tmp_path / "raw.csv"
+    path.write_bytes(text.encode())
+    records, diag = parse_csv(path)
+    assert records["age_tuned"].tolist() == [3.5, 2.0, 2.0, 1.0, 0.5]
+    assert records["species"] == ["CSPP", "CSPP >250", "CSPP", "CSPP", "CSPP"]
+    assert diag == {"n_records": 5, "n_missing_cells": 3, "n_both_empty": 1}
+
+
+@pytest.mark.parametrize("text", [HEADER, HEADER[:-1], HEADER + "\n \n"])
+def test_parse_header_only_file(tmp_path, text):
+    records, diag = parse_csv(_write(tmp_path, text))
+    assert records["age_tuned"].dtype == np.float64
+    assert [len(column) for column in records.values()] == [0] * 5
+    assert diag == {"n_records": 0, "n_missing_cells": 0, "n_both_empty": 0}
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_parse_error_in_a_later_block_gives_its_file_line(tmp_path, quote):
+    # 6,000 lines: past the first block of either tokenizer
+    lines = [f"{1.0 + i * 1e-3!r},{i * 1e-4!r},,{quote}src{i % 3}{quote},sp\n" for i in range(6000)]
+    lines[5000] = "2.0,oops,,A,S\n"
+    path = _write(tmp_path, HEADER + "".join(lines))
+    with pytest.raises(ParseError) as err:
+        parse_csv(path)
+    assert str(err.value) == "line 5002: malformed numeric 'oops' in column d18O"
+    del lines[5000]
+    records, diag = parse_csv(_write(tmp_path, HEADER + "".join(lines)))
+    assert diag["n_records"] == 5999
+    assert records["age_tuned"][5000] == 1.0 + 5001 * 1e-3
+    assert records["source"][-1] == "src2"
+
+
+def test_parse_csv_peak_memory_stays_near_its_output(tmp_path):
+    # block by block: a paper-size file (23,722 rows, ~47,000 lines) never
+    # sits in memory whole, as text or as cells, so the peak stays within
+    # half again of the records returned
+    rng = np.random.default_rng(7)
+    stamps = np.cumsum(rng.exponential(67.1 / 23722, size=23722))
+    data = simulate(
+        ModelSpec(arity="bivariate", corr_grouping="pooled"),
+        [0.01, 0.02, 0.001, 0.002, 0.5],
+        stamps - stamps[-1] - 0.001,
+        seed=7,
+        n_sources=4,
+        n_species=3,
+    )
+    path = tmp_path / "paper.csv"
+    write_ingest_csv(data, path)
+    tracemalloc.start()
+    try:
+        records, _ = parse_csv(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records["age_tuned"].size == 2 * 23722
+    assert peak <= 1.5 * retained, (peak, retained)
 
 
 # ---------------------------------------------------------------------------

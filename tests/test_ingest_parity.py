@@ -7,19 +7,24 @@ error with its text.
 """
 
 import csv
+import importlib
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paleokalman.core import PanelView, collate_rows
-from paleokalman.ingest import ParseError, ingest, write_ingest_csv
+from paleokalman.ingest import REQUIRED_COLUMNS, ParseError, ingest, write_ingest_csv
 
 import reference_ingest as reference
 from conftest import MIXED_RECORDS, mixed_panels
+
+# the module, whose name the package's ingest function shadows
+ingest_module = importlib.import_module("paleokalman.ingest")
 
 VIEW_DTYPES = {
     "stamps": np.float64,
@@ -145,6 +150,54 @@ def test_generated_ingest_csvs(lines, blank_at, bad):
             writer.writerow(["age_tuned", "d18O", "d13C", "source", "species"])
             writer.writerows(lines)
         assert_same_ingest(path)
+
+
+# A file with no quote takes the split tokenizer: labels without commas, so
+# that none is written quoted, and lines cut short, lengthened, blank or
+# whitespace, which send their block through csv.reader.
+_PLAIN_SPECIES = ["CSPP", "CSPP >250", " X ", "\x1cY\x1f", ""]
+_PLAIN_LINE = st.tuples(
+    st.sampled_from(_AGES),
+    _VALUES,
+    _VALUES,
+    st.sampled_from(_SOURCES),
+    st.sampled_from(_PLAIN_SPECIES),
+)
+_RESHAPED = st.one_of(
+    st.tuples(_PLAIN_LINE, st.integers(0, 4)).map(lambda pair: pair[0][: pair[1]]),
+    _PLAIN_LINE.map(lambda line: (*line, "")),
+    _PLAIN_LINE.map(lambda line: (*line, " x")),
+    st.just(("  ",)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    lines=st.lists(_PLAIN_LINE, max_size=24),
+    odd=st.lists(st.tuples(st.integers(0, 24), _RESHAPED), max_size=3),
+    bad=st.none() | st.tuples(st.integers(0, 24), _BAD_LINE),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+    final=st.booleans(),
+    block_chars=st.sampled_from([16, 100, 1 << 16]),
+    block_lines=st.sampled_from([2, 4096]),
+)
+def test_generated_quote_free_csvs(lines, odd, bad, end, final, block_chars, block_lines):
+    # small blocks put the file's lines in several, some split on commas and
+    # some read by csv.reader
+    lines = list(lines)
+    for at, line in odd:
+        lines.insert(at, line)
+    if bad is not None:
+        lines.insert(*bad)
+    text = end.join(",".join(cells) for cells in [REQUIRED_COLUMNS, *lines])
+    assert '"' not in text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes((text + end * final).encode())
+        with mock.patch.multiple(
+            ingest_module, _BLOCK_CHARS=block_chars, _BLOCK_LINES=block_lines
+        ):
+            assert_same_ingest(path)
 
 
 _RECORD = st.tuples(
