@@ -13,22 +13,24 @@ The records are read into columns (parse_csv) and collated with numpy
 straight into the dataset's PanelView (core's one collate); no object per
 record, slot or row is made on the way.
 
-parse_csv reads the file (UTF-8, a byte-order mark skipped) block by block
-and converts each block column by column: a float() per age and per filled
-isotope cell, NaN for an empty one, a strip() per label, and the range and
-finiteness checks on whole arrays. A bad record is found from those arrays
-and then named by the same checks run on its cells alone. A block comes
-from one of two tokenizers, which give the same cells:
+parse_csv reads the file (UTF-8, a byte-order mark skipped) once, in
+blocks of about 64 KiB ended at a line end, and converts each block column
+by column: a float() per age and per filled isotope cell, NaN for an empty
+one, a strip() per label, and the range and finiteness checks on whole
+arrays. A bad record is found from those arrays and then named by the same
+checks run on its cells alone. A block's cells come from one of two
+tokenizers, which give the same cells:
 
-- a file with no quote (and no NUL) is read in blocks of about 64 KiB,
-  ended at a line end, and each block is split on commas and line ends in
-  one str.split, once its line ends and commas show that every line has the
-  header's width. A block that fails that check, or holds a line longer
-  than csv.field_size_limit(), goes through csv.reader instead, which is
-  then exact, since in such a file no cell spans lines;
-- any other file goes through csv.reader, taken _BLOCK_LINES rows at a
-  time. A row's file line is then found, on error only, by reading the file
-  again up to that row.
+- one str.split on commas and line ends, once the block's separators show
+  that every line has the header's width and no cell is longer than
+  csv.field_size_limit(). A block with quotes is split too when each quote
+  that opens a cell follows a separator and no line end falls inside a
+  cell: the quotes are taken out and the commas outside them made NULs to
+  split on;
+- csv.reader for any other block (a short, long or blank line, a quoted
+  cell that spans lines or holds a quote, a NUL), read on past the block's
+  end while a quoted cell runs on. The file line of a row is then found, on
+  error only, by reading the block's text again.
 
 Labels are mapped (canonicalize_sources, apply_species_buckets) and
 numbered (core._intern) once per distinct label, and build_dataset puts the
@@ -38,9 +40,12 @@ records in age order by reordering integer codes.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from itertools import compress, islice, repeat, zip_longest
+from functools import partial
+from itertools import chain, compress, islice, zip_longest
 from math import inf
+from operator import add
 
 import numpy as np
 
@@ -101,79 +106,145 @@ DEFAULT_SPECIES_BUCKETS = {
 }
 
 
-_BLOCK_LINES = 4096  # rows per block that csv.reader tokenizes
-# characters per block that str.split tokenizes, read on to the end of a
-# line: about 1,300 lines of the benchmark's CSV
+# characters per block, read on to the end of a line: about 1,300 lines of
+# the benchmark's CSV
 _BLOCK_CHARS = 1 << 16
-# every byte but the two that separate cells, neither of which UTF-8 uses
-# inside a multi-byte character
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+# for each cell separator that _split takes, every byte but it and the line
+# end, neither of which UTF-8 uses inside a multi-byte character
+_NOT_SEPARATORS = {
+    separator: bytes(sorted(set(range(256)) - {ord(separator), ord("\n")}))
+    for separator in ",\0"
+}
 
 
-def _quoted(path) -> bool:
-    """Whether the file holds a quote or a NUL byte, the two cases in which
-    a line may not split like csv.reader splits it: a quoted cell can span
-    lines, and csv.reader's handling of NUL depends on the Python version."""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            if b'"' in chunk or b"\0" in chunk:
-                return True
-    return False
+def _blocks(fh, width):
+    """The blocks of a CSV file after its header row, read from fh (opened
+    with newline=""), as (columns, line_of): the block's cells column by
+    column, at least width columns with short rows padded with empty cells,
+    and a function from a row of the block to the file line it ends on. A
+    csv.Error raises ParseError with its line, once the rows read before it
+    have been yielded.
+
+    A block is split on commas and line ends (_split), its quotes taken out
+    first (_unquote), wherever that gives the cells csv.reader gives; any
+    other block, and one with a NUL, goes through csv.reader (_read_rows).
+    """
+    line = 2  # the file line the block starts on
+    while text := fh.read(_BLOCK_CHARS):
+        text += fh.readline()
+        if "\0" in text:
+            # csv.reader rejects a NUL before Python 3.11, and _unquote
+            # marks the commas it splits on with one
+            columns = None
+        elif '"' not in text:
+            columns = _split(text, width, ",")
+        else:
+            plain = _unquote(text)
+            columns = None if plain is None else _split(plain, width, "\0")
+        if columns is not None:
+            yield columns, partial(add, line)
+            line += len(columns[0])
+            continue
+        rows, text, n, error = _read_rows(text, fh)
+        if rows:
+            yield _columns(rows, width), partial(_line_of_row, text, line)
+        if error is not None:
+            raise ParseError(line - 1 + n, str(error))
+        line += n
 
 
-def _csv_blocks(reader, first_line=1):
-    """Blocks of up to _BLOCK_LINES rows from a csv.reader whose first line
-    is first_line of the file. A csv.Error raises ParseError with its line,
-    once the rows read before it have been yielded."""
-    while True:
-        rows = []
-        try:
-            rows.extend(islice(reader, _BLOCK_LINES))
-        except csv.Error as exc:
-            if rows:
-                yield rows
-            raise ParseError(first_line - 1 + reader.line_num, str(exc)) from None
-        if not rows:
-            return
-        yield rows
+def _unquote(text):
+    """text with its quotes taken out and each comma outside them made a
+    NUL, or None unless each quote that opens a cell (the first, the third,
+    ...) follows a separator and no line end falls inside a cell. Then
+    csv.reader reads text as _split reads the result on NULs and line ends:
+    it keeps what follows a closing quote in the cell, up to the next
+    separator."""
+    # a line end on either side stands for the block's start and end
+    byte = np.frombuffer(("\n" + text + "\n").encode(), np.uint8)
+    at = np.flatnonzero(byte == ord('"'))
+    comma = byte == ord(",")
+    separator = comma | (byte == ord("\n")) | (byte == ord("\r"))
+    if not separator[at[0::2] - 1].all():
+        return None
+    # a separator is inside a cell when an odd number of quotes come before
+    # it; a line end must not be
+    separators = np.flatnonzero(separator)
+    inside = np.searchsorted(at, separators) % 2 == 1
+    comma = comma[separators]
+    if (inside & ~comma).any():
+        return None
+    byte = byte.copy()
+    byte[separators[comma & ~inside]] = 0
+    return byte[1:-1].tobytes().replace(b'"', b"").decode()
+
+
+def _split(text, width, separator):
+    """The cells of a block with no quote, column by column, if each of its
+    lines has width cells and none is longer than csv.field_size_limit();
+    else None. separator (a comma, or the NUL that _unquote puts for one)
+    and line ends separate cells. With no quote no cell spans lines, so the
+    split gives the cells csv.reader gives."""
+    # a CR can only end a line
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            text = text.replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    n = text.count("\n")
+    line_marks = (separator * (width - 1) + "\n").encode()
+    if text.encode().translate(None, _NOT_SEPARATORS[separator]) != line_marks * n:
+        return None
+    # a line end is one more separator, and the last one leaves an empty
+    # cell after the block's n * width
+    cells = text.replace("\n", separator).split(separator)
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, cells)) > limit:
+        return None
+    return [cells[j : n * width : width] for j in range(width)]
+
+
+def _read_rows(text, fh) -> tuple:
+    """csv.reader's rows of a block, text, that ends at a line end: as many
+    rows as text has lines, read on from fh line by line while a quoted
+    cell runs on. Returns (rows, text, n, error): the rows read before any
+    csv.Error, the text they were read from, its number of lines, and the
+    error or None."""
+    lines = text.count("\n")
+    if "\r" in text:
+        lines += text.count("\r") - text.count("\r\n")
+    lines += not text.endswith(("\n", "\r"))
+    more = []
+
+    def read_on():
+        for extra in iter(fh.readline, ""):
+            more.append(extra)
+            yield extra
+
+    reader = csv.reader(chain(io.StringIO(text, newline=""), read_on()))
+    rows, error = [], None
+    try:
+        rows.extend(islice(reader, lines))
+    except csv.Error as exc:
+        error = exc
+    return rows, text + "".join(more), reader.line_num, error
 
 
 def _columns(rows, width) -> list:
-    """A block's rows as columns, at least width of them, short rows padded
-    with empty cells."""
+    """Rows as columns, at least width of them, short rows padded with
+    empty cells."""
     columns = list(zip_longest(*rows, fillvalue=""))
     columns += [("",) * len(rows)] * (width - len(columns))
     return columns
 
 
-def _split_blocks(fh, width):
-    """The columns of each block after the header of a quote-free file. A
-    block whose lines all have width cells, none longer than
-    csv.field_size_limit(), is split on commas; any other goes through
-    csv.reader. With no quote no cell spans lines, so either way a block's
-    rows are its lines, and the split gives the cells csv.reader gives."""
-    limit = csv.field_size_limit()
-    line_marks = b"," * (width - 1) + b"\n"
-    line = 2
-    while text := fh.read(_BLOCK_CHARS):
-        text += fh.readline()
-        # read with newline="", a CR here can only end a line
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        if not text.endswith("\n"):
-            text += "\n"
-        n = text.count("\n")
-        # a line end is one more separator, and the last one leaves an
-        # empty cell after the block's n * width
-        cells = text.replace("\n", ",").split(",")
-        if text.encode().translate(None, _NOT_SEPARATORS) == line_marks * n and (
-            len(text) <= limit or max(map(len, cells)) <= limit
-        ):
-            yield [cells[j : n * width : width] for j in range(width)]
-        else:
-            for rows in _csv_blocks(csv.reader(text.split("\n")[:-1]), line):
-                yield _columns(rows, width)
-        line += n
+def _line_of_row(text, line, row) -> int:
+    """The file line that row of a block ends on: the block is text, read
+    from file line line on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(islice(reader, row, None))
+    return line - 1 + reader.line_num
 
 
 def _number(text: str) -> float:
@@ -244,14 +315,6 @@ def _cell_error(text, line_number, column) -> ParseError:
     return ParseError(line_number, f"non-finite value {text!r} in column {column}")
 
 
-def _line_of_row(path, row) -> int:
-    """The file line that row (0 the header) of a quoted file ends on."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(islice(reader, row, None))
-        return reader.line_num
-
-
 def parse_csv(path) -> tuple:
     """Read the raw records in file order; returns (records, diagnostics).
 
@@ -265,10 +328,9 @@ def parse_csv(path) -> tuple:
     with the file line (and column); a missing header column raises
     SchemaError.
 
-    The file is read and converted block by block; see the module docstring
-    for the two tokenizers.
+    The file is read once, and converted block by block; see the module
+    docstring for the two tokenizers.
     """
-    quoted = _quoted(path)
     ages, d18o_cells, d13c_cells, sources, species = [], [], [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -284,22 +346,14 @@ def parse_csv(path) -> tuple:
             raise SchemaError(f"missing header columns: {', '.join(missing_cols)}")
         index = [header.index(name) for name in REQUIRED_COLUMNS]
         i_source, i_species = index[3:]
-        width = len(header)
-        if quoted:
-            blocks = (_columns(rows, width) for rows in _csv_blocks(reader))
-        else:
-            blocks = _split_blocks(fh, width)
-        row = 1  # rows before the block, the header included
-        for columns in blocks:
+        for columns, line_of in _blocks(fh, len(header)):
             age, d18o, d13c = (_floats(columns[i]) for i in index[:3])
             keep = (0.0 < age) & (age < 70.0) & ~np.isinf(d18o) & ~np.isinf(d13c)
             for i in np.flatnonzero(~keep).tolist():
                 cells = [column[i] for column in columns]
                 if any(map(str.strip, cells)):
-                    line = _line_of_row(path, row + i) if quoted else row + i + 1
-                    raise _record_error(cells, index, line)
+                    raise _record_error(cells, index, line_of(i))
                 # a blank line
-            row += age.size
             ages.append(age[keep])
             d18o_cells.append(d18o[keep])
             d13c_cells.append(d13c[keep])

@@ -123,7 +123,9 @@ def parse_csv(path) -> tuple:
             header.index(name) for name in REQUIRED_COLUMNS
         )
         width = len(header)
-        for line_number, row in enumerate(reader, start=2):
+        for row in reader:
+            # the file line the record ends on: a quoted cell can span lines
+            line_number = reader.line_num
             if not row:
                 continue
             if len(row) < width:

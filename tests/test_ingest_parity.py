@@ -112,6 +112,9 @@ _SOURCES = [
     "McCarren et al. 2008 et al. 2008",
 ]
 _SPECIES = ["CSPP", "CSPP, >250", "CSPP, specimen >250 μm", "CSPP, whole specimen", "X"]
+# labels written quoted that span lines or hold a quote, which csv.reader
+# reads; for the generated quoted files only
+_AWKWARD = ["two\nlines", " A\r\nB ", "x,\r\r\ny", 'say "hi"']
 _LINE = st.tuples(
     st.sampled_from(_AGES),
     _VALUES,
@@ -131,13 +134,27 @@ _BAD_LINE = st.sampled_from(
 )
 
 
-@settings(max_examples=80, deadline=None)
+_QUOTED_LINE = st.tuples(
+    st.sampled_from(_AGES),
+    _VALUES,
+    _VALUES,
+    st.sampled_from(_SOURCES + _AWKWARD),
+    st.sampled_from(_SPECIES + _AWKWARD),
+)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    lines=st.lists(_LINE, max_size=24),
+    lines=st.lists(_QUOTED_LINE, max_size=24),
     blank_at=st.none() | st.integers(0, 24),
     bad=st.none() | st.tuples(st.integers(0, 24), _BAD_LINE),
+    end=st.sampled_from(["\r\n", "\n", "\r"]),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    block_chars=st.sampled_from([16, 100, 1 << 16]),
 )
-def test_generated_ingest_csvs(lines, blank_at, bad):
+def test_generated_ingest_csvs(lines, blank_at, bad, end, quoting, block_chars):
+    # small blocks end inside quoted cells, and put quoted and quote-free
+    # blocks in one file
     lines = list(lines)
     if blank_at is not None:
         lines.insert(blank_at, ())
@@ -146,9 +163,33 @@ def test_generated_ingest_csvs(lines, blank_at, bad):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "raw.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator=end, quoting=quoting)
             writer.writerow(["age_tuned", "d18O", "d13C", "source", "species"])
             writer.writerows(lines)
+        with mock.patch.object(ingest_module, "_BLOCK_CHARS", block_chars):
+            assert_same_ingest(path)
+
+
+# Quotes that csv.writer does not write, each a line after a plain one: a
+# quote inside an unquoted cell, a quoted comma in a short row, a quoted
+# cell spanning lines whose halves each have the header's width, text after
+# a closing quote, a doubled quote, a quote left open at the end of the file.
+_ODD_QUOTES = [
+    '2.0,1.0,,a"b,c",x\n',
+    '2.0,1.0,,"a,b"\n',
+    '2.0,1.0,,z,"x\ny",a,b,c,d\n',
+    '2.0,1.0,,"a"b,c\n',
+    '2.0,1.0,,"a""b",c\n',
+    '2.0,1.0,,"a,b",c\n2.0,1.0,,x,"y',
+]
+
+
+@pytest.mark.parametrize("block_chars", [1, 1 << 16])
+@pytest.mark.parametrize("line", _ODD_QUOTES)
+def test_odd_quotes_read_as_csv_reader_reads_them(tmp_path, line, block_chars):
+    path = tmp_path / "raw.csv"
+    path.write_text("age_tuned,d18O,d13C,source,species\n3.0,1.0,,A,B\n" + line)
+    with mock.patch.object(ingest_module, "_BLOCK_CHARS", block_chars):
         assert_same_ingest(path)
 
 
@@ -179,9 +220,8 @@ _RESHAPED = st.one_of(
     end=st.sampled_from(["\n", "\r\n", "\r"]),
     final=st.booleans(),
     block_chars=st.sampled_from([16, 100, 1 << 16]),
-    block_lines=st.sampled_from([2, 4096]),
 )
-def test_generated_quote_free_csvs(lines, odd, bad, end, final, block_chars, block_lines):
+def test_generated_quote_free_csvs(lines, odd, bad, end, final, block_chars):
     # small blocks put the file's lines in several, some split on commas and
     # some read by csv.reader
     lines = list(lines)
@@ -194,9 +234,7 @@ def test_generated_quote_free_csvs(lines, odd, bad, end, final, block_chars, blo
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "raw.csv"
         path.write_bytes((text + end * final).encode())
-        with mock.patch.multiple(
-            ingest_module, _BLOCK_CHARS=block_chars, _BLOCK_LINES=block_lines
-        ):
+        with mock.patch.object(ingest_module, "_BLOCK_CHARS", block_chars):
             assert_same_ingest(path)
 
 
