@@ -282,6 +282,8 @@ def cmd_gain(args, argv) -> int:
             for name, est in zip(result.param_names, result.params_hat)
             if name.startswith("sigma_eps2")
         ]
+        if result.spec.n_series != 1:
+            raise UsageError("the fit has two series; pass --q or refit one series")
         if len(etas) != 1 or len(epss) != 1:
             raise UsageError(
                 "the fit has grouped variances; pass --q or refit a pooled model"

@@ -1,11 +1,10 @@
 """Smoothed values on an equidistant time grid.
 
-Grid stamps are merged into the dataset as all-missing rows (stamps within
-1e-12 My of an existing row are not duplicated; the data row itself serves
-as the grid row), one smoother pass runs at the fitted parameters, and the
-grid rows are read off. Because transitions are booked at observed rows
-only, inserting grid rows changes nothing at the original stamps; a grid
-row carries the state of the nearest observed row on its old side.
+One smoother pass runs over the data at the fitted parameters, and each
+grid stamp reads the smoothed moments of its row by index: the row within
+COINCIDENCE_TOL (1e-12 My) of it, else the last older row, else row 0.
+Transitions are booked at observed rows only, so an all-missing row at the
+stamp (merge_grid inserts such rows) would hold just those moments.
 """
 
 from __future__ import annotations
@@ -74,13 +73,9 @@ def merge_grid(data: PanelDataset, grid) -> tuple:
     data's view with the rows renumbered and the grid rows, which hold no
     slot, added.
     """
-    grid = np.asarray(grid, dtype=float).reshape(-1)
-    bad = np.flatnonzero(~np.isfinite(grid))
-    if bad.size:
-        g = int(bad[0])
-        raise ValueError(f"grid entry {g} is {float(grid[g])!r}, not a finite stamp")
     view = data.view
-    new = np.flatnonzero(~_near(view.stamps, grid, (-1, 0))[1].any(axis=0))
+    grid, rows, near = _grid_rows(view.stamps, grid)
+    new = np.flatnonzero(~near)
     extra = grid[new]
 
     # a stable sort by stamp of the data rows followed by the extra rows
@@ -115,27 +110,28 @@ def merge_grid(data: PanelDataset, grid) -> tuple:
     )
     merged = PanelDataset(merged_view, data.sources, data.species)
 
-    # each stamp's row: the first of the rows just below, at and above its
-    # insertion point that lies within COINCIDENCE_TOL
-    at, near = _near(stamps, grid, (-1, 0, 1))
-    lost = ~near.any(axis=0)
-    if lost.any():
-        raise AssertionError(f"grid stamp {grid[lost][0]} lost in the merge")
-    indices = (at - 1 + near.argmax(axis=0)).tolist()
-    return merged, indices
+    # a coincident stamp is held by its data row, an inserted one by its own
+    rows[new] = n + np.arange(new.size)
+    return merged, new_row[rows].tolist()
 
 
-def _near(stamps: np.ndarray, grid: np.ndarray, offsets: tuple) -> tuple:
-    # (at, near): at[g] is grid[g]'s insertion point in stamps, and near[i, g]
-    # says that the row at at[g] + offsets[i] exists and lies within
-    # COINCIDENCE_TOL
+def _grid_rows(stamps: np.ndarray, grid) -> tuple:
+    # (grid, rows, near): rows[i] is the row of the increasing stamps whose
+    # smoothed moments grid[i] takes, the row within COINCIDENCE_TOL of it
+    # (the older neighbour first), else the last older row, else row 0, and
+    # near[i] says that row lies within COINCIDENCE_TOL
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        g = int(bad[0])
+        raise ValueError(f"grid entry {g} is {float(grid[g])!r}, not a finite stamp")
     at = np.searchsorted(stamps, grid)
-    near = np.zeros((len(offsets), grid.size), dtype=bool)
-    for i, off in enumerate(offsets):
-        j = at + off
-        ok = (j >= 0) & (j < stamps.size)
-        near[i, ok] = np.abs(stamps[j[ok]] - grid[ok]) <= COINCIDENCE_TOL
-    return at, near
+    # row j's stamp at j + 1, with an infinite stamp on either side
+    padded = np.concatenate([[-np.inf], stamps, [np.inf]])
+    near_older = np.abs(padded[at] - grid) <= COINCIDENCE_TOL
+    near_younger = np.abs(padded[at + 1] - grid) <= COINCIDENCE_TOL
+    rows = np.where(near_younger & ~near_older, at, np.maximum(at - 1, 0))
+    return grid, rows, near_older | near_younger
 
 
 @dataclass(frozen=True)
@@ -153,15 +149,17 @@ class ImputationTable:
 
 
 def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
-    """Smoothed state values at the grid stamps under fitted parameters.
+    """Smoothed level values at the grid stamps under fitted parameters.
 
     fit is a FitResult (params and their layout order are read off it) or
-    a bare natural-scale parameter vector. Coincident grid stamps reuse
-    the data row, so their values equal the data-row smoothed values.
+    a bare natural-scale parameter vector. One filter and smoother pass
+    runs over data, and each grid stamp takes its row's moments (see the
+    module docstring); a repeated stamp takes them again.
 
-    Raises ValueError, naming the grid stamp, where a smoothed level
-    variance is negative: the smoother has lost precision there, and no
-    SD is reported for it.
+    Raises ValueError, naming the grid entry, for a grid stamp that is not
+    finite, and, naming the grid stamp, where a smoothed level variance is
+    negative: the smoother has lost precision there, and no SD is reported
+    for it. A ConditioningError names the data row, as kalman.filter does.
     """
     layout = build_layout(spec, data)
     params = getattr(fit, "params_hat", fit)
@@ -171,15 +169,12 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
             "fit result does not match this (spec, data): parameter layouts differ"
         )
 
-    merged, indices = merge_grid(data, grid)
-    run = kalman.filter(spec, layout, params, merged)
-    del merged  # its view is not needed while smoothing
-    paths = kalman.smooth(run)
+    grid, rows, _ = _grid_rows(data.view.stamps, grid)
+    paths = kalman.smooth(kalman.filter(spec, layout, params, data))
 
-    rows = np.array(indices, dtype=np.intp)[:, None]
     levels = [j * spec.order_m for j in range(spec.n_series)]
-    means = paths.smoothed_means[rows, levels]
-    var = paths.smoothed_covs[rows, levels, levels]
+    means = paths.smoothed_means[rows[:, None], levels]
+    var = paths.smoothed_covs[rows[:, None], levels, levels]
     negative = np.argwhere(var < 0.0)
     if negative.size:
         i, j = negative[0].tolist()
@@ -189,7 +184,7 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
         )
     sds = np.sqrt(var)
     return ImputationTable(
-        stamps=tuple(float(g) for g in grid),
+        stamps=tuple(grid.tolist()),
         series=tuple(SERIES_NAMES[s] for s in spec.series),
         means=means,
         sds=sds,

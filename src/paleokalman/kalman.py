@@ -55,10 +55,9 @@ slot left it (as the row before it, if it has none) and predicted as the
 row before it was filtered, plus the variance it books.
 
 Both backward passes step only through the rows that move some block, last
-first, and fill every other row by one index (_filled), so the all-missing
-grid rows that impute inserts cost no step. At state dimension 1 numpy
-gives each moving row's b and c first, and the float loop only updates the
-mean and the variance.
+first, and fill every other row by one index (_filled), so an all-missing
+row costs no step. At state dimension 1 numpy gives each moving row's b
+and c first, and the float loop only updates the mean and the variance.
 
 score, the exact gradient of the loglik that fitting climbs, runs the
 forward recursion in paths mode and the backward pass of smooth, and

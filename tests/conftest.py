@@ -123,22 +123,26 @@ MIXED_RECORDS = [
 ]
 
 
+# Two grids for the MIXED_RECORDS panel: the second has several stamps
+# before the first row and stamps within COINCIDENCE_TOL of data rows, on
+# both sides.
+_NEAR = 0.5 * COINCIDENCE_TOL
+MIXED_GRIDS = (
+    [-61.0, -59.0, -40.0, -20.0, -0.5],
+    [-69.0, -64.0, -60.5 + _NEAR, -58.0 - _NEAR, -45.0, -30.0 + _NEAR, -1.0 - _NEAR, -0.2],
+)
+
+
 def mixed_panels():
-    """The MIXED_RECORDS panel built five ways: by collate_rows, with grid
-    rows merged in, twice, and sliced, twice. The second grid has several
-    stamps before the first row and stamps within COINCIDENCE_TOL of data
-    rows, on both sides. The sliced panel is the window rows[1:7] of the
-    collated one (so one leading all-missing row), as a fit window on a
-    sub-panel is. The head panel is its window rows[:3]: the two leading
-    all-missing rows, then one row with both series, so that no series
-    moves."""
+    """The MIXED_RECORDS panel built five ways: by collate_rows, with the
+    rows of each of MIXED_GRIDS merged in, and sliced, twice. The sliced
+    panel is the window rows[1:7] of the collated one (so one leading
+    all-missing row), as a fit window on a sub-panel is. The head panel is
+    its window rows[:3]: the two leading all-missing rows, then one row
+    with both series, so that no series moves."""
     collated = collate_rows(MIXED_RECORDS)
-    merged, _ = merge_grid(collated, [-61.0, -59.0, -40.0, -20.0, -0.5])
-    near = 0.5 * COINCIDENCE_TOL
-    merged_edges, _ = merge_grid(
-        collated,
-        [-69.0, -64.0, -60.5 + near, -58.0 - near, -45.0, -30.0 + near, -1.0 - near, -0.2],
-    )
+    merged, _ = merge_grid(collated, MIXED_GRIDS[0])
+    merged_edges, _ = merge_grid(collated, MIXED_GRIDS[1])
     return {
         "collated": collated,
         "merged": merged,
@@ -155,5 +159,6 @@ __all__ = [
     "small_simulated",
     "mixed_panels",
     "MIXED_RECORDS",
+    "MIXED_GRIDS",
     "MISSING",
 ]

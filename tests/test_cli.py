@@ -748,6 +748,21 @@ def test_gain_grouped_fit_rejected(tmp_path, capsys):
     assert "grouped variances" in capsys.readouterr().err
 
 
+def test_gain_bivariate_fit_rejected(tmp_path, capsys):
+    # a pooled bivariate fit has one trend and one measurement variance per
+    # series, so no one q; its variances are not grouped
+    csv = _write_raw(tmp_path / "d.csv", n=40)
+    fit_path = tmp_path / "fit.json"
+    code = main(["fit", "--data", str(csv), "--model", "biv", "--out", str(fit_path)])
+    assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+    capsys.readouterr()
+    code = main(["gain", "--fit", str(fit_path), "--mean-dt", "0.01"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage error: the fit has two series; pass --q or refit one series\n"
+    )
+
+
 def test_gain_no_inputs_exits_64(capsys):
     assert main(["gain"]) == EXIT_USAGE
 

@@ -1,6 +1,7 @@
 """Regular-grid construction and smoothed-value imputation."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from paleokalman.imputation import (
 )
 from paleokalman.kalman import filter as kfilter, smooth
 
-from conftest import rows_from_values
+from conftest import MIXED_GRIDS, mixed_panels, rows_from_values
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,10 @@ def test_merge_inserts_missing_rows():
     assert merged.view.stamps.tolist() == [-3.0, -2.0, -1.0]
     assert merged.view.row.tolist() == [0, 2]  # row 1 holds no slot
     assert idx == [1]
+    # a stamp at the present, younger than every row
+    merged, idx = merge_grid(data, [0.0])
+    assert merged.view.stamps.tolist() == [-3.0, -1.0, 0.0]
+    assert idx == [2]
 
 
 def test_merge_coincident_stamp_reuses_row():
@@ -113,6 +118,33 @@ def test_merge_rejects_a_repeated_grid_stamp():
         merge_grid(data, [-2.5, -1.5, -2.5])
 
 
+def test_merge_indexes_grid_stamps_closer_than_the_tolerance():
+    data = rows_from_values([-3.0, -1.0], [[1.0], [2.0]])
+    # two new stamps within COINCIDENCE_TOL of each other: each its own row
+    merged, idx = merge_grid(data, [-2.0, -2.0 + 0.5 * COINCIDENCE_TOL])
+    assert merged.n_rows == 4
+    assert idx == [1, 2]
+    # a new stamp just outside the tolerance of the last data row, then one
+    # inside it: the second is held by the data row, not by the new row
+    merged, idx = merge_grid(data, [-1.0 - 1.5 * COINCIDENCE_TOL, -1.0 - 0.8 * COINCIDENCE_TOL])
+    assert merged.view.stamps.tolist() == [-3.0, -1.0 - 1.5 * COINCIDENCE_TOL, -1.0]
+    assert idx == [1, 2]
+    # a stamp within COINCIDENCE_TOL of two data rows: the older holds it
+    close = rows_from_values([-1.0, -1.0 + 1.5 * COINCIDENCE_TOL], [[1.0], [2.0]])
+    merged, idx = merge_grid(close, [-1.0 + 0.75 * COINCIDENCE_TOL])
+    assert merged.n_rows == 2
+    assert idx == [0]
+
+
+def test_merge_on_an_empty_panel_inserts_every_stamp():
+    data = rows_from_values([-3.0, -1.0], [[1.0], [2.0]])
+    empty = dataclasses.replace(data, rows=data.rows[:0])
+    merged, idx = merge_grid(empty, [-2.5, -2.0, -0.5])
+    assert merged.view.stamps.tolist() == [-2.5, -2.0, -0.5]
+    assert merged.view.row.size == 0  # no row holds a slot
+    assert idx == [0, 1, 2]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_merge_rejects_a_grid_stamp_that_is_not_finite(bad):
     data = rows_from_values([-3.0, -1.0], [[1.0], [2.0]])
@@ -142,6 +174,10 @@ def test_coincident_grid_values_equal_smoothed_rows():
     assert table.means[0, 0] == paths.smoothed_means[0, 0]  # exact, same row
     assert table.means[1, 0] == paths.smoothed_means[2, 0]
     assert table.sds[0, 0] == math.sqrt(paths.smoothed_covs[0, 0, 0])
+    # a stamp just inside the tolerance of row 2, after one just outside it
+    grid = [-1.5 - 1.5 * COINCIDENCE_TOL, -1.5 - 0.8 * COINCIDENCE_TOL]
+    table = impute(params, spec, data, grid)
+    assert table.means[:, 0].tolist() == paths.smoothed_means[[1, 2], 0].tolist()
 
 
 def test_grid_between_stamps_holds_previous_smoothed_value():
@@ -234,18 +270,76 @@ def test_impute_on_higher_order_reads_level():
 
 def test_impute_rejects_negative_smoothed_variance(monkeypatch):
     spec, params, data = _fitted_small()
-    grid = [-2.0, -1.2]
-    _, indices = merge_grid(data, grid)
+    grid = [-2.0, -1.2]  # -1.2 takes the moments of row 2, at -1.5
     smooth_ = kalman.smooth
 
     def smooth_with_negative_variance(run):
         paths = smooth_(run)
-        paths.smoothed_covs[indices[1], 0, 0] = -2.5e-07
+        paths.smoothed_covs[2, 0, 0] = -2.5e-07
         return paths
 
     monkeypatch.setattr(kalman, "smooth", smooth_with_negative_variance)
     with pytest.raises(ValueError, match=r"-2\.5e-07 of d18O at grid stamp -1\.2"):
         impute(params, spec, data, grid)
+
+
+def test_impute_conditioning_error_names_the_data_row():
+    # the grid stamps before and between the data rows add no row, so the
+    # error names the row the filter names on the data alone
+    data = rows_from_values([-3.0, -2.0, -1.0, -0.5], [[1.0], [1.5], [2.0], [2.2]])
+    spec = ModelSpec()
+    params = [1e308, 1e308]
+    with pytest.raises(kalman.ConditioningError) as on_data:
+        kfilter(spec, build_layout(spec, data), params, data)
+    with pytest.raises(kalman.ConditioningError) as on_grid:
+        impute(params, spec, data, [-2.9, -2.5, -2.4, -1.5])
+    assert on_data.value.row_index == on_grid.value.row_index == 1
+    assert str(on_grid.value) == str(on_data.value)
+
+
+def test_impute_repeats_a_repeated_grid_stamp():
+    spec, params, data = _fitted_small()
+    table = impute(params, spec, data, [-2.0, -1.0, -2.0])
+    assert table.stamps == (-2.0, -1.0, -2.0)
+    assert table.means[2, 0] == table.means[0, 0]
+    assert table.sds[2, 0] == table.sds[0, 0]
+
+
+def _impute_through_merged_panel(params, spec, data, grid):
+    # the reference: the grid stamps merged into the panel as all-missing
+    # rows, one filter and smoother pass over the merged panel, and the
+    # rows holding the grid stamps read off
+    merged, indices = merge_grid(data, grid)
+    paths = smooth(kfilter(spec, build_layout(spec, data), params, merged))
+    rows = np.array(indices)[:, None]
+    levels = [j * spec.order_m for j in range(spec.n_series)]
+    var = paths.smoothed_covs[rows, levels, levels]
+    return paths.smoothed_means[rows, levels], np.sqrt(var)
+
+
+_REFERENCE_SPECS = {
+    "rwn": ModelSpec(),
+    "m2": ModelSpec(order_m=2),
+    "biv-rho-climate": ModelSpec(arity="bivariate", corr_grouping="by-climate-state"),
+}
+
+
+@pytest.mark.parametrize("grid", MIXED_GRIDS, ids=["grid", "edges"])
+@pytest.mark.parametrize("build", ["collated", "sliced"])
+@pytest.mark.parametrize("name", list(_REFERENCE_SPECS))
+def test_impute_equals_the_merged_panel_reference(name, build, grid):
+    spec = _REFERENCE_SPECS[name]
+    data = mixed_panels()[build]
+    layout = build_layout(spec, data)
+    params = [
+        -0.5 + 0.3 * (i % 3) if p.role == "rho" else 0.1 * (i + 1)
+        for i, p in enumerate(layout.params)
+    ]
+    table = impute(params, spec, data, grid)
+    means, sds = _impute_through_merged_panel(params, spec, data, grid)
+    assert table.means.shape == means.shape == (len(grid), spec.n_series)
+    assert table.means.tobytes() == means.tobytes()
+    assert table.sds.tobytes() == sds.tobytes()
 
 
 # ---------------------------------------------------------------------------
