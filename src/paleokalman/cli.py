@@ -153,12 +153,10 @@ def _spec_from_flags(args) -> ModelSpec:
     )
 
 
-def _print_fit_summary(result: FitResult, out=None) -> None:
-    # resolve stdout at call time so runtime redirection is honored
-    out = out if out is not None else sys.stdout
+def _print_fit_summary(result: FitResult) -> None:
     widest = max((len(n) for n in result.param_names), default=4)
     gwidest = max((len(g) for g in result.param_groups), default=5)
-    print(f"{'parameter':<{widest}}  {'group':<{gwidest}}  estimate      (se)", file=out)
+    print(f"{'parameter':<{widest}}  {'group':<{gwidest}}  estimate      (se)")
     for name, group, est, se in zip(
         result.param_names,
         result.param_groups,
@@ -166,12 +164,11 @@ def _print_fit_summary(result: FitResult, out=None) -> None:
         result.std_errors,
     ):
         se_text = "n/a" if not np.isfinite(se) else f"{se:.6g}"
-        print(f"{name:<{widest}}  {group:<{gwidest}}  {est:<12.6g}  ({se_text})", file=out)
+        print(f"{name:<{widest}}  {group:<{gwidest}}  {est:<12.6g}  ({se_text})")
     print(
         f"loglik {result.loglik:.4f}  BIC {result.bic:.4f}  "
         f"n_obs {result.n_obs}  n_params {result.n_params}  "
-        f"converged {str(result.converged).lower()}  iterations {result.iterations}",
-        file=out,
+        f"converged {str(result.converged).lower()}  iterations {result.iterations}"
     )
 
 
@@ -250,6 +247,10 @@ def cmd_smooth(args, argv) -> int:
 
 
 def cmd_impute(args, argv) -> int:
+    if None not in (args.span_start, args.span_end) and args.span_start <= args.span_end:
+        raise UsageError(
+            f"--span-start {args.span_start} must be older than --span-end {args.span_end}"
+        )
     result, data, _layout = _load_fit_and_data(args)
 
     if args.span_start is not None:

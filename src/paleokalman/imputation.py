@@ -4,7 +4,8 @@ One smoother pass runs over the data at the fitted parameters, and each
 grid stamp reads the smoothed moments of its row by index: the row within
 COINCIDENCE_TOL (1e-12 My) of it, else the last older row, else row 0.
 Transitions are booked at observed rows only, so an all-missing row at the
-stamp (merge_grid inserts such rows) would hold just those moments.
+stamp would hold just those moments. merge_grid, which collates such rows
+into the panel, is kept as the tests' reference for that.
 """
 
 from __future__ import annotations
@@ -16,21 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kalman
-from .core import (
-    MAX_SLOTS,
-    PanelDataset,
-    PanelView,
-    SERIES_NAMES,
-    _float_rows,
-    _write_csv,
-    climate_states,
-)
+from .core import MISSING, PanelDataset, SERIES_NAMES, _collate, _float_rows, _write_csv
 from .modelspec import ModelSpec, ParameterLayout, build_layout
 
 __all__ = [
     "COINCIDENCE_TOL",
     "make_grid",
-    "merge_grid",
     "ImputationTable",
     "impute",
     "write_impute_csv",
@@ -50,7 +42,7 @@ def make_grid(span_start_mya: float, span_end_mya: float, mesh_years: float) -> 
         raise ValueError(
             f"need finite span_start > span_end >= 0, got ({span_start_mya}, {span_end_mya})"
         )
-    if mesh_years <= 0:
+    if not mesh_years > 0:
         raise ValueError(f"mesh_years must be positive, got {mesh_years}")
     span_years = (span_start_mya - span_end_mya) * 1e6
     n_g = int(math.floor(span_years / mesh_years))
@@ -69,50 +61,39 @@ def merge_grid(data: PanelDataset, grid) -> tuple:
 
     indices[i] is the merged-row index holding grid stamp grid[i]. Stamps
     within COINCIDENCE_TOL of an existing row are not inserted; the
-    existing row is referenced instead. The merged panel's view is the
-    data's view with the rows renumbered and the grid rows, which hold no
-    slot, added.
+    existing row is referenced instead. The merged panel is collated from
+    the data's slots and an all-missing entry per data row and per
+    inserted stamp, so it keeps the data's slots and registries.
     """
     view = data.view
     grid, rows, near = _grid_rows(view.stamps, grid)
     new = np.flatnonzero(~near)
     extra = grid[new]
-
-    # a stable sort by stamp of the data rows followed by the extra rows
-    n = data.n_rows
-    stamps = np.concatenate([view.stamps, extra])
-    order = np.argsort(stamps, kind="stable")
-    stamps = stamps[order]
-    repeat = np.flatnonzero(np.diff(stamps) <= 0.0)
+    # the collate would merge two equal inserted stamps into one row
+    order = np.argsort(extra, kind="stable")
+    repeat = np.flatnonzero(np.diff(extra[order]) == 0.0)
     if repeat.size:
-        # the data stamps increase and no extra stamp is a data stamp, so a
-        # repeat is two extra rows, in grid order
-        first, again = new[order[repeat[0] : repeat[0] + 2] - n].tolist()
+        first, again = new[order[repeat[0] : repeat[0] + 2]].tolist()
         raise ValueError(
             f"grid entry {again} repeats the stamp {float(grid[again])!r} "
             f"of grid entry {first}"
         )
 
-    # the data rows keep their order, so a data slot's flat index moves by
-    # its row's shift and the slot columns stay in row-major order
-    new_row = np.empty(order.size, dtype=np.int64)
-    new_row[order] = np.arange(order.size)
-    shift = (new_row[:n] - np.arange(n)) * (2 * MAX_SLOTS)
-    merged_view = PanelView(
-        stamps=stamps,
-        climate_states=np.concatenate(
-            [view.climate_states, climate_states(extra)]
-        )[order],
-        at=view.at + shift[view.row],
-        value=view.value,
-        source=view.source,
-        species=view.species,
+    stamps = np.concatenate([view.stamps, extra])
+    n = stamps.size
+    merged = _collate(
+        np.concatenate([stamps, view.stamps[view.row]]),
+        np.concatenate([np.zeros(n, dtype=np.int64), view.series]),
+        np.concatenate([np.full(n, MISSING), view.value]),
+        np.concatenate([np.full(n, -1, dtype=np.int32), view.source]),
+        np.concatenate([np.full(n, -1, dtype=np.int32), view.species]),
+        data.sources,
+        data.species,
     )
-    merged = PanelDataset(merged_view, data.sources, data.species)
-
     # a coincident stamp is held by its data row, an inserted one by its own
-    rows[new] = n + np.arange(new.size)
-    return merged, new_row[rows].tolist()
+    held = grid.copy()
+    held[near] = view.stamps[rows[near]]
+    return merged, np.searchsorted(merged.view.stamps, held).tolist()
 
 
 def _grid_rows(stamps: np.ndarray, grid) -> tuple:
@@ -158,8 +139,9 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
 
     Raises ValueError, naming the grid entry, for a grid stamp that is not
     finite, and, naming the grid stamp, where a smoothed level variance is
-    negative: the smoother has lost precision there, and no SD is reported
-    for it. A ConditioningError names the data row, as kalman.filter does.
+    negative or NaN: the smoother has lost precision there, or the filter
+    overflowed, and no SD is reported for it. A ConditioningError names
+    the data row, as kalman.filter does.
     """
     layout = build_layout(spec, data)
     params = getattr(fit, "params_hat", fit)
@@ -175,11 +157,12 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
     levels = [j * spec.order_m for j in range(spec.n_series)]
     means = paths.smoothed_means[rows[:, None], levels]
     var = paths.smoothed_covs[rows[:, None], levels, levels]
-    negative = np.argwhere(var < 0.0)
-    if negative.size:
-        i, j = negative[0].tolist()
+    bad = np.argwhere(~(var >= 0.0))
+    if bad.size:
+        i, j = bad[0].tolist()
+        x = float(var[i, j])
         raise ValueError(
-            f"negative smoothed variance {float(var[i, j])!r} of "
+            f"{'negative' if x < 0.0 else 'NaN'} smoothed variance {x!r} of "
             f"{SERIES_NAMES[spec.series[j]]} at grid stamp {float(grid[i])!r}"
         )
     sds = np.sqrt(var)

@@ -921,19 +921,20 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
     Extra header lines (comments) go in first, verbatim.
 
     Raises ValueError, naming the stamp and the component, where a smoothed
-    variance is negative: the smoother has lost precision there. Nothing
-    is written then.
+    variance is negative or NaN: the smoother has lost precision there, or
+    the filter overflowed. Nothing is written then.
     """
     if paths.smoothed_means is None:
         raise ValueError("smoothed paths required; run smooth() first")
     comp = state_component_names(spec)
     var = paths.smoothed_covs.diagonal(axis1=1, axis2=2)
-    negative = np.argwhere(var < 0.0)
-    if negative.size:
-        nu, i = negative[0].tolist()
+    bad = np.argwhere(~(var >= 0.0))
+    if bad.size:
+        nu, i = bad[0].tolist()
+        x = float(var[nu, i])
         raise ValueError(
-            f"negative smoothed variance {float(var[nu, i])!r} of {comp[i]} "
-            f"at stamp {float(paths.stamps[nu])!r}"
+            f"{'negative' if x < 0.0 else 'NaN'} smoothed variance {x!r} of "
+            f"{comp[i]} at stamp {float(paths.stamps[nu])!r}"
         )
     resid = paths.standardized_residuals()
     slot_names = [

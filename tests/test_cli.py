@@ -416,16 +416,35 @@ def test_smooth_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, c
     assert not out.exists()
 
 
+def test_smooth_nan_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):
+    from paleokalman import kalman
+    from paleokalman.ingest import ingest
+
+    smooth_ = kalman.smooth
+
+    def smooth_with_nan_variance(run):
+        paths = smooth_(run)
+        paths.smoothed_covs[3:, 0, 0] = math.nan
+        return paths
+
+    monkeypatch.setattr(kalman, "smooth", smooth_with_nan_variance)
+    out = tmp_path / "states.csv"
+    argv = ["smooth", "--data", str(raw_csv), "--fit", str(fitted), "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    stamp = float(ingest(raw_csv)[0].view.stamps[3])
+    assert f"NaN smoothed variance nan of d18O.level at stamp {stamp!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _MISMATCH = "error: fit file does not match this data/model (layout differs)\n"
 
 
-def _overflowing_fit(fitted, tmp_path):
-    # every estimate near the largest float: the filter's first innovation
-    # variance after the diffuse phase overflows to inf
+def _fit_with_estimates(fitted, tmp_path, estimate):
+    # the fitted file with every estimate set to estimate
     payload = json.loads(fitted.read_text(encoding="utf-8"))
     for param in payload["params"]:
-        param["estimate"] = 1e308
-    path = tmp_path / "overflowing.json"
+        param["estimate"] = estimate
+    path = tmp_path / "estimates.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
@@ -433,12 +452,30 @@ def _overflowing_fit(fitted, tmp_path):
 @pytest.mark.parametrize("command", ["smooth", "impute"])
 def test_conditioning_error_exits_65(raw_csv, fitted, tmp_path, capsys, command):
     out = tmp_path / "out.csv"
-    argv = [command, "--data", str(raw_csv), "--fit", str(_overflowing_fit(fitted, tmp_path))]
+    # every estimate near the largest float: the filter's first innovation
+    # variance after the diffuse phase overflows to inf
+    argv = [command, "--data", str(raw_csv), "--fit", str(_fit_with_estimates(fitted, tmp_path, 1e308))]
     if command == "impute":
         argv += ["--mesh-years", "100000"]
     assert main(argv + ["--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err == "error: row 1: innovation variance inf at slot column 0\n"
+    assert not out.exists()
+
+
+# the real filter on subnormal estimates overflows (1.0 / P) and warns,
+# which pyproject turns into an error; the CLI must still exit 65
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["smooth", "impute"])
+def test_subnormal_estimates_exit_65(raw_csv, fitted, tmp_path, capsys, command):
+    # every estimate the smallest subnormal: the filter accepts the
+    # innovation variances, and the smoothed variances come out NaN
+    out = tmp_path / "out.csv"
+    argv = [command, "--data", str(raw_csv), "--fit", str(_fit_with_estimates(fitted, tmp_path, 5e-324))]
+    if command == "impute":
+        argv += ["--mesh-years", "100000"]
+    assert main(argv + ["--out", str(out)]) == EXIT_DATA
+    assert "error: NaN smoothed variance nan of d18O" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -599,6 +636,33 @@ def test_impute_span_out_of_range_exits_64(raw_csv, fitted, tmp_path, capsys, fl
     assert not out.exists()
 
 
+def test_impute_reversed_span_exits_64(tmp_path, capsys):
+    # a usage error, found before any file is read: the paths do not exist
+    out = tmp_path / "grid.csv"
+    argv = [
+        "impute", "--data", str(tmp_path / "none.csv"), "--fit", str(tmp_path / "none.json"),
+        "--mesh-years", "50000", "--span-start", "0.5", "--span-end", "1.0", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --span-start 0.5 must be older than --span-end 1.0\n"
+    assert not out.exists()
+
+
+def test_impute_span_end_older_than_the_data_exits_65(raw_csv, fitted, tmp_path, capsys):
+    # without --span-start the span starts at the data's oldest whole My
+    # (3 here), so a later --span-end is found only after reading the data
+    out = tmp_path / "grid.csv"
+    argv = [
+        "impute", "--data", str(raw_csv), "--fit", str(fitted),
+        "--mesh-years", "50000", "--span-end", "3.5", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_DATA
+    assert "error: need finite span_start > span_end >= 0, got (3.0, 3.5)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_impute_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):
     from paleokalman import kalman
 
@@ -614,6 +678,24 @@ def test_impute_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, c
     argv = ["impute", "--data", str(raw_csv), "--fit", str(fitted), "--mesh-years", "100000", "--out", str(out)]
     assert main(argv) == EXIT_DATA
     assert "negative smoothed variance -1.0 of d18O at grid stamp -3.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_impute_nan_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):
+    from paleokalman import kalman
+
+    smooth_ = kalman.smooth
+
+    def smooth_with_nan_variance(run):
+        paths = smooth_(run)
+        paths.smoothed_covs[:, 0, 0] = math.nan
+        return paths
+
+    monkeypatch.setattr(kalman, "smooth", smooth_with_nan_variance)
+    out = tmp_path / "grid.csv"
+    argv = ["impute", "--data", str(raw_csv), "--fit", str(fitted), "--mesh-years", "100000", "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert "NaN smoothed variance nan of d18O at grid stamp -3.0" in capsys.readouterr().err
     assert not out.exists()
 
 

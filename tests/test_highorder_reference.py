@@ -1,19 +1,24 @@
 """The engine at high trend order and on a bivariate multi-slot panel,
-against a 60-digit reference.
+against a 60-digit reference, on every state component.
 
 The reference is the textbook Kalman filter, one slot at a time, and the
-Rauch-Tung-Striebel smoother in mpmath at 60 significant digits, on the
-row transitions, booked disturbance covariances and observation stack of
-oracle._chain_matrices and oracle._observation_stack (float64 entries
-convert to mpf exactly). It approximates the diffuse initial state by a
-proper prior of variance kappa = 1e30 and takes log kappa off the log
-innovation variance of each slot whose innovation variance is O(kappa),
-as the exact-diffuse loglik does in the limit; the approximation error is
-O(1/kappa). At order 6 the state covariances span many decades (the trend
-variance is ~1e-11 of the measurement variance), which is where a
-double-precision filter and smoother could lose their accuracy.
+Rauch-Tung-Striebel smoother in mpmath, on the row transitions, booked
+disturbance covariances and observation stack of oracle._chain_matrices
+and oracle._observation_stack (float64 entries convert to mpf exactly). It
+approximates the diffuse initial state by a proper prior of variance
+kappa = 1e30 and takes log kappa off the log innovation variance of each
+slot whose innovation variance is O(kappa), as the exact-diffuse loglik
+does in the limit; the approximation error is O(1/kappa). Its P - K P'
+steps cancel about 2 log10 kappa digits while a block is still diffuse, so
+it works at 2 log10 kappa + 60 significant digits (120 here), which leaves
+60. At 60 digits the slope and higher derivative variances came out
+negative on the rows near the start. At order 6 the state covariances span
+many decades (the trend variance is ~1e-11 of the measurement variance),
+which is where a double-precision filter and smoother could lose their
+accuracy.
 """
 
+import math
 import os
 
 import mpmath
@@ -28,14 +33,17 @@ from paleokalman.oracle import _chain_matrices, _observation_stack
 
 mp = mpmath.mp
 
+KAPPA = 1e30
 
-def _reference(spec, layout, params, data, kappa):
-    # (per-slot loglik terms, the number of diffuse slots, smoothed state
-    # means, smoothed state covariances), at mp's working precision
+
+@mp.workdps(2 * round(math.log10(KAPPA)) + 60)
+def _reference(spec, layout, params, data):
+    # (loglik, the summed size of its per-slot terms, the number of diffuse
+    # slots, smoothed state means, smoothed state covariances)
     A, W = _chain_matrices(spec, layout, params, data)
     rows_of, cols, y, h = _observation_stack(spec, layout, params, data)
     n, s = A.shape[:2]
-    kappa = mp.mpf(kappa)
+    kappa = mp.mpf(KAPPA)
     a = mp.matrix(s, 1)
     P = kappa * mp.eye(s)
     terms, n_diffuse, pred, filt = [], 0, [], []
@@ -72,7 +80,18 @@ def _reference(spec, layout, params, data, kappa):
         covs.append(V)
     means = np.array([[float(x[i]) for i in range(s)] for x in means[::-1]])
     covs = np.array([[[float(V[i, j]) for j in range(s)] for i in range(s)] for V in covs[::-1]])
-    return terms, n_diffuse, means, covs
+    ll, size = float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+    return ll, size, n_diffuse, means, covs
+
+
+def _assert_every_component(paths, means, covs, mean_bound, cov_bound):
+    # each component's smoothed mean within mean_bound of its reference sd,
+    # and each covariance entry, variances and cross terms, within
+    # cov_bound of the product of the two reference sds
+    sd = np.sqrt(np.diagonal(covs, axis1=1, axis2=2))
+    assert np.all(np.abs(paths.smoothed_means - means) <= mean_bound * sd)
+    scale = sd[:, :, None] * sd[:, None, :]
+    assert np.all(np.abs(paths.smoothed_covs - covs) <= cov_bound * scale)
 
 
 def _check_order_6(n, q):
@@ -89,22 +108,26 @@ def _check_order_6(n, q):
     paths = smooth(run)
     assert run.n_diffuse_slots == m
 
-    with mp.workdps(60):
-        terms, n_diffuse, means, covs = _reference(spec, layout, [eps2, eta2], data, 1e30)
-        ll, size = float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+    ll, size, n_diffuse, means, covs = _reference(spec, layout, [eps2, eta2], data)
     assert n_diffuse == m
 
     # the loglik sums terms of both signs and nearly cancels here (|ll| ~ 2
     # against a summed size of ~210), so its error is measured against the
     # size of what it sums: |ll| would make the bound depend on the draw
     assert abs(run.loglik - ll) <= 1e-9 * size
-    level_sd = np.sqrt(covs[:, 0, 0])
-    assert np.all(np.abs(paths.smoothed_means[:, 0] - means[:, 0]) <= 1e-7 * level_sd)
-    assert np.allclose(paths.smoothed_covs[:, 0, 0], covs[:, 0, 0], rtol=1e-7, atol=0.0)
+    _assert_every_component(paths, means, covs, 1e-7, 1e-7)
 
 
 def test_order_6_at_paper_q_matches_60_digit_reference():
+    # measured: at most 1.9e-10 of a component's sd on the means and 2.7e-9
+    # of the covariances' scale
     _check_order_6(300, 3.1e-12)
+
+
+def test_order_6_at_q_1e_15_matches_60_digit_reference():
+    # the smallest q of the paper's range; measured: at most 9.1e-9 of a
+    # component's sd on the means and 1.5e-8 of the covariances' scale
+    _check_order_6(300, 1e-15)
 
 
 # the paper record's length: 23,722 rows over ~67 My
@@ -118,6 +141,9 @@ full_length = pytest.mark.skipif(
 @full_length
 @pytest.mark.parametrize("q", [3.1e-12, 1e-15], ids=["paper-q", "q-1e-15"])
 def test_order_6_at_full_length_matches_60_digit_reference(q):
+    # measured: at most 1.3e-8 (paper q) and 3.1e-8 (q = 1e-15) of a
+    # component's sd on the means, and 2.3e-8 and 1.6e-8 of the
+    # covariances' scale
     _check_order_6(FULL_LENGTH, q)
 
 
@@ -125,9 +151,9 @@ def _check_bivariate_order_2(n, start, spacing, rhos, bounds):
     # n rows from start (My) on, exponential(spacing) apart; each series
     # observed at about three rows in four with 1-3 slots there, and rho by
     # climate state, one per regime that the rows cross. bounds: the
-    # loglik's error as a share of the summed size of its terms, the level
-    # means' as a share of their sd, and the level covariances' as a share
-    # of their scale
+    # loglik's error as a share of the summed size of its terms, and those
+    # of _assert_every_component, on the levels, the slopes and all their
+    # cross terms
     m = 2
     spec = ModelSpec(arity="bivariate", order_m=m, corr_grouping="by-climate-state")
     params = [0.02, 0.03, 0.05, 0.03, *rhos]
@@ -148,26 +174,19 @@ def _check_bivariate_order_2(n, start, spacing, rhos, bounds):
     paths = smooth(run)
     assert run.n_diffuse_slots == 2 * m
 
-    with mp.workdps(60):
-        terms, n_diffuse, means, covs = _reference(spec, layout, params, data, 1e30)
-        ll, size = float(mp.fsum(terms)), float(mp.fsum(abs(t) for t in terms))
+    ll, size, n_diffuse, means, covs = _reference(spec, layout, params, data)
     assert n_diffuse == 2 * m
 
     ll_bound, mean_bound, cov_bound = bounds
     assert abs(run.loglik - ll) <= ll_bound * size
-    levels = np.ix_(range(n), [0, m], [0, m])
-    got, want = paths.smoothed_covs[levels], covs[levels]
-    level_sd = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
-    assert np.all(np.abs(paths.smoothed_means[:, [0, m]] - means[:, [0, m]]) <= mean_bound * level_sd)
-    scale = level_sd[:, :, None] * level_sd[:, None, :]
-    assert np.all(np.abs(got - want) <= cov_bound * scale)
+    _assert_every_component(paths, means, covs, mean_bound, cov_bound)
     return [p.group for p in layout.params[4:]]
 
 
 def test_bivariate_order_2_multi_slot_matches_60_digit_reference():
     # 80 rows across the Coolhouse 2 / Icehouse boundary at 3.3 My; measured:
-    # 3e-16 of the summed size, 6e-14 of a level's sd and 5e-15 of the level
-    # covariances' scale
+    # 3e-16 of the summed size, 6.2e-14 of a component's sd and 4.6e-15 of
+    # the covariances' scale
     groups = _check_bivariate_order_2(80, -4.2, 0.02, [0.6, -0.4], (1e-12, 1e-10, 1e-12))
     assert groups == ["Coolhouse 2", "Icehouse"]
 
@@ -176,7 +195,7 @@ def test_bivariate_order_2_multi_slot_matches_60_digit_reference():
 def test_bivariate_order_2_at_full_length_matches_60_digit_reference():
     # the record's length at the paper's mean spacing, across all six
     # regimes, with the order-6 full-length bounds. Measured: 3.9e-14 of
-    # the summed size, 4.2e-10 of a level's sd and 3.6e-15 of the level
+    # the summed size, 4.2e-10 of a component's sd and 3.6e-15 of the
     # covariances' scale. The levels wander to ~22,700 with an sd of
     # ~0.035, so one ulp of a mean is ~1e-10 of its sd there, and the worst
     # error is 4 ulps; the 80-row case's 1e-10 of the sd is below what a

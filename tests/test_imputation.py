@@ -20,7 +20,7 @@ from paleokalman.imputation import (
 )
 from paleokalman.kalman import filter as kfilter, smooth
 
-from conftest import MIXED_GRIDS, mixed_panels, rows_from_values
+from conftest import MIXED_GRIDS, mixed_panels, recollate, rows_from_values
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +57,9 @@ def test_grid_empty_warns():
     with pytest.warns(UserWarning):
         grid = make_grid(0.05, 0.0, 100_000)
     assert grid == []
+    # an infinite mesh exceeds every span
+    with pytest.warns(UserWarning, match="empty grid"):
+        assert make_grid(5.0, 0.0, math.inf) == []
 
 
 def test_grid_domain_errors():
@@ -68,6 +71,8 @@ def test_grid_domain_errors():
         make_grid(2.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="need finite span_start > span_end >= 0"):
         make_grid(math.inf, 1.0, 1000)
+    with pytest.raises(ValueError, match=r"^mesh_years must be positive, got nan$"):
+        make_grid(5.0, 0.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +148,40 @@ def test_merge_on_an_empty_panel_inserts_every_stamp():
     assert merged.view.stamps.tolist() == [-2.5, -2.0, -0.5]
     assert merged.view.row.size == 0  # no row holds a slot
     assert idx == [0, 1, 2]
+
+
+@pytest.mark.parametrize("grid", MIXED_GRIDS, ids=["grid", "edges"])
+@pytest.mark.parametrize("window", [slice(None), slice(1, 7), slice(3, 3)], ids=["all", "sliced", "empty"])
+def test_merge_is_the_collate_of_the_data_and_the_inserted_stamps(window, grid):
+    # the merged panel is the one core._collate makes from the data's
+    # entries with an all-missing row at each inserted stamp: every column
+    # and dtype, and the registries
+    collated = mixed_panels()["collated"]
+    data = dataclasses.replace(collated, rows=collated.rows[window])
+    merged, idx = merge_grid(data, grid)
+    stamps = data.view.stamps
+    near = [np.any(np.abs(stamps - g) <= COINCIDENCE_TOL) for g in grid]
+    inserted = [g for g, coincident in zip(grid, near) if not coincident]
+    want = recollate(data, empty_stamps=inserted)
+    for f in dataclasses.fields(PanelView):
+        got, expected = getattr(merged.view, f.name), getattr(want.view, f.name)
+        assert got.dtype == expected.dtype, f.name
+        assert got.tobytes() == expected.tobytes(), f.name
+    assert merged.sources is data.sources and merged.species is data.species
+    # an inserted stamp is held by its own row, a coincident one by its
+    # data row
+    held = merged.view.stamps[idx]
+    assert np.all(np.abs(held - grid) <= COINCIDENCE_TOL)
+    assert all(h == g for h, g, c in zip(held.tolist(), grid, near) if not c)
+    assert np.isin(held[near], stamps).all()
+
+
+def test_merge_grid_is_not_public():
+    # the tests' reference, kept under its name, but not exported
+    from paleokalman import imputation
+
+    assert "merge_grid" not in imputation.__all__
+    assert imputation.merge_grid is merge_grid
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -281,6 +320,20 @@ def test_impute_rejects_negative_smoothed_variance(monkeypatch):
     monkeypatch.setattr(kalman, "smooth", smooth_with_negative_variance)
     with pytest.raises(ValueError, match=r"-2\.5e-07 of d18O at grid stamp -1\.2"):
         impute(params, spec, data, grid)
+
+
+def test_impute_rejects_nan_smoothed_variance(monkeypatch):
+    spec, params, data = _fitted_small()
+    smooth_ = kalman.smooth
+
+    def smooth_with_nan_variance(run):
+        paths = smooth_(run)
+        paths.smoothed_covs[2, 0, 0] = math.nan
+        return paths
+
+    monkeypatch.setattr(kalman, "smooth", smooth_with_nan_variance)
+    with pytest.raises(ValueError, match=r"^NaN smoothed variance nan of d18O at grid stamp -1\.2$"):
+        impute(params, spec, data, [-2.0, -1.2])
 
 
 def test_impute_conditioning_error_names_the_data_row():
