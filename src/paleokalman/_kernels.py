@@ -5,9 +5,10 @@ its paths, so the two logliks are equal bit for bit. At state dimension 1
 that is the one float forward recursion (kalman._forward_dim1), whose paths
 mode feeds the backward sweep over the moving rows (kalman._smoothed_dim1)
 that smooth and the score share. Here an inadmissible parameter
-point (an innovation variance that is not positive, or trend variances with
-no real increment covariance) gives NaN rather than ConditioningError, so
-the optimizer can score it.
+point (an innovation variance that is not a finite normal positive float,
+a loglik sum that is not finite, or trend variances with no real increment
+covariance) gives NaN rather than ConditioningError, so the optimizer can
+score it.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .butterworth import (
     signal_to_noise,
     write_gain_csv,
 )
-from .fitting import FitOptions, FitResult, InitializationError, fit as run_fit
+from .fitting import FitOptions, FitResult, InitializationError, _fit_matches, fit as run_fit
 from .imputation import impute, make_grid, write_impute_csv
 from .ingest import ParseError, SchemaError, ingest, load_species_buckets
 from .modelspec import MAX_ORDER, ModelSpec, build_layout
@@ -187,7 +187,8 @@ def _load_fit(path) -> tuple:
 
 def _load_fit_and_data(args) -> tuple:
     """(result, data, layout) for --fit and --data; raises _FitMismatch if
-    the fit's layout is not the one its model gives on this data."""
+    the fit's layout is not the one its model gives on this data: by the
+    file's layout_hash (it also covers the "model" block), else _fit_matches."""
     result, payload = _load_fit(args.fit)
     data, _diag = _load_data(args)
     layout = build_layout(result.spec, data)
@@ -195,7 +196,7 @@ def _load_fit_and_data(args) -> tuple:
     if stored_hash is not None:
         matches = stored_hash == layout.hash()
     else:
-        matches = tuple(result.param_names) == tuple(layout.names())
+        matches = _fit_matches(result, layout)
     if not matches:
         raise _FitMismatch("fit file does not match this data/model (layout differs)")
     return result, data, layout

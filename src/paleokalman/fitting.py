@@ -154,10 +154,9 @@ class _Objective:
         if not np.all(np.isfinite(params)):
             self._last = theta.tobytes(), _PENALTY, params
             return _PENALTY
-        # a variance at or near zero can divide by zero or overflow in the
-        # filter, whose loglik is then not finite: the penalty
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ll = _kernels.loglik_from_compiled(self.cm, params)
+        # a variance at or near zero makes the filter raise ConditioningError,
+        # which the kernel returns as NaN: the penalty
+        ll = _kernels.loglik_from_compiled(self.cm, params)
         f = -ll * self.scale if np.isfinite(ll) else _PENALTY
         self._last = theta.tobytes(), f, params
         if f < self.best_f:
@@ -415,6 +414,14 @@ class FitResult:
             converged=bool(d["converged"]),
             iterations=int(d["iterations"]),
         )
+
+
+def _fit_matches(fit: FitResult, layout: ParameterLayout) -> bool:
+    """Whether fit's estimates belong to layout: the same spec, and the same
+    parameter names and groups in vector order. Names alone carry no group,
+    so a by-source fit on sources A/B would pass on data with sources C/D."""
+    params = tuple(layout.names()), tuple(p.group for p in layout.params)
+    return fit.spec == layout.spec and (tuple(fit.param_names), tuple(fit.param_groups)) == params
 
 
 @dataclass

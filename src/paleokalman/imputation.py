@@ -18,7 +18,8 @@ import numpy as np
 
 from . import kalman
 from .core import MISSING, PanelDataset, SERIES_NAMES, _collate, _float_rows, _write_csv
-from .modelspec import ModelSpec, ParameterLayout, build_layout
+from .fitting import FitResult, _fit_matches
+from .modelspec import ModelSpec, build_layout
 
 __all__ = [
     "COINCIDENCE_TOL",
@@ -132,10 +133,11 @@ class ImputationTable:
 def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
     """Smoothed level values at the grid stamps under fitted parameters.
 
-    fit is a FitResult (params and their layout order are read off it) or
-    a bare natural-scale parameter vector. One filter and smoother pass
-    runs over data, and each grid stamp takes its row's moments (see the
-    module docstring); a repeated stamp takes them again.
+    fit is a FitResult, whose spec and parameter names and groups must be
+    those of spec on data, or a bare natural-scale parameter vector. One
+    filter and smoother pass runs over data, and each grid stamp takes its
+    row's moments (see the module docstring); a repeated stamp takes them
+    again.
 
     Raises ValueError, naming the grid entry, for a grid stamp that is not
     finite, and, naming the grid stamp, where a smoothed level variance is
@@ -145,8 +147,7 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
     """
     layout = build_layout(spec, data)
     params = getattr(fit, "params_hat", fit)
-    names = getattr(fit, "param_names", None)
-    if names is not None and tuple(names) != tuple(layout.names()):
+    if isinstance(fit, FitResult) and not _fit_matches(fit, layout):
         raise ValueError(
             "fit result does not match this (spec, data): parameter layouts differ"
         )
@@ -157,18 +158,12 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
     levels = [j * spec.order_m for j in range(spec.n_series)]
     means = paths.smoothed_means[rows[:, None], levels]
     var = paths.smoothed_covs[rows[:, None], levels, levels]
-    bad = np.argwhere(~(var >= 0.0))
-    if bad.size:
-        i, j = bad[0].tolist()
-        x = float(var[i, j])
-        raise ValueError(
-            f"{'negative' if x < 0.0 else 'NaN'} smoothed variance {x!r} of "
-            f"{SERIES_NAMES[spec.series[j]]} at grid stamp {float(grid[i])!r}"
-        )
+    series = tuple(SERIES_NAMES[s] for s in spec.series)
+    kalman._check_smoothed_variances(var, series, grid, "grid stamp")
     sds = np.sqrt(var)
     return ImputationTable(
         stamps=tuple(grid.tolist()),
-        series=tuple(SERIES_NAMES[s] for s in spec.series),
+        series=series,
         means=means,
         sds=sds,
     )

@@ -496,7 +496,7 @@ def _lines(view):
         o += count
 
 
-def write_ingest_csv(data: PanelDataset, path, header_lines=()) -> None:
+def write_ingest_csv(data: PanelDataset, path) -> None:
     """Emit the raw ingest schema from a dataset (e.g. a simulated one).
 
     One line per filled slot (the parser collates them back); all-missing
@@ -515,4 +515,4 @@ def write_ingest_csv(data: PanelDataset, path, header_lines=()) -> None:
         cells = [values[o], ""] if series[o] == 0 else ["", values[o]]
         return [ages[r], *cells, sources[o], species[o]]
 
-    _write_csv(path, header_lines, list(REQUIRED_COLUMNS), (line(r, o) for r, o in _lines(v)))
+    _write_csv(path, (), list(REQUIRED_COLUMNS), (line(r, o) for r, o in _lines(v)))

@@ -71,6 +71,7 @@ nor smooth, so those two remain whole-panel passes only.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from operator import add, mul, sub
@@ -105,7 +106,8 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 
 
 class ConditioningError(RuntimeError):
-    """Innovation variance failed to be positive at some row."""
+    """The filter failed at some row: an innovation variance or loglik sum
+    out of range, or trend variances with no real increment covariance."""
 
     def __init__(self, row_index: int, message: str):
         super().__init__(f"row {row_index}: {message}")
@@ -409,8 +411,10 @@ def loglik(compiled: CompiledModel, params) -> float:
     At state dimension 1 (univariate, order 1) the pass is _forward_dim1,
     otherwise _forward, as in filter, so the two logliks are equal bit for
     bit. The parameters are used as given, not validated. A point where
-    some innovation variance is not positive, or where the trend variances
-    give no real increment covariance, raises ConditioningError.
+    some innovation variance is not a finite normal positive float (a
+    subnormal one would overflow 1 / F), where some slot's loglik term
+    makes the sum non-finite, or where the trend variances give no real
+    increment covariance, raises ConditioningError naming the row.
     """
     h = np.asarray(params, dtype=float).tolist()
     forward = _forward_dim1 if compiled.s == 1 else _forward
@@ -542,7 +546,7 @@ def _forward(
     rec_v, rec_F = array("d"), array("d")
     keep_v, keep_F = rec_v.append, rec_F.append
     rec_diffuse = {}
-    inf = math.inf
+    tiny, inf = sys.float_info.min, math.inf  # F below tiny is subnormal
     if keep_paths:
         pred_a, pred_P, pred_Pi = array("d"), array("d"), array("d")
         filt_a, filt_P = array("d"), array("d")
@@ -606,7 +610,7 @@ def _forward(
                 Pi = list(map(sub, Pi, [kr * mc for kr in K for mc in Mi]))
                 rec_diffuse[o] = Fi
             else:
-                if not 0.0 < Fs < inf:
+                if not tiny <= Fs < inf:
                     raise ConditioningError(
                         nu, f"innovation variance {Fs} at slot column {cm.obs_col[o]}"
                     )
@@ -630,7 +634,7 @@ def _forward(
             filt_a.fromlist(a)
             filt_P.fromlist(Ps)
 
-    ll = _log_sum(rec_v, rec_F, rec_diffuse)
+    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse)
     buffers = None
     if keep_paths:
         buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
@@ -652,7 +656,7 @@ def _forward_dim1(
     rec_v, rec_F = array("d"), array("d")
     keep_v, keep_F = rec_v.append, rec_F.append
     rec_diffuse = {}
-    inf = math.inf
+    tiny, inf = sys.float_info.min, math.inf  # F below tiny is subnormal
     (a,), (P,), (Pi,) = a, Ps, Pi
     Pi_start = Pi if diffuse else 0.0
     if keep_paths:
@@ -672,7 +676,7 @@ def _forward_dim1(
             Pi -= K * Pi
             diffuse = False
         else:
-            if not 0.0 < F < inf:
+            if not tiny <= F < inf:
                 raise ConditioningError(
                     int(cm.obs_row[o]), f"innovation variance {F} at slot column {cm.obs_col[o]}"
                 )
@@ -685,7 +689,7 @@ def _forward_dim1(
             keep_a(a)
             keep_P(P)
 
-    ll = _log_sum(rec_v, rec_F, rec_diffuse)
+    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse)
     buffers = None
     if keep_paths:
         pred_a, pred_P, pred_Pi, filt_a, filt_P, booked = _rows_dim1(
@@ -735,17 +739,31 @@ def _paths_and_booked(cm: CompiledModel, buffers: tuple) -> tuple:
     return paths, _paths_array(booked, (n, k, k))
 
 
-def _log_sum(v: array, F: array, F_inf: dict) -> float:
+@np.errstate(over="ignore")  # a decorator: cheaper per call than a with block
+def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> float:
     # slot o adds -(log 2pi + log F + v^2 / F) / 2, with F_inf for F and no
     # v^2 term at a diffuse slot. The terms are vectorized; the sum runs in
-    # slot order (np.cumsum: np.sum adds pairwise, which moves the last bits)
+    # slot order (np.cumsum: np.sum adds pairwise, which moves the last bits).
+    # Every F is normal, so log F is finite, but v^2 / F may overflow: a sum
+    # that is not finite raises at the slot where it stops being finite
+    if not F:
+        return 0.0
     v, F = np.array(v), np.array(F)  # copies: the filter reads v afterwards
     for o, Fi in F_inf.items():
         # F_star is unchecked at a diffuse slot, but F_inf > 0: every divisor
         # is positive, and the v^2 term is +0.0
         F[o] = Fi
         v[o] = 0.0
-    return float(np.cumsum(-0.5 * (_LOG2PI + np.log(F) + v * v / F))[-1]) if F.size else 0.0
+    total = np.cumsum(-0.5 * (_LOG2PI + np.log(F) + v * v / F))
+    ll = float(total[-1])
+    if not math.isfinite(ll):
+        o = int(np.argmax(~np.isfinite(total)))
+        raise ConditioningError(
+            int(cm.obs_row[o]),
+            f"loglik not finite from slot column {cm.obs_col[o]} on "
+            f"(innovation {float(v[o])!r}, variance {float(F[o])!r})",
+        )
+    return ll
 
 
 # ---------------------------------------------------------------------------
@@ -928,14 +946,7 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
         raise ValueError("smoothed paths required; run smooth() first")
     comp = state_component_names(spec)
     var = paths.smoothed_covs.diagonal(axis1=1, axis2=2)
-    bad = np.argwhere(~(var >= 0.0))
-    if bad.size:
-        nu, i = bad[0].tolist()
-        x = float(var[nu, i])
-        raise ValueError(
-            f"{'negative' if x < 0.0 else 'NaN'} smoothed variance {x!r} of "
-            f"{comp[i]} at stamp {float(paths.stamps[nu])!r}"
-        )
+    _check_smoothed_variances(var, comp, paths.stamps)
     resid = paths.standardized_residuals()
     slot_names = [
         f"resid.{SERIES_NAMES[sr]}.{i}" for sr in spec.series for i in range(MAX_SLOTS)
@@ -943,3 +954,16 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
     header = ["stamp"] + [f"mean.{c}" for c in comp] + [f"var.{c}" for c in comp] + slot_names
     rows = _float_rows(np.column_stack([paths.stamps, paths.smoothed_means, var, resid]))
     _write_csv(path, header_lines, header, ([None if x != x else x for x in row] for row in rows))
+
+
+def _check_smoothed_variances(var: np.ndarray, labels, stamps, stamp: str = "stamp") -> None:
+    """Raise ValueError, naming labels[j] and stamps[i] (called a stamp), at
+    the first smoothed variance var[i, j] that is negative or NaN."""
+    bad = np.argwhere(~(var >= 0.0))
+    if bad.size:
+        i, j = bad[0].tolist()
+        x = float(var[i, j])
+        raise ValueError(
+            f"{'negative' if x < 0.0 else 'NaN'} smoothed variance {x!r} of "
+            f"{labels[j]} at {stamp} {float(stamps[i])!r}"
+        )

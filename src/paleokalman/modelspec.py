@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,6 +199,15 @@ class GroupKeys:
     corr: np.ndarray | None
 
 
+# grouping -> label of a group key, as a parameter's group
+_GROUP_LABELS = {
+    "pooled": lambda data, key: "pooled",
+    "by-source": lambda data, key: data.sources.get(key, f"source#{key}"),
+    "by-species": lambda data, key: data.species.get(key, f"species#{key}"),
+    "by-climate-state": lambda data, key: CLIMATE_STATE_NAMES[key - 1],
+}
+
+
 def _regime_keys(grouping: str, view: PanelView) -> np.ndarray:
     if grouping == "by-climate-state":
         return view.climate_states
@@ -229,74 +238,34 @@ def group_keys(spec: ModelSpec, view: PanelView) -> GroupKeys:
 def build_layout(spec: ModelSpec, data: PanelDataset) -> ParameterLayout:
     """Resolve a ModelSpec against a dataset.
 
-    One measurement variance per non-empty (group x series) cell, one
-    transition variance per non-empty (regime x series) cell, and for
-    bivariate specs one correlation per regime with at least one row where
-    both series are observed (pooled groupings collapse to one cell).
+    One loop over (role, grouping, series, keys present) cells, in vector
+    order: a measurement variance per group key on each series' observed
+    slots, a transition variance per regime key on each series' observed
+    rows, and for bivariate specs a correlation per regime key on the rows
+    where both series are observed (a pooled grouping has one key). Each
+    key gets a coordinate, indexed by (series, key), or by key for rho, and
+    labelled by its grouping's entry in _GROUP_LABELS.
     """
     if data.n_rows == 0:
         raise ValueError("cannot build a parameter layout on an empty dataset")
 
     keys = group_keys(spec, data.view)
-    meas_groups = {}
-    trans_groups = {}
-    for j, s in enumerate(spec.series):
-        meas_groups[s] = np.unique(keys.meas[keys.local == j]).tolist()
-        trans_groups[s] = np.unique(keys.trans[keys.observed[:, j]]).tolist()
-    corr_groups = []
+    series = list(enumerate(spec.series))
+    cells = [("sigma_eps2", spec.meas_grouping, s, keys.meas[keys.local == j]) for j, s in series]
+    trans = spec.trans_grouping
+    cells += [("sigma_eta2", trans, s, keys.trans[keys.observed[:, j]]) for j, s in series]
     if keys.corr is not None:
-        corr_groups = np.unique(keys.corr[keys.observed.all(axis=1)]).tolist()
-
-    def group_label(grouping: str, key: int) -> str:
-        if grouping == "pooled":
-            return "pooled"
-        if grouping == "by-source":
-            return data.sources.get(key, f"source#{key}")
-        if grouping == "by-species":
-            return data.species.get(key, f"species#{key}")
-        return CLIMATE_STATE_NAMES[key - 1]
+        cells.append(("rho", spec.corr_grouping, None, keys.corr[keys.observed.all(axis=1)]))
 
     params: list = []
-    meas_index: dict = {}
-    trans_index: dict = {}
-    corr_index: dict = {}
+    index: dict = {"sigma_eps2": {}, "sigma_eta2": {}, "rho": {}}
+    for role, grouping, s, present in cells:
+        name = role if s is None else f"{role}.{SERIES_NAMES[s]}"
+        for key in np.unique(present).tolist():
+            index[role][key if s is None else (s, key)] = len(params)
+            params.append(ParamInfo(role, s, name, _GROUP_LABELS[grouping](data, key)))
 
-    for s in spec.series:
-        for key in meas_groups[s]:
-            meas_index[(s, key)] = len(params)
-            label = group_label(spec.meas_grouping, key)
-            params.append(
-                ParamInfo(
-                    role="sigma_eps2",
-                    series=s,
-                    name=f"sigma_eps2.{SERIES_NAMES[s]}",
-                    group=label,
-                )
-            )
-    for s in spec.series:
-        for key in trans_groups[s]:
-            trans_index[(s, key)] = len(params)
-            label = group_label(spec.trans_grouping, key)
-            params.append(
-                ParamInfo(
-                    role="sigma_eta2",
-                    series=s,
-                    name=f"sigma_eta2.{SERIES_NAMES[s]}",
-                    group=label,
-                )
-            )
-    for key in corr_groups:
-        corr_index[key] = len(params)
-        label = group_label(spec.corr_grouping or "pooled", key)
-        params.append(ParamInfo(role="rho", series=None, name="rho", group=label))
-
-    return ParameterLayout(
-        spec=spec,
-        params=tuple(params),
-        meas_index=meas_index,
-        trans_index=trans_index,
-        corr_index=corr_index,
-    )
+    return ParameterLayout(spec, tuple(params), *index.values())  # meas, trans, corr index
 
 
 def trend_transition_matrix(m: int) -> np.ndarray:

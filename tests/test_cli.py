@@ -463,19 +463,17 @@ def test_conditioning_error_exits_65(raw_csv, fitted, tmp_path, capsys, command)
     assert not out.exists()
 
 
-# the real filter on subnormal estimates overflows (1.0 / P) and warns,
-# which pyproject turns into an error; the CLI must still exit 65
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["smooth", "impute"])
 def test_subnormal_estimates_exit_65(raw_csv, fitted, tmp_path, capsys, command):
-    # every estimate the smallest subnormal: the filter accepts the
-    # innovation variances, and the smoothed variances come out NaN
+    # every estimate the smallest subnormal: the filter's first innovation
+    # variance after the diffuse phase is subnormal, a ConditioningError
+    # raised before any division overflows (pyproject makes a warning fail)
     out = tmp_path / "out.csv"
     argv = [command, "--data", str(raw_csv), "--fit", str(_fit_with_estimates(fitted, tmp_path, 5e-324))]
     if command == "impute":
         argv += ["--mesh-years", "100000"]
     assert main(argv + ["--out", str(out)]) == EXIT_DATA
-    assert "error: NaN smoothed variance nan of d18O" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: row 1: innovation variance 1e-323 at slot column 0\n"
     assert not out.exists()
 
 
@@ -736,6 +734,34 @@ def test_impute_layout_mismatch_exits_66(raw_csv, fitted, tmp_path, capsys):
     )
     assert code == EXIT_MISMATCH
     assert capsys.readouterr() == ("", _MISMATCH)
+
+
+def _without_layout_hash(path, out):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["layout_hash"]
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("command", ["smooth", "impute"])
+def test_hashless_fit_on_relabelled_groups_exits_66(raw_csv, tmp_path, capsys, command):
+    # a by-source fit file written without its layout_hash is checked by
+    # its spec and its parameter names and groups: the same record with
+    # its sources renamed has the same names but other groups
+    fit_source = tmp_path / "fit-source.json"
+    assert main(["fit", "--data", str(raw_csv), "--model", "rwn-source", "--out", str(fit_source)]) == EXIT_OK
+    hashless = _without_layout_hash(fit_source, tmp_path / "hashless.json")
+    relabelled = _write_raw(tmp_path / "relabelled.csv", sources=("Site C", "Site D"))
+    extra = ["--mesh-years", "100000"] if command == "impute" else []
+    out = tmp_path / "out.csv"
+    assert main([command, "--data", str(raw_csv), "--fit", str(hashless), *extra, "--out", str(out)]) == EXIT_OK
+    out.unlink()
+    capsys.readouterr()
+    for fit_file in (fit_source, hashless):
+        argv = [command, "--data", str(relabelled), "--fit", str(fit_file), *extra, "--out", str(out)]
+        assert main(argv) == EXIT_MISMATCH
+        assert capsys.readouterr() == ("", _MISMATCH)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

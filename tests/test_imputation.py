@@ -280,6 +280,32 @@ def test_impute_rejects_mismatched_fit():
         impute(res, spec, data, [-2.0])
 
 
+def test_impute_rejects_a_fit_on_other_groups():
+    # a by-source fit on sources source_0/source_1, imputed on the same
+    # panel with its sources relabelled: the parameter names agree, the
+    # groups do not
+    spec = ModelSpec(meas_grouping="by-source")
+    data = rows_from_values(
+        [-3.0, -2.4, -1.5, -0.8], [[1.0], [1.6], [2.4], [2.0]], sources=[[0], [1], [0], [1]]
+    )
+    res = pk.fit(spec, data)
+    assert impute(res, spec, data, [-2.0]).n_rows == 1
+    relabelled = dataclasses.replace(data, sources={0: "Site C", 1: "Site D"})
+    with pytest.raises(ValueError, match="parameter layouts differ"):
+        impute(res, spec, relabelled, [-2.0])
+
+
+def test_impute_rejects_a_fit_of_another_order():
+    # a random-walk fit read as an order-2 trend: the same parameter names
+    # and groups, in the same order, under another spec
+    spec, _, data = _fitted_small()
+    res = pk.fit(spec, data)
+    other = ModelSpec(order_m=2)
+    assert build_layout(other, data).names() == list(res.param_names)
+    with pytest.raises(ValueError, match="parameter layouts differ"):
+        impute(res, other, data, [-2.0])
+
+
 def test_impute_bivariate_columns():
     spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
     data = rows_from_values(

@@ -8,6 +8,8 @@ implementation. The oracles themselves are validated in test_oracle.py.
 
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -483,6 +485,62 @@ def test_kernel_reports_nan_outside_admissible_region(instance, bad, reason):
     with pytest.raises(ConditioningError, match=reason):
         kloglik(cm, bad)
     assert math.isnan(_kernels.loglik_from_compiled(cm, np.array(bad)))
+
+
+_TINY_SPECS = {
+    "dim1": (ModelSpec(), [0.1, 1.0]),
+    "order-2": (ModelSpec(order_m=2), [0.1, 1.0]),
+    "bivariate": (ModelSpec(arity="bivariate", corr_grouping="pooled"), [0.1, 0.2, 1.0, 0.7, 0.4]),
+}
+
+
+def _raised(call) -> str:
+    with pytest.raises(ConditioningError) as err:
+        call()
+    return str(err.value)
+
+
+def _conditioning_errors(spec, params, data) -> list:
+    # the ConditioningError texts of filter, loglik and the list recursion
+    # (_forward, also at state dimension 1) at params
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    h = np.array(params, dtype=float)
+    assert math.isnan(_kernels.loglik_from_compiled(cm, h))
+    return [
+        _raised(lambda: kfilter(spec, layout, h, data, compiled=cm)),
+        _raised(lambda: kloglik(cm, h)),
+        _raised(lambda: kalman._forward(cm, h.tolist(), *kalman._diffuse_start(cm.s), False)),
+    ]
+
+
+@pytest.mark.parametrize("name", list(_TINY_SPECS))
+def test_subnormal_innovation_variance_raises(name):
+    # every parameter the smallest subnormal on a 60-row record: the first
+    # innovation variance after the diffuse phase is subnormal, where 1 / F
+    # would overflow. Each pass raises the same error, naming the row and
+    # slot column, before any warning (pyproject makes one fail the test)
+    spec, truth = _TINY_SPECS[name]
+    data = small_simulated(spec, truth, n_rows=60, slots=1, seed=1)
+    errors = _conditioning_errors(spec, [5e-324] * len(truth), data)
+    assert len(set(errors)) == 1
+    m = re.fullmatch(r"row (\d+): innovation variance (\S+) at slot column (\d+)", errors[0])
+    assert m and 0.0 < float(m[2]) < sys.float_info.min
+
+
+@pytest.mark.parametrize("name", ["dim1", "order-2"])
+def test_loglik_sum_overflow_raises(name):
+    # variances just above the smallest normal float on a 600-row record:
+    # every F is normal, but the v^2 / F terms sum past the largest float,
+    # which raises, naming where the sum stops being finite, with no warning
+    spec, truth = _TINY_SPECS[name]
+    data = small_simulated(spec, truth, n_rows=600, slots=1, seed=1)
+    errors = _conditioning_errors(spec, [3e-308] * len(truth), data)
+    assert len(set(errors)) == 1
+    assert re.fullmatch(
+        r"row \d+: loglik not finite from slot column 0 on \(innovation \S+, variance \S+\)",
+        errors[0],
+    )
 
 
 # ---------------------------------------------------------------------------

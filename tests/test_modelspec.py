@@ -1,6 +1,8 @@
 """Model variants, parameter layouts, the booking schedule, and the
 per-row arrays compile_model resolves from them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,7 +16,7 @@ from paleokalman.modelspec import (
     trend_transition_matrix,
 )
 
-from conftest import rows_from_values
+from conftest import MIXED_RECORDS, rows_from_values
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,87 @@ def test_layout_hash_stability_and_sensitivity():
     h3 = build_layout(ModelSpec(order_m=2), data).hash()
     assert h1 == h2
     assert h1 != h3
+
+
+_E18, _E13, _T18, _T13 = "sigma_eps2.d18O", "sigma_eps2.d13C", "sigma_eta2.d18O", "sigma_eta2.d13C"
+_CLIMATE = ["Warmhouse 2", "Coolhouse 1", "Coolhouse 2", "Icehouse"]
+
+# (spec, registries kept, layout hash, names, groups) on the MIXED_RECORDS
+# panel. The hashes are those fit files carry as layout_hash, so a change
+# here makes every fit file written before it fail to load (exit 66).
+_PINNED_LAYOUTS = [
+    (ModelSpec(), True, "83a862e08f06e48d", [_E18, _T18], ["pooled"] * 2),
+    (
+        ModelSpec(meas_grouping="by-source"),
+        True,
+        "6366e2d209ec2170",
+        [_E18] * 3 + [_T18],
+        ["a", "b", "c", "pooled"],
+    ),
+    (
+        ModelSpec(order_m=2, meas_grouping="by-species", trans_grouping="by-climate-state"),
+        True,
+        "54b1702e46e393b9",
+        [_E18] * 3 + [_T18] * 4,
+        ["s", "t", "u", *_CLIMATE],
+    ),
+    (
+        ModelSpec(arity="univariate-series2", order_m=6, meas_grouping="by-source"),
+        True,
+        "133c83206a84c3ed",
+        [_E13] * 3 + [_T13],
+        ["a", "b", "c", "pooled"],
+    ),
+    (
+        ModelSpec(arity="bivariate", corr_grouping="pooled"),
+        True,
+        "32ab22e53df917ef",
+        [_E18, _E13, _T18, _T13, "rho"],
+        ["pooled"] * 5,
+    ),
+    (
+        ModelSpec(
+            arity="bivariate",
+            order_m=2,
+            meas_grouping="by-source",
+            trans_grouping="by-climate-state",
+            corr_grouping="by-climate-state",
+        ),
+        True,
+        "06f48ccfc1e1731d",
+        [_E18] * 3 + [_E13] * 3 + [_T18] * 4 + [_T13] * 4 + ["rho"] * 3,
+        ["a", "b", "c"] * 2
+        + _CLIMATE
+        + ["Warmhouse 2", "Warmhouse 1", "Coolhouse 1", "Icehouse"]
+        + ["Warmhouse 2", "Coolhouse 1", "Icehouse"],
+    ),
+    # registries without some keys: the source#k and species#k labels
+    (
+        ModelSpec(meas_grouping="by-source"),
+        False,
+        "3bfa83c5bc6c5e60",
+        [_E18] * 3 + [_T18],
+        ["source#0", "b", "source#2", "pooled"],
+    ),
+    (
+        ModelSpec(arity="univariate-series2", meas_grouping="by-species"),
+        False,
+        "dbe78a074b12cb85",
+        [_E13] * 3 + [_T13],
+        ["species#0", "species#1", "species#2", "pooled"],
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, registries, digest, names, groups", _PINNED_LAYOUTS)
+def test_layout_hash_is_pinned(spec, registries, digest, names, groups):
+    data = collate_rows(MIXED_RECORDS)
+    if not registries:
+        data = dataclasses.replace(data, sources={1: "b"}, species={})
+    layout = build_layout(spec, data)
+    assert layout.names() == names
+    assert [p.group for p in layout.params] == groups
+    assert layout.hash() == digest
 
 
 # ---------------------------------------------------------------------------
