@@ -44,11 +44,15 @@ def _check_order(m) -> int:
     return int(m)
 
 
+def _check_q(q) -> None:
+    if not q > 0:
+        raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
+
+
 def gain(lam: float, q: float, m: int) -> float:
     """Low-pass gain at angular frequency lam in [0, pi]."""
     m = _check_order(m)
-    if not q > 0:
-        raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
+    _check_q(q)
     if not 0.0 <= lam <= math.pi + 1e-12:
         raise ValueError(f"lambda must lie in [0, pi], got {lam}")
     return 1.0 / (1.0 + (2.0 ** (2 * m)) * math.sin(0.5 * lam) ** (2 * m) / q)
@@ -61,8 +65,7 @@ def cutoff_frequency(q: float) -> float:
     q is plugged in. Defined for 0 < q <= 4; beyond that the argument of
     asin exceeds 1 and no finite cutoff exists.
     """
-    if not q > 0:
-        raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
+    _check_q(q)
     arg = 0.5 * math.sqrt(q)
     if arg > 1.0:
         raise ValueError(f"no finite cutoff: q = {q} exceeds 4")
@@ -75,8 +78,7 @@ def half_gain_frequency(q: float, m: int) -> float:
     lambda = 2*asin(q^(1/(2m))/2); defined for 0 < q <= 2^(2m).
     """
     m = _check_order(m)
-    if not q > 0:
-        raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
+    _check_q(q)
     arg = 0.5 * q ** (1.0 / (2.0 * m))
     if arg > 1.0:
         raise ValueError(f"no finite half-gain frequency: q = {q} exceeds {2 ** (2 * m)}")

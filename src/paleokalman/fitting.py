@@ -426,10 +426,10 @@ def _fit_matches(fit: FitResult, layout: ParameterLayout) -> bool:
 
 @dataclass
 class FitOptions:
-    """Knobs for fit(): n_starts starts in all, the first at start (or
-    default_start) and the rest jittered from it by seed; eval_budget caps
-    n_evals. A fit runs the Hessian for the standard errors unless the
-    budget ran out."""
+    """Knobs for fit(): n_starts (at least 1) starts in all, the first at
+    start (or default_start) and the rest jittered from it by seed;
+    eval_budget caps n_evals. A fit runs the Hessian for the standard
+    errors unless the budget ran out."""
 
     n_starts: int = 1
     seed: int = 0
@@ -485,9 +485,11 @@ def fit(
     a non-finite loglik at the starting point raises InitializationError,
     and a start where the loglik is finite but its score is not gets a note,
     since BFGS takes no step from it. Each correlation that ends within
-    1e-6 of +-1 gets a note and no SE.
+    1e-6 of +-1 gets a note and no SE. n_starts below 1 is a ValueError.
     """
     options = options or FitOptions()
+    if not options.n_starts >= 1:
+        raise ValueError(f"n_starts must be at least 1, got {options.n_starts}")
     layout = build_layout(spec, data)
     if layout.n_params == 0:
         raise InitializationError("the layout has no parameters to estimate")
@@ -514,7 +516,7 @@ def fit(
 
     rng = np.random.default_rng(options.seed)
     starts = [theta0]
-    for _ in range(max(0, options.n_starts - 1)):
+    for _ in range(options.n_starts - 1):
         starts.append(theta0 + rng.normal(0.0, 0.5, size=dim))
 
     best_x = theta0

@@ -2,12 +2,15 @@
 
 simulate() draws datasets from any model variant by exact discretization:
 trend increments are N(0, Q(window)) with the min-overlap cross-covariance,
-measurement noise is per-slot N(0, H). exact_gaussian() computes, for a
-proper-prior instance, the joint multivariate-normal log-likelihood and the
-predicted/filtered/smoothed conditionals directly from the stacked-state
-covariance, with no Kalman recursion involved. diffuse_exact_gaussian() does
-the same for the diffuse-prior limit via generalized least squares on the
-initial-state loadings.
+measurement noise is per-slot N(0, H). The two oracles share one
+construction, with no Kalman recursion involved: the joint Gaussian of the
+stacked states of all rows and the observed values, built row by row from
+the chain's transition matrices. exact_gaussian() conditions it three ways
+under a proper prior (on the values of rows < nu, <= nu and all rows, for
+the predicted, filtered and smoothed moments) and takes the log-likelihood
+as the joint density of the values. diffuse_exact_gaussian() takes it to
+the diffuse-prior limit by generalized least squares on the initial-state
+loadings.
 
 These routines are the measuring stick for the filter/smoother; they favor
 clarity over speed and refuse instances with more than 64 observed values.
@@ -121,6 +124,46 @@ def _logpdf(y, mean, cov):
     return -0.5 * (len(y) * np.log(2 * np.pi) + logdet + resid @ np.linalg.solve(cov, resid))
 
 
+def _joint(name, spec, params, data, layout, init_mean, init_cov):
+    """The joint Gaussian of the stacked states x (all rows) and the
+    observed values y = Z x + eps, with Z the values' unit selectors and
+    row 0's state drawn from N(init_mean, init_cov); zeros for both give
+    the disturbance part x~ of the diffuse limit.
+
+    Returns y, each value's row, the mean of x, the loadings D of the
+    initial state on every row (D_nu = A_nu ... A_1), Cov(x) = C, Z,
+    Cov(x, y) = C Z' and Cov(y) = Z C Z' + H."""
+    layout = layout or build_layout(spec, data)
+    params = layout.validate_params(params)
+    s = spec.state_dim
+    n = data.n_rows
+
+    A, W = _chain_matrices(spec, layout, params, data)
+    rows_of, cols, y, h = _observation_stack(spec, layout, params, data)
+    if len(y) > _SIZE_CAP:
+        raise ValueError(f"{name} is capped at {_SIZE_CAP} observed values, got {len(y)}")
+    Z = np.zeros((len(y), n * s))
+    Z[np.arange(len(y)), rows_of * s + cols] = 1.0
+
+    mean = np.zeros(n * s)
+    D = np.zeros((n * s, s))
+    C = np.zeros((n * s, n * s))
+    mean[0:s] = np.asarray(init_mean, dtype=float).reshape(s)
+    C[0:s, 0:s] = np.asarray(init_cov, dtype=float).reshape(s, s)
+    D[0:s] = np.eye(s)
+    for nu in range(1, n):
+        cur = slice(nu * s, (nu + 1) * s)
+        prev = slice((nu - 1) * s, nu * s)
+        mean[cur] = A[nu] @ mean[prev]
+        D[cur] = A[nu] @ D[prev]
+        # the covariance with every earlier row, then with itself
+        C[cur, : nu * s] = A[nu] @ C[prev, : nu * s]
+        C[: nu * s, cur] = C[cur, : nu * s].T
+        C[cur, cur] = C[cur, prev] @ A[nu].T + W[nu]
+    S = C @ Z.T
+    return y, rows_of, mean, D, C, Z, S, Z @ S + np.diag(h)
+
+
 @dataclass
 class ExactGaussianResult:
     loglik: float
@@ -148,42 +191,12 @@ def exact_gaussian(
     at row nu come from conditioning the row-nu state block on the values of
     rows < nu, <= nu, and all rows respectively.
     """
-    layout = layout or build_layout(spec, data)
-    params = layout.validate_params(params)
+    y, rows_of, mean_x, _, cov_x, Z, cov_xy, cov_y = _joint(
+        "exact_gaussian", spec, params, data, layout, init_mean, init_cov
+    )
     s = spec.state_dim
     n = data.n_rows
-
-    A, W = _chain_matrices(spec, layout, params, data)
-    rows_of, cols, y, h = _observation_stack(spec, layout, params, data)
-    if len(y) > _SIZE_CAP:
-        raise ValueError(
-            f"exact_gaussian is capped at {_SIZE_CAP} observed values, got {len(y)}"
-        )
-    # each slot's unit selector onto the stacked states of all rows
-    Zbig = np.zeros((len(y), n * s))
-    Zbig[np.arange(len(y)), rows_of * s + cols] = 1.0
-
-    # joint moments of the stacked states
-    mean_x = np.zeros(n * s)
-    cov_x = np.zeros((n * s, n * s))
-    a = np.asarray(init_mean, dtype=float).reshape(s)
-    mean_x[0:s] = a
-    cov_x[0:s, 0:s] = np.asarray(init_cov, dtype=float).reshape(s, s)
-    for nu in range(1, n):
-        cur = slice(nu * s, (nu + 1) * s)
-        prev = slice((nu - 1) * s, nu * s)
-        mean_x[cur] = A[nu] @ mean_x[prev]
-        cov_x[cur, cur] = A[nu] @ cov_x[prev, prev] @ A[nu].T + W[nu]
-        for mu in range(nu):
-            old = slice(mu * s, (mu + 1) * s)
-            blk = A[nu] @ cov_x[prev, old]
-            cov_x[cur, old] = blk
-            cov_x[old, cur] = blk.T
-
-    mean_y = Zbig @ mean_x
-    cov_xy = cov_x @ Zbig.T
-    cov_y = Zbig @ cov_xy + np.diag(h)
-
+    mean_y = Z @ mean_x
     loglik = _logpdf(y, mean_y, cov_y)
 
     def condition(state_slice, obs_mask):
@@ -197,28 +210,15 @@ def exact_gaussian(
         cov = cov_x[state_slice, state_slice] - gain @ Sxy.T
         return mean, 0.5 * (cov + cov.T)
 
-    pred_m = np.zeros((n, s))
-    pred_c = np.zeros((n, s, s))
-    filt_m = np.zeros((n, s))
-    filt_c = np.zeros((n, s, s))
-    smo_m = np.zeros((n, s))
-    smo_c = np.zeros((n, s, s))
-    all_mask = np.ones(len(y), dtype=bool)
-    for nu in range(n):
-        sl = slice(nu * s, (nu + 1) * s)
-        pred_m[nu], pred_c[nu] = condition(sl, rows_of < nu)
-        filt_m[nu], filt_c[nu] = condition(sl, rows_of <= nu)
-        smo_m[nu], smo_c[nu] = condition(sl, all_mask)
-
-    return ExactGaussianResult(
-        loglik=float(loglik),
-        predicted_means=pred_m,
-        predicted_covs=pred_c,
-        filtered_means=filt_m,
-        filtered_covs=filt_c,
-        smoothed_means=smo_m,
-        smoothed_covs=smo_c,
-    )
+    # predicted, filtered and smoothed: on the values of rows < nu, <= nu, all
+    rows = np.arange(n)[:, None]
+    moments = []
+    for masks in (rows_of < rows, rows_of <= rows, np.ones((n, len(y)), dtype=bool)):
+        means, covs = zip(
+            *(condition(slice(nu * s, (nu + 1) * s), mask) for nu, mask in enumerate(masks))
+        )
+        moments += [np.array(means), np.array(covs)]
+    return ExactGaussianResult(float(loglik), *moments)
 
 
 @dataclass
@@ -226,7 +226,6 @@ class DiffuseExactResult:
     loglik: float
     smoothed_means: np.ndarray
     smoothed_covs: np.ndarray
-    n_diffuse: int
 
 
 def diffuse_exact_gaussian(
@@ -249,45 +248,15 @@ def diffuse_exact_gaussian(
     computes, slot for slot). Requires X of full column rank: the data must
     identify every initial-state coordinate.
     """
-    layout = layout or build_layout(spec, data)
-    params = layout.validate_params(params)
     s = spec.state_dim
+    y, _, _, D, cov_x, Z, S, Omega = _joint(
+        "diffuse_exact_gaussian", spec, params, data, layout, np.zeros(s), np.zeros((s, s))
+    )
     n = data.n_rows
-
-    A, W = _chain_matrices(spec, layout, params, data)
-    rows_of, cols, y, h = _observation_stack(spec, layout, params, data)
-    if len(y) > _SIZE_CAP:
-        raise ValueError(
-            f"diffuse_exact_gaussian is capped at {_SIZE_CAP} observed values"
-        )
-    # each slot's unit selector onto the stacked states of all rows
-    Zbig = np.zeros((len(y), n * s))
-    Zbig[np.arange(len(y)), rows_of * s + cols] = 1.0
     n_y = len(y)
     if n_y < s:
         raise ValueError("not enough observed values to resolve the diffuse prior")
-
-    # loadings of the initial state on every row: D_nu = A_nu ... A_1
-    D = np.zeros((n * s, s))
-    D[0:s] = np.eye(s)
-    for nu in range(1, n):
-        D[nu * s:(nu + 1) * s] = A[nu] @ D[(nu - 1) * s: nu * s]
-
-    # zero-mean part: same chain with a zero initial block
-    cov_x = np.zeros((n * s, n * s))
-    for nu in range(1, n):
-        cur = slice(nu * s, (nu + 1) * s)
-        prev = slice((nu - 1) * s, nu * s)
-        cov_x[cur, cur] = A[nu] @ cov_x[prev, prev] @ A[nu].T + W[nu]
-        for mu in range(nu):
-            old = slice(mu * s, (mu + 1) * s)
-            blk = A[nu] @ cov_x[prev, old]
-            cov_x[cur, old] = blk
-            cov_x[old, cur] = blk.T
-
-    X = Zbig @ D
-    S = cov_x @ Zbig.T
-    Omega = Zbig @ S + np.diag(h)
+    X = Z @ D
 
     Oi_X = np.linalg.solve(Omega, X)
     G = X.T @ Oi_X  # information about delta
@@ -311,19 +280,10 @@ def diffuse_exact_gaussian(
     x_hat = D @ delta_hat + SOi @ resid
     J = D - SOi @ X
     cov_full = cov_x - SOi @ S.T + J @ V_delta @ J.T
-
-    smo_m = x_hat.reshape(n, s)
-    smo_c = np.zeros((n, s, s))
-    for nu in range(n):
-        sl = slice(nu * s, (nu + 1) * s)
-        blk = cov_full[sl, sl]
-        smo_c[nu] = 0.5 * (blk + blk.T)
-
+    # the diagonal s x s blocks, one per row
+    blocks = cov_full.reshape(n, s, n, s)[np.arange(n), :, np.arange(n)]
     return DiffuseExactResult(
-        loglik=float(loglik),
-        smoothed_means=smo_m,
-        smoothed_covs=smo_c,
-        n_diffuse=s,
+        float(loglik), x_hat.reshape(n, s), 0.5 * (blocks + blocks.transpose(0, 2, 1))
     )
 
 

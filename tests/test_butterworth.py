@@ -10,6 +10,7 @@ companion test showing the unrounded q reproduces the printed lambda_h.
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,8 +81,6 @@ def test_cutoff_frequency_boundary_and_domain():
         cutoff_frequency(0.0)
     with pytest.raises(ValueError):
         cutoff_frequency(-1.0)
-    with pytest.raises(ValueError, match="must be positive"):
-        cutoff_frequency(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +113,18 @@ def test_half_gain_equals_cutoff_at_order_one():
         )
 
 
+@pytest.mark.parametrize(
+    "func", [lambda q: gain(1.0, q, 1), cutoff_frequency, lambda q: half_gain_frequency(q, 2)],
+    ids=["gain", "cutoff_frequency", "half_gain_frequency"],
+)
+def test_q_must_be_positive(func):
+    # gain, cutoff_frequency and half_gain_frequency share one check
+    for q in (math.nan, 0.0, -1.0):
+        text = f"signal-to-noise ratio q must be positive, got {q}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            func(q)
+
+
 def test_half_gain_domain():
     # sin argument q^(1/2m)/2 must stay <= 1, so q <= 4^m
     assert half_gain_frequency(16.0, 2) == pytest.approx(math.pi, rel=1e-12)
@@ -121,8 +132,6 @@ def test_half_gain_domain():
         half_gain_frequency(16.1, 2)
     with pytest.raises(ValueError):
         half_gain_frequency(4.1, 1)
-    with pytest.raises(ValueError, match="must be positive"):
-        half_gain_frequency(math.nan, 2)
 
 
 def test_gain_monotone_in_lambda_and_q():
@@ -160,8 +169,6 @@ def test_gain_domain_errors():
         gain(math.pi + 0.1, 0.2, 1)
     with pytest.raises(ValueError):
         gain(1.0, -0.2, 1)
-    with pytest.raises(ValueError, match="must be positive"):
-        gain(1.0, math.nan, 1)
     with pytest.raises(ValueError):
         gain(1.0, 0.2, 0)
 

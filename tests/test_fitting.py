@@ -244,6 +244,14 @@ def test_fit_budget_exhaustion_returns_best_seen():
         fit(spec, data, FitOptions(eval_budget=0))
 
 
+@pytest.mark.parametrize("n_starts", [0, -2])
+def test_fit_refuses_fewer_than_one_start(n_starts):
+    # the CLI's --starts takes at least 1; the library ran one start anyway
+    spec, data = _recovery_data(seed=7, n=200)
+    with pytest.raises(ValueError, match=rf"^n_starts must be at least 1, got {n_starts}$"):
+        fit(spec, data, FitOptions(n_starts=n_starts))
+
+
 def test_fit_budget_exhausted_in_the_curvature_probes(monkeypatch):
     # d = 2, budget 3 < 2d + 1: the start and two probes are scored, and
     # the third probe runs out before BFGS starts

@@ -7,16 +7,18 @@ simulated paths, and the large-kappa limit that connects the proper-prior
 oracle to the diffuse one.
 """
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from paleokalman import ModelSpec, build_layout
+from paleokalman import ModelSpec, build_layout, oracle
 from paleokalman.oracle import diffuse_exact_gaussian, exact_gaussian, simulate
 
-from conftest import rows_from_values
+from conftest import recollate, rows_from_values
 
 
 def _logpdf_1d(y, mean, var):
@@ -132,8 +134,7 @@ def test_diffuse_is_large_kappa_limit(m):
     data = simulate(spec, [0.2, 0.9], stamps, slots_per_row=2, seed=4)
     layout = build_layout(spec, data)
     dres = diffuse_exact_gaussian(spec, [0.2, 0.9], data, layout)
-    s = dres.n_diffuse
-    assert s == m
+    s = spec.state_dim
 
     def adjusted(kappa):
         pres = exact_gaussian(
@@ -166,6 +167,33 @@ def test_diffuse_bivariate_large_kappa():
         dres.loglik, abs=1e-5
     )
     assert np.allclose(pres.smoothed_means, dres.smoothed_means, atol=1e-5)
+
+
+@pytest.mark.parametrize("func", [exact_gaussian, diffuse_exact_gaussian])
+def test_oracles_are_capped_at_64_observed_values(func):
+    spec = ModelSpec()
+    data = simulate(spec, [0.2, 0.9], np.linspace(-6.5, -0.1, 65), seed=8)
+    prior = ([0.0], [[4.0]]) if func is exact_gaussian else ()
+    assert np.isfinite(func(spec, [0.2, 0.9], recollate(data, slice(64)), *prior).loglik)
+    with pytest.raises(ValueError) as err:
+        func(spec, [0.2, 0.9], data, *prior)
+    assert str(err.value) == f"{func.__name__} is capped at 64 observed values, got 65"
+
+
+def test_oracle_imports_nothing_of_the_engine():
+    # the oracles check the filter and smoother, so they may share the
+    # panel and the model's layout with them but none of their code
+    package = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("paleokalman"):
+            package.add(node.module.partition(".")[2] or "*")
+        elif isinstance(node, ast.Import):
+            package.update(
+                a.name.partition(".")[2] or "*" for a in node.names if a.name.startswith("paleokalman")
+            )
+    assert package <= {"core", "modelspec"}
 
 
 # ---------------------------------------------------------------------------
