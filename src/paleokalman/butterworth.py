@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _write_csv
+from .core import _float_text, _write_csv
 
 __all__ = [
     "gain",
@@ -129,5 +129,5 @@ def gain_curve(q: float, m: int, n_samples: int = 1024) -> GainCurve:
 
 def write_gain_csv(curve: GainCurve, path, header_lines=()) -> None:
     """Emit lambda,gain rows for external plotting."""
-    rows = ([repr(lam), repr(g)] for lam, g in curve.samples)
-    _write_csv(path, header_lines, ["lambda", "gain"], rows)
+    columns = np.array(curve.samples, dtype=float).reshape(-1, 2)
+    _write_csv(path, header_lines, ["lambda", "gain"], text=_float_text(columns))

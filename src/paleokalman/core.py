@@ -355,23 +355,30 @@ def flatten_records(ds: PanelDataset) -> list:
 # CSV output
 # ---------------------------------------------------------------------------
 
-_CSV_BLOCK_ROWS = 4096  # rows per .tolist() in _float_rows
+_CSV_BLOCK_ROWS = 4096  # rows per .tolist() in _float_text
 
 
-def _write_csv(path, header_lines, header, rows) -> None:
+def _write_csv(path, header_lines, header, rows=(), text=()) -> None:
     """The one CSV writer: each of header_lines (comments) on a line of its
-    own, then the header row and rows, an iterable of row lists. csv writes
-    a float as its repr and None as an empty field."""
+    own, then the header row and rows, an iterable of row lists, then the
+    strings of text as they are. csv writes a float as its repr and None as
+    an empty field."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(line.rstrip("\n") + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(text)
 
 
-def _float_rows(columns: np.ndarray):
-    """The rows of a 2-D float array as lists, made by one .tolist() per
-    block of _CSV_BLOCK_ROWS rows."""
+def _float_text(columns: np.ndarray, blank_nan: bool = False):
+    """The rows of a 2-D float array as the CSV text csv.writer makes of
+    them: each float's repr, joined by commas, and a "\r\n" line end. With
+    blank_nan a NaN is an empty field, as csv.writer writes None; no other
+    float's repr holds "nan". One string per block of _CSV_BLOCK_ROWS rows,
+    made by one .tolist()."""
     for lo in range(0, columns.shape[0], _CSV_BLOCK_ROWS):
-        yield from columns[lo : lo + _CSV_BLOCK_ROWS].tolist()
+        rows = columns[lo : lo + _CSV_BLOCK_ROWS].tolist()
+        block = "".join([",".join(map(repr, row)) + "\r\n" for row in rows])
+        yield block.replace("nan", "") if blank_nan else block

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -303,12 +302,8 @@ def default_start(layout: ParameterLayout, cm: CompiledModel) -> np.ndarray:
         on = cm.obs_col // MAX_SLOTS == j
         vals, rows = y[on], cm.obs_row[on]
         total_var = float(np.var(vals, ddof=1)) if vals.size >= 2 else 1.0
-        diffs = [
-            a - b
-            for row in np.split(vals, np.flatnonzero(np.diff(rows)) + 1)
-            for a, b in combinations(row.tolist(), 2)
-        ]
-        if len(diffs) >= 2:
+        diffs = _within_row_differences(vals, rows)
+        if diffs.size >= 2:
             eps = 0.5 * float(np.var(diffs, ddof=1))
         else:
             eps = 0.5 * total_var
@@ -329,6 +324,19 @@ def default_start(layout: ParameterLayout, cm: CompiledModel) -> np.ndarray:
         else:
             start[i] = 0.0
     return start
+
+
+def _within_row_differences(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # a - b for every pair (a, b) of two slots of one row, in
+    # itertools.combinations order per row, rows in order: slot o pairs with
+    # each later slot of its row, o ascending
+    o = np.arange(rows.size)
+    last = np.r_[np.flatnonzero(np.diff(rows)), rows.size - 1]  # each row's last slot
+    later = last[np.searchsorted(last, o)] - o  # later slots of o's row
+    first = np.repeat(o, later)
+    starts = np.cumsum(later) - later
+    second = first + 1 + np.arange(first.size) - np.repeat(starts, later)
+    return vals[first] - vals[second]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Smoothed values on an equidistant time grid.
 
-One smoother pass runs over the data at the fitted parameters, and each
-grid stamp reads the smoothed moments of its row by index: the row within
+One forward and one backward pass run over the data at the fitted
+parameters, the two that kalman.score runs (kalman._passes): at state
+dimension 1 the float recursions, otherwise the list recursions. No
+FilterRun is built, and only the grid stamps' rows of the backward pass's
+moments are spread out, so the numbers are those of
+kalman.smooth(kalman.filter(...)) at those rows, bit for bit. Each grid
+stamp reads the smoothed moments of its row by index: the row within
 COINCIDENCE_TOL (1e-12 My) of it, else the last older row, else row 0.
 Transitions are booked at observed rows only, so an all-missing row at the
 stamp would hold just those moments. merge_grid, which collates such rows
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kalman
-from .core import MISSING, PanelDataset, SERIES_NAMES, _collate, _float_rows, _write_csv
+from .core import MISSING, PanelDataset, SERIES_NAMES, _collate, _float_text, _write_csv
 from .fitting import FitResult, _fit_matches
 from .modelspec import ModelSpec, build_layout
 
@@ -135,9 +140,9 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
 
     fit is a FitResult, whose spec and parameter names and groups must be
     those of spec on data, or a bare natural-scale parameter vector. One
-    filter and smoother pass runs over data, and each grid stamp takes its
-    row's moments (see the module docstring); a repeated stamp takes them
-    again.
+    forward and one backward pass run over data, and each grid stamp takes
+    its row's moments (see the module docstring); a repeated stamp takes
+    them again.
 
     Raises ValueError, naming the grid entry, for a grid stamp that is not
     finite, and, naming the grid stamp, where a smoothed level variance is
@@ -153,11 +158,12 @@ def impute(fit, spec: ModelSpec, data: PanelDataset, grid) -> ImputationTable:
         )
 
     grid, rows, _ = _grid_rows(data.view.stamps, grid)
-    paths = kalman.smooth(kalman.filter(spec, layout, params, data))
+    cm = kalman.compile_model(spec, layout, data)
+    X, XV, _, _ = kalman._passes(cm, layout.validate_params(params))
+    means, covs = kalman._filled(cm, X, XV, cm.fill[rows])
 
     levels = [j * spec.order_m for j in range(spec.n_series)]
-    means = paths.smoothed_means[rows[:, None], levels]
-    var = paths.smoothed_covs[rows[:, None], levels, levels]
+    means, var = means[:, levels], covs[:, levels, levels]
     series = tuple(SERIES_NAMES[s] for s in spec.series)
     kalman._check_smoothed_variances(var, series, grid, "grid stamp")
     sds = np.sqrt(var)
@@ -177,4 +183,4 @@ def write_impute_csv(table: ImputationTable, path, header_lines=()) -> None:
     header = ["stamp_mya"]
     for name in table.series:
         header += [f"mean_{name}", f"sd_{name}"]
-    _write_csv(path, header_lines, header, _float_rows(columns))
+    _write_csv(path, header_lines, header, text=_float_text(columns))

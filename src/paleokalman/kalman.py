@@ -25,9 +25,12 @@ the data identify the initial state.
 
 Both recursions run on plain Python floats: a state vector is a list of s
 floats and an s x s matrix a flat list of s*s floats, entry (r, c) at
-r*s + c. Their parameter-independent inputs are the flat tuples of a
+r*s + c. Their parameter-independent inputs are the flat columns of a
 CompiledModel, which compile_model builds once from the panel's group keys,
-so the many loglik passes of a fit share them. At the state dimensions
+so the many loglik passes of a fit share them. The per-slot columns that
+the float loop at state dimension 1 reads are tuples; the per-row and
+per-(row, series) columns are read-only arrays, of which _forward,
+_backward and _score take one .tolist() per pass. At the state dimensions
 measured (s = 1 to 6) this beats numpy, whose per-call overhead dominates
 on such small arrays.
 
@@ -56,7 +59,8 @@ row before it was filtered, plus the variance it books.
 
 Both backward passes step only through the rows that move some block, last
 first, and fill every other row by one index (_filled), so an all-missing
-row costs no step. At state dimension 1 numpy gives each moving row's b
+row costs no step. _filled spreads the moments over every row, or over
+just the listed ones. At state dimension 1 numpy gives each moving row's b
 and c first, and the float loop only updates the mean and the variance.
 
 score, the exact gradient of the loglik that fitting climbs, runs the
@@ -64,8 +68,12 @@ forward recursion in paths mode and the backward pass of smooth, and
 reads the gradient off the smoothed moments by Fisher's identity, its
 terms summed by np.bincount. At state dimension 1 (_score_dim1) those
 passes are _forward_dim1 and _smoothed_dim1, whose b and c it reads; the
-numpy path, _score, is the reference there. score calls neither filter
-nor smooth, so those two remain whole-panel passes only.
+numpy path, _score, is the reference there. Both get the two passes from
+_passes. imputation.impute runs _passes too and spreads only its grid
+stamps' rows of the moments: it builds no FilterRun and no smoothed array
+over every row, and at state dimension 1 no StatePaths either. score and
+impute call neither filter nor smooth, which remain the whole-panel passes
+that keep every path.
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .core import MAX_SLOTS, SERIES_NAMES, PanelDataset, _float_rows, _write_csv
+from .core import MAX_SLOTS, SERIES_NAMES, PanelDataset, _float_text, _write_csv
 from .modelspec import (
     ModelSpec,
     ParameterLayout,
@@ -133,10 +141,17 @@ class CompiledModel:
     (never row 0), the only rows the backward passes step through; they
     give row n - 1's moments, then row u - 1's for each moving row u, last
     first, and row nu takes entry fill[nu], the count of moving rows above
-    it. Per (row, series), at nu*k + j, apply_ and window give the booking
+    it. Per (row, series), at [nu, j], apply_ and window give the booking
     schedule (modelspec.booking_schedule): the window is the row's stamp
     minus that of the series' previous observed row. tvar is the
     transition-variance index (-1 absent).
+
+    Only the per-slot y and hidx, and book_tvar and book_window below, are
+    tuples of floats and ints, because the float loop at state dimension 1
+    reads nothing else. The other columns are read-only arrays: level,
+    count, moved, corr, apply_, window and tvar are read by _forward,
+    _backward and _score, which take one .tolist() of each they loop over
+    per pass, and by numpy indexing.
 
     At state dimension 1 (None otherwise) two more tuples are per slot, for
     _forward_dim1's slot loop: book_tvar[o] is the transition-variance
@@ -164,15 +179,15 @@ class CompiledModel:
     stamps: np.ndarray  # (n,)
     obs_row: np.ndarray
     obs_col: np.ndarray
-    level: tuple
+    level: np.ndarray
     y: tuple
     hidx: tuple
-    count: tuple
-    moved: tuple
-    corr: tuple
-    apply_: tuple
-    window: tuple
-    tvar: tuple
+    count: np.ndarray  # (n,)
+    moved: np.ndarray  # (n,)
+    corr: np.ndarray  # (n,)
+    apply_: np.ndarray  # (n, k)
+    window: np.ndarray  # (n, k)
+    tvar: np.ndarray  # (n, k)
     moving: np.ndarray
     fill: np.ndarray
     book_tvar: tuple | None
@@ -208,6 +223,7 @@ def compile_model(
         nu, j = unbooked[0].tolist()
         raise KeyError((spec.series[j], keys.trans[nu : nu + 1].tolist()[0]))
     count = np.bincount(keys.row, minlength=n)
+    level = keys.local * m
     moved = apply_.any(axis=1)
     moving = np.flatnonzero(moved)
     fill = moving.size - np.searchsorted(moving, np.arange(n), side="right")
@@ -220,7 +236,8 @@ def compile_model(
         book_tvar = tuple(book.tolist())
         book_window = tuple(window[keys.row, 0].tolist())
         paths_index = at, tvar[moving, 0], window[moving, 0]
-    for a in (keys.row, keys.col, moving, fill, *(paths_index or ())):
+    frozen = (keys.row, keys.col, level, count, moved, corr, apply_, window, tvar, moving, fill)
+    for a in (*frozen, *(paths_index or ())):
         a.setflags(write=False)
 
     return CompiledModel(
@@ -233,15 +250,15 @@ def compile_model(
         stamps=view.stamps,
         obs_row=keys.row,
         obs_col=keys.col,
-        level=tuple((keys.local * m).tolist()),
+        level=level,
         y=tuple(view.value[keys.slot].tolist()),
         hidx=tuple(hidx.tolist()),
-        count=tuple(count.tolist()),
-        moved=tuple(moved.tolist()),
-        corr=tuple(corr.tolist()),
-        apply_=tuple(apply_.ravel().tolist()),
-        window=tuple(window.ravel().tolist()),
-        tvar=tuple(tvar.ravel().tolist()),
+        count=count,
+        moved=moved,
+        corr=corr,
+        apply_=apply_,
+        window=window,
+        tvar=tvar,
         moving=moving,
         fill=fill,
         book_tvar=book_tvar,
@@ -448,24 +465,40 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     return (_score_dim1 if compiled.s == 1 else _score)(compiled, h)
 
 
+def _passes(cm: CompiledModel, h: np.ndarray, general: bool = False) -> tuple:
+    # score's two passes at h from the diffuse start, the forward recursion
+    # in paths mode and smooth's backward pass: (X, XV, A, steps), with X and
+    # XV the backward pass's moments as _filled reads them, A = a_{u|u-1}
+    # at the moving rows u and steps the backward pass's (succ, Q, B, C).
+    # At s = 1 the passes are _forward_dim1 and _smoothed_dim1, unless
+    # general asks for the list recursions, which run every larger state
+    start = _diffuse_start(cm.s)
+    if cm.s == 1 and not general:
+        _, ((x,), (V,), _), buffers, _ = _forward_dim1(cm, h.tolist(), *start, True)
+        pred_a, pred_P, pred_Pi, *_, booked = buffers
+        X, XV, steps = _smoothed_dim1(cm, pred_a, pred_P, booked, pred_Pi.size, x, V)
+        return X, XV, pred_a[steps[0]], steps
+    _, _, buffers, _ = _forward(cm, h.tolist(), *start, True)
+    paths, booked = _paths_and_booked(cm, buffers)
+    X, XV, steps = _smoothed(cm, paths, booked)
+    return X, XV, paths.predicted_means[steps[0]], steps
+
+
 def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     # score's numpy path: every state dimension, and the reference at s = 1
-    _, _, buffers, _ = _forward(cm, h.tolist(), *_diffuse_start(cm.s), True)
-    paths, booked = _paths_and_booked(cm, buffers)
-    X, V, (succ, Q, B, C) = _smoothed(cm, paths, booked)
+    X, XV, A, (succ, Q, B, C) = _passes(cm, h, general=True)
+    X, V = _filled(cm, X, XV)
 
-    rows, level, hidx = cm.obs_row, np.array(cm.level, dtype=int), np.array(cm.hidx, dtype=int)
+    rows, level, hidx = cm.obs_row, cm.level, np.array(cm.hidx, dtype=int)
     e = np.array(cm.y) - X[rows, level]
     var = h[hidx]
     grad = np.bincount(
         hidx, ((e * e + V[rows, level, level]) / var - 1.0) / (2.0 * var), minlength=h.size
     )
 
-    n, k = cm.n, cm.n_series
-    apply_ = np.reshape(cm.apply_, (n, k))[succ]
-    window = np.reshape(cm.window, (n, k))[succ]
-    tvar = np.reshape(cm.tvar, (n, k))[succ]
-    eta = B @ (X[succ] - paths.predicted_means[succ])[:, :, None]
+    k = cm.n_series
+    apply_, window, tvar = cm.apply_[succ], cm.window[succ], cm.tvar[succ]
+    eta = B @ (X[succ] - A)[:, :, None]
     S = eta * eta.transpose(0, 2, 1) + C + B @ V[succ] @ B.transpose(0, 2, 1)
     both = apply_.all(axis=1) if k == 2 else np.zeros(succ.size, dtype=bool)
     for j in range(k):  # rows where series j moves alone
@@ -483,7 +516,7 @@ def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
         for j in range(2):
             d = (M[:, j, j] * w[:, j] + m12 * Q2[:, 0, 1] / sig[:, j]) / 2.0
             grad += np.bincount(tvar[both, j], d, minlength=h.size)
-        ci = np.array(cm.corr)[succ[both]]
+        ci = cm.corr[succ[both]]
         on = ci >= 0
         d = m12 * np.sqrt(sig[:, 0] * sig[:, 1]) * w.min(axis=1)
         grad += np.bincount(ci[on], d[on], minlength=h.size)
@@ -491,13 +524,12 @@ def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
 
 
 def _score_dim1(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
-    # _score at s = 1, bit for bit: _forward_dim1's paths and final state,
-    # then _smoothed_dim1's moments and the q, b and c of its moving rows,
-    # and _score's two np.bincount sums, the measurement terms in slot
-    # order and the transition terms over the moving rows in row order
-    _, ((x,), (V,), _), buffers, _ = _forward_dim1(cm, h.tolist(), *_diffuse_start(1), True)
-    pred_a, pred_P, pred_Pi, *_, booked = buffers
-    X, XV, (succ, q, b, c) = _smoothed_dim1(cm, pred_a, pred_P, booked, pred_Pi.size, x, V)
+    # _score at s = 1, bit for bit: _passes' float moments and the q, b
+    # and c of its moving rows, and _score's two np.bincount sums, the
+    # measurement terms in slot order and the transition terms over the
+    # moving rows in row order
+    X, XV, A, (succ, q, b, c) = _passes(cm, h)
+    X, XV = _filled(cm, X, XV)
     X, XV = X[:, 0], XV[:, 0, 0]
 
     rows, hidx = cm.obs_row, np.array(cm.hidx, dtype=int)
@@ -506,7 +538,7 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     grad = np.bincount(hidx, ((e * e + XV[rows]) / var - 1.0) / (2.0 * var), minlength=h.size)
 
     _, tvar, window = cm.paths_index
-    eta = b * (X[succ] - pred_a[succ])
+    eta = b * (X[succ] - A)
     S = (eta * eta + c) + b * XV[succ] * b
     return grad + np.bincount(tvar, (S / q - 1.0) / q * window / 2.0, minlength=h.size)
 
@@ -536,8 +568,9 @@ def _forward(
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
     ss = s * s
-    count, level, y, hidx = cm.count, cm.level, cm.y, cm.hidx
-    moved, corr, apply_, window, tvar = cm.moved, cm.corr, cm.apply_, cm.window, cm.tvar
+    y, hidx = cm.y, cm.hidx
+    count, level, moved, corr = (x.tolist() for x in (cm.count, cm.level, cm.moved, cm.corr))
+    apply_, window, tvar = (x.ravel().tolist() for x in (cm.apply_, cm.window, cm.tvar))
     tail = [(j * m + m - 1) * (s + 1) for j in range(k)]  # flat index of (last, last)
     cross_at = ((m - 1) * s + 2 * m - 1, (2 * m - 1) * s + m - 1)
     rs = range(s)
@@ -797,13 +830,13 @@ def smooth(run: FilterRun) -> StatePaths:
     """
     cm, paths = run.compiled, run.paths
     if cm.s > 1:
-        moments = _smoothed(cm, paths, run.booked)
+        X, XV, _ = _smoothed(cm, paths, run.booked)
     else:
         pred = (x.ravel() for x in (paths.predicted_means, paths.predicted_covs, run.booked))
         n_diffuse_rows = int(np.count_nonzero(paths.diffuse_rows))
         last = float(paths.filtered_means[-1, 0]), float(paths.filtered_covs[-1, 0, 0])
-        moments = _smoothed_dim1(cm, *pred, n_diffuse_rows, *last)
-    paths.smoothed_means, paths.smoothed_covs, _ = moments
+        X, XV, _ = _smoothed_dim1(cm, *pred, n_diffuse_rows, *last)
+    paths.smoothed_means, paths.smoothed_covs = _filled(cm, X, XV)
     return paths
 
 
@@ -811,8 +844,8 @@ def _smoothed_dim1(
     cm: CompiledModel, pred_a, pred_P, booked, n_diffuse_rows: int, x: float, V: float
 ) -> tuple:
     # _smoothed at s = 1, bit for bit, over the per-row arrays pred_a, pred_P
-    # and booked, from row n - 1's filtered moments (x, V): (smoothed means,
-    # smoothed variances, (succ, q, b, c)) over the moving rows succ, with
+    # and booked, from row n - 1's filtered moments (x, V): (X, XV,
+    # (succ, q, b, c)) over the moving rows succ, with
     # b = q * (1.0 / P_{u|u-1}) as the batched 1 x 1 solve gives it. A series
     # moves only after its first observed row, whose slot ends the diffuse
     # phase at s = 1, so G needs no diffuse limit.
@@ -833,21 +866,25 @@ def _smoothed_dim1(
         V = (V - bu * V) + cu
         X.append(x)
         XV.append(V)
-    return (*_filled(cm, array("d", X), array("d", XV)), (succ, q, b, c))
+    return array("d", X), array("d", XV), (succ, q, b, c)
 
 
-def _filled(cm: CompiledModel, X: array, XV: array) -> tuple:
-    # every row's moments from X and XV, which hold row n - 1, then row u - 1
-    # for each moving row u, last first: row nu takes entry cm.fill[nu]. The
-    # covariances are symmetrized.
+def _filled(cm: CompiledModel, X: array, XV: array, fill: np.ndarray | None = None) -> tuple:
+    # the rows' smoothed moments from X and XV, which hold row n - 1, then
+    # row u - 1 for each moving row u, last first: row nu takes entry
+    # cm.fill[nu], and with fill, row i of the result takes entry fill[i].
+    # The covariances are symmetrized, in place.
     size, s = cm.moving.size + 1, cm.s
-    V = _paths_array(XV, (size, s, s))[cm.fill]
-    return _paths_array(X, (size, s))[cm.fill], 0.5 * (V + V.transpose(0, 2, 1))
+    fill = cm.fill if fill is None else fill
+    V = _paths_array(XV, (size, s, s))[fill]
+    np.add(V, V.transpose(0, 2, 1), out=V)
+    V *= 0.5
+    return _paths_array(X, (size, s))[fill], V
 
 
 def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple:
     # smooth's backward pass over a forward pass's paths and booked
-    # covariances: (smoothed means, smoothed covs, (succ, Q, B, C)), with
+    # covariances: (X, XV, (succ, Q, B, C)) as _smoothed_dim1 gives them, with
     # succ the rows that move some block, Q the covariance each booked, B
     # the tail rows of its Q G and C = Q - Q G Q at the tails
     n, m, k = cm.n, cm.m, cm.n_series
@@ -858,20 +895,22 @@ def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple
     C = Q - B[:, :, tails] @ Q
     back = slice(None, None, -1)
     last = (paths.filtered_means[n - 1], paths.filtered_covs[n - 1])
-    steps = (succ[back], B[back], C[back], paths.predicted_means[succ[back]])
-    X, XV = _backward(*last, *steps, tails, m, cm.apply_)
-    return (*_filled(cm, X, XV), (succ, Q, B, C))
+    steps = (B[back], C[back], paths.predicted_means[succ[back]], cm.apply_[succ[back]])
+    X, XV = _backward(*last, *steps, tails, m)
+    return X, XV, (succ, Q, B, C)
 
 
-def _backward(x, V, succ, B, C, A, tails: list, m: int, apply_: tuple) -> tuple:
+def _backward(x, V, B, C, A, moves, tails: list, m: int) -> tuple:
     # smooth's recursion from row n - 1's moments (x, V): for each step, the
     # moments of row u - 1 from those of row u, with B the tail rows of Q G,
-    # C = Q - Q G Q at the tails and A = a_{u|u-1}
+    # C = Q - Q G Q at the tails, A = a_{u|u-1} and moves the (k,) booking
+    # schedule of row u
     s, k = x.size, len(tails)
     x, V = x.tolist(), V.ravel().tolist()
     X, XV = array("d", x), array("d", V)
     tail_pairs = [e * s + f for e in tails for f in tails]
-    for u, b, c, a in zip(succ.tolist(), B.tolist(), C.reshape(-1, k * k).tolist(), A.tolist()):
+    steps = B.tolist(), C.reshape(-1, k * k).tolist(), A.tolist(), moves.tolist()
+    for b, c, a, moved in zip(*steps):
         # Q G is zero outside the tail rows: x <- x - Q G (x - a), and
         # V <- (L V) L' + Q - Q G Q, updating the tail rows, then the tail
         # columns from the updated rows. (Expanding L V L' into separate
@@ -887,7 +926,7 @@ def _backward(x, V, succ, B, C, A, tails: list, m: int, apply_: tuple) -> tuple:
         for i, cij in zip(tail_pairs, c):
             V[i] += cij
         if m > 1:
-            tops = [j * m for j in range(k) if apply_[u * k + j]]
+            tops = [j * m for j in range(k) if moved[j]]
             for top in tops:
                 for i in range(top + m - 2, top - 1, -1):
                     x[i] -= x[i + 1]
@@ -952,8 +991,8 @@ def write_state_paths_csv(paths: StatePaths, spec: ModelSpec, path, header_lines
         f"resid.{SERIES_NAMES[sr]}.{i}" for sr in spec.series for i in range(MAX_SLOTS)
     ]
     header = ["stamp"] + [f"mean.{c}" for c in comp] + [f"var.{c}" for c in comp] + slot_names
-    rows = _float_rows(np.column_stack([paths.stamps, paths.smoothed_means, var, resid]))
-    _write_csv(path, header_lines, header, ([None if x != x else x for x in row] for row in rows))
+    columns = np.column_stack([paths.stamps, paths.smoothed_means, var, resid])
+    _write_csv(path, header_lines, header, text=_float_text(columns, blank_nan=True))
 
 
 def _check_smoothed_variances(var: np.ndarray, labels, stamps, stamp: str = "stamp") -> None:

@@ -216,7 +216,11 @@ def _regime_keys(grouping: str, view: PanelView) -> np.ndarray:
 
 def group_keys(spec: ModelSpec, view: PanelView) -> GroupKeys:
     """Resolve the spec's groupings against a panel's columnar view."""
-    slot = np.flatnonzero(np.isin(view.series, spec.series))
+    series = view.series
+    on = series == spec.series[0]
+    for sr in spec.series[1:]:
+        on |= series == sr
+    slot = np.flatnonzero(on)
     at = view.at[slot]
     row = at // (2 * MAX_SLOTS)
     local = at // MAX_SLOTS % 2 - spec.series[0]

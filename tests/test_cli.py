@@ -661,17 +661,26 @@ def test_impute_span_end_older_than_the_data_exits_65(raw_csv, fitted, tmp_path,
     assert not out.exists()
 
 
+def _passes_with_every_variance(value):
+    # kalman._passes with every entry of the backward pass's covariances
+    # set to value, so that every row's smoothed level variance is value
+    from array import array
+
+    from paleokalman import kalman
+
+    passes = kalman._passes
+
+    def patched(cm, h, general=False):
+        X, XV, A, steps = passes(cm, h, general)
+        return X, array("d", [value] * len(XV)), A, steps
+
+    return patched
+
+
 def test_impute_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):
     from paleokalman import kalman
 
-    smooth_ = kalman.smooth
-
-    def smooth_with_negative_variance(run):
-        paths = smooth_(run)
-        paths.smoothed_covs[:, 0, 0] = -1.0
-        return paths
-
-    monkeypatch.setattr(kalman, "smooth", smooth_with_negative_variance)
+    monkeypatch.setattr(kalman, "_passes", _passes_with_every_variance(-1.0))
     out = tmp_path / "grid.csv"
     argv = ["impute", "--data", str(raw_csv), "--fit", str(fitted), "--mesh-years", "100000", "--out", str(out)]
     assert main(argv) == EXIT_DATA
@@ -682,14 +691,7 @@ def test_impute_negative_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, c
 def test_impute_nan_smoothed_variance_exits_65(raw_csv, fitted, tmp_path, capsys, monkeypatch):
     from paleokalman import kalman
 
-    smooth_ = kalman.smooth
-
-    def smooth_with_nan_variance(run):
-        paths = smooth_(run)
-        paths.smoothed_covs[:, 0, 0] = math.nan
-        return paths
-
-    monkeypatch.setattr(kalman, "smooth", smooth_with_nan_variance)
+    monkeypatch.setattr(kalman, "_passes", _passes_with_every_variance(math.nan))
     out = tmp_path / "grid.csv"
     argv = ["impute", "--data", str(raw_csv), "--fit", str(fitted), "--mesh-years", "100000", "--out", str(out)]
     assert main(argv) == EXIT_DATA
@@ -834,6 +836,16 @@ def test_gain_from_fit_with_mean_dt(fitted, capsys):
     code = main(["gain", "--fit", str(fitted), "--mean-dt", "0.003"])
     assert code == EXIT_OK
     assert "q = " in capsys.readouterr().out
+
+
+def test_gain_from_fit_writes_plain_floats(fitted, tmp_path, capsys):
+    # q from a fit's estimates is a numpy float, and so is every gain it
+    # gives; the CSV holds each sample as a float's repr all the same
+    out = tmp_path / "gain.csv"
+    assert main(["gain", "--fit", str(fitted), "--mean-dt", "0.003", "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[2:]]
+    assert len(rows) == 1024 and rows[0] == ["0.0", "1.0"]
+    assert all(field == repr(float(field)) for row in rows for field in row)
 
 
 def test_gain_from_fit_with_data(raw_csv, fitted, capsys):

@@ -1,5 +1,6 @@
 """Panel model, climate-state assignment, and record collation."""
 
+import csv
 import dataclasses
 import math
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from paleokalman import ModelSpec, build_layout, compile_model
 from paleokalman.core import (
+    _CSV_BLOCK_ROWS,
     CLIMATE_STATE_AGES,
     CLIMATE_STATE_NAMES,
     MAX_SLOTS,
@@ -20,6 +22,8 @@ from paleokalman.core import (
     climate_states,
     collate_rows,
     flatten_records,
+    _float_text,
+    _write_csv,
 )
 from paleokalman.kalman import loglik
 
@@ -452,3 +456,45 @@ def test_view_slice_windows(build, window):
     assert sub.view.stamps.tolist() == data.view.stamps.tolist()[index]
     assert (sub.sources, sub.species) == (data.sources, data.species)
     _assert_same_panel_and_model(sub, recollate(data, index), [ModelSpec(), _BY_SOURCE_BIV])
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+# ---------------------------------------------------------------------------
+
+# NaN, both zeros, the smallest subnormal and normal, the largest floats,
+# infinities and values that need all 17 significant digits
+_CSV_FLOATS = [
+    math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+    1.7976931348623157e308, math.inf, -math.inf, 0.1, -0.30000000000000004,
+    1.2345678901234567e-7, 9.007199254740993e15, -67.00000000000001, 1.0,
+]
+
+
+def _csv_writer_bytes(path, header_lines, header, rows):
+    # the writer the float text replaces: csv.writer on every row
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("blank_nan", [False, True], ids=["nan", "blank"])
+@pytest.mark.parametrize("n_rows", [0, 1, 7, _CSV_BLOCK_ROWS + 3])
+def test_float_text_writes_csv_writers_bytes(tmp_path, n_rows, blank_nan):
+    # every float of _CSV_FLOATS in every column, over rows that span a block
+    # boundary; csv.writer writes NaN as "nan", and None as an empty field
+    rng = np.random.default_rng(n_rows)
+    columns = rng.choice(np.array(_CSV_FLOATS), size=(n_rows, 5))
+    columns[: min(n_rows, 3)] = np.reshape(_CSV_FLOATS[:15], (3, 5))[: min(n_rows, 3)]
+    header = ["stamp", "a", "b", "c", "d"]
+    got = tmp_path / "got.csv"
+    _write_csv(got, ["# a comment"], header, text=_float_text(columns, blank_nan=blank_nan))
+    rows = [[None if blank_nan and x != x else x for x in row] for row in columns.tolist()]
+    want = _csv_writer_bytes(tmp_path / "want.csv", ["# a comment"], header, rows)
+    assert got.read_bytes() == want
+    # row 0 holds a NaN
+    assert (b"nan" in want) == (not blank_nan and n_rows > 0)

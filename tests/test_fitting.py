@@ -1,5 +1,6 @@
 """Estimation driver, transforms, standard errors, and BIC."""
 
+import itertools
 import json
 import math
 import warnings
@@ -611,6 +612,23 @@ def test_default_start_is_admissible():
     layout = build_layout(spec, data)
     start = default_start(layout, compile_model(spec, layout, data))
     layout.validate_params(start)  # must not raise
+
+
+def test_within_row_differences_are_the_combinations_of_each_row():
+    # default_start's measurement-variance start reads these differences
+    # through np.var, so their order matters to its last bits: rows of one to
+    # eight slots, as combinations lists each row's pairs, rows in order
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        rows = np.sort(rng.integers(0, 12, rng.integers(0, 40)))
+        vals = rng.normal(size=rows.size) * 10.0 ** rng.uniform(-4, 4, rows.size)
+        want = [
+            a - b
+            for row in np.split(vals, np.flatnonzero(np.diff(rows)) + 1)
+            for a, b in itertools.combinations(row.tolist(), 2)
+        ]
+        got = fitting._within_row_differences(vals, rows)
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from paleokalman.core import MAX_SLOTS, PanelView
 from paleokalman.imputation import (
     COINCIDENCE_TOL,
     ImputationTable,
+    _grid_rows,
     impute,
     make_grid,
     merge_grid,
@@ -333,31 +334,32 @@ def test_impute_on_higher_order_reads_level():
     assert table.means[0, 0] == paths.smoothed_means[1, 0]  # level component
 
 
+def _passes_with_row_2_variance(value):
+    # kalman._passes with row 2's smoothed variance set to value: at s = 1
+    # its backward-pass entry is cm.fill[2], which no other row of
+    # _fitted_small's panel takes
+    passes = kalman._passes
+
+    def patched(cm, h, general=False):
+        X, XV, A, steps = passes(cm, h, general)
+        assert np.count_nonzero(cm.fill == cm.fill[2]) == 1
+        XV[int(cm.fill[2])] = value
+        return X, XV, A, steps
+
+    return patched
+
+
 def test_impute_rejects_negative_smoothed_variance(monkeypatch):
     spec, params, data = _fitted_small()
     grid = [-2.0, -1.2]  # -1.2 takes the moments of row 2, at -1.5
-    smooth_ = kalman.smooth
-
-    def smooth_with_negative_variance(run):
-        paths = smooth_(run)
-        paths.smoothed_covs[2, 0, 0] = -2.5e-07
-        return paths
-
-    monkeypatch.setattr(kalman, "smooth", smooth_with_negative_variance)
+    monkeypatch.setattr(kalman, "_passes", _passes_with_row_2_variance(-2.5e-07))
     with pytest.raises(ValueError, match=r"-2\.5e-07 of d18O at grid stamp -1\.2"):
         impute(params, spec, data, grid)
 
 
 def test_impute_rejects_nan_smoothed_variance(monkeypatch):
     spec, params, data = _fitted_small()
-    smooth_ = kalman.smooth
-
-    def smooth_with_nan_variance(run):
-        paths = smooth_(run)
-        paths.smoothed_covs[2, 0, 0] = math.nan
-        return paths
-
-    monkeypatch.setattr(kalman, "smooth", smooth_with_nan_variance)
+    monkeypatch.setattr(kalman, "_passes", _passes_with_row_2_variance(math.nan))
     with pytest.raises(ValueError, match=r"^NaN smoothed variance nan of d18O at grid stamp -1\.2$"):
         impute(params, spec, data, [-2.0, -1.2])
 
@@ -417,6 +419,45 @@ def test_impute_equals_the_merged_panel_reference(name, build, grid):
     table = impute(params, spec, data, grid)
     means, sds = _impute_through_merged_panel(params, spec, data, grid)
     assert table.means.shape == means.shape == (len(grid), spec.n_series)
+    assert table.means.tobytes() == means.tobytes()
+    assert table.sds.tobytes() == sds.tobytes()
+
+
+_DIRECT_SPECS = {
+    "rwn": ModelSpec(),
+    "irw": ModelSpec(order_m=2),
+    "by-source": ModelSpec(meas_grouping="by-source"),
+    "biv-by-climate": ModelSpec(
+        arity="bivariate", trans_grouping="by-climate-state", corr_grouping="by-climate-state"
+    ),
+}
+
+
+@pytest.mark.parametrize("build", ["collated", "sliced", "head"])
+@pytest.mark.parametrize("name", list(_DIRECT_SPECS))
+def test_impute_equals_smooth_of_filter_at_its_grid_rows(name, build):
+    # impute runs score's passes and spreads only the grid rows' moments;
+    # the reference is the whole-panel filter and smoother, read at the
+    # rows the grid stamps take: every row's stamp, the midpoints between
+    # rows, stamps older than row 0 and younger than the last row
+    spec = _DIRECT_SPECS[name]
+    data = mixed_panels()[build]
+    layout = build_layout(spec, data)
+    params = [
+        -0.5 + 0.3 * (i % 3) if p.role == "rho" else 0.1 * (i + 1)
+        for i, p in enumerate(layout.params)
+    ]
+    stamps = data.view.stamps
+    grid = [*MIXED_GRIDS[1], *stamps.tolist(), *(0.5 * (stamps[1:] + stamps[:-1])).tolist(),
+            float(stamps[0]) - 3.0, float(stamps[-1]) + 0.5]
+    table = impute(params, spec, data, grid)
+    paths = smooth(kfilter(spec, layout, params, data))
+    _, rows, _ = _grid_rows(stamps, grid)
+    assert rows.min() == 0 and rows.max() == data.n_rows - 1
+    levels = [j * spec.order_m for j in range(spec.n_series)]
+    means = paths.smoothed_means[rows[:, None], levels]
+    sds = np.sqrt(paths.smoothed_covs[rows[:, None], levels, levels])
+    assert table.means.shape == (len(grid), spec.n_series)
     assert table.means.tobytes() == means.tobytes()
     assert table.sds.tobytes() == sds.tobytes()
 

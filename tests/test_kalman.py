@@ -644,7 +644,8 @@ def _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior=None):
         init, start = ([prior[0]], [[prior[1]]]), ([prior[0]], [prior[1]], [0.0], False)
     paths = smooth(kfilter(spec, layout, h, data, init=init, compiled=cm))
     buffers = kalman._forward(cm, list(h), *start, True)[2]
-    means, covs, _ = kalman._smoothed(cm, *kalman._paths_and_booked(cm, buffers))
+    X, XV, _ = kalman._smoothed(cm, *kalman._paths_and_booked(cm, buffers))
+    means, covs = kalman._filled(cm, X, XV)
     assert _same_bits(paths.smoothed_means, means)
     assert _same_bits(paths.smoothed_covs, covs)
 
@@ -730,8 +731,8 @@ def test_forward_dim1_diffuse_slot_shares_its_row():
     # the first observed row's first slot ends the diffuse phase, and its
     # other three slots are regular updates in the same row
     spec, layout, data, cm = _four_slot_panel()
-    assert cm.s == 1 and cm.count == (0, 4, 0, 1, 2)
-    t = cm.tvar[3]  # pooled: one transition variance
+    assert cm.s == 1 and np.array_equal(cm.count, [0, 4, 0, 1, 2])
+    t = int(cm.tvar[3, 0])  # pooled: one transition variance
     assert t >= 0 and cm.book_tvar == (-1, -1, -1, -1, t, t, -1)
     rng = np.random.default_rng(11)
     for prior in (None, (0.3, 0.5)):
@@ -1069,8 +1070,8 @@ def test_compiled_indices_match_slot_walk(build):
         rows, cols = np.nonzero(hidx >= 0)
         assert np.array_equal(cm.obs_row, rows) and np.array_equal(cm.obs_col, cols), spec
         assert cm.n_obs_slots == rows.size
-        assert cm.count == tuple(np.bincount(rows, minlength=n).tolist()), spec
-        assert cm.level == tuple((cols // MAX_SLOTS * spec.order_m).tolist()), spec
+        assert np.array_equal(cm.count, np.bincount(rows, minlength=n)), spec
+        assert np.array_equal(cm.level, cols // MAX_SLOTS * spec.order_m), spec
         # scattered back to the grid, the slot fields equal the reference
         got_values = np.full(values.shape, np.nan)
         got_values[cm.obs_row, cm.obs_col] = cm.y
@@ -1078,15 +1079,21 @@ def test_compiled_indices_match_slot_walk(build):
         got_hidx[cm.obs_row, cm.obs_col] = cm.hidx
         assert np.array_equal(got_values, values, equal_nan=True), spec
         assert np.array_equal(got_hidx, hidx), spec
-        assert np.array_equal(np.reshape(cm.tvar, (n, k)), tvar_idx), spec
-        assert cm.corr == tuple(corr_idx.tolist()), spec
+        assert cm.tvar.shape == (n, k) and np.array_equal(cm.tvar, tvar_idx), spec
+        assert np.array_equal(cm.corr, corr_idx), spec
         observed = (hidx >= 0).reshape(n, k, MAX_SLOTS).any(axis=2)
         apply_, window = booking_schedule(data.view.stamps, observed)
-        assert cm.apply_ == tuple(apply_.ravel().tolist()), spec
-        assert cm.window == tuple(window.ravel().tolist()), spec
-        assert cm.moved == tuple(apply_.any(axis=1).tolist()), spec
-        for name in ("level", "hidx", "count", "corr", "tvar"):
-            assert all(type(x) is int for x in getattr(cm, name)), (spec, name)
+        assert np.array_equal(cm.apply_, apply_), spec
+        assert np.array_equal(cm.window, window), spec
+        assert np.array_equal(cm.moved, apply_.any(axis=1)), spec
+        assert all(type(x) is int for x in cm.hidx), spec
+        assert all(type(x) is float for x in cm.y), spec
+        # the per-row and per-(row, series) columns are read-only integer,
+        # bool and float arrays
+        for name, kind in (("level", "i"), ("count", "i"), ("corr", "i"), ("tvar", "i"),
+                           ("moved", "b"), ("apply_", "b"), ("window", "f")):
+            x = getattr(cm, name)
+            assert x.dtype.kind == kind and not x.flags.writeable, (spec, name)
         # at every state dimension: the moving rows, of which row 0 is never
         # one, and for each row the count of moving rows above it, the
         # entry of the backward pass's moments it takes
@@ -1101,18 +1108,18 @@ def test_compiled_indices_match_slot_walk(build):
         # (-1 at every other slot), and the window of the slot's row
         first = [o == 0 or rows[o - 1] != nu for o, nu in enumerate(rows.tolist())]
         assert cm.book_tvar == tuple(
-            cm.tvar[nu] if at_first and cm.apply_[nu] else -1
+            int(cm.tvar[nu, 0]) if at_first and cm.apply_[nu, 0] else -1
             for nu, at_first in zip(rows.tolist(), first)
         ), spec
-        assert cm.book_window == tuple(cm.window[nu] for nu in rows.tolist()), spec
+        assert cm.book_window == tuple(cm.window[rows, 0].tolist()), spec
         assert all(type(x) is int for x in cm.book_tvar), spec
         assert all(type(x) is float for x in cm.book_window), spec
         # per row: the slots before it, and what each moving row books
         at, tvar, window = cm.paths_index
         assert at.tolist() == [0, *np.cumsum(cm.count).tolist()], spec
-        assert moving == [nu for nu in range(n) if cm.apply_[nu]], spec
-        assert tvar.tolist() == [cm.tvar[nu] for nu in moving], spec
-        assert window.tolist() == [cm.window[nu] for nu in moving], spec
+        assert moving == [nu for nu in range(n) if cm.apply_[nu, 0]], spec
+        assert tvar.tolist() == [int(cm.tvar[nu, 0]) for nu in moving], spec
+        assert window.tolist() == [float(cm.window[nu, 0]) for nu in moving], spec
         assert not any(a.flags.writeable for a in cm.paths_index), spec
 
 

@@ -461,10 +461,10 @@ def test_compiled_first_row_frozen():
     data = rows_from_values([-3.0, -2.0], [[1.0], [1.1]])
     layout = build_layout(spec, data)
     cm = kalman.compile_model(spec, layout, data)
-    assert cm.apply_ == (False, True)
-    assert cm.window == (0.0, 1.0)
+    assert np.array_equal(cm.apply_, [[False], [True]])
+    assert np.array_equal(cm.window, [[0.0], [1.0]])
     assert cm.hidx == (0, 0)
-    assert cm.tvar == (1, 1)
+    assert np.array_equal(cm.tvar, [[1], [1]])
     paths = kalman.filter(spec, layout, [0.3, 0.7], data, init=_zero_prior(1)).paths
     assert paths.predicted_covs[0, 0, 0] == 0.0
     assert paths.innovation_variances[0, 0] == pytest.approx(0.3)
@@ -481,13 +481,13 @@ def test_compiled_bivariate_cross_term_uses_min_window():
     layout = build_layout(spec, data)
     cm = kalman.compile_model(spec, layout, data)
     # only series 2 books at the middle row: no cross term there; the
-    # per-(row, series) fields are row-major, row nu's series j at nu*2 + j
-    assert cm.apply_ == (False, False, False, True, True, True)
-    assert cm.moved == (False, True, True)
-    assert cm.window[2:4] == (0.0, 0.5)
-    assert cm.window[4:6] == (1.0, 0.5)
-    assert cm.tvar == (2, 3) * 3
-    assert cm.corr == (4, 4, 4)
+    # per-(row, series) fields hold row nu's series j at [nu, j]
+    assert np.array_equal(cm.apply_, [[False, False], [False, True], [True, True]])
+    assert np.array_equal(cm.moved, [False, True, True])
+    assert np.array_equal(cm.window[1], [0.0, 0.5])
+    assert np.array_equal(cm.window[2], [1.0, 0.5])
+    assert np.array_equal(cm.tvar, [[2, 3]] * 3)
+    assert np.array_equal(cm.corr, [4, 4, 4])
     params = [0.1, 0.2, 0.4, 0.9, 0.5]
     paths = kalman.filter(spec, layout, params, data, init=_zero_prior(2)).paths
     P1, P2 = paths.predicted_covs[1], paths.predicted_covs[2]
@@ -511,8 +511,8 @@ def test_compiled_slots_point_at_levels():
     # index m
     assert cm.obs_row.tolist() == [0, 0, 1, 1]
     assert cm.obs_col.tolist() == [0, 4, 0, 4]
-    assert cm.count == (2, 2)
-    assert cm.level == (0, 2, 0, 2)
+    assert np.array_equal(cm.count, [2, 2])
+    assert np.array_equal(cm.level, [0, 2, 0, 2])
     assert cm.hidx == (0, 1, 0, 1)
     assert cm.y == (1.0, 0.5, 1.1, 0.6)
 
