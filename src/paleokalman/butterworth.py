@@ -44,15 +44,17 @@ def _check_order(m) -> int:
     return int(m)
 
 
-def _check_q(q) -> None:
+def _check_q(q) -> float:
+    # q as a plain float, so that a numpy q gives plain float results
     if not q > 0:
         raise ValueError(f"signal-to-noise ratio q must be positive, got {q}")
+    return float(q)
 
 
 def gain(lam: float, q: float, m: int) -> float:
     """Low-pass gain at angular frequency lam in [0, pi]."""
     m = _check_order(m)
-    _check_q(q)
+    q = _check_q(q)
     if not 0.0 <= lam <= math.pi + 1e-12:
         raise ValueError(f"lambda must lie in [0, pi], got {lam}")
     return 1.0 / (1.0 + (2.0 ** (2 * m)) * math.sin(0.5 * lam) ** (2 * m) / q)
@@ -122,9 +124,9 @@ def gain_curve(q: float, m: int, n_samples: int = 1024) -> GainCurve:
     m = _check_order(m)
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    lams = np.linspace(0.0, math.pi, n_samples)
-    samples = tuple((float(lam), gain(float(lam), q, m)) for lam in lams)
-    return GainCurve(m=m, q=float(q), samples=samples)
+    q = _check_q(q)
+    lams = np.linspace(0.0, math.pi, n_samples).tolist()
+    return GainCurve(m=m, q=q, samples=tuple((lam, gain(lam, q, m)) for lam in lams))
 
 
 def write_gain_csv(curve: GainCurve, path, header_lines=()) -> None:

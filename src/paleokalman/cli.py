@@ -31,7 +31,7 @@ from .butterworth import (
     write_gain_csv,
 )
 from .fitting import FitOptions, FitResult, InitializationError, _fit_matches, fit as run_fit
-from .imputation import impute, make_grid, write_impute_csv
+from .imputation import GridTooLargeError, impute, make_grid, write_impute_csv
 from .ingest import ParseError, SchemaError, ingest, load_species_buckets
 from .modelspec import MAX_ORDER, ModelSpec, build_layout
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, argv)
-    except UsageError as exc:
+    except (UsageError, GridTooLargeError) as exc:  # a --mesh-years too fine for the span
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, SchemaError) as exc:

@@ -1,10 +1,10 @@
 """Smoothed values on an equidistant time grid.
 
 One forward and one backward pass run over the data at the fitted
-parameters, the two that kalman.score runs (kalman._passes): at state
-dimension 1 the float recursions, otherwise the list recursions. No
-FilterRun is built, and only the grid stamps' rows of the backward pass's
-moments are spread out, so the numbers are those of
+parameters, the two that kalman.score runs (kalman._passes): the backward
+pass reads the forward pass's buffers. No FilterRun or StatePaths is
+built, and only the grid stamps' rows of the backward pass's moments are
+spread out, so the numbers are those of
 kalman.smooth(kalman.filter(...)) at those rows, bit for bit. Each grid
 stamp reads the smoothed moments of its row by index: the row within
 COINCIDENCE_TOL (1e-12 My) of it, else the last older row, else row 0.
@@ -28,6 +28,8 @@ from .modelspec import ModelSpec, build_layout
 
 __all__ = [
     "COINCIDENCE_TOL",
+    "MAX_GRID_POINTS",
+    "GridTooLargeError",
     "make_grid",
     "ImputationTable",
     "impute",
@@ -35,6 +37,11 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-12
+MAX_GRID_POINTS = 10**7
+
+
+class GridTooLargeError(ValueError):
+    """The mesh would give a grid of more than MAX_GRID_POINTS stamps."""
 
 
 def make_grid(span_start_mya: float, span_end_mya: float, mesh_years: float) -> list:
@@ -42,7 +49,9 @@ def make_grid(span_start_mya: float, span_end_mya: float, mesh_years: float) -> 
 
     The grid has floor(span_years / mesh_years) points spaced mesh_years
     apart starting at the old end; the final partial interval is dropped.
-    Returns stamps (negative-age convention), ascending.
+    Returns stamps (negative-age convention), ascending. A grid of more
+    than MAX_GRID_POINTS stamps raises GridTooLargeError, naming the
+    point count, before any stamp is built.
     """
     if not (math.isfinite(span_start_mya) and span_start_mya > span_end_mya >= 0.0):
         raise ValueError(
@@ -51,7 +60,14 @@ def make_grid(span_start_mya: float, span_end_mya: float, mesh_years: float) -> 
     if not mesh_years > 0:
         raise ValueError(f"mesh_years must be positive, got {mesh_years}")
     span_years = (span_start_mya - span_end_mya) * 1e6
-    n_g = int(math.floor(span_years / mesh_years))
+    n_g = span_years / mesh_years  # inf where the mesh is tiny enough
+    if n_g >= MAX_GRID_POINTS + 1:
+        count = math.floor(n_g) if n_g < math.inf else n_g
+        raise GridTooLargeError(
+            f"a mesh of {mesh_years} years over the {span_years}-year span gives "
+            f"{count} grid points, more than {MAX_GRID_POINTS}"
+        )
+    n_g = math.floor(n_g)
     if n_g == 0:
         warnings.warn(
             f"mesh of {mesh_years} years exceeds the {span_years}-year span; "

@@ -16,13 +16,6 @@ its previous observed row, the difference of the two stamps. Inserting
 all-missing rows therefore changes nothing at the original rows, bit for
 bit.
 
-The smoother is one backward recursion over the filter's stored paths: the
-RTS smoother in disturbance form, which needs only the predicted moments,
-the disturbance covariance each row booked and the predicted precision,
-taken in its kappa -> infinity limit at the diffuse rows. One code path
-covers both regimes, and smoothed covariances are finite everywhere once
-the data identify the initial state.
-
 Both recursions run on plain Python floats: a state vector is a list of s
 floats and an s x s matrix a flat list of s*s floats, entry (r, c) at
 r*s + c. Their parameter-independent inputs are the flat columns of a
@@ -34,46 +27,45 @@ _backward and _score take one .tolist() per pass. At the state dimensions
 measured (s = 1 to 6) this beats numpy, whose per-call overhead dominates
 on such small arrays.
 
-There is one forward recursion with two modes. filter keeps the predicted
-and filtered paths and the disturbance covariance booked at each row, for
-the backward pass. loglik, which every fit evaluation calls, runs the same
-loop but keeps only the innovations and their variances, so the two
-logliks are equal bit for bit. The backward pass keeps only what is
-sequential, a rank-k update and a block back-substitution per row; the
-precisions it needs come from batched solves. At state dimension 1 there
-is one float recursion each way: _forward_dim1, the twin of _forward on
-floats rather than one-element lists with the same two modes, results and
-buffers, and _smoothed_dim1, the twin of _smoothed, the one backward sweep
-that smooth and score share. Each does the list recursion's operations in
-its order, so their numbers are equal bit for bit; the list recursions
-(_forward, _smoothed) run every larger state.
+One forward recursion, run by one dispatch (_forward_pass) for loglik,
+filter and score, has two modes. Paths mode keeps eight flat float64
+buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, booked): per row
+the predicted and filtered moments and the disturbance covariance booked,
+pred_Pi, the diffuse part of the prediction, over the diffuse rows only,
+and per observed slot the innovation and its variance. loglik, which every
+fit evaluation calls, keeps only v and F, so the logliks are equal bit for
+bit.
 
-_forward_dim1 is one loop over the observed slots, not the rows. At state
-dimension 1 a moving row books its transition variance just before its
-first slot, a row without slots changes nothing, and the diffuse phase
-ends at its one diffuse slot. Paths mode keeps each slot's filtered (a, P)
-after the start's, and _rows_dim1 derives the per-row buffers from them by
-numpy indexing on the running slot count: a row is filtered as its last
-slot left it (as the row before it, if it has none) and predicted as the
-row before it was filtered, plus the variance it books.
+The buffers are the only hand-off between the passes: smooth, score and
+imputation.impute read them through one backward entry, _smoothed, the RTS
+smoother in disturbance form. It needs only the predicted moments, the
+disturbance covariance each row booked and the predicted precision, taken
+in its kappa -> infinity limit at the diffuse rows, so one code path
+covers both regimes. Only filter wraps the buffers in a StatePaths.
+
+At state dimension 1 each pass has a float twin that does the list
+recursion's operations in its order, so their numbers are equal bit for
+bit; the tests keep the list recursions there as the references.
+_forward_dim1 walks the observed slots, not the rows: a moving row books
+its transition variance just before its first slot, a row without slots
+changes nothing, and the diffuse phase ends at its one diffuse slot.
+_rows_dim1 derives the per-row buffers from each slot's filtered (a, P)
+by numpy indexing on the running slot count. _smoothed_dim1 gets each
+moving row's b and c from numpy first, and its float loop only updates
+the mean and the variance. Above state dimension 1, _smoothed_lists keeps
+only what is sequential, a rank-k update and a block back-substitution per
+row, and takes the precisions it needs from batched solves.
 
 Both backward passes step only through the rows that move some block, last
-first, and fill every other row by one index (_filled), so an all-missing
-row costs no step. _filled spreads the moments over every row, or over
-just the listed ones. At state dimension 1 numpy gives each moving row's b
-and c first, and the float loop only updates the mean and the variance.
+first, and _filled fills every other row, or just the listed ones, by one
+index, so an all-missing row costs no step.
 
-score, the exact gradient of the loglik that fitting climbs, runs the
-forward recursion in paths mode and the backward pass of smooth, and
-reads the gradient off the smoothed moments by Fisher's identity, its
-terms summed by np.bincount. At state dimension 1 (_score_dim1) those
-passes are _forward_dim1 and _smoothed_dim1, whose b and c it reads; the
-numpy path, _score, is the reference there. Both get the two passes from
-_passes. imputation.impute runs _passes too and spreads only its grid
-stamps' rows of the moments: it builds no FilterRun and no smoothed array
-over every row, and at state dimension 1 no StatePaths either. score and
-impute call neither filter nor smooth, which remain the whole-panel passes
-that keep every path.
+score, the exact gradient of the loglik that fitting climbs, reads the two
+passes' smoothed moments by Fisher's identity, its terms summed by
+np.bincount: _score_dim1 reads the float sweep's b and c, and the numpy
+path _score, its reference at state dimension 1, the same passes. score
+and impute build no FilterRun, StatePaths or smoothed array over every
+row; filter and smooth remain the whole-panel passes that keep every path.
 """
 
 from __future__ import annotations
@@ -314,13 +306,9 @@ def _T_inv_mat(V: list, tops, m: int, s: int) -> None:
                 V[j] -= V[j + 1]
 
 
-def _paths_array(buf: array, shape: tuple) -> np.ndarray:
-    # the rows held in buf, then zero rows up to shape[0]
-    out = np.frombuffer(buf)
-    size = math.prod(shape)
-    if out.size < size:
-        out = np.concatenate([out, np.zeros(size - out.size)])
-    return out.reshape(shape)
+def _paths_array(buf, *shape: int) -> np.ndarray:
+    # the rows held in buf, each of the given shape, as one array
+    return np.frombuffer(buf).reshape(-1, *shape)
 
 
 def _slot_columns(buf: array, rows, cols, shape: tuple) -> np.ndarray:
@@ -339,18 +327,17 @@ def _slot_columns(buf: array, rows, cols, shape: tuple) -> np.ndarray:
 class StatePaths:
     """Per-row state estimates in predicted, filtered, and smoothed form.
 
-    Covariance arrays hold the proper parts; predicted_covs_inf carries
-    the diffuse part of the prediction, exactly zero after the diffuse
-    phase. Innovations and their variances are per slot, NaN where the
-    slot is missing. diffuse_rows flags rows processed while
+    filter builds it over the forward pass's buffers, whose per-row means
+    and covariances it views without a copy. Covariance arrays hold the
+    proper parts. Innovations and their variances are per slot, NaN where
+    the slot is missing. diffuse_rows flags rows processed while
     initialization was still diffuse; they are always a leading run of
-    rows.
+    rows. smooth fills the smoothed fields.
     """
 
     stamps: np.ndarray
     predicted_means: np.ndarray
     predicted_covs: np.ndarray
-    predicted_covs_inf: np.ndarray
     filtered_means: np.ndarray
     filtered_covs: np.ndarray
     innovations: np.ndarray
@@ -374,15 +361,16 @@ class StatePaths:
 
 @dataclass
 class FilterRun:
-    """Filter output plus what the backward pass needs: booked[nu] is the
-    k x k covariance of the trend-tail disturbances that row nu booked,
-    zero where no block moves."""
+    """Filter output plus the forward pass's buffers, which smooth reads
+    (see the module docstring); booked holds the k x k covariance of the
+    trend-tail disturbances that each row booked, zero where no block
+    moves."""
 
     compiled: CompiledModel
     loglik: float
     paths: StatePaths
     n_diffuse_slots: int
-    booked: np.ndarray = field(repr=False)
+    buffers: tuple = field(repr=False)
 
 
 def filter(
@@ -410,32 +398,40 @@ def filter(
         Ps = np.asarray(P1, dtype=float).reshape(s * s).tolist()
         start = a, Ps, [0.0] * (s * s), False
 
-    forward = _forward_dim1 if s == 1 else _forward
-    ll, _, buffers, n_diffuse = forward(cm, params.tolist(), *start, True)
-    paths, booked = _paths_and_booked(cm, buffers)
+    ll, _, buffers, n_diffuse = _forward_pass(cm, params.tolist(), start, True)
+    pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, _ = buffers
+    n = cm.n
+    paths = StatePaths(
+        stamps=cm.stamps,
+        predicted_means=_paths_array(pred_a, s),
+        predicted_covs=_paths_array(pred_P, s, s),
+        filtered_means=_paths_array(filt_a, s),
+        filtered_covs=_paths_array(filt_P, s, s),
+        innovations=_slot_columns(v, cm.obs_row, cm.obs_col, (n, cm.p)),
+        innovation_variances=_slot_columns(F, cm.obs_row, cm.obs_col, (n, cm.p)),
+        diffuse_rows=np.arange(n) < len(pred_Pi) // (s * s),
+    )
     return FilterRun(
         compiled=cm,
         loglik=ll,
         paths=paths,
         n_diffuse_slots=n_diffuse,
-        booked=booked,
+        buffers=buffers,
     )
 
 
 def loglik(compiled: CompiledModel, params) -> float:
     """Exact-diffuse loglik at params: filter's forward pass without paths.
 
-    At state dimension 1 (univariate, order 1) the pass is _forward_dim1,
-    otherwise _forward, as in filter, so the two logliks are equal bit for
-    bit. The parameters are used as given, not validated. A point where
+    The pass is filter's (_forward_pass), so the two logliks are equal bit
+    for bit. The parameters are used as given, not validated. A point where
     some innovation variance is not a finite normal positive float (a
     subnormal one would overflow 1 / F), where some slot's loglik term
     makes the sum non-finite, or where the trend variances give no real
     increment covariance, raises ConditioningError naming the row.
     """
     h = np.asarray(params, dtype=float).tolist()
-    forward = _forward_dim1 if compiled.s == 1 else _forward
-    return forward(compiled, h, *_diffuse_start(compiled.s), False)[0]
+    return _forward_pass(compiled, h, _diffuse_start(compiled.s), False)[0]
 
 
 def score(compiled: CompiledModel, params) -> np.ndarray:
@@ -443,7 +439,8 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
 
     Fisher's identity (Segal & Weinstein 1989): the score is the expected
     complete-data score given the data, so one forward pass in paths mode
-    and smooth's backward pass give it exactly. With x and V the smoothed
+    and smooth's backward pass over its buffers give it exactly; no
+    FilterRun or StatePaths is built. With x and V the smoothed
     moments, a slot with measurement variance r adds
     -1/(2r) + ((y - x_level)^2 + V_level)/(2r^2) to r's coordinate. A row u
     that books the trend-tail disturbance covariance Q adds
@@ -452,11 +449,12 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     eta = B (x_u - a_{u|u-1}) and B, C as in smooth. dQ covers the
     cross-covariance rho sqrt(s1 s2) min(w1, w2) of a bivariate row.
 
-    At state dimension 1 the score runs the float passes (_score_dim1),
-    equal bit for bit to the numpy path (_score) that runs every larger
-    state. A measurement or trend variance of 0.0 gives the same inf or
-    NaN coordinates on both; a zero predicted variance at a moving row
-    raises ZeroDivisionError there, as in smooth.
+    At state dimension 1 the score sums the float sweep's terms
+    (_score_dim1), equal bit for bit to the numpy path (_score) that runs
+    every larger state and reads the same passes. A measurement or trend
+    variance of 0.0 gives the same inf or NaN coordinates on both; a zero
+    predicted variance at a moving row raises ZeroDivisionError there, as
+    in smooth.
 
     The parameters are used as given, as in loglik, which raises the same
     ConditioningError at an inadmissible point.
@@ -465,28 +463,17 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     return (_score_dim1 if compiled.s == 1 else _score)(compiled, h)
 
 
-def _passes(cm: CompiledModel, h: np.ndarray, general: bool = False) -> tuple:
+def _passes(cm: CompiledModel, h: np.ndarray) -> tuple:
     # score's two passes at h from the diffuse start, the forward recursion
-    # in paths mode and smooth's backward pass: (X, XV, A, steps), with X and
-    # XV the backward pass's moments as _filled reads them, A = a_{u|u-1}
-    # at the moving rows u and steps the backward pass's (succ, Q, B, C).
-    # At s = 1 the passes are _forward_dim1 and _smoothed_dim1, unless
-    # general asks for the list recursions, which run every larger state
-    start = _diffuse_start(cm.s)
-    if cm.s == 1 and not general:
-        _, ((x,), (V,), _), buffers, _ = _forward_dim1(cm, h.tolist(), *start, True)
-        pred_a, pred_P, pred_Pi, *_, booked = buffers
-        X, XV, steps = _smoothed_dim1(cm, pred_a, pred_P, booked, pred_Pi.size, x, V)
-        return X, XV, pred_a[steps[0]], steps
-    _, _, buffers, _ = _forward(cm, h.tolist(), *start, True)
-    paths, booked = _paths_and_booked(cm, buffers)
-    X, XV, steps = _smoothed(cm, paths, booked)
-    return X, XV, paths.predicted_means[steps[0]], steps
+    # in paths mode and smooth's backward pass over its buffers: _smoothed's
+    # (X, XV, A, (succ, Q, B, C))
+    _, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), True)
+    return _smoothed(cm, buffers)
 
 
 def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     # score's numpy path: every state dimension, and the reference at s = 1
-    X, XV, A, (succ, Q, B, C) = _passes(cm, h, general=True)
+    X, XV, A, (succ, Q, B, C) = _passes(cm, h)
     X, V = _filled(cm, X, XV)
 
     rows, level, hidx = cm.obs_row, cm.level, np.array(cm.hidx, dtype=int)
@@ -529,6 +516,7 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     # measurement terms in slot order and the transition terms over the
     # moving rows in row order
     X, XV, A, (succ, q, b, c) = _passes(cm, h)
+    A, q, b, c = (x.reshape(-1) for x in (A, q, b, c))
     X, XV = _filled(cm, X, XV)
     X, XV = X[:, 0], XV[:, 0, 0]
 
@@ -547,6 +535,12 @@ def _diffuse_start(s: int) -> tuple:
     # (a, P_star, P_inf, diffuse) with P_inf the identity
     P_inf = [float(i % (s + 1) == 0) for i in range(s * s)]
     return [0.0] * s, [0.0] * (s * s), P_inf, True
+
+
+def _forward_pass(cm: CompiledModel, h: list, start: tuple, keep_paths: bool) -> tuple:
+    # the forward recursion from start = (a, P_star, P_inf, diffuse):
+    # _forward_dim1 at state dimension 1, _forward above it
+    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, *start, keep_paths)
 
 
 def _forward(
@@ -754,24 +748,6 @@ def _rows_dim1(cm: CompiledModel, h: list, slot_a, slot_P, Pi: float, rec_diffus
     return A[:-1].copy(), pred_P, np.full(n_diffuse_rows, Pi), A[1:], P[1:], booked
 
 
-def _paths_and_booked(cm: CompiledModel, buffers: tuple) -> tuple:
-    # (StatePaths, booked covariances (n, k, k)) from a forward pass's buffers
-    pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, booked = buffers
-    n, s, p, k = cm.n, cm.s, cm.p, cm.n_series
-    paths = StatePaths(
-        stamps=cm.stamps,
-        predicted_means=_paths_array(pred_a, (n, s)),
-        predicted_covs=_paths_array(pred_P, (n, s, s)),
-        predicted_covs_inf=_paths_array(pred_Pi, (n, s, s)),
-        filtered_means=_paths_array(filt_a, (n, s)),
-        filtered_covs=_paths_array(filt_P, (n, s, s)),
-        innovations=_slot_columns(v, cm.obs_row, cm.obs_col, (n, p)),
-        innovation_variances=_slot_columns(F, cm.obs_row, cm.obs_col, (n, p)),
-        diffuse_rows=np.arange(n) < len(pred_Pi) // (s * s),
-    )
-    return paths, _paths_array(booked, (n, k, k))
-
-
 @np.errstate(over="ignore")  # a decorator: cheaper per call than a with block
 def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> float:
     # slot o adds -(log 2pi + log F + v^2 / F) / 2, with F_inf for F and no
@@ -807,7 +783,7 @@ def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> float:
 def smooth(run: FilterRun) -> StatePaths:
     """Fixed-interval smoother; fills the smoothed fields of the paths.
 
-    One backward recursion over the filter's stored paths, the RTS
+    One backward recursion over the forward pass's buffers, the RTS
     smoother of Durbin & Koopman (2012) section 4.4 in disturbance form,
     for diffuse and post-diffuse rows alike. The last row starts from its
     filtered moments, and a row whose successor moves no block takes the
@@ -822,35 +798,35 @@ def smooth(run: FilterRun) -> StatePaths:
     U (U' P_star U)^-1 U', U spanning the null space of the diffuse part
     P_inf of P_{t+1|t}. Q is nonzero only at the trend tails, so only G's
     tail rows enter; they come from batched solves, and the sequential
-    part is a rank-k update and a block back-substitution per row. At
-    state dimension 1 the pass is one float sweep over the moving rows
-    (_smoothed_dim1), the one score also runs, with the same numbers bit
-    for bit; a zero predicted variance at a moving row raises
-    ZeroDivisionError there, naming the row.
+    part is a rank-k update and a block back-substitution per row. The
+    pass is the one score and imputation.impute run (_smoothed): at state
+    dimension 1 one float sweep over the moving rows, with the same
+    numbers bit for bit, where a zero predicted variance at a moving row
+    raises ZeroDivisionError, naming the row.
     """
     cm, paths = run.compiled, run.paths
-    if cm.s > 1:
-        X, XV, _ = _smoothed(cm, paths, run.booked)
-    else:
-        pred = (x.ravel() for x in (paths.predicted_means, paths.predicted_covs, run.booked))
-        n_diffuse_rows = int(np.count_nonzero(paths.diffuse_rows))
-        last = float(paths.filtered_means[-1, 0]), float(paths.filtered_covs[-1, 0, 0])
-        X, XV, _ = _smoothed_dim1(cm, *pred, n_diffuse_rows, *last)
+    X, XV, _, _ = _smoothed(cm, run.buffers)
     paths.smoothed_means, paths.smoothed_covs = _filled(cm, X, XV)
     return paths
 
 
-def _smoothed_dim1(
-    cm: CompiledModel, pred_a, pred_P, booked, n_diffuse_rows: int, x: float, V: float
-) -> tuple:
-    # _smoothed at s = 1, bit for bit, over the per-row arrays pred_a, pred_P
-    # and booked, from row n - 1's filtered moments (x, V): (X, XV,
-    # (succ, q, b, c)) over the moving rows succ, with
-    # b = q * (1.0 / P_{u|u-1}) as the batched 1 x 1 solve gives it. A series
-    # moves only after its first observed row, whose slot ends the diffuse
-    # phase at s = 1, so G needs no diffuse limit.
+def _smoothed(cm: CompiledModel, buffers: tuple) -> tuple:
+    # the backward pass over a forward pass's buffers: (X, XV, A, (succ, Q,
+    # B, C)), X and XV the moments as _filled reads them, succ the moving
+    # rows, A = a_{u|u-1} and Q the covariance booked there, B the tail rows
+    # of Q G and C = Q - Q G Q at the tails
+    return (_smoothed_dim1 if cm.s == 1 else _smoothed_lists)(cm, buffers)
+
+
+def _smoothed_dim1(cm: CompiledModel, buffers: tuple) -> tuple:
+    # _smoothed_lists at s = 1, bit for bit, over _forward_dim1's numpy
+    # buffers, with A as (u, 1) and (succ, q, b, c) as (u, 1, 1) views and
+    # b = q * (1.0 / P_{u|u-1}) as the batched 1 x 1 solve gives it. A
+    # series moves only after its first observed row, whose slot ends the
+    # diffuse phase at s = 1, so G needs no diffuse limit.
+    pred_a, pred_P, pred_Pi, filt_a, filt_P, _, _, booked = buffers
     succ = cm.moving
-    if succ.size and succ[0] < n_diffuse_rows:
+    if succ.size and succ[0] < pred_Pi.size:
         raise AssertionError(f"row {succ[0]} moves inside the diffuse phase")
     P = pred_P[succ]
     if not P.all():
@@ -859,14 +835,17 @@ def _smoothed_dim1(
     q = booked[succ]
     b = q * (1.0 / P)
     c = q - b * q
+    A = pred_a[succ]
+    x, V = float(filt_a[-1]), float(filt_P[-1])
     X, XV = [x], [V]
-    for bu, cu, au in zip(b[::-1].tolist(), c[::-1].tolist(), pred_a[succ[::-1]].tolist()):
+    for bu, cu, au in zip(b[::-1].tolist(), c[::-1].tolist(), A[::-1].tolist()):
         x -= bu * (x - au)
         V -= bu * V
         V = (V - bu * V) + cu
         X.append(x)
         XV.append(V)
-    return array("d", X), array("d", XV), (succ, q, b, c)
+    q, b, c = (y.reshape(-1, 1, 1) for y in (q, b, c))
+    return array("d", X), array("d", XV), A.reshape(-1, 1), (succ, q, b, c)
 
 
 def _filled(cm: CompiledModel, X: array, XV: array, fill: np.ndarray | None = None) -> tuple:
@@ -874,30 +853,29 @@ def _filled(cm: CompiledModel, X: array, XV: array, fill: np.ndarray | None = No
     # row u - 1 for each moving row u, last first: row nu takes entry
     # cm.fill[nu], and with fill, row i of the result takes entry fill[i].
     # The covariances are symmetrized, in place.
-    size, s = cm.moving.size + 1, cm.s
+    s = cm.s
     fill = cm.fill if fill is None else fill
-    V = _paths_array(XV, (size, s, s))[fill]
+    V = _paths_array(XV, s, s)[fill]
     np.add(V, V.transpose(0, 2, 1), out=V)
     V *= 0.5
-    return _paths_array(X, (size, s))[fill], V
+    return _paths_array(X, s)[fill], V
 
 
-def _smoothed(cm: CompiledModel, paths: StatePaths, booked: np.ndarray) -> tuple:
-    # smooth's backward pass over a forward pass's paths and booked
-    # covariances: (X, XV, (succ, Q, B, C)) as _smoothed_dim1 gives them, with
-    # succ the rows that move some block, Q the covariance each booked, B
-    # the tail rows of its Q G and C = Q - Q G Q at the tails
-    n, m, k = cm.n, cm.m, cm.n_series
+def _smoothed_lists(cm: CompiledModel, buffers: tuple) -> tuple:
+    # _smoothed on lists, at any state dimension: the reference for
+    # _smoothed_dim1 at s = 1
+    pred_a, pred_P, pred_Pi, filt_a, filt_P, _, _, booked = buffers
+    s, m, k = cm.s, cm.m, cm.n_series
     tails = [j * m + m - 1 for j in range(k)]
     succ = cm.moving
-    Q = booked[succ]
-    B = Q @ _tail_precision(paths, succ, tails)
+    Q = _paths_array(booked, k, k)[succ]
+    B = Q @ _tail_precision(_paths_array(pred_P, s, s), _paths_array(pred_Pi, s, s), succ, tails)
     C = Q - B[:, :, tails] @ Q
+    A = _paths_array(pred_a, s)[succ]
     back = slice(None, None, -1)
-    last = (paths.filtered_means[n - 1], paths.filtered_covs[n - 1])
-    steps = (B[back], C[back], paths.predicted_means[succ[back]], cm.apply_[succ[back]])
-    X, XV = _backward(*last, *steps, tails, m)
-    return X, XV, (succ, Q, B, C)
+    last = (_paths_array(filt_a, s)[-1], _paths_array(filt_P, s, s)[-1])
+    X, XV = _backward(*last, B[back], C[back], A[back], cm.apply_[succ[back]], tails, m)
+    return X, XV, A, (succ, Q, B, C)
 
 
 def _backward(x, V, B, C, A, moves, tails: list, m: int) -> tuple:
@@ -936,19 +914,20 @@ def _backward(x, V, B, C, A, moves, tails: list, m: int) -> tuple:
     return X, XV
 
 
-def _tail_precision(paths: StatePaths, rows: np.ndarray, tails: list) -> np.ndarray:
+def _tail_precision(pred_P, pred_Pi, rows: np.ndarray, tails: list) -> np.ndarray:
     # (len(rows), k, s): the tail rows of G = P_pred^-1 at each listed row,
-    # the kappa -> infinity limit of (P_star + kappa P_inf)^-1 at diffuse rows
-    P = paths.predicted_covs[rows]
+    # the kappa -> infinity limit of (P_star + kappa P_inf)^-1 at the
+    # diffuse rows, the leading run that pred_Pi holds
+    P = pred_P[rows]
     G = np.empty((rows.size, len(tails), P.shape[1]))
-    diffuse = paths.diffuse_rows[rows]
+    diffuse = rows < len(pred_Pi)
     proper = ~diffuse
     E = np.eye(P.shape[1])[:, tails]
     G[proper] = np.linalg.solve(
         P[proper], np.broadcast_to(E, (int(proper.sum()), *E.shape))
     ).transpose(0, 2, 1)
     for i in np.flatnonzero(diffuse).tolist():
-        w, vecs = np.linalg.eigh(paths.predicted_covs_inf[rows[i]])
+        w, vecs = np.linalg.eigh(pred_Pi[rows[i]])
         U = vecs[:, w < DIFFUSE_TOL * w[-1]]
         G[i] = U[tails] @ np.linalg.solve(U.T @ P[i] @ U, U.T)
     return G

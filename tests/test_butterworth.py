@@ -241,6 +241,14 @@ def test_gain_curve_shape_and_anchors():
     assert below.min() >= 0.5 - 1e-3
 
 
+def test_numpy_q_gives_plain_floats():
+    # paleokalman gain --fit passes q as a numpy float
+    curve = gain_curve(np.float64(0.3), 2)
+    assert type(curve.q) is float
+    assert all(type(x) is float for sample in curve.samples for x in sample)
+    assert type(gain(0.5, np.float64(0.3), 1)) is float
+
+
 def test_write_gain_csv(tmp_path):
     curve = gain_curve(0.1, 1, n_samples=16)
     out = tmp_path / "gain.csv"

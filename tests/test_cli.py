@@ -634,6 +634,24 @@ def test_impute_span_out_of_range_exits_64(raw_csv, fitted, tmp_path, capsys, fl
     assert not out.exists()
 
 
+def test_impute_grid_over_the_point_limit_exits_64(raw_csv, fitted, tmp_path, capsys):
+    # 6.7e10 stamps of a 1e-3-year mesh over 67 My: one line, and no grid
+    # is built
+    out = tmp_path / "grid.csv"
+    argv = [
+        "impute", "--data", str(raw_csv), "--fit", str(fitted),
+        "--mesh-years", "1e-3", "--span-start", "67", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: a mesh of 0.001 years over the 67000000.0-year span gives "
+        "67000000000 grid points, more than 10000000\n"
+    )
+    assert not out.exists()
+
+
 def test_impute_reversed_span_exits_64(tmp_path, capsys):
     # a usage error, found before any file is read: the paths do not exist
     out = tmp_path / "grid.csv"
@@ -670,8 +688,8 @@ def _passes_with_every_variance(value):
 
     passes = kalman._passes
 
-    def patched(cm, h, general=False):
-        X, XV, A, steps = passes(cm, h, general)
+    def patched(cm, h):
+        X, XV, A, steps = passes(cm, h)
         return X, array("d", [value] * len(XV)), A, steps
 
     return patched

@@ -10,8 +10,11 @@ import pytest
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout, kalman
 from paleokalman.core import MAX_SLOTS, PanelView
+from paleokalman import imputation
 from paleokalman.imputation import (
     COINCIDENCE_TOL,
+    MAX_GRID_POINTS,
+    GridTooLargeError,
     ImputationTable,
     _grid_rows,
     impute,
@@ -74,6 +77,29 @@ def test_grid_domain_errors():
         make_grid(math.inf, 1.0, 1000)
     with pytest.raises(ValueError, match=r"^mesh_years must be positive, got nan$"):
         make_grid(5.0, 0.0, math.nan)
+
+
+def test_grid_over_the_point_limit_raises_before_building():
+    # a 1e-3-year mesh over 67 My asks for 6.7e10 stamps; a mesh too fine
+    # for the ratio to be finite asks for inf of them. Either raises at once
+    assert MAX_GRID_POINTS == 10**7
+    too_many = r" gives 67000000000 grid points, more than 10000000$"
+    with pytest.raises(GridTooLargeError, match=too_many):
+        make_grid(67.0, 0.0, 1e-3)
+    with pytest.raises(ValueError, match=r" gives inf grid points, more than 10000000$"):
+        make_grid(67.0, 0.0, 5e-324)
+
+
+def test_grid_point_limit_is_inclusive(monkeypatch):
+    # with the limit lowered to 10: a grid of 10 stamps is built, 11 raise
+    monkeypatch.setattr(imputation, "MAX_GRID_POINTS", 10)
+    assert len(make_grid(1.0, 0.0, 100_000)) == 10
+    assert len(make_grid(1.0999, 0.0, 100_000)) == 10
+    with pytest.raises(GridTooLargeError) as error:
+        make_grid(1.1, 0.0, 100_000)
+    assert str(error.value) == (
+        "a mesh of 100000 years over the 1100000.0-year span gives 11 grid points, more than 10"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +366,8 @@ def _passes_with_row_2_variance(value):
     # _fitted_small's panel takes
     passes = kalman._passes
 
-    def patched(cm, h, general=False):
-        X, XV, A, steps = passes(cm, h, general)
+    def patched(cm, h):
+        X, XV, A, steps = passes(cm, h)
         assert np.count_nonzero(cm.fill == cm.fill[2]) == 1
         XV[int(cm.fill[2])] = value
         return X, XV, A, steps

@@ -636,18 +636,26 @@ def test_dim1_loglik_raises_as_the_general_recursion():
 
 
 def _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior=None):
-    # smooth at s = 1 against the reference backward pass, _smoothed, over
-    # _forward's paths, from the diffuse start or from the proper prior
+    # smooth at s = 1 against the reference backward pass, _smoothed_lists,
+    # over _forward's buffers, from the diffuse start or from the proper
+    # prior; and the A and (succ, Q, B, C) of the dim-1 sweep, which the
+    # score reads, against the reference's
     if prior is None:
         init, start = None, kalman._diffuse_start(1)
     else:
         init, start = ([prior[0]], [[prior[1]]]), ([prior[0]], [prior[1]], [0.0], False)
-    paths = smooth(kfilter(spec, layout, h, data, init=init, compiled=cm))
+    run = kfilter(spec, layout, h, data, init=init, compiled=cm)
+    paths = smooth(run)
     buffers = kalman._forward(cm, list(h), *start, True)[2]
-    X, XV, _ = kalman._smoothed(cm, *kalman._paths_and_booked(cm, buffers))
+    X, XV, A, steps = kalman._smoothed_lists(cm, buffers)
     means, covs = kalman._filled(cm, X, XV)
     assert _same_bits(paths.smoothed_means, means)
     assert _same_bits(paths.smoothed_covs, covs)
+    _, _, dim1_A, dim1_steps = kalman._smoothed_dim1(cm, run.buffers)
+    assert _same_bits(dim1_A, A)
+    assert len(dim1_steps) == len(steps) == 4
+    for x, y in zip(dim1_steps, steps):
+        assert _same_bits(x, y)
 
 
 def test_dim1_smoother_equals_general_recursion_bitwise():
@@ -695,9 +703,10 @@ def _assert_forward_dim1_equals_forward(cm, h, prior=None):
 
 
 def _diffuse_rows_dim1(cm, h, prior=None) -> list:
+    # the rows whose P_inf the buffer pred_Pi holds, a leading run
     start = kalman._diffuse_start(1) if prior is None else ([prior[0]], [prior[1]], [0.0], False)
-    buffers = kalman._forward_dim1(cm, h, *start, True)[2]
-    return kalman._paths_and_booked(cm, buffers)[0].diffuse_rows.tolist()
+    pred_Pi = kalman._forward_dim1(cm, h, *start, True)[2][2]
+    return (np.arange(cm.n) < pred_Pi.size).tolist()
 
 
 def test_forward_dim1_equals_forward_without_slots():
@@ -824,7 +833,7 @@ def test_forward_dim1_raises_as_forward_with_paths():
 def test_dim1_passes_never_reach_the_general_recursion(monkeypatch, tmp_path):
     # at s = 1 loglik, filter, smooth, score, impute and the CLI's fit and
     # smooth all run the float recursions, _forward_dim1 and
-    # _smoothed_dim1; at s = 2 the passes are _forward and _smoothed
+    # _smoothed_dim1; at s = 2 the passes are _forward and _smoothed_lists
     from paleokalman.cli import EXIT_OK, main
 
     def refuse(name):
@@ -834,7 +843,7 @@ def test_dim1_passes_never_reach_the_general_recursion(monkeypatch, tmp_path):
         return general
 
     forward = kalman._forward
-    for name in ("_forward", "_smoothed", "_backward", "_tail_precision"):
+    for name in ("_forward", "_smoothed_lists", "_backward", "_tail_precision"):
         monkeypatch.setattr(kalman, name, refuse(name))
     spec = ModelSpec()
     data = _dim1_panel(0)
@@ -873,7 +882,7 @@ def test_dim1_passes_never_reach_the_general_recursion(monkeypatch, tmp_path):
         kfilter(biv, biv_layout, [0.04, 0.04, 0.9, 0.9, 0.3], data, compiled=cm)
     monkeypatch.setattr(kalman, "_forward", forward)
     run = kfilter(biv, biv_layout, [0.04, 0.04, 0.9, 0.9, 0.3], data, compiled=cm)
-    with pytest.raises(AssertionError, match="_smoothed called"):
+    with pytest.raises(AssertionError, match="_smoothed_lists called"):
         smooth(run)
 
 
@@ -1246,6 +1255,34 @@ def test_score_calls_neither_filter_nor_smooth(monkeypatch):
     assert np.array_equal(kalman.score(cm, params), want)
 
 
+@pytest.mark.parametrize("order_m", [1, 6], ids=["s2", "s12"])
+def test_score_and_impute_build_no_state_paths(monkeypatch, order_m):
+    # above state dimension 1 too, the score and impute read the forward
+    # pass's buffers; only filter wraps them in a StatePaths
+    spec = ModelSpec(arity="bivariate", order_m=order_m, corr_grouping="pooled")
+    params = [0.02, 0.03, 0.05, 0.04, 0.5]
+    data = small_simulated(
+        ModelSpec(arity="bivariate", corr_grouping="pooled"), params, n_rows=300, slots=1, seed=5
+    )
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.s == 2 * order_m
+    want = kalman.score(cm, params)
+    stamps = data.view.stamps
+    grid = np.linspace(stamps[0], stamps[-1], 7).tolist()
+    table = pk.impute(params, spec, data, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("StatePaths built")
+
+    monkeypatch.setattr(kalman, "StatePaths", refuse)
+    assert _same_bits(kalman.score(cm, params), want)
+    again = pk.impute(params, spec, data, grid)
+    assert _same_bits(again.means, table.means) and _same_bits(again.sds, table.sds)
+    with pytest.raises(AssertionError, match="StatePaths built"):
+        kfilter(spec, layout, params, data, compiled=cm)
+
+
 @pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced", "head"])
 def test_dim1_score_equals_general_path_on_mixed_panels(build):
     # leading all-missing rows, grid rows that move nothing and one to four
@@ -1295,7 +1332,7 @@ def test_dim1_smooth_raises_on_a_zero_predicted_variance():
     layout = build_layout(spec, data)
     params = [0.1, 5e-324]
     run = kfilter(spec, layout, params, data, init=([0.0], [[0.0]]))
-    assert run.compiled.s == 1 and not run.booked.any()
+    assert run.compiled.s == 1 and not run.buffers[-1].any()  # nothing booked
     last = int(run.compiled.moving[-1])
     with pytest.raises(ZeroDivisionError, match=f"^row {last}: predicted variance 0.0 at a moving"):
         smooth(run)
