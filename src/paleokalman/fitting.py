@@ -2,12 +2,15 @@
 
 Variances are optimized as log-variances and correlations through atanh, so
 the optimizer works on an unconstrained vector theta. The objective is the
-per-slot average exact-diffuse negative loglik, from the filter's path-free
-forward pass (_kernels.loglik_from_compiled); averaging keeps the
-tolerances meaningful across sample sizes. Its gradient is exact: the
-score from kalman.score (Fisher's identity over one forward pass in paths
-mode and the smoother's backward pass), mapped to theta by the chain rule.
-Parameter points where the filter degenerates get a large finite penalty.
+per-slot average exact-diffuse negative loglik (_kernels.loglik_from_compiled);
+averaging keeps the tolerances meaningful across sample sizes. Its gradient
+is exact: kalman.score's numbers (Fisher's identity over one forward pass
+in paths mode and the smoother's backward pass), mapped to theta by the
+chain rule. A BFGS evaluation takes the value and the score from one
+kernel call, so it runs one forward pass and the backward pass; a
+value-only evaluation (a curvature probe or a Hessian point) runs the
+forward pass without paths. Parameter points where the filter degenerates
+get a large finite penalty.
 
 fit runs BFGS on that gradient once from each start. Each BFGS run
 starts from a diagonal inverse Hessian, the inverse of the objective's
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, kalman
+from . import _kernels
 from .core import MAX_SLOTS, PanelDataset
 from .kalman import CompiledModel, compile_model
 from .modelspec import ModelSpec, ParameterLayout, build_layout
@@ -125,11 +128,14 @@ class _Objective:
 
     With scale < 1 the objective is the per-slot average negative loglik,
     which keeps the optimizer tolerances meaningful across sample sizes.
-    The penalty for inadmissible points is returned unscaled. The value and
-    the natural parameters of the last call are kept: value and
+    The penalty for inadmissible points is returned unscaled. Each counted
+    evaluation is one kernel call (_kernels.loglik_from_compiled), one
+    forward pass; asked for the score too, the same call adds the
+    smoother's backward pass. The value, the natural parameters and the
+    score (None if not asked for) of the last call are kept: value and
     value_and_grad map each theta to the natural scale once, and at the
-    theta of the last call (BFGS starting where _polish scored its start
-    point) neither runs nor counts a second loglik pass.
+    theta of the last call (BFGS starting where fit or _polish scored its
+    start point with its score) neither runs nor counts a second pass.
     """
 
     def __init__(
@@ -142,42 +148,48 @@ class _Objective:
         self.n_evals = 0
         self.best_f = np.inf
         self.best_x = None
-        self._last = None  # (theta's bytes, value, natural params) of the last call
+        # (theta's bytes, value, natural params, score or None) of the last call
+        self._last = None
 
-    def __call__(self, theta) -> float:
+    def __call__(self, theta, with_score=False) -> float:
+        """The value at theta, from one counted kernel call; with_score
+        has that call keep d loglik / d params for value_and_grad."""
         if self.budget is not None and self.n_evals >= self.budget:
             raise _BudgetExhausted()
         self.n_evals += 1
         theta = np.array(theta, dtype=float)
         params = self.transform.to_natural(theta)
         if not np.all(np.isfinite(params)):
-            self._last = theta.tobytes(), _PENALTY, params
+            self._last = theta.tobytes(), _PENALTY, params, None
             return _PENALTY
         # a variance at or near zero makes the filter raise ConditioningError,
         # which the kernel returns as NaN: the penalty
-        ll = _kernels.loglik_from_compiled(self.cm, params)
+        score = np.empty(params.size) if with_score else None
+        ll = _kernels.loglik_from_compiled(self.cm, params, score)
         f = -ll * self.scale if np.isfinite(ll) else _PENALTY
-        self._last = theta.tobytes(), f, params
+        self._last = theta.tobytes(), f, params, score
         if f < self.best_f:
             self.best_f = f
             self.best_x = theta
         return f
 
-    def value(self, theta) -> float:
-        """The value at theta, taken from the last call when it was at theta."""
+    def value(self, theta, with_score=False) -> float:
+        """The value at theta, taken from the last call when it was at theta,
+        else scored (with its score if with_score)."""
         theta = np.asarray(theta, dtype=float)
         if self._last is None or self._last[0] != theta.tobytes():
-            return self(theta)
+            return self(theta, with_score)
         return self._last[1]
 
     def diagonal_curvature(self, theta) -> np.ndarray:
         """The objective's central second difference along each coordinate
-        at theta, from the value there (scored only if it is not the last
-        call's) and 2d probes; 1 where that is not finite and positive or a
-        probe scores the penalty. The value at theta stays the cached one,
-        so BFGS starting there does not score it again."""
+        at theta, from the value there (scored with its score only if it is
+        not the last call's) and 2d value-only probes; 1 where that is not
+        finite and positive or a probe scores the penalty. The value and
+        score at theta stay the cached ones, so BFGS starting there does
+        not score it again."""
         theta = np.asarray(theta, dtype=float)
-        f0 = self.value(theta)
+        f0 = self.value(theta, with_score=True)
         start = self._last
         c, worst = _second_differences(self, theta, f0)
         self._last = start
@@ -185,25 +197,24 @@ class _Objective:
         return np.where(usable, c, 1.0)
 
     def value_and_grad(self, theta) -> tuple:
-        """(value, gradient) at theta: the value as a call returns it, the
+        """(value, gradient) at theta from one counted kernel call, or none
+        at the last call's theta: the value as a call returns it, the
         gradient -score * d(natural)/d(theta) * scale. A point that is
         inadmissible, or where the score is not finite, gives the penalty
         and a zero gradient."""
         theta = np.asarray(theta, dtype=float)
-        # a variance at or near zero can overflow the loglik to -inf (the
-        # penalty), divide by zero or overflow in the score, or zero a
-        # predicted variance, which the sweep at s = 1 raises as an error
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.value(theta)
-            _, f, params = self._last
-            if f < _PENALTY:
-                try:
-                    score = kalman.score(self.cm, params)
-                except (np.linalg.LinAlgError, ZeroDivisionError):
-                    score = np.nan  # LinAlgError: a singular Q, as at |rho| = 1
+        self.value(theta, with_score=True)
+        _, f, params, score = self._last
+        if f < _PENALTY:
+            if score is None:
+                # the last call scored theta without its score, as only a
+                # direct caller does: a kernel call that n_evals does not count
+                score = np.empty(params.size)
+                _kernels.loglik_from_compiled(self.cm, params, score)
+            with np.errstate(over="ignore", invalid="ignore"):
                 g = -score * self.transform.natural_jacobian_diag(theta) * self.scale
-                if np.all(np.isfinite(g)):
-                    return f, g
+            if np.all(np.isfinite(g)):
+                return f, g
         return _PENALTY, np.zeros(len(theta))
 
 
@@ -351,12 +362,14 @@ class FitResult:
     iterations counts the BFGS iterations over every start. n_evals counts
     the objective's evaluations outside the standard-error Hessian: the
     start point, the 2d curvature probes before each BFGS run, and every
-    point BFGS scored, each one loglik pass unless the point maps to a
-    non-finite parameter. A BFGS run's start point is scored once, before
-    its probes, or not at all when it is the point scored just before (the
-    first start, which fit scores to check it); BFGS takes that value and
-    does not count it again. A BFGS evaluation also runs kalman.score for
-    the gradient, which n_evals does not count separately.
+    point BFGS scored, each one kernel call and one forward pass unless
+    the point maps to a non-finite parameter. A BFGS run's start point is
+    scored once, with its score, before its probes, or not at all when it
+    is the point scored just before (the first start, which fit scores to
+    check it); BFGS takes that value and score and does not count them
+    again. A BFGS evaluation's call also runs the smoother's backward pass
+    for the score, from the same forward pass; n_evals counts the call
+    once, so the score adds no count.
     """
 
     spec: ModelSpec
@@ -514,7 +527,7 @@ def fit(
     obj = _Objective(cm, transform, budget=options.eval_budget, scale=1.0 / n_scale)
     dim = layout.n_params
     try:
-        f0 = obj(theta0)
+        f0 = obj(theta0, with_score=True)  # BFGS's first evaluation takes both
     except _BudgetExhausted:
         raise InitializationError("evaluation budget exhausted before the first point")
     if f0 >= _PENALTY:

@@ -32,9 +32,9 @@ filter and score, has two modes. Paths mode keeps eight flat float64
 buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, booked): per row
 the predicted and filtered moments and the disturbance covariance booked,
 pred_Pi, the diffuse part of the prediction, over the diffuse rows only,
-and per observed slot the innovation and its variance. loglik, which every
-fit evaluation calls, keeps only v and F, so the logliks are equal bit for
-bit.
+and per observed slot the innovation and its variance. loglik, which a
+fit's value-only evaluations call, keeps only v and F, so the logliks of
+the two modes are equal bit for bit.
 
 The buffers are the only hand-off between the passes: smooth, score and
 imputation.impute read them through one backward entry, _smoothed, the RTS
@@ -63,9 +63,13 @@ index, so an all-missing row costs no step.
 score, the exact gradient of the loglik that fitting climbs, reads the two
 passes' smoothed moments by Fisher's identity, its terms summed by
 np.bincount: _score_dim1 reads the float sweep's b and c, and the numpy
-path _score, its reference at state dimension 1, the same passes. score
-and impute build no FilterRun, StatePaths or smoothed array over every
-row; filter and smooth remain the whole-panel passes that keep every path.
+path _score, its reference at state dimension 1, the same passes. One
+step, _score_from_buffers, gives the score from a paths-mode pass's
+buffers; score and the fit's kernel (_kernels.loglik_from_compiled with a
+score array) both call it, and the kernel keeps that pass's loglik too,
+so a value and its score cost one forward pass. score and impute build
+no FilterRun, StatePaths or smoothed array over every row; filter and
+smooth remain the whole-panel passes that keep every path.
 """
 
 from __future__ import annotations
@@ -440,8 +444,9 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     Fisher's identity (Segal & Weinstein 1989): the score is the expected
     complete-data score given the data, so one forward pass in paths mode
     and smooth's backward pass over its buffers give it exactly; no
-    FilterRun or StatePaths is built. With x and V the smoothed
-    moments, a slot with measurement variance r adds
+    FilterRun or StatePaths is built. _kernels.loglik_from_compiled with a
+    score array runs the same two steps and gives the same numbers. With x
+    and V the smoothed moments, a slot with measurement variance r adds
     -1/(2r) + ((y - x_level)^2 + V_level)/(2r^2) to r's coordinate. A row u
     that books the trend-tail disturbance covariance Q adds
     tr((Q^-1 S Q^-1 - Q^-1) dQ)/2 over the series it moves, where
@@ -460,20 +465,33 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     ConditioningError at an inadmissible point.
     """
     h = np.asarray(params, dtype=float)
-    return (_score_dim1 if compiled.s == 1 else _score)(compiled, h)
+    return _score_from_buffers(compiled, h, _paths_pass(compiled, h)[1])
+
+
+def _paths_pass(cm: CompiledModel, h: np.ndarray) -> tuple:
+    # (loglik, buffers): the forward recursion at h from the diffuse start
+    # in paths mode, the pass that score, impute and the fit's kernel with
+    # a score run; its loglik is loglik's, bit for bit
+    ll, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), True)
+    return ll, buffers
 
 
 def _passes(cm: CompiledModel, h: np.ndarray) -> tuple:
-    # score's two passes at h from the diffuse start, the forward recursion
-    # in paths mode and smooth's backward pass over its buffers: _smoothed's
-    # (X, XV, A, (succ, Q, B, C))
-    _, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), True)
-    return _smoothed(cm, buffers)
+    # the two passes at h: _paths_pass and smooth's backward pass over its
+    # buffers, _smoothed's (X, XV, A, (succ, Q, B, C))
+    return _smoothed(cm, _paths_pass(cm, h)[1])
 
 
-def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
-    # score's numpy path: every state dimension, and the reference at s = 1
-    X, XV, A, (succ, Q, B, C) = _passes(cm, h)
+def _score_from_buffers(cm: CompiledModel, h: np.ndarray, buffers: tuple) -> np.ndarray:
+    # the score at h from a paths-mode forward pass's buffers there: smooth's
+    # backward pass over them, summed by _score_dim1 at s = 1, else _score
+    return (_score_dim1 if cm.s == 1 else _score)(cm, h, _smoothed(cm, buffers))
+
+
+def _score(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
+    # score's numpy path over the two passes (_passes' result): every state
+    # dimension, and the reference at s = 1
+    X, XV, A, (succ, Q, B, C) = passes
     X, V = _filled(cm, X, XV)
 
     rows, level, hidx = cm.obs_row, cm.level, np.array(cm.hidx, dtype=int)
@@ -510,12 +528,12 @@ def _score(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _score_dim1(cm: CompiledModel, h: np.ndarray) -> np.ndarray:
-    # _score at s = 1, bit for bit: _passes' float moments and the q, b
-    # and c of its moving rows, and _score's two np.bincount sums, the
+def _score_dim1(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
+    # _score at s = 1, bit for bit: the passes' float moments and the q, b
+    # and c of their moving rows, and _score's two np.bincount sums, the
     # measurement terms in slot order and the transition terms over the
     # moving rows in row order
-    X, XV, A, (succ, q, b, c) = _passes(cm, h)
+    X, XV, A, (succ, q, b, c) = passes
     A, q, b, c = (x.reshape(-1) for x in (A, q, b, c))
     X, XV = _filled(cm, X, XV)
     X, XV = X[:, 0], XV[:, 0, 0]

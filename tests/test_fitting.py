@@ -143,8 +143,8 @@ def _record_logliks(monkeypatch) -> list:
     kernel = fitting._kernels.loglik_from_compiled
     logliks = []
 
-    def counted(cm, params):
-        logliks.append(kernel(cm, params))
+    def counted(cm, params, score=None):
+        logliks.append(kernel(cm, params, score))
         return logliks[-1]
 
     monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", counted)
@@ -462,9 +462,9 @@ def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
     kernel = fitting._kernels.loglik_from_compiled
     calls = []
 
-    def counted(cm, params):
+    def counted(cm, params, score=None):
         calls.append(np.array(params))
-        return kernel(cm, params)
+        return kernel(cm, params, score)
 
     monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", counted)
     res = fit(spec, data)
@@ -489,6 +489,42 @@ def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
     # scored once, and no point twice in a row before the Hessian's evals
     assert sum(np.array_equal(c, fit_calls[0]) for c in fit_calls) == 1
     assert all(not np.array_equal(a, b) for a, b in zip(fit_calls, fit_calls[1:]))
+
+
+@pytest.mark.parametrize(
+    "n_starts, model",
+    [pytest.param(1, None, id="rwn"), pytest.param(3, None, id="rwn-3-starts")]
+    + [pytest.param(1, model, id=model) for model in ("rwn-source", "biv")],
+)
+def test_fit_runs_one_forward_pass_per_evaluation(monkeypatch, n_starts, model):
+    # each counted evaluation runs one forward pass, a BFGS evaluation's
+    # score included, and so does each of the Hessian's 2d^2 + 1 points;
+    # BFGS's first evaluation at each start reuses the pass that scored it
+    if model is None:
+        spec, data = _recovery_data(seed=6, n=240)
+    else:
+        spec, params = _CATALOGUE[model]
+        stamps = random_stamps(np.random.default_rng(0), 120, mean_dt=0.01, start=-3.9)
+        data = pk.simulate(spec, params, stamps, slots_per_row=2, seed=0, n_sources=2)
+    forward = pk.kalman._forward_pass
+    passes = []
+
+    def counted(*args):
+        passes.append(args[3])  # keep_paths
+        return forward(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kalman.score called")
+
+    monkeypatch.setattr(pk.kalman, "_forward_pass", counted)
+    monkeypatch.setattr(pk.kalman, "score", refuse)
+    res = fit(spec, data, FitOptions(n_starts=n_starts, seed=11))
+    d = res.n_params
+    assert res.converged
+    assert len(passes) == res.n_evals + 2 * d * d + 1
+    # every counted evaluation but the 2d curvature probes of each start
+    # (each start and each BFGS evaluation) ran in paths mode for the score
+    assert sum(passes) == res.n_evals - 2 * d * n_starts
 
 
 def _inline_numerical_hessian(f, x):
@@ -568,8 +604,8 @@ def test_curvature_probe_on_the_penalty_keeps_the_identity(monkeypatch):
     bad_params = tr.to_natural(bad)
     kernel = fitting._kernels.loglik_from_compiled
 
-    def failing(cm, params):
-        return np.nan if np.array_equal(params, bad_params) else kernel(cm, params)
+    def failing(cm, params, score=None):
+        return np.nan if np.array_equal(params, bad_params) else kernel(cm, params, score)
 
     monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", failing)
     minimize = scipy.optimize.minimize

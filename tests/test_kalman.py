@@ -10,6 +10,7 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -583,6 +584,12 @@ DIM1_SPECS = {
 }
 
 
+def _numpy_score(cm, params):
+    # the score's numpy path, the reference at s = 1, over the same passes
+    h = np.asarray(params, dtype=float)
+    return kalman._score(cm, h, kalman._passes(cm, h))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", list(DIM1_SPECS))
 def test_dim1_loglik_equals_filter_bitwise(name, seed):
@@ -602,7 +609,7 @@ def test_dim1_loglik_equals_filter_bitwise(name, seed):
         assert ll == kfilter(spec, layout, params, data, compiled=cm).loglik
         assert ll == _kernels.loglik_from_compiled(cm, params)
         assert ll == kalman._forward(cm, params.tolist(), *kalman._diffuse_start(1), False)[0]
-        assert _same_bits(kalman.score(cm, params), kalman._score(cm, params))
+        assert _same_bits(kalman.score(cm, params), _numpy_score(cm, params))
 
 
 def test_dim1_loglik_raises_as_the_general_recursion():
@@ -630,7 +637,7 @@ def test_dim1_loglik_raises_as_the_general_recursion():
     with pytest.raises(ConditioningError) as fast:
         kalman.score(cm, params)
     with pytest.raises(ConditioningError) as ref:
-        kalman._score(cm, params)
+        _numpy_score(cm, params)
     assert str(fast.value) == str(ref.value)
     assert fast.value.row_index == ref.value.row_index
 
@@ -1227,6 +1234,27 @@ def test_score_matches_loglik_differences_at_order_6():
     _assert_score_matches(compile_model(spec, layout, data), [0.05, 0.02])
 
 
+@pytest.mark.parametrize("m", [2, 6])
+def test_score_matches_loglik_differences_at_full_length(m):
+    # the paper record's length, 23,722 rows of one slot at its mean
+    # spacing (My), drawn as random walk plus noise on its d18O scale: order
+    # 2 at the default start and order 6 at the paper's q = eta2 * mean dt /
+    # eps2 = 3.1e-12. Both are far from the optimum, where the loglik's
+    # rounding would swamp the differences
+    eps2 = 0.0205
+    rng = np.random.default_rng(0)
+    stamps = -np.cumsum(rng.exponential(0.00283, 23_722))[::-1] - 0.001
+    data = pk.simulate(ModelSpec(), [eps2, 1.8364], stamps, seed=1)
+    spec = ModelSpec(order_m=m)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    if m == 2:
+        params = pk.fitting.default_start(layout, cm)
+    else:
+        params = [eps2, 3.1e-12 * eps2 / float(np.mean(np.diff(stamps)))]
+    _assert_score_matches(cm, params)
+
+
 def test_score_raises_loglik_conditioning_error():
     spec, params, data = _instance_c()
     layout = build_layout(spec, data)
@@ -1298,7 +1326,7 @@ def test_dim1_score_equals_general_path_on_mixed_panels(build):
         assert cm.s == 1
         for _ in range(10):
             params = np.exp(rng.uniform(-12.0, 3.0, layout.n_params))
-            assert _same_bits(kalman.score(cm, params), kalman._score(cm, params))
+            assert _same_bits(kalman.score(cm, params), _numpy_score(cm, params))
 
 
 @pytest.mark.parametrize("role", ["sigma_eps2", "sigma_eta2"])
@@ -1316,11 +1344,92 @@ def test_dim1_score_at_a_zero_variance_equals_general_path(role):
     params[[p.role for p in layout.params].index(role)] = 0.0
     assert math.isfinite(kloglik(cm, params))
     with np.errstate(all="ignore"):
-        got, want = kalman.score(cm, params), kalman._score(cm, params)
+        got, want = kalman.score(cm, params), _numpy_score(cm, params)
     finite = np.isfinite(want)
     assert not finite.all()
     assert _same_bits(got[finite], want[finite])
     np.testing.assert_array_equal(got, want)  # inf and NaN in the same places
+
+
+_KERNEL_SPECS = {
+    "rwn": ModelSpec(),
+    "by-source": ModelSpec(meas_grouping="by-source"),
+    "irw": ModelSpec(order_m=2),
+    "bivariate-rho-by-climate": ModelSpec(
+        arity="bivariate", trans_grouping="by-climate-state", corr_grouping="by-climate-state"
+    ),
+}
+
+
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced", "head"])
+@pytest.mark.parametrize("name", list(_KERNEL_SPECS))
+def test_kernel_with_score_equals_loglik_and_score(name, build):
+    # one kernel call with a score array returns loglik's float and fills
+    # the array with score's, bit for bit, from one forward pass
+    data = mixed_panels()[build]
+    spec = _KERNEL_SPECS[name]
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        params = np.exp(rng.uniform(-6.0, 1.0, layout.n_params))
+        for i, p in enumerate(layout.params):
+            if p.role == "rho":
+                params[i] = rng.uniform(-0.9, 0.9)
+        score = np.zeros(layout.n_params)
+        ll = _kernels.loglik_from_compiled(cm, params, score)
+        assert _same_bits(ll, kloglik(cm, params))
+        assert _same_bits(ll, _kernels.loglik_from_compiled(cm, params))
+        assert _same_bits(score, kalman.score(cm, params))
+        assert np.isfinite(score).all()
+
+
+def test_kernel_with_score_at_an_inadmissible_point_gives_nan():
+    # a negative measurement variance: loglik raises, and the kernel gives
+    # NaN with every coordinate of the score NaN
+    spec, params, data = _instance_c()
+    cm = compile_model(spec, build_layout(spec, data), data)
+    bad = np.array([-0.5, *params[1:]])
+    with pytest.raises(ConditioningError):
+        kloglik(cm, bad)
+    score = np.zeros(bad.size)
+    assert math.isnan(_kernels.loglik_from_compiled(cm, bad, score))
+    assert np.isnan(score).all()
+
+
+def test_kernel_with_score_where_the_score_breaks_down():
+    # rho = 1 with equal trend variances makes Q singular, where score
+    # raises LinAlgError: the kernel returns the finite loglik and a NaN
+    # score, and no warning
+    spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], [-3.0, -2.5, -2.0, -1.2], seed=1)
+    cm = compile_model(spec, build_layout(spec, data), data)
+    params = np.array([0.1, 0.2, 1.0, 1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        kalman.score(cm, params)
+    score = np.zeros(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll = _kernels.loglik_from_compiled(cm, params, score)
+    assert _same_bits(ll, kloglik(cm, params)) and math.isfinite(ll)
+    assert np.isnan(score).all()
+
+    # a zero trend variance at state dimension 1: the loglik is finite and
+    # the trend coordinate of the score is NaN, as in score
+    spec = ModelSpec(meas_grouping="by-source")
+    data = small_simulated(spec, [0.1, 0.3, 1.0], n_rows=30, slots=2, seed=0, n_sources=2)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.s == 1 and layout.params[2].role == "sigma_eta2"
+    params = np.array([0.1, 0.3, 0.0])
+    score = np.zeros(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll = _kernels.loglik_from_compiled(cm, params, score)
+    assert _same_bits(ll, kloglik(cm, params)) and math.isfinite(ll)
+    assert math.isnan(score[2])
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(score, kalman.score(cm, params))
 
 
 def test_dim1_smooth_raises_on_a_zero_predicted_variance():
