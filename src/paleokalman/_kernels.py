@@ -10,11 +10,14 @@ a loglik sum that is not finite, or trend variances with no real increment
 covariance) gives NaN rather than ConditioningError, so the optimizer can
 score it.
 
-Given a score array, one call gives a BFGS evaluation its value and its
-gradient: the forward pass runs in paths mode, whose loglik is the
-path-free pass's bit for bit, and kalman.score's step from the buffers
-(the smoother's backward pass and Fisher's identity) fills the array with
-kalman.score's numbers, so the evaluation runs one forward pass, not two.
+Given an array, the same call also fills it from the same forward pass,
+which is what a fit that profiles the common scale of the variances out
+reads: S, the sum of v^2 / F over the slots past the diffuse phase, and
+N*, their number. A longer array asks for the score too: the forward pass
+then runs in paths mode, whose loglik is the path-free pass's bit for bit,
+and kalman.score's step from the buffers (the smoother's backward pass and
+Fisher's identity) gives the score's two parts, so a BFGS evaluation runs
+one forward pass, not two.
 """
 
 from __future__ import annotations
@@ -23,38 +26,42 @@ import math
 
 import numpy as np
 
-from .kalman import ConditioningError, _paths_pass, _score_from_buffers, loglik
+from .kalman import ConditioningError, _pass_at, _score_from_buffers, loglik
 
 # The package has no compiled path: every recursion runs as plain Python.
 HAVE_NUMBA = False
 
 
-def loglik_from_compiled(cm, params, score=None) -> float:
+def loglik_from_compiled(cm, params, out=None) -> float:
     """Exact-diffuse loglik of a kalman.CompiledModel at params; NaN if the
     point is inadmissible.
 
-    Given an array score, the same call fills it with d loglik / d params
-    and returns the same float. The score is NaN where the loglik is, and
-    where the backward pass fails: LinAlgError at a singular trend
-    disturbance covariance (|rho| = 1), ZeroDivisionError at a zero
-    predicted variance at state dimension 1. Floating-point warnings are
-    off for such a call, since a variance at or near zero can divide by
-    zero or overflow in the score.
+    Given an array out of 2 entries, the same call fills it with (S, N*)
+    and returns the same float. Given 2 + 2d entries, for d parameters,
+    out[2:] also gets the score's two parts (kalman.score's quad, then its
+    rest, d entries each), whose sum is d loglik / d params. Every entry is
+    NaN where the loglik is, and the score's parts are NaN where the
+    backward pass fails: LinAlgError at a singular trend disturbance
+    covariance (|rho| = 1), ZeroDivisionError at a zero predicted variance
+    at state dimension 1. Floating-point warnings are off for such a call,
+    since a variance at or near zero can divide by zero or overflow in the
+    score.
     """
-    if score is None:
+    if out is None:
         try:
             return loglik(cm, params)
         except ConditioningError:
             return math.nan
     h = np.asarray(params, dtype=float)
-    score[:] = math.nan
+    out[:] = math.nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            ll, buffers = _paths_pass(cm, h)
+            ll, buffers = _pass_at(cm, h, out.size > 2, out[:2])
         except ConditioningError:
             return math.nan
-        try:
-            score[:] = _score_from_buffers(cm, h, buffers)
-        except (np.linalg.LinAlgError, ZeroDivisionError):
-            pass  # the score stays NaN
+        if buffers is not None:
+            try:
+                out[2:] = _score_from_buffers(cm, h, buffers).ravel()
+            except (np.linalg.LinAlgError, ZeroDivisionError):
+                pass  # the score's parts stay NaN
     return ll

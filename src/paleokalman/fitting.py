@@ -1,31 +1,46 @@
 """Maximum-likelihood estimation: transforms, optimizer driver, SEs, BIC.
 
 Variances are optimized as log-variances and correlations through atanh, so
-the optimizer works on an unconstrained vector theta. The objective is the
-per-slot average exact-diffuse negative loglik (_kernels.loglik_from_compiled);
-averaging keeps the tolerances meaningful across sample sizes. Its gradient
-is exact: kalman.score's numbers (Fisher's identity over one forward pass
-in paths mode and the smoother's backward pass), mapped to theta by the
-chain rule. A BFGS evaluation takes the value and the score from one
-kernel call, so it runs one forward pass and the backward pass; a
-value-only evaluation (a curvature probe or a Hessian point) runs the
-forward pass without paths. Parameter points where the filter degenerates
-get a large finite penalty.
+the optimizer works on an unconstrained vector theta. Every model's loglik
+is homogeneous in its variances: scaling each of them by c, with the
+correlations fixed, gives ll(c h) = ll(h) - N* log(c) / 2 - S (1/c - 1) / 2,
+where S is the sum of v^2 / F over the N* slots past the diffuse phase.
+The best common scale is c* = S / N* in closed form (Harvey 1989, Forecasting,
+Structural Time Series Models and the Kalman Filter, sec. 3.4; Durbin &
+Koopman 2012, sec. 2.10.2). So fit holds the first measurement variance's
+coordinate at its start value and searches the other d - 1, with c*
+profiled out at every evaluation; the optimum of that profile, times c*, is
+the full optimum.
+
+The objective is the per-slot average of the profile negative loglik
+(_Objective); averaging keeps the tolerances meaningful across sample
+sizes. Each evaluation is one kernel call (_kernels.loglik_from_compiled),
+which returns the loglik at h and fills an array with S and N* from the
+same forward pass. The gradient is exact: kalman.score's two parts at h
+(Fisher's identity over one forward pass in paths mode and the smoother's
+backward pass), which give the score at c* h, mapped to theta by the chain
+rule. A BFGS evaluation takes the value and the score's parts from one
+kernel call, so it runs one forward pass and the backward pass; a curvature
+probe or a Hessian point runs the forward pass without paths. Parameter
+points where the filter degenerates, or whose c* is not finite and
+positive, get a large finite penalty.
 
 fit runs BFGS on that gradient once from each start. Each BFGS run
 starts from a diagonal inverse Hessian, the inverse of the objective's
-central second differences along each coordinate at its start point (2d
-value-only probes with the standard-error Hessian's step), not the
-identity: the per-slot average objective curves far less than 1 per
+central second differences along each free coordinate at its start point
+(2(d - 1) value-only probes with the standard-error Hessian's step), not
+the identity: the per-slot average objective curves far less than 1 per
 log-variance unit, so identity steps would be much too short (Nocedal &
 Wright, Numerical Optimization, 2nd ed., sec. 6.1). A coordinate whose
 second difference is not finite and positive, or whose probe scores the
 penalty, keeps 1. A start is converged when the run ends below the
 penalty and the gradient infinity-norm at its end is below 1e-4: a run
 that stops on the penalty has a zero gradient, not a small one. A start
-that does not converge ends at the best point scored so far; a correlation
-on the boundary |rho| = 1, where the likelihood has no interior optimum,
-is such a run.
+that does not converge ends at the best point scored so far. A fit whose
+correlation ends within 1e-6 of the boundary |rho| = 1, where the
+likelihood has no interior optimum, is not converged whatever its
+gradient. The standard errors come from the central-difference
+Hessian of the full d-dimensional loglik at the optimum.
 """
 
 from __future__ import annotations
@@ -109,7 +124,7 @@ class ParamTransform:
         return out
 
     def natural_jacobian_diag(self, theta) -> np.ndarray:
-        """d(natural)/d(theta), used by the delta method."""
+        """d(natural)/d(theta), used by the chain rule and the delta method."""
         theta = np.asarray(theta, dtype=float)
         out = np.empty_like(theta)
         corr = self.is_corr
@@ -124,98 +139,125 @@ class ParamTransform:
 
 
 class _Objective:
-    """Negative loglik over theta with eval counting and best tracking.
+    """The profile negative loglik over phi, the free coordinates of theta,
+    with eval counting and best tracking.
 
-    With scale < 1 the objective is the per-slot average negative loglik,
-    which keeps the optimizer tolerances meaningful across sample sizes.
-    The penalty for inadmissible points is returned unscaled. Each counted
-    evaluation is one kernel call (_kernels.loglik_from_compiled), one
-    forward pass; asked for the score too, the same call adds the
-    smoother's backward pass. The value, the natural parameters and the
-    score (None if not asked for) of the last call are kept: value and
-    value_and_grad map each theta to the natural scale once, and at the
-    theta of the last call (BFGS starting where fit or _polish scored its
-    start point with its score) neither runs nor counts a second pass.
+    theta is theta_ref, the start's coordinate of the first measurement
+    variance, then phi; h is its natural parameters. Scaling every variance
+    by c, with the correlations fixed, gives ll(c h) = ll(h) - N* log(c) / 2
+    - S (1/c - 1) / 2, where S and N* are the sum of v^2 / F and the number
+    of slots past the diffuse phase at h. So the best scale is c* = S / N*
+    (1 where N* = 0), and the profile is ll(c* h) = ll(h) - N* log(c*) / 2
+    - (N* - S) / 2. With scale < 1 the objective is its per-slot average,
+    which keeps the optimizer tolerances meaningful across sample sizes. A
+    point where the kernel gives NaN, or whose c* is not finite and
+    positive, scores the penalty, unscaled.
+
+    Each counted evaluation is one kernel call (_kernels.loglik_from_compiled)
+    with an array for (S, N*), one forward pass; asked for the score too,
+    the same call adds the smoother's backward pass and the score's two
+    parts at h. By the envelope theorem the gradient is the loglik's at c* h
+    along phi: -(quad / c* + rest) * d(natural)/d(theta) * scale. The last
+    call's value and gradient (None if not asked for) are kept, so that
+    BFGS starting where fit or _polish scored its start point with its
+    score runs no second pass; scaled keeps c* h for every point scored
+    below the penalty.
     """
 
     def __init__(
-        self, cm: CompiledModel, transform: ParamTransform, budget=None, scale=1.0
+        self, cm: CompiledModel, transform: ParamTransform, theta_ref, budget=None, scale=1.0
     ):
         self.cm = cm
         self.transform = transform
+        self.theta_ref = float(theta_ref)
         self.budget = budget
         self.scale = float(scale)
         self.n_evals = 0
         self.best_f = np.inf
         self.best_x = None
-        # (theta's bytes, value, natural params, score or None) of the last call
+        self.scaled = {}  # phi's bytes -> c* h
+        # (phi's bytes, value, gradient or None) of the last call
         self._last = None
 
-    def __call__(self, theta, with_score=False) -> float:
-        """The value at theta, from one counted kernel call; with_score
-        has that call keep d loglik / d params for value_and_grad."""
+    def __call__(self, phi, with_score=False) -> float:
+        """The value at phi, from one counted kernel call; with_score has
+        that call keep the gradient for value_and_grad."""
         if self.budget is not None and self.n_evals >= self.budget:
             raise _BudgetExhausted()
         self.n_evals += 1
-        theta = np.array(theta, dtype=float)
-        params = self.transform.to_natural(theta)
-        if not np.all(np.isfinite(params)):
-            self._last = theta.tobytes(), _PENALTY, params, None
-            return _PENALTY
+        phi = np.array(phi, dtype=float)
+        theta = np.concatenate(([self.theta_ref], phi))
+        h = self.transform.to_natural(theta)
+        f, g = _PENALTY, np.zeros(phi.size)
         # a variance at or near zero makes the filter raise ConditioningError,
         # which the kernel returns as NaN: the penalty
-        score = np.empty(params.size) if with_score else None
-        ll = _kernels.loglik_from_compiled(self.cm, params, score)
-        f = -ll * self.scale if np.isfinite(ll) else _PENALTY
-        self._last = theta.tobytes(), f, params, score
+        if np.all(np.isfinite(h)):
+            out = np.empty(2 + 2 * h.size if with_score else 2)
+            ll = _kernels.loglik_from_compiled(self.cm, h, out)
+            S, N = float(out[0]), float(out[1])
+            c = S / N if N else 1.0
+            if math.isfinite(ll) and 0.0 < c < math.inf:
+                f = -(ll - 0.5 * N * math.log(c) - 0.5 * (N - S)) * self.scale
+                self.scaled[phi.tobytes()] = np.where(self.transform.is_corr, h, c * h)
+                g = None
+                if with_score:
+                    quad, rest = out[2:].reshape(2, h.size)
+                    jac = self.transform.natural_jacobian_diag(theta)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        g = -((quad / c + rest) * jac)[1:] * self.scale
+        self._last = phi.tobytes(), f, g
         if f < self.best_f:
             self.best_f = f
-            self.best_x = theta
+            self.best_x = phi
         return f
 
-    def value(self, theta, with_score=False) -> float:
-        """The value at theta, taken from the last call when it was at theta,
+    def value(self, phi, with_score=False) -> float:
+        """The value at phi, taken from the last call when it was at phi,
         else scored (with its score if with_score)."""
-        theta = np.asarray(theta, dtype=float)
-        if self._last is None or self._last[0] != theta.tobytes():
-            return self(theta, with_score)
+        phi = np.asarray(phi, dtype=float)
+        if self._last is None or self._last[0] != phi.tobytes():
+            return self(phi, with_score)
         return self._last[1]
 
-    def diagonal_curvature(self, theta) -> np.ndarray:
+    def diagonal_curvature(self, phi) -> np.ndarray:
         """The objective's central second difference along each coordinate
-        at theta, from the value there (scored with its score only if it is
-        not the last call's) and 2d value-only probes; 1 where that is not
-        finite and positive or a probe scores the penalty. The value and
-        score at theta stay the cached ones, so BFGS starting there does
-        not score it again."""
-        theta = np.asarray(theta, dtype=float)
-        f0 = self.value(theta, with_score=True)
+        at phi, from the value there (scored with its score only if it is
+        not the last call's) and 2(d - 1) value-only probes; 1 where that is
+        not finite and positive or a probe scores the penalty. The value
+        and gradient at phi stay the cached ones, so BFGS starting there
+        does not score it again."""
+        phi = np.asarray(phi, dtype=float)
+        f0 = self.value(phi, with_score=True)
         start = self._last
-        c, worst = _second_differences(self, theta, f0)
+        c, worst = _second_differences(self, phi, f0)
         self._last = start
         usable = np.isfinite(c) & (c > 0.0) & (worst < _PENALTY)
         return np.where(usable, c, 1.0)
 
-    def value_and_grad(self, theta) -> tuple:
-        """(value, gradient) at theta from one counted kernel call, or none
-        at the last call's theta: the value as a call returns it, the
-        gradient -score * d(natural)/d(theta) * scale. A point that is
-        inadmissible, or where the score is not finite, gives the penalty
-        and a zero gradient."""
-        theta = np.asarray(theta, dtype=float)
-        self.value(theta, with_score=True)
-        _, f, params, score = self._last
-        if f < _PENALTY:
-            if score is None:
-                # the last call scored theta without its score, as only a
-                # direct caller does: a kernel call that n_evals does not count
-                score = np.empty(params.size)
-                _kernels.loglik_from_compiled(self.cm, params, score)
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = -score * self.transform.natural_jacobian_diag(theta) * self.scale
-            if np.all(np.isfinite(g)):
-                return f, g
-        return _PENALTY, np.zeros(len(theta))
+    def value_and_grad(self, phi) -> tuple:
+        """(value, gradient) at phi from one counted kernel call, or none at
+        the last call's phi if that call kept the gradient. A point that
+        scores the penalty, or where the gradient is not finite, gives the
+        penalty and a zero gradient."""
+        phi = np.asarray(phi, dtype=float)
+        if self._last is None or self._last[0] != phi.tobytes() or self._last[2] is None:
+            self(phi, with_score=True)
+        _, f, g = self._last
+        if f < _PENALTY and np.all(np.isfinite(g)):
+            return f, g
+        return _PENALTY, np.zeros(phi.size)
+
+
+def _negative_loglik(cm: CompiledModel, transform: ParamTransform):
+    """-loglik over the full theta, one value-only kernel call a point, the
+    penalty where the kernel gives NaN: what the standard-error Hessian
+    differences."""
+
+    def f(theta) -> float:
+        ll = _kernels.loglik_from_compiled(cm, transform.to_natural(theta))
+        return -ll if math.isfinite(ll) else _PENALTY
+
+    return f
 
 
 def _second_differences(f, x, f0) -> tuple:
@@ -359,17 +401,21 @@ def _within_row_differences(vals: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class FitResult:
     """Estimates on the natural scale plus fit diagnostics.
 
-    iterations counts the BFGS iterations over every start. n_evals counts
-    the objective's evaluations outside the standard-error Hessian: the
-    start point, the 2d curvature probes before each BFGS run, and every
-    point BFGS scored, each one kernel call and one forward pass unless
-    the point maps to a non-finite parameter. A BFGS run's start point is
-    scored once, with its score, before its probes, or not at all when it
-    is the point scored just before (the first start, which fit scores to
-    check it); BFGS takes that value and score and does not count them
-    again. A BFGS evaluation's call also runs the smoother's backward pass
-    for the score, from the same forward pass; n_evals counts the call
-    once, so the score adds no count.
+    params_hat is c* h at the point the fit ended at, and theta_hat its
+    unconstrained image, log(params_hat) for the variances and
+    atanh(params_hat) for the correlations, where the standard-error
+    Hessian is taken over all d coordinates. iterations counts the BFGS
+    iterations over every start, each over the d - 1 free coordinates.
+    n_evals counts the objective's evaluations outside the standard-error
+    Hessian: the start point, the 2(d - 1) curvature probes before each
+    BFGS run, and every point BFGS scored, each one kernel call and one
+    forward pass unless the point maps to a non-finite parameter. A BFGS
+    run's start point is scored once, with its score, before its probes,
+    or not at all when it is the point scored just before (the first
+    start, which fit scores to check it); BFGS takes that value and
+    gradient and does not count them again. A BFGS evaluation's call also
+    runs the smoother's backward pass for the score, from the same forward
+    pass; n_evals counts the call once, so the score adds no count.
     """
 
     spec: ModelSpec
@@ -470,22 +516,22 @@ def bic(loglik: float, n_params: int, n_obs: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _polish(obj, theta) -> tuple:
-    """One BFGS run on the exact gradient from theta, its inverse Hessian
-    starting at the inverse of obj's diagonal curvature there; returns
-    (theta, f, converged, iterations), converged when the run ends below
-    the penalty with the gradient's infinity-norm below _GRAD_TOL."""
+def _polish(obj, phi) -> tuple:
+    """One BFGS run on the profile's exact gradient from phi, its inverse
+    Hessian starting at the inverse of obj's diagonal curvature there;
+    returns (phi, f, converged, iterations), converged when the run ends
+    below the penalty with the gradient's infinity-norm below _GRAD_TOL."""
     from scipy import optimize  # most of the package's import time; only a fit needs it
 
-    hess_inv0 = np.diag(1.0 / obj.diagonal_curvature(theta))
+    hess_inv0 = np.diag(1.0 / obj.diagonal_curvature(phi))
     res = optimize.minimize(
         obj.value_and_grad,
-        theta,
+        phi,
         jac=True,
         method="BFGS",
         options={
             "gtol": _BFGS_GTOL,
-            "maxiter": 100 * max(1, len(theta)),
+            "maxiter": 100 * max(1, len(phi)),
             "hess_inv0": hess_inv0,
         },
     )
@@ -501,12 +547,20 @@ def fit(
 ) -> FitResult:
     """Maximize the exact-diffuse loglik over the layout's parameters.
 
+    BFGS searches the d - 1 coordinates other than the first measurement
+    variance, which stays at its start value, with the common scale of the
+    variances profiled out (see the module docstring); params_hat is the
+    point it ends at, times its best scale c*. Multi-start jitter moves the
+    d - 1 free coordinates.
+
     Deterministic given (data, spec, options.seed, options.start). On an
     optimizer stall the best point found is returned with converged False;
-    a non-finite loglik at the starting point raises InitializationError,
-    and a start where the loglik is finite but its score is not gets a note,
-    since BFGS takes no step from it. Each correlation that ends within
-    1e-6 of +-1 gets a note and no SE. n_starts below 1 is a ValueError.
+    a starting point where the loglik is not finite, or has no best scale
+    (c* = 0 when every innovation past the diffuse phase is 0), raises
+    InitializationError, and a start where the loglik is finite but its
+    score is not gets a note, since BFGS takes no step from it. Each
+    correlation that ends within 1e-6 of +-1 gets a note and no SE, and
+    the fit is then not converged. n_starts below 1 is a ValueError.
     """
     options = options or FitOptions()
     if not options.n_starts >= 1:
@@ -524,35 +578,37 @@ def fit(
     theta0 = transform.to_unconstrained(start_nat)
 
     n_scale = max(1, cm.n_obs_slots)
-    obj = _Objective(cm, transform, budget=options.eval_budget, scale=1.0 / n_scale)
+    obj = _Objective(cm, transform, theta0[0], budget=options.eval_budget, scale=1.0 / n_scale)
     dim = layout.n_params
+    phi0 = theta0[1:]
     try:
-        f0 = obj(theta0, with_score=True)  # BFGS's first evaluation takes both
+        f0 = obj(phi0, with_score=True)  # BFGS's first evaluation takes both
     except _BudgetExhausted:
         raise InitializationError("evaluation budget exhausted before the first point")
     if f0 >= _PENALTY:
         raise InitializationError(
-            "loglik is not finite at the starting point; check the data and spec"
+            "loglik is not finite, or has no maximum over a common scale of the "
+            "variances, at the starting point; check the data and spec"
         )
 
     rng = np.random.default_rng(options.seed)
-    starts = [theta0]
+    starts = [phi0]
     for _ in range(options.n_starts - 1):
-        starts.append(theta0 + rng.normal(0.0, 0.5, size=dim))
+        starts.append(phi0 + rng.normal(0.0, 0.5, size=dim - 1))
 
-    best_x = theta0
+    best_x = phi0
     best_f = f0
     best_converged = False
     iterations = 0
     budget_hit = False
     notes = []
-    for i, th in enumerate(starts):
+    for i, ph in enumerate(starts):
         try:
-            x, f, conv, nit = _polish(obj, th)
+            x, f, conv, nit = _polish(obj, ph)
             iterations += nit
             # a run that took no step and ends on the penalty scored only
-            # th, whose value is then the last call's: no pass
-            if nit == 0 and f >= _PENALTY > obj.value(th):
+            # ph, whose value is then the last call's: no pass
+            if nit == 0 and f >= _PENALTY > obj.value(ph):
                 notes.append(
                     f"the score is not finite at start {i + 1}, so BFGS took no step from it"
                 )
@@ -562,7 +618,7 @@ def fit(
                 x, f = obj.best_x, obj.best_f
         except _BudgetExhausted:
             budget_hit = True
-            x, f, conv = obj.best_x, obj.best_f, False  # fit scored theta0 first
+            x, f, conv = obj.best_x, obj.best_f, False  # fit scored phi0 first
         if f < best_f:
             best_f = f
             best_x = x
@@ -572,8 +628,9 @@ def fit(
         if budget_hit:
             break
 
-    theta_hat = np.asarray(best_x, dtype=float)
-    params_hat = transform.to_natural(theta_hat)
+    # every point a run ends at was scored below the penalty
+    params_hat = obj.scaled[np.asarray(best_x, dtype=float).tobytes()]
+    theta_hat = transform.to_unconstrained(params_hat)
     loglik = -best_f * n_scale
 
     if budget_hit:
@@ -587,6 +644,9 @@ def fit(
             notes.append("singular Hessian: some standard errors are missing")
     for i in np.flatnonzero(transform.is_corr & (np.abs(params_hat) >= _RHO_EDGE)):
         se_nat[i] = np.nan  # a delta-method SE means nothing on the boundary
+        # nor is the point an optimum, though d rho / d atanh(rho) = 1 - rho^2
+        # can make the gradient there as small as BFGS's tolerance
+        best_converged = False
         info = layout.params[i]
         notes.append(
             f"{info.name} (group {info.group}) = {float(params_hat[i])!r}: the "
@@ -615,10 +675,11 @@ def fit(
 
 def _delta_method_errors(cm: CompiledModel, transform: ParamTransform, theta_hat):
     """(natural-scale SEs, ok) at theta_hat: the central-difference Hessian
-    of -loglik, inverted by covariance_from_hessian, then delta-method
+    of -loglik over all d coordinates (2d^2 + 1 value-only kernel calls),
+    inverted by covariance_from_hessian, then delta-method
     mapped, SE(sigma^2) = sigma^2 * SE(theta) and SE(rho) = (1 - rho^2) *
     SE(theta). SEs are NaN where ok is False."""
-    H = numerical_hessian(_Objective(cm, transform, budget=None), theta_hat)
+    H = numerical_hessian(_negative_loglik(cm, transform), theta_hat)
     cov, ok = covariance_from_hessian(H)
     se_theta = np.full(theta_hat.size, np.nan)
     se_theta[ok] = np.sqrt(np.diag(cov)[ok])

@@ -34,7 +34,9 @@ the predicted and filtered moments and the disturbance covariance booked,
 pred_Pi, the diffuse part of the prediction, over the diffuse rows only,
 and per observed slot the innovation and its variance. loglik, which a
 fit's value-only evaluations call, keeps only v and F, so the logliks of
-the two modes are equal bit for bit.
+the two modes are equal bit for bit. Either mode can also hand back S, the
+sum of v^2 / F over the slots past the diffuse phase, and N*, their number,
+with which fitting profiles the common scale of the variances out.
 
 The buffers are the only hand-off between the passes: smooth, score and
 imputation.impute read them through one backward entry, _smoothed, the RTS
@@ -62,11 +64,13 @@ index, so an all-missing row costs no step.
 
 score, the exact gradient of the loglik that fitting climbs, reads the two
 passes' smoothed moments by Fisher's identity, its terms summed by
-np.bincount: _score_dim1 reads the float sweep's b and c, and the numpy
-path _score, its reference at state dimension 1, the same passes. One
-step, _score_from_buffers, gives the score from a paths-mode pass's
-buffers; score and the fit's kernel (_kernels.loglik_from_compiled with a
-score array) both call it, and the kernel keeps that pass's loglik too,
+np.bincount in two parts, quad (the terms in the squared residuals) and
+rest, which a common scale of the variances moves by different powers:
+_score_dim1 reads the float sweep's b and c, and the numpy path _score,
+its reference at state dimension 1, the same passes. One step,
+_score_from_buffers, gives the two parts from a paths-mode pass's buffers;
+score, which sums them, and the fit's kernel (_kernels.loglik_from_compiled
+with an array) both call it, and the kernel keeps that pass's loglik too,
 so a value and its score cost one forward pass. score and impute build
 no FilterRun, StatePaths or smoothed array over every row; filter and
 smooth remain the whole-panel passes that keep every path.
@@ -444,17 +448,22 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     Fisher's identity (Segal & Weinstein 1989): the score is the expected
     complete-data score given the data, so one forward pass in paths mode
     and smooth's backward pass over its buffers give it exactly; no
-    FilterRun or StatePaths is built. _kernels.loglik_from_compiled with a
-    score array runs the same two steps and gives the same numbers. With x
-    and V the smoothed moments, a slot with measurement variance r adds
-    -1/(2r) + ((y - x_level)^2 + V_level)/(2r^2) to r's coordinate. A row u
-    that books the trend-tail disturbance covariance Q adds
-    tr((Q^-1 S Q^-1 - Q^-1) dQ)/2 over the series it moves, where
-    S = E[eta eta' | data] = eta eta' + C + B V_u B' with
-    eta = B (x_u - a_{u|u-1}) and B, C as in smooth. dQ covers the
+    FilterRun or StatePaths is built. With x and V the smoothed moments, a
+    slot with measurement variance r adds -1/(2r) + ((y - x_level)^2 +
+    V_level)/(2r^2) to r's coordinate. A row u that books the trend-tail
+    disturbance covariance Q adds tr((Q^-1 S Q^-1 - Q^-1) dQ)/2 over the
+    series it moves, where S = E[eta eta' | data] = eta eta' + C + B V_u B'
+    with eta = B (x_u - a_{u|u-1}) and B, C as in smooth. dQ covers the
     cross-covariance rho sqrt(s1 s2) min(w1, w2) of a bivariate row.
 
-    At state dimension 1 the score sums the float sweep's terms
+    The score is the sum of two parts, which _kernels.loglik_from_compiled
+    hands the fit separately: quad, the terms in the squared residuals
+    (y - x_level)^2 and eta eta', and rest, the others. Scaling every
+    variance by c leaves x, B and eta unchanged and scales V, C and Q by c,
+    so the score at c * params is quad / c^2 + rest / c in a variance's
+    coordinate and quad / c + rest in a correlation's.
+
+    At state dimension 1 the parts sum the float sweep's terms
     (_score_dim1), equal bit for bit to the numpy path (_score) that runs
     every larger state and reads the same passes. A measurement or trend
     variance of 0.0 gives the same inf or NaN coordinates on both; a zero
@@ -465,72 +474,78 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     ConditioningError at an inadmissible point.
     """
     h = np.asarray(params, dtype=float)
-    return _score_from_buffers(compiled, h, _paths_pass(compiled, h)[1])
+    quad, rest = _score_from_buffers(compiled, h, _pass_at(compiled, h)[1])
+    return quad + rest
 
 
-def _paths_pass(cm: CompiledModel, h: np.ndarray) -> tuple:
-    # (loglik, buffers): the forward recursion at h from the diffuse start
-    # in paths mode, the pass that score, impute and the fit's kernel with
-    # a score run; its loglik is loglik's, bit for bit
-    ll, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), True)
+def _pass_at(cm: CompiledModel, h: np.ndarray, keep_paths: bool = True, profile=None) -> tuple:
+    # (loglik, buffers): the forward recursion at h from the diffuse start,
+    # in paths mode the pass that score, impute and the fit's kernel run;
+    # the loglik of either mode is loglik's, bit for bit. buffers is None
+    # without keep_paths, and profile receives _log_sum's (S, N*)
+    ll, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), keep_paths, profile)
     return ll, buffers
 
 
 def _passes(cm: CompiledModel, h: np.ndarray) -> tuple:
-    # the two passes at h: _paths_pass and smooth's backward pass over its
-    # buffers, _smoothed's (X, XV, A, (succ, Q, B, C))
-    return _smoothed(cm, _paths_pass(cm, h)[1])
+    # the two passes at h: _pass_at in paths mode and smooth's backward pass
+    # over its buffers, _smoothed's (X, XV, A, (succ, Q, B, C))
+    return _smoothed(cm, _pass_at(cm, h)[1])
 
 
 def _score_from_buffers(cm: CompiledModel, h: np.ndarray, buffers: tuple) -> np.ndarray:
-    # the score at h from a paths-mode forward pass's buffers there: smooth's
-    # backward pass over them, summed by _score_dim1 at s = 1, else _score
+    # the score's parts (quad, rest) at h, as a (2, d) array, from a
+    # paths-mode forward pass's buffers there: smooth's backward pass over
+    # them, summed by _score_dim1 at s = 1, else _score
     return (_score_dim1 if cm.s == 1 else _score)(cm, h, _smoothed(cm, buffers))
 
 
 def _score(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
-    # score's numpy path over the two passes (_passes' result): every state
-    # dimension, and the reference at s = 1
+    # score's numpy path over the two passes (_passes' result), as its parts
+    # (quad, rest): every state dimension, and the reference at s = 1
     X, XV, A, (succ, Q, B, C) = passes
     X, V = _filled(cm, X, XV)
 
+    d = h.size
     rows, level, hidx = cm.obs_row, cm.level, np.array(cm.hidx, dtype=int)
     e = np.array(cm.y) - X[rows, level]
     var = h[hidx]
-    grad = np.bincount(
-        hidx, ((e * e + V[rows, level, level]) / var - 1.0) / (2.0 * var), minlength=h.size
-    )
+    quad = np.bincount(hidx, e * e / var / (2.0 * var), minlength=d)
+    rest = np.bincount(hidx, (V[rows, level, level] / var - 1.0) / (2.0 * var), minlength=d)
 
     k = cm.n_series
     apply_, window, tvar = cm.apply_[succ], cm.window[succ], cm.tvar[succ]
     eta = B @ (X[succ] - A)[:, :, None]
-    S = eta * eta.transpose(0, 2, 1) + C + B @ V[succ] @ B.transpose(0, 2, 1)
+    S_quad = eta * eta.transpose(0, 2, 1)
+    S_rest = C + B @ V[succ] @ B.transpose(0, 2, 1)
     both = apply_.all(axis=1) if k == 2 else np.zeros(succ.size, dtype=bool)
     for j in range(k):  # rows where series j moves alone
         one = apply_[:, j] & ~both
-        q = Q[one, j, j]
-        grad += np.bincount(
-            tvar[one, j], (S[one, j, j] / q - 1.0) / q * window[one, j] / 2.0, minlength=h.size
-        )
+        q, w, t = Q[one, j, j], window[one, j], tvar[one, j]
+        quad += np.bincount(t, S_quad[one, j, j] / q / q * w / 2.0, minlength=d)
+        rest += np.bincount(t, (S_rest[one, j, j] / q - 1.0) / q * w / 2.0, minlength=d)
     if both.any():  # rows where both move: batched 2 x 2 inverses
         Q2, w = Q[both], window[both]
         Qi = np.linalg.inv(Q2)
-        M = Qi @ S[both] @ Qi - Qi
-        m12 = 0.5 * (M[:, 0, 1] + M[:, 1, 0])
         sig = h[tvar[both]]  # (rows, 2) the two trend variances
-        for j in range(2):
-            d = (M[:, j, j] * w[:, j] + m12 * Q2[:, 0, 1] / sig[:, j]) / 2.0
-            grad += np.bincount(tvar[both, j], d, minlength=h.size)
         ci = cm.corr[succ[both]]
         on = ci >= 0
-        d = m12 * np.sqrt(sig[:, 0] * sig[:, 1]) * w.min(axis=1)
-        grad += np.bincount(ci[on], d[on], minlength=h.size)
-    return grad
+        for part, M in (
+            (quad, Qi @ S_quad[both] @ Qi),
+            (rest, Qi @ S_rest[both] @ Qi - Qi),
+        ):
+            m12 = 0.5 * (M[:, 0, 1] + M[:, 1, 0])
+            for j in range(2):
+                dj = (M[:, j, j] * w[:, j] + m12 * Q2[:, 0, 1] / sig[:, j]) / 2.0
+                part += np.bincount(tvar[both, j], dj, minlength=d)
+            dr = m12 * np.sqrt(sig[:, 0] * sig[:, 1]) * w.min(axis=1)
+            part += np.bincount(ci[on], dr[on], minlength=d)
+    return np.array((quad, rest))
 
 
 def _score_dim1(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
     # _score at s = 1, bit for bit: the passes' float moments and the q, b
-    # and c of their moving rows, and _score's two np.bincount sums, the
+    # and c of their moving rows, and _score's np.bincount sums, the
     # measurement terms in slot order and the transition terms over the
     # moving rows in row order
     X, XV, A, (succ, q, b, c) = passes
@@ -538,15 +553,18 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
     X, XV = _filled(cm, X, XV)
     X, XV = X[:, 0], XV[:, 0, 0]
 
+    d = h.size
     rows, hidx = cm.obs_row, np.array(cm.hidx, dtype=int)
     e = np.array(cm.y) - X[rows]
     var = h[hidx]
-    grad = np.bincount(hidx, ((e * e + XV[rows]) / var - 1.0) / (2.0 * var), minlength=h.size)
+    quad = np.bincount(hidx, e * e / var / (2.0 * var), minlength=d)
+    rest = np.bincount(hidx, (XV[rows] / var - 1.0) / (2.0 * var), minlength=d)
 
     _, tvar, window = cm.paths_index
     eta = b * (X[succ] - A)
-    S = (eta * eta + c) + b * XV[succ] * b
-    return grad + np.bincount(tvar, (S / q - 1.0) / q * window / 2.0, minlength=h.size)
+    quad += np.bincount(tvar, eta * eta / q / q * window / 2.0, minlength=d)
+    rest += np.bincount(tvar, ((c + b * XV[succ] * b) / q - 1.0) / q * window / 2.0, minlength=d)
+    return np.array((quad, rest))
 
 
 def _diffuse_start(s: int) -> tuple:
@@ -555,14 +573,23 @@ def _diffuse_start(s: int) -> tuple:
     return [0.0] * s, [0.0] * (s * s), P_inf, True
 
 
-def _forward_pass(cm: CompiledModel, h: list, start: tuple, keep_paths: bool) -> tuple:
+def _forward_pass(
+    cm: CompiledModel, h: list, start: tuple, keep_paths: bool, profile=None
+) -> tuple:
     # the forward recursion from start = (a, P_star, P_inf, diffuse):
     # _forward_dim1 at state dimension 1, _forward above it
-    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, *start, keep_paths)
+    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, *start, keep_paths, profile)
 
 
 def _forward(
-    cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
+    cm: CompiledModel,
+    h: list,
+    a: list,
+    Ps: list,
+    Pi: list,
+    diffuse: bool,
+    keep_paths: bool,
+    profile=None,
 ) -> tuple:
     """The exact-diffuse forward recursion, Durbin & Koopman (2012)
     sections 5.2-5.3, from the state (a, Ps, Pi) before row 0.
@@ -575,7 +602,8 @@ def _forward(
     row. _forward_dim1 appends v and F per slot as well, but derives the
     six per-row buffers afterwards as numpy arrays (_rows_dim1), with the
     same bytes. Without keep_paths only v and F are kept, for the log
-    terms, and buffers is None.
+    terms, and buffers is None. profile, if given, receives _log_sum's
+    (S, N*).
     """
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
@@ -679,7 +707,7 @@ def _forward(
             filt_a.fromlist(a)
             filt_P.fromlist(Ps)
 
-    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse)
+    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse, profile)
     buffers = None
     if keep_paths:
         buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
@@ -687,7 +715,14 @@ def _forward(
 
 
 def _forward_dim1(
-    cm: CompiledModel, h: list, a: list, Ps: list, Pi: list, diffuse: bool, keep_paths: bool
+    cm: CompiledModel,
+    h: list,
+    a: list,
+    Ps: list,
+    Pi: list,
+    diffuse: bool,
+    keep_paths: bool,
+    profile=None,
 ) -> tuple:
     # _forward at s = 1, with the same arguments and results, from the
     # diffuse start (P_inf = 1) or a proper prior: a, P and P_inf are floats
@@ -734,7 +769,7 @@ def _forward_dim1(
             keep_a(a)
             keep_P(P)
 
-    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse)
+    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse, profile)
     buffers = None
     if keep_paths:
         pred_a, pred_P, pred_Pi, filt_a, filt_P, booked = _rows_dim1(
@@ -767,13 +802,18 @@ def _rows_dim1(cm: CompiledModel, h: list, slot_a, slot_P, Pi: float, rec_diffus
 
 
 @np.errstate(over="ignore")  # a decorator: cheaper per call than a with block
-def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> float:
+def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict, profile=None) -> float:
     # slot o adds -(log 2pi + log F + v^2 / F) / 2, with F_inf for F and no
     # v^2 term at a diffuse slot. The terms are vectorized; the sum runs in
     # slot order (np.cumsum: np.sum adds pairwise, which moves the last bits).
     # Every F is normal, so log F is finite, but v^2 / F may overflow: a sum
-    # that is not finite raises at the slot where it stops being finite
+    # that is not finite raises at the slot where it stops being finite.
+    # profile, a 2-array or None, receives (S, N*): the sum of v^2 / F and
+    # the number of slots past the diffuse phase, the two numbers the
+    # loglik's dependence on a common scale of the variances reads
     if not F:
+        if profile is not None:
+            profile[:] = 0.0
         return 0.0
     v, F = np.array(v), np.array(F)  # copies: the filter reads v afterwards
     for o, Fi in F_inf.items():
@@ -781,7 +821,8 @@ def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> float:
         # is positive, and the v^2 term is +0.0
         F[o] = Fi
         v[o] = 0.0
-    total = np.cumsum(-0.5 * (_LOG2PI + np.log(F) + v * v / F))
+    q = v * v / F
+    total = np.cumsum(-0.5 * (_LOG2PI + np.log(F) + q))
     ll = float(total[-1])
     if not math.isfinite(ll):
         o = int(np.argmax(~np.isfinite(total)))
@@ -790,6 +831,8 @@ def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> float:
             f"loglik not finite from slot column {cm.obs_col[o]} on "
             f"(innovation {float(v[o])!r}, variance {float(F[o])!r})",
         )
+    if profile is not None:
+        profile[:] = q.sum(), q.size - len(F_inf)
     return ll
 
 

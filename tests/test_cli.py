@@ -291,10 +291,10 @@ def test_fit_rerun_is_byte_identical(raw_csv, tmp_path, capsys):
 
 
 def test_fit_budget_exhausted_exits_2(raw_csv, tmp_path, capsys):
-    # the fit converges in 10 evals; 8 runs out during the BFGS run
+    # the fit converges in 7 evals; 5 runs out during the BFGS run
     out = tmp_path / "fit.json"
     code = main(
-        ["fit", "--data", str(raw_csv), "--out", str(out), "--eval-budget", "8"]
+        ["fit", "--data", str(raw_csv), "--out", str(out), "--eval-budget", "5"]
     )
     assert code == EXIT_NOT_CONVERGED
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -303,16 +303,51 @@ def test_fit_budget_exhausted_exits_2(raw_csv, tmp_path, capsys):
 
 
 def test_fit_budget_exhausted_in_the_curvature_probes_exits_2(raw_csv, tmp_path, capsys):
-    # d = 2: the start and two of the four probes before BFGS's first step
+    # d = 2: the start and one of the two probes before BFGS's first step
     out = tmp_path / "fit.json"
     code = main(
-        ["fit", "--data", str(raw_csv), "--out", str(out), "--eval-budget", "3"]
+        ["fit", "--data", str(raw_csv), "--out", str(out), "--eval-budget", "2"]
     )
     assert code == EXIT_NOT_CONVERGED
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["converged"] is False
     assert all(p["se"] is None for p in payload["params"])
     assert "budget" in capsys.readouterr().out
+
+
+def test_fit_with_rho_on_the_boundary_exits_2(tmp_path, capsys, monkeypatch):
+    # CI's console-script record: the d13C trend is the d18O trend halved,
+    # so the correlation's optimum is the boundary |rho| = 1. The BFGS run
+    # stops there on its own gradient tolerance, since d rho / d atanh(rho)
+    # vanishes, yet the fit is unconverged (exit 2) with the boundary note,
+    # in under 100 iterations
+    rng = np.random.default_rng(6)
+    ages = np.sort(rng.uniform(0.2, 4.0, size=150))[::-1]
+    level = np.cumsum(rng.standard_normal(150) * 0.25)
+    lines = ["age_tuned,d18O,d13C,source,species"]
+    for i, age in enumerate(ages):
+        src = "Site A" if i % 2 else "Site B"
+        d18o = level[i] + rng.standard_normal() * 0.15
+        d13c = level[i] * 0.5 + rng.standard_normal() * 0.2
+        lines.append(f"{age:.5f},{d18o:.4f},{d13c:.4f},{src},Cibicidoides spp.")
+    record = tmp_path / "record.csv"
+    record.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    polish = paleokalman.fitting._polish
+    runs = []
+
+    def recorded(obj, phi):
+        runs.append(polish(obj, phi))
+        return runs[-1]
+
+    monkeypatch.setattr(paleokalman.fitting, "_polish", recorded)
+    out = tmp_path / "fit-biv.json"
+    code = main(["fit", "--data", str(record), "--model", "biv", "--out", str(out)])
+    text = capsys.readouterr().out
+    assert [conv for _, _, conv, _ in runs] == [True]
+    assert code == EXIT_NOT_CONVERGED
+    assert "the correlation is at the boundary |rho| = 1" in text
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["converged"] is False and payload["iterations"] < 100
 
 
 def test_fit_missing_file_exits_65(tmp_path, capsys):

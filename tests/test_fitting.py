@@ -138,17 +138,45 @@ def _record_methods(monkeypatch) -> list:
     return methods
 
 
+def _profile(ll, S, N) -> float:
+    """ll(c* h) from a kernel call's ll(h) and (S, N*), c* = S / N*."""
+    if N == 0:
+        return ll
+    return ll - 0.5 * N * math.log(S / N) - 0.5 * (N - S)
+
+
 def _record_logliks(monkeypatch) -> list:
-    """The result of each loglik kernel call, in call order."""
+    """For each loglik kernel call, in call order, the profile loglik at
+    the optimal scale of its point, from the (S, N*) its array received;
+    the loglik itself for a call without an array, as the Hessian's."""
     kernel = fitting._kernels.loglik_from_compiled
     logliks = []
 
-    def counted(cm, params, score=None):
-        logliks.append(kernel(cm, params, score))
-        return logliks[-1]
+    def counted(cm, params, out=None):
+        ll = kernel(cm, params, out)
+        logliks.append(ll if out is None else _profile(ll, *out[:2]))
+        return ll
 
     monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", counted)
     return logliks
+
+
+_CATALOGUE = {
+    "rwn-source": (ModelSpec(meas_grouping="by-source"), [0.05, 0.2, 1.0]),
+    "rwn-climate": (ModelSpec(trans_grouping="by-climate-state"), [0.1, 1.0, 0.5]),
+    "irw": (ModelSpec(order_m=2), [0.05, 1.0]),
+    "biv": (ModelSpec(arity="bivariate", corr_grouping="pooled"), [0.1, 0.2, 1.0, 0.7, 0.4]),
+}
+
+
+def _catalogue_data(model):
+    """120 rows of 2 slots from 2 sources, across the 3.3 Mya regime
+    boundary, drawn under _CATALOGUE[model]."""
+    spec, params = _CATALOGUE[model]
+    stamps = random_stamps(np.random.default_rng(0), 120, mean_dt=0.01, start=-3.9)
+    data = pk.simulate(spec, params, stamps, slots_per_row=2, seed=0, n_sources=2)
+    assert build_layout(spec, data).n_params == len(params)
+    return spec, data
 
 
 def test_fit_recovers_truth_within_three_se():
@@ -235,9 +263,10 @@ def test_fit_flags_unidentified_parameter():
 
 
 def test_fit_budget_exhaustion_returns_best_seen():
-    # the fit converges in 11 evals; 8 runs out during the BFGS run
+    # the fit converges in 6 evals; 5 runs out during the BFGS run
     spec, data = _recovery_data(seed=7, n=200)
-    res = fit(spec, data, FitOptions(eval_budget=8))
+    assert fit(spec, data).n_evals == 6
+    res = fit(spec, data, FitOptions(eval_budget=5))
     assert not res.converged
     assert any("budget" in n for n in res.notes)
     assert np.isfinite(res.loglik)
@@ -254,13 +283,13 @@ def test_fit_refuses_fewer_than_one_start(n_starts):
 
 
 def test_fit_budget_exhausted_in_the_curvature_probes(monkeypatch):
-    # d = 2, budget 3 < 2d + 1: the start and two probes are scored, and
-    # the third probe runs out before BFGS starts
+    # d = 2, budget 2 < 2(d - 1) + 1: the start and one probe are scored,
+    # and the second probe runs out before BFGS starts
     spec, data = _recovery_data(seed=7, n=200)
     logliks = _record_logliks(monkeypatch)
     methods = _record_methods(monkeypatch)
-    res = fit(spec, data, FitOptions(eval_budget=3))
-    assert methods == [] and len(logliks) == res.n_evals == 3
+    res = fit(spec, data, FitOptions(eval_budget=2))
+    assert methods == [] and len(logliks) == res.n_evals == 2
     assert not res.converged
     assert any("budget" in n for n in res.notes)
     assert res.loglik == pytest.approx(max(logliks), rel=1e-14)
@@ -279,6 +308,19 @@ def test_fit_nesting_by_source_dominates_pooled():
     assert by_src.loglik >= pooled.loglik - 1e-6
 
 
+def _assert_full_optimum(spec, data, res):
+    """The fit's point is the full loglik's optimum: theta_hat maps
+    params_hat, the d-dimensional score there, mapped to theta and per
+    slot, has an infinity-norm below _GRAD_TOL, and the fit's loglik is
+    the loglik at params_hat."""
+    cm = compile_model(spec, res.layout, data)
+    tr = ParamTransform.for_layout(res.layout)
+    assert np.array_equal(res.theta_hat, tr.to_unconstrained(res.params_hat))
+    g = pk.kalman.score(cm, res.params_hat) * tr.natural_jacobian_diag(res.theta_hat)
+    assert np.max(np.abs(g)) / cm.n_obs_slots < fitting._GRAD_TOL
+    assert res.loglik == pytest.approx(pk.kalman.loglik(cm, res.params_hat), rel=1e-10)
+
+
 def test_converged_fit_has_small_exact_gradient():
     spec = ModelSpec(meas_grouping="by-source")
     rng = np.random.default_rng(78)
@@ -286,12 +328,26 @@ def test_converged_fit_has_small_exact_gradient():
     data = pk.simulate(spec, [0.2, 0.6, 1.0], stamps, slots_per_row=2, seed=5, n_sources=2)
     res = fit(spec, data)
     assert res.converged
-    cm = compile_model(spec, res.layout, data)
-    tr = ParamTransform.for_layout(res.layout)
-    obj = fitting._Objective(cm, tr, scale=1.0 / cm.n_obs_slots)
-    f, g = obj.value_and_grad(res.theta_hat)
-    assert f == pytest.approx(-res.loglik / cm.n_obs_slots, rel=1e-15)
-    assert np.max(np.abs(g)) < fitting._GRAD_TOL
+    _assert_full_optimum(spec, data, res)
+
+
+@pytest.mark.parametrize("model", [pytest.param(None, id="rwn"), *_CATALOGUE])
+def test_profile_optimum_is_the_full_optimum(model):
+    # BFGS moves d - 1 coordinates with the common scale profiled out; the
+    # point it ends at, scaled by c*, is the d-dimensional optimum
+    if model is None:
+        spec, data = _recovery_data(seed=6, n=240)
+    else:
+        spec, data = _catalogue_data(model)
+    res = fit(spec, data)
+    assert res.converged
+    _assert_full_optimum(spec, data, res)
+
+
+def _objective_at(cm, tr, theta, scale=1.0):
+    """The profile objective whose reference coordinate is theta[0], and
+    theta's other coordinates, its phi."""
+    return fitting._Objective(cm, tr, theta[0], scale=scale), np.array(theta[1:])
 
 
 def test_objective_gradient_where_the_score_breaks_down():
@@ -303,13 +359,13 @@ def test_objective_gradient_where_the_score_breaks_down():
     data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], [-3.0, -2.5, -2.0, -1.2], seed=1)
     layout = build_layout(spec, data)
     tr = ParamTransform.for_layout(layout)
-    obj = fitting._Objective(compile_model(spec, layout, data), tr)
     theta = tr.to_unconstrained([0.1, 0.2, 1.0, 1.0, 0.4])
-    f, g = obj.value_and_grad(theta)
+    obj, phi = _objective_at(compile_model(spec, layout, data), tr, theta)
+    f, g = obj.value_and_grad(phi)
     assert f < fitting._PENALTY and np.all(g != 0.0)
     for i, x in [(4, 25.0), (3, -800.0)]:
-        bad = theta.copy()
-        bad[i] = x
+        bad = phi.copy()
+        bad[i - 1] = x
         assert np.isfinite(obj(bad))
         f, g = obj.value_and_grad(bad)
         assert f == fitting._PENALTY and not g.any()
@@ -317,9 +373,10 @@ def test_objective_gradient_where_the_score_breaks_down():
     # each variance of a 30-row panel in turn at zero (-800), at the
     # smallest subnormal (-744) and near the smallest normal float (-700),
     # where the score's terms overflow: at state dimension 1 (by-source),
-    # at s = 2 (irw) and bivariate. The objective gives the penalty or a
-    # finite value and gradient, and raises no warning; a zero variance
-    # gives the penalty
+    # at s = 2 (irw) and bivariate, the first measurement variance as the
+    # profile's reference coordinate and the others as its free ones. The
+    # objective gives the penalty or a finite value and gradient, and
+    # raises no warning; a free coordinate's zero variance gives the penalty
     stamps = random_stamps(np.random.default_rng(0), 30)
     for spec, params in [
         (ModelSpec(meas_grouping="by-source"), [0.1, 0.3, 1.0]),
@@ -331,16 +388,16 @@ def test_objective_gradient_where_the_score_breaks_down():
         assert layout.n_params == len(params)
         tr = ParamTransform.for_layout(layout)
         cm = compile_model(spec, layout, data)
-        obj = fitting._Objective(cm, tr)
         theta = tr.to_unconstrained(params)
         for i in range(len(params)):
             for x in (-800.0, -744.0, -700.0):
                 bad = theta.copy()
                 bad[i] = x
+                obj, phi = _objective_at(cm, tr, bad)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    value = obj(bad)
-                    f, g = obj.value_and_grad(bad)
+                    value = obj(phi)
+                    f, g = obj.value_and_grad(phi)
                 if cm.s == 1 and x == -800.0:
                     assert value < fitting._PENALTY  # the score, not the loglik, breaks down
                 assert f == value or f == fitting._PENALTY
@@ -348,7 +405,50 @@ def test_objective_gradient_where_the_score_breaks_down():
                     assert not g.any()
                 else:
                     assert np.isfinite(f) and np.all(np.isfinite(g)), (spec, i, x)
-                    assert x != -800.0 or layout.params[i].role == "rho", (spec, i)
+                    assert i == 0 or x != -800.0 or layout.params[i].role == "rho", (spec, i)
+
+
+def test_objective_scale_where_no_slot_is_past_the_diffuse_phase():
+    # one slot: N* = 0, so c* = 1 and the profile is the loglik, bit for
+    # bit; the score is zero, so the fit stops at its start, converged, with
+    # no standard error
+    data = rows_from_values([-1.0], [[1.4]])
+    spec = ModelSpec()
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    tr = ParamTransform.for_layout(layout)
+    start = default_start(layout, cm)
+    obj, phi = _objective_at(cm, tr, tr.to_unconstrained(start))
+    h = tr.to_natural(np.r_[obj.theta_ref, phi])
+    assert obj(phi) == -pk.kalman.loglik(cm, h)
+    assert np.array_equal(obj.scaled[phi.tobytes()], h)
+    res = fit(spec, data)
+    assert res.converged and res.iterations == 0
+    assert np.array_equal(res.params_hat, h)
+    assert res.loglik == pk.kalman.loglik(cm, h)
+    assert np.isnan(res.std_errors).all()
+
+
+def test_objective_scale_zero_scores_the_penalty():
+    # two equal values in one row: the second slot's innovation is 0, so
+    # S = 0 with N* = 1, and the loglik grows without bound as the scale
+    # falls to c* = 0. The point scores the penalty with no gradient, and
+    # a fit from it has no starting point
+    data = rows_from_values([-1.0], [[1.4, 1.4]])
+    spec = ModelSpec()
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    tr = ParamTransform.for_layout(layout)
+    start = default_start(layout, cm)
+    out = np.zeros(2)
+    assert np.isfinite(fitting._kernels.loglik_from_compiled(cm, start, out))
+    assert out.tolist() == [0.0, 1.0]
+    obj, phi = _objective_at(cm, tr, tr.to_unconstrained(start))
+    assert obj(phi) == fitting._PENALTY
+    f, g = obj.value_and_grad(phi)
+    assert f == fitting._PENALTY and not g.any() and obj.scaled == {}
+    with pytest.raises(InitializationError, match="no maximum over a common scale"):
+        fit(spec, data)
 
 
 def test_a_stalled_start_leaves_the_next_start_to_converge(monkeypatch):
@@ -428,14 +528,6 @@ def test_unconverged_fit_returns_the_best_point_seen(monkeypatch):
     assert np.all(np.isfinite(np.delete(res.std_errors, i)))
 
 
-_CATALOGUE = {
-    "rwn-source": (ModelSpec(meas_grouping="by-source"), [0.05, 0.2, 1.0]),
-    "rwn-climate": (ModelSpec(trans_grouping="by-climate-state"), [0.1, 1.0, 0.5]),
-    "irw": (ModelSpec(order_m=2), [0.05, 1.0]),
-    "biv": (ModelSpec(arity="bivariate", corr_grouping="pooled"), [0.1, 0.2, 1.0, 0.7, 0.4]),
-}
-
-
 @pytest.mark.parametrize(
     "n_starts, model",
     [pytest.param(1, None, id="1"), pytest.param(3, None, id="3")]
@@ -445,12 +537,7 @@ def test_converged_fit_runs_bfgs_once_per_start(monkeypatch, n_starts, model):
     if model is None:
         spec, data = _recovery_data(seed=6, n=240)
     else:
-        # 120 rows of 2 slots from 2 sources, across the 3.3 Mya regime
-        # boundary
-        spec, params = _CATALOGUE[model]
-        stamps = random_stamps(np.random.default_rng(0), 120, mean_dt=0.01, start=-3.9)
-        data = pk.simulate(spec, params, stamps, slots_per_row=2, seed=0, n_sources=2)
-        assert build_layout(spec, data).n_params == len(params)
+        spec, data = _catalogue_data(model)
     methods = _record_methods(monkeypatch)
     res = fit(spec, data, FitOptions(n_starts=n_starts, seed=11))
     assert res.converged
@@ -462,29 +549,41 @@ def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
     kernel = fitting._kernels.loglik_from_compiled
     calls = []
 
-    def counted(cm, params, score=None):
-        calls.append(np.array(params))
-        return kernel(cm, params, score)
+    def counted(cm, params, out=None):
+        calls.append((np.array(params), None if out is None else out.size))
+        return kernel(cm, params, out)
 
     monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", counted)
     res = fit(spec, data)
     d = res.n_params
     assert res.converged
     assert len(calls) == res.n_evals + 2 * d * d + 1
-    # fit scores the start, then the curvature probes run at +-h_i along
-    # each coordinate in turn
+    # fit scores the start with the score's parts (a 2 + 2d array), then
+    # the curvature probes run with (S, N*) only (a 2-array) at +-h_i along
+    # each free coordinate in turn, then every BFGS evaluation asks for the
+    # score's parts; the Hessian's points ask for the loglik alone
     tr = ParamTransform.for_layout(res.layout)
     theta0 = tr.to_unconstrained(default_start(res.layout, compile_model(spec, res.layout, data)))
     h = fitting._HESS_STEP * (1.0 + np.abs(theta0))
     want = [theta0]
-    for i in range(d):
+    for i in range(1, d):
         for sign in (1.0, -1.0):
             probe = theta0.copy()
             probe[i] += sign * h[i]
             want.append(probe)
-    fit_calls = calls[: res.n_evals]
+    fit_calls = [params for params, _ in calls[: res.n_evals]]
+    assert res.n_evals > len(want) == 2 * d - 1
     for got, theta in zip(fit_calls, want):
         assert np.array_equal(got, tr.to_natural(theta))
+    probes = 2 * (d - 1)
+    bfgs = res.n_evals - 1 - probes
+    assert [size for _, size in calls] == (
+        [2 + 2 * d] + [2] * probes + [2 + 2 * d] * bfgs + [None] * (2 * d * d + 1)
+    )
+    # every evaluation holds the first measurement variance at its start
+    # value, and the Hessian is taken at theta_hat = log(params_hat)
+    assert all(params[0] == fit_calls[0][0] for params in fit_calls)
+    assert np.array_equal(calls[res.n_evals][0], tr.to_natural(res.theta_hat))
     # BFGS starts at the start point and takes its value: the start is
     # scored once, and no point twice in a row before the Hessian's evals
     assert sum(np.array_equal(c, fit_calls[0]) for c in fit_calls) == 1
@@ -503,9 +602,7 @@ def test_fit_runs_one_forward_pass_per_evaluation(monkeypatch, n_starts, model):
     if model is None:
         spec, data = _recovery_data(seed=6, n=240)
     else:
-        spec, params = _CATALOGUE[model]
-        stamps = random_stamps(np.random.default_rng(0), 120, mean_dt=0.01, start=-3.9)
-        data = pk.simulate(spec, params, stamps, slots_per_row=2, seed=0, n_sources=2)
+        spec, data = _catalogue_data(model)
     forward = pk.kalman._forward_pass
     passes = []
 
@@ -522,9 +619,11 @@ def test_fit_runs_one_forward_pass_per_evaluation(monkeypatch, n_starts, model):
     d = res.n_params
     assert res.converged
     assert len(passes) == res.n_evals + 2 * d * d + 1
-    # every counted evaluation but the 2d curvature probes of each start
-    # (each start and each BFGS evaluation) ran in paths mode for the score
-    assert sum(passes) == res.n_evals - 2 * d * n_starts
+    # every counted evaluation but the 2(d - 1) curvature probes of each
+    # start (each start and each BFGS evaluation) ran in paths mode for the
+    # score, and none of the Hessian's points did
+    assert sum(passes) == res.n_evals - 2 * (d - 1) * n_starts
+    assert not any(passes[res.n_evals :])
 
 
 def _inline_numerical_hessian(f, x):
@@ -568,7 +667,7 @@ def test_numerical_hessian_is_bitwise_the_inline_loop():
     data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], stamps, slots_per_row=2, seed=3)
     layout = build_layout(spec, data)
     tr = ParamTransform.for_layout(layout)
-    obj = fitting._Objective(compile_model(spec, layout, data), tr)
+    obj = fitting._negative_loglik(compile_model(spec, layout, data), tr)
     theta = tr.to_unconstrained([0.12, 0.25, 0.9, 0.6, 0.3])
     points = {"new": [], "inline": []}
 
@@ -587,25 +686,30 @@ def test_numerical_hessian_is_bitwise_the_inline_loop():
 
 
 def test_curvature_probe_on_the_penalty_keeps_the_identity(monkeypatch):
-    # the + probe of coordinate 0 at the start scores the penalty: BFGS
-    # starts with 1 there and the measured curvature elsewhere, and the fit
-    # still converges to the unhindered optimum
-    spec, data = _recovery_data(seed=5, n=240)
+    # by-source, d = 3: the + probe of the first free coordinate at the
+    # start scores the penalty, so BFGS starts with 1 there and the measured
+    # curvature at the other, and the fit still converges to the unhindered
+    # optimum
+    spec, data = _catalogue_data("rwn-source")
     want = fit(spec, data)
     layout = build_layout(spec, data)
     cm = compile_model(spec, layout, data)
     tr = ParamTransform.for_layout(layout)
     theta0 = tr.to_unconstrained(default_start(layout, cm))
-    scaled = fitting._Objective(cm, tr, scale=1.0 / cm.n_obs_slots)
-    c, worst = fitting._second_differences(scaled, theta0, scaled(theta0))
-    assert np.all(c > 0) and np.all(worst < fitting._PENALTY)
+    scaled, phi0 = _objective_at(cm, tr, theta0, scale=1.0 / cm.n_obs_slots)
+    c, worst = fitting._second_differences(scaled, phi0, scaled(phi0))
+    assert c.size == 2 and np.all(c > 0) and np.all(worst < fitting._PENALTY)
     bad = theta0.copy()
-    bad[0] += fitting._HESS_STEP * (1.0 + abs(theta0[0]))
+    bad[1] += fitting._HESS_STEP * (1.0 + abs(theta0[1]))
     bad_params = tr.to_natural(bad)
     kernel = fitting._kernels.loglik_from_compiled
 
-    def failing(cm, params, score=None):
-        return np.nan if np.array_equal(params, bad_params) else kernel(cm, params, score)
+    def failing(cm, params, out=None):
+        if not np.array_equal(params, bad_params):
+            return kernel(cm, params, out)
+        if out is not None:
+            out[:] = np.nan
+        return np.nan
 
     monkeypatch.setattr(fitting._kernels, "loglik_from_compiled", failing)
     minimize = scipy.optimize.minimize

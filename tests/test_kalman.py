@@ -7,6 +7,7 @@ implementation. The oracles themselves are validated in test_oracle.py.
 """
 
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -585,7 +586,13 @@ DIM1_SPECS = {
 
 
 def _numpy_score(cm, params):
-    # the score's numpy path, the reference at s = 1, over the same passes
+    # the score's numpy path, the reference at s = 1, over the same passes:
+    # the sum of its two parts
+    quad, rest = _numpy_score_parts(cm, params)
+    return quad + rest
+
+
+def _numpy_score_parts(cm, params):
     h = np.asarray(params, dtype=float)
     return kalman._score(cm, h, kalman._passes(cm, h))
 
@@ -1234,25 +1241,85 @@ def test_score_matches_loglik_differences_at_order_6():
     _assert_score_matches(compile_model(spec, layout, data), [0.05, 0.02])
 
 
-@pytest.mark.parametrize("m", [2, 6])
-def test_score_matches_loglik_differences_at_full_length(m):
-    # the paper record's length, 23,722 rows of one slot at its mean
-    # spacing (My), drawn as random walk plus noise on its d18O scale: order
-    # 2 at the default start and order 6 at the paper's q = eta2 * mean dt /
-    # eps2 = 3.1e-12. Both are far from the optimum, where the loglik's
-    # rounding would swamp the differences
-    eps2 = 0.0205
+_PAPER_EPS2 = 0.0205  # the d18O measurement variance of the paper's rwn fit
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_length_panel(arity: str):
+    # the paper record's length, 23,722 rows of one slot a series at its
+    # mean spacing (My), drawn as random walk plus noise on its d18O scale;
+    # the bivariate draw adds a d13C series and a correlation of 0.3
     rng = np.random.default_rng(0)
     stamps = -np.cumsum(rng.exponential(0.00283, 23_722))[::-1] - 0.001
-    data = pk.simulate(ModelSpec(), [eps2, 1.8364], stamps, seed=1)
+    if arity == "bivariate":
+        spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
+        return pk.simulate(spec, [_PAPER_EPS2, 0.03, 1.8364, 1.2, 0.3], stamps, seed=1)
+    return pk.simulate(ModelSpec(), [_PAPER_EPS2, 1.8364], stamps, seed=1)
+
+
+def _paper_q_params(data) -> list:
+    # order 6 at the paper's q = eta2 * mean dt / eps2 = 3.1e-12
+    return [_PAPER_EPS2, 3.1e-12 * _PAPER_EPS2 / float(np.mean(np.diff(data.view.stamps)))]
+
+
+@pytest.mark.parametrize("m", [2, 6])
+def test_score_matches_loglik_differences_at_full_length(m):
+    # order 2 at the default start and order 6 at the paper's q: both far
+    # from the optimum, where the loglik's rounding would swamp the
+    # differences
+    data = _paper_length_panel("univariate")
     spec = ModelSpec(order_m=m)
     layout = build_layout(spec, data)
     cm = compile_model(spec, layout, data)
     if m == 2:
         params = pk.fitting.default_start(layout, cm)
     else:
-        params = [eps2, 3.1e-12 * eps2 / float(np.mean(np.diff(stamps)))]
+        params = _paper_q_params(data)
     _assert_score_matches(cm, params)
+
+
+def test_score_matches_loglik_differences_bivariate_at_length():
+    # bivariate order 2 with rho = 0.3 at the default start, on the last
+    # 6,000 rows of the paper-length bivariate panel: the rows where both
+    # series move run _score's 2 x 2 branch. A slice keeps tier-1 short:
+    # the 20 loglik differences cost four times as much on the whole panel
+    data = _paper_length_panel("bivariate")
+    data = dataclasses.replace(data, rows=data.rows[-6_000:])
+    spec = ModelSpec(arity="bivariate", order_m=2, corr_grouping="pooled")
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.n == 6_000 and layout.params[-1].role == "rho"
+    params = pk.fitting.default_start(layout, cm)
+    params[-1] = 0.3
+    _assert_score_matches(cm, params)
+
+
+@pytest.mark.parametrize("case", ["rwn", "m2", "m6", "bivariate-rho-by-climate"])
+def test_loglik_scale_identity_at_full_length(case):
+    # ll(c h) = ll(h) - N* log(c) / 2 - S (1/c - 1) / 2, with (S, N*) from
+    # the kernel's pass at h, on the paper-length panels: rwn, orders 2 and
+    # 6 at the paper's q, and bivariate order 1 with rho by climate state
+    if case == "bivariate-rho-by-climate":
+        data = _paper_length_panel("bivariate")
+        spec = ModelSpec(arity="bivariate", corr_grouping="by-climate-state")
+    else:
+        data = _paper_length_panel("univariate")
+        spec = ModelSpec(order_m={"rwn": 1, "m2": 2, "m6": 6}[case])
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    if case == "m6":
+        params = np.array(_paper_q_params(data))
+    else:
+        params = pk.fitting.default_start(layout, cm)
+        rho = np.array([p.role == "rho" for p in layout.params])
+        params[rho] = np.linspace(-0.6, 0.6, rho.sum())  # one rho a climate state
+    stats = np.zeros(2)
+    ll = _kernels.loglik_from_compiled(cm, params, stats)
+    S, N = stats
+    assert N == cm.n_obs_slots - cm.s
+    for c in (0.5, 3.0):
+        want = ll - 0.5 * N * math.log(c) - 0.5 * S * (1.0 / c - 1.0)
+        assert abs(kloglik(cm, _scaled(layout, params, c)) - want) <= 1e-8, c
 
 
 def test_score_raises_loglik_conditioning_error():
@@ -1361,58 +1428,116 @@ _KERNEL_SPECS = {
 }
 
 
+def _kernel_params(layout, rng) -> np.ndarray:
+    # variances from 2.5e-3 to 2.7, and correlations in (-0.9, 0.9)
+    params = np.exp(rng.uniform(-6.0, 1.0, layout.n_params))
+    for i, p in enumerate(layout.params):
+        if p.role == "rho":
+            params[i] = rng.uniform(-0.9, 0.9)
+    return params
+
+
+def _scaled(layout, params, c) -> np.ndarray:
+    # every variance times c, the correlations as they are
+    rho = np.array([p.role == "rho" for p in layout.params])
+    return np.where(rho, params, c * np.asarray(params))
+
+
 @pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced", "head"])
 @pytest.mark.parametrize("name", list(_KERNEL_SPECS))
 def test_kernel_with_score_equals_loglik_and_score(name, build):
-    # one kernel call with a score array returns loglik's float and fills
-    # the array with score's, bit for bit, from one forward pass
+    # one kernel call with a 2 + 2d array returns loglik's float and fills
+    # the array with (S, N*) and the score's two parts, bit for bit the
+    # numpy path's, from one forward pass; a 2-array gets the same (S, N*)
+    # from the path-free pass. N* is the slots past the diffuse phase, and
+    # S and N* give the loglik along the ray c * params
     data = mixed_panels()[build]
     spec = _KERNEL_SPECS[name]
     layout = build_layout(spec, data)
     cm = compile_model(spec, layout, data)
+    d = layout.n_params
+    some = _kernel_params(layout, np.random.default_rng(0))
+    n_diffuse = kfilter(spec, layout, some, data).n_diffuse_slots  # the same at every point
     rng = np.random.default_rng(12)
     for _ in range(5):
-        params = np.exp(rng.uniform(-6.0, 1.0, layout.n_params))
-        for i, p in enumerate(layout.params):
-            if p.role == "rho":
-                params[i] = rng.uniform(-0.9, 0.9)
-        score = np.zeros(layout.n_params)
-        ll = _kernels.loglik_from_compiled(cm, params, score)
+        params = _kernel_params(layout, rng)
+        out = np.zeros(2 + 2 * d)
+        ll = _kernels.loglik_from_compiled(cm, params, out)
         assert _same_bits(ll, kloglik(cm, params))
         assert _same_bits(ll, _kernels.loglik_from_compiled(cm, params))
-        assert _same_bits(score, kalman.score(cm, params))
-        assert np.isfinite(score).all()
+        quad, rest = out[2:].reshape(2, d)
+        assert _same_bits(quad + rest, kalman.score(cm, params))
+        assert _same_bits(out[2:].reshape(2, d), _numpy_score_parts(cm, params))
+        assert np.isfinite(out).all()
+        stats = np.zeros(2)
+        assert _same_bits(_kernels.loglik_from_compiled(cm, params, stats), ll)
+        assert _same_bits(stats, out[:2])
+        S, N = stats
+        assert N == cm.n_obs_slots - n_diffuse and S >= 0.0
+        for c in (0.5, 3.0):
+            want = ll - 0.5 * N * math.log(c) - 0.5 * S * (1.0 / c - 1.0)
+            got = kloglik(cm, _scaled(layout, params, c))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", ["collated", "merged", "merged_edges", "sliced", "head"])
+@pytest.mark.parametrize("name", list(_KERNEL_SPECS))
+def test_score_parts_give_the_score_along_the_scale(name, build):
+    # at c * params the score is quad / c^2 + rest / c in a variance's
+    # coordinate and quad / c + rest in a correlation's, with quad and rest
+    # from the pass at params; by-climate rho includes rows where both
+    # series move
+    data = mixed_panels()[build]
+    spec = _KERNEL_SPECS[name]
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    d = layout.n_params
+    rho = np.array([p.role == "rho" for p in layout.params])
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        params = _kernel_params(layout, rng)
+        out = np.zeros(2 + 2 * d)
+        _kernels.loglik_from_compiled(cm, params, out)
+        quad, rest = out[2:].reshape(2, d)
+        assert _same_bits(quad + rest, kalman.score(cm, params))
+        for c in (0.5, 3.0):
+            got = np.where(rho, quad / c + rest, quad / c**2 + rest / c)
+            want = kalman.score(cm, _scaled(layout, params, c))
+            # relative in the infinity-norm: a coordinate's terms can cancel
+            # to far below their own size, here and in score alike
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (c, got, want)
 
 
 def test_kernel_with_score_at_an_inadmissible_point_gives_nan():
     # a negative measurement variance: loglik raises, and the kernel gives
-    # NaN with every coordinate of the score NaN
+    # NaN with every entry of its array NaN
     spec, params, data = _instance_c()
     cm = compile_model(spec, build_layout(spec, data), data)
     bad = np.array([-0.5, *params[1:]])
     with pytest.raises(ConditioningError):
         kloglik(cm, bad)
-    score = np.zeros(bad.size)
-    assert math.isnan(_kernels.loglik_from_compiled(cm, bad, score))
-    assert np.isnan(score).all()
+    for size in (2, 2 + 2 * bad.size):
+        out = np.zeros(size)
+        assert math.isnan(_kernels.loglik_from_compiled(cm, bad, out))
+        assert np.isnan(out).all()
 
 
 def test_kernel_with_score_where_the_score_breaks_down():
     # rho = 1 with equal trend variances makes Q singular, where score
-    # raises LinAlgError: the kernel returns the finite loglik and a NaN
-    # score, and no warning
+    # raises LinAlgError: the kernel returns the finite loglik with its
+    # (S, N*) and NaN score parts, and no warning
     spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
     data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], [-3.0, -2.5, -2.0, -1.2], seed=1)
     cm = compile_model(spec, build_layout(spec, data), data)
     params = np.array([0.1, 0.2, 1.0, 1.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError):
         kalman.score(cm, params)
-    score = np.zeros(5)
+    out = np.zeros(12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ll = _kernels.loglik_from_compiled(cm, params, score)
+        ll = _kernels.loglik_from_compiled(cm, params, out)
     assert _same_bits(ll, kloglik(cm, params)) and math.isfinite(ll)
-    assert np.isnan(score).all()
+    assert np.isfinite(out[:2]).all() and np.isnan(out[2:]).all()
 
     # a zero trend variance at state dimension 1: the loglik is finite and
     # the trend coordinate of the score is NaN, as in score
@@ -1422,14 +1547,15 @@ def test_kernel_with_score_where_the_score_breaks_down():
     cm = compile_model(spec, layout, data)
     assert cm.s == 1 and layout.params[2].role == "sigma_eta2"
     params = np.array([0.1, 0.3, 0.0])
-    score = np.zeros(3)
+    out = np.zeros(8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ll = _kernels.loglik_from_compiled(cm, params, score)
+        ll = _kernels.loglik_from_compiled(cm, params, out)
     assert _same_bits(ll, kloglik(cm, params)) and math.isfinite(ll)
-    assert math.isnan(score[2])
+    quad, rest = out[2:].reshape(2, 3)
+    assert math.isnan(quad[2] + rest[2])
     with np.errstate(all="ignore"):
-        np.testing.assert_array_equal(score, kalman.score(cm, params))
+        np.testing.assert_array_equal(quad + rest, kalman.score(cm, params))
 
 
 def test_dim1_smooth_raises_on_a_zero_predicted_variance():
