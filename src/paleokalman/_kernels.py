@@ -56,12 +56,13 @@ def loglik_from_compiled(cm, params, out=None) -> float:
     out[:] = math.nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            ll, buffers = _pass_at(cm, h, out.size > 2, out[:2])
+            if out.size == 2:
+                return loglik(cm, h, out)
+            ll, buffers = _pass_at(cm, h, out[:2])
         except ConditioningError:
             return math.nan
-        if buffers is not None:
-            try:
-                out[2:] = _score_from_buffers(cm, h, buffers).ravel()
-            except (np.linalg.LinAlgError, ZeroDivisionError):
-                pass  # the score's parts stay NaN
+        try:
+            out[2:] = _score_from_buffers(cm, h, buffers).ravel()
+        except (np.linalg.LinAlgError, ZeroDivisionError):
+            pass  # the score's parts stay NaN
     return ll

@@ -34,7 +34,8 @@ log-variance unit, so identity steps would be much too short (Nocedal &
 Wright, Numerical Optimization, 2nd ed., sec. 6.1). A coordinate whose
 second difference is not finite and positive, or whose probe scores the
 penalty, keeps 1. A start is converged when the run ends below the
-penalty and the gradient infinity-norm at its end is below 1e-4: a run
+penalty and the infinity-norm of the gradient in all d coordinates at its
+end (the held one's too) is below 1e-4: a run
 that stops on the penalty has a zero gradient, not a small one. A start
 that does not converge ends at the best point scored so far. A fit whose
 correlation ends within 1e-6 of the boundary |rho| = 1, where the
@@ -157,11 +158,14 @@ class _Objective:
     with an array for (S, N*), one forward pass; asked for the score too,
     the same call adds the smoother's backward pass and the score's two
     parts at h. By the envelope theorem the gradient is the loglik's at c* h
-    along phi: -(quad / c* + rest) * d(natural)/d(theta) * scale. The last
-    call's value and gradient (None if not asked for) are kept, so that
-    BFGS starting where fit or _polish scored its start point with its
-    score runs no second pass; scaled keeps c* h for every point scored
-    below the penalty.
+    in all of theta: -(quad / c* + rest) * d(natural)/d(theta) * scale,
+    whose entries past the first are phi's. A point where any of its d
+    entries is not finite gives the penalty to BFGS. The last call's value
+    and gradient (None if not asked for) are kept, so that BFGS starting
+    where fit or _polish scored its start point with its score runs no
+    second pass; scaled keeps c* h for every point scored below the
+    penalty, and ref_slope the gradient's theta_ref entry for every point
+    scored with a finite gradient, which _polish's convergence test reads.
     """
 
     def __init__(
@@ -176,7 +180,9 @@ class _Objective:
         self.best_f = np.inf
         self.best_x = None
         self.scaled = {}  # phi's bytes -> c* h
-        # (phi's bytes, value, gradient or None) of the last call
+        # phi's bytes -> the gradient's theta_ref entry, where it is finite
+        self.ref_slope = {}
+        # (phi's bytes, value, d-entry gradient or None) of the last call
         self._last = None
 
     def __call__(self, phi, with_score=False) -> float:
@@ -204,7 +210,9 @@ class _Objective:
                     quad, rest = out[2:].reshape(2, h.size)
                     jac = self.transform.natural_jacobian_diag(theta)
                     with np.errstate(over="ignore", invalid="ignore"):
-                        g = -((quad / c + rest) * jac)[1:] * self.scale
+                        g = -(quad / c + rest) * jac * self.scale
+                    if np.all(np.isfinite(g)):
+                        self.ref_slope[phi.tobytes()] = float(g[0])
         self._last = phi.tobytes(), f, g
         if f < self.best_f:
             self.best_f = f
@@ -235,16 +243,17 @@ class _Objective:
         return np.where(usable, c, 1.0)
 
     def value_and_grad(self, phi) -> tuple:
-        """(value, gradient) at phi from one counted kernel call, or none at
-        the last call's phi if that call kept the gradient. A point that
-        scores the penalty, or where the gradient is not finite, gives the
-        penalty and a zero gradient."""
+        """(value, gradient along phi) at phi from one counted kernel call, or
+        none at the last call's phi if that call kept the gradient. A point
+        that scores the penalty, or where any entry of the gradient in
+        theta (theta_ref's too) is not finite, gives the penalty and a zero
+        gradient."""
         phi = np.asarray(phi, dtype=float)
         if self._last is None or self._last[0] != phi.tobytes() or self._last[2] is None:
             self(phi, with_score=True)
         _, f, g = self._last
         if f < _PENALTY and np.all(np.isfinite(g)):
-            return f, g
+            return f, g[1:]
         return _PENALTY, np.zeros(phi.size)
 
 
@@ -520,7 +529,10 @@ def _polish(obj, phi) -> tuple:
     """One BFGS run on the profile's exact gradient from phi, its inverse
     Hessian starting at the inverse of obj's diagonal curvature there;
     returns (phi, f, converged, iterations), converged when the run ends
-    below the penalty with the gradient's infinity-norm below _GRAD_TOL."""
+    below the penalty with the infinity-norm of the gradient in all of
+    theta below _GRAD_TOL: phi's entries and theta_ref's, which the last
+    evaluation there computed. At c* the variances' entries sum to zero,
+    so theta_ref's is minus the sum of the others and can exceed each."""
     from scipy import optimize  # most of the package's import time; only a fit needs it
 
     hess_inv0 = np.diag(1.0 / obj.diagonal_curvature(phi))
@@ -536,8 +548,10 @@ def _polish(obj, phi) -> tuple:
         },
     )
     # a run that stopped on the penalty has a zero gradient, not a small one
-    converged = res.fun < _PENALTY and float(np.max(np.abs(res.jac))) < _GRAD_TOL
-    return np.asarray(res.x, dtype=float), float(res.fun), converged, int(res.nit)
+    x = np.asarray(res.x, dtype=float)
+    ref = abs(obj.ref_slope.get(x.tobytes(), np.inf))
+    converged = res.fun < _PENALTY and max(np.max(np.abs(res.jac), initial=0.0), ref) < _GRAD_TOL
+    return x, float(res.fun), converged, int(res.nit)
 
 
 def fit(

@@ -428,18 +428,20 @@ def filter(
     )
 
 
-def loglik(compiled: CompiledModel, params) -> float:
+def loglik(compiled: CompiledModel, params, profile=None) -> float:
     """Exact-diffuse loglik at params: filter's forward pass without paths.
 
     The pass is filter's (_forward_pass), so the two logliks are equal bit
-    for bit. The parameters are used as given, not validated. A point where
+    for bit. Given profile, a 2-entry array, the same pass fills it with
+    (S, N*): the sum of v^2 / F over the slots past the diffuse phase, and
+    their number. The parameters are used as given, not validated. A point where
     some innovation variance is not a finite normal positive float (a
     subnormal one would overflow 1 / F), where some slot's loglik term
     makes the sum non-finite, or where the trend variances give no real
     increment covariance, raises ConditioningError naming the row.
     """
     h = np.asarray(params, dtype=float).tolist()
-    return _forward_pass(compiled, h, _diffuse_start(compiled.s), False)[0]
+    return _forward_pass(compiled, h, _diffuse_start(compiled.s), False, profile)[0]
 
 
 def score(compiled: CompiledModel, params) -> np.ndarray:
@@ -478,17 +480,17 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     return quad + rest
 
 
-def _pass_at(cm: CompiledModel, h: np.ndarray, keep_paths: bool = True, profile=None) -> tuple:
-    # (loglik, buffers): the forward recursion at h from the diffuse start,
-    # in paths mode the pass that score, impute and the fit's kernel run;
-    # the loglik of either mode is loglik's, bit for bit. buffers is None
-    # without keep_paths, and profile receives _log_sum's (S, N*)
-    ll, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), keep_paths, profile)
+def _pass_at(cm: CompiledModel, h: np.ndarray, profile=None) -> tuple:
+    # (loglik, buffers): the forward recursion at h from the diffuse start
+    # in paths mode, the pass that score, impute and the fit's kernel run;
+    # its loglik is loglik's, bit for bit, and profile receives (S, N*) as
+    # in loglik
+    ll, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), True, profile)
     return ll, buffers
 
 
 def _passes(cm: CompiledModel, h: np.ndarray) -> tuple:
-    # the two passes at h: _pass_at in paths mode and smooth's backward pass
+    # the two passes at h: _pass_at and smooth's backward pass
     # over its buffers, _smoothed's (X, XV, A, (succ, Q, B, C))
     return _smoothed(cm, _pass_at(cm, h)[1])
 

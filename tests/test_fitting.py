@@ -376,7 +376,8 @@ def test_objective_gradient_where_the_score_breaks_down():
     # at s = 2 (irw) and bivariate, the first measurement variance as the
     # profile's reference coordinate and the others as its free ones. The
     # objective gives the penalty or a finite value and gradient, and
-    # raises no warning; a free coordinate's zero variance gives the penalty
+    # raises no warning; any zero variance, the reference one too, gives
+    # the penalty
     stamps = random_stamps(np.random.default_rng(0), 30)
     for spec, params in [
         (ModelSpec(meas_grouping="by-source"), [0.1, 0.3, 1.0]),
@@ -405,7 +406,7 @@ def test_objective_gradient_where_the_score_breaks_down():
                     assert not g.any()
                 else:
                     assert np.isfinite(f) and np.all(np.isfinite(g)), (spec, i, x)
-                    assert i == 0 or x != -800.0 or layout.params[i].role == "rho", (spec, i)
+                    assert x != -800.0 or layout.params[i].role == "rho", (spec, i)
 
 
 def test_objective_scale_where_no_slot_is_past_the_diffuse_phase():
@@ -477,29 +478,33 @@ def test_bfgs_stopped_on_the_penalty_ends_unconverged(monkeypatch):
     # from a trend variance of 1e-320 the loglik is finite but the score is
     # not, so the BFGS run stops on the penalty with a zero gradient: that
     # is no convergence, the fit ends at the best point it scored, and a
-    # note says why BFGS took no step
+    # note says why BFGS took no step. So it is from a first measurement
+    # variance of 1e-320, the coordinate that the profile holds
     spec = ModelSpec(arity="bivariate", corr_grouping="pooled")
     stamps = -np.cumsum(np.random.default_rng(1).exponential(0.01, 40))[::-1] - 0.001
     data = pk.simulate(spec, [0.1, 0.2, 1.0, 0.7, 0.4], stamps, seed=1)
-    start = fit(spec, data).params_hat.copy()
-    start[2] = 1e-320  # sigma_eta2.d18O
+    optimum = fit(spec, data).params_hat
     cm = compile_model(spec, build_layout(spec, data), data)
-    start_loglik = pk.kalman.loglik(cm, start)
-    assert np.isfinite(start_loglik)
     methods = _record_methods(monkeypatch)
-    res = fit(spec, data, FitOptions(start=start))
-    assert methods == ["BFGS"]
-    assert not res.converged
-    assert res.loglik >= start_loglik
-    assert res.iterations == 0
-    assert "the score is not finite at start 1, so BFGS took no step from it" in res.notes
+    for i in (2, 0):  # sigma_eta2.d18O, then sigma_eps2.d18O
+        start = optimum.copy()
+        start[i] = 1e-320
+        start_loglik = pk.kalman.loglik(cm, start)
+        assert np.isfinite(start_loglik)
+        methods.clear()
+        res = fit(spec, data, FitOptions(start=start))
+        assert methods == ["BFGS"]
+        assert not res.converged
+        assert res.loglik >= start_loglik
+        assert res.iterations == 0
+        assert "the score is not finite at start 1, so BFGS took no step from it" in res.notes
 
 
 def test_unconverged_fit_returns_the_best_point_seen(monkeypatch):
     # the d13C trend is the d18O trend halved, so the optimum is at rho = 1:
-    # the BFGS run stalls short of it, within 1e-6 of the boundary. The fit
-    # returns the best point it scored, unconverged, with a note and no SE
-    # for rho
+    # the BFGS run stops within 1e-6 of the boundary with its gradient above
+    # the tolerance, at a point that scores above one it scored before. The
+    # fit returns that best point, unconverged, with a note and no SE for rho
     rng = np.random.default_rng(6)
     stamps = np.sort(-rng.uniform(0.2, 4.0, size=150))
     level = np.cumsum(rng.standard_normal(150) * 0.25)
@@ -526,6 +531,53 @@ def test_unconverged_fit_returns_the_best_point_seen(monkeypatch):
     ) in res.notes
     assert np.isnan(res.std_errors[i])
     assert np.all(np.isfinite(np.delete(res.std_errors, i)))
+
+
+def test_a_run_cut_short_ends_at_the_best_point_it_scored(monkeypatch):
+    # BFGS allowed no iteration ends at its start, unconverged, above the
+    # better of the curvature probes either side of it along each free
+    # coordinate: the fit returns that probe's point, at its best scale
+    spec, data = _recovery_data(seed=4, n=200)
+    minimize = scipy.optimize.minimize
+
+    def no_iteration(*args, **kwargs):
+        kwargs["options"] = {**kwargs["options"], "maxiter": 0}
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_iteration)
+    logliks = _record_logliks(monkeypatch)
+    res = fit(spec, data)
+    d = res.n_params
+    assert not res.converged and res.iterations == 0
+    assert res.n_evals == 1 + 2 * (d - 1)  # the start, then its probes
+    start, probes = logliks[0], logliks[1 : res.n_evals]
+    assert max(probes) > start
+    assert res.loglik == pytest.approx(max(probes), rel=1e-12)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert res.loglik == pytest.approx(pk.kalman.loglik(cm, res.params_hat), rel=1e-12)
+
+
+def test_convergence_reads_the_held_coordinates_gradient(monkeypatch):
+    # converged bounds the gradient in all d coordinates: the same run, with
+    # the held coordinate's entry read as twice the tolerance at every
+    # point, ends at the same point unconverged
+    class Steep(dict):
+        def get(self, key, default=None):
+            return 2.0 * fitting._GRAD_TOL if key in self else default
+
+    spec, data = _recovery_data(seed=4, n=200)
+    want = fit(spec, data)
+    polish = fitting._polish
+
+    def steep(obj, phi):
+        obj.ref_slope = Steep(obj.ref_slope)
+        return polish(obj, phi)
+
+    monkeypatch.setattr(fitting, "_polish", steep)
+    res = fit(spec, data)
+    assert want.converged and not res.converged
+    assert np.array_equal(res.params_hat, want.params_hat)
 
 
 @pytest.mark.parametrize(
