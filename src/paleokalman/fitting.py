@@ -21,9 +21,10 @@ same forward pass. The gradient is exact: kalman.score's two parts at h
 backward pass), which give the score at c* h, mapped to theta by the chain
 rule. A BFGS evaluation takes the value and the score's parts from one
 kernel call, so it runs one forward pass and the backward pass; a curvature
-probe or a Hessian point runs the forward pass without paths. Parameter
-points where the filter degenerates, or whose c* is not finite and
-positive, get a large finite penalty.
+probe or a Hessian point runs the forward pass without paths. The
+objective keeps one record per point it scored, so no kernel call is made
+twice. Parameter points where the filter degenerates, or whose c* is not
+finite and positive, get a large finite penalty.
 
 fit runs BFGS on that gradient once from each start. Each BFGS run
 starts from a diagonal inverse Hessian, the inverse of the objective's
@@ -160,12 +161,17 @@ class _Objective:
     parts at h. By the envelope theorem the gradient is the loglik's at c* h
     in all of theta: -(quad / c* + rest) * d(natural)/d(theta) * scale,
     whose entries past the first are phi's. A point where any of its d
-    entries is not finite gives the penalty to BFGS. The last call's value
-    and gradient (None if not asked for) are kept, so that BFGS starting
-    where fit or _polish scored its start point with its score runs no
-    second pass; scaled keeps c* h for every point scored below the
-    penalty, and ref_slope the gradient's theta_ref entry for every point
-    scored with a finite gradient, which _polish's convergence test reads.
+    entries is not finite gives the penalty to BFGS.
+
+    points keeps one record per point scored, by phi's bytes: (value,
+    d-entry gradient or None, c* h or None). The gradient is None where it
+    was not asked for at a point below the penalty, and zero at a penalty
+    point; c* h is None at a penalty point. A call at a point already
+    scored, with its gradient if asked for, reads its record and is neither
+    counted nor charged to the budget, so BFGS starting where fit or
+    diagonal_curvature scored its start point with its score runs no
+    second pass. _polish's convergence test reads the gradient's theta_ref
+    entry from the record, and fit its params_hat, c* h.
     """
 
     def __init__(
@@ -179,22 +185,22 @@ class _Objective:
         self.n_evals = 0
         self.best_f = np.inf
         self.best_x = None
-        self.scaled = {}  # phi's bytes -> c* h
-        # phi's bytes -> the gradient's theta_ref entry, where it is finite
-        self.ref_slope = {}
-        # (phi's bytes, value, d-entry gradient or None) of the last call
-        self._last = None
+        self.points = {}  # phi's bytes -> (value, gradient or None, c* h or None)
 
     def __call__(self, phi, with_score=False) -> float:
-        """The value at phi, from one counted kernel call; with_score has
-        that call keep the gradient for value_and_grad."""
+        """The value at phi, from its record or else one counted kernel
+        call; with_score has the call keep the gradient for value_and_grad."""
+        phi = np.array(phi, dtype=float)
+        key = phi.tobytes()
+        seen = self.points.get(key)
+        if seen is not None and (seen[1] is not None or not with_score):
+            return seen[0]
         if self.budget is not None and self.n_evals >= self.budget:
             raise _BudgetExhausted()
         self.n_evals += 1
-        phi = np.array(phi, dtype=float)
         theta = np.concatenate(([self.theta_ref], phi))
         h = self.transform.to_natural(theta)
-        f, g = _PENALTY, np.zeros(phi.size)
+        f, g, scaled = _PENALTY, np.zeros(h.size), None
         # a variance at or near zero makes the filter raise ConditioningError,
         # which the kernel returns as NaN: the penalty
         if np.all(np.isfinite(h)):
@@ -204,55 +210,39 @@ class _Objective:
             c = S / N if N else 1.0
             if math.isfinite(ll) and 0.0 < c < math.inf:
                 f = -(ll - 0.5 * N * math.log(c) - 0.5 * (N - S)) * self.scale
-                self.scaled[phi.tobytes()] = np.where(self.transform.is_corr, h, c * h)
+                scaled = np.where(self.transform.is_corr, h, c * h)
                 g = None
                 if with_score:
                     quad, rest = out[2:].reshape(2, h.size)
                     jac = self.transform.natural_jacobian_diag(theta)
                     with np.errstate(over="ignore", invalid="ignore"):
                         g = -(quad / c + rest) * jac * self.scale
-                    if np.all(np.isfinite(g)):
-                        self.ref_slope[phi.tobytes()] = float(g[0])
-        self._last = phi.tobytes(), f, g
+        self.points[key] = f, g, scaled
         if f < self.best_f:
             self.best_f = f
             self.best_x = phi
         return f
 
-    def value(self, phi, with_score=False) -> float:
-        """The value at phi, taken from the last call when it was at phi,
-        else scored (with its score if with_score)."""
-        phi = np.asarray(phi, dtype=float)
-        if self._last is None or self._last[0] != phi.tobytes():
-            return self(phi, with_score)
-        return self._last[1]
-
     def diagonal_curvature(self, phi) -> np.ndarray:
         """The objective's central second difference along each coordinate
-        at phi, from the value there (scored with its score only if it is
-        not the last call's) and 2(d - 1) value-only probes; 1 where that is
-        not finite and positive or a probe scores the penalty. The value
-        and gradient at phi stay the cached ones, so BFGS starting there
-        does not score it again."""
+        at phi, from the value there, scored with its score unless its
+        record has one, and 2(d - 1) value-only probes; 1 where that is not
+        finite and positive or a probe scores the penalty. BFGS starting at
+        phi then reads its value and gradient from the record."""
         phi = np.asarray(phi, dtype=float)
-        f0 = self.value(phi, with_score=True)
-        start = self._last
-        c, worst = _second_differences(self, phi, f0)
-        self._last = start
+        c, worst = _second_differences(self, phi, self(phi, with_score=True))
         usable = np.isfinite(c) & (c > 0.0) & (worst < _PENALTY)
         return np.where(usable, c, 1.0)
 
     def value_and_grad(self, phi) -> tuple:
         """(value, gradient along phi) at phi from one counted kernel call, or
-        none at the last call's phi if that call kept the gradient. A point
-        that scores the penalty, or where any entry of the gradient in
-        theta (theta_ref's too) is not finite, gives the penalty and a zero
-        gradient."""
+        from its record if that kept the gradient. A point that scores the
+        penalty, or where any entry of the gradient in theta (theta_ref's
+        too) is not finite, gives the penalty and a zero gradient."""
         phi = np.asarray(phi, dtype=float)
-        if self._last is None or self._last[0] != phi.tobytes() or self._last[2] is None:
-            self(phi, with_score=True)
-        _, f, g = self._last
-        if f < _PENALTY and np.all(np.isfinite(g)):
+        self(phi, with_score=True)
+        f, g, _ = self.points[phi.tobytes()]
+        if np.all(np.isfinite(g)):
             return f, g[1:]
         return _PENALTY, np.zeros(phi.size)
 
@@ -418,13 +408,16 @@ class FitResult:
     n_evals counts the objective's evaluations outside the standard-error
     Hessian: the start point, the 2(d - 1) curvature probes before each
     BFGS run, and every point BFGS scored, each one kernel call and one
-    forward pass unless the point maps to a non-finite parameter. A BFGS
-    run's start point is scored once, with its score, before its probes,
-    or not at all when it is the point scored just before (the first
-    start, which fit scores to check it); BFGS takes that value and
-    gradient and does not count them again. A BFGS evaluation's call also
-    runs the smoother's backward pass for the score, from the same forward
-    pass; n_evals counts the call once, so the score adds no count.
+    forward pass unless the point maps to a non-finite parameter. A point
+    is counted once: a second call there reads the value, and the gradient
+    if it was kept, from the objective's record of the point. So a BFGS
+    run's start point is scored once, with its score, before its probes
+    (fit scores the first start itself, to check it), and BFGS's first
+    evaluation there adds no count. A point scored without its score
+    counts again if BFGS asks for the gradient there. A BFGS evaluation's
+    call also runs the smoother's backward pass for the score, from the
+    same forward pass; n_evals counts the call once, so the score adds no
+    count.
     """
 
     spec: ModelSpec
@@ -549,8 +542,8 @@ def _polish(obj, phi) -> tuple:
     )
     # a run that stopped on the penalty has a zero gradient, not a small one
     x = np.asarray(res.x, dtype=float)
-    ref = abs(obj.ref_slope.get(x.tobytes(), np.inf))
-    converged = res.fun < _PENALTY and max(np.max(np.abs(res.jac), initial=0.0), ref) < _GRAD_TOL
+    g = obj.points[x.tobytes()][1]  # BFGS scored x with its gradient
+    converged = res.fun < _PENALTY and np.max(np.abs(g)) < _GRAD_TOL
     return x, float(res.fun), converged, int(res.nit)
 
 
@@ -621,8 +614,8 @@ def fit(
             x, f, conv, nit = _polish(obj, ph)
             iterations += nit
             # a run that took no step and ends on the penalty scored only
-            # ph, whose value is then the last call's: no pass
-            if nit == 0 and f >= _PENALTY > obj.value(ph):
+            # ph, whose value its record holds: no pass
+            if nit == 0 and f >= _PENALTY > obj(ph):
                 notes.append(
                     f"the score is not finite at start {i + 1}, so BFGS took no step from it"
                 )
@@ -643,7 +636,7 @@ def fit(
             break
 
     # every point a run ends at was scored below the penalty
-    params_hat = obj.scaled[np.asarray(best_x, dtype=float).tobytes()]
+    params_hat = obj.points[np.asarray(best_x, dtype=float).tobytes()][2]
     theta_hat = transform.to_unconstrained(params_hat)
     loglik = -best_f * n_scale
 

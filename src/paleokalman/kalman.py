@@ -27,16 +27,17 @@ _backward and _score take one .tolist() per pass. At the state dimensions
 measured (s = 1 to 6) this beats numpy, whose per-call overhead dominates
 on such small arrays.
 
-One forward recursion, run by one dispatch (_forward_pass) for loglik,
-filter and score, has two modes. Paths mode keeps eight flat float64
-buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, booked): per row
-the predicted and filtered moments and the disturbance covariance booked,
-pred_Pi, the diffuse part of the prediction, over the diffuse rows only,
-and per observed slot the innovation and its variance. loglik, which a
-fit's value-only evaluations call, keeps only v and F, so the logliks of
-the two modes are equal bit for bit. Either mode can also hand back S, the
-sum of v^2 / F over the slots past the diffuse phase, and N*, their number,
-with which fitting profiles the common scale of the variances out.
+One forward recursion, run by one entry (_forward_pass) for loglik,
+filter, score, impute and the fit's kernel, has two modes. Paths mode
+keeps eight flat float64 buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P,
+v, F, booked): per row the predicted and filtered moments and the
+disturbance covariance booked, pred_Pi, the diffuse part of the
+prediction, over the diffuse rows only, and per observed slot the
+innovation and its variance. loglik, which a fit's value-only evaluations
+call, keeps only v and F, so the logliks of the two modes are equal bit
+for bit. Every pass also returns S, the sum of v^2 / F over the slots past
+the diffuse phase, and N*, their number, with which fitting profiles the
+common scale of the variances out.
 
 The buffers are the only hand-off between the passes: smooth, score and
 imputation.impute read them through one backward entry, _smoothed, the RTS
@@ -68,12 +69,13 @@ np.bincount in two parts, quad (the terms in the squared residuals) and
 rest, which a common scale of the variances moves by different powers:
 _score_dim1 reads the float sweep's b and c, and the numpy path _score,
 its reference at state dimension 1, the same passes. One step,
-_score_from_buffers, gives the two parts from a paths-mode pass's buffers;
+_score_from_buffers, gives the two parts from a paths-mode pass's buffers.
 score, which sums them, and the fit's kernel (_kernels.loglik_from_compiled
-with an array) both call it, and the kernel keeps that pass's loglik too,
-so a value and its score cost one forward pass. score and impute build
-no FilterRun, StatePaths or smoothed array over every row; filter and
-smooth remain the whole-panel passes that keep every path.
+with an array of 2 + 2d entries) both run it after _forward_pass, and the
+kernel keeps that pass's loglik and (S, N*) too, so a value and its score
+cost one forward pass. score and impute build no FilterRun, StatePaths or
+smoothed array over every row; filter and smooth remain the whole-panel
+passes that keep every path.
 """
 
 from __future__ import annotations
@@ -398,15 +400,14 @@ def filter(
     cm = compiled if compiled is not None else compile_model(spec, layout, data)
     params = layout.validate_params(params)
     s = cm.s
-    if init is None:
-        start = _diffuse_start(s)
-    else:
+    start = None
+    if init is not None:
         a1, P1 = init
         a = np.asarray(a1, dtype=float).reshape(s).tolist()
         Ps = np.asarray(P1, dtype=float).reshape(s * s).tolist()
         start = a, Ps, [0.0] * (s * s), False
 
-    ll, _, buffers, n_diffuse = _forward_pass(cm, params.tolist(), start, True)
+    ll, _, buffers, n_diffuse = _forward_pass(cm, params, True, start)
     pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, _ = buffers
     n = cm.n
     paths = StatePaths(
@@ -428,20 +429,17 @@ def filter(
     )
 
 
-def loglik(compiled: CompiledModel, params, profile=None) -> float:
+def loglik(compiled: CompiledModel, params) -> float:
     """Exact-diffuse loglik at params: filter's forward pass without paths.
 
     The pass is filter's (_forward_pass), so the two logliks are equal bit
-    for bit. Given profile, a 2-entry array, the same pass fills it with
-    (S, N*): the sum of v^2 / F over the slots past the diffuse phase, and
-    their number. The parameters are used as given, not validated. A point where
+    for bit. The parameters are used as given, not validated. A point where
     some innovation variance is not a finite normal positive float (a
     subnormal one would overflow 1 / F), where some slot's loglik term
     makes the sum non-finite, or where the trend variances give no real
     increment covariance, raises ConditioningError naming the row.
     """
-    h = np.asarray(params, dtype=float).tolist()
-    return _forward_pass(compiled, h, _diffuse_start(compiled.s), False, profile)[0]
+    return _forward_pass(compiled, params)[0]
 
 
 def score(compiled: CompiledModel, params) -> np.ndarray:
@@ -476,23 +474,14 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     ConditioningError at an inadmissible point.
     """
     h = np.asarray(params, dtype=float)
-    quad, rest = _score_from_buffers(compiled, h, _pass_at(compiled, h)[1])
+    quad, rest = _score_from_buffers(compiled, h, _forward_pass(compiled, h, True)[2])
     return quad + rest
 
 
-def _pass_at(cm: CompiledModel, h: np.ndarray, profile=None) -> tuple:
-    # (loglik, buffers): the forward recursion at h from the diffuse start
-    # in paths mode, the pass that score, impute and the fit's kernel run;
-    # its loglik is loglik's, bit for bit, and profile receives (S, N*) as
-    # in loglik
-    ll, _, buffers, _ = _forward_pass(cm, h.tolist(), _diffuse_start(cm.s), True, profile)
-    return ll, buffers
-
-
 def _passes(cm: CompiledModel, h: np.ndarray) -> tuple:
-    # the two passes at h: _pass_at and smooth's backward pass
-    # over its buffers, _smoothed's (X, XV, A, (succ, Q, B, C))
-    return _smoothed(cm, _pass_at(cm, h)[1])
+    # the two passes at h: the forward pass in paths mode and smooth's
+    # backward pass over its buffers, _smoothed's (X, XV, A, (succ, Q, B, C))
+    return _smoothed(cm, _forward_pass(cm, h, True)[2])
 
 
 def _score_from_buffers(cm: CompiledModel, h: np.ndarray, buffers: tuple) -> np.ndarray:
@@ -575,12 +564,13 @@ def _diffuse_start(s: int) -> tuple:
     return [0.0] * s, [0.0] * (s * s), P_inf, True
 
 
-def _forward_pass(
-    cm: CompiledModel, h: list, start: tuple, keep_paths: bool, profile=None
-) -> tuple:
-    # the forward recursion from start = (a, P_star, P_inf, diffuse):
-    # _forward_dim1 at state dimension 1, _forward above it
-    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, *start, keep_paths, profile)
+def _forward_pass(cm: CompiledModel, params, keep_paths: bool = False, start=None) -> tuple:
+    # the forward recursion at params, as _forward returns it, from start =
+    # (a, P_star, P_inf, diffuse), the diffuse start if None: _forward_dim1
+    # at state dimension 1, _forward above it
+    h = np.asarray(params, dtype=float).tolist()
+    start = _diffuse_start(cm.s) if start is None else start
+    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, *start, keep_paths)
 
 
 def _forward(
@@ -591,21 +581,19 @@ def _forward(
     Pi: list,
     diffuse: bool,
     keep_paths: bool,
-    profile=None,
 ) -> tuple:
     """The exact-diffuse forward recursion, Durbin & Koopman (2012)
     sections 5.2-5.3, from the state (a, Ps, Pi) before row 0.
 
-    Returns (loglik, final (a, Ps, Pi), buffers, number of diffuse slots),
-    the buffers flat float64 arrays (pred_a, pred_P, pred_Pi, filt_a,
-    filt_P, v, F, booked): per row, pred_Pi over the diffuse rows only; v
-    and F per observed slot; booked the k x k trend-tail disturbance
-    covariance of each row. Here all eight are array('d')s appended row by
-    row. _forward_dim1 appends v and F per slot as well, but derives the
-    six per-row buffers afterwards as numpy arrays (_rows_dim1), with the
-    same bytes. Without keep_paths only v and F are kept, for the log
-    terms, and buffers is None. profile, if given, receives _log_sum's
-    (S, N*).
+    Returns (loglik, (S, N*), buffers, number of diffuse slots), with S and
+    N* as _log_sum gives them, and the buffers flat float64 arrays (pred_a,
+    pred_P, pred_Pi, filt_a, filt_P, v, F, booked): per row, pred_Pi over
+    the diffuse rows only; v and F per observed slot; booked the k x k
+    trend-tail disturbance covariance of each row. Here all eight are
+    array('d')s appended row by row. _forward_dim1 appends v and F per slot
+    as well, but derives the six per-row buffers afterwards as numpy arrays
+    (_rows_dim1), with the same bytes. Without keep_paths only v and F are
+    kept, for the log terms, and buffers is None.
     """
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
@@ -709,11 +697,11 @@ def _forward(
             filt_a.fromlist(a)
             filt_P.fromlist(Ps)
 
-    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse, profile)
+    ll, S, N = _log_sum(cm, rec_v, rec_F, rec_diffuse)
     buffers = None
     if keep_paths:
         buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
-    return ll, (a, Ps, Pi), buffers, len(rec_diffuse)
+    return ll, (S, N), buffers, len(rec_diffuse)
 
 
 def _forward_dim1(
@@ -724,7 +712,6 @@ def _forward_dim1(
     Pi: list,
     diffuse: bool,
     keep_paths: bool,
-    profile=None,
 ) -> tuple:
     # _forward at s = 1, with the same arguments and results, from the
     # diffuse start (P_inf = 1) or a proper prior: a, P and P_inf are floats
@@ -771,14 +758,14 @@ def _forward_dim1(
             keep_a(a)
             keep_P(P)
 
-    ll = _log_sum(cm, rec_v, rec_F, rec_diffuse, profile)
+    ll, S, N = _log_sum(cm, rec_v, rec_F, rec_diffuse)
     buffers = None
     if keep_paths:
         pred_a, pred_P, pred_Pi, filt_a, filt_P, booked = _rows_dim1(
             cm, h, slot_a, slot_P, Pi_start, rec_diffuse
         )
         buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
-    return ll, ([a], [P], [Pi]), buffers, len(rec_diffuse)
+    return ll, (S, N), buffers, len(rec_diffuse)
 
 
 def _rows_dim1(cm: CompiledModel, h: list, slot_a, slot_P, Pi: float, rec_diffuse: dict) -> tuple:
@@ -804,19 +791,17 @@ def _rows_dim1(cm: CompiledModel, h: list, slot_a, slot_P, Pi: float, rec_diffus
 
 
 @np.errstate(over="ignore")  # a decorator: cheaper per call than a with block
-def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict, profile=None) -> float:
-    # slot o adds -(log 2pi + log F + v^2 / F) / 2, with F_inf for F and no
-    # v^2 term at a diffuse slot. The terms are vectorized; the sum runs in
-    # slot order (np.cumsum: np.sum adds pairwise, which moves the last bits).
-    # Every F is normal, so log F is finite, but v^2 / F may overflow: a sum
-    # that is not finite raises at the slot where it stops being finite.
-    # profile, a 2-array or None, receives (S, N*): the sum of v^2 / F and
+def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> tuple:
+    # (loglik, S, N*): slot o adds -(log 2pi + log F + v^2 / F) / 2 to the
+    # loglik, with F_inf for F and no v^2 term at a diffuse slot. The terms
+    # are vectorized; the sum runs in slot order (np.cumsum: np.sum adds
+    # pairwise, which moves the last bits). Every F is normal, so log F is
+    # finite, but v^2 / F may overflow: a sum that is not finite raises at
+    # the slot where it stops being finite. S is the sum of v^2 / F and N*
     # the number of slots past the diffuse phase, the two numbers the
     # loglik's dependence on a common scale of the variances reads
     if not F:
-        if profile is not None:
-            profile[:] = 0.0
-        return 0.0
+        return 0.0, 0.0, 0
     v, F = np.array(v), np.array(F)  # copies: the filter reads v afterwards
     for o, Fi in F_inf.items():
         # F_star is unchecked at a diffuse slot, but F_inf > 0: every divisor
@@ -833,9 +818,7 @@ def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict, profile=None) -
             f"loglik not finite from slot column {cm.obs_col[o]} on "
             f"(innovation {float(v[o])!r}, variance {float(F[o])!r})",
         )
-    if profile is not None:
-        profile[:] = q.sum(), q.size - len(F_inf)
-    return ll
+    return ll, float(q.sum()), q.size - len(F_inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Estimation driver, transforms, standard errors, and BIC."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -262,10 +263,23 @@ def test_fit_flags_unidentified_parameter():
     assert any("standard errors" in n for n in res.notes)
 
 
+def _same_field(x, y) -> bool:
+    """Equal, arrays bit for bit."""
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    return x == y
+
+
 def test_fit_budget_exhaustion_returns_best_seen():
-    # the fit converges in 6 evals; 5 runs out during the BFGS run
+    # the fit converges in 6 evals; 5 runs out during the BFGS run, and 6
+    # does not: reading a point's record uses none of the budget
     spec, data = _recovery_data(seed=7, n=200)
-    assert fit(spec, data).n_evals == 6
+    want = fit(spec, data)
+    assert want.n_evals == 6
+    res = fit(spec, data, FitOptions(eval_budget=6))
+    assert res.converged and not any("budget" in n for n in res.notes)
+    for f in dataclasses.fields(FitResult):
+        assert _same_field(getattr(res, f.name), getattr(want, f.name)), f.name
     res = fit(spec, data, FitOptions(eval_budget=5))
     assert not res.converged
     assert any("budget" in n for n in res.notes)
@@ -422,7 +436,7 @@ def test_objective_scale_where_no_slot_is_past_the_diffuse_phase():
     obj, phi = _objective_at(cm, tr, tr.to_unconstrained(start))
     h = tr.to_natural(np.r_[obj.theta_ref, phi])
     assert obj(phi) == -pk.kalman.loglik(cm, h)
-    assert np.array_equal(obj.scaled[phi.tobytes()], h)
+    assert np.array_equal(obj.points[phi.tobytes()][2], h)
     res = fit(spec, data)
     assert res.converged and res.iterations == 0
     assert np.array_equal(res.params_hat, h)
@@ -447,7 +461,8 @@ def test_objective_scale_zero_scores_the_penalty():
     obj, phi = _objective_at(cm, tr, tr.to_unconstrained(start))
     assert obj(phi) == fitting._PENALTY
     f, g = obj.value_and_grad(phi)
-    assert f == fitting._PENALTY and not g.any() and obj.scaled == {}
+    assert f == fitting._PENALTY and not g.any()
+    assert all(scaled is None for _, _, scaled in obj.points.values())
     with pytest.raises(InitializationError, match="no maximum over a common scale"):
         fit(spec, data)
 
@@ -563,15 +578,18 @@ def test_convergence_reads_the_held_coordinates_gradient(monkeypatch):
     # the held coordinate's entry read as twice the tolerance at every
     # point, ends at the same point unconverged
     class Steep(dict):
-        def get(self, key, default=None):
-            return 2.0 * fitting._GRAD_TOL if key in self else default
+        def __getitem__(self, key):
+            f, g, scaled = super().__getitem__(key)
+            if g is not None and np.all(np.isfinite(g)):
+                g = np.r_[2.0 * fitting._GRAD_TOL, g[1:]]
+            return f, g, scaled
 
     spec, data = _recovery_data(seed=4, n=200)
     want = fit(spec, data)
     polish = fitting._polish
 
     def steep(obj, phi):
-        obj.ref_slope = Steep(obj.ref_slope)
+        obj.points = Steep(obj.points)
         return polish(obj, phi)
 
     monkeypatch.setattr(fitting, "_polish", steep)
@@ -650,17 +668,19 @@ def test_n_evals_counts_the_kernel_calls_outside_the_hessian(monkeypatch):
 def test_fit_runs_one_forward_pass_per_evaluation(monkeypatch, n_starts, model):
     # each counted evaluation runs one forward pass, a BFGS evaluation's
     # score included, and so does each of the Hessian's 2d^2 + 1 points;
-    # BFGS's first evaluation at each start reuses the pass that scored it
+    # BFGS's first evaluation at each start reuses the pass that scored it,
+    # and before the Hessian no point reaches the kernel twice in one mode
     if model is None:
         spec, data = _recovery_data(seed=6, n=240)
     else:
         spec, data = _catalogue_data(model)
     forward = pk.kalman._forward_pass
-    passes = []
+    passes, points = [], []
 
-    def counted(*args):
-        passes.append(args[3])  # keep_paths
-        return forward(*args)
+    def counted(cm, params, keep_paths=False, start=None):
+        passes.append(keep_paths)
+        points.append((np.asarray(params, dtype=float).tobytes(), keep_paths))
+        return forward(cm, params, keep_paths, start)
 
     def refuse(*args, **kwargs):
         raise AssertionError("kalman.score called")
@@ -676,6 +696,7 @@ def test_fit_runs_one_forward_pass_per_evaluation(monkeypatch, n_starts, model):
     # score, and none of the Hessian's points did
     assert sum(passes) == res.n_evals - 2 * (d - 1) * n_starts
     assert not any(passes[res.n_evals :])
+    assert len(set(points[: res.n_evals])) == res.n_evals
 
 
 def _inline_numerical_hessian(f, x):

@@ -693,18 +693,20 @@ def _same_bits(x, y) -> bool:
 
 def _assert_forward_dim1_equals_forward(cm, h, prior=None):
     # both modes of _forward_dim1 against _forward, called directly, from the
-    # diffuse start or from the proper prior (a1, P1); _forward updates its
-    # start in place, so each pass gets a fresh one
+    # diffuse start or from the proper prior (a1, P1): the loglik, (S, N*)
+    # and, in paths mode, the buffers, whose filtered moments end at the
+    # final state; _forward updates its start in place, so each pass gets a
+    # fresh one
     def start():
         if prior is None:
             return kalman._diffuse_start(1)
         return [prior[0]], [prior[1]], [0.0], False
 
     for keep_paths in (False, True):
-        ll, final, buffers, n_diffuse = kalman._forward_dim1(cm, h, *start(), keep_paths)
+        ll, stats, buffers, n_diffuse = kalman._forward_dim1(cm, h, *start(), keep_paths)
         ref = kalman._forward(cm, h, *start(), keep_paths)
         assert _same_bits(ll, ref[0])
-        assert _same_bits(final, ref[1])
+        assert _same_bits(stats, ref[1])
         assert n_diffuse == ref[3]
         if not keep_paths:
             assert buffers is ref[2] is None
@@ -733,7 +735,10 @@ def test_forward_dim1_equals_forward_without_slots():
     for prior in (None, (0.3, 0.5)):
         _assert_forward_dim1_equals_forward(cm, [], prior)
     assert kloglik(cm, []) == 0.0
-    assert kalman._forward_dim1(cm, [], *kalman._diffuse_start(1), True)[1] == ([0.0], [0.0], [1.0])
+    ll, stats, buffers, n_diffuse = kalman._forward_dim1(cm, [], *kalman._diffuse_start(1), True)
+    assert (ll, stats, n_diffuse) == (0.0, (0.0, 0), 0)
+    _, _, pred_Pi, filt_a, filt_P, _, _, _ = buffers
+    assert filt_a.tolist() == filt_P.tolist() == [0.0] * 4 and pred_Pi.tolist() == [1.0] * 4
     assert _diffuse_rows_dim1(cm, []) == [True] * 4
     assert _diffuse_rows_dim1(cm, [], (0.3, 0.5)) == [False] * 4
 
