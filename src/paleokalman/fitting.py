@@ -349,7 +349,7 @@ def default_start(layout: ParameterLayout, cm: CompiledModel) -> np.ndarray:
     spec = cm.spec
     eps_start = {}
     eta_start = {}
-    y = np.array(cm.y)
+    y = cm.y_array
     for j, sr in enumerate(spec.series):
         on = cm.obs_col // MAX_SLOTS == j
         vals, rows = y[on], cm.obs_row[on]

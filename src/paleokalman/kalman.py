@@ -21,11 +21,11 @@ floats and an s x s matrix a flat list of s*s floats, entry (r, c) at
 r*s + c. Their parameter-independent inputs are the flat columns of a
 CompiledModel, which compile_model builds once from the panel's group keys,
 so the many loglik passes of a fit share them. The per-slot columns that
-the float loop at state dimension 1 reads are tuples; the per-row and
-per-(row, series) columns are read-only arrays, of which _forward,
-_backward and _score take one .tolist() per pass. At the state dimensions
-measured (s = 1 to 6) this beats numpy, whose per-call overhead dominates
-on such small arrays.
+the float loop at state dimension 1 reads are tuples, kept again as
+read-only arrays for numpy; the per-row and per-(row, series) columns are
+read-only arrays, of which _forward, _backward and _score take one
+.tolist() per pass. At the state dimensions measured (s = 1 to 6) this
+beats numpy, whose per-call overhead dominates on such small arrays.
 
 One forward recursion, run by one entry (_forward_pass) for loglik,
 filter, score, impute and the fit's kernel, has two modes. Paths mode
@@ -34,10 +34,10 @@ v, F, booked): per row the predicted and filtered moments and the
 disturbance covariance booked, pred_Pi, the diffuse part of the
 prediction, over the diffuse rows only, and per observed slot the
 innovation and its variance. loglik, which a fit's value-only evaluations
-call, keeps only v and F, so the logliks of the two modes are equal bit
-for bit. Every pass also returns S, the sum of v^2 / F over the slots past
-the diffuse phase, and N*, their number, with which fitting profiles the
-common scale of the variances out.
+call, keeps only what the slots give the log terms, so the logliks of the
+two modes are equal bit for bit. Every pass also returns S, the sum of
+v^2 / F over the slots past the diffuse phase, and N*, their number, with
+which fitting profiles the common scale of the variances out.
 
 The buffers are the only hand-off between the passes: smooth, score and
 imputation.impute read them through one backward entry, _smoothed, the RTS
@@ -51,13 +51,18 @@ recursion's operations in its order, so their numbers are equal bit for
 bit; the tests keep the list recursions there as the references.
 _forward_dim1 walks the observed slots, not the rows: a moving row books
 its transition variance just before its first slot, a row without slots
-changes nothing, and the diffuse phase ends at its one diffuse slot.
-_rows_dim1 derives the per-row buffers from each slot's filtered (a, P)
-by numpy indexing on the running slot count. _smoothed_dim1 gets each
-moving row's b and c from numpy first, and its float loop only updates
-the mean and the variance. Above state dimension 1, _smoothed_lists keeps
-only what is sequential, a rank-k update and a block back-substitution per
-row, and takes the precisions it needs from batched solves.
+changes nothing, and the diffuse phase ends at its one diffuse slot, slot
+0, which runs before the loop. The loop is the same in both modes: it
+keeps each slot's innovation v and predicted variance P, and nothing else.
+numpy then does, with the same bits, what needs no running state: F = P +
+h[hidx], its range check, the log terms and, in paths mode, each slot's
+filtered (a, P), the mean as a running sum in slot order. _rows_dim1 reads
+the per-row buffers off those by numpy indexing on the running slot count.
+_smoothed_dim1 gets each moving row's b and c from numpy first, and its
+float loop only updates the mean and the variance. Above state dimension
+1, _smoothed_lists keeps only what is sequential, a rank-k update and a
+block back-substitution per row, and takes the precisions it needs from
+batched solves.
 
 Both backward passes step only through the rows that move some block, last
 first, and _filled fills every other row, or just the listed ones, by one
@@ -153,7 +158,10 @@ class CompiledModel:
     reads nothing else. The other columns are read-only arrays: level,
     count, moved, corr, apply_, window and tvar are read by _forward,
     _backward and _score, which take one .tolist() of each they loop over
-    per pass, and by numpy indexing.
+    per pass, and by numpy indexing. y_array and hidx_array hold y and hidx
+    again as arrays, for the numpy steps: _forward_dim1's innovation
+    variances after its loop, the score's measurement terms and
+    fitting.default_start.
 
     At state dimension 1 (None otherwise) two more tuples are per slot, for
     _forward_dim1's slot loop: book_tvar[o] is the transition-variance
@@ -184,6 +192,8 @@ class CompiledModel:
     level: np.ndarray
     y: tuple
     hidx: tuple
+    y_array: np.ndarray
+    hidx_array: np.ndarray
     count: np.ndarray  # (n,)
     moved: np.ndarray  # (n,)
     corr: np.ndarray  # (n,)
@@ -238,8 +248,9 @@ def compile_model(
         book_tvar = tuple(book.tolist())
         book_window = tuple(window[keys.row, 0].tolist())
         paths_index = at, tvar[moving, 0], window[moving, 0]
-    frozen = (keys.row, keys.col, level, count, moved, corr, apply_, window, tvar, moving, fill)
-    for a in (*frozen, *(paths_index or ())):
+    y = view.value[keys.slot]
+    frozen = (keys.row, keys.col, level, y, hidx, count, moved, corr, apply_, window, tvar)
+    for a in (*frozen, moving, fill, *(paths_index or ())):
         a.setflags(write=False)
 
     return CompiledModel(
@@ -253,8 +264,10 @@ def compile_model(
         obs_row=keys.row,
         obs_col=keys.col,
         level=level,
-        y=tuple(view.value[keys.slot].tolist()),
+        y=tuple(y.tolist()),
         hidx=tuple(hidx.tolist()),
+        y_array=y,
+        hidx_array=hidx,
         count=count,
         moved=moved,
         corr=corr,
@@ -498,8 +511,8 @@ def _score(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
     X, V = _filled(cm, X, XV)
 
     d = h.size
-    rows, level, hidx = cm.obs_row, cm.level, np.array(cm.hidx, dtype=int)
-    e = np.array(cm.y) - X[rows, level]
+    rows, level, hidx = cm.obs_row, cm.level, cm.hidx_array
+    e = cm.y_array - X[rows, level]
     var = h[hidx]
     quad = np.bincount(hidx, e * e / var / (2.0 * var), minlength=d)
     rest = np.bincount(hidx, (V[rows, level, level] / var - 1.0) / (2.0 * var), minlength=d)
@@ -545,8 +558,8 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
     X, XV = X[:, 0], XV[:, 0, 0]
 
     d = h.size
-    rows, hidx = cm.obs_row, np.array(cm.hidx, dtype=int)
-    e = np.array(cm.y) - X[rows]
+    rows, hidx = cm.obs_row, cm.hidx_array
+    e = cm.y_array - X[rows]
     var = h[hidx]
     quad = np.bincount(hidx, e * e / var / (2.0 * var), minlength=d)
     rest = np.bincount(hidx, (XV[rows] / var - 1.0) / (2.0 * var), minlength=d)
@@ -590,10 +603,11 @@ def _forward(
     pred_P, pred_Pi, filt_a, filt_P, v, F, booked): per row, pred_Pi over
     the diffuse rows only; v and F per observed slot; booked the k x k
     trend-tail disturbance covariance of each row. Here all eight are
-    array('d')s appended row by row. _forward_dim1 appends v and F per slot
-    as well, but derives the six per-row buffers afterwards as numpy arrays
-    (_rows_dim1), with the same bytes. Without keep_paths only v and F are
-    kept, for the log terms, and buffers is None.
+    array('d')s appended row by row. _forward_dim1 appends v and the
+    predicted variance P per slot, and derives F and the six per-row
+    buffers afterwards as numpy arrays (_rows_dim1), with the same bytes.
+    Without keep_paths only v and F are kept, for the log terms, and
+    buffers is None.
     """
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
@@ -716,93 +730,144 @@ def _forward_dim1(
     # _forward at s = 1, with the same arguments and results, from the
     # diffuse start (P_inf = 1) or a proper prior: a, P and P_inf are floats
     # instead of one-element lists, and every operation is _forward's, in
-    # its order. The one loop walks the observed slots, not the rows: a
-    # moving row books its transition variance just before its first slot,
-    # and a row without slots changes nothing. The diffuse phase ends at its
-    # one diffuse slot, where K = 1 annihilates P_inf. Paths mode keeps each
-    # slot's filtered (a, P) after the start's, and _rows_dim1 derives the
-    # per-row buffers from them.
-    rec_v, rec_F = array("d"), array("d")
-    keep_v, keep_F = rec_v.append, rec_F.append
-    rec_diffuse = {}
-    tiny, inf = sys.float_info.min, math.inf  # F below tiny is subnormal
+    # its order. The loop walks the observed slots, not the rows: a moving
+    # row books its transition variance just before its first slot, and a
+    # row without slots changes nothing. The diffuse phase ends at its one
+    # diffuse slot, slot 0 from the diffuse start, where K = 1 annihilates
+    # P_inf; that slot runs before the loop. The loop is the same in both
+    # modes: per slot it keeps the innovation v and the predicted variance
+    # P, and updates a and P. numpy does the rest afterwards, with the same
+    # bits: F = P + h[hidx], the loop's own sum, and its range check
+    # (_innovation_variances), the log terms (_log_sum) and, in paths mode,
+    # each slot's filtered (a, P) and the per-row buffers (_rows_dim1). An F
+    # of +-0.0 stops the loop at its division; the range check then names
+    # that slot, or an earlier one.
+    rec_v, rec_P = array("d"), array("d")
+    keep_v, keep_P = rec_v.append, rec_P.append
     (a,), (P,), (Pi,) = a, Ps, Pi
     Pi_start = Pi if diffuse else 0.0
-    if keep_paths:
-        slot_a, slot_P = array("d", [a]), array("d", [P])
-        keep_a, keep_P = slot_a.append, slot_P.append
-
-    for o, (yo, i, t, w) in enumerate(zip(cm.y, cm.hidx, cm.book_tvar, cm.book_window)):
-        if t >= 0:
-            P += h[t] * w
+    head = [(a, P)]  # the start's (a, P), then the diffuse slot's filtered ones
+    F_inf = {}
+    slots = zip(cm.y, cm.hidx, cm.book_tvar, cm.book_window)
+    if diffuse and Pi > DIFFUSE_TOL and cm.y:
+        yo, i, _, _ = next(slots)  # a series' first slot books nothing
         v = yo - a
         F = P + h[i]
-        if diffuse and Pi > DIFFUSE_TOL:
-            K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
-            a += K * v
-            P = ((P + K * K * F) - K * P) - P * K
-            rec_diffuse[o] = Pi  # F_inf at s = 1
-            Pi -= K * Pi
-            diffuse = False
-        else:
-            if not tiny <= F < inf:
-                raise ConditioningError(
-                    int(cm.obs_row[o]), f"innovation variance {F} at slot column {cm.obs_col[o]}"
-                )
-            K = P / F
+        K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
+        a += K * v
+        keep_v(v)
+        keep_P(P)
+        P = ((P + K * K * F) - K * P) - P * K
+        F_inf[0] = Pi  # F_inf at s = 1
+        Pi -= K * Pi
+        head.append((a, P))
+
+    try:
+        for yo, i, t, w in slots:
+            if t >= 0:
+                P += h[t] * w
+            v = yo - a
+            keep_v(v)
+            keep_P(P)
+            K = P / (P + h[i])
             a += K * v
             P -= K * P
-        keep_v(v)
-        keep_F(F)
-        if keep_paths:
-            keep_a(a)
-            keep_P(P)
+    except ZeroDivisionError:
+        pass  # F is +-0.0, out of range
 
-    ll, S, N = _log_sum(cm, rec_v, rec_F, rec_diffuse)
+    h = np.array(h)
+    v, P = np.frombuffer(rec_v), np.frombuffer(rec_P)
+    F = _innovation_variances(cm, h, P, len(F_inf))
+    ll, S, N = _log_sum(cm, v, F, F_inf)
     buffers = None
     if keep_paths:
         pred_a, pred_P, pred_Pi, filt_a, filt_P, booked = _rows_dim1(
-            cm, h, slot_a, slot_P, Pi_start, rec_diffuse
+            cm, h, head, v, P, F, Pi_start
         )
-        buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
-    return ll, (S, N), buffers, len(rec_diffuse)
+        buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, F, booked
+    return ll, (S, N), buffers, len(F_inf)
 
 
-def _rows_dim1(cm: CompiledModel, h: list, slot_a, slot_P, Pi: float, rec_diffuse: dict) -> tuple:
+@np.errstate(over="ignore", invalid="ignore")
+def _innovation_variances(
+    cm: CompiledModel, h: np.ndarray, P: np.ndarray, n_diffuse: int
+) -> np.ndarray:
+    # F = P + h[hidx] for each slot that _forward_dim1's loop kept, and
+    # _forward's range check on every F past the n_diffuse leading diffuse
+    # slots: the first that is not a finite normal positive float raises
+    # _forward's ConditioningError (a subnormal F would overflow 1 / F)
+    F = P + h[cm.hidx_array[: P.size]]
+    ok = (F >= sys.float_info.min) & (F < math.inf)
+    ok[:n_diffuse] = True
+    if not ok.all():
+        o = int(ok.argmin())
+        raise ConditioningError(
+            int(cm.obs_row[o]), f"innovation variance {float(F[o])} at slot column {cm.obs_col[o]}"
+        )
+    return F
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rows_dim1(
+    cm: CompiledModel,
+    h: np.ndarray,
+    head: list,
+    v: np.ndarray,
+    P: np.ndarray,
+    F: np.ndarray,
+    Pi: float,
+) -> tuple:
     # _forward's per-row buffers at s = 1 (pred_a, pred_P, pred_Pi, filt_a,
-    # filt_P, booked) from the start and each slot's filtered (a, P), at 0
-    # and o + 1 of slot_a and slot_P. Row nu is filtered as its last slot
-    # left it, or as row nu - 1 if it has none, and predicted as row nu - 1
-    # was filtered, plus the variance it books if it moves. The diffuse rows,
-    # from a start with P_inf = Pi (0 if proper), run to the diffuse slot's
-    # row, or to the end if no slot ends the phase.
+    # filt_P, booked) from _forward_dim1's per-slot v, P and F. head holds
+    # the start's (a, P), then the diffuse slot's filtered ones; the loop's
+    # slots after it are filtered as the loop filtered them, K = P / F,
+    # P - K * P, and a + K * v, added up in slot order by np.cumsum from the
+    # mean the loop started at. With the start at 0 and slot o's filtered
+    # (a, P) at o + 1, row nu is filtered as its last slot left it, or as
+    # row nu - 1 if it has none, and predicted as row nu - 1 was filtered,
+    # plus the variance it books if it moves. The diffuse rows, from a start
+    # with P_inf = Pi (0 if proper), run to the diffuse slot's row, or to the
+    # end if no slot ends the phase.
     at, tvar, window = cm.paths_index
-    A = np.frombuffer(slot_a)[at]  # the start, then each row's filtered mean
-    P = np.frombuffer(slot_P)[at]
-    q = np.array(h)[tvar] * window
+    d = len(head)
+    slot_a, slot_P = np.empty(P.size + 1), np.empty(P.size + 1)
+    slot_a[:d], slot_P[:d] = zip(*head)
+    filt_a, filt_P = slot_a[d:], slot_P[d:]
+    P, F, v = P[d - 1 :], F[d - 1 :], v[d - 1 :]
+    np.divide(P, F, out=filt_P)  # K, in the loop's order
+    np.multiply(filt_P, v, out=filt_a)
+    np.multiply(filt_P, P, out=filt_P)
+    np.subtract(P, filt_P, out=filt_P)
+    if filt_a.size:
+        filt_a[0] += slot_a[d - 1]
+        np.cumsum(filt_a, out=filt_a)
+    A, P = slot_a[at], slot_P[at]  # the start, then each row's filtered moments
+    q = h[tvar] * window
     booked = np.zeros(cm.n)
     booked[cm.moving] = q
     pred_P = P[:-1].copy()
     pred_P[cm.moving] += q
     n_diffuse_rows = 0
     if Pi:
-        n_diffuse_rows = int(cm.obs_row[min(rec_diffuse)]) + 1 if rec_diffuse else cm.n
+        n_diffuse_rows = int(cm.obs_row[0]) + 1 if d > 1 else cm.n
     return A[:-1].copy(), pred_P, np.full(n_diffuse_rows, Pi), A[1:], P[1:], booked
 
 
 @np.errstate(over="ignore")  # a decorator: cheaper per call than a with block
-def _log_sum(cm: CompiledModel, v: array, F: array, F_inf: dict) -> tuple:
+def _log_sum(cm: CompiledModel, v, F, F_inf: dict) -> tuple:
     # (loglik, S, N*): slot o adds -(log 2pi + log F + v^2 / F) / 2 to the
     # loglik, with F_inf for F and no v^2 term at a diffuse slot. The terms
     # are vectorized; the sum runs in slot order (np.cumsum: np.sum adds
-    # pairwise, which moves the last bits). Every F is normal, so log F is
-    # finite, but v^2 / F may overflow: a sum that is not finite raises at
-    # the slot where it stops being finite. S is the sum of v^2 / F and N*
-    # the number of slots past the diffuse phase, the two numbers the
-    # loglik's dependence on a common scale of the variances reads
-    if not F:
+    # pairwise, which moves the last bits). Every F past the diffuse phase
+    # is normal (checked in _forward's loop, or after it at s = 1 by
+    # _innovation_variances), so log F is finite, but v^2 / F may overflow:
+    # a sum that is not finite raises at the slot where it stops being
+    # finite. S is the sum of v^2 / F and N* the number of slots past the
+    # diffuse phase, the two numbers the loglik's dependence on a common
+    # scale of the variances reads
+    if not len(F):
         return 0.0, 0.0, 0
-    v, F = np.array(v), np.array(F)  # copies: the filter reads v afterwards
+    v, F = np.array(v), np.array(F)  # copies: the filter reads v and F afterwards
     for o, Fi in F_inf.items():
         # F_star is unchecked at a diffuse slot, but F_inf > 0: every divisor
         # is positive, and the v^2 term is +0.0

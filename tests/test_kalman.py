@@ -796,6 +796,53 @@ def test_forward_dim1_raises_on_a_second_slot_as_forward(at, keep_paths):
     assert str(fast.value).endswith(f"at slot column {col}")
 
 
+@pytest.mark.parametrize("case", ["zero", "nan"])
+@pytest.mark.parametrize("prior", [None, (0.3, 0.5)], ids=["diffuse", "proper"])
+@pytest.mark.parametrize("keep_paths", [False, True], ids=["loglik", "paths"])
+def test_forward_dim1_range_check_after_the_loop_raises_as_forward(case, prior, keep_paths):
+    # _forward_dim1 checks F only after its loop. With every variance 0.0
+    # the first slot (the diffuse one, or the proper prior's, K = 1 either
+    # way) leaves P = 0, so the row's second slot has F = 0.0, where the
+    # loop stops at its division by zero. A NaN variance of the last row's
+    # second slot gives a NaN F, which the loop runs past. Either way the
+    # check raises _forward's ConditioningError at that slot, the kernel
+    # scores the point NaN, and no RuntimeWarning is raised
+    _, layout, _, cm = _four_slot_panel()
+    if case == "zero":
+        nu, col, F = 1, 1, 0.0
+        h = np.zeros(layout.n_params)
+    else:
+        nu, col, F = 4, 1, math.nan
+        h = np.full(layout.n_params, 0.5)
+        h[layout.meas_index[(0, 4)]] = math.nan
+    h = h.tolist()
+
+    def start():
+        if prior is None:
+            return kalman._diffuse_start(1)
+        return [prior[0]], [prior[1]], [0.0], False
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConditioningError) as fast:
+            kalman._forward_dim1(cm, h, *start(), keep_paths)
+        with pytest.raises(ConditioningError) as ref:
+            kalman._forward(cm, h, *start(), keep_paths)
+        with pytest.raises(ConditioningError) as run:  # the one forward entry
+            kalman._forward_pass(cm, h, keep_paths, None if prior is None else start())
+        nan_value = _kernels.loglik_from_compiled(cm, h)
+        outs = [np.zeros(2), np.zeros(2 + 2 * layout.n_params)]
+        nan_outs = [_kernels.loglik_from_compiled(cm, h, out) for out in outs]
+    assert str(fast.value) == str(ref.value) == str(run.value)
+    assert fast.value.row_index == ref.value.row_index == nu
+    assert type(fast.value.row_index) is int
+    assert str(fast.value).startswith(f"row {nu}: innovation variance {F} ")
+    assert str(fast.value).endswith(f"at slot column {col}")
+    assert math.isnan(nan_value) and all(math.isnan(x) for x in nan_outs)
+    assert all(np.isnan(out).all() for out in outs)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("prior", [None, (0.3, 0.5)], ids=["diffuse", "proper"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forward_dim1_equals_forward_bitwise(seed, prior):
@@ -1116,10 +1163,14 @@ def test_compiled_indices_match_slot_walk(build):
         assert np.array_equal(cm.moved, apply_.any(axis=1)), spec
         assert all(type(x) is int for x in cm.hidx), spec
         assert all(type(x) is float for x in cm.y), spec
-        # the per-row and per-(row, series) columns are read-only integer,
-        # bool and float arrays
-        for name, kind in (("level", "i"), ("count", "i"), ("corr", "i"), ("tvar", "i"),
-                           ("moved", "b"), ("apply_", "b"), ("window", "f")):
+        # the same per-slot columns as arrays, for numpy
+        assert cm.y_array.tolist() == list(cm.y), spec
+        assert cm.hidx_array.tolist() == list(cm.hidx), spec
+        # those and the per-row and per-(row, series) columns are read-only
+        # integer, bool and float arrays
+        for name, kind in (("y_array", "f"), ("hidx_array", "i"), ("level", "i"), ("count", "i"),
+                           ("corr", "i"), ("tvar", "i"), ("moved", "b"), ("apply_", "b"),
+                           ("window", "f")):
             x = getattr(cm, name)
             assert x.dtype.kind == kind and not x.flags.writeable, (spec, name)
         # at every state dimension: the moving rows, of which row 0 is never
@@ -1325,6 +1376,52 @@ def test_loglik_scale_identity_at_full_length(case):
     for c in (0.5, 3.0):
         want = ll - 0.5 * N * math.log(c) - 0.5 * S * (1.0 / c - 1.0)
         assert abs(kloglik(cm, _scaled(layout, params, c)) - want) <= 1e-8, c
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_grid_rows_are_neutral_at_full_length(m):
+    # criterion 2 at the paper record's length: the 10-ky grid, 6,700
+    # stamps over 67 My, inserted as all-missing rows leaves the loglik,
+    # (S, N*) and the smoothed moments at the data rows bitwise unchanged,
+    # for rwn and order 2 at the default start
+    data = _paper_length_panel("univariate")
+    grid = pk.make_grid(67.0, 0.0, 10_000.0)
+    aug = recollate(data, empty_stamps=grid)
+    keep = np.flatnonzero(np.isin(aug.view.stamps, data.view.stamps))
+    assert len(grid) == 6_700 and aug.n_rows == data.n_rows + 6_700
+    assert keep.size == data.n_rows
+    spec = ModelSpec(order_m=m)
+    layout = build_layout(spec, data)
+    params = pk.fitting.default_start(layout, compile_model(spec, layout, data))
+    passes = []
+    for panel in (data, aug):
+        cm = compile_model(spec, layout, panel)
+        stats = np.zeros(2)
+        ll = _kernels.loglik_from_compiled(cm, params, stats)
+        passes.append((ll, stats, smooth(kfilter(spec, layout, params, panel, compiled=cm))))
+    (ll, stats, paths), (ll_aug, stats_aug, paths_aug) = passes
+    assert math.isfinite(ll) and _same_bits(ll_aug, ll)
+    assert _same_bits(stats_aug, stats)
+    assert _same_bits(paths_aug.smoothed_means[keep], paths.smoothed_means)
+    assert _same_bits(paths_aug.smoothed_covs[keep], paths.smoothed_covs)
+
+
+def test_bivariate_loglik_factorizes_at_full_length():
+    # criterion 7 at the paper record's length: at rho = 0 the bivariate
+    # loglik is the sum of the two univariate ones, to
+    # test_criterion_07_bivariate_factorization's 1e-8 relative
+    data = _paper_length_panel("bivariate")
+    biv = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    layout = build_layout(biv, data)
+    assert [p.role for p in layout.params] == ["sigma_eps2"] * 2 + ["sigma_eta2"] * 2 + ["rho"]
+    eps, eta = (_PAPER_EPS2, 0.03), (1.8364, 1.2)
+    ll = kloglik(compile_model(biv, layout, data), [*eps, *eta, 0.0])
+    total = 0.0
+    for j, arity in enumerate(("univariate-series1", "univariate-series2")):
+        spec = ModelSpec(arity=arity)
+        total += kloglik(compile_model(spec, build_layout(spec, data), data), [eps[j], eta[j]])
+    assert math.isfinite(total)
+    assert abs(ll - total) <= 1e-8 * abs(total)
 
 
 def test_score_raises_loglik_conditioning_error():
