@@ -3,11 +3,14 @@
 The loglik is kalman.loglik's: one run of the filter's own forward
 recursion (kalman._forward_pass), without its paths, so the two logliks are
 equal bit for bit. At state dimension 1 that is the one float forward
-recursion (kalman._forward_dim1), whose paths mode feeds the backward sweep
-over the moving rows (kalman._smoothed_dim1) that smooth and the score
-share. Here an inadmissible parameter point (an innovation variance that is
-not a finite normal positive float, a loglik sum that is not finite, or
-trend variances with no real increment covariance) gives NaN rather than
+recursion (kalman._forward_dim1), whose paths, its per-slot record, feed
+the backward sweep over the moving rows (kalman._smoothed_dim1) that
+smooth and the score share; a score builds no buffer over every row. A
+call costs those two loops and a fixed few numpy calls, with one
+np.errstate scope for the forward pass and one for the score. Here an
+inadmissible parameter point (an innovation variance that is not a finite
+normal positive float, a loglik sum that is not finite, or trend
+variances with no real increment covariance) gives NaN rather than
 ConditioningError, so the optimizer can score it.
 
 Given an array, the same call also fills it with the (S, N*) that every
@@ -43,9 +46,8 @@ def loglik_from_compiled(cm, params, out=None) -> float:
     NaN where the loglik is, and the score's parts are NaN where the
     backward pass fails: LinAlgError at a singular trend disturbance
     covariance (|rho| = 1), ZeroDivisionError at a zero predicted variance
-    at state dimension 1. Floating-point warnings are off for such a call,
-    since a variance at or near zero can divide by zero or overflow in the
-    score.
+    at state dimension 1. Floating-point warnings are off for the score,
+    since a variance at or near zero can divide by zero or overflow there.
     """
     if out is None:
         try:
@@ -53,15 +55,15 @@ def loglik_from_compiled(cm, params, out=None) -> float:
         except kalman.ConditioningError:
             return math.nan
     h = np.asarray(params, dtype=float)
-    out[:] = math.nan
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        try:
-            ll, out[:2], buffers, _ = kalman._forward_pass(cm, h, out.size > 2)
-        except kalman.ConditioningError:
-            return math.nan
-        if buffers is not None:
+    try:
+        ll, (out[0], out[1]), buffers, _ = kalman._forward_pass(cm, h, out.size > 2)
+    except kalman.ConditioningError:
+        out[:] = math.nan
+        return math.nan
+    if buffers is not None:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
                 out[2:] = kalman._score_from_buffers(cm, h, buffers).ravel()
             except (np.linalg.LinAlgError, ZeroDivisionError):
-                pass  # the score's parts stay NaN
+                out[2:] = math.nan
     return ll

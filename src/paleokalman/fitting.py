@@ -94,28 +94,29 @@ class ParamTransform:
     """Bijection between unconstrained theta and natural-scale params.
 
     Variances map through exp/log, correlations through tanh/atanh.
-    is_corr marks the correlations; it is derived from roles once.
+    is_corr marks the correlations, and has_corr says whether there are
+    any; both are derived from roles once.
     """
 
     roles: tuple
     is_corr: np.ndarray = field(init=False, repr=False, compare=False)
+    has_corr: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         is_corr = np.array([r == "rho" for r in self.roles], dtype=bool)
         object.__setattr__(self, "is_corr", is_corr)
+        object.__setattr__(self, "has_corr", bool(is_corr.any()))
 
     @classmethod
     def for_layout(cls, layout: ParameterLayout) -> "ParamTransform":
         return cls(roles=tuple(p.role for p in layout.params))
 
+    @np.errstate(over="ignore")  # a large theta's exp is inf; the objective scores it
     def to_natural(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        out = np.empty_like(theta)
-        corr = self.is_corr
-        with np.errstate(over="ignore"):
-            out[~corr] = np.exp(theta[~corr])
-        out[corr] = np.tanh(theta[corr])
-        return out
+        if not self.has_corr:
+            return np.exp(theta)
+        return np.where(self.is_corr, np.tanh(theta), np.exp(theta))
 
     def to_unconstrained(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=float)
@@ -126,13 +127,13 @@ class ParamTransform:
         return out
 
     def natural_jacobian_diag(self, theta) -> np.ndarray:
-        """d(natural)/d(theta), used by the chain rule and the delta method."""
+        """d(natural)/d(theta), used by the chain rule and the delta method.
+        A correlation's exp, discarded, overflows past theta = 709.78 only
+        in the objective, which calls this in its own np.errstate scope."""
         theta = np.asarray(theta, dtype=float)
-        out = np.empty_like(theta)
-        corr = self.is_corr
-        out[~corr] = np.exp(theta[~corr])
-        out[corr] = 1.0 - np.tanh(theta[corr]) ** 2
-        return out
+        if not self.has_corr:
+            return np.exp(theta)
+        return np.where(self.is_corr, 1.0 - np.tanh(theta) ** 2, np.exp(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -190,38 +191,44 @@ class _Objective:
     def __call__(self, phi, with_score=False) -> float:
         """The value at phi, from its record or else one counted kernel
         call; with_score has the call keep the gradient for value_and_grad."""
-        phi = np.array(phi, dtype=float)
+        return self._scored(phi, with_score)[0]
+
+    def _scored(self, phi, with_score: bool) -> tuple:
+        # phi's record, scored unless it is there already
+        theta = np.array((self.theta_ref, *phi))
+        phi = theta[1:]
         key = phi.tobytes()
         seen = self.points.get(key)
         if seen is not None and (seen[1] is not None or not with_score):
-            return seen[0]
+            return seen
         if self.budget is not None and self.n_evals >= self.budget:
             raise _BudgetExhausted()
         self.n_evals += 1
-        theta = np.concatenate(([self.theta_ref], phi))
         h = self.transform.to_natural(theta)
-        f, g, scaled = _PENALTY, np.zeros(h.size), None
+        f, g, scaled = _PENALTY, None, None
         # a variance at or near zero makes the filter raise ConditioningError,
         # which the kernel returns as NaN: the penalty
-        if np.all(np.isfinite(h)):
+        if np.isfinite(h).all():
             out = np.empty(2 + 2 * h.size if with_score else 2)
             ll = _kernels.loglik_from_compiled(self.cm, h, out)
             S, N = float(out[0]), float(out[1])
             c = S / N if N else 1.0
             if math.isfinite(ll) and 0.0 < c < math.inf:
                 f = -(ll - 0.5 * N * math.log(c) - 0.5 * (N - S)) * self.scale
-                scaled = np.where(self.transform.is_corr, h, c * h)
-                g = None
+                scaled = c * h
+                if self.transform.has_corr:
+                    scaled = np.where(self.transform.is_corr, h, scaled)
                 if with_score:
-                    quad, rest = out[2:].reshape(2, h.size)
-                    jac = self.transform.natural_jacobian_diag(theta)
                     with np.errstate(over="ignore", invalid="ignore"):
-                        g = -(quad / c + rest) * jac * self.scale
-        self.points[key] = f, g, scaled
+                        jac = self.transform.natural_jacobian_diag(theta)
+                        g = -(out[2 : 2 + h.size] / c + out[2 + h.size :]) * jac * self.scale
+        if scaled is None:
+            g = np.zeros(h.size)
+        record = self.points[key] = f, g, scaled
         if f < self.best_f:
             self.best_f = f
             self.best_x = phi
-        return f
+        return record
 
     def diagonal_curvature(self, phi) -> np.ndarray:
         """The objective's central second difference along each coordinate
@@ -239,12 +246,10 @@ class _Objective:
         from its record if that kept the gradient. A point that scores the
         penalty, or where any entry of the gradient in theta (theta_ref's
         too) is not finite, gives the penalty and a zero gradient."""
-        phi = np.asarray(phi, dtype=float)
-        self(phi, with_score=True)
-        f, g, _ = self.points[phi.tobytes()]
-        if np.all(np.isfinite(g)):
+        f, g, _ = self._scored(phi, True)
+        if np.isfinite(g).all():
             return f, g[1:]
-        return _PENALTY, np.zeros(phi.size)
+        return _PENALTY, np.zeros(g.size - 1)
 
 
 def _negative_loglik(cm: CompiledModel, transform: ParamTransform):

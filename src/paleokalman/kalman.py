@@ -33,11 +33,12 @@ keeps eight flat float64 buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P,
 v, F, booked): per row the predicted and filtered moments and the
 disturbance covariance booked, pred_Pi, the diffuse part of the
 prediction, over the diffuse rows only, and per observed slot the
-innovation and its variance. loglik, which a fit's value-only evaluations
-call, keeps only what the slots give the log terms, so the logliks of the
-two modes are equal bit for bit. Every pass also returns S, the sum of
-v^2 / F over the slots past the diffuse phase, and N*, their number, with
-which fitting profiles the common scale of the variances out.
+innovation and its variance; at state dimension 1 they are derived on
+demand (see below). loglik, which a fit's value-only evaluations call,
+keeps only what the slots give the log terms, so the logliks of the two
+modes are equal bit for bit. Every pass also returns S, the sum of v^2 / F
+over the slots past the diffuse phase, and N*, their number, with which
+fitting profiles the common scale of the variances out.
 
 The buffers are the only hand-off between the passes: smooth, score and
 imputation.impute read them through one backward entry, _smoothed, the RTS
@@ -54,10 +55,15 @@ its transition variance just before its first slot, a row without slots
 changes nothing, and the diffuse phase ends at its one diffuse slot, slot
 0, which runs before the loop. The loop is the same in both modes: it
 keeps each slot's innovation v and predicted variance P, and nothing else.
-numpy then does, with the same bits, what needs no running state: F = P +
-h[hidx], its range check, the log terms and, in paths mode, each slot's
-filtered (a, P), the mean as a running sum in slot order. _rows_dim1 reads
-the per-row buffers off those by numpy indexing on the running slot count.
+numpy then does, with the same bits and in one np.errstate scope, what
+needs no running state: F = P + h[hidx], its range check and the log
+terms, copying F only where a buffer keeps it, and in paths mode
+each slot's filtered (a, P), the mean as a running sum in slot order. The
+paths are a _SlotPaths: v and F per slot and, per row, the filtered
+moments its first slot starts from. _smoothed_dim1 reads only those, a
+moving row predicted as its first slot starts plus the variance it books,
+so score and impute build no buffer over every row; _rows_dim1 derives the
+eight buffers, with _forward's bytes, only when filter unpacks them.
 _smoothed_dim1 gets each moving row's b and c from numpy first, and its
 float loop only updates the mean and the variance. Above state dimension
 1, _smoothed_lists keeps only what is sequential, a rank-k update and a
@@ -72,8 +78,9 @@ score, the exact gradient of the loglik that fitting climbs, reads the two
 passes' smoothed moments by Fisher's identity, its terms summed by
 np.bincount in two parts, quad (the terms in the squared residuals) and
 rest, which a common scale of the variances moves by different powers:
-_score_dim1 reads the float sweep's b and c, and the numpy path _score,
-its reference at state dimension 1, the same passes. One step,
+_score_dim1 reads the float sweep's b and c, and each slot's smoothed
+moments through one index (CompiledModel.slot_fill), and the numpy path
+_score, its reference at state dimension 1, the same passes. One step,
 _score_from_buffers, gives the two parts from a paths-mode pass's buffers.
 score, which sums them, and the fit's kernel (_kernels.loglik_from_compiled
 with an array of 2 + 2d entries) both run it after _forward_pass, and the
@@ -148,9 +155,10 @@ class CompiledModel:
     (never row 0), the only rows the backward passes step through; they
     give row n - 1's moments, then row u - 1's for each moving row u, last
     first, and row nu takes entry fill[nu], the count of moving rows above
-    it. Per (row, series), at [nu, j], apply_ and window give the booking
-    schedule (modelspec.booking_schedule): the window is the row's stamp
-    minus that of the series' previous observed row. tvar is the
+    it, as slot o does slot_fill[o], its row's. Per (row, series), at [nu,
+    j], apply_ and window give the booking schedule
+    (modelspec.booking_schedule): the window is the row's stamp minus that
+    of the series' previous observed row. tvar is the
     transition-variance index (-1 absent).
 
     Only the per-slot y and hidx, and book_tvar and book_window below, are
@@ -167,10 +175,10 @@ class CompiledModel:
     _forward_dim1's slot loop: book_tvar[o] is the transition-variance
     index booked just before slot o, set only at the first slot of a moving
     row and -1 elsewhere, and book_window[o] is the window of slot o's row.
-    paths_index holds the read-only arrays (at, tvar, window) that
-    _rows_dim1 derives the per-row paths with: at[nu] is the number of
-    slots before row nu (at[n] of all), and tvar and window are what each
-    moving row books.
+    paths_index holds the read-only arrays (at, tvar, window) that the
+    per-row paths are derived with: at[nu] is the number of slots before
+    row nu (at[n] of all), and tvar and window are what each moving row
+    books.
 
     compile_model builds it once from the panel's columnar view
     (PanelDataset.view) and the group keys modelspec.group_keys resolves
@@ -202,6 +210,7 @@ class CompiledModel:
     tvar: np.ndarray  # (n, k)
     moving: np.ndarray
     fill: np.ndarray
+    slot_fill: np.ndarray
     book_tvar: tuple | None
     book_window: tuple | None
     paths_index: tuple | None
@@ -250,7 +259,8 @@ def compile_model(
         paths_index = at, tvar[moving, 0], window[moving, 0]
     y = view.value[keys.slot]
     frozen = (keys.row, keys.col, level, y, hidx, count, moved, corr, apply_, window, tvar)
-    for a in (*frozen, moving, fill, *(paths_index or ())):
+    slot_fill = fill[keys.row]
+    for a in (*frozen, moving, fill, slot_fill, *(paths_index or ())):
         a.setflags(write=False)
 
     return CompiledModel(
@@ -276,6 +286,7 @@ def compile_model(
         tvar=tvar,
         moving=moving,
         fill=fill,
+        slot_fill=slot_fill,
         book_tvar=book_tvar,
         book_window=book_window,
         paths_index=paths_index,
@@ -387,13 +398,13 @@ class FilterRun:
     """Filter output plus the forward pass's buffers, which smooth reads
     (see the module docstring); booked holds the k x k covariance of the
     trend-tail disturbances that each row booked, zero where no block
-    moves."""
+    moves. At state dimension 1 the buffers are the pass's _SlotPaths."""
 
     compiled: CompiledModel
     loglik: float
     paths: StatePaths
     n_diffuse_slots: int
-    buffers: tuple = field(repr=False)
+    buffers: tuple | _SlotPaths = field(repr=False)
 
 
 def filter(
@@ -551,23 +562,27 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
     # _score at s = 1, bit for bit: the passes' float moments and the q, b
     # and c of their moving rows, and _score's np.bincount sums, the
     # measurement terms in slot order and the transition terms over the
-    # moving rows in row order
+    # moving rows in row order. The slots read their rows' smoothed moments
+    # through cm.slot_fill, and the moving rows take the entries before the
+    # last in reverse: a moving row u's, fill[u], counts the ones above it
     X, XV, A, (succ, q, b, c) = passes
     A, q, b, c = (x.reshape(-1) for x in (A, q, b, c))
-    X, XV = _filled(cm, X, XV)
-    X, XV = X[:, 0], XV[:, 0, 0]
+    X, XV = np.frombuffer(X), np.frombuffer(XV)
+    XV = (XV + XV) * 0.5  # _filled's symmetrization
+    Xu, XVu = X[-2::-1], XV[-2::-1]
+    X, XV = X[cm.slot_fill], XV[cm.slot_fill]
 
     d = h.size
-    rows, hidx = cm.obs_row, cm.hidx_array
-    e = cm.y_array - X[rows]
+    hidx = cm.hidx_array
+    e = cm.y_array - X
     var = h[hidx]
     quad = np.bincount(hidx, e * e / var / (2.0 * var), minlength=d)
-    rest = np.bincount(hidx, (XV[rows] / var - 1.0) / (2.0 * var), minlength=d)
+    rest = np.bincount(hidx, (XV / var - 1.0) / (2.0 * var), minlength=d)
 
     _, tvar, window = cm.paths_index
-    eta = b * (X[succ] - A)
+    eta = b * (Xu - A)
     quad += np.bincount(tvar, eta * eta / q / q * window / 2.0, minlength=d)
-    rest += np.bincount(tvar, ((c + b * XV[succ] * b) / q - 1.0) / q * window / 2.0, minlength=d)
+    rest += np.bincount(tvar, ((c + b * XVu * b) / q - 1.0) / q * window / 2.0, minlength=d)
     return np.array((quad, rest))
 
 
@@ -604,10 +619,9 @@ def _forward(
     the diffuse rows only; v and F per observed slot; booked the k x k
     trend-tail disturbance covariance of each row. Here all eight are
     array('d')s appended row by row. _forward_dim1 appends v and the
-    predicted variance P per slot, and derives F and the six per-row
-    buffers afterwards as numpy arrays (_rows_dim1), with the same bytes.
-    Without keep_paths only v and F are kept, for the log terms, and
-    buffers is None.
+    predicted variance P per slot, and returns a _SlotPaths, which gives
+    the eight as numpy arrays with the same bytes. Without keep_paths only
+    v and F are kept, for the log terms, and buffers is None.
     """
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
@@ -711,13 +725,16 @@ def _forward(
             filt_a.fromlist(a)
             filt_P.fromlist(Ps)
 
-    ll, S, N = _log_sum(cm, rec_v, rec_F, rec_diffuse)
+    F = np.array(rec_F) if keep_paths else np.frombuffer(rec_F)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ll, S, N = _log_sum(cm, np.frombuffer(rec_v), F, rec_diffuse)
     buffers = None
     if keep_paths:
         buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, rec_F, booked
     return ll, (S, N), buffers, len(rec_diffuse)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # for the numpy tail
 def _forward_dim1(
     cm: CompiledModel,
     h: list,
@@ -737,11 +754,11 @@ def _forward_dim1(
     # P_inf; that slot runs before the loop. The loop is the same in both
     # modes: per slot it keeps the innovation v and the predicted variance
     # P, and updates a and P. numpy does the rest afterwards, with the same
-    # bits: F = P + h[hidx], the loop's own sum, and its range check
-    # (_innovation_variances), the log terms (_log_sum) and, in paths mode,
-    # each slot's filtered (a, P) and the per-row buffers (_rows_dim1). An F
-    # of +-0.0 stops the loop at its division; the range check then names
-    # that slot, or an earlier one.
+    # bits, in the one np.errstate scope of the decorator: F = P + h[hidx],
+    # the loop's own sum, then its range check and the log terms
+    # (_log_sum), and in paths mode each slot's filtered (a, P), which give
+    # the paths (_SlotPaths). An F of +-0.0 stops the loop at its division;
+    # the range check then names that slot, or an earlier one.
     rec_v, rec_P = array("d"), array("d")
     keep_v, keep_P = rec_v.append, rec_P.append
     (a,), (P,), (Pi,) = a, Ps, Pi
@@ -777,106 +794,114 @@ def _forward_dim1(
 
     h = np.array(h)
     v, P = np.frombuffer(rec_v), np.frombuffer(rec_P)
-    F = _innovation_variances(cm, h, P, len(F_inf))
-    ll, S, N = _log_sum(cm, v, F, F_inf)
-    buffers = None
-    if keep_paths:
-        pred_a, pred_P, pred_Pi, filt_a, filt_P, booked = _rows_dim1(
-            cm, h, head, v, P, F, Pi_start
-        )
-        buffers = pred_a, pred_P, pred_Pi, filt_a, filt_P, rec_v, F, booked
-    return ll, (S, N), buffers, len(F_inf)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _innovation_variances(
-    cm: CompiledModel, h: np.ndarray, P: np.ndarray, n_diffuse: int
-) -> np.ndarray:
-    # F = P + h[hidx] for each slot that _forward_dim1's loop kept, and
-    # _forward's range check on every F past the n_diffuse leading diffuse
-    # slots: the first that is not a finite normal positive float raises
-    # _forward's ConditioningError (a subnormal F would overflow 1 / F)
     F = P + h[cm.hidx_array[: P.size]]
-    ok = (F >= sys.float_info.min) & (F < math.inf)
-    ok[:n_diffuse] = True
-    if not ok.all():
-        o = int(ok.argmin())
-        raise ConditioningError(
-            int(cm.obs_row[o]), f"innovation variance {float(F[o])} at slot column {cm.obs_col[o]}"
-        )
-    return F
+    ll, S, N = _log_sum(cm, v, F.copy() if keep_paths else F, F_inf)
+    paths = None
+    if keep_paths:
+        # each slot's filtered (a, P), as the loop filtered it after the
+        # head: K = P / F, P - K * P, and a + K * v, added up in slot order
+        # by np.cumsum from the mean the loop started at. With the start at
+        # 0 and slot o's at o + 1, row nu starts from entry at[nu]
+        d = len(head)
+        slot_a, slot_P = np.empty(P.size + 1), np.empty(P.size + 1)
+        slot_a[:d], slot_P[:d] = zip(*head)
+        filt_a, filt_P = slot_a[d:], slot_P[d:]
+        P, Fs, vs = P[d - 1 :], F[d - 1 :], v[d - 1 :]
+        np.divide(P, Fs, out=filt_P)  # K, in the loop's order
+        np.multiply(filt_P, vs, out=filt_a)
+        np.multiply(filt_P, P, out=filt_P)
+        np.subtract(P, filt_P, out=filt_P)
+        if filt_a.size:
+            filt_a[0] += slot_a[d - 1]
+            np.cumsum(filt_a, out=filt_a)
+        at = cm.paths_index[0]
+        # the diffuse rows, from a start with P_inf = Pi (0 if proper), run
+        # to the diffuse slot's row, or to the end if no slot ends the phase
+        n_diffuse_rows = 0
+        if Pi_start:
+            n_diffuse_rows = int(cm.obs_row[0]) + 1 if d > 1 else cm.n
+        pred_Pi = np.full(n_diffuse_rows, Pi_start)
+        paths = _SlotPaths(cm, h, v, F, slot_a[at], slot_P[at], pred_Pi)
+    return ll, (S, N), paths, len(F_inf)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _rows_dim1(
-    cm: CompiledModel,
-    h: np.ndarray,
-    head: list,
-    v: np.ndarray,
-    P: np.ndarray,
-    F: np.ndarray,
-    Pi: float,
-) -> tuple:
-    # _forward's per-row buffers at s = 1 (pred_a, pred_P, pred_Pi, filt_a,
-    # filt_P, booked) from _forward_dim1's per-slot v, P and F. head holds
-    # the start's (a, P), then the diffuse slot's filtered ones; the loop's
-    # slots after it are filtered as the loop filtered them, K = P / F,
-    # P - K * P, and a + K * v, added up in slot order by np.cumsum from the
-    # mean the loop started at. With the start at 0 and slot o's filtered
-    # (a, P) at o + 1, row nu is filtered as its last slot left it, or as
-    # row nu - 1 if it has none, and predicted as row nu - 1 was filtered,
-    # plus the variance it books if it moves. The diffuse rows, from a start
-    # with P_inf = Pi (0 if proper), run to the diffuse slot's row, or to the
-    # end if no slot ends the phase.
-    at, tvar, window = cm.paths_index
-    d = len(head)
-    slot_a, slot_P = np.empty(P.size + 1), np.empty(P.size + 1)
-    slot_a[:d], slot_P[:d] = zip(*head)
-    filt_a, filt_P = slot_a[d:], slot_P[d:]
-    P, F, v = P[d - 1 :], F[d - 1 :], v[d - 1 :]
-    np.divide(P, F, out=filt_P)  # K, in the loop's order
-    np.multiply(filt_P, v, out=filt_a)
-    np.multiply(filt_P, P, out=filt_P)
-    np.subtract(P, filt_P, out=filt_P)
-    if filt_a.size:
-        filt_a[0] += slot_a[d - 1]
-        np.cumsum(filt_a, out=filt_a)
-    A, P = slot_a[at], slot_P[at]  # the start, then each row's filtered moments
-    q = h[tvar] * window
+@dataclass(eq=False)
+class _SlotPaths:
+    """_forward_dim1's paths: v and F per slot, per row nu the filtered
+    moments A[nu], P[nu] that its first slot starts from (A[n], P[n] the
+    last row's), and _forward's pred_Pi. Indexed or unpacked it is
+    _forward's eight buffers, which _rows_dim1 derives on the first read,
+    for filter."""
+
+    cm: CompiledModel
+    h: np.ndarray
+    v: np.ndarray
+    F: np.ndarray
+    A: np.ndarray
+    P: np.ndarray
+    pred_Pi: np.ndarray
+    rows: tuple | None = None
+
+    def __len__(self) -> int:
+        return 8
+
+    def __getitem__(self, i):
+        if self.rows is None:
+            self.rows = _rows_dim1(self)
+        return self.rows[i]
+
+
+def _rows_dim1(paths: _SlotPaths) -> tuple:
+    # _forward's eight buffers at s = 1 from _forward_dim1's paths: row nu
+    # is filtered as row nu + 1 starts, and predicted as it starts, plus the
+    # variance it books if it moves; the diffuse rows are a leading run
+    cm, A, P = paths.cm, paths.A, paths.P
+    _, tvar, window = cm.paths_index
+    q = paths.h[tvar] * window
     booked = np.zeros(cm.n)
     booked[cm.moving] = q
     pred_P = P[:-1].copy()
     pred_P[cm.moving] += q
-    n_diffuse_rows = 0
-    if Pi:
-        n_diffuse_rows = int(cm.obs_row[0]) + 1 if d > 1 else cm.n
-    return A[:-1].copy(), pred_P, np.full(n_diffuse_rows, Pi), A[1:], P[1:], booked
+    return A[:-1].copy(), pred_P, paths.pred_Pi, A[1:], P[1:], paths.v, paths.F, booked
 
 
-@np.errstate(over="ignore")  # a decorator: cheaper per call than a with block
-def _log_sum(cm: CompiledModel, v, F, F_inf: dict) -> tuple:
-    # (loglik, S, N*): slot o adds -(log 2pi + log F + v^2 / F) / 2 to the
-    # loglik, with F_inf for F and no v^2 term at a diffuse slot. The terms
-    # are vectorized; the sum runs in slot order (np.cumsum: np.sum adds
-    # pairwise, which moves the last bits). Every F past the diffuse phase
-    # is normal (checked in _forward's loop, or after it at s = 1 by
-    # _innovation_variances), so log F is finite, but v^2 / F may overflow:
-    # a sum that is not finite raises at the slot where it stops being
-    # finite. S is the sum of v^2 / F and N* the number of slots past the
-    # diffuse phase, the two numbers the loglik's dependence on a common
-    # scale of the variances reads
+def _log_sum(cm: CompiledModel, v: np.ndarray, F: np.ndarray, F_inf: dict) -> tuple:
+    # (loglik, S, N*) from the slots' v and F, under the caller's
+    # np.errstate(divide, over, invalid = "ignore"): slot o adds -(log 2pi +
+    # log F + v^2 / F) / 2 to the loglik, with F_inf for F (set in F, in
+    # place) and no v^2 term at a diffuse slot. The terms are vectorized;
+    # the sum runs in slot order (np.cumsum: np.sum adds pairwise, which
+    # moves the last bits). S is the sum of v^2 / F and N* the number of
+    # slots past the diffuse phase, the two numbers the loglik's dependence
+    # on a common scale of the variances reads. The first F that is not a
+    # finite normal positive float raises _forward's ConditioningError (its
+    # loop raises it first; at s = 1 it is raised here), and a sum that is
+    # not finite raises at the slot where it stops being finite. An F_inf
+    # exceeds DIFFUSE_TOL, and an infinite F makes the sum infinite or NaN,
+    # so np.min tells a pass in range
     if not len(F):
         return 0.0, 0.0, 0
-    v, F = np.array(v), np.array(F)  # copies: the filter reads v and F afterwards
+    # F_star is unchecked at a diffuse slot, but F_inf > 0: every divisor
+    # is positive, and the v^2 term is +0.0
     for o, Fi in F_inf.items():
-        # F_star is unchecked at a diffuse slot, but F_inf > 0: every divisor
-        # is positive, and the v^2 term is +0.0
         F[o] = Fi
-        v[o] = 0.0
     q = v * v / F
-    total = np.cumsum(-0.5 * (_LOG2PI + np.log(F) + q))
+    for o in F_inf:
+        q[o] = 0.0
+    total = np.log(F)
+    total += _LOG2PI
+    total += q
+    total *= -0.5
+    np.cumsum(total, out=total)
     ll = float(total[-1])
-    if not math.isfinite(ll):
+    tiny = sys.float_info.min
+    if not (math.isfinite(ll) and F.min() >= tiny):
+        ok = (F >= tiny) & (F < math.inf)
+        if not ok.all():
+            o = int(ok.argmin())
+            raise ConditioningError(
+                int(cm.obs_row[o]), f"innovation variance {float(F[o])} at slot column {cm.obs_col[o]}"
+            )
         o = int(np.argmax(~np.isfinite(total)))
         raise ConditioningError(
             int(cm.obs_row[o]),
@@ -929,25 +954,26 @@ def _smoothed(cm: CompiledModel, buffers: tuple) -> tuple:
     return (_smoothed_dim1 if cm.s == 1 else _smoothed_lists)(cm, buffers)
 
 
-def _smoothed_dim1(cm: CompiledModel, buffers: tuple) -> tuple:
-    # _smoothed_lists at s = 1, bit for bit, over _forward_dim1's numpy
-    # buffers, with A as (u, 1) and (succ, q, b, c) as (u, 1, 1) views and
-    # b = q * (1.0 / P_{u|u-1}) as the batched 1 x 1 solve gives it. A
+def _smoothed_dim1(cm: CompiledModel, paths: _SlotPaths) -> tuple:
+    # _smoothed_lists at s = 1, bit for bit, over _forward_dim1's paths,
+    # with A as (u, 1) and (succ, q, b, c) as (u, 1, 1) views and b = q *
+    # (1.0 / P_{u|u-1}) as the batched 1 x 1 solve gives it; a moving row u
+    # is predicted as paths.A[u] and paths.P[u] plus the q it books. A
     # series moves only after its first observed row, whose slot ends the
     # diffuse phase at s = 1, so G needs no diffuse limit.
-    pred_a, pred_P, pred_Pi, filt_a, filt_P, _, _, booked = buffers
     succ = cm.moving
-    if succ.size and succ[0] < pred_Pi.size:
+    if succ.size and succ[0] < paths.pred_Pi.size:
         raise AssertionError(f"row {succ[0]} moves inside the diffuse phase")
-    P = pred_P[succ]
+    _, tvar, window = cm.paths_index
+    q = paths.h[tvar] * window
+    P = paths.P[succ] + q
     if not P.all():
         nu = succ[P == 0.0][-1]
         raise ZeroDivisionError(f"row {nu}: predicted variance 0.0 at a moving row")
-    q = booked[succ]
     b = q * (1.0 / P)
     c = q - b * q
-    A = pred_a[succ]
-    x, V = float(filt_a[-1]), float(filt_P[-1])
+    A = paths.A[succ]
+    x, V = float(paths.A[-1]), float(paths.P[-1])
     X, XV = [x], [V]
     for bu, cu, au in zip(b[::-1].tolist(), c[::-1].tolist(), A[::-1].tolist()):
         x -= bu * (x - au)

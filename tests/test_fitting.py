@@ -82,6 +82,106 @@ def test_transform_jacobian_matches_finite_difference():
         assert jac[i] == pytest.approx(fd, rel=1e-6)
 
 
+def _masked_to_natural(tr, theta):
+    # to_natural as masked assignments, the form np.where replaced
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty_like(theta)
+    corr = tr.is_corr
+    with np.errstate(over="ignore"):
+        out[~corr] = np.exp(theta[~corr])
+    out[corr] = np.tanh(theta[corr])
+    return out
+
+
+def _masked_jacobian(tr, theta):
+    # natural_jacobian_diag as masked assignments, the form np.where replaced
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty_like(theta)
+    corr = tr.is_corr
+    out[~corr] = np.exp(theta[~corr])
+    out[corr] = 1.0 - np.tanh(theta[corr]) ** 2
+    return out
+
+
+@pytest.mark.parametrize("model", ["rwn", "rwn-source", "biv"])
+def test_transform_equals_its_masked_form_bitwise(model):
+    # to_natural and natural_jacobian_diag take exp alone without
+    # correlations, and select with np.where otherwise: every entry equals
+    # the masked assignments', also where exp overflows (800) or
+    # underflows (-800) and where tanh saturates (+-25); to_natural warns
+    # at none of them
+    spec, data = _recovery_data(seed=6, n=40) if model == "rwn" else _catalogue_data(model)
+    tr = ParamTransform.for_layout(build_layout(spec, data))
+    assert tr.has_corr == (model == "biv") == tr.is_corr.any()
+    d = tr.is_corr.size
+    rng = np.random.default_rng(3)
+    thetas = [rng.normal(0.0, 2.0, d) for _ in range(5)]
+    for var, rho in itertools.product((800.0, -800.0, 1.5), (25.0, -25.0, 0.3)):
+        thetas.append(np.where(tr.is_corr, rho, var))
+    for theta in thetas:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nat = tr.to_natural(theta)
+        assert nat.tobytes() == _masked_to_natural(tr, theta).tobytes()
+        with np.errstate(over="ignore"):  # both forms' exp overflows at 800
+            assert tr.natural_jacobian_diag(theta).tobytes() == _masked_jacobian(tr, theta).tobytes()
+
+
+def _objective_formulas(cm, tr, theta, scale, with_score) -> tuple:
+    # _Objective's record at theta by its docstring's formulas: h in the
+    # masked-form transform, the loglik at h from kalman.loglik, (S, N*)
+    # from the kernel, and the score's two parts, which kalman.score sums;
+    # the penalty, a zero gradient and no c* h where the loglik raises
+    h = _masked_to_natural(tr, theta)
+    try:
+        ll = pk.kalman.loglik(cm, h)
+    except pk.ConditioningError:
+        return fitting._PENALTY, np.zeros(h.size), None
+    stats = np.zeros(2)
+    assert fitting._kernels.loglik_from_compiled(cm, h, stats) == ll
+    S, N = stats.tolist()
+    c = S / N if N else 1.0
+    f = -(ll - 0.5 * N * math.log(c) - 0.5 * (N - S)) * scale
+    g = None
+    if with_score:
+        quad, rest = pk.kalman._score_from_buffers(cm, h, pk.kalman._forward_pass(cm, h, True)[2])
+        assert (quad + rest).tobytes() == pk.kalman.score(cm, h).tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = -(quad / c + rest) * _masked_jacobian(tr, theta) * scale
+    return f, g, np.where(tr.is_corr, h, c * h)
+
+
+@pytest.mark.parametrize("model", ["rwn", "rwn-source", "biv"])
+def test_objective_record_is_its_formulas_bitwise(model):
+    # at the start, three points around it and a point where every
+    # variance is zero, which the kernel scores NaN: each point's record,
+    # first value-only and then with the gradient, is the formulas' bit for
+    # bit. Each call adds one count, but for the second at the penalty
+    # point, whose record has the zero gradient already
+    spec, data = _recovery_data(seed=6, n=240) if model == "rwn" else _catalogue_data(model)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    tr = ParamTransform.for_layout(layout)
+    theta0 = tr.to_unconstrained(default_start(layout, cm))
+    scale = 1.0 / cm.n_obs_slots
+    rng = np.random.default_rng(4)
+    thetas = [theta0] + [theta0 + rng.normal(0.0, 0.5, theta0.size) * (np.arange(theta0.size) > 0)
+                         for _ in range(3)]
+    thetas.append(np.full(theta0.size, -800.0))
+    for theta in thetas:
+        obj, phi = _objective_at(cm, tr, theta, scale=scale)
+        penalty = theta[0] == -800.0
+        for with_score, evals in ((False, 1), (True, 1 if penalty else 2)):
+            obj(phi, with_score=with_score)
+            assert obj.n_evals == evals
+            got = obj.points[phi.tobytes()]
+            want = _objective_formulas(cm, tr, theta, scale, with_score)
+            assert got[0] == want[0]
+            for x, y in zip(got[1:], want[1:]):
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        assert (got[0] == fitting._PENALTY) == penalty
+
+
 # ---------------------------------------------------------------------------
 # hessian utilities
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import paleokalman as pk
 from paleokalman import ModelSpec, build_layout
-from paleokalman.core import MAX_SLOTS
+from paleokalman.core import MAX_SLOTS, MISSING, _collate
 from paleokalman.kalman import (
     ConditioningError,
     compile_model,
@@ -1179,7 +1179,8 @@ def test_compiled_indices_match_slot_walk(build):
         moving = [nu for nu in range(n) if cm.moved[nu]]
         assert cm.moving.tolist() == moving and not cm.moved[0], spec
         assert cm.fill.tolist() == [sum(u > nu for u in moving) for nu in range(n)], spec
-        assert not cm.moving.flags.writeable and not cm.fill.flags.writeable, spec
+        assert cm.slot_fill.tolist() == [cm.fill[nu] for nu in rows.tolist()], spec
+        assert not any(a.flags.writeable for a in (cm.moving, cm.fill, cm.slot_fill)), spec
         if cm.s > 1:
             assert cm.book_tvar is cm.book_window is cm.paths_index is None, spec
             continue
@@ -1404,6 +1405,68 @@ def test_grid_rows_are_neutral_at_full_length(m):
     assert _same_bits(stats_aug, stats)
     assert _same_bits(paths_aug.smoothed_means[keep], paths.smoothed_means)
     assert _same_bits(paths_aug.smoothed_covs[keep], paths.smoothed_covs)
+
+
+def _with_slots_added(data, row: int, offsets) -> pk.PanelDataset:
+    # data with more d18O slots in the given row, at its first value plus
+    # each offset, from source 0
+    v = data.view
+    n, k = data.n_rows, len(offsets)
+    value = float(v.value[v.row == row][0])
+    return _collate(
+        np.concatenate([v.stamps, v.stamps[v.row], np.full(k, v.stamps[row])]),
+        np.concatenate([np.zeros(n, dtype=np.int64), v.series, np.zeros(k, dtype=np.int64)]),
+        np.concatenate([np.full(n, MISSING), v.value, value + np.asarray(offsets)]),
+        np.concatenate([np.full(n, -1), v.source, np.zeros(k)]).astype(np.int32),
+        np.concatenate([np.full(n, -1), v.species, np.zeros(k)]).astype(np.int32),
+        data.sources,
+        data.species,
+    )
+
+
+def _data_difference_quotients(cm, params, slots, step=1.0) -> list:
+    # the loglik's central first and second difference quotients in the
+    # data at each listed slot o: y[o] moved by +-step in a
+    # dataclasses.replace of cm's y and y_array
+    base = kloglik(cm, params)
+    quotients = []
+    for o in slots:
+        moved = []
+        for d in (step, -step):
+            y = cm.y_array.copy()
+            y[o] += d
+            moved.append(kloglik(dataclasses.replace(cm, y=tuple(y.tolist()), y_array=y), params))
+        up, down = moved
+        quotients.append(((up - down) / (2.0 * step), (up - 2.0 * base + down) / (step * step)))
+    return quotients
+
+
+def test_smoothed_moments_are_the_loglik_derivatives_in_the_data_at_full_length():
+    # neither F nor the diffuse terms depend on the data, so the
+    # exact-diffuse loglik is a quadratic in y: with x and V the smoothed
+    # level moments at slot o's row and h_o its measurement variance,
+    # dl/dy_o = -(y_o - x) / h_o and d2l/dy_o^2 = -(h_o - V) / h_o^2
+    # (Durbin & Koopman 2012, sec. 4.5.3), and central differences are
+    # exact but for rounding at a step of 1. rwn on the paper-length panel,
+    # with row 12,000 given three slots, at 11 slots: the diffuse slot (row
+    # 0), the rows after it, the middle, the three slots of row 12,000 and
+    # rows past 20,000. Each slot's smoothed moments come from one row of
+    # the backward pass; the loglik's rounding, a few ulps of its ~3e4
+    # nats, bounds the differences (measured at most 2.0e-12 and 2.0e-11)
+    data = _with_slots_added(_paper_length_panel("univariate"), 12_000, (0.1, -0.2))
+    spec = ModelSpec()
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.n == 23_722 and cm.count[12_000] == 3
+    params = [_PAPER_EPS2, 1.8364]
+    paths = smooth(kfilter(spec, layout, params, data, compiled=cm))
+    slots = [0, 1, 2, 5, 100, 5_000, 12_000, 12_001, 12_002, 20_500, cm.n_obs_slots - 1]
+    assert cm.obs_row[20_500] > 20_000
+    for o, (first, second) in zip(slots, _data_difference_quotients(cm, params, slots)):
+        nu, h = int(cm.obs_row[o]), params[cm.hidx[o]]
+        x, V = paths.smoothed_means[nu, 0], paths.smoothed_covs[nu, 0, 0]
+        assert abs(first + (cm.y[o] - x) / h) <= 1e-11, (o, nu)
+        assert abs(second + (h - V) / (h * h)) <= 1e-10, (o, nu)
 
 
 def test_bivariate_loglik_factorizes_at_full_length():
