@@ -248,17 +248,15 @@ def cmd_smooth(args, argv) -> int:
 
 
 def cmd_impute(args, argv) -> int:
-    if None not in (args.span_start, args.span_end) and args.span_start <= args.span_end:
-        raise UsageError(
-            f"--span-start {args.span_start} must be older than --span-end {args.span_end}"
-        )
+    span_end = args.span_end if args.span_end is not None else 0.0
+    if args.span_start is not None and args.span_start <= span_end:
+        raise UsageError(f"--span-start {args.span_start} must be older than --span-end {span_end}")
     result, data, _layout = _load_fit_and_data(args)
 
     if args.span_start is not None:
         span_start = args.span_start
     else:
         span_start = float(math.floor(-data.view.stamps[0]))
-    span_end = args.span_end if args.span_end is not None else 0.0
     grid = make_grid(span_start, span_end, args.mesh_years)
     print(f"N_g = {len(grid)}")
     table = impute(result, result.spec, data, grid)

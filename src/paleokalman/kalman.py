@@ -28,42 +28,46 @@ read-only arrays, of which _forward, _backward and _score take one
 beats numpy, whose per-call overhead dominates on such small arrays.
 
 One forward recursion, run by one entry (_forward_pass) for loglik,
-filter, score, impute and the fit's kernel, has two modes. Paths mode
-keeps eight flat float64 buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P,
-v, F, booked): per row the predicted and filtered moments and the
-disturbance covariance booked, pred_Pi, the diffuse part of the
-prediction, over the diffuse rows only, and per observed slot the
-innovation and its variance; at state dimension 1 they are derived on
-demand (see below). loglik, which a fit's value-only evaluations call,
-keeps only what the slots give the log terms, so the logliks of the two
-modes are equal bit for bit. Every pass also returns S, the sum of v^2 / F
-over the slots past the diffuse phase, and N*, their number, with which
-fitting profiles the common scale of the variances out.
+filter, score, impute and the fit's kernel, takes the parameters as one
+float64 array and starts diffuse, or from the proper prior (a1, P1) that
+filter's init gives. Each recursion builds its start itself and turns the
+parameters into a list once per pass. It has two modes. Paths mode keeps
+eight flat float64 buffers (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F,
+booked): per row the predicted and filtered moments and the disturbance
+covariance booked, pred_Pi, the diffuse part of the prediction, over the
+diffuse rows only, and per observed slot the innovation and its variance;
+at state dimension 1 it keeps a smaller record instead (see below).
+loglik, which a fit's value-only evaluations call, keeps only what the
+slots give the log terms, so the logliks of the two modes are equal bit
+for bit. Every pass also returns S, the sum of v^2 / F over the slots past
+the diffuse phase, and N*, their number, with which fitting profiles the
+common scale of the variances out.
 
-The buffers are the only hand-off between the passes: smooth, score and
-imputation.impute read them through one backward entry, _smoothed, the RTS
-smoother in disturbance form. It needs only the predicted moments, the
-disturbance covariance each row booked and the predicted precision, taken
-in its kappa -> infinity limit at the diffuse rows, so one code path
-covers both regimes. Only filter wraps the buffers in a StatePaths.
+The paths-mode record is the only hand-off between the passes: smooth,
+score and imputation.impute read it through one backward entry,
+_smoothed, the RTS smoother in disturbance form. It needs only the
+predicted moments, the disturbance covariance each row booked and the
+predicted precision, taken in its kappa -> infinity limit at the diffuse
+rows, so one code path covers both regimes. Only filter wraps the
+record's paths in a StatePaths.
 
 At state dimension 1 each pass has a float twin that does the list
 recursion's operations in its order, so their numbers are equal bit for
 bit; the tests keep the list recursions there as the references.
 _forward_dim1 walks the observed slots, not the rows: a moving row books
 its transition variance just before its first slot, a row without slots
-changes nothing, and the diffuse phase ends at its one diffuse slot, slot
-0, which runs before the loop. The loop is the same in both modes: it
-keeps each slot's innovation v and predicted variance P, and nothing else.
-numpy then does, with the same bits and in one np.errstate scope, what
-needs no running state: F = P + h[hidx], its range check and the log
-terms, copying F only where a buffer keeps it, and in paths mode
-each slot's filtered (a, P), the mean as a running sum in slot order. The
-paths are a _SlotPaths: v and F per slot and, per row, the filtered
-moments its first slot starts from. _smoothed_dim1 reads only those, a
-moving row predicted as its first slot starts plus the variance it books,
-so score and impute build no buffer over every row; _rows_dim1 derives the
-eight buffers, with _forward's bytes, only when filter unpacks them.
+changes nothing, and from the diffuse start the diffuse phase ends at its
+one diffuse slot, slot 0, which runs before the loop. The loop is the same
+in both modes: it keeps each slot's innovation v and predicted variance P,
+and nothing else. numpy then does, with the same bits and in one
+np.errstate scope, what needs no running state: F = P + h[hidx], its range
+check and the log terms, copying F only where the record keeps it, and in
+paths mode each slot's filtered (a, P), the mean as a running sum in slot
+order. The record is a _SlotPaths: v and F per slot and, per row, the
+filtered moments its first slot starts from. _smoothed_dim1 reads only
+those, a moving row predicted as its first slot starts plus the variance
+it books, so score and impute build no buffer over every row; filter
+derives the eight buffers from it, with _forward's bytes, by _rows_dim1.
 _smoothed_dim1 gets each moving row's b and c from numpy first, and its
 float loop only updates the mean and the variance. Above state dimension
 1, _smoothed_lists keeps only what is sequential, a rank-k update and a
@@ -81,7 +85,7 @@ rest, which a common scale of the variances moves by different powers:
 _score_dim1 reads the float sweep's b and c, and each slot's smoothed
 moments through one index (CompiledModel.slot_fill), and the numpy path
 _score, its reference at state dimension 1, the same passes. One step,
-_score_from_buffers, gives the two parts from a paths-mode pass's buffers.
+_score_from_buffers, gives the two parts from a paths-mode pass's record.
 score, which sums them, and the fit's kernel (_kernels.loglik_from_compiled
 with an array of 2 + 2d entries) both run it after _forward_pass, and the
 kernel keeps that pass's loglik and (S, N*) too, so a value and its score
@@ -395,10 +399,11 @@ class StatePaths:
 
 @dataclass
 class FilterRun:
-    """Filter output plus the forward pass's buffers, which smooth reads
-    (see the module docstring); booked holds the k x k covariance of the
-    trend-tail disturbances that each row booked, zero where no block
-    moves. At state dimension 1 the buffers are the pass's _SlotPaths."""
+    """Filter output plus the forward pass's paths-mode record, which smooth
+    reads (see the module docstring): above state dimension 1 the eight
+    buffers, whose booked holds the k x k covariance of the trend-tail
+    disturbances that each row booked, zero where no block moves; at state
+    dimension 1 the pass's _SlotPaths."""
 
     compiled: CompiledModel
     loglik: float
@@ -417,22 +422,25 @@ def filter(
 ) -> FilterRun:
     """One forward pass: loglik and the predicted/filtered paths.
 
-    init is None, the diffuse start, or a proper prior (a1, P1). Missing
-    slots are skipped; rows where every slot of a series is missing leave
-    that series' state block frozen per the booking semantics.
+    init is None, the diffuse start, or a proper prior (a1, P1), of shapes
+    (s,) and (s, s) at state dimension s; other shapes raise ValueError.
+    Missing slots are skipped; rows where every slot of a series is missing
+    leave that series' state block frozen per the booking semantics.
     """
     cm = compiled if compiled is not None else compile_model(spec, layout, data)
-    params = layout.validate_params(params)
+    h = np.array(layout.validate_params(params))  # a copy: run.buffers keeps it at s = 1
     s = cm.s
-    start = None
+    prior = None
     if init is not None:
         a1, P1 = init
-        a = np.asarray(a1, dtype=float).reshape(s).tolist()
-        Ps = np.asarray(P1, dtype=float).reshape(s * s).tolist()
-        start = a, Ps, [0.0] * (s * s), False
+        prior = np.asarray(a1, dtype=float), np.asarray(P1, dtype=float)
+        for name, x, shape in zip(("a1", "P1"), prior, ((s,), (s, s))):
+            if x.shape != shape:
+                raise ValueError(f"init {name} must have shape {shape}, got shape {x.shape}")
 
-    ll, _, buffers, n_diffuse = _forward_pass(cm, params, True, start)
-    pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, _ = buffers
+    ll, _, buffers, n_diffuse = _forward_pass(cm, h, True, prior)
+    rows = _rows_dim1(cm, buffers) if s == 1 else buffers
+    pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, _ = rows
     n = cm.n
     paths = StatePaths(
         stamps=cm.stamps,
@@ -508,10 +516,10 @@ def _passes(cm: CompiledModel, h: np.ndarray) -> tuple:
     return _smoothed(cm, _forward_pass(cm, h, True)[2])
 
 
-def _score_from_buffers(cm: CompiledModel, h: np.ndarray, buffers: tuple) -> np.ndarray:
+def _score_from_buffers(cm: CompiledModel, h: np.ndarray, buffers) -> np.ndarray:
     # the score's parts (quad, rest) at h, as a (2, d) array, from a
-    # paths-mode forward pass's buffers there: smooth's backward pass over
-    # them, summed by _score_dim1 at s = 1, else _score
+    # paths-mode forward pass's record there: smooth's backward pass over
+    # it, summed by _score_dim1 at s = 1, else _score
     return (_score_dim1 if cm.s == 1 else _score)(cm, h, _smoothed(cm, buffers))
 
 
@@ -586,42 +594,28 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
     return np.array((quad, rest))
 
 
-def _diffuse_start(s: int) -> tuple:
-    # (a, P_star, P_inf, diffuse) with P_inf the identity
-    P_inf = [float(i % (s + 1) == 0) for i in range(s * s)]
-    return [0.0] * s, [0.0] * (s * s), P_inf, True
+def _forward_pass(cm: CompiledModel, params, keep_paths: bool = False, prior=None) -> tuple:
+    # the forward recursion at params, as a float64 array, from the diffuse
+    # start, or from the proper prior (a1, P1) that filter checks, float
+    # arrays of shapes (s,) and (s, s): _forward_dim1 at state dimension 1,
+    # _forward above it
+    h = np.asarray(params, dtype=float)
+    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, keep_paths, prior)
 
 
-def _forward_pass(cm: CompiledModel, params, keep_paths: bool = False, start=None) -> tuple:
-    # the forward recursion at params, as _forward returns it, from start =
-    # (a, P_star, P_inf, diffuse), the diffuse start if None: _forward_dim1
-    # at state dimension 1, _forward above it
-    h = np.asarray(params, dtype=float).tolist()
-    start = _diffuse_start(cm.s) if start is None else start
-    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, *start, keep_paths)
-
-
-def _forward(
-    cm: CompiledModel,
-    h: list,
-    a: list,
-    Ps: list,
-    Pi: list,
-    diffuse: bool,
-    keep_paths: bool,
-) -> tuple:
+def _forward(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, prior=None) -> tuple:
     """The exact-diffuse forward recursion, Durbin & Koopman (2012)
-    sections 5.2-5.3, from the state (a, Ps, Pi) before row 0.
+    sections 5.2-5.3, at the parameters h, a float64 array, from the
+    diffuse start (a = 0, P_star = 0, P_inf = I) or from the proper prior
+    (a1, P1).
 
     Returns (loglik, (S, N*), buffers, number of diffuse slots), with S and
-    N* as _log_sum gives them, and the buffers flat float64 arrays (pred_a,
-    pred_P, pred_Pi, filt_a, filt_P, v, F, booked): per row, pred_Pi over
-    the diffuse rows only; v and F per observed slot; booked the k x k
-    trend-tail disturbance covariance of each row. Here all eight are
-    array('d')s appended row by row. _forward_dim1 appends v and the
-    predicted variance P per slot, and returns a _SlotPaths, which gives
-    the eight as numpy arrays with the same bytes. Without keep_paths only
-    v and F are kept, for the log terms, and buffers is None.
+    N* as _log_sum gives them, and the buffers flat float64 array('d')s,
+    appended row by row: (pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F,
+    booked), per row, pred_Pi over the diffuse rows only; v and F per
+    observed slot; booked the k x k trend-tail disturbance covariance of
+    each row. Without keep_paths only v and F are kept, for the log terms,
+    and buffers is None.
     """
     n, s = cm.n, cm.s
     m, k = cm.m, cm.n_series
@@ -633,6 +627,12 @@ def _forward(
     cross_at = ((m - 1) * s + 2 * m - 1, (2 * m - 1) * s + m - 1)
     rs = range(s)
     transposer = _transposer(s)
+    h = h.tolist()
+    if prior is None:
+        a, Ps, diffuse = [0.0] * s, [0.0] * ss, True
+        Pi = [float(i % (s + 1) == 0) for i in range(ss)]
+    else:
+        a, Ps, Pi, diffuse = prior[0].tolist(), prior[1].ravel().tolist(), None, False
 
     rec_v, rec_F = array("d"), array("d")
     keep_v, keep_F = rec_v.append, rec_F.append
@@ -735,64 +735,55 @@ def _forward(
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # for the numpy tail
-def _forward_dim1(
-    cm: CompiledModel,
-    h: list,
-    a: list,
-    Ps: list,
-    Pi: list,
-    diffuse: bool,
-    keep_paths: bool,
-) -> tuple:
-    # _forward at s = 1, with the same arguments and results, from the
-    # diffuse start (P_inf = 1) or a proper prior: a, P and P_inf are floats
-    # instead of one-element lists, and every operation is _forward's, in
-    # its order. The loop walks the observed slots, not the rows: a moving
-    # row books its transition variance just before its first slot, and a
-    # row without slots changes nothing. The diffuse phase ends at its one
-    # diffuse slot, slot 0 from the diffuse start, where K = 1 annihilates
-    # P_inf; that slot runs before the loop. The loop is the same in both
-    # modes: per slot it keeps the innovation v and the predicted variance
-    # P, and updates a and P. numpy does the rest afterwards, with the same
-    # bits, in the one np.errstate scope of the decorator: F = P + h[hidx],
-    # the loop's own sum, then its range check and the log terms
-    # (_log_sum), and in paths mode each slot's filtered (a, P), which give
-    # the paths (_SlotPaths). An F of +-0.0 stops the loop at its division;
-    # the range check then names that slot, or an earlier one.
+def _forward_dim1(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, prior=None) -> tuple:
+    # _forward at s = 1, with the same arguments and results, but for the
+    # paths-mode record, a _SlotPaths: a and P are floats instead of
+    # one-element lists, and every operation is _forward's, in its order.
+    # The loop walks the observed slots, not the rows: a moving row books
+    # its transition variance just before its first slot, and a row without
+    # slots changes nothing. From the diffuse start (P_inf = 1) the diffuse
+    # phase ends at its one diffuse slot, slot 0, where K = P_inf / P_inf = 1
+    # annihilates P_inf; that slot runs before the loop. The loop is the
+    # same in both modes: per slot it keeps the innovation v and the
+    # predicted variance P, and updates a and P, reading h's one .tolist().
+    # numpy does the rest afterwards on h itself, with the same bits, in the
+    # one np.errstate scope of the decorator: F = P + h[hidx], the loop's
+    # own sum, then its range check and the log terms (_log_sum), and in
+    # paths mode each slot's filtered (a, P), which give the record. An F of
+    # +-0.0 stops the loop at its division; the range check then names that
+    # slot, or an earlier one.
     rec_v, rec_P = array("d"), array("d")
     keep_v, keep_P = rec_v.append, rec_P.append
-    (a,), (P,), (Pi,) = a, Ps, Pi
-    Pi_start = Pi if diffuse else 0.0
+    hl = h.tolist()
+    a, P = (0.0, 0.0) if prior is None else (float(prior[0][0]), float(prior[1][0, 0]))
     head = [(a, P)]  # the start's (a, P), then the diffuse slot's filtered ones
     F_inf = {}
     slots = zip(cm.y, cm.hidx, cm.book_tvar, cm.book_window)
-    if diffuse and Pi > DIFFUSE_TOL and cm.y:
+    if prior is None and cm.y:
         yo, i, _, _ = next(slots)  # a series' first slot books nothing
         v = yo - a
-        F = P + h[i]
-        K = Pi / Pi  # M_inf / F_inf, both P_inf at s = 1
+        F = P + hl[i]
+        K = 1.0  # M_inf / F_inf, both P_inf
         a += K * v
         keep_v(v)
         keep_P(P)
         P = ((P + K * K * F) - K * P) - P * K
-        F_inf[0] = Pi  # F_inf at s = 1
-        Pi -= K * Pi
+        F_inf[0] = 1.0  # F_inf, P_inf at s = 1
         head.append((a, P))
 
     try:
         for yo, i, t, w in slots:
             if t >= 0:
-                P += h[t] * w
+                P += hl[t] * w
             v = yo - a
             keep_v(v)
             keep_P(P)
-            K = P / (P + h[i])
+            K = P / (P + hl[i])
             a += K * v
             P -= K * P
     except ZeroDivisionError:
         pass  # F is +-0.0, out of range
 
-    h = np.array(h)
     v, P = np.frombuffer(rec_v), np.frombuffer(rec_P)
     F = P + h[cm.hidx_array[: P.size]]
     ll, S, N = _log_sum(cm, v, F.copy() if keep_paths else F, F_inf)
@@ -815,47 +806,36 @@ def _forward_dim1(
             filt_a[0] += slot_a[d - 1]
             np.cumsum(filt_a, out=filt_a)
         at = cm.paths_index[0]
-        # the diffuse rows, from a start with P_inf = Pi (0 if proper), run
-        # to the diffuse slot's row, or to the end if no slot ends the phase
+        # the diffuse rows, a leading run from the diffuse start: to the
+        # diffuse slot's row, or every row if no slot ends the phase
         n_diffuse_rows = 0
-        if Pi_start:
+        if prior is None:
             n_diffuse_rows = int(cm.obs_row[0]) + 1 if d > 1 else cm.n
-        pred_Pi = np.full(n_diffuse_rows, Pi_start)
-        paths = _SlotPaths(cm, h, v, F, slot_a[at], slot_P[at], pred_Pi)
+        paths = _SlotPaths(h, v, F, slot_a[at], slot_P[at], np.ones(n_diffuse_rows))
     return ll, (S, N), paths, len(F_inf)
 
 
 @dataclass(eq=False)
 class _SlotPaths:
-    """_forward_dim1's paths: v and F per slot, per row nu the filtered
-    moments A[nu], P[nu] that its first slot starts from (A[n], P[n] the
-    last row's), and _forward's pred_Pi. Indexed or unpacked it is
-    _forward's eight buffers, which _rows_dim1 derives on the first read,
-    for filter."""
+    """_forward_dim1's paths-mode record at the parameters h: v and F per
+    slot, per row nu the filtered moments A[nu], P[nu] that its first slot
+    starts from (A[n], P[n] the last row's), and _forward's pred_Pi.
+    _smoothed_dim1 reads it; filter has _rows_dim1 derive _forward's eight
+    buffers from it."""
 
-    cm: CompiledModel
     h: np.ndarray
     v: np.ndarray
     F: np.ndarray
     A: np.ndarray
     P: np.ndarray
     pred_Pi: np.ndarray
-    rows: tuple | None = None
-
-    def __len__(self) -> int:
-        return 8
-
-    def __getitem__(self, i):
-        if self.rows is None:
-            self.rows = _rows_dim1(self)
-        return self.rows[i]
 
 
-def _rows_dim1(paths: _SlotPaths) -> tuple:
-    # _forward's eight buffers at s = 1 from _forward_dim1's paths: row nu
+def _rows_dim1(cm: CompiledModel, paths: _SlotPaths) -> tuple:
+    # _forward's eight buffers at s = 1 from _forward_dim1's record: row nu
     # is filtered as row nu + 1 starts, and predicted as it starts, plus the
     # variance it books if it moves; the diffuse rows are a leading run
-    cm, A, P = paths.cm, paths.A, paths.P
+    A, P = paths.A, paths.P
     _, tvar, window = cm.paths_index
     q = paths.h[tvar] * window
     booked = np.zeros(cm.n)
@@ -946,7 +926,7 @@ def smooth(run: FilterRun) -> StatePaths:
     return paths
 
 
-def _smoothed(cm: CompiledModel, buffers: tuple) -> tuple:
+def _smoothed(cm: CompiledModel, buffers: tuple | _SlotPaths) -> tuple:
     # the backward pass over a forward pass's buffers: (X, XV, A, (succ, Q,
     # B, C)), X and XV the moments as _filled reads them, succ the moving
     # rows, A = a_{u|u-1} and Q the covariance booked there, B the tail rows

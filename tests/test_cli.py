@@ -701,6 +701,21 @@ def test_impute_reversed_span_exits_64(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_impute_span_start_at_the_default_span_end_exits_64(tmp_path, capsys):
+    # --span-end defaults to 0, so a --span-start of 0 is an empty span: a
+    # usage error, found before any file is read (the paths do not exist)
+    out = tmp_path / "grid.csv"
+    argv = [
+        "impute", "--data", str(tmp_path / "none.csv"), "--fit", str(tmp_path / "none.json"),
+        "--mesh-years", "50000", "--span-start", "0", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --span-start 0.0 must be older than --span-end 0.0\n"
+    assert not out.exists()
+
+
 def test_impute_span_end_older_than_the_data_exits_65(raw_csv, fitted, tmp_path, capsys):
     # without --span-start the span starts at the data's oldest whole My
     # (3 here), so a later --span-end is found only after reading the data

@@ -777,10 +777,10 @@ def test_fit_runs_one_forward_pass_per_evaluation(monkeypatch, n_starts, model):
     forward = pk.kalman._forward_pass
     passes, points = [], []
 
-    def counted(cm, params, keep_paths=False, start=None):
+    def counted(cm, params, keep_paths=False, prior=None):
         passes.append(keep_paths)
         points.append((np.asarray(params, dtype=float).tobytes(), keep_paths))
-        return forward(cm, params, keep_paths, start)
+        return forward(cm, params, keep_paths, prior)
 
     def refuse(*args, **kwargs):
         raise AssertionError("kalman.score called")

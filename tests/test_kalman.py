@@ -193,6 +193,31 @@ def test_proper_prior_matches_oracle(m):
     assert np.allclose(paths.smoothed_covs, orc.smoothed_covs, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "m, a1, P1, name, shape",
+    [
+        (2, np.zeros(2), np.eye(2).ravel(), "P1", (2, 2)),
+        (2, np.zeros((2, 1)), np.eye(2), "a1", (2,)),
+        (2, np.zeros(2), np.eye(3), "P1", (2, 2)),
+        (2, np.zeros(2), np.zeros(9), "P1", (2, 2)),
+        (1, 0.2, [[2.0]], "a1", (1,)),
+        (1, [0.2], 2.0, "P1", (1, 1)),
+    ],
+    ids=["flat-P1", "column-a1", "P1-3x3", "P1-of-9", "scalar-a1", "scalar-P1"],
+)
+def test_filter_rejects_a_prior_of_the_wrong_shape(m, a1, P1, name, shape):
+    # a proper prior is a1 of shape (s,) and P1 of shape (s, s); any other
+    # shape raises ValueError naming the expected and the given shapes
+    spec = ModelSpec(order_m=m)
+    params = [0.15, 1.2]
+    data = small_simulated(spec, params, n_rows=6, slots=2, seed=m)
+    layout = build_layout(spec, data)
+    given = np.shape(a1 if name == "a1" else P1)
+    message = f"init {name} must have shape {shape}, got shape {given}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kfilter(spec, layout, params, data, init=(a1, P1))
+
+
 _MIXED_BUILDS = ["collated", "merged", "merged_edges"]
 _MIXED_SPECS = {
     "by-source-m2": ModelSpec(order_m=2, meas_grouping="by-source"),
@@ -512,7 +537,7 @@ def _conditioning_errors(spec, params, data) -> list:
     return [
         _raised(lambda: kfilter(spec, layout, h, data, compiled=cm)),
         _raised(lambda: kloglik(cm, h)),
-        _raised(lambda: kalman._forward(cm, h.tolist(), *kalman._diffuse_start(cm.s), False)),
+        _raised(lambda: kalman._forward(cm, h)),
     ]
 
 
@@ -615,7 +640,7 @@ def test_dim1_loglik_equals_filter_bitwise(name, seed):
         ll = kloglik(cm, params)
         assert ll == kfilter(spec, layout, params, data, compiled=cm).loglik
         assert ll == _kernels.loglik_from_compiled(cm, params)
-        assert ll == kalman._forward(cm, params.tolist(), *kalman._diffuse_start(1), False)[0]
+        assert ll == kalman._forward(cm, params)[0]
         assert _same_bits(kalman.score(cm, params), _numpy_score(cm, params))
 
 
@@ -636,7 +661,7 @@ def test_dim1_loglik_raises_as_the_general_recursion():
     with pytest.raises(ConditioningError) as fast:
         kloglik(cm, params)
     with pytest.raises(ConditioningError) as ref:
-        kalman._forward(cm, params.tolist(), *kalman._diffuse_start(1), True)
+        kalman._forward(cm, params, True)
     assert str(fast.value) == str(ref.value)
     assert fast.value.row_index == ref.value.row_index > 3
     assert "innovation variance" in str(fast.value)
@@ -654,13 +679,10 @@ def _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior=None):
     # over _forward's buffers, from the diffuse start or from the proper
     # prior; and the A and (succ, Q, B, C) of the dim-1 sweep, which the
     # score reads, against the reference's
-    if prior is None:
-        init, start = None, kalman._diffuse_start(1)
-    else:
-        init, start = ([prior[0]], [[prior[1]]]), ([prior[0]], [prior[1]], [0.0], False)
+    init = None if prior is None else ([prior[0]], [[prior[1]]])
     run = kfilter(spec, layout, h, data, init=init, compiled=cm)
     paths = smooth(run)
-    buffers = kalman._forward(cm, list(h), *start, True)[2]
+    buffers = kalman._forward(cm, np.array(h), True, _dim1_prior(prior))[2]
     X, XV, A, steps = kalman._smoothed_lists(cm, buffers)
     means, covs = kalman._filled(cm, X, XV)
     assert _same_bits(paths.smoothed_means, means)
@@ -691,20 +713,23 @@ def _same_bits(x, y) -> bool:
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def _dim1_prior(prior):
+    # the proper prior (a1, P1) at s = 1 as filter hands it to the forward
+    # pass, arrays of shapes (1,) and (1, 1); None, the diffuse start
+    if prior is None:
+        return None
+    return np.array([prior[0]], dtype=float), np.array([[prior[1]]], dtype=float)
+
+
 def _assert_forward_dim1_equals_forward(cm, h, prior=None):
     # both modes of _forward_dim1 against _forward, called directly, from the
     # diffuse start or from the proper prior (a1, P1): the loglik, (S, N*)
-    # and, in paths mode, the buffers, whose filtered moments end at the
-    # final state; _forward updates its start in place, so each pass gets a
-    # fresh one
-    def start():
-        if prior is None:
-            return kalman._diffuse_start(1)
-        return [prior[0]], [prior[1]], [0.0], False
-
+    # and, in paths mode, the buffers (derived from _forward_dim1's record
+    # by _rows_dim1), whose filtered moments end at the final state
+    h, prior = np.array(h, dtype=float), _dim1_prior(prior)
     for keep_paths in (False, True):
-        ll, stats, buffers, n_diffuse = kalman._forward_dim1(cm, h, *start(), keep_paths)
-        ref = kalman._forward(cm, h, *start(), keep_paths)
+        ll, stats, buffers, n_diffuse = kalman._forward_dim1(cm, h, keep_paths, prior)
+        ref = kalman._forward(cm, h, keep_paths, prior)
         assert _same_bits(ll, ref[0])
         assert _same_bits(stats, ref[1])
         assert n_diffuse == ref[3]
@@ -713,15 +738,16 @@ def _assert_forward_dim1_equals_forward(cm, h, prior=None):
             continue
         # each of the eight buffers as float64 bytes: _forward's are
         # array('d')s, _forward_dim1's per-row ones numpy arrays
-        assert len(buffers) == len(ref[2]) == 8
-        for x, y in zip(buffers, ref[2]):
+        rows = kalman._rows_dim1(cm, buffers)
+        assert len(rows) == len(ref[2]) == 8
+        for x, y in zip(rows, ref[2]):
             assert _same_bits(np.frombuffer(x), np.frombuffer(y))
 
 
 def _diffuse_rows_dim1(cm, h, prior=None) -> list:
     # the rows whose P_inf the buffer pred_Pi holds, a leading run
-    start = kalman._diffuse_start(1) if prior is None else ([prior[0]], [prior[1]], [0.0], False)
-    pred_Pi = kalman._forward_dim1(cm, h, *start, True)[2][2]
+    h = np.array(h, dtype=float)
+    pred_Pi = kalman._forward_dim1(cm, h, True, _dim1_prior(prior))[2].pred_Pi
     return (np.arange(cm.n) < pred_Pi.size).tolist()
 
 
@@ -735,9 +761,9 @@ def test_forward_dim1_equals_forward_without_slots():
     for prior in (None, (0.3, 0.5)):
         _assert_forward_dim1_equals_forward(cm, [], prior)
     assert kloglik(cm, []) == 0.0
-    ll, stats, buffers, n_diffuse = kalman._forward_dim1(cm, [], *kalman._diffuse_start(1), True)
+    ll, stats, buffers, n_diffuse = kalman._forward_dim1(cm, np.zeros(0), True)
     assert (ll, stats, n_diffuse) == (0.0, (0.0, 0), 0)
-    _, _, pred_Pi, filt_a, filt_P, _, _, _ = buffers
+    _, _, pred_Pi, filt_a, filt_P, _, _, _ = kalman._rows_dim1(cm, buffers)
     assert filt_a.tolist() == filt_P.tolist() == [0.0] * 4 and pred_Pi.tolist() == [1.0] * 4
     assert _diffuse_rows_dim1(cm, []) == [True] * 4
     assert _diffuse_rows_dim1(cm, [], (0.3, 0.5)) == [False] * 4
@@ -768,7 +794,7 @@ def test_forward_dim1_diffuse_slot_shares_its_row():
             h = np.exp(rng.uniform(-12.0, 3.0, layout.n_params)).tolist()
             _assert_forward_dim1_equals_forward(cm, h, prior)
             _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior)
-    assert kalman._forward_dim1(cm, h, *kalman._diffuse_start(1), False)[3] == 1
+    assert kalman._forward_dim1(cm, np.array(h))[3] == 1
     assert _diffuse_rows_dim1(cm, h) == [True, True, False, False, False]
     assert _diffuse_rows_dim1(cm, h, (0.3, 0.5)) == [False] * 5
 
@@ -784,11 +810,10 @@ def test_forward_dim1_raises_on_a_second_slot_as_forward(at, keep_paths):
     source = {(1, 1): 1, (4, 1): 4}[at]
     h = np.full(layout.n_params, 0.5)
     h[layout.meas_index[(0, source)]] = -50.0
-    h = h.tolist()
     with pytest.raises(ConditioningError) as fast:
-        kalman._forward_dim1(cm, h, *kalman._diffuse_start(1), keep_paths)
+        kalman._forward_dim1(cm, h, keep_paths)
     with pytest.raises(ConditioningError) as ref:
-        kalman._forward(cm, h, *kalman._diffuse_start(1), keep_paths)
+        kalman._forward(cm, h, keep_paths)
     assert str(fast.value) == str(ref.value)
     assert type(fast.value.row_index) is int
     assert fast.value.row_index == ref.value.row_index == nu
@@ -815,21 +840,15 @@ def test_forward_dim1_range_check_after_the_loop_raises_as_forward(case, prior, 
         nu, col, F = 4, 1, math.nan
         h = np.full(layout.n_params, 0.5)
         h[layout.meas_index[(0, 4)]] = math.nan
-    h = h.tolist()
-
-    def start():
-        if prior is None:
-            return kalman._diffuse_start(1)
-        return [prior[0]], [prior[1]], [0.0], False
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConditioningError) as fast:
-            kalman._forward_dim1(cm, h, *start(), keep_paths)
+            kalman._forward_dim1(cm, h, keep_paths, _dim1_prior(prior))
         with pytest.raises(ConditioningError) as ref:
-            kalman._forward(cm, h, *start(), keep_paths)
+            kalman._forward(cm, h, keep_paths, _dim1_prior(prior))
         with pytest.raises(ConditioningError) as run:  # the one forward entry
-            kalman._forward_pass(cm, h, keep_paths, None if prior is None else start())
+            kalman._forward_pass(cm, h, keep_paths, _dim1_prior(prior))
         nan_value = _kernels.loglik_from_compiled(cm, h)
         outs = [np.zeros(2), np.zeros(2 + 2 * layout.n_params)]
         nan_outs = [_kernels.loglik_from_compiled(cm, h, out) for out in outs]
@@ -883,11 +902,11 @@ def test_forward_dim1_raises_as_forward_with_paths():
     data = _dim1_panel(2)
     layout = build_layout(spec, data)
     cm = compile_model(spec, layout, data)
-    h = [1e308, 1e308]
+    h = np.array([1e308, 1e308])
     with pytest.raises(ConditioningError) as fast:
-        kalman._forward_dim1(cm, h, *kalman._diffuse_start(1), True)
+        kalman._forward_dim1(cm, h, True)
     with pytest.raises(ConditioningError) as ref:
-        kalman._forward(cm, h, *kalman._diffuse_start(1), True)
+        kalman._forward(cm, h, True)
     assert str(fast.value) == str(ref.value)
     assert fast.value.row_index == ref.value.row_index == 3
     assert "innovation variance inf" in str(fast.value)
@@ -1426,8 +1445,8 @@ def _with_slots_added(data, row: int, offsets) -> pk.PanelDataset:
 
 def _data_difference_quotients(cm, params, slots, step=1.0) -> list:
     # the loglik's central first and second difference quotients in the
-    # data at each listed slot o: y[o] moved by +-step in a
-    # dataclasses.replace of cm's y and y_array
+    # data at each listed slot o, or list of slots moved together: y[o]
+    # moved by +-step in a dataclasses.replace of cm's y and y_array
     base = kloglik(cm, params)
     quotients = []
     for o in slots:
@@ -1467,6 +1486,82 @@ def test_smoothed_moments_are_the_loglik_derivatives_in_the_data_at_full_length(
         x, V = paths.smoothed_means[nu, 0], paths.smoothed_covs[nu, 0, 0]
         assert abs(first + (cm.y[o] - x) / h) <= 1e-11, (o, nu)
         assert abs(second + (h - V) / (h * h)) <= 1e-10, (o, nu)
+
+
+# per case: the slots checked alone, the pairs of slots of one row, and the
+# bounds on the (first, second, mixed) quotients' errors, the loglik's
+# rounding over step^2 = 1. Measured at most (1.1e-11, 8.2e-11, 3.4e-11) at
+# order 2 (|loglik| 5.5e4), (1.2e-12, 2.9e-12) at order 6 past its diffuse
+# rows (341) and (1.9e-10, 1.4e-9, 9.6e-10) bivariate (7.5e4)
+_DATA_DERIVATIVE_CASES = {
+    "m2": ([0, 12_000, 12_001, 20_501], [(12_000, 12_001)], (2e-10, 3e-10, 2e-10)),
+    "m6": ([0, 12_000, 20_500], [], (2e-11, 5e-11, None)),
+    "bivariate-rho-by-climate": (
+        [0, 1, 24_000, 41_000, 41_001],
+        [(41_000, 41_001)],
+        (1e-9, 5e-9, 5e-9),
+    ),
+}
+# order 6's diffuse rows: the first six slots, rows 0-5, annihilate P_inf,
+# and there the quotients and the moments part by up to 8.6e-8 (mean) and
+# 2.4e-7 (variance), against <= 1e-11 from row 100 on. Both sides are off
+# there: on the panel's first 300 rows, against the 60-digit reference of
+# test_highorder_reference.py, the smoothed moments' terms are off by up to
+# 1.2e-8 of their size and the loglik's quotients by up to 4.5e-9 (at row
+# 0), where from row 100 on the two agree to 1e-12. So rows 0-5 get their
+# own bounds
+_M6_DIFFUSE_BOUNDS = (5e-7, 1e-6)
+
+
+@pytest.mark.parametrize("case", list(_DATA_DERIVATIVE_CASES))
+def test_smoothed_moments_are_the_loglik_derivatives_in_the_data_above_dim_1(case):
+    # the identities of the rwn test above at state dimensions 2, 6 and 2,
+    # with e the state index of slot o's series level: dl/dy_o = -(y_o -
+    # x_e) / h_o, d2l/dy_o^2 = -(h_o - V_ee) / h_o^2, and, for slots o and p
+    # of one row, d2l/dy_o dy_p = V_ef / (h_o h_p) with V_ef the smoothed
+    # covariance of their levels: V_ee for two slots of one series, the
+    # cross-covariance for the d18O and d13C slots of a bivariate row. The
+    # mixed quotient is half of the second quotient with y_o and y_p moved
+    # together, less the two single ones. Order 2 at the default start on
+    # the panel with row 12,000 given a second slot, order 6 at the paper's
+    # q, and bivariate order 1 with rho by climate state, at slots of the
+    # diffuse rows, the middle and row 20,500
+    singles, pairs, (tol_first, tol_second, tol_mixed) = _DATA_DERIVATIVE_CASES[case]
+    if case == "bivariate-rho-by-climate":
+        data = _paper_length_panel("bivariate")
+        spec = ModelSpec(arity="bivariate", corr_grouping="by-climate-state")
+    elif case == "m2":
+        data = _with_slots_added(_paper_length_panel("univariate"), 12_000, (0.1,))
+        spec = ModelSpec(order_m=2)
+    else:
+        data = _paper_length_panel("univariate")
+        spec = ModelSpec(order_m=6)
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    if case == "m6":
+        params = np.array(_paper_q_params(data))
+    else:
+        params = pk.fitting.default_start(layout, cm)
+        rho = np.array([p.role == "rho" for p in layout.params])
+        params[rho] = np.linspace(-0.6, 0.6, rho.sum())  # one rho a climate state
+    assert cm.n == 23_722 and cm.obs_row[singles[-1]] == 20_500
+    paths = smooth(kfilter(spec, layout, params, data, compiled=cm))
+    quotients = _data_difference_quotients(cm, params, [*singles, *map(list, pairs)])
+    h = params[cm.hidx_array]
+    second_at = {}
+    for o, (first, second) in zip(singles, quotients):
+        nu, e = int(cm.obs_row[o]), int(cm.level[o])
+        x, V = paths.smoothed_means[nu, e], paths.smoothed_covs[nu, e, e]
+        bounds = _M6_DIFFUSE_BOUNDS if case == "m6" and nu < 6 else (tol_first, tol_second)
+        assert abs(first + (cm.y[o] - x) / h[o]) <= bounds[0], (o, nu)
+        assert abs(second + (h[o] - V) / (h[o] * h[o])) <= bounds[1], (o, nu)
+        second_at[o] = second
+    for (o, p), (_, second) in zip(pairs, quotients[len(singles) :]):
+        nu = int(cm.obs_row[o])
+        assert cm.obs_row[p] == nu
+        V = paths.smoothed_covs[nu, cm.level[o], cm.level[p]]
+        mixed = (second - second_at[o] - second_at[p]) / 2.0
+        assert abs(mixed - V / (h[o] * h[p])) <= tol_mixed, (o, p, nu)
 
 
 def test_bivariate_loglik_factorizes_at_full_length():
@@ -1732,7 +1827,8 @@ def test_dim1_smooth_raises_on_a_zero_predicted_variance():
     layout = build_layout(spec, data)
     params = [0.1, 5e-324]
     run = kfilter(spec, layout, params, data, init=([0.0], [[0.0]]))
-    assert run.compiled.s == 1 and not run.buffers[-1].any()  # nothing booked
+    assert run.compiled.s == 1
+    assert not kalman._rows_dim1(run.compiled, run.buffers)[-1].any()  # nothing booked
     last = int(run.compiled.moving[-1])
     with pytest.raises(ZeroDivisionError, match=f"^row {last}: predicted variance 0.0 at a moving"):
         smooth(run)
