@@ -1,11 +1,15 @@
 """The log-likelihood entry point that the fitting loop evaluates.
 
 The loglik is kalman.loglik's: one run of the filter's own forward
-recursion (kalman._forward_pass), without its paths, so the two logliks are
-equal bit for bit. At state dimension 1 that is the one float forward
-recursion (kalman._forward_dim1), whose paths, its per-slot record, feed
-the backward sweep over the moving rows (kalman._smoothed_dim1) that
-smooth and the score share; a score builds no buffer over every row. A
+recursion (kalman._forward_pass), without its paths. At state dimension 1
+that is the one float forward recursion (kalman._forward_dim1), which
+merges each row's values of the series into one before its loop wherever
+some row holds more than one, where filter's pass runs slot by slot; so
+the kernel's loglik equals filter's bit for bit where no row repeats a
+series, and above state dimension 1, and agrees to rounding elsewhere.
+Its paths, its record per (merged) slot, feed the backward sweep over the
+moving rows (kalman._smoothed_dim1) that smooth and the score share; a
+score builds no buffer over every row. A
 call costs those two loops and a fixed few numpy calls, with one
 np.errstate scope for the forward pass and one for the score. Here an
 inadmissible parameter point (an innovation variance that is not a finite

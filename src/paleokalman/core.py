@@ -224,31 +224,33 @@ def collate_rows(records) -> PanelDataset:
     Records sharing a stamp (exact equality) merge into one row; slot order
     is input order. More than four values for one series at one stamp is a
     capacity error. A NaN or infinite stamp or value raises ValueError;
-    missing is expressed by None.
+    missing is expressed by None. Of several errors, the first record's
+    in input order is raised.
     """
     stamps, series, values, sources, species = [], [], [], [], []
     for stamp, tag, value, source, species_label in records:
-        stamp = float(stamp)
-        if stamp != stamp:
-            raise ValueError("NaN time stamp in records")
-        if stamp in (math.inf, -math.inf):
-            raise ValueError(f"infinite time stamp {stamp} in records")
+        try:
+            stamp, tag, value = _checked_record(stamp, tag, value)
+        except ValueError:
+            # an earlier record's fifth value of one series at one stamp
+            # comes first
+            ids = np.zeros(len(stamps), dtype=np.int32)
+            _collate(
+                np.array(stamps, dtype=float),
+                np.array(series, dtype=np.int64),
+                np.array(values, dtype=float),
+                ids,
+                ids,
+                {},
+                {},
+            )
+            raise
         stamps.append(stamp)
-        if value is None:
-            values.append(MISSING)
-            series.append(0)
-            sources.append(None)
-            species.append(None)
-            continue
-        value = float(value)
-        if value != value:
-            raise ValueError(f"NaN value at stamp {stamp}; use None for missing")
-        if value in (math.inf, -math.inf):
-            raise ValueError(f"infinite value {value} at stamp {stamp}")
+        series.append(tag)
         values.append(value)
-        series.append(_normalize_series(tag))
-        sources.append(source)
-        species.append(species_label)
+        kept = value == value
+        sources.append(source if kept else None)
+        species.append(species_label if kept else None)
     observed = [v == v for v in values]
     source_ids, source_index = _intern(sources, observed)
     species_ids, species_index = _intern(species, observed)
@@ -261,6 +263,25 @@ def collate_rows(records) -> PanelDataset:
         dict(enumerate(source_index)),
         dict(enumerate(species_index)),
     )
+
+
+def _checked_record(stamp, tag, value) -> tuple:
+    # collate_rows' (stamp, series index, value) of one record, MISSING and
+    # series 0 for a None value; ValueError for a NaN or infinite stamp or
+    # value, or an unknown series tag
+    stamp = float(stamp)
+    if stamp != stamp:
+        raise ValueError("NaN time stamp in records")
+    if stamp in (math.inf, -math.inf):
+        raise ValueError(f"infinite time stamp {stamp} in records")
+    if value is None:
+        return stamp, 0, MISSING
+    value = float(value)
+    if value != value:
+        raise ValueError(f"NaN value at stamp {stamp}; use None for missing")
+    if value in (math.inf, -math.inf):
+        raise ValueError(f"infinite value {value} at stamp {stamp}")
+    return stamp, _normalize_series(tag), value
 
 
 def _intern(labels, keep, order=None) -> tuple:

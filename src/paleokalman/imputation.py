@@ -5,7 +5,9 @@ parameters, the two that kalman.score runs (kalman._passes): the backward
 pass reads the forward pass's buffers. No FilterRun or StatePaths is
 built, and only the grid stamps' rows of the backward pass's moments are
 spread out, so the numbers are those of
-kalman.smooth(kalman.filter(...)) at those rows, bit for bit. Each grid
+kalman.smooth(kalman.filter(...)) at those rows: bit for bit where no row
+repeats a series, or above state dimension 1, and to rounding where the
+forward pass merges a row's values (see kalman's module docstring). Each grid
 stamp reads the smoothed moments of its row by index: the row within
 COINCIDENCE_TOL (1e-12 My) of it, else the last older row, else row 0.
 Transitions are booked at observed rows only, so an all-missing row at the

@@ -74,6 +74,26 @@ float loop only updates the mean and the variance. Above state dimension
 block back-substitution per row, and takes the precisions it needs from
 batched solves.
 
+At state dimension 1 a row's values of the series are merged before the
+loop wherever some row holds more than one (up to four), which
+compile_model decides once by building a _Merge. Each pass then folds
+every observed row's values into one in numpy, by the Kalman update among
+the row's own values from a diffuse start (_fold): the precision-weighted
+mean y_bar and its variance h_bar = 1 / sum(1 / h_i). The loop then takes
+one step per observed row, its merged slot, reading y_bar and h_bar where
+it read a slot's value and variance, and the fold's within-row innovations
+and variances join the loop's in _log_sum, S and N*; the paths-mode
+record's v and F are the merged slots'. The exact-diffuse loglik
+factorizes so under any prior (Durbin & Koopman 2012, sec. 6.5), and the
+profiled scale c* = S / N* is unchanged. loglik, the fit's kernel, score
+and impute (through _passes) take the merged pass; filter asks
+_forward_pass for the per-slot one, since StatePaths and the states CSV
+report each slot's innovation. So their numbers equal filter's bit for bit
+only where no row repeats a series (the paper's two-isotope panel modelled
+one series at a time, and every panel of one value a row) and above state
+dimension 1, where nothing is merged; elsewhere they agree to rounding,
+the merged pass the closer to an exact reference of the two.
+
 Both backward passes step only through the rows that move some block, last
 first, and _filled fills every other row, or just the listed ones, by one
 index, so an all-missing row costs no step.
@@ -182,7 +202,10 @@ class CompiledModel:
     paths_index holds the read-only arrays (at, tvar, window) that the
     per-row paths are derived with: at[nu] is the number of slots before
     row nu (at[n] of all), and tvar and window are what each moving row
-    books.
+    books. merge, also at state dimension 1 only, and only where some row
+    holds more than one value, is the _Merge that folds each row's values
+    into one before _forward_dim1's loop; it is None elsewhere, and then
+    every pass runs over the slots.
 
     compile_model builds it once from the panel's columnar view
     (PanelDataset.view) and the group keys modelspec.group_keys resolves
@@ -218,6 +241,7 @@ class CompiledModel:
     book_tvar: tuple | None
     book_window: tuple | None
     paths_index: tuple | None
+    merge: _Merge | None
 
     @property
     def n_obs_slots(self) -> int:
@@ -252,7 +276,8 @@ def compile_model(
     moved = apply_.any(axis=1)
     moving = np.flatnonzero(moved)
     fill = moving.size - np.searchsorted(moving, np.arange(n), side="right")
-    book_tvar = book_window = paths_index = None
+    y = view.value[keys.slot]
+    book_tvar = book_window = paths_index = merge = None
     if k * m == 1:
         at = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(count, out=at[1:])
@@ -261,7 +286,8 @@ def compile_model(
         book_tvar = tuple(book.tolist())
         book_window = tuple(window[keys.row, 0].tolist())
         paths_index = at, tvar[moving, 0], window[moving, 0]
-    y = view.value[keys.slot]
+        if count.max(initial=0) > 1:
+            merge = _merge_index(count, at, hidx, book, window[:, 0])
     frozen = (keys.row, keys.col, level, y, hidx, count, moved, corr, apply_, window, tvar)
     slot_fill = fill[keys.row]
     for a in (*frozen, moving, fill, slot_fill, *(paths_index or ())):
@@ -294,7 +320,57 @@ def compile_model(
         book_tvar=book_tvar,
         book_window=book_window,
         paths_index=paths_index,
+        merge=merge,
     )
+
+
+@dataclass(frozen=True)
+class _Merge:
+    """Where some row repeats a series at state dimension 1, the index that
+    folds each observed row's values into one before _forward_dim1's loop
+    (_fold), which then steps once per observed row: the row's merged slot.
+
+    first[r] is the first slot of the r-th observed row, whose
+    measurement-variance index hidx[r] starts its fold. steps holds, for
+    each later position j = 1, 2, 3 in a row, (rows, slots, hidx): the
+    merged slots whose row holds a value at position j, that value's slot
+    and its index. The values are read from CompiledModel.y_array, at first
+    and at the slots. book_tvar and book_window are CompiledModel's
+    per-slot tuples at the first slots, and at[nu] is the number of merged
+    slots before row nu (at[n] of all).
+    """
+
+    first: np.ndarray
+    hidx: np.ndarray
+    steps: tuple
+    book_tvar: tuple
+    book_window: tuple
+    at: np.ndarray
+
+
+def _merge_index(count, at, hidx, book, window) -> _Merge:
+    # the _Merge of a dim-1 panel from its per-row slot counts, the slot
+    # offsets at, the per-slot hidx and booked index, and the per-row window
+    rows = np.flatnonzero(count)
+    first = at[rows]
+    steps = []
+    for j in range(1, int(count.max())):
+        held = np.flatnonzero(count[rows] > j)
+        slots = first[held] + j
+        steps.append((held, slots, hidx[slots]))
+    merged_at = np.zeros(count.size + 1, dtype=np.intp)
+    np.cumsum(count > 0, out=merged_at[1:])
+    merge = _Merge(
+        first=first,
+        hidx=hidx[first],
+        steps=tuple(steps),
+        book_tvar=tuple(book[first].tolist()),
+        book_window=tuple(window[rows].tolist()),
+        at=merged_at,
+    )
+    for a in (first, merge.hidx, merged_at, *(x for step in steps for x in step)):
+        a.setflags(write=False)
+    return merge
 
 
 def _lookup(keys: np.ndarray, index) -> np.ndarray:
@@ -426,6 +502,11 @@ def filter(
     (s,) and (s, s) at state dimension s; other shapes raise ValueError.
     Missing slots are skipped; rows where every slot of a series is missing
     leave that series' state block frozen per the booking semantics.
+
+    The pass runs slot by slot, so that the paths hold each slot's
+    innovation, also where loglik's pass merges a row's values (see the
+    module docstring): its loglik equals loglik's bit for bit only where
+    no row repeats a series, or above state dimension 1.
     """
     cm = compiled if compiled is not None else compile_model(spec, layout, data)
     h = np.array(layout.validate_params(params))  # a copy: run.buffers keeps it at s = 1
@@ -438,7 +519,7 @@ def filter(
             if x.shape != shape:
                 raise ValueError(f"init {name} must have shape {shape}, got shape {x.shape}")
 
-    ll, _, buffers, n_diffuse = _forward_pass(cm, h, True, prior)
+    ll, _, buffers, n_diffuse = _forward_pass(cm, h, True, prior, per_slot=True)
     rows = _rows_dim1(cm, buffers) if s == 1 else buffers
     pred_a, pred_P, pred_Pi, filt_a, filt_P, v, F, _ = rows
     n = cm.n
@@ -462,14 +543,20 @@ def filter(
 
 
 def loglik(compiled: CompiledModel, params) -> float:
-    """Exact-diffuse loglik at params: filter's forward pass without paths.
+    """Exact-diffuse loglik at params: the forward pass without paths.
 
-    The pass is filter's (_forward_pass), so the two logliks are equal bit
-    for bit. The parameters are used as given, not validated. A point where
-    some innovation variance is not a finite normal positive float (a
-    subnormal one would overflow 1 / F), where some slot's loglik term
-    makes the sum non-finite, or where the trend variances give no real
-    increment covariance, raises ConditioningError naming the row.
+    The pass is filter's (_forward_pass), but at state dimension 1 it
+    merges each row's values of the series into one before its loop,
+    wherever some row holds more than one (see the module docstring). So
+    the two logliks are equal bit for bit where no row repeats a series,
+    and above state dimension 1; elsewhere they agree to rounding. The
+    parameters are used as given, not validated. A point where some
+    innovation variance is not a finite normal positive float (a subnormal
+    one would overflow 1 / F), where some slot's loglik term makes the sum
+    non-finite, or where the trend variances give no real increment
+    covariance, raises ConditioningError naming the row; a merged pass
+    names the variance of the row's merged term, at its first slot's
+    column, or of a within-row term, at that value's column.
     """
     return _forward_pass(compiled, params)[0]
 
@@ -487,6 +574,10 @@ def score(compiled: CompiledModel, params) -> np.ndarray:
     series it moves, where S = E[eta eta' | data] = eta eta' + C + B V_u B'
     with eta = B (x_u - a_{u|u-1}) and B, C as in smooth. dQ covers the
     cross-covariance rho sqrt(s1 s2) min(w1, w2) of a bivariate row.
+
+    The forward pass is loglik's, merged where a row repeats the series at
+    state dimension 1; the measurement terms still read every slot against
+    its row's smoothed level.
 
     The score is the sum of two parts, which _kernels.loglik_from_compiled
     hands the fit separately: quad, the terms in the squared residuals
@@ -594,13 +685,19 @@ def _score_dim1(cm: CompiledModel, h: np.ndarray, passes: tuple) -> np.ndarray:
     return np.array((quad, rest))
 
 
-def _forward_pass(cm: CompiledModel, params, keep_paths: bool = False, prior=None) -> tuple:
+def _forward_pass(
+    cm: CompiledModel, params, keep_paths: bool = False, prior=None, per_slot: bool = False
+) -> tuple:
     # the forward recursion at params, as a float64 array, from the diffuse
     # start, or from the proper prior (a1, P1) that filter checks, float
-    # arrays of shapes (s,) and (s, s): _forward_dim1 at state dimension 1,
-    # _forward above it
+    # arrays of shapes (s,) and (s, s): _forward above state dimension 1,
+    # and at 1 _forward_dim1, over the merged slots where compile_model
+    # built cm.merge, unless per_slot asks for every slot's innovation, as
+    # filter does
     h = np.asarray(params, dtype=float)
-    return (_forward_dim1 if cm.s == 1 else _forward)(cm, h, keep_paths, prior)
+    if cm.s > 1:
+        return _forward(cm, h, keep_paths, prior)
+    return _forward_dim1(cm, h, keep_paths, prior, None if per_slot else cm.merge)
 
 
 def _forward(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, prior=None) -> tuple:
@@ -734,8 +831,10 @@ def _forward(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, prior=N
     return ll, (S, N), buffers, len(rec_diffuse)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # for the numpy tail
-def _forward_dim1(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, prior=None) -> tuple:
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # for the numpy steps
+def _forward_dim1(
+    cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, prior=None, merge=None
+) -> tuple:
     # _forward at s = 1, with the same arguments and results, but for the
     # paths-mode record, a _SlotPaths: a and P are floats instead of
     # one-element lists, and every operation is _forward's, in its order.
@@ -752,17 +851,32 @@ def _forward_dim1(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, pr
     # paths mode each slot's filtered (a, P), which give the record. An F of
     # +-0.0 stops the loop at its division; the range check then names that
     # slot, or an earlier one.
+    # With merge, a _Merge, the merge changes the loop's inputs, not its
+    # code: _fold first folds each observed row's values into one, and the
+    # loop walks these merged slots, one per observed row, reading the
+    # row's y_bar for y[o] and its h_bar, at index o of a list of them, for
+    # h[hidx[o]]; only the transition variances are read from h. The
+    # fold's within-row (v, F) sit at their slots in the terms _log_sum
+    # sums, and each merged slot's at its row's first slot, so a range
+    # check names a slot of the failing row. The record's v and F are the
+    # merged slots'.
     rec_v, rec_P = array("d"), array("d")
     keep_v, keep_P = rec_v.append, rec_P.append
     hl = h.tolist()
+    if merge is None:
+        hv, slots = hl, zip(cm.y, cm.hidx, cm.book_tvar, cm.book_window)
+    else:
+        v_all, F_all = np.empty(len(cm.y)), np.empty(len(cm.y))
+        y_bar, h_bar = _fold(merge, cm.y_array, h, v_all, F_all)
+        hv = h_bar.tolist()
+        slots = zip(y_bar.tolist(), range(len(hv)), merge.book_tvar, merge.book_window)
     a, P = (0.0, 0.0) if prior is None else (float(prior[0][0]), float(prior[1][0, 0]))
     head = [(a, P)]  # the start's (a, P), then the diffuse slot's filtered ones
     F_inf = {}
-    slots = zip(cm.y, cm.hidx, cm.book_tvar, cm.book_window)
     if prior is None and cm.y:
         yo, i, _, _ = next(slots)  # a series' first slot books nothing
         v = yo - a
-        F = P + hl[i]
+        F = P + hv[i]
         K = 1.0  # M_inf / F_inf, both P_inf
         a += K * v
         keep_v(v)
@@ -778,15 +892,26 @@ def _forward_dim1(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, pr
             v = yo - a
             keep_v(v)
             keep_P(P)
-            K = P / (P + hl[i])
+            K = P / (P + hv[i])
             a += K * v
             P -= K * P
     except ZeroDivisionError:
         pass  # F is +-0.0, out of range
 
     v, P = np.frombuffer(rec_v), np.frombuffer(rec_P)
-    F = P + h[cm.hidx_array[: P.size]]
-    ll, S, N = _log_sum(cm, v, F.copy() if keep_paths else F, F_inf)
+    if merge is None:
+        F = P + h[cm.hidx_array[: P.size]]
+        terms = v, F.copy() if keep_paths else F
+    else:
+        # each merged slot's terms at its row's first slot, up to the slot
+        # the loop stopped at
+        F = P + h_bar[: P.size]
+        first = merge.first[: P.size]
+        v_all[first] = v
+        F_all[first] = F
+        end = int(first[-1]) + 1 if P.size < merge.first.size else v_all.size
+        terms = v_all[:end], F_all[:end]
+    ll, S, N = _log_sum(cm, *terms, F_inf)
     paths = None
     if keep_paths:
         # each slot's filtered (a, P), as the loop filtered it after the
@@ -805,7 +930,7 @@ def _forward_dim1(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, pr
         if filt_a.size:
             filt_a[0] += slot_a[d - 1]
             np.cumsum(filt_a, out=filt_a)
-        at = cm.paths_index[0]
+        at = cm.paths_index[0] if merge is None else merge.at
         # the diffuse rows, a leading run from the diffuse start: to the
         # diffuse slot's row, or every row if no slot ends the phase
         n_diffuse_rows = 0
@@ -815,11 +940,35 @@ def _forward_dim1(cm: CompiledModel, h: np.ndarray, keep_paths: bool = False, pr
     return ll, (S, N), paths, len(F_inf)
 
 
+def _fold(merge: _Merge, y: np.ndarray, h: np.ndarray, v: np.ndarray, F: np.ndarray) -> tuple:
+    # each observed row's values folded into one, (y_bar, h_bar) per merged
+    # slot, from the per-slot values y and the parameters h: the Kalman
+    # update among the row's own values from a diffuse start at its first,
+    # one vectorized step per later position j, with _forward_dim1's
+    # operations in its order, v = y_j - y_bar, F = h_bar + h_j, K = h_bar
+    # / F and y_bar + K * v, but h_bar becomes K * h_j, not h_bar - K *
+    # h_bar, which cancels where h_bar >> h_j. Each step's v and F go to v
+    # and F at its slot, where _log_sum sums them with the loop's own
+    y_bar, h_bar = y[merge.first], h[merge.hidx]
+    for rows, slots, hidx in merge.steps:
+        yb, hb = y_bar[rows], h_bar[rows]
+        vj = y[slots] - yb
+        hj = h[hidx]
+        Fj = hb + hj
+        K = hb / Fj
+        y_bar[rows] = yb + K * vj
+        h_bar[rows] = K * hj
+        v[slots] = vj
+        F[slots] = Fj
+    return y_bar, h_bar
+
+
 @dataclass(eq=False)
 class _SlotPaths:
     """_forward_dim1's paths-mode record at the parameters h: v and F per
-    slot, per row nu the filtered moments A[nu], P[nu] that its first slot
-    starts from (A[n], P[n] the last row's), and _forward's pred_Pi.
+    slot, or per merged slot where the pass merged, per row nu the
+    filtered moments A[nu], P[nu] that its first slot starts from (A[n],
+    P[n] the last row's), and _forward's pred_Pi.
     _smoothed_dim1 reads it; filter has _rows_dim1 derive _forward's eight
     buffers from it."""
 

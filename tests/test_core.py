@@ -388,6 +388,15 @@ def test_rows_take_only_a_step_1_slice():
 _BY_SOURCE_BIV = ModelSpec(arity="bivariate", meas_grouping="by-source", corr_grouping="pooled")
 
 
+def _same_items(x, y) -> bool:
+    # equal, arrays with their dtypes, through nested tuples
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same_items, x, y))
+    return x == y
+
+
 def _assert_same_panel_and_model(window, fresh, specs):
     # the same view, column for column with its dtype, and for each spec
     # the same compiled model and loglik (or the same layout error)
@@ -406,14 +415,9 @@ def _assert_same_panel_and_model(window, fresh, specs):
         cm_fresh = compile_model(spec, layout, fresh)
         for f in dataclasses.fields(cm_fresh):
             x, y = getattr(cm_window, f.name), getattr(cm_fresh, f.name)
-            if f.name == "paths_index" and x is not None:  # a tuple of arrays
-                assert len(x) == len(y), f.name
-                for a, b in zip(x, y):
-                    assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-            elif isinstance(x, np.ndarray):
-                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-            else:
-                assert x == y, f.name
+            if f.name == "merge" and x is not None:  # its fields, as a tuple
+                x, y = tuple(vars(x).values()), tuple(vars(y).values())
+            assert _same_items(x, y), f.name
         params = [0.3 + 0.1 * i for i in range(layout.n_params)]
         params = [-0.5 if p.role == "rho" else x for p, x in zip(layout.params, params)]
         assert loglik(cm_window, params) == loglik(cm_fresh, params)

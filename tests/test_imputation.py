@@ -484,8 +484,12 @@ def test_impute_equals_smooth_of_filter_at_its_grid_rows(name, build):
     means = paths.smoothed_means[rows[:, None], levels]
     sds = np.sqrt(paths.smoothed_covs[rows[:, None], levels, levels])
     assert table.means.shape == (len(grid), spec.n_series)
-    assert table.means.tobytes() == means.tobytes()
-    assert table.sds.tobytes() == sds.tobytes()
+    if kalman.compile_model(spec, layout, data).merge is None:
+        assert table.means.tobytes() == means.tobytes()
+        assert table.sds.tobytes() == sds.tobytes()
+    else:  # impute's pass merges row -58.0's four d18O values, filter's does not
+        np.testing.assert_allclose(table.means, means, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(table.sds, sds, rtol=1e-11, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,22 @@ def test_generated_records_collate(records):
     )
 
 
+@pytest.mark.parametrize(
+    "later", [(-2.0, 2, 1.0, "a", "s"), (-2.0, 0, math.nan, "a", "s")], ids=["tag", "nan"]
+)
+def test_collate_reports_an_earlier_fifth_slot_first(later):
+    # five d18O values at one stamp, then a record with an unknown series
+    # tag or a NaN value: the fifth value comes first in input order
+    records = [(-3.0, "d18O", 0.1 * i, "a", "s") for i in range(5)] + [later]
+    message = "more than 4 simultaneous values for series d18O at stamp -3.0"
+    for collate in (collate_rows, reference.collate_rows):
+        with pytest.raises(ValueError, match=message):
+            collate(records)
+    # the later record's error, where nothing before it overflows
+    with pytest.raises(ValueError, match="unknown series tag|NaN value"):
+        collate_rows(records[1:])
+
+
 def test_mixed_records_collate():
     assert_same_panel(collate_rows(MIXED_RECORDS), reference.collate_rows(MIXED_RECORDS))
 

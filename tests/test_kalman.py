@@ -13,6 +13,7 @@ import re
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,7 +466,16 @@ def test_kernel_matches_engine(seed, m, biv, n_rows):
     run = kfilter(spec, layout, params, data)
     cm = run.compiled
     kll = _kernels.loglik_from_compiled(cm, layout.validate_params(params))
-    assert kll == run.loglik
+    _assert_merged_loglik(cm, kll, run.loglik)
+
+
+def _assert_merged_loglik(cm, ll, ll_per_slot):
+    # a merged pass's loglik against the per-slot pass's (filter's): equal
+    # bit for bit where no row repeats a series, else close
+    if cm.merge is None:
+        assert ll == ll_per_slot
+    else:
+        assert ll == pytest.approx(ll_per_slot, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -491,7 +501,7 @@ def test_kernel_matches_engine_long_record(spec, params):
     assert run.paths.diffuse_rows.sum() < 10
     assert np.sum(~obs.any(axis=1)) > 50
     kll = _kernels.loglik_from_compiled(run.compiled, layout.validate_params(params))
-    assert kll == run.loglik
+    _assert_merged_loglik(run.compiled, kll, run.loglik)
 
 
 @pytest.mark.parametrize(
@@ -625,7 +635,10 @@ def _numpy_score_parts(cm, params):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", list(DIM1_SPECS))
 def test_dim1_loglik_equals_filter_bitwise(name, seed):
-    # and the score's float path equals its numpy path, called directly
+    # the merged pass's loglik equals the kernel's bit for bit, and filter's
+    # and _forward's per-slot ones within 1e-11 (every panel repeats a
+    # series in some row); and the score's float path equals its numpy
+    # path, called directly
     spec = DIM1_SPECS[name]
     data = _dim1_panel(seed)
     layout = build_layout(spec, data)
@@ -638,9 +651,9 @@ def test_dim1_loglik_equals_filter_bitwise(name, seed):
         # variances from 6e-6 to 20: signal-to-noise ratios over ~7 decades
         params = np.exp(rng.uniform(-12.0, 3.0, layout.n_params))
         ll = kloglik(cm, params)
-        assert ll == kfilter(spec, layout, params, data, compiled=cm).loglik
+        _assert_merged_loglik(cm, ll, kfilter(spec, layout, params, data, compiled=cm).loglik)
         assert ll == _kernels.loglik_from_compiled(cm, params)
-        assert ll == kalman._forward(cm, params)[0]
+        _assert_merged_loglik(cm, ll, kalman._forward(cm, params)[0])
         assert _same_bits(kalman.score(cm, params), _numpy_score(cm, params))
 
 
@@ -662,9 +675,9 @@ def test_dim1_loglik_raises_as_the_general_recursion():
         kloglik(cm, params)
     with pytest.raises(ConditioningError) as ref:
         kalman._forward(cm, params, True)
-    assert str(fast.value) == str(ref.value)
+    # the merged pass names the row, not the per-slot pass's slot and value
     assert fast.value.row_index == ref.value.row_index > 3
-    assert "innovation variance" in str(fast.value)
+    assert str(fast.value).startswith(f"row {ref.value.row_index}: innovation variance ")
     # the score's float path raises as its numpy path
     with pytest.raises(ConditioningError) as fast:
         kalman.score(cm, params)
@@ -706,6 +719,155 @@ def test_dim1_smoother_equals_general_recursion_bitwise():
                 for _ in range(3):
                     h = np.exp(rng.uniform(-12.0, 3.0, layout.n_params)).tolist()
                     _assert_smooth_equals_smoothed(spec, layout, data, cm, h, prior)
+
+
+@mpmath.mp.workdps(50)
+def _loglik_reference_dim1(cm, params):
+    # the exact-diffuse loglik at state dimension 1 as a 50-digit mpf, one
+    # slot at a time over cm's slots: the first slot is the diffuse one (it
+    # sets the state to its value and variance and adds -log(2 pi) / 2),
+    # each later one books its row's transition variance before its first
+    # slot
+    mp = mpmath.mp
+    h = [mp.mpf(x) for x in np.asarray(params, dtype=float).tolist()]
+    half_log_2pi = mp.log(2 * mp.pi) / 2
+    terms, a, P = [], None, None
+    for y, i, t, w in zip(cm.y, cm.hidx, cm.book_tvar, cm.book_window):
+        if a is None:
+            a, P = mp.mpf(y), h[i]
+            terms.append(-half_log_2pi)
+            continue
+        if t >= 0:
+            P += h[t] * mp.mpf(w)
+        v = mp.mpf(y) - a
+        F = P + h[i]
+        K = P / F
+        a += K * v
+        P -= K * P
+        terms.append(-half_log_2pi - (mp.log(F) + v * v / F) / 2)
+    return mp.fsum(terms)
+
+
+def test_merged_loglik_matches_a_50_digit_reference():
+    # the merged pass (each row's values folded into one before the loop)
+    # against a 50-digit sequential filter over the same slots, on the
+    # 1-4-value panels with variances over ~7 decades: within 1e-12
+    # relative at every draw (measured at most 1.9e-13), and at each (spec,
+    # seed) never farther than the per-slot pass at its worst draw but for
+    # the rounding of the sum, 16 ulps (the per-slot pass: at most 8.0e-12;
+    # at single draws either pass can be the closer one by a few ulps).
+    # Summed over every draw the merged pass is at least ten times closer
+    # (measured 2.9e-13 against 2.3e-11)
+    rounding = 16 * sys.float_info.epsilon
+    total_merged = total_per_slot = 0.0
+    for seed in (0, 1, 2):
+        data = _dim1_panel(seed)
+        for spec in DIM1_SPECS.values():
+            layout = build_layout(spec, data)
+            cm = compile_model(spec, layout, data)
+            assert cm.merge is not None
+            rng = np.random.default_rng(100 + seed)
+            merged, per_slot = [], []
+            for _ in range(10):
+                params = np.exp(rng.uniform(-12.0, 3.0, layout.n_params))
+                ref = _loglik_reference_dim1(cm, params)
+                for errors, ll in (
+                    (merged, kloglik(cm, params)),
+                    (per_slot, kfilter(spec, layout, params, data, compiled=cm).loglik),
+                ):
+                    errors.append(float(abs((ll - ref) / ref)))
+            assert max(merged) <= 1e-12
+            assert max(merged) <= max(max(per_slot), rounding)
+            total_merged += sum(merged)
+            total_per_slot += sum(per_slot)
+    assert 10.0 * total_merged <= total_per_slot
+
+
+def _source_fit_panel(seed):
+    # source-fit's shape: 480 rows of two d18O values each over four
+    # sources, at the paper panel's mean spacing; and its by-source spec
+    rng = np.random.default_rng(seed)
+    stamps = -np.cumsum(rng.exponential(0.00283, 480))[::-1] - 0.001
+    spec = ModelSpec(meas_grouping="by-source")
+    eps = np.geomspace(0.01, 0.06, 4).tolist()
+    data = pk.simulate(spec, [*eps, 1.8364], stamps, slots_per_row=2, seed=seed, n_sources=4)
+    return spec, data, [*eps, 1.8364]
+
+
+def _merged_panels():
+    # (spec, data, params) at state dimension 1 where some row repeats a
+    # series: the mixed panels (row -58.0 holds four d18O values), pooled
+    # and by source, and source-fit-shaped panels, at their own parameters,
+    # and all at variances drawn from 0.01 to 2, the paper's range
+    rng = np.random.default_rng(5)
+    for data in mixed_panels().values():
+        for spec in (ModelSpec(), ModelSpec(meas_grouping="by-source")):
+            n_params = build_layout(spec, data).n_params
+            for _ in range(3):
+                yield spec, data, np.exp(rng.uniform(math.log(0.01), math.log(2.0), n_params))
+    for seed in (0, 1, 2):
+        spec, data, params = _source_fit_panel(seed)
+        yield spec, data, np.array(params)
+        for _ in range(3):
+            yield spec, data, np.exp(rng.uniform(math.log(0.01), math.log(2.0), len(params)))
+
+
+def test_merged_score_and_smoothed_moments_match_the_per_slot_passes():
+    # the merged pass's score (kalman.score) and smoothed moments (impute
+    # at the data's stamps) against filter's per-slot pass and smooth, to
+    # 1e-10 relative: each score coordinate to the size of its two parts,
+    # each smoothed mean and sd to its own size (measured at most 3.1e-14,
+    # 3.1e-14 and 1.8e-15). Over ~7 decades of
+    # variances the per-slot pass's own rounding exceeds that (a smoothed
+    # variance 1.5e-12 off the exact one where the merged pass's is 9e-17,
+    # a score coordinate 4.3e-9 apart), which the 50-digit test above covers
+    for spec, data, params in _merged_panels():
+        layout = build_layout(spec, data)
+        cm = compile_model(spec, layout, data)
+        assert cm.s == 1 and cm.merge is not None
+        run = kfilter(spec, layout, params, data, compiled=cm)
+        assert run.loglik == pytest.approx(kloglik(cm, params), rel=1e-11, abs=0.0)
+        parts = kalman._score_from_buffers(cm, params, run.buffers)
+        gap = np.abs(kalman.score(cm, params) - parts.sum(axis=0))
+        assert np.all(gap <= 1e-10 * np.abs(parts).sum(axis=0))
+        paths = smooth(run)
+        table = pk.impute(params, spec, data, data.view.stamps)
+        np.testing.assert_allclose(
+            table.means[:, 0], paths.smoothed_means[:, 0], rtol=1e-10, atol=0.0
+        )
+        np.testing.assert_allclose(
+            table.sds[:, 0], np.sqrt(paths.smoothed_covs[:, 0, 0]), rtol=1e-10, atol=0.0
+        )
+
+
+def test_nothing_merged_where_no_row_repeats_a_series():
+    # a paper-rwn-shaped panel (two series, at most one value of each a
+    # row) under the d18O model: compile_model builds no merge data, and
+    # loglik, the kernel's value and (S, N*), and filter's loglik are equal
+    # bit for bit to the list recursion's. Above state dimension 1 nothing
+    # is merged even where a row repeats a series
+    rng = np.random.default_rng(3)
+    n = 300
+    stamps = -np.cumsum(rng.exponential(0.00283, n))[::-1] - 0.001
+    biv = ModelSpec(arity="bivariate", corr_grouping="pooled")
+    observed = rng.random((n, 2)) < 0.8
+    truth = [0.0205, 0.034, 1.8364, 1.2135, 0.5]
+    data = pk.simulate(biv, truth, stamps, seed=3, observed=observed)
+    spec = ModelSpec()
+    layout = build_layout(spec, data)
+    cm = compile_model(spec, layout, data)
+    assert cm.s == 1 and cm.count.max() == 1 and cm.merge is None
+    for params in ([0.0205, 1.8364], *np.exp(rng.uniform(-12.0, 3.0, (3, 2)))):
+        params = np.asarray(params)
+        ref_ll, ref_stats, _, _ = kalman._forward(cm, params)
+        out = np.zeros(2)
+        assert _same_bits(kloglik(cm, params), ref_ll)
+        assert _same_bits(_kernels.loglik_from_compiled(cm, params, out), ref_ll)
+        assert _same_bits(out, np.array(ref_stats, dtype=float))
+        assert _same_bits(kfilter(spec, layout, params, data, compiled=cm).loglik, ref_ll)
+    for data in mixed_panels().values():
+        for spec in (biv, ModelSpec(order_m=2)):
+            assert compile_model(spec, build_layout(spec, data), data).merge is None
 
 
 def _same_bits(x, y) -> bool:
@@ -852,8 +1014,10 @@ def test_forward_dim1_range_check_after_the_loop_raises_as_forward(case, prior, 
         nan_value = _kernels.loglik_from_compiled(cm, h)
         outs = [np.zeros(2), np.zeros(2 + 2 * layout.n_params)]
         nan_outs = [_kernels.loglik_from_compiled(cm, h, out) for out in outs]
-    assert str(fast.value) == str(ref.value) == str(run.value)
-    assert fast.value.row_index == ref.value.row_index == nu
+    assert str(fast.value) == str(ref.value)
+    assert fast.value.row_index == ref.value.row_index == run.value.row_index == nu
+    # the one forward entry merges the row's two values: it names the row
+    assert str(run.value).startswith(f"row {nu}: innovation variance ")
     assert type(fast.value.row_index) is int
     assert str(fast.value).startswith(f"row {nu}: innovation variance {F} ")
     assert str(fast.value).endswith(f"at slot column {col}")
